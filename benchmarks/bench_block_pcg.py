@@ -4,7 +4,7 @@ For every configured column count ``k`` this compares, on the virtual
 cluster, one block solve of ``A X = B`` against ``k`` sequential solves of
 the same columns -- all dispatched through the ``repro.solve`` façade (a
 2-D right-hand side selects :class:`~repro.core.block_pcg.BlockPCG`, a 1-D
-one :class:`~repro.core.pcg.DistributedPCG`):
+one runs as its ``k = 1`` block):
 
 * **Equivalence contract** -- per-column iterates and residual histories of
   the block solve must be bit-identical to the sequential solves (same

@@ -51,14 +51,14 @@ def test_figure2_report(benchmark, study, bench_settings, capsys):
 
 def test_benchmark_m1_reference_solve(benchmark, bench_settings):
     """Wall-clock benchmark of the M1 reference (non-resilient) solve."""
-    from repro.core.api import distribute_problem, reference_solve
+    from repro.core.api import distribute_problem, solve
     from repro.matrices import build_matrix
 
     matrix = build_matrix("M1", n=bench_settings.matrix_size, seed=0)
 
     def run():
         problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
-        return reference_solve(problem, preconditioner="block_jacobi")
+        return solve(problem, solver="pcg", preconditioner="block_jacobi")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.converged

@@ -72,14 +72,14 @@ def test_extra_traffic_growth_matches_analysis(benchmark, bench_settings):
 
 
 def test_benchmark_m8_undisturbed_solve(benchmark, bench_settings):
-    from repro.core.api import distribute_problem, resilient_solve
+    from repro.core.api import distribute_problem, solve
 
     matrix = build_matrix("M8", n=bench_settings.matrix_size, seed=0)
     phi = max(bench_settings.phis)
 
     def run():
         problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
-        return resilient_solve(problem, phi=phi, preconditioner="block_jacobi")
+        return solve(problem, solver="resilient_pcg", phi=phi, preconditioner="block_jacobi")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.converged

@@ -42,7 +42,7 @@ def test_figure4_report(benchmark, sweep, bench_settings, capsys):
 
 def test_benchmark_progress_sweep_single_point(benchmark, bench_settings):
     """Time one run of the sweep's mid-point configuration."""
-    from repro.core.api import distribute_problem, resilient_solve
+    from repro.core.api import distribute_problem, solve
     from repro.failures import FailureScenario, resolve_events
     from repro.matrices import build_matrix
 
@@ -57,7 +57,7 @@ def test_benchmark_progress_sweep_single_point(benchmark, bench_settings):
     def run():
         problem = distribute_problem(matrix, n_nodes=config.n_nodes,
                                      machine=config.build_machine(matrix.shape[0]))
-        return resilient_solve(problem, phi=3, failures=events,
+        return solve(problem, solver="resilient_pcg", phi=3, failures=events,
                                preconditioner="block_jacobi")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -68,7 +68,7 @@ from repro.cluster import (  # noqa: E402
 )
 from repro.core import distribute_problem  # noqa: E402
 from repro.core.redundancy import REDUNDANCY_SCHEMES  # noqa: E402
-from repro.core.resilient_pcg import ResilientPCG  # noqa: E402
+from repro.core.resilient_block_pcg import ResilientBlockPCG  # noqa: E402
 from repro.core.rs_parity import RSParityScheme  # noqa: E402
 from repro.matrices import poisson_2d  # noqa: E402
 from repro.precond import make_preconditioner  # noqa: E402
@@ -77,11 +77,12 @@ GROUP_SIZE = 4
 
 
 def _solver(matrix, n_nodes: int, phi: int, scheme: str, rtol: float,
-            failures: Optional[List[FailureEvent]] = None) -> ResilientPCG:
+            failures: Optional[List[FailureEvent]] = None
+            ) -> ResilientBlockPCG:
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
     options = {"group_size": GROUP_SIZE} if scheme == "rs_parity" else None
-    return ResilientPCG(
+    return ResilientBlockPCG(
         problem.matrix, problem.rhs, make_preconditioner("block_jacobi"),
         phi=phi, scheme=scheme, scheme_options=options, rtol=rtol,
         failure_injector=FailureInjector(failures) if failures else None,

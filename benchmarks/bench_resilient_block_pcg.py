@@ -3,8 +3,8 @@
 For every configured column count ``k`` this compares, on the virtual
 cluster, one :class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`
 solve of ``A X = B`` hit by a multi-node failure schedule against ``k``
-sequential :class:`~repro.core.resilient_pcg.ResilientPCG` solves of the
-same columns hit by the *same* schedule -- all dispatched through the
+sequential single-RHS (``k = 1``) resilient solves of the same columns hit
+by the *same* schedule -- all dispatched through the
 ``repro.solve`` façade with specs composed by the experiment harness
 (:meth:`ExperimentConfig.solve_spec` with ``n_rhs=k`` attaches the
 ``BlockSpec`` next to the ``ResilienceSpec``):
@@ -17,7 +17,7 @@ same columns hit by the *same* schedule -- all dispatched through the
   so its simulated recovery time grows far slower than the ``k``-fold
   sequential recovery cost;
 * **Redundancy amortization** -- the per-iteration extra redundancy traffic
-  ships all ``k`` columns in the single-vector scheme's messages: message
+  ships all ``k`` columns in the ``k = 1`` scheme's messages: message
   count independent of ``k``, volume scaling with ``k``;
 * **Wallclock amortization** -- one resilient block solve is faster than
   ``k`` sequential resilient solves end to end.

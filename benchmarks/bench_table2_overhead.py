@@ -79,14 +79,14 @@ def test_sparse_pays_more_than_dense(benchmark, studies):
 
 def test_benchmark_single_resilient_solve(benchmark, bench_settings):
     """Wall-clock benchmark of one resilient solve with three failures."""
-    from repro.core.api import distribute_problem, resilient_solve
+    from repro.core.api import distribute_problem, solve
     from repro.matrices import build_matrix
 
     matrix = build_matrix("M5", n=bench_settings.matrix_size, seed=0)
 
     def run():
         problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
-        return resilient_solve(problem, phi=3, preconditioner="block_jacobi",
+        return solve(problem, solver="resilient_pcg", phi=3, preconditioner="block_jacobi",
                                failures=[(10, [0, 1, 2])])
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -78,13 +78,10 @@ from .core import (
     SolveSpec,
     build_redundancy_scheme,
     distribute_problem,
-    reference_solve,
     register_placement,
     register_redundancy_scheme,
     register_solver,
-    resilient_solve,
     solve,
-    solve_with_failures,
 )
 from .failures import (
     FailureLocation,
@@ -154,9 +151,6 @@ __all__ = [
     "RackLayout",
     "register_placement",
     "distribute_problem",
-    "reference_solve",
-    "resilient_solve",
-    "solve_with_failures",
     # scenarios / traces / campaigns
     "FailureScenario",
     "FailureLocation",

@@ -11,22 +11,30 @@ throws away up to ``interval - 1`` iterations of work.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..cluster.cost_model import Phase
 from ..cluster.failure import FailureInjector
-from ..core.pcg import DistributedPCG
+from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
+from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
 from .recovery_base import FailureHandlingMixin
 
 logger = get_logger("baselines.checkpoint")
+
+#: Solver attributes besides the work blocks that a checkpoint captures: the
+#: recurrence coefficients, the lock-step and per-column iteration counters,
+#: the column states and the residual histories.
+_CHECKPOINTED = ("global_iterations", "iterations", "rz", "beta_prev",
+                 "active", "breakdown", "residual_histories")
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,13 @@ class CheckpointConfig:
             raise ValueError(f"checkpoint interval must be >= 1, got {self.interval}")
 
 
-class CheckpointRestartPCG(FailureHandlingMixin, DistributedPCG):
+class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
     """Distributed PCG protected by periodic in-memory/remote checkpoints."""
 
     vector_prefix = "cr_pcg"
 
-    def __init__(self, matrix: DistributedMatrix, rhs: DistributedVector,
+    def __init__(self, matrix: DistributedMatrix,
+                 rhs: Union[DistributedVector, DistributedMultiVector],
                  preconditioner: Optional[Preconditioner] = None, *,
                  config: Optional[CheckpointConfig] = None,
                  failure_injector: Optional[FailureInjector] = None,
@@ -60,39 +69,33 @@ class CheckpointRestartPCG(FailureHandlingMixin, DistributedPCG):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
         self.config = config if config is not None else CheckpointConfig()
-        self.failure_injector = failure_injector
+        self._init_failure_handling(failure_injector)
         self._checkpoint: Optional[Dict[str, object]] = None
         self.checkpoints_taken = 0
         self.rollbacks = 0
         self.iterations_lost = 0
-        self._ensure_rhs_stored()
 
     # -- checkpointing ------------------------------------------------------------
     def _checkpoint_cost(self) -> float:
-        """Simulated time to write one checkpoint (per-node block of 4 vectors)."""
+        """Simulated time to write one checkpoint (per-node row block of the
+        four ``(n_i, k)`` work blocks)."""
         model = self.cluster.ledger.model
         block = self.partition.max_block_size()
-        return model.storage_retrieve_time(4 * block)
+        return model.storage_retrieve_time(4 * block * self.n_cols)
 
     def _take_checkpoint(self) -> None:
         """Snapshot the dynamic state to (failure-proof) storage."""
-        state = {
-            "iteration": self.iteration,
-            "rz": self.rz,
-            "beta_prev": self.beta_prev,
-            "residual_history": list(self.residual_history),
-            "x": self.x.to_global(),
-            "r": self.r.to_global(),
-            "z": self.z.to_global(),
-            "p": self.p.to_global(),
-        }
+        state = {name: copy.deepcopy(getattr(self, name))
+                 for name in _CHECKPOINTED}
+        for name in ("x", "r", "z", "p"):
+            state[name] = getattr(self, name).to_global()
         self.cluster.storage.put(("checkpoint", self.vector_prefix), state)
         self._checkpoint = state
         self.checkpoints_taken += 1
         self.cluster.ledger.add_time(Phase.CHECKPOINT, self._checkpoint_cost())
         self.cluster.ledger.add_traffic(
             Phase.CHECKPOINT, self.partition.n_parts,
-            4 * self.partition.n,
+            4 * self.partition.n * self.n_cols,
         )
 
     def _restore_checkpoint(self) -> None:
@@ -101,18 +104,17 @@ class CheckpointRestartPCG(FailureHandlingMixin, DistributedPCG):
             raise RuntimeError("no checkpoint available to restore")
         state = self.cluster.storage.retrieve(("checkpoint", self.vector_prefix),
                                               charge=True)
-        lost = self.iteration - int(state["iteration"])
+        lost = self.global_iterations - int(state["global_iterations"])
         self.iterations_lost += max(lost, 0)
         self.rollbacks += 1
-        for name, vec in (("x", self.x), ("r", self.r), ("z", self.z), ("p", self.p)):
+        for name in ("x", "r", "z", "p"):
             values = np.asarray(state[name])
+            vec = getattr(self, name)
             for rank in range(self.partition.n_parts):
                 start, stop = self.partition.range_of(rank)
                 vec.restore_block(rank, values[start:stop])
-        self.iteration = int(state["iteration"])
-        self.rz = float(state["rz"])
-        self.beta_prev = float(state["beta_prev"])
-        self.residual_history = list(state["residual_history"])
+        for name in _CHECKPOINTED:
+            setattr(self, name, copy.deepcopy(state[name]))
 
     # -- hooks -----------------------------------------------------------------------
     def _on_setup(self) -> None:
@@ -132,7 +134,7 @@ class CheckpointRestartPCG(FailureHandlingMixin, DistributedPCG):
         self._install_replacements(failed)
         self._restore_checkpoint()
         logger.info("rolled back to iteration %d after failure of %s",
-                    self.iteration, failed)
+                    self.global_iterations, failed)
         return True
 
     # -- result ------------------------------------------------------------------------

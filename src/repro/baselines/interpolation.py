@@ -21,16 +21,17 @@ the ESR papers quantify.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..cluster.cost_model import Phase
 from ..cluster.failure import FailureInjector
-from ..core.pcg import DistributedPCG
+from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
+from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..solvers.local_solver import LocalSubsystemSolver
@@ -84,12 +85,13 @@ def least_squares_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
     return solver.solve(normal_matrix, normal_rhs)
 
 
-class InterpolationRecoveryPCG(FailureHandlingMixin, DistributedPCG):
+class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
     """PCG with interpolation/restart recovery (LI or LSI)."""
 
     vector_prefix = "interp_pcg"
 
-    def __init__(self, matrix: DistributedMatrix, rhs: DistributedVector,
+    def __init__(self, matrix: DistributedMatrix,
+                 rhs: Union[DistributedVector, DistributedMultiVector],
                  preconditioner: Optional[Preconditioner] = None, *,
                  method: str = "li",
                  failure_injector: Optional[FailureInjector] = None,
@@ -103,9 +105,8 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, DistributedPCG):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
         self.method = method
-        self.failure_injector = failure_injector
+        self._init_failure_handling(failure_injector)
         self.recoveries = 0
-        self._ensure_rhs_stored()
 
     # -- recovery -------------------------------------------------------------------
     def _handle_failures(self, iteration: int) -> bool:
@@ -126,16 +127,22 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, DistributedPCG):
         a_global = self.matrix.to_global()
         b_global = self.rhs.to_global()
 
+        interpolate = (local_interpolation if self.method == "li"
+                       else least_squares_interpolation)
+        # One interpolation per column (each column is its own recurrence).
+        x_failed = np.column_stack([
+            interpolate(a_global, b_global[:, j], x_global[:, j],
+                        failed_indices)
+            for j in range(self.n_cols)
+        ])
         if self.method == "li":
-            x_failed = local_interpolation(a_global, b_global, x_global,
-                                           failed_indices)
             # Communication: survivors ship the x entries referenced by the
             # failed rows (reverse SpMV pattern), like the ESR gather.
             for dst in failed_ranks:
                 for src in self.context.senders_to(dst):
                     if src in failed_ranks:
                         continue
-                    count = self.context.send_count(src, dst)
+                    count = self.context.send_count(src, dst) * self.n_cols
                     if count:
                         latency = self.cluster.topology.latency(src, dst)
                         ledger.add_time(Phase.RECOVERY_COMM,
@@ -143,19 +150,17 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, DistributedPCG):
                         ledger.add_traffic(Phase.RECOVERY_COMM, 1, count)
             work = 10.0 * a_global[failed_indices, :][:, failed_indices].nnz
         else:
-            x_failed = least_squares_interpolation(a_global, b_global, x_global,
-                                                   failed_indices)
             # LSI touches every row that references a lost unknown: charge a
             # full residual evaluation plus the normal-equation solve.
             ledger.add_time(Phase.RECOVERY_COMM,
                             ledger.model.message_time(
                                 self.cluster.topology.max_latency(),
-                                int(partition.n)))
+                                int(partition.n) * self.n_cols))
             ledger.add_traffic(Phase.RECOVERY_COMM, partition.n_parts,
-                               int(partition.n))
+                               int(partition.n) * self.n_cols)
             work = 2.0 * a_global.nnz + 20.0 * float(failed_indices.size) ** 2
         ledger.add_time(Phase.RECOVERY_COMPUTE,
-                        work / ledger.model.spmv_flop_rate)
+                        work * self.n_cols / ledger.model.spmv_flop_rate)
 
         # Patch the iterate and restart the Krylov process from it.
         x_global[failed_indices] = x_failed
@@ -163,23 +168,6 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, DistributedPCG):
             start, stop = partition.range_of(rank)
             self.x.restore_block(rank, x_global[start:stop])
         self._restart_krylov()
-
-    def _restart_krylov(self) -> None:
-        """Recompute r, z, p and the recurrence scalars from the patched x.
-
-        Runs on the cached local-view SpMV engine (the solver's prebuilt
-        context), which was invalidated and rebuilt when the replacement
-        nodes got their matrix blocks restored.
-        """
-        from ..distributed.spmv import distributed_spmv
-
-        distributed_spmv(self.matrix, self.x, self.ap, self.context)
-        self.r.assign(self.rhs)
-        self.r.axpy(-1.0, self.ap)
-        self._apply_preconditioner(self.r, self.z)
-        self.p.assign(self.z)
-        self.rz = self.r.dot(self.z)
-        self.beta_prev = 0.0
 
     # -- result --------------------------------------------------------------------------
     def solve(self, x0=None):

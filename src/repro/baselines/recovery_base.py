@@ -7,6 +7,8 @@ re-retrieve the *static* data (matrix row blocks, right-hand-side blocks) from
 reliable storage -- only the treatment of the *dynamic* solver state differs
 between strategies.  :class:`FailureHandlingMixin` factors out the common
 part so the baselines stay small and directly comparable to the ESR solver.
+The baselines run the one PCG core (:class:`~repro.core.block_pcg.BlockPCG`:
+a 1-D right-hand side is its ``k = 1`` case) and only override its hooks.
 """
 
 from __future__ import annotations
@@ -16,19 +18,29 @@ from typing import List, Optional
 import numpy as np
 
 from ..cluster.failure import FailureInjector
+from ..core.reconstruction import restore_rhs, store_rhs
 from ..utils.logging import get_logger
 
 logger = get_logger("baselines")
 
 
 class FailureHandlingMixin:
-    """Mixin for :class:`~repro.core.pcg.DistributedPCG` subclasses.
+    """Mixin for :class:`~repro.core.block_pcg.BlockPCG` subclasses.
 
-    Expects the host class to provide ``cluster``, ``matrix``, ``rhs``,
-    ``partition`` and a ``failure_injector`` attribute.
+    Expects the host class to provide the solver substrate (``cluster``,
+    ``matrix``, ``rhs``, ``partition``, ``n_cols`` and the work blocks); the
+    subclass constructor sets ``failure_injector`` through
+    :meth:`_init_failure_handling`.
     """
 
     failure_injector: Optional[FailureInjector]
+
+    def _init_failure_handling(self,
+                               failure_injector: Optional[FailureInjector]
+                               ) -> None:
+        self.failure_injector = failure_injector
+        # The right-hand side is static data: deposit it in reliable storage.
+        store_rhs(self.cluster, self.rhs)
 
     # -- event handling ---------------------------------------------------------
     def _trigger_due_failures(self, iteration: int) -> List[int]:
@@ -58,16 +70,6 @@ class FailureHandlingMixin:
         return failed
 
     # -- static data restoration -----------------------------------------------------
-    def _rhs_storage_name(self) -> str:
-        return f"rhs:{self.rhs.name}"
-
-    def _ensure_rhs_stored(self) -> None:
-        """Deposit the right-hand side blocks in reliable storage (setup phase)."""
-        for rank in range(self.partition.n_parts):
-            key = (self._rhs_storage_name(), rank)
-            if key not in self.cluster.storage:
-                self.cluster.storage.put(key, self.rhs.get_block(rank).copy())
-
     def _install_replacements(self, failed_ranks: List[int]) -> None:
         """Provide replacement nodes and restore the static data they own."""
         still_failed = [r for r in failed_ranks if self.cluster.node(r).is_failed]
@@ -76,10 +78,7 @@ class FailureHandlingMixin:
             self.cluster.replace_nodes(still_failed)
         for rank in failed_ranks:
             self.matrix.restore_block_to_node(rank, charge=True)
-            block = self.cluster.storage.retrieve(
-                (self._rhs_storage_name(), rank), charge=True
-            )
-            self.rhs.restore_block(rank, block)
+            restore_rhs(self.cluster, self.rhs, rank)
         self._reinitialize_lost_blocks(failed_ranks)
 
     def _reinitialize_lost_blocks(self, failed_ranks: List[int]) -> None:
@@ -91,7 +90,18 @@ class FailureHandlingMixin:
         them.
         """
         for rank in failed_ranks:
-            size = self.partition.size_of(rank)
+            shape = (self.partition.size_of(rank), self.n_cols)
             for vec in (self.x, self.r, self.z, self.p, self.ap):
                 if vec is not None and not vec.has_block(rank):
-                    vec.restore_block(rank, np.zeros(size))
+                    vec.restore_block(rank, np.zeros(shape))
+
+    def _restart_krylov(self) -> None:
+        """Restart the recurrences from the current iterate: recompute
+        ``R``, ``Z`` and ``P`` (:meth:`BlockPCG._reset_krylov`) and ``R^T Z``,
+        and forget ``beta``.  The restart rewrote the iterate of every
+        column, so every column that did not break down iterates again --
+        including ones that had already converged."""
+        self._reset_krylov()
+        self.rz = self.r.dots(self.z)
+        self.beta_prev = np.zeros(self.n_cols)
+        self.active = ~self.breakdown

@@ -9,12 +9,13 @@ against.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from ..cluster.failure import FailureInjector
-from ..core.pcg import DistributedPCG
+from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
+from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
@@ -23,12 +24,13 @@ from .recovery_base import FailureHandlingMixin
 logger = get_logger("baselines.restart")
 
 
-class FullRestartPCG(FailureHandlingMixin, DistributedPCG):
+class FullRestartPCG(FailureHandlingMixin, BlockPCG):
     """PCG that restarts from scratch whenever nodes fail."""
 
     vector_prefix = "restart_pcg"
 
-    def __init__(self, matrix: DistributedMatrix, rhs: DistributedVector,
+    def __init__(self, matrix: DistributedMatrix,
+                 rhs: Union[DistributedVector, DistributedMultiVector],
                  preconditioner: Optional[Preconditioner] = None, *,
                  failure_injector: Optional[FailureInjector] = None,
                  rtol: float = 1e-8, atol: float = 0.0,
@@ -36,43 +38,25 @@ class FullRestartPCG(FailureHandlingMixin, DistributedPCG):
                  context: Optional[CommunicationContext] = None):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
-        self.failure_injector = failure_injector
+        self._init_failure_handling(failure_injector)
         self.restarts = 0
         self.iterations_lost = 0
-        self._ensure_rhs_stored()
 
     def _handle_failures(self, iteration: int) -> bool:
         failed = self._trigger_due_failures(iteration)
         if not failed:
             return super()._handle_failures(iteration)
         self._install_replacements(failed)
-        self._restart_from_scratch()
+        # Back to the initial guess (zero iterate).  The iteration counter
+        # keeps running: a restart does not make the time already spent
+        # disappear, it only discards its effect.
+        self.x.fill(0.0)
+        self._restart_krylov()
         logger.info("restarting from scratch after failure of %s "
                     "(%d iterations lost)", failed, iteration)
         self.iterations_lost += iteration
         self.restarts += 1
         return True
-
-    def _restart_from_scratch(self) -> None:
-        """Reset the dynamic state to the initial guess (zero iterate).
-
-        The residual recomputation goes through ``distributed_spmv`` with the
-        solver's prebuilt context, so it runs on the cached local-view SpMV
-        engine (rebuilt automatically after ``_install_replacements``
-        restored the matrix blocks).
-        """
-        from ..distributed.spmv import distributed_spmv
-
-        self.x.fill(0.0)
-        distributed_spmv(self.matrix, self.x, self.ap, self.context)
-        self.r.assign(self.rhs)
-        self.r.axpy(-1.0, self.ap)
-        self._apply_preconditioner(self.r, self.z)
-        self.p.assign(self.z)
-        self.rz = self.r.dot(self.z)
-        self.beta_prev = 0.0
-        # The iteration counter keeps running: a restart does not make the
-        # time already spent disappear, it only discards its effect.
 
     def solve(self, x0=None):
         result = super().solve(x0)

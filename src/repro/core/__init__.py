@@ -4,14 +4,11 @@ from .api import (
     DistributedProblem,
     build_failure_events,
     distribute_problem,
-    reference_solve,
-    resilient_solve,
     solve,
-    solve_with_failures,
 )
 from .registry import SOLVERS, SolverRegistry, register_solver
 from .spec import BlockSpec, ResilienceSpec, SolveSpec
-from .block_pcg import BlockPCG, BlockSolveResult
+from .block_pcg import BlockPCG, BlockSolveResult, DistributedSolveResult
 from .esr import ESRProtocol
 from .metrics import (
     ConvergenceComparison,
@@ -23,7 +20,7 @@ from .metrics import (
     residual_difference_of,
     state_difference,
 )
-from .pcg import DistributedPCG, DistributedSolveResult
+from .pcg import DistributedPCG
 from .placement import (
     PLACEMENTS,
     PlacementRegistry,
@@ -85,9 +82,6 @@ __all__ = [
     "SOLVERS",
     "SolverRegistry",
     "register_solver",
-    "reference_solve",
-    "resilient_solve",
-    "solve_with_failures",
     "build_failure_events",
     "relative_residual_difference",
     "residual_difference_of",

@@ -10,7 +10,9 @@ right-hand-side block becomes a
 :class:`~repro.distributed.dmultivector.DistributedMultiVector` dispatched to
 the block solver -- resolves the preconditioner once per problem (cached on
 the :class:`DistributedProblem`, invalidated via the matrix's
-``structure_version``), and runs the solver.
+``structure_version``), and runs the solver.  Every registered solver runs
+the one PCG core (:mod:`repro.core.block_pcg`); a 1-D right-hand side is its
+``k = 1`` case and comes back as a single-RHS result.
 
 >>> import repro
 >>> a = repro.matrices.poisson_2d(32)
@@ -30,24 +32,18 @@ solver reachable through this façade survives node failures.
 Keyword overrides are routed into the spec (``repro.solve(problem, phi=3,
 failures=[(20, [2])])`` is the short form of the above), so quick scripts
 never have to spell the dataclasses out.
-
-The pre-registry helpers ``reference_solve`` / ``resilient_solve`` /
-``solve_with_failures`` survive as deprecated shims that delegate to
-:func:`solve` with bit-identical results and ledger charges.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import MachineModel
-from ..cluster.failure import FailureEvent
 from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
@@ -56,9 +52,8 @@ from ..distributed.dvector import DistributedVector
 from ..distributed.partition import BlockRowPartition
 from ..precond.base import Preconditioner
 from ..precond.factory import make_preconditioner
-from .block_pcg import BlockSolveResult
-from .pcg import DistributedSolveResult
-from .redundancy import BackupPlacement
+from .block_pcg import BlockSolveResult, DistributedSolveResult
+from .reconstruction import restore_rhs, store_rhs
 from .registry import SOLVERS, SolverRegistry, register_solver
 from .spec import BlockSpec, ResilienceSpec, SolveSpec, build_failure_events
 
@@ -73,9 +68,6 @@ __all__ = [
     "SolverRegistry",
     "register_solver",
     "build_failure_events",
-    "reference_solve",
-    "resilient_solve",
-    "solve_with_failures",
 ]
 
 #: ``solve`` keyword arguments consumed by problem construction (only legal
@@ -194,6 +186,8 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     partition = BlockRowPartition(n, cluster.n_nodes)
     a_dist = DistributedMatrix.from_global(cluster, partition, "A", a)
     b_dist = DistributedVector.from_global(cluster, partition, "b", rhs)
+    # Static data: a recovered solve of another rhs may replace nodes.
+    store_rhs(cluster, b_dist)
     context = CommunicationContext.from_matrix(a_dist)
     return DistributedProblem(cluster, partition, a_dist, b_dist, context)
 
@@ -202,6 +196,10 @@ def _normalize_rhs(problem: DistributedProblem, rhs: Any
                    ) -> Union[DistributedVector, DistributedMultiVector]:
     """Turn *rhs* into a distributed (multi-)vector on *problem*'s cluster."""
     if rhs is None:
+        # Nodes replaced during an earlier recovered solve of another
+        # right-hand side lost their block of the problem's own rhs.
+        for rank in problem.rhs.lost_ranks():
+            restore_rhs(problem.cluster, problem.rhs, rank)
         return problem.rhs
     if isinstance(rhs, (DistributedVector, DistributedMultiVector)):
         if rhs.cluster is not problem.cluster:
@@ -247,8 +245,9 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
 
     Returns
     -------
-    :class:`~repro.core.pcg.DistributedSolveResult` for single-RHS solvers,
-    :class:`~repro.core.block_pcg.BlockSolveResult` for the block solver.
+    :class:`~repro.core.block_pcg.DistributedSolveResult` for single-RHS
+    solvers, :class:`~repro.core.block_pcg.BlockSolveResult` for the block
+    solvers.
     """
     cluster_kwargs = {k: overrides.pop(k) for k in _CLUSTER_KEYS
                       if k in overrides}
@@ -283,71 +282,3 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
     solver = SOLVERS.build(solver_name, problem, rhs_obj, preconditioner, spec)
     return solver.solve()
 
-
-# ---------------------------------------------------------------------------
-# deprecated pre-registry helpers (thin shims over ``solve``)
-# ---------------------------------------------------------------------------
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.{old}() is deprecated; use {new} instead",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def reference_solve(problem: DistributedProblem, *,
-                    preconditioner: Union[None, str, Preconditioner] = None,
-                    rtol: float = 1e-8,
-                    max_iterations: Optional[int] = None
-                    ) -> DistributedSolveResult:
-    """Deprecated: use ``repro.solve(problem, spec=SolveSpec(solver='pcg'))``."""
-    _warn_deprecated("reference_solve", "repro.solve(problem, ...)")
-    return solve(problem, spec=SolveSpec(
-        solver="pcg", rtol=rtol, max_iterations=max_iterations,
-        preconditioner=preconditioner))
-
-
-def resilient_solve(problem: DistributedProblem, *, phi: int = 1,
-                    preconditioner: Union[None, str, Preconditioner] = None,
-                    failures: Iterable[Union[FailureEvent, Tuple]] = (),
-                    placement: BackupPlacement = BackupPlacement.PAPER,
-                    rtol: float = 1e-8,
-                    max_iterations: Optional[int] = None,
-                    local_solver_method: str = "pcg_ilu",
-                    local_rtol: float = 1e-14) -> DistributedSolveResult:
-    """Deprecated: use ``repro.solve`` with a :class:`ResilienceSpec`."""
-    _warn_deprecated("resilient_solve",
-                     "repro.solve(problem, spec=SolveSpec(resilience=...))")
-    return solve(problem, spec=SolveSpec(
-        solver="resilient_pcg", rtol=rtol, max_iterations=max_iterations,
-        preconditioner=preconditioner,
-        resilience=ResilienceSpec(
-            phi=phi, placement=placement, failures=tuple(failures),
-            local_solver_method=local_solver_method, local_rtol=local_rtol)))
-
-
-def solve_with_failures(matrix: Any, rhs: Optional[np.ndarray] = None, *,
-                        n_nodes: int = 8, phi: int = 1,
-                        failures: Iterable[Union[FailureEvent, Tuple]] = (),
-                        preconditioner: Union[None, str, Preconditioner] = None,
-                        placement: BackupPlacement = BackupPlacement.PAPER,
-                        rtol: float = 1e-8,
-                        max_iterations: Optional[int] = None,
-                        local_solver_method: str = "pcg_ilu",
-                        local_rtol: float = 1e-14,
-                        machine: Optional[MachineModel] = None,
-                        seed: Optional[int] = None) -> DistributedSolveResult:
-    """Deprecated one-call wrapper: use ``repro.solve(matrix, rhs, ...)``.
-
-    Forwards the **full** resilience configuration -- including
-    ``placement``, ``local_solver_method`` and ``local_rtol``, which the
-    pre-registry version silently dropped.
-    """
-    _warn_deprecated("solve_with_failures", "repro.solve(matrix, rhs, ...)")
-    return solve(matrix, rhs, spec=SolveSpec(
-        solver="resilient_pcg", rtol=rtol, max_iterations=max_iterations,
-        preconditioner=preconditioner,
-        resilience=ResilienceSpec(
-            phi=phi, placement=placement, failures=tuple(failures),
-            local_solver_method=local_solver_method, local_rtol=local_rtol)),
-        n_nodes=n_nodes, machine=machine, seed=seed)

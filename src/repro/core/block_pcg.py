@@ -1,13 +1,18 @@
-"""Block (multi-RHS) preconditioned conjugate gradients.
+"""Distributed preconditioned conjugate gradients (Alg. 1), one or many RHS.
 
-:class:`BlockPCG` solves ``A X = B`` for ``k`` right-hand sides by running
-``k`` *independent* PCG recurrences in lock-step on block-row distributed
-``(n_i, k)`` blocks.  It is the solver-side half of the multi-RHS story the
-ROADMAP's block-Krylov item asked for: PR 2's batched SpMV
-(:func:`~repro.distributed.spmv.distributed_spmv_block`) amortizes the halo
-exchange over the columns, and this solver amortizes the *reductions* -- the
-latency-bound allreduces that the paper's cost model (Sec. 4.2) charges per
-dot product and that dominate the iteration at scale.
+:class:`BlockPCG` is the library's only PCG iteration.  It solves
+``A X = B`` for ``k`` right-hand sides by running ``k`` *independent* PCG
+recurrences in lock-step on block-row distributed ``(n_i, k)`` blocks; a
+single right-hand side is the ``k = 1`` case.  Every operation is charged to
+the latency-bandwidth cost model, so the accumulated simulated time of a run
+is the ``t0`` (reference time) of the paper's Table 2.
+
+**One vector in, one vector out.**  A 1-D
+:class:`~repro.distributed.dvector.DistributedVector` right-hand side is
+promoted to a ``k = 1`` block and the run comes back as a
+:class:`DistributedSolveResult` (:meth:`BlockSolveResult.column`); this is
+the one place the solver distinguishes the two.  ``DistributedPCG`` is the
+same class under the single-vector name.
 
 Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 
@@ -24,23 +29,25 @@ Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
   :meth:`MachineModel.allreduce_time`).  With ``fuse_reductions=True`` the
   adjacent trailing pair ``R^T Z`` / ``R^T R`` additionally ships as **one**
   ``2k``-wide collective (3 -> 2 reductions per iteration, bit-identical
-  iterates; off by default to preserve the exact ``k = 1`` charge equality
-  below).
+  iterates; off by default, which keeps the paper's per-iteration charges).
 
 **Equivalence contract.**  The recurrences are independent (per-column
 ``alpha_j`` / ``beta_j``, no Gram coupling), every block operation is
-per-column bit-identical to its single-vector counterpart, and the partial
-sums of the batched reductions accumulate in the same rank order as the
-scalar ones -- so column ``j``'s iterates and residual history are
-**bit-identical** to a sequential :class:`~repro.core.pcg.DistributedPCG`
-solve of ``A x = b_j`` on the same execution path.  At ``k = 1`` even the
-ledger charges coincide exactly with ``DistributedPCG``'s.  Columns that
-converge (or break down) are *frozen*: their coefficients are forced to
-zero so the lock-step block updates leave them untouched bit-for-bit, their
+per-column bit-identical to the ``k = 1`` run of that column, and the partial
+sums of the batched reductions accumulate in the same rank order -- so
+column ``j``'s iterates and residual history are **bit-identical** to a
+sequential solve of ``A x = b_j`` on the same execution path.  Columns that
+converge (or break down) are *frozen*: their coefficients are forced to zero
+so the lock-step block updates leave them untouched bit-for-bit, their
 history stops growing -- exactly where the sequential solve stopped -- and
 the remaining columns continue.
 
-``benchmarks/bench_block_pcg.py`` measures the resulting amortization at
+The class exposes protected hooks (``_on_setup``, ``_after_spmv``,
+``_handle_failures``, ``_after_iteration``) that the resilient variant and
+the baseline recovery strategies override to add redundancy and failure
+recovery without duplicating the iteration loop.
+
+``benchmarks/bench_block_pcg.py`` measures the amortization at
 ``k in {1, 4, 8}`` and pins the equivalence contract.
 """
 
@@ -61,13 +68,49 @@ from ..distributed.dmultivector import (
     fused_dots,
     norms_from_dots,
 )
+from ..distributed.dvector import DistributedVector
 from ..distributed.partition import BlockRowPartition
 from ..distributed.spmv import distributed_spmv_block
 from ..precond.base import Preconditioner
 from ..precond.identity import IdentityPreconditioner
+from ..solvers.result import SolveResult, jsonify
 from ..utils.logging import get_logger
 
 logger = get_logger("core.block_pcg")
+
+
+@dataclass
+class DistributedSolveResult(SolveResult):
+    """Solve result of a single-RHS run, including simulated-time accounting."""
+
+    #: Total simulated time of the run (seconds in the cost model).
+    simulated_time: float = 0.0
+    #: Simulated time spent in failure-free iteration phases.
+    simulated_iteration_time: float = 0.0
+    #: Simulated time spent recovering from failures.
+    simulated_recovery_time: float = 0.0
+    #: Per-phase simulated time breakdown.
+    time_breakdown: Dict[str, float] = field(default_factory=dict)
+    #: One entry per recovery episode (empty for failure-free runs).
+    recoveries: List[object] = field(default_factory=list)
+
+    @property
+    def n_failures_recovered(self) -> int:
+        return int(sum(len(getattr(r, "failed_ranks", [])) for r in self.recoveries))
+
+    def to_dict(self, *, include_solution: bool = False,
+                include_history: bool = True) -> Dict[str, object]:
+        """Extend :meth:`SolveResult.to_dict` with simulated-time accounting."""
+        data = super().to_dict(include_solution=include_solution,
+                               include_history=include_history)
+        data["simulated_time"] = float(self.simulated_time)
+        data["simulated_iteration_time"] = float(self.simulated_iteration_time)
+        data["simulated_recovery_time"] = float(self.simulated_recovery_time)
+        data["time_breakdown"] = {k: float(self.time_breakdown[k])
+                                  for k in sorted(self.time_breakdown)}
+        data["n_failures_recovered"] = self.n_failures_recovered
+        data["recoveries"] = [jsonify(r) for r in self.recoveries]
+        return data
 
 
 @dataclass
@@ -76,8 +119,8 @@ class BlockSolveResult:
 
     All per-column sequences are indexed by the column ``j`` of the
     right-hand-side block; ``residual_histories[j]`` matches the
-    ``residual_norms`` a sequential :class:`DistributedPCG` solve of column
-    ``j`` records (bit-for-bit on the same execution path).
+    ``residual_norms`` a sequential solve of column ``j`` records
+    (bit-for-bit on the same execution path).
     """
 
     #: Global ``(n, k)`` solution block.
@@ -117,6 +160,30 @@ class BlockSolveResult:
         return int(sum(len(getattr(r, "failed_ranks", []))
                        for r in self.recoveries))
 
+    def column(self, j: int) -> DistributedSolveResult:
+        """Column *j* as a single-RHS result.
+
+        Solution, history, convergence and threshold are column *j*'s; the
+        time accounting and recovery episodes are the whole run's (for a
+        ``k = 1`` run that is exactly the single-vector solve's).
+        """
+        info = dict(self.info)
+        info["threshold"] = info.pop("thresholds")[j]
+        return DistributedSolveResult(
+            x=np.array(self.x[:, j], copy=True),
+            converged=bool(self.converged[j]),
+            iterations=int(self.iterations[j]),
+            residual_norms=list(self.residual_histories[j]),
+            final_residual_norm=float(self.final_residual_norms[j]),
+            true_residual_norm=float(self.true_residual_norms[j]),
+            info=info,
+            simulated_time=self.simulated_time,
+            simulated_iteration_time=self.simulated_iteration_time,
+            simulated_recovery_time=self.simulated_recovery_time,
+            time_breakdown=dict(self.time_breakdown),
+            recoveries=list(self.recoveries),
+        )
+
     def summary(self) -> str:
         """One-line human-readable summary (the block counterpart of
         :meth:`SolveResult.summary`, reporting the worst column)."""
@@ -134,8 +201,6 @@ class BlockSolveResult:
         """JSON-serializable dictionary (block counterpart of
         :meth:`SolveResult.to_dict`: per-column lists instead of scalars,
         plus the simulated-time accounting and recovery episodes)."""
-        from ..solvers.result import jsonify
-
         data: Dict[str, object] = {
             "converged": [bool(c) for c in self.converged],
             "all_converged": self.all_converged,
@@ -164,23 +229,20 @@ class BlockSolveResult:
 
 
 class BlockPCG:
-    """Lock-step multi-RHS PCG on a :class:`VirtualCluster`.
+    """Lock-step (multi-RHS) PCG on a :class:`VirtualCluster`.
 
-    Mirrors :class:`~repro.core.pcg.DistributedPCG` with ``(n_i, k)`` block
-    operands; see the module docstring for the batching/equivalence
-    contract.  Like the single-vector solver it exposes protected hooks
-    (``_after_spmv``, ``_handle_failures``, ``_after_iteration``) that the
-    resilient variant
-    (:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`) overrides
-    to add the block ESR redundancy exchange and failure recovery; this base
-    class has no failure handling of its own -- a node failure raises out of
-    :meth:`solve`.
+    See the module docstring for the batching/equivalence contract.  This
+    base class has no failure handling of its own -- a node failure raises
+    out of :meth:`solve`; the resilient variant
+    (:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`) and the
+    baselines (:mod:`repro.baselines`) override the protected hooks.
     """
 
     #: Prefix for the names of the solver's distributed work blocks.
     vector_prefix = "bpcg"
 
-    def __init__(self, matrix: DistributedMatrix, rhs: DistributedMultiVector,
+    def __init__(self, matrix: DistributedMatrix,
+                 rhs: Union[DistributedVector, DistributedMultiVector],
                  preconditioner: Optional[Preconditioner] = None, *,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
@@ -189,11 +251,25 @@ class BlockPCG:
                  engine: bool = True,
                  fuse_reductions: bool = False):
         self.matrix = matrix
+        self.cluster: VirtualCluster = matrix.cluster
+        self.partition: BlockRowPartition = matrix.partition
+        if not self.partition.is_compatible_with(rhs.partition):
+            raise ValueError("matrix and right-hand sides have incompatible partitions")
+        #: The caller's 1-D right-hand side, when one was given: it is solved
+        #: as a ``k = 1`` block and :meth:`solve` returns a single-RHS result.
+        self.vector_rhs: Optional[DistributedVector] = None
+        if isinstance(rhs, DistributedVector):
+            self.vector_rhs = rhs
+            rhs = DistributedMultiVector.from_columns(
+                self.cluster, self.partition, f"{rhs.name}:as_block", [rhs])
         self.rhs = rhs
         self.n_cols = rhs.n_cols
-        #: Execute the batched SpMVs split-phase and charge the
-        #: overlap-aware cost (same semantics and rounding caveat as
-        #: ``DistributedPCG(overlap_spmv=True)``).
+        #: Execute the batched SpMVs split-phase (halo exchange overlapped
+        #: with the diagonal-block product) and charge the overlap-aware
+        #: cost.  Off by default: the serialized path is bit-identical to
+        #: the dense-gather reference, while split execution rounds like
+        #: PETSc's overlapped MatMult (last-bits differences; see
+        #: repro.distributed.spmv_engine).
         self.overlap_spmv = bool(overlap_spmv)
         #: Execute the batched SpMVs through the cached local-view engine
         #: (default); ``False`` runs the dense-gather reference path
@@ -203,19 +279,15 @@ class BlockPCG:
         #: iteration as **one** ``2k``-wide allreduce (3 -> 2 reductions per
         #: iteration; see :func:`~repro.distributed.dmultivector.fused_dots`).
         #: Off by default: fusing keeps per-column iterates and histories
-        #: bit-identical, but the reduced latency charge gives up the exact
-        #: ``k = 1`` ledger equality with :class:`DistributedPCG`.
+        #: bit-identical but lowers the latency charge below the paper's
+        #: three reductions per iteration.
         self.fuse_reductions = bool(fuse_reductions)
-        self.cluster: VirtualCluster = matrix.cluster
-        self.partition: BlockRowPartition = matrix.partition
-        if not self.partition.is_compatible_with(rhs.partition):
-            raise ValueError("matrix and right-hand sides have incompatible partitions")
         self.preconditioner = (
             preconditioner if preconditioner is not None else IdentityPreconditioner()
         )
         if not self.preconditioner.is_block_diagonal:
             raise ValueError(
-                "the block PCG solver requires a block-diagonal "
+                "the distributed PCG solver requires a block-diagonal "
                 f"preconditioner; {self.preconditioner.name} is not"
             )
         self.rtol = float(rtol)
@@ -234,34 +306,39 @@ class BlockPCG:
         self.z: Optional[DistributedMultiVector] = None
         self.p: Optional[DistributedMultiVector] = None
         self.ap: Optional[DistributedMultiVector] = None
-        #: Per-column r^T z of the current iterates.
+        #: Per-column r^T z of the current iterates (an attribute so that
+        #: roll-back recovery strategies can reset it).
         self.rz: Optional[np.ndarray] = None
-        #: Per-column ``beta^(j-1)`` of the recurrences (the block
-        #: counterpart of ``DistributedPCG.beta_prev``; frozen columns carry
+        #: Per-column ``beta^(j-1)`` of the recurrences (frozen columns carry
         #: an exact ``0.0``).  The resilient variant replicates and recovers
         #: this coefficient vector.
         self.beta_prev: Optional[np.ndarray] = None
         #: Per-column completed-iteration counts.
         self.iterations: Optional[np.ndarray] = None
+        #: Lock-step iterations executed so far (checkpoint roll-back
+        #: rewinds it).
+        self.global_iterations: int = 0
         #: Columns still iterating (not yet converged / broken down).
         self.active: Optional[np.ndarray] = None
+        #: Columns frozen by a ``p^T A p <= 0`` breakdown.
+        self.breakdown: Optional[np.ndarray] = None
         self.residual_histories: List[List[float]] = []
 
-    # -- hooks overridden by the resilient variant ---------------------------
+    # -- hooks overridden by the resilient variant and the baselines -------
     def _on_setup(self) -> None:
         """Called once after the work blocks have been initialised."""
 
     def _after_spmv(self, iteration: int) -> None:
         """Called right after the batched SpMV of *iteration* (halo data just
-        moved -- the block ESR redundancy exchange piggybacks here)."""
+        moved -- the ESR redundancy exchange piggybacks here)."""
 
     def _handle_failures(self, iteration: int) -> bool:
         """Check for and recover from node failures.
 
         Returns true if a recovery took place; the lock-step iteration is
         then restarted from the top of the loop (the batched SpMV is redone
-        on the recovered state), exactly mirroring
-        :meth:`DistributedPCG._handle_failures`.
+        on the recovered -- and, for roll-back strategies, possibly rewound
+        -- state).
         """
         return False
 
@@ -281,10 +358,10 @@ class BlockPCG:
         """Block-local application on full ``(n_i, k)`` blocks, charged once.
 
         Drives the 2-D path of :meth:`Preconditioner.apply_block`; the
-        bulk-synchronous charge is the worst rank's block work scaled by the
-        column count (``k`` independent applications back to back), so at
-        ``k = 1`` it equals ``DistributedPCG._apply_preconditioner``'s
-        charge exactly.
+        bulk-synchronous charge is the worst rank's block work (static, so
+        it comes from the cached :meth:`Preconditioner.max_block_work_nnz`)
+        scaled by the column count -- ``k`` independent applications back
+        to back.
         """
         model = self.cluster.ledger.model
         for rank in range(self.partition.n_parts):
@@ -305,13 +382,28 @@ class BlockPCG:
             return x0.copy(f"{self.vector_prefix}:x")
         return DistributedMultiVector.from_global(
             self.cluster, self.partition, f"{self.vector_prefix}:x",
-            np.asarray(x0, dtype=np.float64),
+            np.asarray(x0, dtype=np.float64).reshape(self.partition.n,
+                                                     self.n_cols),
         )
 
-    def _spmv_p(self) -> None:
-        """``AP = A P`` through the batched engine kernel (one halo exchange)."""
-        distributed_spmv_block(self.matrix, self.p, self.ap, self.context,
+    def _spmv(self, x: DistributedMultiVector,
+              out: DistributedMultiVector) -> None:
+        """``out = A x`` through the batched kernel (one halo exchange)."""
+        distributed_spmv_block(self.matrix, x, out, self.context,
                                overlap=self.overlap_spmv, engine=self.engine)
+
+    def _spmv_p(self) -> None:
+        """``AP = A P`` -- split out so recovery can repeat it."""
+        self._spmv(self.p, self.ap)
+
+    def _reset_krylov(self) -> None:
+        """Recompute ``R = B - A X``, ``Z = M^{-1} R`` and ``P = Z`` from the
+        current iterate -- the set-up, and the baselines' restarts."""
+        self._spmv(self.x, self.ap)
+        self.r.assign(self.rhs)
+        self.r.axpy(-1.0, self.ap)
+        self._apply_preconditioner(self.r, self.z)
+        self.p.assign(self.z)
 
     @staticmethod
     def _masked_ratio(numer: np.ndarray, denom: np.ndarray,
@@ -329,9 +421,13 @@ class BlockPCG:
 
     # -- main loop -----------------------------------------------------------
     def solve(self, x0: Union[None, np.ndarray, DistributedMultiVector] = None
-              ) -> BlockSolveResult:
-        """Run the lock-step block PCG until every column converged, froze,
-        or the iteration cap was reached."""
+              ) -> Union[BlockSolveResult, DistributedSolveResult]:
+        """Run the lock-step PCG until every column converged, froze, or the
+        iteration cap was reached.
+
+        Returns a :class:`BlockSolveResult`, or -- for a 1-D right-hand side
+        -- its single column as a :class:`DistributedSolveResult`.
+        """
         k = self.n_cols
         ledger = self.cluster.ledger
         start_snapshot = ledger.snapshot()
@@ -342,14 +438,8 @@ class BlockPCG:
         self.p = self._mvec("p")
         self.ap = self._mvec("ap")
 
-        # R(0) = B - A X(0)
-        distributed_spmv_block(self.matrix, self.x, self.ap, self.context,
-                               overlap=self.overlap_spmv, engine=self.engine)
-        self.r.assign(self.rhs)
-        self.r.axpy(-1.0, self.ap)
-        # Z(0) = M^{-1} R(0); P(0) = Z(0)
-        self._apply_preconditioner(self.r, self.z)
-        self.p.assign(self.z)
+        # R(0) = B - A X(0); Z(0) = M^{-1} R(0); P(0) = Z(0)
+        self._reset_krylov()
 
         if self.fuse_reductions:
             # The setup pair R^T Z / R^T R fuses exactly like the trailing
@@ -366,11 +456,10 @@ class BlockPCG:
         thresholds = np.maximum(self.rtol * r_norms, self.atol)
         self.residual_histories = [[float(r_norms[j])] for j in range(k)]
         self.iterations = np.zeros(k, dtype=np.int64)
-        converged = r_norms <= thresholds
-        breakdown = np.zeros(k, dtype=bool)
-        self.active = ~converged
+        self.breakdown = np.zeros(k, dtype=bool)
+        self.active = ~(r_norms <= thresholds)
         self.beta_prev = np.zeros(k)
-        global_iterations = 0
+        self.global_iterations = 0
         self._on_setup()
         # ``n_reductions`` counts the batched collectives so far; it is
         # exposed via the result so harnesses can verify the one-collective-
@@ -378,19 +467,20 @@ class BlockPCG:
         # flow (an all-columns breakdown aborts an iteration after its first
         # reduction).
 
-        while np.any(self.active) and global_iterations < self.max_iterations:
+        while np.any(self.active) and self.global_iterations < self.max_iterations:
+            j = self.global_iterations
             if _sanitizer._ACTIVE is not None:
-                _sanitizer._ACTIVE.note_iteration(global_iterations,
-                                                  solver=self)
+                _sanitizer._ACTIVE.note_iteration(j, solver=self)
             # --- Alg. 1 line 3 first half: the batched SpMV (and, in the
-            #     resilient variant, the block ESR redundancy exchange)
+            #     resilient variant, the ESR redundancy exchange)
             self._spmv_p()
-            self._after_spmv(global_iterations)
+            self._after_spmv(j)
             # Node failures strike here (after the halo data of this
             # iteration has moved, as assumed by the ESR recovery).  If a
             # recovery ran, restart the lock-step iteration from the top:
-            # the batched SpMV is repeated on the recovered state.
-            if self._handle_failures(global_iterations):
+            # the batched SpMV is repeated on the recovered (or, for
+            # roll-back strategies, rewound) state.
+            if self._handle_failures(j):
                 continue
 
             pap = self.p.dots(self.ap)
@@ -400,12 +490,12 @@ class BlockPCG:
             # sequential solve stops.
             broken = self.active & (pap <= 0.0)
             if np.any(broken):
-                for j in np.nonzero(broken)[0]:
+                for col in np.nonzero(broken)[0]:
                     logger.warning(
                         "p^T A p = %.3e <= 0 for column %d at iteration %d; "
-                        "freezing the column", pap[j], j, global_iterations
+                        "freezing the column", pap[col], col, j
                     )
-                breakdown |= broken
+                self.breakdown |= broken
                 self.active &= ~broken
                 if not np.any(self.active):
                     break
@@ -423,44 +513,50 @@ class BlockPCG:
             # wise bit-identical either way (see fused_dots).
             if self.fuse_reductions:
                 rz_next, rr = fused_dots([(self.r, self.z), (self.r, self.r)])
-                n_reductions += 1
             else:
                 rz_next = self.r.dots(self.z)
-                n_reductions += 1
+            n_reductions += 1
             beta = self._masked_ratio(rz_next, self.rz, self.active)
             # --- line 8: new search directions P = Z + P diag(beta)
             self.p.aypx(beta, self.z)
             self.rz = rz_next
             self.beta_prev = beta
             self.iterations[self.active] += 1
-            global_iterations += 1
+            self.global_iterations = j + 1
 
             if self.fuse_reductions:
                 r_norms = norms_from_dots(rr)
             else:
                 r_norms = self.r.norms2()
                 n_reductions += 1
-            for j in np.nonzero(self.active)[0]:
-                self.residual_histories[j].append(float(r_norms[j]))
-            newly_converged = self.active & (r_norms <= thresholds)
-            converged |= newly_converged
-            self.active &= ~newly_converged
-            self._after_iteration(global_iterations)
+            for col in np.nonzero(self.active)[0]:
+                self.residual_histories[col].append(float(r_norms[col]))
+            self.active &= ~(r_norms <= thresholds)
+            self._after_iteration(self.global_iterations)
 
-        return self._build_result(start_snapshot, converged, breakdown,
-                                  thresholds, global_iterations, n_reductions)
+        result = self._build_result(start_snapshot, thresholds, n_reductions)
+        if self.vector_rhs is None:
+            return result
+        # Recovery rebuilt the k = 1 block's rows on replacement nodes; the
+        # caller's vector lost them with the old nodes, so copy them back.
+        for rank in self.vector_rhs.lost_ranks():
+            self.vector_rhs.restore_block(rank, self.rhs.get_block(rank)[:, 0])
+        return result.column(0)
 
     # -- result assembly -----------------------------------------------------
     def _build_result(self, start_snapshot: Dict[str, float],
-                      converged: np.ndarray, breakdown: np.ndarray,
-                      thresholds: np.ndarray, global_iterations: int,
+                      thresholds: np.ndarray,
                       n_reductions: int) -> BlockSolveResult:
         ledger = self.cluster.ledger
         x_global = self.x.to_global()
         b_global = self.rhs.to_global()
         a_global = self.matrix.to_global()
         true_residuals = np.linalg.norm(b_global - a_global @ x_global, axis=0)
+        converged = ~self.active & ~self.breakdown
 
+        # Only phases actually charged during THIS solve: a second solve on
+        # the same cluster must not report stale zero-delta phases left on
+        # the ledger by an earlier run.
         breakdown_phases = {
             phase: ledger.since(start_snapshot, [phase])
             for phase in sorted(ledger.times)
@@ -484,10 +580,11 @@ class BlockPCG:
                 "overlap_spmv": self.overlap_spmv,
                 "engine": self.engine,
                 "fuse_reductions": self.fuse_reductions,
-                "breakdown_columns": [int(j) for j in np.nonzero(breakdown)[0]],
+                "breakdown_columns": [int(j) for j in
+                                      np.nonzero(self.breakdown)[0]],
                 "n_reductions": int(n_reductions),
             },
-            global_iterations=int(global_iterations),
+            global_iterations=int(self.global_iterations),
             simulated_time=ledger.since(start_snapshot),
             simulated_iteration_time=ledger.since(start_snapshot,
                                                   Phase.ITERATION_PHASES),

@@ -29,27 +29,24 @@ to per-pair gathers of the surviving owners).
 
 After node failures, :meth:`recover_block` re-assembles a failed node's block
 of either generation from the copies on surviving nodes, charging the reverse
-communication to the recovery phase; :meth:`recover_replicated_scalar` fetches
-replicated scalars (``beta^(j-1)``) from any survivor.
+communication to the recovery phase; :meth:`recover_replicated_vector`
+fetches the replicated ``(k,)`` coefficient vector (``beta^(j-1)``) from any
+survivor.
 
-**Block (multi-RHS) redundancy.**  A protocol constructed with
-``n_cols=k > 1`` protects a lock-step block solve
-(:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`): the stored
-copies are ``(|R^c_ik|, k)`` row slices of the ``(n_i, k)`` search-direction
-block, staged through the same :class:`FusedStagingIndex` tables with a
+**Column count.**  A protocol protects the ``(n_i, k)`` search-direction
+blocks of a lock-step solve with ``n_cols = k`` columns
+(:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`; a single
+right-hand side is ``k = 1``): the stored copies are ``(|R^c_ik|, k)`` row
+slices, staged through the :class:`FusedStagingIndex` tables with a
 ``(pool + extras, k)`` buffer whose pool section rides the batched SpMV's
 ``(pool, k)`` send pool (one memcpy when the engine staged it from the same
 block).  The **charge model** mirrors the batched halo exchange: per round
 the overhead is ``max_i (lambda_ik? + |R^c_ik| * k * mu)`` -- the extras of
-all ``k`` columns travel in the *same* message as the single-vector scheme's,
-so the message count (and every latency term) is independent of ``k`` and
-only the volume term scales (see
-:meth:`RedundancyScheme.round_overhead_times`).  At ``k = 1`` the block
-charges coincide exactly with the single-vector ones.  Recovery reassembles
-all ``k`` columns of a failed ``(n_i, k)`` block from the same surviving
-copies (one message per holder, ``rows * k`` elements), and the replicated
-recurrence scalars become replicated ``(k,)`` coefficient vectors
-(:meth:`ESRProtocol.recover_replicated_vector`).
+all ``k`` columns travel in *one* message, so the message count (and every
+latency term) is independent of ``k`` and only the volume term scales (see
+:meth:`RedundancyScheme.round_overhead_times`).  Recovery reassembles all
+``k`` columns of a failed ``(n_i, k)`` block from the same surviving copies
+(one message per holder, ``rows * k`` elements).
 
 **Parity schemes.**  The storage strategy above is the default ``"copies"``
 redundancy scheme; the protocol equally drives any scheme registered in
@@ -76,7 +73,6 @@ from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.errors import NodeFailedError, UnrecoverableStateError
 from ..distributed.comm_context import CommunicationContext
-from ..distributed.dvector import DistributedVector
 from ..distributed.partition import BlockRowPartition
 from ..utils.rng import RandomState
 from .placement import PlacementLike
@@ -148,12 +144,11 @@ class FusedStagingIndex:
             extra_offsets[owner + 1] = extra_offsets[owner] + extra.size
         self._extra_offsets = extra_offsets
         self.extras_size = int(extra_offsets[-1])
-        self._buffer = np.empty(self.pool_size + self.extras_size)
-        #: Per column count k > 1: ``(pool + extras, k)`` block staging buffers.
+        #: Per column count k: ``(pool + extras, k)`` staging buffers.
         self._block_buffers: Dict[int, np.ndarray] = {}
-        #: The buffer the most recent ``stage``/``stage_block`` call filled
-        #: (what :meth:`distribute` reads).
-        self._staged: np.ndarray = self._buffer
+        #: The buffer the most recent ``stage_block`` call filled (what
+        #: :meth:`distribute` reads).
+        self._staged: Optional[np.ndarray] = None
 
         # -- per-holder gather tables (deterministic pair order) -----------
         self._holder_gather: Dict[int, np.ndarray] = {}
@@ -190,39 +185,17 @@ class FusedStagingIndex:
         return found
 
     # -- per-iteration execution -------------------------------------------
-    def stage(self, p: DistributedVector, engine) -> Set[int]:
-        """Fill the staging buffer from *p*; returns the failed owner ranks.
-
-        When *engine* is a live SpMV engine built from the same context, its
-        send pool -- staged from *p* by the SpMV that immediately precedes
-        ``after_spmv`` -- is copied wholesale and only the extras are
-        gathered; otherwise both sections are staged with one fancy-index
-        per owner.  Every owner's block is read through the node memory
-        regardless, so failed owners are detected exactly as the former
-        per-pair gathers did.
-        """
-        buf = self._buffer
-        reuse = (
-            engine is not None
-            and engine.context is self._context
-            and engine.send_pool.size == self.pool_size
-            and engine.pool_staged_from(p)
-        )
-        if reuse:
-            buf[:self.pool_size] = engine.send_pool
-        self._staged = buf
-        return self._stage_rest(buf, p, reuse)
-
     def stage_block(self, p, engine) -> Set[int]:
-        """Block counterpart of :meth:`stage` for an ``(n, k)`` multi-vector.
+        """Fill the staging buffer from the ``(n, k)`` block *p*; returns the
+        failed owner ranks.
 
         The ``(pool + extras, k)`` buffer's pool section is one memcpy of the
-        engine's batched ``(pool, k)`` send pool when the block SpMV of the
-        same iteration staged it from *p*
+        engine's batched ``(pool, k)`` send pool when the block SpMV that
+        immediately precedes ``after_spmv`` staged it from *p*
         (:meth:`SpmvEngine.block_pool_staged_from`); otherwise both sections
-        are staged with one 2-D fancy-index per owner.  Per column the staged
-        values are bit-identical to what :meth:`stage` would stage for that
-        column alone.
+        are staged with one 2-D fancy-index per owner.  Every owner's block
+        is read through the node memory regardless, so failed owners are
+        detected.
         """
         k = int(p.n_cols)
         buf = self._block_buffers.get(k)
@@ -242,7 +215,7 @@ class FusedStagingIndex:
         return self._stage_rest(buf, p, reuse)
 
     def _stage_rest(self, buf: np.ndarray, p, reuse: bool) -> Set[int]:
-        """Stage the non-reused sections of *buf* from *p* (shape-generic)."""
+        """Stage the non-reused sections of *buf* from *p*."""
         failed: Set[int] = set()
         pool_offsets = self._pool_offsets
         extra_offsets = self._extra_offsets
@@ -271,9 +244,8 @@ class FusedStagingIndex:
 
         The failure-free path is one vectorized gather per holder plus slice
         views; with failed owners the surviving pairs are gathered
-        individually -- for block stagings this per-pair fallback still pulls
-        whole ``(rows, k)`` slices out of the already-staged block buffer
-        (one gather per pair, never one per column) -- and copies of failed
+        individually -- still whole ``(rows, k)`` slices out of the staged
+        buffer (one gather per pair, never one per column) -- and copies of failed
         owners keep whatever the slot held before, matching the former
         per-pair behaviour.
         """
@@ -310,7 +282,7 @@ class ESRProtocol:
     def __init__(self, cluster: VirtualCluster, context: CommunicationContext,
                  phi: int, *, placement: PlacementLike = BackupPlacement.PAPER,
                  scheme: Union[str, RedundancySchemeBase, None] = None,
-                 matrix=None, n_cols: Optional[int] = None,
+                 matrix=None, n_cols: int = 1,
                  rack_size: Optional[int] = None,
                  rng: Optional[RandomState] = None,
                  scheme_options: Optional[Dict[str, object]] = None):
@@ -318,12 +290,11 @@ class ESRProtocol:
         self.context = context
         self.partition: BlockRowPartition = context.partition
         self.phi = int(phi)
-        #: ``None`` protects single search-direction vectors; ``k`` protects
-        #: the ``(n_i, k)`` blocks of a lock-step block solve (copies become
-        #: ``(rows, k)`` slices, charges follow the block charge model of the
-        #: module docstring).
-        self.n_cols = int(n_cols) if n_cols is not None else None
-        if self.n_cols is not None and self.n_cols < 1:
+        #: Columns of the protected ``(n_i, k)`` search-direction blocks
+        #: (copies are ``(rows, k)`` slices, charges follow the block charge
+        #: model of the module docstring).
+        self.n_cols = int(n_cols)
+        if self.n_cols < 1:
             raise ValueError(f"n_cols must be positive, got {n_cols}")
         #: The redundancy scheme: an already-built instance passes through
         #: unchanged (the solver path); otherwise the registered name (or
@@ -365,16 +336,14 @@ class ESRProtocol:
         self._generations: Dict[int, GenerationInfo] = {
             0: GenerationInfo(), 1: GenerationInfo()
         }
-        # Precompute per-iteration redundancy overhead (pattern is static).
-        # For block protocols the volume terms scale with the column count
-        # while latency terms and message counts stay those of the
-        # single-vector scheme (at n_cols=1 the values coincide exactly).
-        charged_cols = self.n_cols if self.n_cols is not None else 1
+        # Precompute per-iteration redundancy overhead (pattern is static):
+        # the volume terms scale with the column count, latency terms and
+        # message counts do not.
         self._overhead_time = self.scheme.per_iteration_overhead_time(
-            cluster.topology, cluster.machine, n_cols=charged_cols
+            cluster.topology, cluster.machine, n_cols=self.n_cols
         )
         self._overhead_traffic = self.scheme.extra_traffic_per_iteration(
-            n_cols=charged_cols
+            n_cols=self.n_cols
         )
 
     # -- storage during failure-free iterations -------------------------------
@@ -384,19 +353,18 @@ class ESRProtocol:
     def after_spmv(self, p, iteration: int) -> None:
         """Record redundant copies of ``p^(iteration)`` on all holder nodes.
 
-        *p* is a :class:`DistributedVector` for single-vector protocols and a
-        :class:`~repro.distributed.dmultivector.DistributedMultiVector` with
-        ``n_cols`` columns for block protocols.  Must be called right after
-        the SpMV of the given iteration (when the halo values have just been
-        communicated anyway) -- the fused staging relies on this to reuse the
-        SpMV engine's already-staged send pool (single-vector or batched)
-        when one is cached on the protocol's matrix.  Charges only the
-        *extra* redundancy traffic; the natural halo traffic was already
-        charged by the SpMV itself.
+        *p* is a :class:`~repro.distributed.dmultivector.
+        DistributedMultiVector` with ``n_cols`` columns.  Must be called
+        right after the SpMV of the given iteration (when the halo values
+        have just been communicated anyway) -- the fused staging relies on
+        this to reuse the SpMV engine's already-staged send pool when one is
+        cached on the protocol's matrix.  Charges only the *extra*
+        redundancy traffic; the natural halo traffic was already charged by
+        the SpMV itself.
         """
-        if self.n_cols is not None and getattr(p, "n_cols", None) != self.n_cols:
+        if getattr(p, "n_cols", None) != self.n_cols:
             raise ValueError(
-                f"block ESR protocol stores (rows, {self.n_cols}) copies but "
+                f"ESR protocol stores (rows, {self.n_cols}) copies but "
                 f"got an operand with n_cols={getattr(p, 'n_cols', None)}"
             )
         slot = self._slot_for(iteration)
@@ -406,10 +374,7 @@ class ESRProtocol:
         elif not self._staging.is_empty:
             engine = (self._matrix.cached_spmv_engine(self.context)
                       if self._matrix is not None else None)
-            if self.n_cols is not None:
-                failed = self._staging.stage_block(p, engine)
-            else:
-                failed = self._staging.stage(p, engine)
+            failed = self._staging.stage_block(p, engine)
             self._staging.distribute(self.cluster, slot, failed)
         # Charge the extra redundancy communication of this iteration.
         if self.phi > 0 and self._overhead_time > 0.0:
@@ -457,12 +422,9 @@ class ESRProtocol:
                     )
 
     def store_replicated_scalars(self, iteration: int, **scalars) -> None:
-        """Replicate solver scalars (e.g. ``beta``) on every alive node.
-
-        Block solvers replicate per-column coefficient *vectors* instead
-        (``beta`` is a ``(k,)`` array); every node stores its own copy so a
-        later in-place driver update cannot silently rewrite history.
-        """
+        """Replicate solver coefficients (e.g. the ``(k,)`` ``beta``) on every
+        alive node; every node stores its own copy so a later in-place driver
+        update cannot silently rewrite history."""
         payload = dict(scalars)
         payload["iteration"] = iteration
         for rank in self.cluster.alive_ranks():
@@ -553,13 +515,10 @@ class ESRProtocol:
         if self._parity is not None:
             return self._recover_parity_block(owner, iteration, slot,
                                               charge, destination)
-        start, _ = self.partition.range_of(owner)
         size = self.partition.size_of(owner)
-        shape = (size,) if self.n_cols is None else (size, self.n_cols)
-        block = np.full(shape, np.nan)
+        block = np.full((size, self.n_cols), np.nan)
         covered = np.zeros(size, dtype=bool)
         ledger = self.cluster.ledger
-        row_width = 1 if self.n_cols is None else self.n_cols
 
         # First, the owner's own copy if the owner is somehow still alive
         # (e.g. recovery triggered for a different node); normally it is not.
@@ -574,9 +533,9 @@ class ESRProtocol:
             block[local_idx[newly]] = values[newly]
             covered[local_idx[newly]] = True
             if charge and holder != destination:
-                # One message per holder; block protocols ship all k columns
-                # of the covered rows in it (rows * k elements).
-                n_sent = int(np.count_nonzero(newly)) * row_width
+                # One message per holder, all k columns of the covered rows
+                # in it (rows * k elements).
+                n_sent = int(np.count_nonzero(newly)) * self.n_cols
                 latency = self.cluster.topology.latency(holder, destination)
                 ledger.add_time(
                     Phase.RECOVERY_COMM,
@@ -631,7 +590,7 @@ class ESRProtocol:
         redundant stripe again.
         """
         scheme = self._parity
-        row_width = 1 if self.n_cols is None else self.n_cols
+        row_width = self.n_cols
         own = self._parity_snapshot(owner, slot, iteration)
         if own is not None:
             # The owner's snapshot survived (e.g. a previous recovery of a
@@ -688,7 +647,7 @@ class ESRProtocol:
         destination itself are node-local and free.
         """
         scheme = self._parity
-        row_width = 1 if self.n_cols is None else self.n_cols
+        row_width = self.n_cols
         members = scheme.group_members(gidx)
         for rank in sorted(decoded):
             node = self.cluster.node(rank)
@@ -719,53 +678,28 @@ class ESRProtocol:
             if charge:
                 self._charge_recovery_message(destination, holder, padded)
 
-    def _recover_replicated(self, name: str, charge: bool, n_elements_of):
-        """Scan survivors for replicated payload *name*; charge one message.
-
-        *n_elements_of* maps the raw payload value to the element count the
-        single recovery message ships (1 for scalars, ``k`` for coefficient
-        vectors) -- the only difference between the two public variants.
-        """
+    def recover_replicated_vector(self, name: str, *, charge: bool = True
+                                  ) -> np.ndarray:
+        """Fetch a replicated ``(k,)`` coefficient vector from any survivor
+        (one recovery message of ``k`` elements)."""
         for rank in self.cluster.alive_ranks():
-            node = self.cluster.node(rank)
-            if _SCALAR_KEY in node.memory:
-                payload = node.memory[_SCALAR_KEY]
-                if name in payload:
-                    value = payload[name]
-                    if charge:
-                        ledger = self.cluster.ledger
-                        n_elements = int(n_elements_of(value))
-                        ledger.add_time(
-                            Phase.RECOVERY_COMM,
-                            ledger.model.message_time(
-                                self.cluster.topology.max_latency(),
-                                n_elements,
-                            ),
-                        )
-                        ledger.add_traffic(Phase.RECOVERY_COMM, 1, n_elements)
-                    return value
+            memory = self.cluster.node(rank).memory
+            if _SCALAR_KEY not in memory or name not in memory[_SCALAR_KEY]:
+                continue
+            payload = memory[_SCALAR_KEY]
+            value = np.atleast_1d(np.asarray(payload[name], dtype=np.float64))
+            if charge:
+                ledger = self.cluster.ledger
+                ledger.add_time(
+                    Phase.RECOVERY_COMM,
+                    ledger.model.message_time(
+                        self.cluster.topology.max_latency(), value.size),
+                )
+                ledger.add_traffic(Phase.RECOVERY_COMM, 1, value.size)
+            return value.copy()
         raise UnrecoverableStateError(
             f"replicated scalar {name!r} is not available on any surviving node"
         )
-
-    def recover_replicated_scalar(self, name: str, *, charge: bool = True
-                                  ) -> float:
-        """Fetch a replicated scalar (e.g. ``beta``) from any surviving node."""
-        return float(self._recover_replicated(name, charge, lambda _: 1))
-
-    def recover_replicated_vector(self, name: str, *, charge: bool = True
-                                  ) -> np.ndarray:
-        """Fetch a replicated ``(k,)`` coefficient vector from any survivor.
-
-        The block counterpart of :meth:`recover_replicated_scalar`: one
-        message of ``k`` elements (at ``k = 1`` the charge equals the scalar
-        one exactly).
-        """
-        value = self._recover_replicated(
-            name, charge,
-            lambda v: np.atleast_1d(np.asarray(v)).size,
-        )
-        return np.atleast_1d(np.asarray(value, dtype=np.float64)).copy()
 
     # -- cost/overhead introspection ------------------------------------------------------
     @property
@@ -777,12 +711,12 @@ class ESRProtocol:
         """Summary used by the analysis module and the reports."""
         lower, upper = self.scheme.overhead_bounds(
             self.cluster.topology, self.cluster.machine,
-            n_cols=self.n_cols if self.n_cols is not None else 1,
+            n_cols=self.n_cols,
         )
         messages, elements = self._overhead_traffic
         return {
             "phi": float(self.phi),
-            "n_cols": float(self.n_cols if self.n_cols is not None else 1),
+            "n_cols": float(self.n_cols),
             "per_iteration_time": self._overhead_time,
             "lower_bound": lower,
             "upper_bound": upper,

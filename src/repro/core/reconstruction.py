@@ -23,19 +23,21 @@ Overlapping failures (new nodes dying while the reconstruction runs,
 Sec. 4.1) are handled by restarting the procedure with the enlarged failed
 set, exactly as the paper prescribes.
 
-**Block (multi-RHS) reconstruction.**  When the reconstructor is built for a
-block protocol (``ESRProtocol(n_cols=k)``) and ``(n, k)`` multi-vector
-operands, the same steps run on whole ``(|I_f|, k)`` row blocks: the
-replicated recurrence coefficient becomes a ``(k,)`` vector, the recovered
-search-direction generations are ``(n_i, k)`` blocks, every sparse product
-is one CSR x dense-block kernel (per-column bit-identical to the
-single-vector matvec), and the two local subsystem solves run through
-:meth:`LocalSubsystemSolver.solve_block` -- **one factorization per failed
-set, amortized over all k columns**, with each column's solution
-bit-identical to a standalone single-vector solve.  Column ``j`` of the
-reconstructed state is therefore bit-identical to what the single-vector
-reconstruction would produce for column ``j`` alone, and the charges reduce
-exactly to the single-vector ones at ``k = 1``.
+**Column count.**  The state operands are ``(n, k)`` multi-vectors (a single
+right-hand side is ``k = 1``) and every step runs on whole ``(|I_f|, k)`` row
+blocks: the replicated recurrence coefficient is a ``(k,)`` vector, the
+recovered search-direction generations are ``(n_i, k)`` blocks, every sparse
+product is one CSR x dense-block kernel, and the two local subsystem solves
+run through :meth:`LocalSubsystemSolver.solve_block` -- **one factorization
+per failed set, amortized over all k columns**, with each column's solution
+bit-identical to a standalone solve.  Column ``j`` of the reconstructed
+state is therefore bit-identical to the ``k = 1`` reconstruction of column
+``j`` alone.
+
+The right-hand side is static data: :func:`store_rhs` deposits it in
+reliable storage when a solver is set up and :func:`restore_rhs` brings a
+lost block back onto its replacement node -- the one code path the ESR
+reconstruction and the baseline recovery strategies share.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from ..cluster.cost_model import Phase
 from ..cluster.errors import UnrecoverableStateError
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
-from ..distributed.dvector import DistributedVector
+from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.partition import BlockRowPartition
 from ..precond.base import Preconditioner, PreconditionerForm
 from ..solvers.local_solver import LocalSolveStats, LocalSubsystemSolver
@@ -64,6 +66,27 @@ logger = get_logger("core.reconstruction")
 #: Maximum number of reconstruction restarts caused by overlapping failures
 #: before giving up (prevents infinite loops on pathological schedules).
 MAX_RECONSTRUCTION_RESTARTS = 64
+
+
+def _rhs_key(rhs, rank: int) -> tuple:
+    return (f"rhs:{rhs.name}", rank)
+
+
+def store_rhs(cluster: VirtualCluster, rhs) -> None:
+    """Deposit *rhs*'s blocks in reliable storage (solver set-up, free).
+
+    Every call replaces what an earlier solve stored under the same name, so
+    a recovery always restores the right-hand side of the solve it runs in.
+    """
+    for rank in range(rhs.partition.n_parts):
+        cluster.storage.put(_rhs_key(rhs, rank), rhs.get_block(rank).copy())
+
+
+def restore_rhs(cluster: VirtualCluster, rhs, rank: int) -> None:
+    """Retrieve *rank*'s block of *rhs* from reliable storage (charged to
+    the recovery) onto the replacement node."""
+    rhs.restore_block(rank, cluster.storage.retrieve(_rhs_key(rhs, rank),
+                                                     charge=True))
 
 
 @dataclass
@@ -104,7 +127,7 @@ class ESRReconstructor:
     """Implements the (multi-node) ESR reconstruction phase."""
 
     def __init__(self, cluster: VirtualCluster, matrix: DistributedMatrix,
-                 rhs: DistributedVector, preconditioner: Preconditioner,
+                 rhs: DistributedMultiVector, preconditioner: Preconditioner,
                  context: CommunicationContext, esr: ESRProtocol, *,
                  local_solver_method: str = "pcg_ilu",
                  local_rtol: float = 1e-14,
@@ -119,8 +142,7 @@ class ESRReconstructor:
         self.local_solver_method = local_solver_method
         self.local_rtol = local_rtol
         self._requested_form = reconstruction_form
-        #: ``None`` for single-vector reconstruction; the column count ``k``
-        #: for block reconstruction (derived from the ESR protocol, which is
+        #: The column count ``k`` of the state (that of the ESR protocol,
         #: the component that stores the copies being recovered).
         self.n_cols = esr.n_cols
         rhs_cols = getattr(rhs, "n_cols", None)
@@ -129,19 +151,8 @@ class ESRReconstructor:
                 f"right-hand side has n_cols={rhs_cols} but the ESR protocol "
                 f"protects n_cols={self.n_cols} operands"
             )
-        # The right-hand side is static data: make sure it is in reliable storage.
-        self.ensure_static_data_stored()
-
-    # -- static data handling --------------------------------------------------
-    def _rhs_storage_name(self) -> str:
-        return f"rhs:{self.rhs.name}"
-
-    def ensure_static_data_stored(self) -> None:
-        """Deposit the right-hand-side blocks in reliable storage (setup phase)."""
-        for rank in range(self.partition.n_parts):
-            key = (self._rhs_storage_name(), rank)
-            if key not in self.cluster.storage:
-                self.cluster.storage.put(key, self.rhs.get_block(rank).copy())
+        # The right-hand side is static data: deposit it in reliable storage.
+        store_rhs(cluster, rhs)
 
     # -- form selection -------------------------------------------------------------
     def reconstruction_form(self) -> PreconditionerForm:
@@ -162,9 +173,9 @@ class ESRReconstructor:
 
     # -- main entry point ----------------------------------------------------------------
     def reconstruct(self, failed_ranks: Iterable[int], *, iteration: int,
-                    x: DistributedVector, r: DistributedVector,
-                    z: DistributedVector, p: DistributedVector,
-                    beta_fallback: float = 0.0,
+                    x: DistributedMultiVector, r: DistributedMultiVector,
+                    z: DistributedMultiVector, p: DistributedMultiVector,
+                    beta_fallback=0.0,
                     overlap_provider: Optional[Callable[[], List[int]]] = None
                     ) -> RecoveryReport:
         """Recover the solver state after the failure of *failed_ranks*.
@@ -177,13 +188,11 @@ class ESRReconstructor:
             The iteration ``j`` whose state is being restored (the SpMV of
             iteration ``j`` has already distributed copies of ``p^(j)``).
         x, r, z, p:
-            The solver's distributed state vectors -- or, for a block
-            reconstructor (``ESRProtocol(n_cols=k)``), its ``(n, k)``
-            multi-vectors; blocks of the failed ranks are rewritten in place
-            on the replacement nodes.
+            The solver's ``(n, k)`` state multi-vectors; blocks of the
+            failed ranks are rewritten in place on the replacement nodes.
         beta_fallback:
-            Value of ``beta^(j-1)`` -- a ``(k,)`` coefficient vector for
-            block reconstruction -- to use if no replicated copy can be
+            Value of ``beta^(j-1)`` (a ``(k,)`` coefficient vector or a
+            scalar for every column) to use if no replicated copy can be
             found (only relevant in artificial test setups).
         overlap_provider:
             Callable returning ranks that failed *while this reconstruction
@@ -227,9 +236,9 @@ class ESRReconstructor:
 
     # -- single reconstruction pass -----------------------------------------------------------
     def _reconstruct_once(self, failed_ranks: Sequence[int], iteration: int,
-                          x: DistributedVector, r: DistributedVector,
-                          z: DistributedVector, p: DistributedVector,
-                          beta_fallback: float, report: RecoveryReport) -> None:
+                          x: DistributedMultiVector, r: DistributedMultiVector,
+                          z: DistributedMultiVector, p: DistributedMultiVector,
+                          beta_fallback, report: RecoveryReport) -> None:
         cluster = self.cluster
         ledger = cluster.ledger
         partition = self.partition
@@ -248,29 +257,17 @@ class ESRReconstructor:
         a_rows = self.matrix.recovery_rows(failed, charge=True)
         for rank in failed:
             self.matrix.restore_block_to_node(rank, charge=False)
-            rhs_block = cluster.storage.retrieve(
-                (self._rhs_storage_name(), rank), charge=True
-            )
-            self.rhs.restore_block(rank, rhs_block)
+            restore_rhs(cluster, self.rhs, rank)
 
-        # Step 2/3: replicated scalar(s) and the two most recent search
-        # directions.  Block reconstruction recovers the per-column ``(k,)``
-        # coefficient vector and ``(n_i, k)`` generation blocks instead; the
-        # recurrence below broadcasts per column, so column ``j`` is computed
-        # exactly as the single-vector reconstruction would compute it.
+        # Step 2/3: the replicated per-column ``(k,)`` coefficient vector and
+        # the two most recent ``(n_i, k)`` search-direction generations; the
+        # recurrence below broadcasts per column.
         try:
-            if self.n_cols is None:
-                beta_prev = self.esr.recover_replicated_scalar("beta")
-            else:
-                beta_prev = self.esr.recover_replicated_vector("beta")
+            beta_prev = self.esr.recover_replicated_vector("beta")
         except UnrecoverableStateError:
-            if self.n_cols is None:
-                beta_prev = float(beta_fallback)
-            else:
-                beta_prev = np.broadcast_to(
-                    np.asarray(beta_fallback, dtype=np.float64),
-                    (self.n_cols,)
-                ).astype(np.float64)
+            beta_prev = np.broadcast_to(
+                np.asarray(beta_fallback, dtype=np.float64), (self.n_cols,)
+            ).astype(np.float64)
             report.notes.append("beta recovered from driver fallback")
 
         p_cur_blocks: Dict[int, np.ndarray] = {}
@@ -280,11 +277,8 @@ class ESRReconstructor:
             if iteration > 0:
                 p_prev_blocks[rank] = self.esr.recover_block(rank, iteration - 1)
             else:
-                size = partition.size_of(rank)
-                p_prev_blocks[rank] = (
-                    np.zeros(size) if self.n_cols is None
-                    else np.zeros((size, self.n_cols))
-                )
+                p_prev_blocks[rank] = np.zeros((partition.size_of(rank),
+                                                self.n_cols))
 
         # Step 4: z_{I_f} = p^(j)_{I_f} - beta^(j-1) p^(j-1)_{I_f}
         z_blocks = {
@@ -294,7 +288,7 @@ class ESRReconstructor:
         ledger.add_time(
             Phase.RECOVERY_COMPUTE,
             ledger.model.vector_op_time(
-                int(failed_indices.size) * self._width(), 2.0
+                int(failed_indices.size) * self.n_cols, 2.0
             ),
         )
 
@@ -313,24 +307,22 @@ class ESRReconstructor:
             report.local_solve_stats.append(local_stats_x)
 
         # Write everything back onto the replacement nodes (the shared
-        # restore path of the distributed containers: defensive copies, same
-        # code for single-vector and (n_i, k) multi-vector state).
+        # restore path of the distributed containers: defensive copies).
         for rank in failed:
             p.restore_block(rank, p_cur_blocks[rank])
             z.restore_block(rank, z_blocks[rank])
             r.restore_block(rank, r_blocks[rank])
             x.restore_block(rank, x_blocks[rank])
-        # Replicate the recovered scalar on the replacement nodes as well.
+        # Replicate the recovered coefficients on the replacement nodes too.
         self.esr.store_replicated_scalars(iteration, beta=beta_prev)
 
     # -- residual reconstruction (preconditioner-form dependent) --------------------------------
     def _reconstruct_residual(self, failed: List[int], failed_indices: np.ndarray,
                               z_blocks: Dict[int, np.ndarray],
-                              r: DistributedVector, z: DistributedVector):
+                              r: DistributedMultiVector,
+                              z: DistributedMultiVector):
         form = self.reconstruction_form()
-        partition = self.partition
-        z_failed = np.concatenate([z_blocks[rank] for rank in failed]) if failed \
-            else self._empty()
+        z_failed = self._concat(failed, z_blocks)
 
         if form is PreconditionerForm.IDENTITY:
             r_failed = z_failed.copy()
@@ -349,21 +341,19 @@ class ESRReconstructor:
             p_sub = p_rows[:, failed_indices]
             solver = LocalSubsystemSolver(self.local_solver_method,
                                           rtol=self.local_rtol)
-            r_failed = self._local_solve(solver, p_sub, v)
+            r_failed = solver.solve_block(p_sub, v)
             self._charge_local_solve(solver)
             return self._split_to_blocks(failed, r_failed), solver.last_stats
 
         # FORWARD (and SPLIT, which reduces to it): r_{I_f} = M_{I_f, I} z.
         # One compressed matvec over all referenced columns: survivor values
         # are gathered through the index maps, the failed part comes from the
-        # freshly reconstructed z_{I_f}.  For block reconstruction the
-        # operand is a (cols, k) slab and the product one CSR x dense-block
-        # kernel (per-column bit-identical to the single-vector matvec).
+        # freshly reconstructed z_{I_f}.  The operand is a (cols, k) slab
+        # and the product one CSR x dense-block kernel.
         m_rows = self.preconditioner.forward_rows(failed_indices)
         cols = _referenced_columns(m_rows, failed_indices)
         is_failed_col = np.isin(cols, failed_indices)
-        z_values = np.zeros((cols.size,) if self.n_cols is None
-                            else (cols.size, self.n_cols))
+        z_values = np.zeros((cols.size, self.n_cols))
         z_values[~is_failed_col] = self._gather_survivor_values(
             z, failed, cols[~is_failed_col], purpose="z"
         )
@@ -374,7 +364,7 @@ class ESRReconstructor:
         self.cluster.ledger.add_time(
             Phase.RECOVERY_COMPUTE,
             self.cluster.ledger.model.spmv_time(
-                int(m_rows.nnz) * self._width()
+                int(m_rows.nnz) * self.n_cols
             ),
         )
         return self._split_to_blocks(failed, r_failed), None
@@ -383,13 +373,10 @@ class ESRReconstructor:
     def _reconstruct_iterate(self, failed: List[int], failed_indices: np.ndarray,
                              a_rows: sp.csr_matrix,
                              r_blocks: Dict[int, np.ndarray],
-                             x: DistributedVector):
-        partition = self.partition
-        b_failed = np.concatenate([
-            self.rhs.get_block(rank) for rank in failed
-        ]) if failed else self._empty()
-        r_failed = np.concatenate([r_blocks[rank] for rank in failed]) if failed \
-            else self._empty()
+                             x: DistributedMultiVector):
+        b_failed = self._concat(failed, {rank: self.rhs.get_block(rank)
+                                         for rank in failed})
+        r_failed = self._concat(failed, r_blocks)
 
         surv_cols = _referenced_columns(a_rows, failed_indices,
                                         survivors_only=True)
@@ -401,38 +388,24 @@ class ESRReconstructor:
         self.cluster.ledger.add_time(
             Phase.RECOVERY_COMPUTE,
             self.cluster.ledger.model.spmv_time(
-                int(off_diag.nnz) * self._width()
+                int(off_diag.nnz) * self.n_cols
             ),
         )
 
         a_sub = a_rows[:, failed_indices]
         solver = LocalSubsystemSolver(self.local_solver_method,
                                       rtol=self.local_rtol)
-        x_failed = self._local_solve(solver, a_sub, w)
+        x_failed = solver.solve_block(a_sub, w)
         self._charge_local_solve(solver)
         return self._split_to_blocks(failed, x_failed), solver.last_stats
 
     # -- helpers ----------------------------------------------------------------------------------------
-    def _width(self) -> int:
-        """Column count entering the block charge model (1 for vectors)."""
-        return 1 if self.n_cols is None else self.n_cols
-
-    def _empty(self) -> np.ndarray:
-        """An empty operand of the reconstructor's shape family."""
-        return np.zeros(0) if self.n_cols is None \
-            else np.zeros((0, self.n_cols))
-
-    def _local_solve(self, solver: LocalSubsystemSolver, matrix,
-                     rhs: np.ndarray) -> np.ndarray:
-        """Single- or multi-RHS local solve, dispatched on the operand shape.
-
-        The block path shares one factorization across the columns
-        (:meth:`LocalSubsystemSolver.solve_block`) while keeping each
-        column's solution bit-identical to a standalone solve.
-        """
-        if rhs.ndim == 2:
-            return solver.solve_block(matrix, rhs)
-        return solver.solve(matrix, rhs)
+    def _concat(self, failed: List[int],
+                blocks: Dict[int, np.ndarray]) -> np.ndarray:
+        """Stack the ``(n_i, k)`` blocks of *failed* (rank order) over ``I_f``."""
+        if not failed:
+            return np.zeros((0, self.n_cols))
+        return np.concatenate([blocks[rank] for rank in failed])
 
     def _split_to_blocks(self, failed: List[int], concatenated: np.ndarray
                          ) -> Dict[int, np.ndarray]:
@@ -445,7 +418,7 @@ class ESRReconstructor:
             offset += size
         return blocks
 
-    def _gather_survivor_values(self, vector: DistributedVector,
+    def _gather_survivor_values(self, vector: DistributedMultiVector,
                                 failed: List[int], columns: np.ndarray,
                                 purpose: str) -> np.ndarray:
         """Survivor-owned entries of *vector* at the global indices *columns*.
@@ -461,9 +434,8 @@ class ESRReconstructor:
         """
         partition = self.partition
         ledger = self.cluster.ledger
-        width = self._width()
-        out = np.empty((columns.size,) if self.n_cols is None
-                       else (columns.size, self.n_cols))
+        width = self.n_cols
+        out = np.empty((columns.size, width))
         if columns.size:
             owners = partition.owner_of(columns)
             uniq, starts = np.unique(owners, return_index=True)
@@ -475,7 +447,7 @@ class ESRReconstructor:
                 out[lo:hi] = vector.get_block(rank)[columns[lo:hi] - start]
         # Charge the gather: each surviving sender ships the elements the failed
         # rows reference (the reverse of the SpMV scatter towards the failed
-        # rank); block gathers ship all k columns in the same message.
+        # rank); all k columns travel in the same message.
         for dst in failed:
             for src in self.context.senders_to(dst):
                 if src in failed:

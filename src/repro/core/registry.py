@@ -6,10 +6,17 @@ string names and built from a declarative configuration.  The façade
 :meth:`SolveSpec.resolved_solver` and calls :meth:`SolverRegistry.build`;
 new scenarios (coupled block-CG, ...) plug in as a
 ``@register_solver("name")`` builder plus whatever :class:`SolveSpec`
-extension they need -- no new top-level helper required.  The resilient
-block solver composes the two existing extensions: a ``SolveSpec`` carrying
-*both* a ``ResilienceSpec`` and a multi-RHS block dispatches to
-``"resilient_block_pcg"``.
+extension they need -- no new top-level helper required.
+
+Every built-in name builds one of the two classes of the single PCG core:
+:class:`~repro.core.block_pcg.BlockPCG` (``"pcg"``, ``"block_pcg"``) or
+:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`
+(``"resilient_pcg"``, ``"resilient_block_pcg"``).  The single-RHS names hand
+the solver the 1-D right-hand side, which it runs as a ``k = 1`` block and
+answers with a single-RHS result; the block names take ``(n, k)`` blocks (a
+1-D rhs is promoted to ``k = 1`` here and answered as a block).  A
+``SolveSpec`` carrying *both* a ``ResilienceSpec`` and a multi-RHS block
+dispatches to ``"resilient_block_pcg"``.
 
 A builder receives ``(problem, rhs, preconditioner, spec)`` -- the
 distributed problem, the already-normalised right-hand side
@@ -21,16 +28,14 @@ returns a solver object exposing ``solve()``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple, Union
 
 from ..cluster.failure import FailureInjector
 from ..precond.base import Preconditioner
 from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from .block_pcg import BlockPCG
-from .pcg import DistributedPCG
 from .resilient_block_pcg import ResilientBlockPCG
-from .resilient_pcg import ResilientPCG
 from .spec import BlockSpec, ResilienceSpec, SolveSpec
 
 if TYPE_CHECKING:  # circular at runtime: api.py imports this module
@@ -118,45 +123,57 @@ def _require_no_resilience(spec: SolveSpec, solver: str) -> None:
         )
 
 
+def _build(cls: type, problem: "DistributedProblem",
+           rhs: Union[DistributedVector, DistributedMultiVector],
+           preconditioner: Preconditioner, spec: SolveSpec,
+           **extra: Any) -> Any:
+    """*cls* configured with the spec's common solver options."""
+    return cls(
+        problem.matrix, rhs, preconditioner,
+        rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
+        context=problem.context, overlap_spmv=spec.overlap_spmv,
+        engine=spec.engine, **extra,
+    )
+
+
+def _resilience_options(spec: SolveSpec) -> Dict[str, Any]:
+    """:class:`ResilientBlockPCG` keyword arguments of the spec's
+    ``ResilienceSpec`` (the default one when none is attached)."""
+    res = spec.resilience if spec.resilience is not None else ResilienceSpec()
+    return dict(
+        phi=res.phi, scheme=res.scheme,
+        scheme_options=dict(res.scheme_options),
+        placement=res.placement, rack_size=res.rack_size,
+        failure_injector=(FailureInjector(list(res.failures))
+                          if res.failures else None),
+        local_solver_method=res.local_solver_method,
+        local_rtol=res.local_rtol,
+        reconstruction_form=res.reconstruction_form,
+    )
+
+
 @register_solver("pcg")
 def build_pcg(problem: "DistributedProblem",
               rhs: Union[DistributedVector, DistributedMultiVector],
               preconditioner: Preconditioner,
-              spec: SolveSpec) -> DistributedPCG:
+              spec: SolveSpec) -> BlockPCG:
     """The plain distributed PCG (the paper's reference solver)."""
     _require_no_resilience(spec, "pcg")
     _require_no_block(spec, "pcg")
-    return DistributedPCG(
-        problem.matrix, _require_single_rhs(rhs, "pcg"), preconditioner,
-        rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        context=problem.context, overlap_spmv=spec.overlap_spmv,
-        engine=spec.engine,
-    )
+    return _build(BlockPCG, problem, _require_single_rhs(rhs, "pcg"),
+                  preconditioner, spec)
 
 
 @register_solver("resilient_pcg")
 def build_resilient_pcg(problem: "DistributedProblem",
                         rhs: Union[DistributedVector, DistributedMultiVector],
                         preconditioner: Preconditioner,
-                        spec: SolveSpec) -> ResilientPCG:
+                        spec: SolveSpec) -> ResilientBlockPCG:
     """The ESR-protected PCG (the paper's contribution)."""
     _require_no_block(spec, "resilient_pcg")
-    res = spec.resilience if spec.resilience is not None else ResilienceSpec()
-    injector = FailureInjector(list(res.failures)) if res.failures else None
-    return ResilientPCG(
-        problem.matrix, _require_single_rhs(rhs, "resilient_pcg"),
-        preconditioner,
-        phi=res.phi, scheme=res.scheme,
-        scheme_options=dict(res.scheme_options),
-        placement=res.placement, rack_size=res.rack_size,
-        failure_injector=injector,
-        local_solver_method=res.local_solver_method,
-        local_rtol=res.local_rtol,
-        reconstruction_form=res.reconstruction_form,
-        rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        context=problem.context, overlap_spmv=spec.overlap_spmv,
-        engine=spec.engine,
-    )
+    return _build(ResilientBlockPCG, problem,
+                  _require_single_rhs(rhs, "resilient_pcg"), preconditioner,
+                  spec, **_resilience_options(spec))
 
 
 def _normalize_block_rhs(problem: "DistributedProblem",
@@ -165,7 +182,7 @@ def _normalize_block_rhs(problem: "DistributedProblem",
     """Promote a single-vector rhs to a ``k = 1`` block and validate ``n_cols``."""
     block = spec.block if spec.block is not None else BlockSpec()
     if isinstance(rhs, DistributedVector):
-        # Single-vector input solved through the block path as a k = 1 block.
+        # Single-vector input solved (and answered) as a k = 1 block.
         rhs = DistributedMultiVector.from_columns(
             problem.cluster, problem.partition, f"{rhs.name}:as_block", [rhs]
         )
@@ -177,6 +194,10 @@ def _normalize_block_rhs(problem: "DistributedProblem",
     return rhs
 
 
+def _fuse_reductions(spec: SolveSpec) -> bool:
+    return spec.block is not None and spec.block.fuse_reductions
+
+
 @register_solver("block_pcg")
 def build_block_pcg(problem: "DistributedProblem",
                     rhs: Union[DistributedVector, DistributedMultiVector],
@@ -184,14 +205,9 @@ def build_block_pcg(problem: "DistributedProblem",
                     spec: SolveSpec) -> BlockPCG:
     """The lock-step multi-RHS block PCG (no failure handling)."""
     _require_no_resilience(spec, "block_pcg")
-    block = spec.block if spec.block is not None else BlockSpec()
-    rhs = _normalize_block_rhs(problem, rhs, spec)
-    return BlockPCG(
-        problem.matrix, rhs, preconditioner,
-        rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        context=problem.context, overlap_spmv=spec.overlap_spmv,
-        engine=spec.engine, fuse_reductions=block.fuse_reductions,
-    )
+    return _build(BlockPCG, problem, _normalize_block_rhs(problem, rhs, spec),
+                  preconditioner, spec,
+                  fuse_reductions=_fuse_reductions(spec))
 
 
 @register_solver("resilient_block_pcg")
@@ -201,20 +217,7 @@ def build_resilient_block_pcg(problem: "DistributedProblem",
                               preconditioner: Preconditioner,
                               spec: SolveSpec) -> ResilientBlockPCG:
     """The ESR-protected multi-RHS block PCG (ResilienceSpec + BlockSpec)."""
-    res = spec.resilience if spec.resilience is not None else ResilienceSpec()
-    block = spec.block if spec.block is not None else BlockSpec()
-    rhs = _normalize_block_rhs(problem, rhs, spec)
-    injector = FailureInjector(list(res.failures)) if res.failures else None
-    return ResilientBlockPCG(
-        problem.matrix, rhs, preconditioner,
-        phi=res.phi, scheme=res.scheme,
-        scheme_options=dict(res.scheme_options),
-        placement=res.placement, rack_size=res.rack_size,
-        failure_injector=injector,
-        local_solver_method=res.local_solver_method,
-        local_rtol=res.local_rtol,
-        reconstruction_form=res.reconstruction_form,
-        rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        context=problem.context, overlap_spmv=spec.overlap_spmv,
-        engine=spec.engine, fuse_reductions=block.fuse_reductions,
-    )
+    return _build(ResilientBlockPCG, problem,
+                  _normalize_block_rhs(problem, rhs, spec), preconditioner,
+                  spec, fuse_reductions=_fuse_reductions(spec),
+                  **_resilience_options(spec))

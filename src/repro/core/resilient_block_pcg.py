@@ -1,16 +1,29 @@
-"""Resilient block PCG: multi-RHS solves that survive multiple node failures.
+"""The resilient PCG solver: PCG + ESR redundancy + multi-failure recovery.
 
-:class:`ResilientBlockPCG` composes the two halves this library grew
-separately: the lock-step multi-RHS :class:`~repro.core.block_pcg.BlockPCG`
-(batched SpMV, block BLAS-1, ``k``-wide allreduces, column freezing) and the
-paper's ESR resilience (redundant search-direction copies after every SpMV,
-exact state reconstruction after up to ``phi`` simultaneous or overlapping
-node failures).  The ESR machinery is the *block* variant throughout:
+:class:`ResilientBlockPCG` extends the lock-step
+:class:`~repro.core.block_pcg.BlockPCG` (one right-hand side is the ``k = 1``
+block) with
+
+* the ESR protocol of Sec. 4.1 -- after every SpMV, ``phi`` redundant copies
+  of each row block of the two most recent search directions are kept on the
+  backup nodes selected by Eqn. (5), shipping only the minimal extra sets of
+  Eqn. (6);
+* failure handling -- when the failure injector strikes (possibly several
+  nodes simultaneously, possibly again during a running recovery), the ULFM
+  runtime provides replacement nodes and the ESR reconstruction restores the
+  exact solver state before iterating on.
+
+A failure-free run (with ``phi >= 1``) measures the "relative overhead
+undisturbed" column of Table 2; runs with injected failures measure the
+reconstruction time and the "overhead with failures" columns.
+``ResilientPCG`` is the same class under its single-vector name.
+
+The ESR machinery works on whole ``(n_i, k)`` blocks:
 
 * after every batched SpMV, each holder stores ``(rows, k)`` slices of the
-  two most recent search-direction blocks, staged through the fused block
-  staging that rides the batched SpMV's already-staged ``(pool, k)`` send
-  pool (one memcpy on the failure-free path; see :mod:`repro.core.esr`);
+  two most recent search-direction blocks, staged through the fused staging
+  that rides the batched SpMV's already-staged ``(pool, k)`` send pool (one
+  memcpy on the failure-free path; see :mod:`repro.core.esr`);
 * the extra redundancy traffic is charged with the block charge model --
   message count and latency terms independent of ``k``, volume scaling with
   ``k`` -- exactly mirroring how the batched halo exchange is charged;
@@ -28,13 +41,9 @@ and ``benchmarks/bench_resilient_block_pcg.py``):
   :class:`BlockPCG` in iterates *and* ledger charges; with ``phi > 0`` the
   iterates stay bit-identical and the charges differ only by the per-
   iteration redundancy overhead;
-* at ``k = 1`` the run is charge-identical to :class:`ResilientPCG` under
-  the same failure schedule (every block charge reduces exactly to its
-  single-vector counterpart);
 * under a failure schedule that strikes while the columns are active, each
   recovered column's iterates and residual history are bit-identical to a
-  sequential :class:`ResilientPCG` solve of that column hit by the same
-  schedule;
+  sequential ``k = 1`` solve of that column hit by the same schedule;
 * column freezing interacts correctly with recovery: converged/broken
   columns of a failed rank are restored along with the rest of the block
   (their reconstructed values are exact up to the local-solver tolerance)
@@ -44,31 +53,171 @@ and ``benchmarks/bench_resilient_block_pcg.py``):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from .. import sanitizer as _sanitizer
+from ..cluster.errors import UnrecoverableStateError
 from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
+from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner, PreconditionerForm
 from ..utils.logging import get_logger
 from .block_pcg import BlockPCG
-from .placement import PlacementLike
-from .redundancy import BackupPlacement, RedundancySchemeBase
-from .resilient_pcg import EsrResilienceMixin
+from .esr import ESRProtocol
+from .placement import PlacementLike, resolve_placement
+from .reconstruction import ESRReconstructor, RecoveryReport
+from .redundancy import (
+    BackupPlacement,
+    RedundancySchemeBase,
+    build_redundancy_scheme,
+)
 
 logger = get_logger("core.resilient_block_pcg")
 
 
+class EsrResilienceMixin:
+    """ESR-resilience plumbing of the resilient solver.
+
+    Expects the host class to provide the solver substrate (``cluster``,
+    ``context``, ``matrix``, ``rhs``, ``n_cols``, ``preconditioner``, and
+    the live state operands ``x``/``r``/``z``/``p`` plus ``beta_prev``);
+    adds the redundancy scheme, the ESR protocol, the reconstructor, and
+    the failure-handling driver the solver hooks call.
+    """
+
+    def _init_resilience(self, *, phi: int, placement: PlacementLike,
+                         failure_injector: Optional[FailureInjector],
+                         local_solver_method: str, local_rtol: float,
+                         reconstruction_form: Optional[PreconditionerForm],
+                         rack_size: Optional[int] = None,
+                         scheme: Union[str, RedundancySchemeBase,
+                                       None] = None,
+                         scheme_options: Optional[Dict[str, Any]] = None
+                         ) -> None:
+        if phi < 0:
+            raise ValueError(f"phi must be non-negative, got {phi}")
+        if failure_injector is not None:
+            worst = failure_injector.max_simultaneous_failures()
+            if worst > phi:
+                logger.warning(
+                    "failure schedule contains %d simultaneous failures but "
+                    "phi=%d redundant copies are kept; recovery may fail",
+                    worst, phi,
+                )
+        self.phi = int(phi)
+        self.placement = resolve_placement(placement)
+        self.scheme = build_redundancy_scheme(scheme, self.context, self.phi,
+                                              placement=self.placement,
+                                              rack_size=rack_size,
+                                              options=scheme_options)
+        # Handing the matrix to the protocol lets the fused redundancy
+        # staging reuse the SpMV engine's already-staged send pool each
+        # iteration instead of re-gathering the natural halo values.
+        self.esr = ESRProtocol(self.cluster, self.context, self.phi,
+                               placement=self.placement, scheme=self.scheme,
+                               matrix=self.matrix, n_cols=self.n_cols)
+        self.reconstructor = ESRReconstructor(
+            self.cluster, self.matrix, self.rhs, self.preconditioner,
+            self.context, self.esr,
+            local_solver_method=local_solver_method,
+            local_rtol=local_rtol,
+            reconstruction_form=reconstruction_form,
+        )
+        self.failure_injector = failure_injector
+        self.recovery_reports: List[RecoveryReport] = []
+
+    # -- hooks ------------------------------------------------------------------
+    def _after_spmv(self, iteration: int) -> None:
+        """Keep the redundant copies and replicate the recurrence coefficients."""
+        super()._after_spmv(iteration)
+        if _sanitizer._ACTIVE is not None:
+            _sanitizer._ACTIVE.on_resilience_hook(self, "after_spmv")
+        self.esr.after_spmv(self.p, iteration)
+        self.esr.store_replicated_scalars(iteration, beta=self.beta_prev)
+
+    def _handle_failures(self, iteration: int) -> bool:
+        """Trigger due failure events and run the ESR reconstruction."""
+        if _sanitizer._ACTIVE is not None:
+            _sanitizer._ACTIVE.on_resilience_hook(self, "handle_failures")
+        if self.failure_injector is None:
+            return super()._handle_failures(iteration)
+        due = self.failure_injector.events_due(iteration, overlapping=False)
+        if not due:
+            return super()._handle_failures(iteration)
+        failed_ranks: List[int] = []
+        for idx, event in due:
+            self.failure_injector.trigger(idx, self.cluster.nodes)
+            failed_ranks.extend(event.ranks)
+            logger.info("iteration %d: node failure of ranks %s%s",
+                        iteration, list(event.ranks),
+                        f" ({event.label})" if event.label else "")
+        newly_detected = self.cluster.ulfm.detect_failures()
+        failed_ranks = sorted(set(failed_ranks) | set(newly_detected))
+        self.cluster.comm.drop_messages_to_failed()
+
+        try:
+            report = self.reconstructor.reconstruct(
+                failed_ranks,
+                iteration=iteration,
+                x=self.x, r=self.r, z=self.z, p=self.p,
+                beta_fallback=self.beta_prev,
+                overlap_provider=self._make_overlap_provider(iteration),
+            )
+        except UnrecoverableStateError as exc:
+            # Tag the loss point so campaign-style consumers can report a
+            # time-to-unrecoverable-loss distribution from the typed error.
+            exc.iteration = iteration
+            raise
+        self.recovery_reports.append(report)
+        record = self.cluster.ulfm.begin_recovery(iteration, report.failed_ranks)
+        record.restarts = report.restarts
+        record.simulated_time = report.simulated_time
+        record.wallclock_time = report.wallclock_time
+        return True
+
+    def _make_overlap_provider(self, iteration: int):
+        """Closure handing overlapping-failure events to the reconstructor."""
+
+        def provider() -> List[int]:
+            if self.failure_injector is None:
+                return []
+            due = self.failure_injector.events_due(iteration, overlapping=True)
+            ranks: List[int] = []
+            for idx, event in due:
+                self.failure_injector.trigger(idx, self.cluster.nodes)
+                ranks.extend(event.ranks)
+            if ranks:
+                self.cluster.ulfm.detect_failures()
+                self.cluster.comm.drop_messages_to_failed()
+            return sorted(set(ranks))
+
+        return provider
+
+    # -- result assembly ------------------------------------------------------------
+    def solve(self, x0=None):
+        """Run the host solver's loop, then decorate the result with the
+        resilience metadata (the host's ``_build_result`` already collected
+        the recovery reports)."""
+        result = super().solve(x0)
+        result.info["phi"] = self.phi
+        result.info["placement"] = self.placement.value
+        result.info["scheme"] = self.scheme.scheme_name
+        result.info["redundancy"] = self.esr.overhead_summary()
+        return result
+
+
 class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
-    """Lock-step multi-RHS PCG protected by block ESR redundancy.
+    """PCG protected against up to ``phi`` simultaneous/overlapping node failures.
 
     Parameters
     ----------
     matrix, rhs, preconditioner:
-        As for :class:`~repro.core.block_pcg.BlockPCG` (``rhs`` is an
-        ``(n, k)`` :class:`DistributedMultiVector`); the preconditioner must
-        be block-diagonal.
+        As for :class:`~repro.core.block_pcg.BlockPCG` (``rhs`` is a 1-D
+        :class:`DistributedVector` or an ``(n, k)``
+        :class:`DistributedMultiVector`); the preconditioner must be
+        block-diagonal (the paper uses block Jacobi).
     phi:
         Number of redundant copies kept per search-direction row block, i.e.
         the maximum number of simultaneous or overlapping node failures the
@@ -86,12 +235,12 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     failure_injector:
         Optional schedule of failure events to strike during the solve.
     local_solver_method, local_rtol:
-        Configuration of the reconstruction's local subsystem solver; the
-        block reconstruction shares one factorization across all ``k``
-        columns.
+        Configuration of the reconstruction's local subsystem solver
+        (``"pcg_ilu"`` with ``1e-14`` in the paper); the reconstruction
+        shares one factorization across all ``k`` columns.
     reconstruction_form:
-        Force a particular reconstruction variant; by default the
-        preconditioner's natural form is used.
+        Force a particular reconstruction variant (``P`` given / ``M`` given /
+        split); by default the preconditioner's natural form is used.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
     ``context``/``overlap_spmv``/``engine``/``fuse_reductions``) are those of
@@ -101,7 +250,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     vector_prefix = "resilient_bpcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: DistributedMultiVector,
+                 rhs: Union[DistributedVector, DistributedMultiVector],
                  preconditioner: Optional[Preconditioner] = None, *,
                  phi: int = 1,
                  scheme: Union[str, RedundancySchemeBase, None] = None,
@@ -125,9 +274,6 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         self._init_resilience(
             phi=phi, placement=placement, failure_injector=failure_injector,
             local_solver_method=local_solver_method, local_rtol=local_rtol,
-            reconstruction_form=reconstruction_form,
-            n_cols=self.n_cols, rack_size=rack_size,
+            reconstruction_form=reconstruction_form, rack_size=rack_size,
             scheme=scheme, scheme_options=scheme_options,
         )
-    # ``solve`` comes from EsrResilienceMixin: the BlockPCG loop plus the
-    # resilience metadata decoration, shared verbatim with ResilientPCG.

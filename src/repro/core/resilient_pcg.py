@@ -1,248 +1,13 @@
-"""The resilient PCG solver: PCG + ESR redundancy + multi-failure recovery.
+"""Single-RHS names of the one resilient PCG implementation.
 
-:class:`ResilientPCG` extends the distributed PCG solver with
-
-* the ESR protocol of Sec. 4.1 -- after every SpMV, ``phi`` redundant copies
-  of each block of the two most recent search directions are kept on the
-  backup nodes selected by Eqn. (5), shipping only the minimal extra sets of
-  Eqn. (6);
-* failure handling -- when the failure injector strikes (possibly several
-  nodes simultaneously, possibly again during a running recovery), the ULFM
-  runtime provides replacement nodes and the ESR reconstruction restores the
-  exact solver state before iterating on.
-
-A failure-free run of this class (with ``phi >= 1``) measures the
-"relative overhead undisturbed" column of Table 2; runs with injected
-failures measure the reconstruction time and the "overhead with failures"
-columns.
-
-The ESR driving logic -- protocol/reconstructor construction, the
-``_after_spmv`` redundancy exchange, and the ``_handle_failures`` recovery
-orchestration with overlapping-failure restarts -- is shared with the
-multi-RHS variant (:class:`~repro.core.resilient_block_pcg.
-ResilientBlockPCG`) through :class:`EsrResilienceMixin`: the single-vector
-and the block solver drive byte-for-byte the same failure path, only the
-operand types (vectors vs. ``(n_i, k)`` blocks) and the replicated
-recurrence coefficient (scalar vs. ``(k,)`` vector) differ.
+``ResilientPCG`` *is* :class:`~repro.core.resilient_block_pcg.
+ResilientBlockPCG` (a 1-D right-hand side is the ``k = 1`` block), and
+:class:`EsrResilienceMixin` -- the ESR redundancy and recovery driver -- is
+re-exported from there.
 """
 
-from __future__ import annotations
+from .resilient_block_pcg import EsrResilienceMixin, ResilientBlockPCG
 
-from typing import Any, Dict, List, Optional, Union
+ResilientPCG = ResilientBlockPCG
 
-from .. import sanitizer as _sanitizer
-from ..cluster.errors import UnrecoverableStateError
-from ..cluster.failure import FailureInjector
-from ..distributed.comm_context import CommunicationContext
-from ..distributed.dmatrix import DistributedMatrix
-from ..distributed.dvector import DistributedVector
-from ..precond.base import Preconditioner, PreconditionerForm
-from ..utils.logging import get_logger
-from .esr import ESRProtocol
-from .pcg import DistributedPCG
-from .placement import PlacementLike, resolve_placement
-from .reconstruction import ESRReconstructor, RecoveryReport
-from .redundancy import (
-    BackupPlacement,
-    RedundancySchemeBase,
-    build_redundancy_scheme,
-)
-
-logger = get_logger("core.resilient_pcg")
-
-
-class EsrResilienceMixin:
-    """ESR-resilience plumbing shared by the resilient solvers.
-
-    Expects the host class to provide the solver substrate (``cluster``,
-    ``context``, ``matrix``, ``rhs``, ``preconditioner``, and the live state
-    operands ``x``/``r``/``z``/``p`` plus ``beta_prev``); adds the redundancy
-    scheme, the ESR protocol, the reconstructor, and the failure-handling
-    driver the solver hooks call.  ``n_cols=None`` selects single-vector
-    protection, ``n_cols=k`` block protection (the only difference between
-    :class:`ResilientPCG` and :class:`~repro.core.resilient_block_pcg.
-    ResilientBlockPCG`'s failure paths).
-    """
-
-    def _init_resilience(self, *, phi: int, placement: PlacementLike,
-                         failure_injector: Optional[FailureInjector],
-                         local_solver_method: str, local_rtol: float,
-                         reconstruction_form: Optional[PreconditionerForm],
-                         n_cols: Optional[int] = None,
-                         rack_size: Optional[int] = None,
-                         scheme: Union[str, RedundancySchemeBase,
-                                       None] = None,
-                         scheme_options: Optional[Dict[str, Any]] = None
-                         ) -> None:
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
-        if failure_injector is not None:
-            worst = failure_injector.max_simultaneous_failures()
-            if worst > phi:
-                logger.warning(
-                    "failure schedule contains %d simultaneous failures but "
-                    "phi=%d redundant copies are kept; recovery may fail",
-                    worst, phi,
-                )
-        self.phi = int(phi)
-        self.placement = resolve_placement(placement)
-        self.scheme = build_redundancy_scheme(scheme, self.context, self.phi,
-                                              placement=self.placement,
-                                              rack_size=rack_size,
-                                              options=scheme_options)
-        # Handing the matrix to the protocol lets the fused redundancy
-        # staging reuse the SpMV engine's already-staged send pool (single-
-        # vector or batched) each iteration instead of re-gathering the
-        # natural halo values.
-        self.esr = ESRProtocol(self.cluster, self.context, self.phi,
-                               placement=self.placement, scheme=self.scheme,
-                               matrix=self.matrix, n_cols=n_cols)
-        self.reconstructor = ESRReconstructor(
-            self.cluster, self.matrix, self.rhs, self.preconditioner,
-            self.context, self.esr,
-            local_solver_method=local_solver_method,
-            local_rtol=local_rtol,
-            reconstruction_form=reconstruction_form,
-        )
-        self.failure_injector = failure_injector
-        self.recovery_reports: List[RecoveryReport] = []
-
-    # -- hooks ------------------------------------------------------------------
-    def _after_spmv(self, iteration: int) -> None:
-        """Keep the redundant copies and replicate the recurrence scalar(s)."""
-        super()._after_spmv(iteration)
-        if _sanitizer._ACTIVE is not None:
-            _sanitizer._ACTIVE.on_resilience_hook(self, "after_spmv")
-        self.esr.after_spmv(self.p, iteration)
-        self.esr.store_replicated_scalars(iteration, beta=self.beta_prev)
-
-    def _handle_failures(self, iteration: int) -> bool:
-        """Trigger due failure events and run the ESR reconstruction."""
-        if _sanitizer._ACTIVE is not None:
-            _sanitizer._ACTIVE.on_resilience_hook(self, "handle_failures")
-        if self.failure_injector is None:
-            return super()._handle_failures(iteration)
-        due = self.failure_injector.events_due(iteration, overlapping=False)
-        if not due:
-            return super()._handle_failures(iteration)
-        failed_ranks: List[int] = []
-        for idx, event in due:
-            self.failure_injector.trigger(idx, self.cluster.nodes)
-            failed_ranks.extend(event.ranks)
-            logger.info("iteration %d: node failure of ranks %s%s",
-                        iteration, list(event.ranks),
-                        f" ({event.label})" if event.label else "")
-        newly_detected = self.cluster.ulfm.detect_failures()
-        failed_ranks = sorted(set(failed_ranks) | set(newly_detected))
-        self.cluster.comm.drop_messages_to_failed()
-
-        try:
-            report = self.reconstructor.reconstruct(
-                failed_ranks,
-                iteration=iteration,
-                x=self.x, r=self.r, z=self.z, p=self.p,
-                beta_fallback=self.beta_prev,
-                overlap_provider=self._make_overlap_provider(iteration),
-            )
-        except UnrecoverableStateError as exc:
-            # Tag the loss point so campaign-style consumers can report a
-            # time-to-unrecoverable-loss distribution from the typed error.
-            exc.iteration = iteration
-            raise
-        self.recovery_reports.append(report)
-        record = self.cluster.ulfm.begin_recovery(iteration, report.failed_ranks)
-        record.restarts = report.restarts
-        record.simulated_time = report.simulated_time
-        record.wallclock_time = report.wallclock_time
-        return True
-
-    def _make_overlap_provider(self, iteration: int):
-        """Closure handing overlapping-failure events to the reconstructor."""
-
-        def provider() -> List[int]:
-            if self.failure_injector is None:
-                return []
-            due = self.failure_injector.events_due(iteration, overlapping=True)
-            ranks: List[int] = []
-            for idx, event in due:
-                self.failure_injector.trigger(idx, self.cluster.nodes)
-                ranks.extend(event.ranks)
-            if ranks:
-                self.cluster.ulfm.detect_failures()
-                self.cluster.comm.drop_messages_to_failed()
-            return sorted(set(ranks))
-
-        return provider
-
-    # -- result assembly ------------------------------------------------------------
-    def solve(self, x0=None):
-        """Run the host solver's loop, then decorate the result with the
-        resilience metadata (the host's ``_build_result`` already collected
-        the recovery reports)."""
-        result = super().solve(x0)
-        result.info["phi"] = self.phi
-        result.info["placement"] = self.placement.value
-        result.info["scheme"] = self.scheme.scheme_name
-        result.info["redundancy"] = self.esr.overhead_summary()
-        return result
-
-
-class ResilientPCG(EsrResilienceMixin, DistributedPCG):
-    """PCG protected against up to ``phi`` simultaneous/overlapping node failures.
-
-    Parameters
-    ----------
-    matrix, rhs, preconditioner:
-        As for :class:`~repro.core.pcg.DistributedPCG`; the preconditioner
-        must be block-diagonal (the paper uses block Jacobi).
-    phi:
-        Number of redundant copies kept per search-direction block, i.e. the
-        maximum number of simultaneous or overlapping node failures the
-        solver can tolerate.  Must satisfy ``0 <= phi < N``.
-    scheme:
-        Redundancy scheme: a registered name (``"copies"``, ``"rs_parity"``),
-        a pre-built :class:`~repro.core.redundancy.RedundancySchemeBase`
-        instance, or ``None`` for the default full-copy scheme.
-    scheme_options:
-        Extra constructor keyword arguments for the scheme (e.g.
-        ``{"group_size": 4}`` for ``"rs_parity"``); only valid with a
-        scheme *name*.
-    placement:
-        Backup-node placement strategy (Eqn. (5) by default).
-    failure_injector:
-        Optional schedule of failure events to strike during the solve.
-    local_solver_method, local_rtol:
-        Configuration of the reconstruction's local subsystem solver
-        (``"pcg_ilu"`` with ``1e-14`` in the paper).
-    reconstruction_form:
-        Force a particular reconstruction variant (``P`` given / ``M`` given /
-        split); by default the preconditioner's natural form is used.
-    """
-
-    vector_prefix = "resilient_pcg"
-
-    def __init__(self, matrix: DistributedMatrix, rhs: DistributedVector,
-                 preconditioner: Optional[Preconditioner] = None, *,
-                 phi: int = 1,
-                 scheme: Union[str, RedundancySchemeBase, None] = None,
-                 scheme_options: Optional[Dict[str, Any]] = None,
-                 placement: PlacementLike = BackupPlacement.PAPER,
-                 rack_size: Optional[int] = None,
-                 failure_injector: Optional[FailureInjector] = None,
-                 local_solver_method: str = "pcg_ilu",
-                 local_rtol: float = 1e-14,
-                 reconstruction_form: Optional[PreconditionerForm] = None,
-                 rtol: float = 1e-8, atol: float = 0.0,
-                 max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None,
-                 overlap_spmv: bool = False,
-                 engine: bool = True):
-        super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
-                         max_iterations=max_iterations, context=context,
-                         overlap_spmv=overlap_spmv, engine=engine)
-        self._init_resilience(
-            phi=phi, placement=placement, failure_injector=failure_injector,
-            local_solver_method=local_solver_method, local_rtol=local_rtol,
-            reconstruction_form=reconstruction_form, rack_size=rack_size,
-            scheme=scheme, scheme_options=scheme_options,
-        )
+__all__ = ["EsrResilienceMixin", "ResilientPCG"]

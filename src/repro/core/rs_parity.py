@@ -255,9 +255,9 @@ class RSParityScheme(RedundancySchemeBase):
     def encode(self, gidx: int, blocks: List[np.ndarray]) -> List[np.ndarray]:
         """The ``m`` parity byte-rows of stripe *gidx* over *blocks*.
 
-        *blocks* are the members' float64 blocks in :meth:`group_members`
-        order (``(rows,)`` vectors or ``(rows, k)`` multi-vector blocks);
-        each parity row is a ``padded_rows * 8 * k`` byte array.
+        *blocks* are the members' ``(rows, k)`` float64 blocks in
+        :meth:`group_members` order; each parity row is a
+        ``padded_rows * 8 * k`` byte array.
         """
         members = self._groups[gidx]
         if len(blocks) != len(members):
@@ -267,8 +267,7 @@ class RSParityScheme(RedundancySchemeBase):
             )
         if self.m == 0:
             return []
-        row_width = 1 if blocks[0].ndim == 1 else int(blocks[0].shape[1])
-        n_bytes = self._padded_nbytes(gidx, row_width)
+        n_bytes = self._padded_nbytes(gidx, int(blocks[0].shape[1]))
         data = [_to_padded_bytes(block, n_bytes) for block in blocks]
         rows: List[np.ndarray] = []
         for j in range(self.m):
@@ -280,8 +279,8 @@ class RSParityScheme(RedundancySchemeBase):
 
     def decode(self, gidx: int, have: Mapping[int, np.ndarray],
                parity_rows: Mapping[int, np.ndarray],
-               n_cols: Optional[int] = None) -> Dict[int, np.ndarray]:
-        """Recover the missing member blocks of stripe *gidx*.
+               n_cols: int = 1) -> Dict[int, np.ndarray]:
+        """Recover the missing ``(rows, n_cols)`` member blocks of stripe *gidx*.
 
         *have* maps surviving member ranks to their blocks, *parity_rows*
         maps parity-unit indices to surviving parity byte-rows; any
@@ -300,7 +299,7 @@ class RSParityScheme(RedundancySchemeBase):
                 f"{len(rows_avail)} parity rows survive"
             )
         use = rows_avail[:len(missing)]
-        row_width = 1 if n_cols is None else int(n_cols)
+        row_width = int(n_cols)
         n_bytes = self._padded_nbytes(gidx, row_width)
 
         # rhs_j = parity_j XOR (contributions of the surviving members)
@@ -346,8 +345,7 @@ class RSParityScheme(RedundancySchemeBase):
             used = size * 8 * row_width
             values = np.frombuffer(byte_vec[:used].tobytes(),
                                    dtype=np.float64).copy()
-            decoded[rank] = (values if n_cols is None
-                             else values.reshape(size, int(n_cols)))
+            decoded[rank] = values.reshape(size, row_width)
         return decoded
 
     # -- charge model (Sec. 4.2, m/g-scaled) --------------------------------------

@@ -199,8 +199,8 @@ class BlockSpec:
     n_cols: Optional[int] = None
     #: Ship the trailing ``R^T Z`` and ``R^T R`` reductions of an iteration
     #: as **one** ``2k``-wide allreduce (3 -> 2 reductions per iteration).
-    #: Off by default: fusing keeps the iterates bit-identical but gives up
-    #: the exact ``k = 1`` ledger-charge equality with ``DistributedPCG``.
+    #: Off by default: fusing keeps the iterates bit-identical but lowers
+    #: the charges below the paper's three reductions per iteration.
     fuse_reductions: bool = False
 
     def __post_init__(self) -> None:

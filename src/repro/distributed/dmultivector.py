@@ -366,20 +366,21 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     cluster = first.cluster
     partition = first.partition
     k = first.n_cols
+    partials = np.empty((partition.n_parts, len(pairs) * k))
     contributions: Dict[int, np.ndarray] = {}
     for rank in range(partition.n_parts):
-        node = cluster.node(rank)
-        if alive_only and not node.is_alive:
+        if alive_only and not cluster.node(rank).is_alive:
             continue
-        parts = []
-        for x, y in pairs:
-            # Same contiguous-BLAS gather as ``dots`` so each component runs
-            # the identical kernel on identical data.
+        row = partials[rank]
+        for i, (x, y) in enumerate(pairs):
+            # Each column is one contiguous 1-D dot (the kernel of
+            # ``DistributedVector.dot``) on identical data.
             mine = np.ascontiguousarray(x.get_block(rank).T)
             theirs = (mine if y is x
                       else np.ascontiguousarray(y.get_block(rank).T))
-            parts.append(np.array([mine[j] @ theirs[j] for j in range(k)]))
-        contributions[rank] = np.concatenate(parts)
+            for j in range(k):
+                row[i * k + j] = mine[j] @ theirs[j]
+        contributions[rank] = row
     n_rows = (participating_max_block_size(partition, contributions)
               if alive_only else None)
     for x, _ in pairs:

@@ -10,6 +10,7 @@ and others ceil(n/N) rows").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -42,35 +43,49 @@ class BlockRowPartition:
             )
 
     # -- offsets and sizes ---------------------------------------------------
-    @property
+    # The layout is immutable (frozen dataclass), so the derived arrays are
+    # computed once per partition and handed out read-only.
+    @cached_property
     def offsets(self) -> np.ndarray:
         """Array of length ``n_parts + 1``: block ``i`` is ``[offsets[i], offsets[i+1])``."""
         base, extra = divmod(self.n, self.n_parts)
         sizes = np.full(self.n_parts, base, dtype=np.int64)
         sizes[:extra] += 1
-        return np.concatenate(([0], np.cumsum(sizes)))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def _ranges(self) -> List[Tuple[int, int]]:
+        """Per rank, the owned ``(start, stop)`` as Python ints."""
+        bounds = self.offsets.tolist()
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        sizes = np.diff(self.offsets)
+        sizes.flags.writeable = False
+        return sizes
 
     def size_of(self, rank: int) -> int:
         """Number of rows owned by *rank* (``|I_i|``)."""
         self._check_rank(rank)
-        offsets = self.offsets
-        return int(offsets[rank + 1] - offsets[rank])
+        start, stop = self._ranges[rank]
+        return stop - start
 
     def sizes(self) -> np.ndarray:
-        """Vector of all block sizes."""
-        offsets = self.offsets
-        return np.diff(offsets)
+        """Vector of all block sizes (read-only)."""
+        return self._sizes
 
     def max_block_size(self) -> int:
         """``ceil(n / N)`` -- appears in the Sec. 4.2 upper bound."""
-        return int(self.sizes().max())
+        return -(-self.n // self.n_parts)
 
     # -- index sets -------------------------------------------------------------
     def range_of(self, rank: int) -> Tuple[int, int]:
         """Half-open global index range ``[start, stop)`` owned by *rank*."""
         self._check_rank(rank)
-        offsets = self.offsets
-        return int(offsets[rank]), int(offsets[rank + 1])
+        return self._ranges[rank]
 
     def slice_of(self, rank: int) -> slice:
         """The owned range as a :class:`slice` (for array indexing)."""

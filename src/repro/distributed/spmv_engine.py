@@ -154,6 +154,9 @@ class _RankPlan:
     ghost_pool_pos: np.ndarray
     #: Preallocated compressed input buffer ``[x_own | x_ghost]``.
     xbuf: np.ndarray
+    #: Per column count k: the ``(n_k + |G_k|, k)`` multi-RHS input buffer.
+    block_xbufs: Dict[int, np.ndarray] = field(default_factory=dict,
+                                               repr=False)
     #: Non-zeros in owned columns (the diagonal block ``A_{I_k, I_k}``).
     diag_nnz: int = 0
     #: Non-zeros in ghost columns (``nnz - diag_nnz``).
@@ -211,10 +214,6 @@ class SpmvEngine:
             self._sent_local.append(sent - start)
         self._pool_offsets = pool_offsets
         self._pool = np.empty(int(pool_offsets[-1]))
-        #: Weak reference to the vector the pool was last staged from (the
-        #: fused ESR staging only reuses pool values for the exact vector of
-        #: the SpMV that preceded it; see :meth:`pool_staged_from`).
-        self._pool_source: Optional[weakref.ReferenceType] = None
         #: Per column count k: staged ``(pool, k)`` buffers for multi-RHS.
         self._block_pools: Dict[int, np.ndarray] = {}
         #: Weak reference to the multi-vector the block pool was last staged
@@ -471,32 +470,6 @@ class SpmvEngine:
                     x.get_block(rank)[sent_local]
         return pool
 
-    def _stage_pool(self, x: "DistributedVector") -> np.ndarray:
-        """Stage the single-vector send pool and stamp its source."""
-        self._pool_source = None
-        self._stage_pool_into(x, self._pool)
-        self._pool_source = weakref.ref(x)
-        return self._pool
-
-    @property
-    def send_pool(self) -> np.ndarray:
-        """The staged send pool (layout: ``context.send_pool_layout()``).
-
-        Consumers (the fused ESR staging) must first confirm via
-        :meth:`pool_staged_from` that the pool holds the vector they expect.
-        """
-        return self._pool
-
-    def pool_staged_from(self, x: "DistributedVector") -> bool:
-        """True if the send pool currently holds the staged values of *x*.
-
-        Lets the fused ESR staging reuse the pool only when the SpMV that
-        immediately preceded it staged this exact vector (a stale pool --
-        e.g. after a reference-path SpMV -- would otherwise ship outdated
-        copies).
-        """
-        return self._pool_source is not None and self._pool_source() is x
-
     def block_send_pool(self, n_rhs: int) -> Optional[np.ndarray]:
         """The staged ``(pool, k)`` multi-RHS send pool for *n_rhs* columns.
 
@@ -509,10 +482,10 @@ class SpmvEngine:
     def block_pool_staged_from(self, x: "DistributedMultiVector") -> bool:
         """True if the block send pool holds the staged values of block *x*.
 
-        The batched counterpart of :meth:`pool_staged_from`: guards the
-        block ESR staging's pool reuse against stale pools (e.g. one staged
-        from a different multi-vector, or from an earlier iteration's
-        operand object).
+        Lets the fused ESR staging reuse the pool only when the SpMV that
+        immediately preceded it staged this exact block (a stale pool -- one
+        staged from a different multi-vector, or from an earlier iteration's
+        operand object -- would otherwise ship outdated copies).
         """
         if self._block_pool_source is None:
             return False
@@ -531,7 +504,7 @@ class SpmvEngine:
         and each rank's owned part is copied into the input buffer before
         its output block is touched.
         """
-        pool = self._stage_pool(x)
+        pool = self._stage_pool_into(x, self._pool)
 
         for rank in range(self.partition.n_parts):
             plan = self._plans[rank]
@@ -561,7 +534,7 @@ class SpmvEngine:
         :meth:`apply` in the last bits (identical to how PETSc's overlapped
         ``MatMult`` rounds).  ``out`` may alias ``x``.
         """
-        pool = self._stage_pool(x)
+        pool = self._stage_pool_into(x, self._pool)
 
         # Phase 1: diagonal products "while ghosts are in flight".
         for rank in range(self.partition.n_parts):
@@ -597,10 +570,12 @@ class SpmvEngine:
 
         One ghost gather is amortized over all ``k`` columns: the send pool
         is staged as a ``(pool, k)`` matrix (one 2-D fancy-index per rank)
-        and each rank's product is a single CSR x dense-block kernel.  The
-        per-column results are bit-identical to ``k`` single-vector
-        :meth:`apply` calls (or, with ``split=True``, to ``k``
-        :meth:`apply_split` calls).  ``y`` may alias ``x``.
+        and each rank's product is a single CSR x dense-block kernel
+        accumulated into ``y``'s existing block (a fresh block is set when
+        ``y`` has none yet, or when it aliases the input).  The per-column
+        results are bit-identical to ``k`` single-vector :meth:`apply` calls
+        (or, with ``split=True``, to ``k`` :meth:`apply_split` calls).  ``y``
+        may alias ``x``.
         """
         n_rhs = x.n_cols
         pool = self._block_pools.get(n_rhs)
@@ -614,20 +589,37 @@ class SpmvEngine:
         for rank in range(self.partition.n_parts):
             plan = (self._ensure_split(rank) if split else self._plans[rank])
             own = x.get_block(rank)
+            try:
+                target = y.get_block(rank)
+            except KeyError:
+                target = None
+            # The kernel writes raw memory: only a C-contiguous block that
+            # does not alias the input is written in place.
+            fresh = (target is None or not target.flags.c_contiguous
+                     or np.may_share_memory(target, own))
+            if fresh:
+                out = np.zeros(own.shape)
+            else:
+                out = target
+                out[:] = 0.0
             if split:
-                result = plan.diag @ own
+                self._matmat_accumulate(plan.diag, own, out)
                 if plan.ghost_pool_pos.size:
                     self._matmat_accumulate(
-                        plan.offdiag, pool[plan.ghost_pool_pos], result
+                        plan.offdiag, pool[plan.ghost_pool_pos], out
                     )
             else:
-                xbuf = np.empty((plan.n_local + plan.ghost_indices.size,
-                                 n_rhs))
+                xbuf = plan.block_xbufs.get(n_rhs)
+                if xbuf is None:
+                    xbuf = np.empty((plan.n_local + plan.ghost_indices.size,
+                                     n_rhs))
+                    plan.block_xbufs[n_rhs] = xbuf
                 xbuf[:plan.n_local] = own
                 if plan.ghost_pool_pos.size:
                     xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
-                result = plan.local @ xbuf
-            y.set_block(rank, result)
+                self._matmat_accumulate(plan.local, xbuf, out)
+            if fresh:
+                y.set_block(rank, out)
         return y
 
     @staticmethod

@@ -54,7 +54,7 @@ def _is_trivial_body(node: ast.AST) -> bool:
 
 def _protocol_classes(graph: CallGraph) -> Set[str]:
     """Classes declaring at least one *trivial* hook: the protocol owners
-    (``DistributedPCG``/``BlockPCG``-shaped bases)."""
+    (``BlockPCG``-shaped bases)."""
     out: Set[str] = set()
     for info in graph.classes.values():
         for hook in HOOK_NAMES:
@@ -372,7 +372,7 @@ class HookContractRule(Rule):
 
     The ``_on_setup``/``_after_spmv``/``_handle_failures``/
     ``_after_iteration`` protocol is cooperative: mixins stack
-    (``ResilientPCG(EsrResilienceMixin, DistributedPCG)``), so an override
+    (``ResilientBlockPCG(EsrResilienceMixin, BlockPCG)``), so an override
     that does not call ``super().<hook>()`` silently disconnects every
     mixin below it in the MRO.  Trivial bodies (docstring/``pass``/bare
     constant return) are the protocol declarations themselves and exempt.

@@ -115,15 +115,19 @@ class BlockJacobiPreconditioner(Preconditioner):
         expected = self.block_partition.size_of(rank)
         residual_block = np.asarray(residual_block, dtype=np.float64)
         if residual_block.ndim == 2:
-            # Multi-RHS block: one inner solve per column through the
-            # generic column path (bit-identical per column to the 1-D
-            # path; a multi-RHS sparse-LU solve could round differently).
+            # Multi-RHS block: one inner solve per contiguous column
+            # (bit-identical per column to the 1-D path; a multi-RHS
+            # sparse-LU solve could round differently).
             if residual_block.shape[0] != expected:
                 raise ValueError(
                     f"block for rank {rank} must have {expected} rows, "
                     f"got {residual_block.shape}"
                 )
-            return self._apply_block_columns(rank, residual_block)
+            solve = self._solvers[rank]
+            out = np.empty_like(residual_block)
+            for j in range(residual_block.shape[1]):
+                out[:, j] = solve(np.ascontiguousarray(residual_block[:, j]))
+            return out
         if residual_block.shape != (expected,):
             raise ValueError(
                 f"block for rank {rank} must have shape ({expected},), "

@@ -409,12 +409,11 @@ class SolverService:
         solve_s = solved_at - dispatched_at
         last_enqueued = max(req.enqueued_at for req in batch)
         if width == 1:
-            columns = [self._single_column(result)]
-            weights = [float(columns[0]["iterations"] + 1)]
+            columns = [result]
         else:
             assert isinstance(result, BlockSolveResult)
-            columns = [self._block_column(result, j) for j in range(width)]
-            weights = [float(col["iterations"] + 1) for col in columns]
+            columns = [result.column(j) for j in range(width)]
+        weights = [float(col.iterations + 1) for col in columns]
         charges = split_charges(result.time_breakdown, weights)
         sim_shares = exact_shares(result.simulated_time, weights)
 
@@ -425,12 +424,12 @@ class SolverService:
                 request_id=req.seq,
                 tenant=req.tenant,
                 matrix_id=req.matrix_id,
-                x=col["x"],
-                converged=col["converged"],
-                iterations=col["iterations"],
-                residual_norms=col["residual_norms"],
-                final_residual_norm=col["final_residual_norm"],
-                true_residual_norm=col["true_residual_norm"],
+                x=col.x,
+                converged=bool(col.converged),
+                iterations=int(col.iterations),
+                residual_norms=[float(v) for v in col.residual_norms],
+                final_residual_norm=float(col.final_residual_norm),
+                true_residual_norm=float(col.true_residual_norm),
                 solver=solver_name,
                 batch_id=batch_id,
                 batch_width=width,
@@ -442,26 +441,3 @@ class SolverService:
                 solve_s=solve_s,
             ))
         return out
-
-    @staticmethod
-    def _single_column(result: Any) -> Dict[str, Any]:
-        return {
-            "x": result.x,
-            "converged": bool(result.converged),
-            "iterations": int(result.iterations),
-            "residual_norms": [float(v) for v in result.residual_norms],
-            "final_residual_norm": float(result.final_residual_norm),
-            "true_residual_norm": float(result.true_residual_norm),
-        }
-
-    @staticmethod
-    def _block_column(result: BlockSolveResult, j: int) -> Dict[str, Any]:
-        return {
-            "x": np.array(result.x[:, j], copy=True),
-            "converged": bool(result.converged[j]),
-            "iterations": int(result.iterations[j]),
-            "residual_norms": [float(v)
-                               for v in result.residual_histories[j]],
-            "final_residual_norm": float(result.final_residual_norms[j]),
-            "true_residual_norm": float(result.true_residual_norms[j]),
-        }

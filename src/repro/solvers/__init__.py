@@ -1,26 +1,14 @@
-"""Sequential reference solvers and the reconstruction subsystem solver."""
+"""Sequential reference CG and the reconstruction subsystem solver."""
 
-from .bicgstab import bicgstab
 from .cg import cg, pcg, pcg_iteration_count_estimate
 from .local_solver import LOCAL_SOLVER_METHODS, LocalSolveStats, LocalSubsystemSolver
 from .result import SolveResult
-from .stationary import (
-    gauss_seidel_method,
-    jacobi_method,
-    sor_method,
-    ssor_method,
-)
 
 __all__ = [
     "SolveResult",
     "cg",
     "pcg",
     "pcg_iteration_count_estimate",
-    "bicgstab",
-    "jacobi_method",
-    "gauss_seidel_method",
-    "sor_method",
-    "ssor_method",
     "LocalSubsystemSolver",
     "LocalSolveStats",
     "LOCAL_SOLVER_METHODS",

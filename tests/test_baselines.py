@@ -12,7 +12,8 @@ from repro.baselines import (
     local_interpolation,
 )
 from repro.cluster import FailureEvent, FailureInjector, MachineModel, Phase
-from repro.core.api import distribute_problem, reference_solve
+from repro.core.api import distribute_problem, solve
+from repro.distributed import DistributedMultiVector, DistributedVector
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 
@@ -27,19 +28,19 @@ def fresh(matrix, n_nodes=6):
                               machine=MachineModel(jitter_rel_std=0.0))
 
 
-def build(cls, problem, failures=(), **kwargs):
+def build(cls, problem, failures=(), rhs=None, **kwargs):
     precond = make_preconditioner("block_jacobi")
     precond.setup(problem.matrix.to_global(), problem.partition)
     injector = FailureInjector([FailureEvent(it, tuple(rk)) for it, rk in failures]) \
         if failures else None
-    return cls(problem.matrix, problem.rhs, precond,
+    return cls(problem.matrix, problem.rhs if rhs is None else rhs, precond,
                failure_injector=injector, context=problem.context, **kwargs)
 
 
 class TestCheckpointRestart:
     def test_failure_free_converges_with_checkpoint_overhead(self, matrix):
         problem = fresh(matrix)
-        reference = reference_solve(fresh(matrix), preconditioner="block_jacobi")
+        reference = solve(fresh(matrix), solver="pcg", preconditioner="block_jacobi")
         solver = build(CheckpointRestartPCG, problem,
                        config=CheckpointConfig(interval=10))
         result = solver.solve()
@@ -60,12 +61,11 @@ class TestCheckpointRestart:
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
 
     def test_loses_work_that_esr_does_not(self, matrix):
-        from repro.core.api import resilient_solve
-        reference = reference_solve(fresh(matrix), preconditioner="block_jacobi")
+        reference = solve(fresh(matrix), solver="pcg", preconditioner="block_jacobi")
         cr_problem = fresh(matrix)
         cr = build(CheckpointRestartPCG, cr_problem, failures=[(14, [1, 2])],
                    config=CheckpointConfig(interval=8)).solve()
-        esr = resilient_solve(fresh(matrix), phi=2, failures=[(14, [1, 2])],
+        esr = solve(fresh(matrix), solver="resilient_pcg", phi=2, failures=[(14, [1, 2])],
                               preconditioner="block_jacobi")
         # C/R throws away the iterations since the last checkpoint (and
         # re-executes them); ESR resumes exactly where the failure struck.
@@ -96,11 +96,10 @@ class TestInterpolationRecovery:
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
 
     def test_needs_more_iterations_than_esr(self, matrix):
-        from repro.core.api import resilient_solve
         problem = fresh(matrix)
         li = build(InterpolationRecoveryPCG, problem, method="li",
                    failures=[(12, [2, 3])]).solve()
-        esr = resilient_solve(fresh(matrix), phi=2, failures=[(12, [2, 3])],
+        esr = solve(fresh(matrix), solver="resilient_pcg", phi=2, failures=[(12, [2, 3])],
                               preconditioner="block_jacobi")
         # Interpolation discards the Krylov space; ESR does not.
         assert li.iterations >= esr.iterations
@@ -142,16 +141,15 @@ class TestFullRestart:
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
 
     def test_most_expensive_strategy(self, matrix):
-        from repro.core.api import resilient_solve
         problem = fresh(matrix)
         restart = build(FullRestartPCG, problem, failures=[(15, [1, 2])]).solve()
-        esr = resilient_solve(fresh(matrix), phi=2, failures=[(15, [1, 2])],
+        esr = solve(fresh(matrix), solver="resilient_pcg", phi=2, failures=[(15, [1, 2])],
                               preconditioner="block_jacobi")
         assert restart.iterations > esr.iterations
 
     def test_failure_free_equals_reference_iterations(self, matrix):
         problem = fresh(matrix)
-        reference = reference_solve(fresh(matrix), preconditioner="block_jacobi")
+        reference = solve(fresh(matrix), solver="pcg", preconditioner="block_jacobi")
         result = build(FullRestartPCG, problem).solve()
         assert result.iterations == reference.iterations
 
@@ -208,3 +206,49 @@ class TestHookChaining:
         # Recovery writes go through restore_block, which notifies the
         # runtime sanitizer (raw set_block would leave this stat at 0).
         assert san.stats["blocks_restored"] > 0
+
+
+class TestBlockRightHandSides:
+    """The baselines run on the one PCG core, so they take (n, k) blocks."""
+
+    @pytest.mark.parametrize("cls,kwargs", TestHookChaining.CASES)
+    def test_columns_bit_identical_to_single_rhs_runs(self, matrix, cls,
+                                                      kwargs):
+        rhs = np.random.default_rng(1).standard_normal((matrix.shape[0], 2))
+        problem = fresh(matrix)
+        block = build(cls, problem, failures=[(12, [2])],
+                      rhs=DistributedMultiVector.from_global(
+                          problem.cluster, problem.partition, "B", rhs),
+                      **kwargs).solve()
+        for j in range(rhs.shape[1]):
+            single_problem = fresh(matrix)
+            single = build(cls, single_problem, failures=[(12, [2])],
+                           rhs=DistributedVector.from_global(
+                               single_problem.cluster,
+                               single_problem.partition, "b", rhs[:, j]),
+                           **kwargs).solve()
+            assert block.converged[j] and single.converged
+            assert block.residual_histories[j] == single.residual_norms
+            assert np.array_equal(block.x[:, j], single.x)
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (FullRestartPCG, {}), (InterpolationRecoveryPCG, {"method": "li"})])
+    def test_converged_column_iterates_again_after_restart(self, matrix, cls,
+                                                           kwargs):
+        """A restart rewrites every column's iterate, so a column that had
+        already converged must not stay frozen on the rewritten one."""
+        b = matrix @ np.ones(matrix.shape[0])
+        rhs = np.column_stack([1e-6 * b, b])
+        rtol, atol = 1e-8, 1e-9  # column 0 converges on atol, early
+        problem = fresh(matrix)
+        solver = build(cls, problem, failures=[(15, [1, 2])],
+                       rhs=DistributedMultiVector.from_global(
+                           problem.cluster, problem.partition, "B", rhs),
+                       rtol=rtol, atol=atol, **kwargs)
+        result = solver.solve()
+        # Column 0 had converged before the failure and iterated again.
+        assert any(v <= atol for v in result.residual_histories[0][:-1])
+        for j in range(2):
+            assert result.converged[j]
+            assert np.linalg.norm(rhs[:, j] - matrix @ result.x[:, j]) <= \
+                10 * max(rtol * np.linalg.norm(rhs[:, j]), atol)

@@ -1,11 +1,11 @@
-"""Tests for the lock-step multi-RHS block PCG solver.
+"""Tests for the lock-step (multi-RHS) PCG solver.
 
 Acceptance contract of the block-Krylov subsystem: per-column iterates and
-residual histories bit-identical to ``k`` sequential ``DistributedPCG``
-solves on the same execution path, allreduce *message* counts independent of
-``k`` with volume scaling with ``k``, exact charge equality with the
-single-vector solver at ``k = 1``, and column freezing that stops a
-column's history exactly where its sequential solve stopped.
+residual histories bit-identical to ``k`` sequential single-RHS solves on
+the same execution path, allreduce *message* counts independent of ``k``
+with volume scaling with ``k``, exact charge equality between a 1-D rhs and
+its ``k = 1`` block, and column freezing that stops a column's history
+exactly where its sequential solve stopped.
 """
 
 import math
@@ -15,7 +15,13 @@ import pytest
 
 from repro.cluster import MachineModel, NodeFailedError, VirtualCluster
 from repro.cluster.cost_model import Phase
-from repro.core import BlockPCG, DistributedPCG
+from repro.core import (
+    BlockPCG,
+    DistributedPCG,
+    DistributedSolveResult,
+    ResilientBlockPCG,
+    ResilientPCG,
+)
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -284,3 +290,47 @@ class TestValidation:
         levels = math.ceil(math.log2(N_NODES))
         assert cluster.ledger.messages[Phase.ALLREDUCE_COMM] == \
             result.info["n_reductions"] * 2 * levels * N_NODES
+
+
+class TestSingleVectorInterface:
+    """One loop: a 1-D rhs runs as the k = 1 block and comes back 1-D."""
+
+    def test_single_rhs_names_are_the_block_classes(self):
+        assert DistributedPCG is BlockPCG
+        assert ResilientPCG is ResilientBlockPCG
+
+    def test_vector_rhs_returns_column_of_k1_block(self):
+        _, cluster, partition, dist, context, precond, rhs_global = \
+            make_problem(k=1)
+        block = BlockPCG(dist, DistributedMultiVector.from_global(
+            cluster, partition, "B", rhs_global), precond,
+            context=context).solve()
+        # A fresh cluster, so both ledgers start from zero.
+        a, cluster, partition, dist, context, precond, _ = make_problem(k=1)
+        vector = BlockPCG(dist, DistributedVector.from_global(
+            cluster, partition, "b", rhs_global[:, 0]), precond,
+            context=context).solve()
+        assert isinstance(vector, DistributedSolveResult)
+        assert vector.x.shape == (a.shape[0],)
+        expected = block.column(0)
+        assert np.array_equal(vector.x, expected.x)
+        assert vector.residual_norms == expected.residual_norms
+        assert vector.iterations == expected.iterations
+        assert vector.time_breakdown == expected.time_breakdown
+
+    def test_column_carries_per_column_fields(self):
+        _, cluster, partition, dist, context, precond, rhs_global = \
+            make_problem(k=3)
+        block = BlockPCG(dist, DistributedMultiVector.from_global(
+            cluster, partition, "B", rhs_global), precond,
+            context=context).solve()
+        for j in range(3):
+            col = block.column(j)
+            assert np.array_equal(col.x, block.x[:, j])
+            assert col.x.flags.c_contiguous
+            assert col.converged == block.converged[j]
+            assert col.iterations == block.iterations[j]
+            assert col.residual_norms == block.residual_histories[j]
+            assert col.true_residual_norm == block.true_residual_norms[j]
+            assert col.info["threshold"] == block.info["thresholds"][j]
+            assert col.simulated_time == block.simulated_time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MachineModel, Phase
-from repro.core.api import distribute_problem, reference_solve
+from repro.core.api import distribute_problem, solve
 from repro.core.pcg import DistributedPCG
 from repro.matrices import poisson_2d, graph_laplacian_spd
 from repro.precond import make_preconditioner
@@ -19,12 +19,12 @@ def problem():
 
 class TestNumerics:
     def test_converges(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert result.converged
         assert result.final_residual_norm <= 1e-8 * result.residual_norms[0]
 
     def test_solution_solves_system(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         a = problem.matrix.to_global()
         b = problem.rhs.to_global()
         assert np.linalg.norm(b - a @ result.x) / np.linalg.norm(b) < 1e-7
@@ -51,24 +51,24 @@ class TestNumerics:
         assert np.allclose(dist_result.x, seq_result.x, rtol=1e-10, atol=1e-12)
 
     def test_identity_preconditioner(self, problem):
-        result = reference_solve(problem, preconditioner="identity")
+        result = solve(problem, solver="pcg", preconditioner="identity")
         assert result.converged
 
     def test_custom_rhs(self):
         a = poisson_2d(12)
         rhs = np.random.default_rng(0).standard_normal(a.shape[0])
         problem = distribute_problem(a, rhs, n_nodes=4)
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert np.allclose(a @ result.x, rhs, atol=1e-5)
 
     def test_irregular_matrix(self):
         a = graph_laplacian_spd(200, avg_degree=5, seed=0)
         problem = distribute_problem(a, n_nodes=4)
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert result.converged
 
     def test_max_iterations_cap(self, problem):
-        result = reference_solve(problem, preconditioner="identity",
+        result = solve(problem, solver="pcg", preconditioner="identity",
                                  max_iterations=2)
         assert result.iterations == 2
         assert not result.converged
@@ -91,7 +91,7 @@ class TestNumerics:
 
 class TestCostAccounting:
     def test_simulated_time_positive_and_decomposed(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert result.simulated_time > 0
         assert result.simulated_recovery_time == 0.0
         assert result.simulated_iteration_time == pytest.approx(
@@ -101,11 +101,11 @@ class TestCostAccounting:
         assert Phase.ALLREDUCE_COMM in result.time_breakdown
 
     def test_no_redundancy_phase_for_reference(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert result.time_breakdown.get(Phase.REDUNDANCY_COMM, 0.0) == 0.0
 
     def test_breakdown_sums_to_total(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert sum(result.time_breakdown.values()) == pytest.approx(
             result.simulated_time, rel=1e-9
         )
@@ -113,11 +113,10 @@ class TestCostAccounting:
     def test_second_solve_reports_only_its_own_phases(self, problem):
         """The breakdown of a later solve on the same cluster must not carry
         stale zero-delta phases charged by an earlier solve."""
-        from repro.core.api import resilient_solve
 
-        first = resilient_solve(problem, phi=2, preconditioner="block_jacobi")
+        first = solve(problem, solver="resilient_pcg", phi=2, preconditioner="block_jacobi")
         assert first.time_breakdown.get(Phase.REDUNDANCY_COMM, 0.0) > 0
-        second = reference_solve(problem, preconditioner="block_jacobi")
+        second = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert Phase.REDUNDANCY_COMM not in second.time_breakdown
         assert all(value > 0 for value in second.time_breakdown.values())
         assert sum(second.time_breakdown.values()) == pytest.approx(
@@ -130,13 +129,13 @@ class TestCostAccounting:
         for n_nodes in (2, 8):
             problem = distribute_problem(a, n_nodes=n_nodes,
                                          machine=MachineModel(jitter_rel_std=0.0))
-            result = reference_solve(problem, preconditioner="jacobi")
+            result = solve(problem, solver="pcg", preconditioner="jacobi")
             times[n_nodes] = result.time_breakdown[Phase.ALLREDUCE_COMM] \
                 / result.iterations
         assert times[8] > times[2]
 
     def test_result_info_fields(self, problem):
-        result = reference_solve(problem, preconditioner="block_jacobi")
+        result = solve(problem, solver="pcg", preconditioner="block_jacobi")
         assert result.info["n_nodes"] == 5
         assert result.info["preconditioner"] == "block_jacobi"
         assert result.n_failures_recovered == 0

@@ -1,4 +1,8 @@
-"""Tests for the ESR protocol (redundant storage and block recovery)."""
+"""Tests for the ESR protocol (redundant storage and block recovery).
+
+Single right-hand-side operands are ``(n, 1)`` multi-vectors (the protocol's
+default ``n_cols=1``); ``TestBlockStaging`` covers ``k > 1``.
+"""
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
     DistributedMatrix,
-    DistributedVector,
-    distributed_spmv,
+    DistributedMultiVector,
+    distributed_spmv_block,
 )
 from repro.matrices import poisson_2d
 
@@ -26,8 +30,15 @@ def setup():
 
 
 def make_p(cluster, partition, iteration):
-    values = np.arange(partition.n, dtype=float) + 1000.0 * iteration
-    return DistributedVector.from_global(cluster, partition, f"p{iteration}", values)
+    """A k = 1 search-direction block."""
+    return make_block(cluster, partition, iteration, k=1)
+
+
+def make_block(cluster, partition, iteration, k=3):
+    values = (np.arange(partition.n * k, dtype=float).reshape(partition.n, k)
+              + 1000.0 * iteration)
+    return DistributedMultiVector.from_global(cluster, partition,
+                                              f"P{iteration}", values)
 
 
 class TestStorage:
@@ -55,20 +66,20 @@ class TestStorage:
         cluster, partition, _, context = setup
         esr = ESRProtocol(cluster, context, phi=1)
         esr.store_replicated_scalars(5, beta=0.25)
-        assert esr.recover_replicated_scalar("beta", charge=False) == 0.25
+        assert esr.recover_replicated_vector("beta", charge=False) == [0.25]
 
     def test_scalar_survives_failures(self, setup):
         cluster, partition, _, context = setup
         esr = ESRProtocol(cluster, context, phi=1)
         esr.store_replicated_scalars(5, beta=0.75)
         cluster.fail_nodes([0, 1, 2])
-        assert esr.recover_replicated_scalar("beta") == 0.75
+        assert esr.recover_replicated_vector("beta") == [0.75]
 
     def test_missing_scalar_raises(self, setup):
         cluster, _, _, context = setup
         esr = ESRProtocol(cluster, context, phi=1)
         with pytest.raises(UnrecoverableStateError):
-            esr.recover_replicated_scalar("beta")
+            esr.recover_replicated_vector("beta")
 
     def test_mismatched_scheme_rejected(self, setup):
         cluster, _, _, context = setup
@@ -200,10 +211,10 @@ class TestFusedStaging:
         cluster, partition, dist, context = setup
         esr = ESRProtocol(cluster, context, phi=2, matrix=dist)
         p = make_p(cluster, partition, 4)
-        ap = DistributedVector.zeros(cluster, partition, "ap")
-        distributed_spmv(dist, p, ap, context)  # stages the engine pool
+        ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
+        distributed_spmv_block(dist, p, ap, context)  # stages the engine pool
         engine = dist.cached_spmv_engine(context)
-        assert engine is not None and engine.pool_staged_from(p)
+        assert engine is not None and engine.block_pool_staged_from(p)
         expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
@@ -214,11 +225,11 @@ class TestFusedStaging:
         cluster, partition, dist, context = setup
         esr = ESRProtocol(cluster, context, phi=1, matrix=dist)
         other = make_p(cluster, partition, 9)
-        ap = DistributedVector.zeros(cluster, partition, "ap")
-        distributed_spmv(dist, other, ap, context)
+        ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
+        distributed_spmv_block(dist, other, ap, context)
         p = make_p(cluster, partition, 5)
         engine = dist.cached_spmv_engine(context)
-        assert engine is not None and not engine.pool_staged_from(p)
+        assert engine is not None and not engine.block_pool_staged_from(p)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
@@ -276,36 +287,11 @@ class TestFusedStaging:
         assert np.array_equal(rec, expected[start:stop])
 
 
-def make_block(cluster, partition, iteration, k=3):
-    values = (np.arange(partition.n * k, dtype=float).reshape(partition.n, k)
-              + 1000.0 * iteration)
-    from repro.distributed import DistributedMultiVector
-
-    return DistributedMultiVector.from_global(cluster, partition,
-                                              f"P{iteration}", values)
-
-
-def legacy_block_stores(esr, p, slot):
-    """Reference per-(owner, holder) gather loop for ``(n_i, k)`` blocks."""
-    from repro.cluster.errors import NodeFailedError
-
-    stores = {}
-    for (owner, holder), local_idx in esr._pattern_local.items():
-        if not esr.cluster.node(holder).is_alive:
-            continue
-        try:
-            values = p.get_block(owner)[local_idx]
-        except NodeFailedError:
-            continue
-        stores[(holder, (_ESR_KEY, slot, owner))] = values.copy()
-    return stores
-
-
 class TestBlockStaging:
     """Block (multi-RHS) redundant stores: byte-identical to the per-pair
-    gather loop, per-column identical to single-vector stores, engine block
-    pool reused, and the per-pair fallback under mid-iteration owner
-    failures pulling whole (rows, k) slices from the staged block buffer."""
+    gather loop, per-column identical to k = 1 stores, engine block pool
+    reused, and the per-pair fallback under mid-iteration owner failures
+    pulling whole (rows, k) slices from the staged block buffer."""
 
     def make_esr(self, cluster, context, phi=2, k=3, matrix=None):
         return ESRProtocol(cluster, context, phi=phi, matrix=matrix, n_cols=k)
@@ -319,13 +305,13 @@ class TestBlockStaging:
         cluster, partition, _, context = setup
         esr = self.make_esr(cluster, context)
         p = make_block(cluster, partition, 3)
-        expected = legacy_block_stores(esr, p, slot=1)
+        expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 3)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
 
-    def test_per_column_identical_to_single_vector_protocol(self, setup):
-        """Column j of every block store equals what a single-vector
-        protocol stores for column j alone."""
+    def test_per_column_identical_to_k1_protocol(self, setup):
+        """Column j of every block store equals what a k = 1 protocol stores
+        for column j alone."""
         cluster, partition, _, context = setup
         k = 3
         esr = self.make_esr(cluster, context, k=k)
@@ -333,22 +319,17 @@ class TestBlockStaging:
         esr.after_spmv(p, 0)
         block_stores = stored_snapshot(esr, 0)
         for j in range(k):
-            vec_esr = ESRProtocol(cluster, context, phi=2)
-            pj = DistributedVector.from_global(
-                cluster, partition, f"col{j}", p.to_global()[:, j])
-            vec_esr.after_spmv(pj, 0)
-            vec_stores = stored_snapshot(vec_esr, 0)
-            assert sorted(vec_stores) == sorted(block_stores)
-            for key, values in vec_stores.items():
-                assert np.array_equal(block_stores[key][:, j], values)
+            col_esr = ESRProtocol(cluster, context, phi=2)
+            pj = DistributedMultiVector.from_global(
+                cluster, partition, f"col{j}", p.to_global()[:, j:j + 1])
+            col_esr.after_spmv(pj, 0)
+            col_stores = stored_snapshot(col_esr, 0)
+            assert sorted(col_stores) == sorted(block_stores)
+            for key, values in col_stores.items():
+                assert np.array_equal(block_stores[key][:, j], values[:, 0])
 
     def test_engine_block_pool_reused_byte_identical(self, setup):
         cluster, partition, dist, context = setup
-        from repro.distributed import (
-            DistributedMultiVector,
-            distributed_spmv_block,
-        )
-
         esr = self.make_esr(cluster, context, matrix=dist)
         p = make_block(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP", p.n_cols)
@@ -356,17 +337,12 @@ class TestBlockStaging:
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and engine.block_pool_staged_from(p)
         assert engine.block_send_pool(p.n_cols) is not None
-        expected = legacy_block_stores(esr, p, slot=0)
+        expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
 
     def test_stale_block_pool_not_reused(self, setup):
         cluster, partition, dist, context = setup
-        from repro.distributed import (
-            DistributedMultiVector,
-            distributed_spmv_block,
-        )
-
         esr = self.make_esr(cluster, context, matrix=dist)
         other = make_block(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP",
@@ -375,7 +351,7 @@ class TestBlockStaging:
         p = make_block(cluster, partition, 5)
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and not engine.block_pool_staged_from(p)
-        expected = legacy_block_stores(esr, p, slot=1)
+        expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
 
@@ -391,7 +367,7 @@ class TestBlockStaging:
         baseline = stored_snapshot(esr, 0)
         p2 = make_block(cluster, partition, 2)  # same parity slot as iter 0
         cluster.fail_nodes([2])
-        expected = legacy_block_stores(esr, p2, slot=0)
+        expected = legacy_stores(esr, p2, slot=0)
         esr.after_spmv(p2, 2)
         actual = stored_snapshot(esr, 0)
         for key in expected:
@@ -444,23 +420,6 @@ class TestBlockStaging:
                         fresh.ledger.elements.get(P.REDUNDANCY_COMM, 0))
         assert stats[1][0] == stats[4][0]
         assert stats[4][1] == 4 * stats[1][1]
-
-    def test_k1_block_protocol_charges_equal_vector_protocol(self, setup):
-        cluster, partition, _, context = setup
-        from repro.cluster import Phase as P
-
-        vec_cluster = VirtualCluster(6,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        vec_esr = ESRProtocol(vec_cluster, context, phi=2)
-        vec_esr.after_spmv(make_p(vec_cluster, partition, 0), 0)
-        blk_cluster = VirtualCluster(6,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        blk_esr = ESRProtocol(blk_cluster, context, phi=2, n_cols=1)
-        blk_esr.after_spmv(make_block(blk_cluster, partition, 0, k=1), 0)
-        assert blk_cluster.ledger.times[P.REDUNDANCY_COMM] == \
-            vec_cluster.ledger.times[P.REDUNDANCY_COMM]
-        assert blk_cluster.ledger.elements[P.REDUNDANCY_COMM] == \
-            vec_cluster.ledger.elements[P.REDUNDANCY_COMM]
 
     def test_mismatched_operand_rejected(self, setup):
         cluster, partition, _, context = setup

@@ -7,9 +7,7 @@ from repro.cluster import MachineModel
 from repro.core.api import (
     build_failure_events,
     distribute_problem,
-    reference_solve,
-    resilient_solve,
-    solve_with_failures,
+    solve,
 )
 from repro.core.metrics import (
     compare_runs,
@@ -115,12 +113,13 @@ class TestApi:
         from repro.precond import JacobiPreconditioner
         a = poisson_2d(12)
         problem = distribute_problem(a, n_nodes=4)
-        result = reference_solve(problem, preconditioner=JacobiPreconditioner())
+        result = solve(problem, solver="pcg",
+                       preconditioner=JacobiPreconditioner())
         assert result.converged
 
-    def test_solve_with_failures_one_call(self):
+    def test_raw_matrix_with_failures_one_call(self):
         a = poisson_2d(16)
-        result = solve_with_failures(
+        result = solve(
             a, n_nodes=4, phi=2, failures=[(8, [1, 2])],
             preconditioner="block_jacobi",
             machine=MachineModel(jitter_rel_std=0.0),
@@ -132,12 +131,12 @@ class TestApi:
     def test_resilient_solve_default_preconditioner(self):
         a = poisson_2d(12)
         problem = distribute_problem(a, n_nodes=4)
-        result = resilient_solve(problem, phi=1)
+        result = solve(problem, solver="resilient_pcg", phi=1)
         assert result.converged
         assert result.info["preconditioner"] == "block_jacobi"
 
     def test_package_level_exports(self):
         import repro
         assert hasattr(repro, "ResilientPCG")
-        assert hasattr(repro, "solve_with_failures")
+        assert hasattr(repro, "solve")
         assert repro.__version__

@@ -12,6 +12,7 @@ from repro.core.api import distribute_problem
 from repro.core.metrics import state_difference
 from repro.core.resilient_pcg import ResilientPCG
 from repro.core.redundancy import BackupPlacement
+from repro.distributed import DistributedMultiVector
 from repro.matrices import poisson_2d, graph_laplacian_spd, elasticity_3d
 from repro.precond import make_preconditioner
 from repro.precond.base import PreconditionerForm
@@ -157,8 +158,10 @@ class TestReconstructionFormSelection:
         precond = make_preconditioner(preconditioner)
         precond.setup(problem.matrix.to_global(), problem.partition)
         esr = ESRProtocol(problem.cluster, problem.context, 1)
+        rhs = DistributedMultiVector.from_columns(
+            problem.cluster, problem.partition, "b:as_block", [problem.rhs])
         reconstructor = ESRReconstructor(
-            problem.cluster, problem.matrix, problem.rhs, precond,
+            problem.cluster, problem.matrix, rhs, precond,
             problem.context, esr, reconstruction_form=requested_form,
         )
         return reconstructor, precond

@@ -10,7 +10,7 @@ from repro.cluster import (
     Phase,
     UnrecoverableStateError,
 )
-from repro.core.api import distribute_problem, reference_solve, resilient_solve
+from repro.core.api import distribute_problem, solve
 from repro.core.redundancy import BackupPlacement
 from repro.core.resilient_pcg import ResilientPCG
 from repro.matrices import poisson_2d
@@ -29,41 +29,41 @@ def fresh_problem(matrix, n_nodes=5, seed=0):
 
 class TestFailureFree:
     def test_same_solution_as_reference(self, matrix):
-        reference = reference_solve(fresh_problem(matrix),
+        reference = solve(fresh_problem(matrix), solver="pcg",
                                     preconditioner="block_jacobi")
-        resilient = resilient_solve(fresh_problem(matrix), phi=3,
+        resilient = solve(fresh_problem(matrix), solver="resilient_pcg", phi=3,
                                     preconditioner="block_jacobi")
         assert resilient.converged
         assert resilient.iterations == reference.iterations
         assert np.allclose(resilient.x, reference.x, rtol=1e-12, atol=1e-14)
 
     def test_undisturbed_overhead_grows_with_phi(self, matrix):
-        reference = reference_solve(fresh_problem(matrix),
+        reference = solve(fresh_problem(matrix), solver="pcg",
                                     preconditioner="block_jacobi")
         times = {}
         for phi in (1, 3):
-            result = resilient_solve(fresh_problem(matrix), phi=phi,
+            result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=phi,
                                      preconditioner="block_jacobi")
             times[phi] = result.simulated_time
         assert times[1] > reference.simulated_time
         assert times[3] > times[1]
 
     def test_redundancy_phase_charged(self, matrix):
-        result = resilient_solve(fresh_problem(matrix), phi=2,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=2,
                                  preconditioner="block_jacobi")
         assert result.time_breakdown.get(Phase.REDUNDANCY_COMM, 0.0) > 0
 
     def test_phi_zero_equals_reference_cost_model(self, matrix):
-        reference = reference_solve(fresh_problem(matrix),
+        reference = solve(fresh_problem(matrix), solver="pcg",
                                     preconditioner="block_jacobi")
-        result = resilient_solve(fresh_problem(matrix), phi=0,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=0,
                                  preconditioner="block_jacobi")
         assert result.iterations == reference.iterations
         assert result.simulated_time == pytest.approx(reference.simulated_time,
                                                       rel=1e-6)
 
     def test_info_fields(self, matrix):
-        result = resilient_solve(fresh_problem(matrix), phi=2,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=2,
                                  preconditioner="block_jacobi",
                                  placement=BackupPlacement.NEXT_RANKS)
         assert result.info["phi"] == 2
@@ -73,9 +73,9 @@ class TestFailureFree:
 
 class TestWithFailures:
     def test_single_failure(self, matrix):
-        reference = reference_solve(fresh_problem(matrix),
+        reference = solve(fresh_problem(matrix), solver="pcg",
                                     preconditioner="block_jacobi")
-        result = resilient_solve(fresh_problem(matrix), phi=1,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=1,
                                  preconditioner="block_jacobi",
                                  failures=[(10, [2])])
         assert result.converged
@@ -83,7 +83,7 @@ class TestWithFailures:
         assert np.allclose(result.x, reference.x, atol=1e-7)
 
     def test_three_simultaneous_failures(self, matrix):
-        result = resilient_solve(fresh_problem(matrix), phi=3,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=3,
                                  preconditioner="block_jacobi",
                                  failures=[(12, [1, 2, 3])])
         assert result.converged
@@ -91,23 +91,23 @@ class TestWithFailures:
         assert abs(result.relative_residual_deviation) < 1e-5
 
     def test_two_separate_failure_events(self, matrix):
-        result = resilient_solve(fresh_problem(matrix), phi=2,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=2,
                                  preconditioner="block_jacobi",
                                  failures=[(5, [0]), (15, [4])])
         assert result.converged
         assert len(result.recoveries) == 2
 
     def test_repeated_failure_of_same_rank(self, matrix):
-        result = resilient_solve(fresh_problem(matrix), phi=1,
+        result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=1,
                                  preconditioner="block_jacobi",
                                  failures=[(5, [2]), (20, [2])])
         assert result.converged
         assert len(result.recoveries) == 2
 
     def test_failure_increases_runtime(self, matrix):
-        undisturbed = resilient_solve(fresh_problem(matrix), phi=3,
+        undisturbed = solve(fresh_problem(matrix), solver="resilient_pcg", phi=3,
                                       preconditioner="block_jacobi")
-        disturbed = resilient_solve(fresh_problem(matrix), phi=3,
+        disturbed = solve(fresh_problem(matrix), solver="resilient_pcg", phi=3,
                                     preconditioner="block_jacobi",
                                     failures=[(10, [1, 2, 3])])
         assert disturbed.simulated_time > undisturbed.simulated_time
@@ -115,13 +115,13 @@ class TestWithFailures:
 
     def test_failures_beyond_phi_raise(self, matrix):
         with pytest.raises(UnrecoverableStateError):
-            resilient_solve(fresh_problem(matrix), phi=1,
+            solve(fresh_problem(matrix), solver="resilient_pcg", phi=1,
                             preconditioner="block_jacobi",
                             failures=[(10, [1, 2, 3])])
 
     def test_failure_event_objects_accepted(self, matrix):
-        result = resilient_solve(
-            fresh_problem(matrix), phi=2, preconditioner="block_jacobi",
+        result = solve(
+            fresh_problem(matrix), solver="resilient_pcg", phi=2, preconditioner="block_jacobi",
             failures=[FailureEvent(8, (0, 1), label="switch outage")],
         )
         assert result.converged
@@ -148,7 +148,7 @@ class TestOverlappingFailures:
         assert any("overlapping" in note for note in report.notes)
 
     def test_overlap_recovers_exactly(self, matrix):
-        reference = reference_solve(fresh_problem(matrix, n_nodes=6),
+        reference = solve(fresh_problem(matrix, n_nodes=6), solver="pcg",
                                     preconditioner="block_jacobi")
         problem = fresh_problem(matrix, n_nodes=6)
         precond = make_preconditioner("block_jacobi")
@@ -238,3 +238,33 @@ class TestCooperativeHookChain:
         # protocol: the mixin chained each override through super().
         assert fired == {"_on_setup", "_after_spmv", "_handle_failures",
                          "_after_iteration"}
+
+
+class TestReusedProblem:
+    """Regression: a reused problem's recovered solves must restore the rhs
+    of the solve they run in -- reliable storage once kept the first rhs
+    ever stored under a name, so a second recovered solve converged to the
+    wrong system (relative residual 0.7 reported as converged), and the
+    problem's own rhs was left missing on the replaced nodes."""
+
+    def test_every_recovered_solve_solves_its_own_system(self, matrix):
+        problem = fresh_problem(matrix, n_nodes=8)
+        rng = np.random.default_rng(0)
+        rhs_list = [rng.standard_normal(matrix.shape[0]),
+                    rng.standard_normal(matrix.shape[0]), None]
+        rtol = 1e-8
+        for rhs in rhs_list:
+            result = solve(problem, rhs, phi=2, rtol=rtol,
+                           failures=[(5, [1, 2])])
+            b = problem.rhs.to_global() if rhs is None else rhs
+            assert result.converged
+            assert len(result.recoveries) == 1
+            assert np.linalg.norm(b - matrix @ result.x) <= \
+                rtol * np.linalg.norm(b)
+
+    def test_caller_vector_rhs_valid_after_recovery(self, matrix):
+        problem = fresh_problem(matrix, n_nodes=8)
+        before = problem.rhs.to_global()
+        solve(problem, phi=2, failures=[(5, [1, 2])])
+        assert problem.rhs.lost_ranks() == []
+        assert np.array_equal(problem.rhs.to_global(), before)

@@ -1,12 +1,11 @@
-"""Tests for the `repro.solve` façade, the solver registry, and the shims.
+"""Tests for the `repro.solve` façade and the solver registry.
 
 Acceptance contract of the API redesign: dispatching any of the three
 solvers through one ``SolveSpec`` is **bit-identical** -- iterates, residual
 histories, *and* cost-ledger charges -- to constructing the solver by hand;
-the deprecated helpers delegate with unchanged behavior (including the
-resilience options ``solve_with_failures`` used to drop); and derived
-objects (global operator, set-up preconditioners) are cached per problem
-until the matrix structure changes.
+every resilience option reaches the solver (including the ones a one-call
+helper once dropped); and derived objects (global operator, set-up
+preconditioners) are cached per problem until the matrix structure changes.
 """
 
 import numpy as np
@@ -24,10 +23,7 @@ from repro.core import (
     SolverRegistry,
     SolveSpec,
     distribute_problem,
-    reference_solve,
-    resilient_solve,
     solve,
-    solve_with_failures,
 )
 from repro.core.redundancy import BackupPlacement
 from repro.distributed import DistributedMultiVector, DistributedVector
@@ -294,50 +290,15 @@ class TestProblemCaches:
         assert len(problem._precond_cache) == 1
 
 
-class TestDeprecatedShims:
-    def test_reference_solve_warns_and_matches_facade(self):
-        shim_problem = fresh_problem(RHS_1D)
-        with pytest.warns(DeprecationWarning, match="reference_solve"):
-            via_shim = reference_solve(shim_problem,
-                                       preconditioner="block_jacobi")
-        facade_problem = fresh_problem(RHS_1D)
-        via_facade = solve(facade_problem, spec=SolveSpec(solver="pcg"))
-        assert np.array_equal(via_shim.x, via_facade.x)
-        assert via_shim.residual_norms == via_facade.residual_norms
-        assert via_shim.simulated_time == via_facade.simulated_time
-        assert ledger_state(shim_problem) == ledger_state(facade_problem)
-
-    def test_resilient_solve_warns_and_matches_facade(self):
-        shim_problem = fresh_problem(RHS_1D)
-        with pytest.warns(DeprecationWarning, match="resilient_solve"):
-            via_shim = resilient_solve(shim_problem, phi=2,
-                                       preconditioner="block_jacobi",
-                                       failures=FAILURES)
-        facade_problem = fresh_problem(RHS_1D)
-        via_facade = solve(facade_problem,
-                           spec=facade_spec("resilient_pcg", False, True))
-        assert np.array_equal(via_shim.x, via_facade.x)
-        assert via_shim.residual_norms == via_facade.residual_norms
-        assert ledger_state(shim_problem) == ledger_state(facade_problem)
-
-    def test_solve_with_failures_warns_and_converges(self):
-        with pytest.warns(DeprecationWarning, match="solve_with_failures"):
-            result = solve_with_failures(MATRIX, RHS_1D, n_nodes=N_NODES,
-                                         phi=1, failures=[(6, [2])], seed=0)
-        assert result.converged
-        assert len(result.recoveries) == 1
-
-
-class TestSolveWithFailuresForwarding:
-    """Regression: the pre-registry `solve_with_failures` dropped
-    `placement`, `local_solver_method` and `local_rtol` on the floor."""
+class TestResilienceOptionsForwarding:
+    """Regression: a one-call raw-matrix solve must forward `placement`,
+    `local_solver_method` and `local_rtol` (a pre-registry helper dropped
+    them on the floor)."""
 
     def run(self, **kwargs):
-        with pytest.warns(DeprecationWarning):
-            return solve_with_failures(MATRIX, RHS_1D, n_nodes=N_NODES,
-                                       phi=2, failures=FAILURES, seed=0,
-                                       machine=MachineModel(jitter_rel_std=0.0),
-                                       **kwargs)
+        return solve(MATRIX, RHS_1D, n_nodes=N_NODES, phi=2,
+                     failures=FAILURES, seed=0,
+                     machine=MachineModel(jitter_rel_std=0.0), **kwargs)
 
     def test_placement_forwarded(self):
         result = self.run(placement=BackupPlacement.NEXT_RANKS)
@@ -364,8 +325,8 @@ class TestSolveWithFailuresForwarding:
         assert loose_iters < tight_iters
 
     def test_matches_direct_construction_with_same_options(self):
-        shim = self.run(placement=BackupPlacement.NEXT_RANKS,
-                        local_solver_method="direct")
+        one_call = self.run(placement=BackupPlacement.NEXT_RANKS,
+                            local_solver_method="direct")
         problem = distribute_problem(MATRIX, RHS_1D, n_nodes=N_NODES,
                                      machine=MachineModel(jitter_rel_std=0.0),
                                      seed=0)
@@ -378,9 +339,9 @@ class TestSolveWithFailuresForwarding:
             local_solver_method="direct",
             context=problem.context,
         ).solve()
-        assert np.array_equal(shim.x, direct.x)
-        assert shim.residual_norms == direct.residual_norms
-        assert shim.simulated_time == direct.simulated_time
+        assert np.array_equal(one_call.x, direct.x)
+        assert one_call.residual_norms == direct.residual_norms
+        assert one_call.simulated_time == direct.simulated_time
 
 
 class TestFusedReductions:

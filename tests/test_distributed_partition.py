@@ -40,6 +40,19 @@ class TestConstruction:
         assert BlockRowPartition(12, 3).max_block_size() == 4
 
 
+class TestCachedLayout:
+    def test_layout_arrays_cached_and_read_only(self):
+        part = BlockRowPartition(10, 3)
+        assert part.offsets is part.offsets
+        assert part.sizes() is part.sizes()
+        with pytest.raises(ValueError):
+            part.offsets[0] = 5
+        with pytest.raises(ValueError):
+            part.sizes()[0] = 5
+        assert part.range_of(1) == (4, 7)
+        assert part.size_of(2) == 3
+
+
 class TestIndexSets:
     def test_range_and_indices(self):
         part = BlockRowPartition(10, 3)

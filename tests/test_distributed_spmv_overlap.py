@@ -311,6 +311,42 @@ class TestMultiRHS:
         distributed_spmv_block(dist, x, x, ctx, charge=False)
         assert np.array_equal(x.to_global(), matrix @ block)
 
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_k1_block_bit_identical_to_vector_call(self, overlap):
+        """The k = 1 block kernel is the single-RHS path of the solvers."""
+        matrix = build_matrix("M3", n=1500, seed=0)
+        cluster, partition, dist, ctx, _ = make_problem(matrix, 6)
+        values = np.random.default_rng(4).standard_normal(matrix.shape[0])
+        x = DistributedMultiVector.from_global(cluster, partition, "X",
+                                               values[:, None])
+        y = DistributedMultiVector.zeros(cluster, partition, "Y", 1)
+        distributed_spmv_block(dist, x, y, ctx, charge=False, overlap=overlap)
+        xv = DistributedVector.from_global(cluster, partition, "xv", values)
+        yv = DistributedVector.zeros(cluster, partition, "yv")
+        distributed_spmv(dist, xv, yv, ctx, charge=False, overlap=overlap)
+        assert np.array_equal(y.to_global()[:, 0], yv.to_global())
+
+    def test_block_output_written_in_place(self):
+        matrix = poisson_2d(10)
+        cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
+        block = np.random.default_rng(6).standard_normal((100, 2))
+        x = DistributedMultiVector.from_global(cluster, partition, "X", block)
+        y = DistributedMultiVector.zeros(cluster, partition, "Y", 2)
+        before = [y.get_block(rank) for rank in range(4)]
+        for overlap in (False, True):
+            distributed_spmv_block(dist, x, y, ctx, charge=False,
+                                   overlap=overlap)
+            assert all(y.get_block(rank) is before[rank] for rank in range(4))
+            assert np.allclose(y.to_global(), matrix @ block)
+
+    def test_split_block_output_may_alias_input(self):
+        matrix = poisson_2d(10)
+        cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
+        block = np.random.default_rng(2).standard_normal((100, 3))
+        x = DistributedMultiVector.from_global(cluster, partition, "X", block)
+        distributed_spmv_block(dist, x, x, ctx, charge=False, overlap=True)
+        assert np.allclose(x.to_global(), matrix @ block)
+
     def test_block_fails_when_owner_failed(self):
         matrix = poisson_2d(10)
         cluster, partition, dist, ctx, _ = make_problem(matrix, 4)

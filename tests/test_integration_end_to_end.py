@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import analyze_overhead, sparsity_report
 from repro.cluster import MachineModel, Phase
-from repro.core.api import distribute_problem, reference_solve, resilient_solve
+from repro.core.api import distribute_problem, solve
 from repro.core.metrics import compare_runs, residual_difference_of
 from repro.failures import FailureLocation, FailureScenario, resolve_events
 from repro.matrices import build_matrix
@@ -29,8 +29,8 @@ def suite_case(request):
 class TestSuiteMatrixEndToEnd:
     def test_reference_and_resilient_agree(self, suite_case):
         matrix_id, matrix = suite_case
-        reference = reference_solve(
-            distribute_problem(matrix, n_nodes=8, machine=MACHINE),
+        reference = solve(
+            distribute_problem(matrix, n_nodes=8, machine=MACHINE), solver="pcg",
             preconditioner="block_jacobi",
         )
         assert reference.converged
@@ -39,8 +39,8 @@ class TestSuiteMatrixEndToEnd:
                                    location=FailureLocation.CENTER)
         events = resolve_events(scenario, n_nodes=8,
                                 reference_iterations=reference.iterations)
-        resilient = resilient_solve(
-            distribute_problem(matrix, n_nodes=8, machine=MACHINE),
+        resilient = solve(
+            distribute_problem(matrix, n_nodes=8, machine=MACHINE), solver="resilient_pcg",
             phi=3, failures=events, preconditioner="block_jacobi",
         )
         assert resilient.converged
@@ -62,12 +62,12 @@ class TestSuiteMatrixEndToEnd:
             matrix = build_matrix(matrix_id, n=1500, seed=0)
             scale = 8000 / (matrix.shape[0] / 8)
             machine = MACHINE.scaled(scale)
-            reference = reference_solve(
-                distribute_problem(matrix, n_nodes=8, machine=machine),
+            reference = solve(
+                distribute_problem(matrix, n_nodes=8, machine=machine), solver="pcg",
                 preconditioner="block_jacobi",
             )
-            resilient = resilient_solve(
-                distribute_problem(matrix, n_nodes=8, machine=machine),
+            resilient = solve(
+                distribute_problem(matrix, n_nodes=8, machine=machine), solver="resilient_pcg",
                 phi=3, preconditioner="block_jacobi",
             )
             overheads[matrix_id] = (
@@ -79,7 +79,7 @@ class TestSuiteMatrixEndToEnd:
         _, matrix = suite_case
         problem = distribute_problem(matrix, n_nodes=8, machine=MACHINE)
         analysis = analyze_overhead(problem.matrix, 2, context=problem.context)
-        result = resilient_solve(problem, phi=2, preconditioner="block_jacobi")
+        result = solve(problem, solver="resilient_pcg", phi=2, preconditioner="block_jacobi")
         charged = result.time_breakdown.get(Phase.REDUNDANCY_COMM, 0.0)
         expected = analysis.per_iteration_time * result.iterations
         assert charged == pytest.approx(expected, rel=1e-6)
@@ -104,7 +104,7 @@ class TestPreconditionerVariants:
     def test_recovery_for_each_preconditioner(self, preconditioner, tolerance):
         matrix = build_matrix("M1", n=900, seed=2)
         problem = distribute_problem(matrix, n_nodes=6, machine=MACHINE)
-        result = resilient_solve(problem, phi=2, preconditioner=preconditioner,
+        result = solve(problem, solver="resilient_pcg", phi=2, preconditioner=preconditioner,
                                  failures=[(6, [2, 3])])
         assert result.converged
         assert result.n_failures_recovered == 2
@@ -119,15 +119,15 @@ class TestEightFailures:
         """The paper's largest failure count: psi = phi = 8."""
         matrix = build_matrix("M4", n=1600, seed=3)
         problem = distribute_problem(matrix, n_nodes=16, machine=MACHINE)
-        reference = reference_solve(
-            distribute_problem(matrix, n_nodes=16, machine=MACHINE),
+        reference = solve(
+            distribute_problem(matrix, n_nodes=16, machine=MACHINE), solver="pcg",
             preconditioner="block_jacobi",
         )
         scenario = FailureScenario(n_failures=8, progress_fraction=0.2,
                                    location=FailureLocation.CENTER)
         events = resolve_events(scenario, n_nodes=16,
                                 reference_iterations=reference.iterations)
-        result = resilient_solve(problem, phi=8, failures=events,
+        result = solve(problem, solver="resilient_pcg", phi=8, failures=events,
                                  preconditioner="block_jacobi")
         assert result.converged
         assert result.n_failures_recovered == 8

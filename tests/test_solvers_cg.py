@@ -1,12 +1,11 @@
-"""Tests for the sequential CG/PCG and BiCGSTAB reference solvers."""
+"""Tests for the sequential CG/PCG reference solver."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.matrices import poisson_2d
 from repro.precond import JacobiPreconditioner, BlockJacobiPreconditioner
-from repro.solvers import bicgstab, cg, pcg, pcg_iteration_count_estimate
+from repro.solvers import cg, pcg, pcg_iteration_count_estimate
 
 
 @pytest.fixture
@@ -111,40 +110,3 @@ class TestIterationEstimate:
         with pytest.raises(ValueError):
             pcg_iteration_count_estimate(10, 0.0)
 
-
-class TestBicgstab:
-    def test_spd_system(self, system):
-        a, b, x_exact = system
-        result = bicgstab(a, b, rtol=1e-10)
-        assert result.converged
-        assert np.allclose(result.x, x_exact, atol=1e-5)
-
-    def test_nonsymmetric_system(self):
-        rng = np.random.default_rng(0)
-        n = 80
-        a = sp.csr_matrix(
-            sp.diags(np.full(n, 4.0)) + sp.random(n, n, density=0.05,
-                                                  random_state=0)
-        )
-        x_exact = rng.standard_normal(n)
-        b = a @ x_exact
-        result = bicgstab(a, b, rtol=1e-10)
-        assert result.converged
-        assert np.allclose(result.x, x_exact, atol=1e-5)
-
-    def test_preconditioned(self, system):
-        a, b, _ = system
-        p = JacobiPreconditioner()
-        p.setup(a)
-        result = bicgstab(a, b, preconditioner=p, rtol=1e-8)
-        assert result.converged
-
-    def test_max_iterations(self, system):
-        a, b, _ = system
-        result = bicgstab(a, b, rtol=1e-14, max_iterations=2)
-        assert result.iterations <= 2
-
-    def test_exact_initial_guess(self, system):
-        a, b, x_exact = system
-        result = bicgstab(a, b, x0=x_exact)
-        assert result.converged and result.iterations == 0

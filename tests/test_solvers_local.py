@@ -1,79 +1,11 @@
-"""Tests for stationary methods and the reconstruction's local solver."""
+"""Tests for the reconstruction's local subsystem solver."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.matrices import poisson_2d, diagonally_dominant_spd
-from repro.solvers import (
-    LocalSubsystemSolver,
-    gauss_seidel_method,
-    jacobi_method,
-    sor_method,
-    ssor_method,
-)
-
-
-@pytest.fixture
-def small_system():
-    a = diagonally_dominant_spd(60, nnz_per_row=4, seed=0)
-    x_exact = np.random.default_rng(1).standard_normal(60)
-    return a, a @ x_exact, x_exact
-
-
-class TestStationaryMethods:
-    def test_jacobi_converges_on_diagonally_dominant(self, small_system):
-        a, b, x_exact = small_system
-        result = jacobi_method(a, b, rtol=1e-10, max_iterations=5000)
-        assert result.converged
-        assert np.allclose(result.x, x_exact, atol=1e-6)
-
-    def test_gauss_seidel_faster_than_jacobi(self, small_system):
-        a, b, _ = small_system
-        jac = jacobi_method(a, b, rtol=1e-8, max_iterations=5000)
-        gs = gauss_seidel_method(a, b, rtol=1e-8, max_iterations=5000)
-        assert gs.converged
-        assert gs.iterations < jac.iterations
-
-    def test_sor_converges(self, small_system):
-        a, b, x_exact = small_system
-        result = sor_method(a, b, omega=1.2, rtol=1e-10, max_iterations=5000)
-        assert result.converged
-        assert np.allclose(result.x, x_exact, atol=1e-6)
-
-    def test_ssor_converges(self, small_system):
-        a, b, x_exact = small_system
-        result = ssor_method(a, b, omega=1.1, rtol=1e-10, max_iterations=5000)
-        assert result.converged
-        assert np.allclose(result.x, x_exact, atol=1e-6)
-
-    def test_invalid_omega_rejected(self, small_system):
-        a, b, _ = small_system
-        with pytest.raises(ValueError):
-            sor_method(a, b, omega=2.0)
-        with pytest.raises(ValueError):
-            ssor_method(a, b, omega=0.0)
-
-    def test_zero_diagonal_rejected(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            jacobi_method(a, np.ones(2))
-
-    def test_iteration_cap(self, small_system):
-        a, b, _ = small_system
-        result = jacobi_method(a, b, rtol=1e-14, max_iterations=3)
-        assert result.iterations == 3
-        assert not result.converged
-
-    def test_shape_mismatch_rejected(self, small_system):
-        a, _, _ = small_system
-        with pytest.raises(ValueError):
-            jacobi_method(a, np.ones(10))
-
-    def test_initial_guess_respected(self, small_system):
-        a, b, x_exact = small_system
-        result = gauss_seidel_method(a, b, x0=x_exact, rtol=1e-8)
-        assert result.iterations == 0
+from repro.matrices import poisson_2d
+from repro.solvers import LocalSubsystemSolver
 
 
 class TestLocalSubsystemSolver:
