@@ -13,11 +13,11 @@ cluster:
   like PETSc's overlapped ``MatMult`` (diagonal terms before off-diagonal
   terms per row), so the max-abs deviation from the dense-gather reference
   must stay within a few ulps (``1e-12`` acceptance bound).
-* **Multi-RHS amortization (wallclock)** -- one batched
-  ``distributed_spmv_block`` call with ``k`` columns vs. ``k`` sequential
-  single-vector engine calls; the batched path stages one ghost gather for
-  all columns and runs one CSR x dense-block kernel per rank, and its
-  per-column results are bit-identical to the single calls.
+* **Multi-RHS amortization (wallclock)** -- one ``distributed_spmv`` call
+  on a ``k``-column block vs. ``k`` sequential single-vector calls; the
+  batched call stages one ghost gather for all columns and runs one CSR x
+  dense-block kernel per rank, and its per-column results are bit-identical
+  to the single calls.
 
 Usage::
 
@@ -57,7 +57,6 @@ from repro.distributed import (  # noqa: E402
     DistributedMultiVector,
     DistributedVector,
     distributed_spmv,
-    distributed_spmv_block,
 )
 from repro.matrices import build_matrix  # noqa: E402
 from repro.matrices.suite import get_record, matrix_ids  # noqa: E402
@@ -127,7 +126,7 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int, k: int,
     ]
 
     def batched_call():
-        distributed_spmv_block(dist, X, Y, context)
+        distributed_spmv(dist, X, Y, context)
 
     def sequential_calls():
         for xj, yj in zip(singles_x, singles_y):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
-from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
 from .recovery_base import FailureHandlingMixin
@@ -59,7 +58,7 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
     vector_prefix = "cr_pcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: Union[DistributedVector, DistributedMultiVector],
+                 rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  config: Optional[CheckpointConfig] = None,
                  failure_injector: Optional[FailureInjector] = None,

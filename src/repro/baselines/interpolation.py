@@ -21,7 +21,7 @@ the ESR papers quantify.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
-from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..solvers.local_solver import LocalSubsystemSolver
 from ..utils.logging import get_logger
@@ -91,7 +90,7 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
     vector_prefix = "interp_pcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: Union[DistributedVector, DistributedMultiVector],
+                 rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  method: str = "li",
                  failure_injector: Optional[FailureInjector] = None,

@@ -9,14 +9,13 @@ against.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from ..cluster.failure import FailureInjector
 from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
-from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
 from .recovery_base import FailureHandlingMixin
@@ -30,7 +29,7 @@ class FullRestartPCG(FailureHandlingMixin, BlockPCG):
     vector_prefix = "restart_pcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: Union[DistributedVector, DistributedMultiVector],
+                 rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  failure_injector: Optional[FailureInjector] = None,
                  rtol: float = 1e-8, atol: float = 0.0,

@@ -52,6 +52,7 @@ from ..distributed.dvector import DistributedVector
 from ..distributed.partition import BlockRowPartition
 from ..precond.base import Preconditioner
 from ..precond.factory import make_preconditioner
+from ..utils.validation import check_finite
 from .block_pcg import BlockSolveResult, DistributedSolveResult
 from .reconstruction import restore_rhs, store_rhs
 from .registry import SOLVERS, SolverRegistry, register_solver
@@ -179,7 +180,7 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     n = a.shape[0]
     if rhs is None:
         rhs = a @ np.ones(n)
-    rhs = np.asarray(rhs, dtype=np.float64)
+    rhs = check_finite(rhs, "rhs")
     if cluster is None:
         cluster = VirtualCluster(n_nodes, machine=machine, topology=topology,
                                  seed=seed)
@@ -193,7 +194,7 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
 
 
 def _normalize_rhs(problem: DistributedProblem, rhs: Any
-                   ) -> Union[DistributedVector, DistributedMultiVector]:
+                   ) -> DistributedMultiVector:
     """Turn *rhs* into a distributed (multi-)vector on *problem*'s cluster."""
     if rhs is None:
         # Nodes replaced during an earlier recovered solve of another
@@ -201,13 +202,13 @@ def _normalize_rhs(problem: DistributedProblem, rhs: Any
         for rank in problem.rhs.lost_ranks():
             restore_rhs(problem.cluster, problem.rhs, rank)
         return problem.rhs
-    if isinstance(rhs, (DistributedVector, DistributedMultiVector)):
+    if isinstance(rhs, DistributedMultiVector):
         if rhs.cluster is not problem.cluster:
             raise ValueError("rhs lives on a different cluster than the problem")
         if not problem.partition.is_compatible_with(rhs.partition):
             raise ValueError("rhs has a partition incompatible with the problem")
         return rhs
-    values = np.asarray(rhs, dtype=np.float64)
+    values = check_finite(rhs, "rhs")
     if values.ndim == 1:
         return DistributedVector.from_global(
             problem.cluster, problem.partition, "solve:b", values)
@@ -263,7 +264,7 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
             )
         rhs_obj = _normalize_rhs(problem, rhs)
     else:
-        values = None if rhs is None else np.asarray(rhs, dtype=np.float64)
+        values = None if rhs is None else check_finite(rhs, "rhs")
         if values is not None and values.ndim == 2:
             # The problem's single-rhs slot is unused on the block path;
             # zeros skip the default ``A @ ones`` SpMV.
@@ -276,7 +277,7 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
             rhs_obj = problem.rhs
 
     solver_name = spec.resolved_solver(
-        multi_rhs=isinstance(rhs_obj, DistributedMultiVector))
+        multi_rhs=not isinstance(rhs_obj, DistributedVector))
     preconditioner = problem.resolve_preconditioner(
         spec.preconditioner, **spec.preconditioner_options)
     solver = SOLVERS.build(solver_name, problem, rhs_obj, preconditioner, spec)

@@ -8,11 +8,13 @@ the latency-bandwidth cost model, so the accumulated simulated time of a run
 is the ``t0`` (reference time) of the paper's Table 2.
 
 **One vector in, one vector out.**  A 1-D
-:class:`~repro.distributed.dvector.DistributedVector` right-hand side is
-promoted to a ``k = 1`` block and the run comes back as a
-:class:`DistributedSolveResult` (:meth:`BlockSolveResult.column`); this is
-the one place the solver distinguishes the two.  ``DistributedPCG`` is the
-same class under the single-vector name.
+:class:`~repro.distributed.dvector.DistributedVector` right-hand side *is*
+a ``k = 1`` block: the solver runs on the plain multi-vector view of its
+storage (no copy), so a recovery that restores the solver's rhs blocks
+restores the caller's vector, and the run comes back as a
+:class:`DistributedSolveResult` (:meth:`BlockSolveResult.column`).  The
+result type is the one place the solver distinguishes the two.
+``DistributedPCG`` is the same class under the single-vector name.
 
 Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 
@@ -70,7 +72,7 @@ from ..distributed.dmultivector import (
 )
 from ..distributed.dvector import DistributedVector
 from ..distributed.partition import BlockRowPartition
-from ..distributed.spmv import distributed_spmv_block
+from ..distributed.spmv import distributed_spmv
 from ..precond.base import Preconditioner
 from ..precond.identity import IdentityPreconditioner
 from ..solvers.result import SolveResult, jsonify
@@ -242,7 +244,7 @@ class BlockPCG:
     vector_prefix = "bpcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: Union[DistributedVector, DistributedMultiVector],
+                 rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
@@ -255,14 +257,10 @@ class BlockPCG:
         self.partition: BlockRowPartition = matrix.partition
         if not self.partition.is_compatible_with(rhs.partition):
             raise ValueError("matrix and right-hand sides have incompatible partitions")
-        #: The caller's 1-D right-hand side, when one was given: it is solved
-        #: as a ``k = 1`` block and :meth:`solve` returns a single-RHS result.
-        self.vector_rhs: Optional[DistributedVector] = None
-        if isinstance(rhs, DistributedVector):
-            self.vector_rhs = rhs
-            rhs = DistributedMultiVector.from_columns(
-                self.cluster, self.partition, f"{rhs.name}:as_block", [rhs])
-        self.rhs = rhs
+        #: A 1-D right-hand side: :meth:`solve` returns a single-RHS result.
+        self.single_rhs = isinstance(rhs, DistributedVector)
+        #: The rhs blocks -- for a vector, the ``k = 1`` view of its storage.
+        self.rhs = rhs.as_multivector()
         self.n_cols = rhs.n_cols
         #: Execute the batched SpMVs split-phase (halo exchange overlapped
         #: with the diagonal-block product) and charge the overlap-aware
@@ -379,7 +377,7 @@ class BlockPCG:
         if x0 is None:
             return self._mvec("x")
         if isinstance(x0, DistributedMultiVector):
-            return x0.copy(f"{self.vector_prefix}:x")
+            return x0.as_multivector().copy(f"{self.vector_prefix}:x")
         return DistributedMultiVector.from_global(
             self.cluster, self.partition, f"{self.vector_prefix}:x",
             np.asarray(x0, dtype=np.float64).reshape(self.partition.n,
@@ -389,8 +387,8 @@ class BlockPCG:
     def _spmv(self, x: DistributedMultiVector,
               out: DistributedMultiVector) -> None:
         """``out = A x`` through the batched kernel (one halo exchange)."""
-        distributed_spmv_block(self.matrix, x, out, self.context,
-                               overlap=self.overlap_spmv, engine=self.engine)
+        distributed_spmv(self.matrix, x, out, self.context,
+                         overlap=self.overlap_spmv, engine=self.engine)
 
     def _spmv_p(self) -> None:
         """``AP = A P`` -- split out so recovery can repeat it."""
@@ -535,13 +533,7 @@ class BlockPCG:
             self._after_iteration(self.global_iterations)
 
         result = self._build_result(start_snapshot, thresholds, n_reductions)
-        if self.vector_rhs is None:
-            return result
-        # Recovery rebuilt the k = 1 block's rows on replacement nodes; the
-        # caller's vector lost them with the old nodes, so copy them back.
-        for rank in self.vector_rhs.lost_ranks():
-            self.vector_rhs.restore_block(rank, self.rhs.get_block(rank)[:, 0])
-        return result.column(0)
+        return result.column(0) if self.single_rhs else result
 
     # -- result assembly -----------------------------------------------------
     def _build_result(self, start_snapshot: Dict[str, float],

@@ -14,21 +14,23 @@ Every built-in name builds one of the two classes of the single PCG core:
 (``"resilient_pcg"``, ``"resilient_block_pcg"``).  The single-RHS names hand
 the solver the 1-D right-hand side, which it runs as a ``k = 1`` block and
 answers with a single-RHS result; the block names take ``(n, k)`` blocks (a
-1-D rhs is promoted to ``k = 1`` here and answered as a block).  A
+1-D rhs is handed over as its ``k = 1`` multi-vector view and answered as a
+block).  A
 ``SolveSpec`` carrying *both* a ``ResilienceSpec`` and a multi-RHS block
 dispatches to ``"resilient_block_pcg"``.
 
 A builder receives ``(problem, rhs, preconditioner, spec)`` -- the
-distributed problem, the already-normalised right-hand side
-(:class:`~repro.distributed.dvector.DistributedVector` or
-:class:`~repro.distributed.dmultivector.DistributedMultiVector`), the
+distributed problem, the already-distributed right-hand side (a
+:class:`~repro.distributed.dmultivector.DistributedMultiVector`; a 1-D
+:class:`~repro.distributed.dvector.DistributedVector` is its one-column
+case), the
 resolved (set-up) preconditioner, and the full :class:`SolveSpec` -- and
 returns a solver object exposing ``solve()``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 from ..cluster.failure import FailureInjector
 from ..precond.base import Preconditioner
@@ -36,7 +38,7 @@ from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from .block_pcg import BlockPCG
 from .resilient_block_pcg import ResilientBlockPCG
-from .spec import BlockSpec, ResilienceSpec, SolveSpec
+from .spec import ResilienceSpec, SolveSpec
 
 if TYPE_CHECKING:  # circular at runtime: api.py imports this module
     from .api import DistributedProblem
@@ -80,7 +82,7 @@ class SolverRegistry:
             ) from None
 
     def build(self, name: str, problem: "DistributedProblem",
-              rhs: Union[DistributedVector, DistributedMultiVector],
+              rhs: DistributedMultiVector,
               preconditioner: Preconditioner,
               spec: SolveSpec) -> object:
         """Build the configured solver *name* for one solve."""
@@ -94,10 +96,9 @@ SOLVERS = SolverRegistry()
 register_solver = SOLVERS.register
 
 
-def _require_single_rhs(
-        rhs: Union[DistributedVector, DistributedMultiVector],
-        solver: str) -> DistributedVector:
-    if isinstance(rhs, DistributedMultiVector):
+def _require_single_rhs(rhs: DistributedMultiVector,
+                        solver: str) -> DistributedVector:
+    if not isinstance(rhs, DistributedVector):
         raise ValueError(
             f"solver {solver!r} takes a single right-hand side; pass a "
             "1-D rhs or select solver='block_pcg' for (n, k) blocks"
@@ -124,7 +125,7 @@ def _require_no_resilience(spec: SolveSpec, solver: str) -> None:
 
 
 def _build(cls: type, problem: "DistributedProblem",
-           rhs: Union[DistributedVector, DistributedMultiVector],
+           rhs: DistributedMultiVector,
            preconditioner: Preconditioner, spec: SolveSpec,
            **extra: Any) -> Any:
     """*cls* configured with the spec's common solver options."""
@@ -154,7 +155,7 @@ def _resilience_options(spec: SolveSpec) -> Dict[str, Any]:
 
 @register_solver("pcg")
 def build_pcg(problem: "DistributedProblem",
-              rhs: Union[DistributedVector, DistributedMultiVector],
+              rhs: DistributedMultiVector,
               preconditioner: Preconditioner,
               spec: SolveSpec) -> BlockPCG:
     """The plain distributed PCG (the paper's reference solver)."""
@@ -166,7 +167,7 @@ def build_pcg(problem: "DistributedProblem",
 
 @register_solver("resilient_pcg")
 def build_resilient_pcg(problem: "DistributedProblem",
-                        rhs: Union[DistributedVector, DistributedMultiVector],
+                        rhs: DistributedMultiVector,
                         preconditioner: Preconditioner,
                         spec: SolveSpec) -> ResilientBlockPCG:
     """The ESR-protected PCG (the paper's contribution)."""
@@ -176,22 +177,17 @@ def build_resilient_pcg(problem: "DistributedProblem",
                   spec, **_resilience_options(spec))
 
 
-def _normalize_block_rhs(problem: "DistributedProblem",
-                         rhs: Union[DistributedVector, DistributedMultiVector],
-                         spec: SolveSpec) -> DistributedMultiVector:
-    """Promote a single-vector rhs to a ``k = 1`` block and validate ``n_cols``."""
-    block = spec.block if spec.block is not None else BlockSpec()
-    if isinstance(rhs, DistributedVector):
-        # Single-vector input solved (and answered) as a k = 1 block.
-        rhs = DistributedMultiVector.from_columns(
-            problem.cluster, problem.partition, f"{rhs.name}:as_block", [rhs]
-        )
-    if block.n_cols is not None and rhs.n_cols != block.n_cols:
+def _block_rhs(rhs: DistributedMultiVector,
+               spec: SolveSpec) -> DistributedMultiVector:
+    """*rhs* as a plain multi-vector (a vector's zero-copy ``k = 1`` view, so
+    the run is answered as a block), checked against ``BlockSpec.n_cols``."""
+    n_cols = spec.block.n_cols if spec.block is not None else None
+    if n_cols is not None and rhs.n_cols != n_cols:
         raise ValueError(
-            f"BlockSpec expects n_cols={block.n_cols} right-hand sides but "
+            f"BlockSpec expects n_cols={n_cols} right-hand sides but "
             f"the RHS block carries {rhs.n_cols}"
         )
-    return rhs
+    return rhs.as_multivector()
 
 
 def _fuse_reductions(spec: SolveSpec) -> bool:
@@ -200,24 +196,23 @@ def _fuse_reductions(spec: SolveSpec) -> bool:
 
 @register_solver("block_pcg")
 def build_block_pcg(problem: "DistributedProblem",
-                    rhs: Union[DistributedVector, DistributedMultiVector],
+                    rhs: DistributedMultiVector,
                     preconditioner: Preconditioner,
                     spec: SolveSpec) -> BlockPCG:
     """The lock-step multi-RHS block PCG (no failure handling)."""
     _require_no_resilience(spec, "block_pcg")
-    return _build(BlockPCG, problem, _normalize_block_rhs(problem, rhs, spec),
+    return _build(BlockPCG, problem, _block_rhs(rhs, spec),
                   preconditioner, spec,
                   fuse_reductions=_fuse_reductions(spec))
 
 
 @register_solver("resilient_block_pcg")
 def build_resilient_block_pcg(problem: "DistributedProblem",
-                              rhs: Union[DistributedVector,
-                                         DistributedMultiVector],
+                              rhs: DistributedMultiVector,
                               preconditioner: Preconditioner,
                               spec: SolveSpec) -> ResilientBlockPCG:
     """The ESR-protected multi-RHS block PCG (ResilienceSpec + BlockSpec)."""
     return _build(ResilientBlockPCG, problem,
-                  _normalize_block_rhs(problem, rhs, spec), preconditioner,
+                  _block_rhs(rhs, spec), preconditioner,
                   spec, fuse_reductions=_fuse_reductions(spec),
                   **_resilience_options(spec))

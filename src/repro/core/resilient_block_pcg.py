@@ -61,7 +61,6 @@ from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
-from ..distributed.dvector import DistributedVector
 from ..precond.base import Preconditioner, PreconditionerForm
 from ..utils.logging import get_logger
 from .block_pcg import BlockPCG
@@ -215,7 +214,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     ----------
     matrix, rhs, preconditioner:
         As for :class:`~repro.core.block_pcg.BlockPCG` (``rhs`` is a 1-D
-        :class:`DistributedVector` or an ``(n, k)``
+        :class:`~repro.distributed.dvector.DistributedVector` or an ``(n, k)``
         :class:`DistributedMultiVector`); the preconditioner must be
         block-diagonal (the paper uses block Jacobi).
     phi:
@@ -250,7 +249,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     vector_prefix = "resilient_bpcg"
 
     def __init__(self, matrix: DistributedMatrix,
-                 rhs: Union[DistributedVector, DistributedMultiVector],
+                 rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  phi: int = 1,
                  scheme: Union[str, RedundancySchemeBase, None] = None,

@@ -1,24 +1,19 @@
 """Distributed sparse linear algebra on the virtual cluster.
 
-Block-row partitions, distributed vectors / multi-vectors and matrices with
-node-local storage, SpMV communication contexts (generalized scatters), the
-distributed SpMV kernel and its local-view execution engine (compressed ghost
-columns, split-phase comm/compute overlap, batched multi-RHS kernels;
+Block-row partitions, distributed multi-vectors (a vector is the one-column
+case) and matrices with node-local storage, SpMV communication contexts
+(generalized scatters), the distributed SpMV and its local-view execution
+engine (compressed ghost columns, split-phase comm/compute overlap, one
+batched kernel;
 PETSc-style ``MatMult`` -- see :mod:`repro.distributed.spmv_engine`).
 """
 
 from .comm_context import CommunicationContext, ScatterEdge
 from .dmatrix import DistributedMatrix
 from .dmultivector import DistributedMultiVector, fused_dots, norms_from_dots
-from .dvector import DistributedVector, swap_names
+from .dvector import DistributedVector
 from .partition import BlockRowPartition
-from .spmv import (
-    distributed_spmv,
-    distributed_spmv_block,
-    ghost_values_for,
-    halo_exchange_cost,
-    spmv_compute_cost,
-)
+from .spmv import distributed_spmv, halo_exchange_cost, spmv_compute_cost
 from .spmv_engine import ContextMismatchError, OverlapCharge, SpmvEngine
 
 __all__ = [
@@ -32,11 +27,8 @@ __all__ = [
     "ScatterEdge",
     "SpmvEngine",
     "distributed_spmv",
-    "distributed_spmv_block",
     "fused_dots",
     "norms_from_dots",
-    "ghost_values_for",
     "halo_exchange_cost",
     "spmv_compute_cost",
-    "swap_names",
 ]

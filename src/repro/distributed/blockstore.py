@@ -1,15 +1,12 @@
-"""Shared node-local block bookkeeping of distributed vector containers.
+"""Node-local block bookkeeping of the distributed multi-vector storage.
 
-Both :class:`~repro.distributed.dvector.DistributedVector` and
-:class:`~repro.distributed.dmultivector.DistributedMultiVector` follow the
-same storage contract: one NumPy block per node, stored under a private key
-inside that node's :class:`~repro.cluster.node.NodeMemory`, with the block of
-rank ``i`` covering the partition rows ``I_i``.  The availability queries and
-the driver-side (de)assembly helpers depend only on that contract, so they
-live here once instead of being copy-pasted between the two classes.
-
-Subclasses must provide ``cluster``, ``partition``, ``_key()`` and
-``get_block(rank)``.
+A :class:`~repro.distributed.dmultivector.DistributedMultiVector` (and its
+one-column :class:`~repro.distributed.dvector.DistributedVector` view) keeps
+one NumPy block per node, stored under a private key inside that node's
+:class:`~repro.cluster.node.NodeMemory`, with the block of rank ``i``
+covering the partition rows ``I_i``.  The availability queries, the
+recovery write path and the driver-side assembly helper depend only on that
+contract, so they live here, apart from the numeric kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ def participating_max_block_size(partition: BlockRowPartition,
 
 
 class NodeBlockStore:
-    """Mixin with the shared per-node block bookkeeping.
+    """Mixin with the per-node block bookkeeping.
 
     Expected host-class contract:
 
@@ -54,9 +51,8 @@ class NodeBlockStore:
         """Write a recovered block onto (replacement) node *rank*.
 
         The recovery-path counterpart of ``set_block``, used by the ESR
-        reconstruction to re-install reconstructed state -- single-vector
-        blocks and ``(n_i, k)`` multi-vector blocks alike -- on the
-        replacement nodes the ULFM runtime provided.  The values are
+        reconstruction to re-install reconstructed ``(n_i, k)`` blocks on
+        the replacement nodes the ULFM runtime provided.  The values are
         defensively copied so the reconstruction's driver-side work buffers
         can never alias node-local memory (a later in-place block update
         must not silently rewrite the driver's recovery records, and vice

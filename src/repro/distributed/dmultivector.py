@@ -1,26 +1,29 @@
-"""Distributed multi-vectors (blocks of ``k`` right-hand sides).
+"""Distributed multi-vectors: the one distributed-vector storage.
 
-A :class:`DistributedMultiVector` is the multi-RHS counterpart of
-:class:`~repro.distributed.dvector.DistributedVector`: each node stores one
-``(n_i, k)`` NumPy block of a global ``(n, k)`` dense matrix in its private
-memory.  Block-Krylov and multi-RHS workloads use it with the batched
-``Y = A X`` kernel of the SpMV engine
-(:meth:`~repro.distributed.spmv_engine.SpmvEngine.apply_block`) and the
-block BLAS-1 operations below; :class:`~repro.core.block_pcg.BlockPCG` is
-the solver built on top of both, and
-:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG` adds block ESR
-protection (redundant ``(rows, k)`` copies, reconstruction of lost blocks
-re-installed through the shared ``restore_block`` recovery write path).
+A :class:`DistributedMultiVector` stores a global ``(n, k)`` dense matrix of
+``k`` vectors as one ``(n_i, k)`` NumPy block per node, inside that node's
+private memory: when a node fails, its block of every dynamic operand
+(``X``, ``R``, ``Z``, ``P``, ``AP``) is genuinely gone and any read raises,
+so recovery must rebuild it from redundant copies.  A single vector is the
+``k = 1`` case; :class:`~repro.distributed.dvector.DistributedVector` is
+only a 1-D face of it (same storage, same kernels -- see
+:meth:`DistributedMultiVector.as_multivector`).  The batched ``Y = A X``
+kernel of the SpMV engine
+(:meth:`~repro.distributed.spmv_engine.SpmvEngine.apply_block`), the block
+BLAS-1 operations and the batched reductions below are the only numeric
+kernels; :class:`~repro.core.block_pcg.BlockPCG` is the solver built on
+them, and :class:`~repro.core.resilient_block_pcg.ResilientBlockPCG` adds
+ESR protection (redundant ``(rows, k)`` copies, reconstruction of lost
+blocks re-installed through the ``restore_block`` recovery write path).
 
 **Block BLAS-1.**  ``copy``/``fill``/``scale``/``axpy``/``aypx``/``assign``
 operate on whole ``(n_i, k)`` blocks; coefficients may be scalars (applied to
 every column) or per-column ``(k,)`` vectors (one independent recurrence per
 column, which is what the lock-step block-PCG needs).  Every operation is
-elementwise, so column ``j`` of the result is bit-identical to the
-corresponding :class:`DistributedVector` operation applied to column ``j``
-alone, and the ledger charge at ``k = 1`` equals the single-vector charge
-exactly (the block charge is the single-vector charge with ``k``-fold
-element count, mirroring how the batched SpMV scales).
+elementwise, so column ``j`` of the result is bit-identical to the same
+operation on column ``j`` alone (a ``k = 1`` multi-vector), and the charge is
+the single-vector streaming charge with ``k``-fold element count, mirroring
+how the batched SpMV scales.
 
 **Batched reductions.**  :meth:`dots` returns the ``k`` per-column dot
 products through **one** allreduce of ``k`` scalars; :meth:`gram` returns
@@ -30,8 +33,8 @@ allreduce -- one message per tree hop -- and only the per-hop volume scales
 (see :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`), which
 is the latency amortization the paper's cost model (Sec. 4.2) rewards.
 :meth:`dots` gathers each column into a contiguous buffer before the local
-dot, so its per-column results are bit-identical to
-:meth:`DistributedVector.dot` on :meth:`column` views.
+dot, so its per-column results are bit-identical to the ``k = 1`` dots of
+each column.
 """
 
 from __future__ import annotations
@@ -132,13 +135,23 @@ class DistributedMultiVector(NodeBlockStore):
             )
         self.cluster.node(rank).memory[self._key()] = values
 
+    def as_multivector(self) -> "DistributedMultiVector":
+        """The plain multi-vector over this container's storage.
+
+        Kernels read and write ``(n_i, k)`` blocks through this view, so a
+        :class:`~repro.distributed.dvector.DistributedVector` (whose own
+        ``get_block`` is 1-D) runs on the same code as any block.  A plain
+        multi-vector is its own view.
+        """
+        return self
+
     # -- assembly / views ---------------------------------------------------
     def to_global(self, *, allow_missing: bool = False,
                   fill_value: float = np.nan) -> np.ndarray:
         """Assemble the global ``(n, k)`` array on the driver (not charged)."""
-        return self._assemble(lambda block: block, (self.n_cols,),
-                              allow_missing=allow_missing,
-                              fill_value=fill_value)
+        return self.as_multivector()._assemble(
+            lambda block: block, (self.n_cols,),
+            allow_missing=allow_missing, fill_value=fill_value)
 
     def column(self, j: int) -> np.ndarray:
         """Global column *j* assembled on the driver (verification helper).
@@ -147,12 +160,12 @@ class DistributedMultiVector(NodeBlockStore):
         matrix is never materialised.
         """
         j = self._check_column(j)
-        return self._assemble(lambda block: block[:, j], ())
+        return self.as_multivector()._assemble(lambda block: block[:, j], ())
 
     # ``has_block`` / ``available_ranks`` / ``lost_ranks`` / ``delete`` and
     # the recovery write path ``restore_block`` (defensive-copy writes of
     # reconstructed ``(n_i, k)`` blocks onto replacement nodes) come from
-    # :class:`NodeBlockStore` (shared with ``DistributedVector``).
+    # :class:`NodeBlockStore`.
 
     # -- elementwise / block BLAS-1 operations -------------------------------
     def _coefficient(self, alpha: Coefficient) -> Union[float, np.ndarray]:
@@ -181,25 +194,27 @@ class DistributedMultiVector(NodeBlockStore):
 
     def copy(self, name: str) -> "DistributedMultiVector":
         """Deep copy under a new name (charged as a streaming block op)."""
-        out = DistributedMultiVector(self.cluster, self.partition, name,
-                                     self.n_cols)
+        out = type(self)(self.cluster, self.partition, name, self.n_cols)
+        src, dst = self.as_multivector(), out.as_multivector()
         for rank in range(self.partition.n_parts):
-            out.set_block(rank, self.get_block(rank).copy())
+            dst.set_block(rank, src.get_block(rank).copy())
         self._charge_block_op(1.0)
         return out
 
     def fill(self, value: float) -> "DistributedMultiVector":
         """Set every element (all columns) to *value*."""
+        mine = self.as_multivector()
         for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = value
+            mine.get_block(rank)[:] = value
         self._charge_block_op(1.0)
         return self
 
     def scale(self, alpha: Coefficient) -> "DistributedMultiVector":
         """In-place ``self *= alpha`` (scalar or per-column)."""
         alpha = self._coefficient(alpha)
+        mine = self.as_multivector()
         for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] *= alpha
+            mine.get_block(rank)[:] *= alpha
         self._charge_block_op(1.0)
         return self
 
@@ -208,8 +223,9 @@ class DistributedMultiVector(NodeBlockStore):
         """In-place ``self[:, j] += alpha_j * x[:, j]`` (scalar or per-column)."""
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
+        mine, theirs = self.as_multivector(), x.as_multivector()
         for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] += alpha * x.get_block(rank)
+            mine.get_block(rank)[:] += alpha * theirs.get_block(rank)
         self._charge_block_op(2.0)
         return self
 
@@ -221,17 +237,19 @@ class DistributedMultiVector(NodeBlockStore):
         """
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
+        mine, theirs = self.as_multivector(), x.as_multivector()
         for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = x.get_block(rank) + alpha * block
+            block = mine.get_block(rank)
+            block[:] = theirs.get_block(rank) + alpha * block
         self._charge_block_op(2.0)
         return self
 
     def assign(self, other: "DistributedMultiVector") -> "DistributedMultiVector":
         """In-place copy of *other*'s values into this multi-vector."""
         self._check_compatible(other)
+        mine, theirs = self.as_multivector(), other.as_multivector()
         for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = other.get_block(rank)
+            mine.get_block(rank)[:] = theirs.get_block(rank)
         self._charge_block_op(1.0)
         return self
 
@@ -240,11 +258,11 @@ class DistributedMultiVector(NodeBlockStore):
              alive_only: bool = False) -> np.ndarray:
         """The ``k`` per-column dot products through **one** batched allreduce.
 
-        Column ``j`` of the result is bit-identical to
-        ``DistributedVector.dot`` on the ``j``-th columns (each column is
-        gathered into a contiguous buffer before the local dot, so the same
-        BLAS kernel runs on the same data), and the per-rank partial sums are
-        reduced in the same rank order.  The collective ships all ``k``
+        Column ``j`` of the result is bit-identical to the ``k = 1`` dot of
+        the ``j``-th columns (each column is gathered into a contiguous
+        buffer before the local dot, so the same BLAS kernel runs on the
+        same data), and the per-rank partial sums are reduced in the same
+        rank order.  The collective ships all ``k``
         partial dots in one payload: message count of a scalar allreduce,
         ``k``-fold volume (cf. Sec. 4.2's latency-dominated reductions).
         """
@@ -262,13 +280,13 @@ class DistributedMultiVector(NodeBlockStore):
         GEMM, so the diagonal may differ from :meth:`dots` in the last bits.
         """
         self._check_compatible(other)
+        mine, theirs = self.as_multivector(), other.as_multivector()
         contributions: Dict[int, np.ndarray] = {}
         for rank in range(self.partition.n_parts):
             node = self.cluster.node(rank)
             if alive_only and not node.is_alive:
                 continue
-            block = self.get_block(rank)
-            contributions[rank] = block.T @ other.get_block(rank)
+            contributions[rank] = mine.get_block(rank).T @ theirs.get_block(rank)
         # 2k flops per stored element: each of the k^2 entries is a length
         # n_i dot, i.e. the streaming charge of k passes over the block.
         self._charge_block_op(2.0 * self.n_cols,
@@ -282,9 +300,9 @@ class DistributedMultiVector(NodeBlockStore):
     def norms2(self, *, alive_only: bool = False) -> np.ndarray:
         """Per-column Euclidean norms (one batched allreduce via :meth:`dots`).
 
-        NaN reductions propagate per column exactly like
-        :meth:`DistributedVector.norm2`; only tiny negative rounding residue
-        is clamped.
+        A NaN reduction (corrupted or lost data) propagates as that column's
+        NaN norm -- clamping it to ``0.0`` would silently read as
+        "converged"; only tiny negative rounding residue is clamped.
         """
         return norms_from_dots(self.dots(self, alive_only=alive_only))
 
@@ -356,7 +374,7 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     messages / latency terms; the local compute charge is the sum of the
     pairs' individual charges).
     """
-    pairs = [(x, y) for x, y in pairs]
+    pairs = [(x.as_multivector(), y.as_multivector()) for x, y in pairs]
     if not pairs:
         raise ValueError("fused_dots needs at least one (x, y) pair")
     first = pairs[0][0]
@@ -373,8 +391,7 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
             continue
         row = partials[rank]
         for i, (x, y) in enumerate(pairs):
-            # Each column is one contiguous 1-D dot (the kernel of
-            # ``DistributedVector.dot``) on identical data.
+            # Each column is one contiguous 1-D dot on identical data.
             mine = np.ascontiguousarray(x.get_block(rank).T)
             theirs = (mine if y is x
                       else np.ascontiguousarray(y.get_block(rank).T))

@@ -1,284 +1,89 @@
-"""Distributed vectors with node-local block storage.
+"""Distributed vectors: the one-column view of a distributed multi-vector.
 
-A :class:`DistributedVector` owns one NumPy block per node, stored inside that
-node's private :class:`~repro.cluster.node.NodeMemory`.  This is what makes
-the failure simulation meaningful: when a node fails, its block of every
-dynamic vector (``x``, ``r``, ``z``, ``p``, ``Ap``) is genuinely gone and any
-attempt to read it raises, so recovery code must obtain the data from
-redundant copies or recompute it.
+A :class:`DistributedVector` is a
+:class:`~repro.distributed.dmultivector.DistributedMultiVector` fixed at
+``n_cols = 1``.  Its rows live in each node's private
+:class:`~repro.cluster.node.NodeMemory` as the ``(n_i, 1)`` block stored
+under the multi-vector key of its name, so a failed node's rows are
+genuinely gone and recovery must rebuild them.  The vector and
+:meth:`as_multivector` are two handles on that one storage: every kernel --
+BLAS-1, the batched reductions, the SpMV engine, ESR staging and
+reconstruction -- runs on the 2-D blocks, and a recovery that restores the
+multi-vector's blocks has restored the vector.
 
-All arithmetic helpers charge the bulk-synchronous cost model: local work is
-charged as the maximum over the participating nodes, and reductions go through
-the communicator's allreduce (which charges the collective's cost).
+What the class adds is the 1-D face: ``(n,)`` global arrays in
+:meth:`from_global`/:meth:`to_global`, ``(n_i,)`` zero-copy views from
+:meth:`get_block`, and scalar :meth:`dot`/:meth:`norm2`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from ..cluster.cluster import VirtualCluster
-from ..cluster.cost_model import Phase
-from .blockstore import NodeBlockStore, participating_max_block_size
+from .dmultivector import DistributedMultiVector
 from .partition import BlockRowPartition
 
-#: Memory key prefix under which vector blocks are stored on each node.
-_VEC_KEY = "vec"
 
-
-class DistributedVector(NodeBlockStore):
-    """A block-row distributed vector living in node-local memories."""
+class DistributedVector(DistributedMultiVector):
+    """A block-row distributed vector (a ``k = 1`` multi-vector seen in 1-D)."""
 
     def __init__(self, cluster: VirtualCluster, partition: BlockRowPartition,
-                 name: str):
-        if partition.n_parts != cluster.n_nodes:
-            raise ValueError(
-                f"partition has {partition.n_parts} parts but cluster has "
-                f"{cluster.n_nodes} nodes"
-            )
-        self.cluster = cluster
-        self.partition = partition
-        self.name = name
+                 name: str, n_cols: int = 1):
+        if n_cols != 1:
+            raise ValueError(f"a distributed vector has one column, got {n_cols}")
+        super().__init__(cluster, partition, name, 1)
 
     # -- construction -------------------------------------------------------
     @classmethod
     def zeros(cls, cluster: VirtualCluster, partition: BlockRowPartition,
               name: str) -> "DistributedVector":
         """Create a distributed vector of zeros."""
-        vec = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            vec.set_block(rank, np.zeros(partition.size_of(rank)))
-        return vec
+        return super().zeros(cluster, partition, name, 1)
 
     @classmethod
     def from_global(cls, cluster: VirtualCluster, partition: BlockRowPartition,
                     name: str, values: np.ndarray) -> "DistributedVector":
-        """Distribute a global array over the nodes (setup phase, not charged)."""
+        """Distribute a global ``(n,)`` array (setup phase, not charged)."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (partition.n,):
             raise ValueError(
                 f"expected a vector of length {partition.n}, got shape {values.shape}"
             )
-        vec = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            vec.set_block(rank, values[start:stop].copy())
-        return vec
+        return super().from_global(cluster, partition, name, values[:, None])
 
-    # -- block access ----------------------------------------------------------
-    def _key(self) -> tuple:
-        return (_VEC_KEY, self.name)
+    # -- the 1-D face -------------------------------------------------------
+    def as_multivector(self) -> DistributedMultiVector:
+        """The plain ``k = 1`` multi-vector over this vector's storage."""
+        return DistributedMultiVector(self.cluster, self.partition, self.name, 1)
 
     def get_block(self, rank: int) -> np.ndarray:
-        """Block owned by *rank*; raises ``NodeFailedError`` if that node failed."""
-        return self.cluster.node(rank).memory[self._key()]
+        """``(n_i,)`` view of *rank*'s block; raises ``NodeFailedError`` if
+        that node failed."""
+        return super().get_block(rank)[:, 0]
 
     def set_block(self, rank: int, values: np.ndarray) -> None:
-        """Overwrite the block owned by *rank*."""
+        """Overwrite *rank*'s block with an ``(n_i,)`` or ``(n_i, 1)`` array."""
         values = np.asarray(values, dtype=np.float64)
-        expected = self.partition.size_of(rank)
-        if values.shape != (expected,):
-            raise ValueError(
-                f"block for rank {rank} must have shape ({expected},), "
-                f"got {values.shape}"
-            )
-        self.cluster.node(rank).memory[self._key()] = values
+        super().set_block(rank, values[:, None] if values.ndim == 1 else values)
 
-    # ``has_block`` / ``available_ranks`` / ``lost_ranks`` / ``delete`` come
-    # from :class:`NodeBlockStore` (shared with ``DistributedMultiVector``).
-
-    # -- global assembly (verification / recovery use) ---------------------------
     def to_global(self, *, allow_missing: bool = False,
                   fill_value: float = np.nan) -> np.ndarray:
-        """Assemble the global vector on the driver.
+        """Assemble the global ``(n,)`` vector on the driver (not charged)."""
+        return super().to_global(allow_missing=allow_missing,
+                                 fill_value=fill_value)[:, 0]
 
-        This is an orchestration/verification helper (it is *not* charged to
-        the cost model); the solvers themselves only use block access and
-        explicit communication.  With ``allow_missing=True`` the blocks of
-        failed nodes are replaced by ``fill_value`` instead of raising.
-        """
-        return self._assemble(lambda block: block, (),
-                              allow_missing=allow_missing,
-                              fill_value=fill_value)
-
-    # -- elementwise / BLAS-1 operations ----------------------------------------
-    def _charge_vector_op(self, flops_per_element: float = 2.0,
-                          phase: str = Phase.VECTOR_COMPUTE,
-                          n_elements: Optional[int] = None) -> None:
-        model = self.cluster.ledger.model
-        if n_elements is None:
-            n_elements = self.partition.max_block_size()
-        self.cluster.ledger.add_time(
-            phase,
-            model.vector_op_time(n_elements, flops_per_element),
-        )
-
-    def copy(self, name: str) -> "DistributedVector":
-        """Deep copy under a new name (charged as a streaming vector op)."""
-        out = DistributedVector(self.cluster, self.partition, name)
-        for rank in range(self.partition.n_parts):
-            out.set_block(rank, self.get_block(rank).copy())
-        self._charge_vector_op(1.0)
-        return out
-
-    def fill(self, value: float) -> "DistributedVector":
-        """Set every element to *value*."""
-        for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = value
-        self._charge_vector_op(1.0)
-        return self
-
-    def scale(self, alpha: float) -> "DistributedVector":
-        """In-place ``self *= alpha``."""
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] *= alpha
-        self._charge_vector_op(1.0)
-        return self
-
-    def axpy(self, alpha: float, x: "DistributedVector") -> "DistributedVector":
-        """In-place ``self += alpha * x``."""
-        self._check_compatible(x)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] += alpha * x.get_block(rank)
-        self._charge_vector_op(2.0)
-        return self
-
-    def aypx(self, alpha: float, x: "DistributedVector") -> "DistributedVector":
-        """In-place ``self = x + alpha * self`` (the PCG search-direction update)."""
-        self._check_compatible(x)
-        for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = x.get_block(rank) + alpha * block
-        self._charge_vector_op(2.0)
-        return self
-
-    def assign(self, other: "DistributedVector") -> "DistributedVector":
-        """In-place copy of *other*'s values into this vector."""
-        self._check_compatible(other)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = other.get_block(rank)
-        self._charge_vector_op(1.0)
-        return self
-
-    def pointwise_multiply(self, other: "DistributedVector",
-                           name: str) -> "DistributedVector":
-        """Elementwise product (used by the Jacobi preconditioner)."""
-        self._check_compatible(other)
-        out = DistributedVector(self.cluster, self.partition, name)
-        for rank in range(self.partition.n_parts):
-            out.set_block(rank, self.get_block(rank) * other.get_block(rank))
-        self._charge_vector_op(1.0)
-        return out
-
-    # -- reductions ---------------------------------------------------------------
-    def dot(self, other: "DistributedVector", *, alive_only: bool = False) -> float:
-        """Global dot product via local dots + allreduce."""
-        self._check_compatible(other)
-        contributions: Dict[int, float] = {}
-        for rank in range(self.partition.n_parts):
-            node = self.cluster.node(rank)
-            if alive_only and not node.is_alive:
-                continue
-            contributions[rank] = float(
-                self.get_block(rank) @ other.get_block(rank)
-            )
-        # The local compute is bulk-synchronous: the slowest *participating*
-        # rank sets the pace.  On a shrunken communicator (alive_only) a dead
-        # rank contributes nothing, so the global max block size must not be
-        # charged when the largest rank happens to be the one that is down.
-        self._charge_vector_op(2.0, n_elements=participating_max_block_size(
-            self.partition, contributions) if alive_only else None)
-        return float(
-            self.cluster.comm.allreduce_sum(contributions, alive_only=alive_only)
-        )
+    def dot(self, other: DistributedMultiVector, *,
+            alive_only: bool = False) -> float:
+        """Global dot product: column 0 of :meth:`dots`."""
+        return float(self.dots(other, alive_only=alive_only)[0])
 
     def norm2(self, *, alive_only: bool = False) -> float:
-        """Euclidean norm (dot with itself, then square root).
-
-        A NaN reduction (corrupted or lost data) propagates as NaN so the
-        solver surfaces the failure -- clamping it to ``0.0`` would silently
-        read as "converged".  The explicit check guarantees this regardless
-        of ``max()`` argument-order subtleties with NaN; only tiny negative
-        rounding residue is clamped.
-        """
-        value = self.dot(self, alive_only=alive_only)
-        if np.isnan(value):
-            return float("nan")
-        return float(np.sqrt(max(value, 0.0)))
-
-    def local_norm2(self, rank: int) -> float:
-        """Norm of a single block (no communication; used in diagnostics)."""
-        return float(np.linalg.norm(self.get_block(rank)))
-
-    # -- maintenance ------------------------------------------------------------------
-    def rename(self, new_name: str) -> "DistributedVector":
-        """Rename the vector (moves every block under the new key).
-
-        Failed nodes cannot take part in the move; any block still sitting
-        under either key on such a node predates the rename, so the stale
-        keys are invalidated (see :func:`swap_names` for the rationale).
-        """
-        old_key = self._key()
-        self.name = new_name
-        new_key = self._key()
-        for rank in range(self.partition.n_parts):
-            node = self.cluster.node(rank)
-            if not node.is_alive:
-                node.memory.invalidate(old_key)
-                node.memory.invalidate(new_key)
-                continue
-            if old_key in node.memory:
-                node.memory[new_key] = node.memory.pop(old_key)
-        return self
-
-    def _check_compatible(self, other: "DistributedVector") -> None:
-        if other.cluster is not self.cluster:
-            raise ValueError("vectors live on different clusters")
-        if not self.partition.is_compatible_with(other.partition):
-            raise ValueError(
-                "vectors have incompatible partitions: "
-                f"{self.partition} vs {other.partition}"
-            )
+        """Euclidean norm: column 0 of :meth:`norms2` (NaN propagates)."""
+        return float(self.norms2(alive_only=alive_only)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"DistributedVector(name={self.name!r}, n={self.partition.n}, "
             f"N={self.partition.n_parts})"
         )
-
-
-def swap_names(a: DistributedVector, b: DistributedVector) -> None:
-    """Swap the storage of two distributed vectors without copying data.
-
-    Used by the solvers to rotate ``p^(j)`` / ``p^(j-1)`` style pairs cheaply.
-
-    Failed nodes cannot take part in the swap.  Their blocks were wiped at
-    failure time, but if anything is still (or again) stored under either
-    name -- e.g. a node that was wrongly declared dead and rejoins without a
-    scrub, or a restore that re-populates memory before the swap is replayed
-    -- those blocks predate the swap and would be associated with the wrong
-    vector under *both* names.  Instead of silently skipping such ranks, the
-    stale keys are invalidated in the raw store so a later restore cannot
-    expose pre-swap data; recovery must re-create the blocks explicitly.
-    """
-    if a.cluster is not b.cluster or not a.partition.is_compatible_with(b.partition):
-        raise ValueError("can only swap vectors on the same cluster/partition")
-    for rank in range(a.partition.n_parts):
-        node = a.cluster.node(rank)
-        key_a, key_b = a._key(), b._key()
-        if not node.is_alive:
-            node.memory.invalidate(key_a)
-            node.memory.invalidate(key_b)
-            continue
-        block_a = node.memory.get(key_a)
-        block_b = node.memory.get(key_b)
-        if block_b is not None:
-            node.memory[key_a] = block_b
-        elif key_a in node.memory:
-            del node.memory[key_a]
-        if block_a is not None:
-            node.memory[key_b] = block_a
-        elif key_b in node.memory:
-            del node.memory[key_b]

@@ -1,30 +1,30 @@
 """Distributed sparse matrix-vector products.
 
-``distributed_spmv`` performs ``y = A x`` for a block-row distributed matrix
-and vector: the halo exchange defined by the :class:`CommunicationContext` is
-charged to the latency-bandwidth cost model (Phase ``comm.halo``), the local
-row-block products are charged as memory-bound compute (Phase
-``compute.spmv``), and the numeric result is stored block-by-block into the
-output vector.  ``distributed_spmv_block`` is the batched multi-RHS variant
-``Y = A X`` for :class:`~repro.distributed.dmultivector.
-DistributedMultiVector` operands: one halo exchange ships all ``k`` columns
-(same message count, ``k``-fold volume) and each rank runs a single
-CSR x dense-block kernel.
+``distributed_spmv`` performs ``Y = A X`` for a block-row distributed matrix
+and the ``(n_i, k)`` blocks of a
+:class:`~repro.distributed.dmultivector.DistributedMultiVector` -- a single
+:class:`~repro.distributed.dvector.DistributedVector` is the ``k = 1`` case.
+The halo exchange defined by the :class:`CommunicationContext` ships all
+``k`` columns in one message per scatter edge (same message count, ``k``-fold
+volume) and is charged to the latency-bandwidth cost model (Phase
+``comm.halo``); the local row-block products are charged as memory-bound
+compute (Phase ``compute.spmv``), and the numeric result is stored
+block-by-block into the output.
 
 Two numeric execution paths produce bit-identical results and charges:
 
 * the **local-view engine** (default) -- a cached
   :class:`~repro.distributed.spmv_engine.SpmvEngine` that computes each
-  rank's product as ``A_local @ [x_own | x_ghost]`` with compressed ghost
+  rank's product as ``A_local @ [X_own | X_ghost]`` with compressed ghost
   columns and preallocated buffers, ``O(nnz + ghosts)`` per call;
 * the **dense-gather reference** (``engine=False``, or automatic fallback
   when the context does not match the matrix) -- assembles a fresh global
-  vector and multiplies each rank's full ``(n_i, n)`` row block against it.
+  operand and multiplies each rank's full ``(n_i, n)`` row block against it.
   It is kept as the independent oracle for equivalence tests and the
   ``bench_spmv_engine`` benchmark.
 
 With ``overlap=True`` (and an engine), the SpMV executes split-phase --
-``A_diag @ x_own`` while the ghosts are in flight, then the off-diagonal
+``A_diag @ X_own`` while the ghosts are in flight, then the off-diagonal
 accumulation -- and the ledger is charged the overlap-aware
 ``max_i(max(halo_i, diag_i) + offdiag_i)`` instead of the serialized
 ``halo + compute``.  See :mod:`repro.distributed.spmv_engine` for the
@@ -43,7 +43,6 @@ from ..cluster.cost_model import Phase
 from .comm_context import CommunicationContext
 from .dmatrix import DistributedMatrix
 from .dmultivector import DistributedMultiVector
-from .dvector import DistributedVector
 
 
 def halo_exchange_cost(context: CommunicationContext, topology, model,
@@ -79,43 +78,78 @@ def spmv_compute_cost(matrix: DistributedMatrix, model,
     )
 
 
-def _check_operands(matrix: DistributedMatrix, x, out) -> None:
-    partition = matrix.partition
-    if not partition.is_compatible_with(x.partition):
-        raise ValueError("matrix and input vector have incompatible partitions")
-    if not partition.is_compatible_with(out.partition):
-        raise ValueError("matrix and output vector have incompatible partitions")
+def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
+                     out: DistributedMultiVector,
+                     context: Optional[CommunicationContext] = None,
+                     *, charge: bool = True,
+                     engine: bool = True,
+                     overlap: bool = False) -> DistributedMultiVector:
+    """Compute ``out = matrix @ x`` on the virtual cluster.
 
+    Parameters
+    ----------
+    matrix, x, out:
+        Distributed operands sharing one partition and cluster; *x* and
+        *out* have the same column count ``k`` (``1`` for vectors).
+    context:
+        The SpMV scatter plan.  If ``None`` the matrix's cached default plan
+        is used (derived from the sparsity pattern on first use; solvers
+        pass a prebuilt plan).
+    charge:
+        Charge communication and compute to the cost ledger (solvers always
+        do; some verification helpers pass ``False``).
+    engine:
+        Execute through the cached local-view :class:`SpmvEngine` (default).
+        ``False`` forces the dense-gather reference path; the two paths are
+        bit-identical in results and charges.
+    overlap:
+        Execute split-phase (diagonal compute overlapped with the halo
+        exchange) and charge the overlap-aware cost.  Requires the engine;
+        when the engine is unavailable (``engine=False`` or a mismatched
+        context) the serialized path runs instead.  Split execution rounds
+        like PETSc's overlapped ``MatMult`` -- results can differ from the
+        fused kernel in the last bits (see ``spmv_engine``).
 
-def _dispatch_spmv(matrix: DistributedMatrix, x, out,
-                   context: Optional[CommunicationContext],
-                   *, charge: bool, engine: bool, overlap: bool,
-                   n_rhs: int, block: bool):
-    """Shared dispatch of single-vector and batched SpMV.
-
-    One implementation carries the load-bearing invariants for both entry
-    points: the halo charge must land *before* any node-memory read that may
-    raise on failed nodes (matching the dense-gather reference's charge
-    order on the serialized path), and the overlap branch falls through to
-    the serialized path when the context does not match the matrix.
+    :class:`~repro.core.block_pcg.BlockPCG` drives this kernel once per
+    iteration and pairs it with batched ``k``-scalar allreduces
+    (:meth:`~repro.distributed.dmultivector.DistributedMultiVector.dots`), so
+    both latency-bound legs of the PCG iteration -- halo exchange and
+    reductions -- ship message counts independent of ``k``.
 
     Every charged SpMV runs inside a sanitizer op window: a charging call
     that books nothing to the ledger is the ``uncharged_op`` bug class
     SimSan exists to catch.
     """
+    partition = matrix.partition
+    if not partition.is_compatible_with(x.partition):
+        raise ValueError("matrix and input vector have incompatible partitions")
+    if not partition.is_compatible_with(out.partition):
+        raise ValueError("matrix and output vector have incompatible partitions")
+    if x.n_cols != out.n_cols:
+        raise ValueError(
+            f"input has {x.n_cols} columns but output has {out.n_cols}"
+        )
     with _sanitizer.op_window("spmv", matrix.cluster.ledger,
                               required=charge):
-        return _execute_spmv(matrix, x, out, context, charge=charge,
-                             engine=engine, overlap=overlap, n_rhs=n_rhs,
-                             block=block)
+        _execute_spmv(matrix, x, out, context, charge=charge, engine=engine,
+                      overlap=overlap)
+    return out
 
 
-def _execute_spmv(matrix: DistributedMatrix, x, out,
+def _execute_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
+                  out: DistributedMultiVector,
                   context: Optional[CommunicationContext],
-                  *, charge: bool, engine: bool, overlap: bool,
-                  n_rhs: int, block: bool):
+                  *, charge: bool, engine: bool, overlap: bool) -> None:
+    """The charge-then-compute body of :func:`distributed_spmv`.
+
+    The halo charge must land *before* any node-memory read that may raise
+    on failed nodes (matching the dense-gather reference's charge order on
+    the serialized path), and the overlap branch falls through to the
+    serialized path when the context does not match the matrix.
+    """
     cluster = matrix.cluster
     ledger = cluster.ledger
+    n_rhs = x.n_cols
 
     if context is None:
         context = matrix.default_context()
@@ -133,11 +167,8 @@ def _execute_spmv(matrix: DistributedMatrix, x, out,
                                       ch.compute_time, ch.total_time)
                 ledger.add_traffic(Phase.HALO_COMM, ch.n_messages,
                                    ch.n_elements)
-            if block:
-                spmv_engine.apply_block(x, out, split=True)
-            else:
-                spmv_engine.apply_split(x, out)
-            return out
+            spmv_engine.apply_block(x, out, split=True)
+            return
         # Mismatched context: fall through to the serialized reference path.
 
     # Cache lookup only -- the halo charge must land before any node-memory
@@ -163,25 +194,21 @@ def _execute_spmv(matrix: DistributedMatrix, x, out,
         spmv_engine = matrix.spmv_engine(context)
 
     if spmv_engine is not None:
-        if block:
-            spmv_engine.apply_block(x, out)
-        else:
-            spmv_engine.apply(x, out)
+        spmv_engine.apply_block(x, out)
     else:
         # Dense-gather reference: each node multiplies its (n_i x n) row
         # block with the freshly assembled global operand; only the ghost
         # elements described by the context would be communicated on a real
         # machine.  Reading every owner's block here also enforces the
         # failure semantics: SpMV cannot proceed with a failed owner.
+        xs, ys = x.as_multivector(), out.as_multivector()
         partition = matrix.partition
-        shape = (partition.n, n_rhs) if block else (partition.n,)
-        x_global = np.empty(shape)
+        x_global = np.empty((partition.n, n_rhs))
         for rank in range(partition.n_parts):
             start, stop = partition.range_of(rank)
-            x_global[start:stop] = x.get_block(rank)
+            x_global[start:stop] = xs.get_block(rank)
         for rank in range(partition.n_parts):
-            row_block = matrix.row_block(rank)
-            out.set_block(rank, row_block @ x_global)
+            ys.set_block(rank, matrix.row_block(rank) @ x_global)
 
     if charge:
         ledger.add_time(
@@ -189,102 +216,3 @@ def _execute_spmv(matrix: DistributedMatrix, x, out,
             spmv_engine.compute_cost_for(n_rhs) if spmv_engine is not None
             else spmv_compute_cost(matrix, ledger.model, n_rhs=n_rhs),
         )
-    return out
-
-
-def distributed_spmv(matrix: DistributedMatrix, x: DistributedVector,
-                     out: DistributedVector,
-                     context: Optional[CommunicationContext] = None,
-                     *, charge: bool = True,
-                     engine: bool = True,
-                     overlap: bool = False) -> DistributedVector:
-    """Compute ``out = matrix @ x`` on the virtual cluster.
-
-    Parameters
-    ----------
-    matrix, x, out:
-        Distributed operands sharing one partition and cluster.
-    context:
-        The SpMV scatter plan.  If ``None`` the matrix's cached default plan
-        is used (derived from the sparsity pattern on first use; solvers
-        pass a prebuilt plan).
-    charge:
-        Charge communication and compute to the cost ledger (solvers always
-        do; some verification helpers pass ``False``).
-    engine:
-        Execute through the cached local-view :class:`SpmvEngine` (default).
-        ``False`` forces the dense-gather reference path; the two paths are
-        bit-identical in results and charges.
-    overlap:
-        Execute split-phase (diagonal compute overlapped with the halo
-        exchange) and charge the overlap-aware cost.  Requires the engine;
-        when the engine is unavailable (``engine=False`` or a mismatched
-        context) the serialized path runs instead.  Split execution rounds
-        like PETSc's overlapped ``MatMult`` -- results can differ from the
-        fused kernel in the last bits (see ``spmv_engine``).
-    """
-    _check_operands(matrix, x, out)
-    return _dispatch_spmv(matrix, x, out, context, charge=charge,
-                          engine=engine, overlap=overlap, n_rhs=1,
-                          block=False)
-
-
-def distributed_spmv_block(matrix: DistributedMatrix,
-                           x: DistributedMultiVector,
-                           out: DistributedMultiVector,
-                           context: Optional[CommunicationContext] = None,
-                           *, charge: bool = True,
-                           engine: bool = True,
-                           overlap: bool = False) -> DistributedMultiVector:
-    """Compute ``out = matrix @ x`` for a block of ``k`` right-hand sides.
-
-    The batched counterpart of :func:`distributed_spmv`: one halo exchange
-    ships all ``k`` columns (message count unchanged, ``k``-fold element
-    volume) and each rank runs a single CSR x dense-block kernel, so the
-    per-call Python dispatch and the ghost gather are amortized over the
-    columns.  Per-column results are bit-identical to ``k`` single-vector
-    calls on the same execution path.
-
-    :class:`~repro.core.block_pcg.BlockPCG` drives this kernel once per
-    iteration and pairs it with batched ``k``-scalar allreduces
-    (:meth:`~repro.distributed.dmultivector.DistributedMultiVector.dots` /
-    :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`), so both
-    latency-bound legs of the PCG iteration -- halo exchange and reductions
-    -- ship message counts independent of ``k``.
-    """
-    _check_operands(matrix, x, out)
-    if x.n_cols != out.n_cols:
-        raise ValueError(
-            f"input has {x.n_cols} columns but output has {out.n_cols}"
-        )
-    return _dispatch_spmv(matrix, x, out, context, charge=charge,
-                          engine=engine, overlap=overlap, n_rhs=x.n_cols,
-                          block=True)
-
-
-def ghost_values_for(context: CommunicationContext, x: DistributedVector,
-                     dst: int, *,
-                     matrix: Optional[DistributedMatrix] = None
-                     ) -> Dict[int, np.ndarray]:
-    """The ghost values node *dst* receives during one SpMV halo exchange.
-
-    Returns a map ``src -> values`` (aligned with
-    ``context.send_indices(src, dst)``).  The ESR protocol uses this to model
-    what each node naturally holds after the exchange.
-
-    When *matrix* is given and holds a cached SpMV engine for *context*, the
-    gather reuses the engine's precomputed compressed ghost runs (one
-    fancy-index per sender into a single buffer, no per-call index
-    arithmetic) instead of per-edge fancy-indexed copies.
-    """
-    if matrix is not None:
-        cached = matrix.cached_spmv_engine(context)
-        if cached is not None and cached.context is context:
-            return cached.ghost_values_for(x, dst)
-    out: Dict[int, np.ndarray] = {}
-    partition = x.partition
-    for src in context.senders_to(dst):
-        idx = context.send_indices(src, dst)
-        start, _ = partition.range_of(src)
-        out[src] = x.get_block(src)[idx - start].copy()
-    return out

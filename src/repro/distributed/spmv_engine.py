@@ -33,9 +33,9 @@ of the :class:`~repro.distributed.comm_context.CommunicationContext`.
 **Split-phase execution (comm/compute overlap).**  At build time each rank's
 compressed block is additionally partitioned into a *diagonal* part (owned
 columns, ``(n_k, n_k)``) and an *off-diagonal* part (ghost columns,
-``(n_k, |G_k|)``).  :meth:`apply_split` models the classical non-blocking
-halo exchange: post the sends, compute ``A_diag @ x_own`` while the ghosts
-are "in flight", then accumulate ``A_offdiag @ x_ghost`` once they "arrive".
+``(n_k, |G_k|)``).  ``split=True`` models the classical non-blocking
+halo exchange: post the sends, compute ``A_diag @ X_own`` while the ghosts
+are "in flight", then accumulate ``A_offdiag @ X_ghost`` once they "arrive".
 The matching overlap-aware charge (see :meth:`overlap_charge`) is the
 per-rank max reduction ``max_i(max(halo_i, diag_i) + offdiag_i)`` of
 :meth:`~repro.cluster.cost_model.MachineModel.split_spmv_time` -- never more
@@ -43,20 +43,22 @@ than the serialized ``halo + compute`` charge.  Because the two-kernel
 execution accumulates each row's diagonal terms before its off-diagonal
 terms (exactly as PETSc's overlapped ``MatMult`` does), its results may
 differ from the fused kernel in the last floating-point bits; the fused
-:meth:`apply` path (``overlap=False``, the default everywhere) remains
-bit-identical to the dense-gather reference.  The split matrices copy the
-block's ``data`` array, so -- unlike the fused path -- silent in-place edits
-of stored block values are only picked up after a ``set_block``-style write
-bumps the structure version and the engine is rebuilt.
+path (``overlap=False``, the default everywhere) remains bit-identical to
+the dense-gather reference.  The split matrices copy the block's ``data``
+array, so -- unlike the fused path -- silent in-place edits of stored block
+values are only picked up after a ``set_block``-style write bumps the
+structure version and the engine is rebuilt.
 
-**Batched multi-RHS kernels.**  :meth:`apply_block` computes ``Y = A X`` for
-``(n_i, k)`` blocks of a
+**One batched kernel.**  :meth:`apply_block` is the engine's only kernel:
+it computes ``Y = A X`` for the ``(n_i, k)`` blocks of a
 :class:`~repro.distributed.dmultivector.DistributedMultiVector` with *one*
-ghost gather amortized over all ``k`` columns: the send pool is staged as a
-``(pool, k)`` matrix with one 2-D fancy-index per rank, and each rank's
-product is a single CSR x dense-block kernel.  Per-column results are
-bit-identical to ``k`` single-vector :meth:`apply` calls (the CSR kernel
-accumulates each column in the same entry order).
+ghost gather amortized over all ``k`` columns -- the send pool is staged as
+a ``(pool, k)`` matrix with one 2-D fancy-index per rank, and each rank's
+product is a single CSR x dense-block kernel.  A single vector is the
+``k = 1`` case (a :class:`~repro.distributed.dvector.DistributedVector` is
+read and written through its ``(n_i, 1)`` storage); column ``j`` of a batched
+product is bit-identical to the ``k = 1`` product of column ``j`` (the CSR
+kernel accumulates each column in the same entry order).
 
 **Charge caching.**  The bulk-synchronous halo and compute charges depend
 only on static data (scatter counts, topology latencies, per-rank nnz), so
@@ -90,20 +92,17 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-try:  # Fast path: accumulate the CSR matvec directly into the output block.
+try:  # Fast path: accumulate the CSR product directly into the output block.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
 
-    _csr_matvec = _scipy_sparsetools.csr_matvec
     _csr_matvecs = _scipy_sparsetools.csr_matvecs
 except (ImportError, AttributeError):  # pragma: no cover - old/odd SciPy
-    _csr_matvec = None
     _csr_matvecs = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .comm_context import CommunicationContext
     from .dmatrix import DistributedMatrix
     from .dmultivector import DistributedMultiVector
-    from .dvector import DistributedVector
 
 
 class ContextMismatchError(ValueError):
@@ -152,9 +151,8 @@ class _RankPlan:
     ghost_indices: np.ndarray
     #: Position of each ghost value inside the staged send pool.
     ghost_pool_pos: np.ndarray
-    #: Preallocated compressed input buffer ``[x_own | x_ghost]``.
-    xbuf: np.ndarray
-    #: Per column count k: the ``(n_k + |G_k|, k)`` multi-RHS input buffer.
+    #: Per column count k: the ``(n_k + |G_k|, k)`` input buffer
+    #: ``[X_own | X_ghost]``.
     block_xbufs: Dict[int, np.ndarray] = field(default_factory=dict,
                                                repr=False)
     #: Non-zeros in owned columns (the diagonal block ``A_{I_k, I_k}``).
@@ -213,15 +211,12 @@ class SpmvEngine:
                 )
             self._sent_local.append(sent - start)
         self._pool_offsets = pool_offsets
-        self._pool = np.empty(int(pool_offsets[-1]))
-        #: Per column count k: staged ``(pool, k)`` buffers for multi-RHS.
+        self._pool_size = int(pool_offsets[-1])
+        #: Per column count k: staged ``(pool, k)`` send-pool buffers.
         self._block_pools: Dict[int, np.ndarray] = {}
         #: Weak reference to the multi-vector the block pool was last staged
         #: from, plus its column count (see :meth:`block_pool_staged_from`).
         self._block_pool_source: Optional[Tuple[weakref.ReferenceType, int]] = None
-        #: Per dst: ``[(src, lo, hi, local_idx)]`` runs of the sorted ghost
-        #: set grouped by owner (lazy; see :meth:`ghost_values_for`).
-        self._ghost_runs: Dict[int, List[Tuple[int, int, int, np.ndarray]]] = {}
 
         # -- per-rank compressed local views
         self._plans: List[_RankPlan] = []
@@ -310,7 +305,6 @@ class SpmvEngine:
             local=local,
             ghost_indices=ghost,
             ghost_pool_pos=ghost_pool_pos,
-            xbuf=np.empty(n_local + ghost.size),
             diag_nnz=diag_nnz,
             offdiag_nnz=int(local.nnz) - diag_nnz,
         )
@@ -454,10 +448,8 @@ class SpmvEngine:
 
     # -- execution ----------------------------------------------------------
     def _stage_pool_into(self, x, pool: np.ndarray) -> np.ndarray:
-        """Stage *x*'s sent entries into *pool* (one fancy-index per rank).
-
-        Works for vectors (1-D pool) and multi-vectors (``(pool, k)``).
-        Also reads every rank's matrix block through the node memories,
+        """Stage *x*'s sent entries into the ``(pool, k)`` *pool* (one
+        fancy-index per rank).  Also reads every rank's matrix block through the node memories,
         enforcing failure semantics exactly as the reference path's per-call
         block reads do.
         """
@@ -492,76 +484,19 @@ class SpmvEngine:
         source, n_rhs = self._block_pool_source
         return source() is x and n_rhs == getattr(x, "n_cols", None)
 
-    def apply(self, x: "DistributedVector", out: "DistributedVector"
-              ) -> "DistributedVector":
-        """Numeric ``out = A x`` (no cost charging; see ``distributed_spmv``).
+    # ``apply``/``apply_split`` are the single-vector entry points of the
+    # engine's public surface (callers and host-time tracers name them);
+    # ``apply_block`` is the one kernel, and a vector is its k = 1 case.
+    def apply(self, x: "DistributedMultiVector",
+              out: "DistributedMultiVector") -> "DistributedMultiVector":
+        """Numeric ``out = A x``: :meth:`apply_block` (no cost charging)."""
+        return self.apply_block(x, out)
 
-        Reads every rank's matrix and input blocks through the node memories
-        (enforcing failure semantics), stages the send pool, then computes
-        each rank's product as one compressed local matvec, accumulating
-        directly into ``out``'s existing block where possible.  ``out`` may
-        alias ``x``: ghosts are read from the pool staged before any write,
-        and each rank's owned part is copied into the input buffer before
-        its output block is touched.
-        """
-        pool = self._stage_pool_into(x, self._pool)
-
-        for rank in range(self.partition.n_parts):
-            plan = self._plans[rank]
-            xbuf = plan.xbuf
-            xbuf[:plan.n_local] = x.get_block(rank)
-            if plan.ghost_pool_pos.size:
-                xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
-            try:
-                target = out.get_block(rank)
-            except KeyError:
-                target = None
-            if target is None:
-                out.set_block(rank, self._matvec(plan.local, xbuf))
-            else:
-                self._matvec(plan.local, xbuf, out=target)
-        return out
-
-    def apply_split(self, x: "DistributedVector", out: "DistributedVector"
-                    ) -> "DistributedVector":
-        """Numeric ``out = A x`` through the split-phase (overlapped) kernels.
-
-        Models a non-blocking halo exchange: the send pool is staged
-        ("sends posted"), every rank computes its diagonal product
-        ``A_diag @ x_own`` while the ghosts are in flight, then accumulates
-        ``A_offdiag @ x_ghost``.  Per row, diagonal terms are summed before
-        off-diagonal terms, so results may differ from the fused
-        :meth:`apply` in the last bits (identical to how PETSc's overlapped
-        ``MatMult`` rounds).  ``out`` may alias ``x``.
-        """
-        pool = self._stage_pool_into(x, self._pool)
-
-        # Phase 1: diagonal products "while ghosts are in flight".
-        for rank in range(self.partition.n_parts):
-            plan = self._ensure_split(rank)
-            xbuf = plan.xbuf
-            xbuf[:plan.n_local] = x.get_block(rank)
-            try:
-                target = out.get_block(rank)
-            except KeyError:
-                target = None
-            if target is None:
-                out.set_block(
-                    rank, self._matvec(plan.diag, xbuf[:plan.n_local])
-                )
-            else:
-                self._matvec(plan.diag, xbuf[:plan.n_local], out=target)
-
-        # Phase 2: the ghosts "arrived" -- accumulate the off-diagonal part.
-        for rank in range(self.partition.n_parts):
-            plan = self._plans[rank]
-            if not plan.ghost_pool_pos.size:
-                continue
-            gbuf = plan.xbuf[plan.n_local:]
-            gbuf[:] = pool[plan.ghost_pool_pos]
-            self._matvec(plan.offdiag, gbuf, out=out.get_block(rank),
-                         accumulate=True)
-        return out
+    def apply_split(self, x: "DistributedMultiVector",
+                    out: "DistributedMultiVector") -> "DistributedMultiVector":
+        """Numeric ``out = A x`` split-phase: :meth:`apply_block` with
+        ``split=True``."""
+        return self.apply_block(x, out, split=True)
 
     def apply_block(self, x: "DistributedMultiVector",
                     y: "DistributedMultiVector", *,
@@ -572,25 +507,28 @@ class SpmvEngine:
         is staged as a ``(pool, k)`` matrix (one 2-D fancy-index per rank)
         and each rank's product is a single CSR x dense-block kernel
         accumulated into ``y``'s existing block (a fresh block is set when
-        ``y`` has none yet, or when it aliases the input).  The per-column
-        results are bit-identical to ``k`` single-vector :meth:`apply` calls
-        (or, with ``split=True``, to ``k`` :meth:`apply_split` calls).  ``y``
-        may alias ``x``.
+        ``y`` has none yet, or when it aliases the input).  Column ``j`` of
+        the result is bit-identical to the ``k = 1`` product of column ``j``
+        (the CSR kernel accumulates each column in the same entry order).
+        ``y`` may alias ``x``; either may be a 1-D
+        :class:`~repro.distributed.dvector.DistributedVector`, whose
+        ``(n_i, 1)`` storage is read and written in place.
         """
-        n_rhs = x.n_cols
+        xs, ys = x.as_multivector(), y.as_multivector()
+        n_rhs = xs.n_cols
         pool = self._block_pools.get(n_rhs)
-        if pool is None or pool.shape[0] != self._pool.size:
-            pool = np.empty((self._pool.size, n_rhs))
+        if pool is None or pool.shape[0] != self._pool_size:
+            pool = np.empty((self._pool_size, n_rhs))
             self._block_pools[n_rhs] = pool
         self._block_pool_source = None
-        self._stage_pool_into(x, pool)
+        self._stage_pool_into(xs, pool)
         self._block_pool_source = (weakref.ref(x), n_rhs)
 
         for rank in range(self.partition.n_parts):
             plan = (self._ensure_split(rank) if split else self._plans[rank])
-            own = x.get_block(rank)
+            own = xs.get_block(rank)
             try:
-                target = y.get_block(rank)
+                target = ys.get_block(rank)
             except KeyError:
                 target = None
             # The kernel writes raw memory: only a C-contiguous block that
@@ -619,89 +557,19 @@ class SpmvEngine:
                     xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
                 self._matmat_accumulate(plan.local, xbuf, out)
             if fresh:
-                y.set_block(rank, out)
+                ys.set_block(rank, out)
         return y
-
-    @staticmethod
-    def _matvec(mat: sp.csr_matrix, xbuf: np.ndarray,
-                out: Optional[np.ndarray] = None,
-                accumulate: bool = False) -> np.ndarray:
-        """CSR matvec into *out*; with ``accumulate`` adds instead of overwriting."""
-        if _csr_matvec is None:  # pragma: no cover - SciPy without _sparsetools
-            result = mat @ xbuf
-            if out is None:
-                return result
-            if accumulate:
-                out += result
-            else:
-                out[:] = result
-            return out
-        if out is None:
-            out = np.zeros(mat.shape[0])
-        elif not accumulate:
-            out[:] = 0.0
-        _csr_matvec(mat.shape[0], mat.shape[1], mat.indptr,
-                    mat.indices, mat.data, xbuf, out)
-        return out
 
     @staticmethod
     def _matmat_accumulate(mat: sp.csr_matrix, x: np.ndarray,
                            out: np.ndarray) -> np.ndarray:
-        """``out += mat @ x`` accumulated in place (same rounding as the
-        single-vector accumulate kernel, column by column)."""
+        """``out += mat @ x`` accumulated in place, column by column."""
         if _csr_matvecs is None:  # pragma: no cover - SciPy without _sparsetools
             out += mat @ x
             return out
         x = np.ascontiguousarray(x)
         _csr_matvecs(mat.shape[0], mat.shape[1], x.shape[1], mat.indptr,
                      mat.indices, mat.data, x, out)
-        return out
-
-    # -- ghost-value gathers -------------------------------------------------
-    def _ghost_runs_of(self, dst: int) -> List[Tuple[int, int, int, np.ndarray]]:
-        """Owner-contiguous runs of *dst*'s sorted ghost set (cached).
-
-        Block-row ownership ranges are contiguous in global index space, so
-        the sorted ghost set of *dst* groups by owner into contiguous runs;
-        the run of owner ``src`` is exactly ``S_{src,dst}``.  Each entry is
-        ``(src, lo, hi, local_idx)`` with ``local_idx`` the owner-local
-        offsets of the run.
-        """
-        runs = self._ghost_runs.get(dst)
-        if runs is None:
-            plan = self._plans[dst]
-            ghost = plan.ghost_indices
-            runs = []
-            if ghost.size:
-                owners = self.partition.owner_of(ghost)
-                boundaries = np.concatenate(
-                    ([0], np.nonzero(np.diff(owners))[0] + 1, [ghost.size])
-                )
-                for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-                    src = int(owners[lo])
-                    start, _ = self.partition.range_of(src)
-                    runs.append((src, int(lo), int(hi), ghost[lo:hi] - start))
-            self._ghost_runs[dst] = runs
-        return runs
-
-    def ghost_values_for(self, x: "DistributedVector", dst: int
-                         ) -> Dict[int, np.ndarray]:
-        """The ghost values *dst* receives during one halo exchange of *x*.
-
-        Vectorized replacement for the per-edge gathers of
-        :func:`repro.distributed.spmv.ghost_values_for`: the precomputed
-        owner-contiguous runs of the compressed ghost set are filled into one
-        buffer (one fancy-index per sender, no per-call index arithmetic) and
-        returned as per-sender slices aligned with ``send_indices(src, dst)``.
-        """
-        runs = self._ghost_runs_of(dst)
-        if not runs:
-            return {}
-        values = np.empty(self._plans[dst].ghost_indices.size)
-        out: Dict[int, np.ndarray] = {}
-        for src, lo, hi, local_idx in runs:
-            values[lo:hi] = x.get_block(src)[local_idx]
-            out[src] = values[lo:hi]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -46,7 +46,6 @@ ALLOWLISTS: Dict[str, Tuple[str, ...]] = {
         "cluster/__init__.py",
         "distributed/blockstore.py",
         "distributed/dmatrix.py",
-        "distributed/dvector.py",
         "distributed/dmultivector.py",
         "core/esr.py",
         "sanitizer.py",

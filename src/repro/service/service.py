@@ -54,6 +54,7 @@ from ..core.api import DistributedProblem, distribute_problem, solve
 from ..core.block_pcg import BlockSolveResult
 from ..core.spec import SolveSpec
 from ..utils.logging import get_logger
+from ..utils.validation import check_finite
 from .accounting import ServiceStats, exact_shares, split_charges
 from .jobs import (
     JobHandle,
@@ -255,7 +256,8 @@ class SolverService:
         """Enqueue one solve request; returns an awaitable :class:`JobHandle`.
 
         The right-hand side is captured as a 1-D float64 copy of length
-        ``n``; *spec* defaults to the matrix's registered ``default_spec``.
+        ``n`` and must be finite (``ValueError`` otherwise); *spec* defaults
+        to the matrix's registered ``default_spec``.
         """
         matrix_id = str(matrix_id)
         with self._lock:
@@ -273,6 +275,8 @@ class SolverService:
             raise ValueError(
                 f"rhs must be a 1-D vector of length {entry.problem.n}, "
                 f"got shape {values.shape}")
+        # Rejected here, a non-finite request never joins (and spoils) a batch.
+        check_finite(values, "rhs")
         key, coalescable = self._coalescing_key(matrix_id, spec)
         with self._cond:
             if self._closed:

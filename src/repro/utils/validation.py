@@ -46,6 +46,24 @@ def check_in_range(value: float, low: float, high: float, name: str,
     return value
 
 
+def check_finite(values, name: str) -> np.ndarray:
+    """*values* as a float64 array, rejecting NaN and inf entries.
+
+    A non-finite right-hand side has no meaningful solution, and PCG on it
+    fails quietly: an ``inf`` entry makes the initial residual norm and the
+    stopping threshold both ``inf``, so the solve reports convergence after
+    zero iterations.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))
+        raise ValidationError(
+            f"{name} has {len(bad)} non-finite entries (first at index "
+            f"{tuple(int(i) for i in bad[0])})"
+        )
+    return values
+
+
 def check_square(matrix, name: str = "matrix"):
     """Ensure a (sparse or dense) matrix is square; return it unchanged."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

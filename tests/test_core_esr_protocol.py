@@ -14,7 +14,7 @@ from repro.distributed import (
     CommunicationContext,
     DistributedMatrix,
     DistributedMultiVector,
-    distributed_spmv_block,
+    distributed_spmv,
 )
 from repro.matrices import poisson_2d
 
@@ -212,7 +212,7 @@ class TestFusedStaging:
         esr = ESRProtocol(cluster, context, phi=2, matrix=dist)
         p = make_p(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
-        distributed_spmv_block(dist, p, ap, context)  # stages the engine pool
+        distributed_spmv(dist, p, ap, context)  # stages the engine pool
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and engine.block_pool_staged_from(p)
         expected = legacy_stores(esr, p, slot=0)
@@ -226,7 +226,7 @@ class TestFusedStaging:
         esr = ESRProtocol(cluster, context, phi=1, matrix=dist)
         other = make_p(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
-        distributed_spmv_block(dist, other, ap, context)
+        distributed_spmv(dist, other, ap, context)
         p = make_p(cluster, partition, 5)
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and not engine.block_pool_staged_from(p)
@@ -333,7 +333,7 @@ class TestBlockStaging:
         esr = self.make_esr(cluster, context, matrix=dist)
         p = make_block(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP", p.n_cols)
-        distributed_spmv_block(dist, p, ap, context)  # stages the block pool
+        distributed_spmv(dist, p, ap, context)  # stages the block pool
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and engine.block_pool_staged_from(p)
         assert engine.block_send_pool(p.n_cols) is not None
@@ -347,7 +347,7 @@ class TestBlockStaging:
         other = make_block(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP",
                                           other.n_cols)
-        distributed_spmv_block(dist, other, ap, context)
+        distributed_spmv(dist, other, ap, context)
         p = make_block(cluster, partition, 5)
         engine = dist.cached_spmv_engine(context)
         assert engine is not None and not engine.block_pool_staged_from(p)

@@ -13,6 +13,7 @@ from repro.cluster import (
 from repro.core.api import distribute_problem, solve
 from repro.core.redundancy import BackupPlacement
 from repro.core.resilient_pcg import ResilientPCG
+from repro.distributed import DistributedVector
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 
@@ -268,3 +269,15 @@ class TestReusedProblem:
         solve(problem, phi=2, failures=[(5, [1, 2])])
         assert problem.rhs.lost_ranks() == []
         assert np.array_equal(problem.rhs.to_global(), before)
+
+    def test_caller_supplied_vector_rhs_restored_by_recovery(self, matrix):
+        """The k = 1 solve runs on the caller's own vector storage, so the
+        recovery that rebuilds the solver's rhs rebuilds the caller's."""
+        problem = fresh_problem(matrix, n_nodes=8)
+        values = np.random.default_rng(3).standard_normal(matrix.shape[0])
+        rhs = DistributedVector.from_global(problem.cluster, problem.partition,
+                                            "mine", values)
+        result = solve(problem, rhs, phi=2, failures=[(5, [1, 2])])
+        assert len(result.recoveries) == 1
+        assert rhs.lost_ranks() == []
+        assert np.array_equal(rhs.to_global(), values)

@@ -193,6 +193,32 @@ class TestDispatchAndNormalization:
         reference = solve(fresh_problem(RHS_1D))
         assert np.array_equal(result.x[:, 0], reference.x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        """A NaN/inf rhs fails loudly instead of 'converging' (an inf once
+        came back converged after 0 iterations)."""
+        rhs_1d = RHS_1D.copy()
+        rhs_1d[5] = bad
+        rhs_2d = RHS_2D.copy()
+        rhs_2d[5, 1] = bad
+        for rhs in (rhs_1d, rhs_2d):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve(fresh_problem(), rhs)
+            with pytest.raises(ValueError, match="non-finite"):
+                solve(MATRIX, rhs, n_nodes=N_NODES)
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh_problem(rhs_1d)
+
+    def test_1d_rhs_is_solved_without_a_block_copy(self):
+        """The solver runs on the vector's own ``(n_i, 1)`` storage: no node
+        holds a second, promoted copy of the rhs after either 1-D route."""
+        problem = fresh_problem()
+        solve(problem, RHS_1D)
+        solve(problem, RHS_1D, spec=SolveSpec(solver="block_pcg"))
+        for rank in range(N_NODES):
+            keys = problem.cluster.node(rank).memory.keys()
+            assert not [key for key in keys if ":as_block" in repr(key)]
+
 
 class TestRegistry:
     def test_builtin_names_registered(self):

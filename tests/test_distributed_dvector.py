@@ -5,8 +5,11 @@ import pytest
 
 from repro.cluster import MachineModel, NodeFailedError, VirtualCluster
 from repro.cluster.cost_model import Phase
-from repro.cluster.node import NodeStatus
-from repro.distributed import BlockRowPartition, DistributedVector, swap_names
+from repro.distributed import (
+    BlockRowPartition,
+    DistributedMultiVector,
+    DistributedVector,
+)
 
 
 @pytest.fixture
@@ -113,13 +116,6 @@ class TestArithmetic:
         b.assign(a)
         assert np.array_equal(b.to_global(), a.to_global())
 
-    def test_pointwise_multiply(self, setup):
-        cluster, partition = setup
-        a = DistributedVector.from_global(cluster, partition, "a", np.arange(20.0))
-        b = DistributedVector.from_global(cluster, partition, "b", np.full(20, 2.0))
-        c = a.pointwise_multiply(b, "c")
-        assert np.allclose(c.to_global(), 2.0 * np.arange(20.0))
-
     def test_operations_charge_cost(self, setup):
         cluster, partition = setup
         a = DistributedVector.from_global(cluster, partition, "a", np.ones(20))
@@ -207,73 +203,42 @@ class TestFailureSemantics:
 
 
 class TestMaintenance:
-    def test_rename(self, setup):
-        cluster, partition = setup
-        vec = DistributedVector.from_global(cluster, partition, "old", np.ones(20))
-        vec.rename("new")
-        assert vec.name == "new"
-        assert np.allclose(vec.to_global(), 1.0)
-
     def test_delete(self, setup):
         cluster, partition = setup
         vec = DistributedVector.from_global(cluster, partition, "v", np.ones(20))
         vec.delete()
         assert vec.lost_ranks() == [0, 1, 2, 3]
 
-    def test_swap_names(self, setup):
-        cluster, partition = setup
-        a = DistributedVector.from_global(cluster, partition, "a", np.ones(20))
-        b = DistributedVector.from_global(cluster, partition, "b", np.zeros(20))
-        swap_names(a, b)
-        assert np.allclose(a.to_global(), 0.0)
-        assert np.allclose(b.to_global(), 1.0)
 
-    def test_swap_names_with_failed_then_replaced_node(self, setup):
-        """A swap during a failure window stays consistent after recovery:
-        the replaced node exposes no block under either name until it is
-        explicitly restored, and the restored block lands under the
-        post-swap association."""
+class TestOneColumnView:
+    def test_storage_is_the_multivector_block(self, setup):
         cluster, partition = setup
-        a = DistributedVector.from_global(cluster, partition, "a", np.ones(20))
-        b = DistributedVector.from_global(cluster, partition, "b", np.zeros(20))
-        cluster.fail_nodes([2])
-        swap_names(a, b)
-        cluster.replace_nodes([2])
-        assert not a.has_block(2)
-        assert not b.has_block(2)
-        a.set_block(2, np.full(5, 7.0))  # recovery restores a's (swapped) data
-        assert np.array_equal(a.get_block(2), np.full(5, 7.0))
-        assert not b.has_block(2)
-        # Surviving ranks swapped normally.
-        assert np.allclose(a.get_block(0), 0.0)
-        assert np.allclose(b.get_block(0), 1.0)
+        vec = DistributedVector.from_global(cluster, partition, "v",
+                                            np.arange(20.0))
+        view = vec.as_multivector()
+        assert type(view) is DistributedMultiVector and view.n_cols == 1
+        assert view.get_block(1).shape == (5, 1)
+        assert np.shares_memory(vec.get_block(1), view.get_block(1))
+        view.scale(2.0)
+        assert np.array_equal(vec.to_global(), 2.0 * np.arange(20.0))
 
-    def test_swap_names_clears_stale_blocks_on_unscrubbed_node(self, setup):
-        """Regression: a node declared failed without a memory scrub (e.g. a
-        false-positive failure detection) must not expose pre-swap blocks
-        under either name when it rejoins -- the swap invalidates the stale
-        keys instead of silently skipping the rank."""
+    def test_set_block_accepts_column_shape(self, setup):
         cluster, partition = setup
-        a = DistributedVector.from_global(cluster, partition, "a", np.ones(20))
-        b = DistributedVector.from_global(cluster, partition, "b", np.zeros(20))
-        node = cluster.node(2)
-        # Declared dead, memory NOT wiped (fail-stop detection and scrubbing
-        # are not atomic on a real machine).
-        node.status = NodeStatus.FAILED
-        swap_names(a, b)
-        node.status = NodeStatus.ALIVE  # zombie rejoin
-        assert not a.has_block(2), "stale pre-swap block exposed under 'a'"
-        assert not b.has_block(2), "stale pre-swap block exposed under 'b'"
+        vec = DistributedVector.zeros(cluster, partition, "v")
+        vec.set_block(2, np.full((5, 1), 3.0))
+        vec.set_block(3, np.full(5, 4.0))
+        assert np.array_equal(vec.get_block(2), np.full(5, 3.0))
+        assert np.array_equal(vec.get_block(3), np.full(5, 4.0))
 
-    def test_rename_clears_stale_blocks_on_unscrubbed_node(self, setup):
-        """Same hazard for rename: the old key must not survive on a node
-        that missed the move."""
+    def test_more_than_one_column_rejected(self, setup):
         cluster, partition = setup
-        vec = DistributedVector.from_global(cluster, partition, "old",
-                                            np.ones(20))
-        node = cluster.node(1)
-        node.status = NodeStatus.FAILED
-        vec.rename("new")
-        node.status = NodeStatus.ALIVE
-        assert not vec.has_block(1)
-        assert ("vec", "old") not in node.memory
+        with pytest.raises(ValueError, match="one column"):
+            DistributedVector(cluster, partition, "v", 2)
+
+    def test_copy_stays_a_vector(self, setup):
+        cluster, partition = setup
+        vec = DistributedVector.from_global(cluster, partition, "v",
+                                            np.arange(20.0))
+        twin = vec.copy("w")
+        assert isinstance(twin, DistributedVector)
+        assert np.array_equal(twin.to_global(), np.arange(20.0))

@@ -10,7 +10,6 @@ from repro.distributed import (
     DistributedMatrix,
     DistributedVector,
     distributed_spmv,
-    ghost_values_for,
     halo_exchange_cost,
     spmv_compute_cost,
 )
@@ -118,14 +117,3 @@ class TestCosts:
         assert cluster.ledger.total_elements([Phase.HALO_COMM]) == \
             ctx.total_exchanged_elements()
 
-
-class TestGhostValues:
-    def test_ghost_values_match_blocks(self, setup):
-        cluster, partition, _, dist, ctx = setup
-        values = np.arange(100.0)
-        x = DistributedVector.from_global(cluster, partition, "x", values)
-        for dst in range(4):
-            ghosts = ghost_values_for(ctx, x, dst)
-            for src, vals in ghosts.items():
-                idx = ctx.send_indices(src, dst)
-                assert np.array_equal(vals, values[idx])

@@ -28,7 +28,6 @@ from repro.distributed import (
     DistributedMatrix,
     DistributedVector,
     distributed_spmv,
-    distributed_spmv_block,
 )
 from repro.matrices import build_matrix, poisson_2d
 from repro.precond import make_preconditioner
@@ -330,7 +329,7 @@ class TestAfterRecovery:
                                   ),
                                   context=problem.context)
             if not use_engine:
-                solver._spmv_p = lambda: distributed_spmv_block(
+                solver._spmv_p = lambda: distributed_spmv(
                     solver.matrix, solver.p, solver.ap, solver.context,
                     engine=False,
                 )

@@ -28,8 +28,6 @@ from repro.distributed import (
     DistributedMultiVector,
     DistributedVector,
     distributed_spmv,
-    distributed_spmv_block,
-    ghost_values_for,
 )
 from repro.matrices import build_matrix, poisson_2d
 from repro.precond import make_preconditioner
@@ -232,7 +230,7 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv_block(dist, x, y, ctx, charge=False)
+        distributed_spmv(dist, x, y, ctx, charge=False)
         y_global = y.to_global()
         for j in range(k):
             xj = DistributedVector.from_global(
@@ -256,8 +254,8 @@ class TestMultiRHS:
             y = DistributedMultiVector.zeros(
                 cluster, partition, f"Y{use_engine}", 4
             )
-            distributed_spmv_block(dist, x, y, ctx, charge=False,
-                                   engine=use_engine)
+            distributed_spmv(dist, x, y, ctx, charge=False,
+                             engine=use_engine)
             outs.append(y.to_global())
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], matrix @ block)
@@ -273,7 +271,7 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv_block(dist, x, y, ctx)
+        distributed_spmv(dist, x, y, ctx)
         ledger = cluster.ledger
         assert ledger.messages[Phase.HALO_COMM] == ctx.total_messages()
         assert ledger.elements[Phase.HALO_COMM] == \
@@ -293,7 +291,7 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv_block(dist, x, y, ctx, charge=False, overlap=True)
+        distributed_spmv(dist, x, y, ctx, charge=False, overlap=True)
         y_global = y.to_global()
         for j in range(k):
             xj = DistributedVector.from_global(
@@ -308,7 +306,7 @@ class TestMultiRHS:
         cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
         block = np.random.default_rng(2).standard_normal((100, 3))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
-        distributed_spmv_block(dist, x, x, ctx, charge=False)
+        distributed_spmv(dist, x, x, ctx, charge=False)
         assert np.array_equal(x.to_global(), matrix @ block)
 
     @pytest.mark.parametrize("overlap", [False, True])
@@ -320,7 +318,7 @@ class TestMultiRHS:
         x = DistributedMultiVector.from_global(cluster, partition, "X",
                                                values[:, None])
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 1)
-        distributed_spmv_block(dist, x, y, ctx, charge=False, overlap=overlap)
+        distributed_spmv(dist, x, y, ctx, charge=False, overlap=overlap)
         xv = DistributedVector.from_global(cluster, partition, "xv", values)
         yv = DistributedVector.zeros(cluster, partition, "yv")
         distributed_spmv(dist, xv, yv, ctx, charge=False, overlap=overlap)
@@ -334,8 +332,8 @@ class TestMultiRHS:
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 2)
         before = [y.get_block(rank) for rank in range(4)]
         for overlap in (False, True):
-            distributed_spmv_block(dist, x, y, ctx, charge=False,
-                                   overlap=overlap)
+            distributed_spmv(dist, x, y, ctx, charge=False,
+                             overlap=overlap)
             assert all(y.get_block(rank) is before[rank] for rank in range(4))
             assert np.allclose(y.to_global(), matrix @ block)
 
@@ -344,7 +342,7 @@ class TestMultiRHS:
         cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
         block = np.random.default_rng(2).standard_normal((100, 3))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
-        distributed_spmv_block(dist, x, x, ctx, charge=False, overlap=True)
+        distributed_spmv(dist, x, x, ctx, charge=False, overlap=True)
         assert np.allclose(x.to_global(), matrix @ block)
 
     def test_block_fails_when_owner_failed(self):
@@ -353,10 +351,10 @@ class TestMultiRHS:
         block = np.ones((100, 2))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 2)
-        distributed_spmv_block(dist, x, y, ctx)
+        distributed_spmv(dist, x, y, ctx)
         cluster.fail_nodes([1])
         with pytest.raises(NodeFailedError):
-            distributed_spmv_block(dist, x, y, ctx)
+            distributed_spmv(dist, x, y, ctx)
 
     def test_multivector_validation(self):
         matrix = poisson_2d(10)
@@ -372,35 +370,11 @@ class TestMultiRHS:
             x.set_block(0, np.ones((partition.size_of(0), 3)))
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 3)
         with pytest.raises(ValueError):
-            distributed_spmv_block(dist, x, y, ctx)
+            distributed_spmv(dist, x, y, ctx)
         with pytest.raises(IndexError):
             x.column(5)
         assert np.array_equal(x.column(1), np.zeros(100))
         assert x.available_ranks() == [0, 1, 2, 3]
-
-
-class TestGhostValuesEnginePath:
-    def test_matches_per_edge_reference(self):
-        matrix = build_matrix("M3", n=1200, seed=0)
-        cluster, partition, dist, ctx, values = make_problem(matrix, 6)
-        x = DistributedVector.from_global(cluster, partition, "x", values)
-        dist.spmv_engine(ctx)  # warm the cache
-        for dst in range(6):
-            legacy = ghost_values_for(ctx, x, dst)
-            fast = ghost_values_for(ctx, x, dst, matrix=dist)
-            assert sorted(legacy) == sorted(fast)
-            for src in legacy:
-                assert np.array_equal(legacy[src], fast[src])
-
-    def test_without_cached_engine_uses_reference(self):
-        matrix = poisson_2d(10)
-        cluster, partition, dist, ctx, values = make_problem(matrix, 4)
-        x = DistributedVector.from_global(cluster, partition, "x", values)
-        # No engine built for this context yet: must still be correct.
-        out = ghost_values_for(ctx, x, 1, matrix=dist)
-        for src, vals in out.items():
-            idx = ctx.send_indices(src, 1)
-            assert np.array_equal(vals, values[idx])
 
 
 class TestPreconditionerWorkCache:

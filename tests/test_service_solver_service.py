@@ -86,6 +86,28 @@ class TestRegistryAndSubmission:
         service.drain()
         assert handle.result(5.0).converged
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected_at_submit(self, service, direct_problem,
+                                               small_poisson, bad):
+        """A non-finite request fails alone at submit time: it never joins
+        the batch, so its would-be batch-mates stay bit-identical to direct
+        one-at-a-time solves."""
+        rhs_list = make_rhs(small_poisson.shape[0], 3)
+        poisoned = rhs_list[1].copy()
+        poisoned[5] = bad
+        handles = [service.submit("poisson", rhs_list[0])]
+        with pytest.raises(ValueError, match="non-finite"):
+            service.submit("poisson", poisoned)
+        handles += [service.submit("poisson", b) for b in rhs_list[1:]]
+        service.drain()
+        results = [h.result(5.0) for h in handles]
+        assert [r.batch_width for r in results] == [3, 3, 3]
+        for rhs, res in zip(rhs_list, results):
+            ref = repro.solve(direct_problem, rhs)
+            assert np.array_equal(res.x, ref.x)
+            assert res.residual_norms == \
+                [float(v) for v in ref.residual_norms]
+
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError, match="window_s"):
             SolverService(window_s=-1.0)
