@@ -9,7 +9,7 @@ the single object that experiment code constructs and passes around.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..utils.rng import RandomState, as_rng
 from .communicator import Communicator
@@ -17,7 +17,7 @@ from .cost_model import CostLedger, MachineModel
 from .errors import ClusterError
 from .failure import FailureInjector, UlfmRuntime
 from .network import Topology, UniformTopology, default_topology
-from .node import Node
+from .node import MemoryEpoch, Node
 from .reliable_storage import ReliableStorage
 
 
@@ -59,10 +59,17 @@ class VirtualCluster:
             as_rng(seed) if self.machine.jitter_rel_std > 0 else
             (as_rng(seed) if seed is not None else None)
         )
+        #: Bumped by every node failure, replacement and memory deletion.
+        self.epoch = MemoryEpoch()
         self.nodes: List[Node] = [
-            Node(rank=r, n_processors=processors_per_node)
+            Node(rank=r, n_processors=processors_per_node, epoch=self.epoch)
             for r in range(self.n_nodes)
         ]
+        #: Driver-side backing storage of the distributed containers, keyed
+        #: like their node-memory entries: each node memory holds only its
+        #: rank's zero-copy view into these arrays (see
+        #: :mod:`repro.distributed.blockstore`).
+        self.arrays: Dict[Any, Any] = {}
         self.ledger = CostLedger(model=self.machine, rng=self._rng)
         self.comm = Communicator(self.nodes, self.topology, self.ledger)
         self.storage = ReliableStorage(self.ledger)

@@ -27,7 +27,10 @@ from .. import sanitizer as _sanitizer
 from .cost_model import CostLedger, Phase
 from .errors import CommunicationError, NodeFailedError
 from .network import Topology
-from .node import Node
+from .node import Node, NodeStatus
+
+#: Marks a rank without a contribution (``None`` is a valid payload).
+_MISSING = object()
 
 
 class Communicator:
@@ -164,39 +167,54 @@ class Communicator:
         shape, so each component of a batched reduction accumulates exactly
         like the corresponding scalar reduction.
         """
-        participants = self.alive_ranks() if alive_only else list(range(self.size))
-        if not alive_only:
-            self._require_alive(participants, "allreduce")
-        missing = [r for r in participants if r not in contributions
-                   and self._nodes[r].is_alive]
+        # One pass over the ranks validates and collects the values.
+        failed: List[int] = []
+        missing: List[int] = []
+        values: List[Any] = []
+        sizes: List[int] = []
+        for rank, node in enumerate(self._nodes):
+            if node.status is NodeStatus.FAILED:
+                if not alive_only:
+                    failed.append(rank)
+                continue
+            value = contributions.get(rank, _MISSING)
+            if value is _MISSING:
+                missing.append(rank)
+                continue
+            values.append(value)
+            sizes.append(value.size if type(value) is np.ndarray
+                         else _payload_elements(value))
+        if failed:
+            raise CommunicationError("allreduce involves failed node(s)",
+                                     failed_ranks=failed)
         if missing:
             raise CommunicationError(
                 f"allreduce is missing contributions from ranks {missing}"
             )
-        values = [contributions[r] for r in participants if r in contributions]
         if not values:
             raise CommunicationError("allreduce with no participants")
-        sizes = sorted({_payload_elements(v) for v in values})
-        if len(sizes) > 1:
-            raise CommunicationError(
-                f"allreduce contributions have mismatched sizes {sizes}"
-            )
         n_scalars = sizes[0]
+        if sizes.count(n_scalars) != len(sizes):
+            raise CommunicationError(
+                f"allreduce contributions have mismatched sizes "
+                f"{sorted(set(sizes))}"
+            )
         if _sanitizer._ACTIVE is not None:
             # After the size check: a size mismatch stays a CommunicationError
             # (the communicator's own contract); the sanitizer adds the
             # stricter same-shape check on top.
             _sanitizer._ACTIVE.on_collective(
                 self, "allreduce_sum",
-                {r: contributions[r] for r in participants
-                 if r in contributions})
+                {rank: contributions[rank]
+                 for rank, node in enumerate(self._nodes)
+                 if node.is_alive and rank in contributions})
         # Summed in rank order with a plain Python loop (not np.sum over a
         # stacked array): the accumulation order is part of the numeric
         # contract that batched reductions match their scalar counterparts
         # component by component.
         total = values[0]
-        for v in values[1:]:
-            total = total + v
+        for value in values[1:]:
+            total = total + value
         n_participants = len(values)
         self._ledger.add_time(
             phase, self._ledger.model.allreduce_time(n_participants, n_scalars)

@@ -39,7 +39,10 @@ class Topology:
         return mat
 
     def max_latency(self) -> float:
-        """``lambda_max`` of Sec. 4.2: the largest pairwise latency."""
+        """``lambda_max`` of Sec. 4.2: the largest pairwise latency.
+
+        Subclasses with a closed form override this ``O(N^2)`` scan.
+        """
         if self.n_nodes == 1:
             return 0.0
         return float(self.latency_matrix().max())
@@ -66,6 +69,9 @@ class UniformTopology(Topology):
     def latency(self, src: int, dst: int) -> float:
         self._check_ranks(src, dst)
         return 0.0 if src == dst else self._latency
+
+    def max_latency(self) -> float:
+        return 0.0 if self.n_nodes == 1 else self._latency
 
 
 class FatTreeTopology(Topology):
@@ -110,6 +116,13 @@ class FatTreeTopology(Topology):
             return self.latency_intra
         return self.latency_inter
 
+    def max_latency(self) -> float:
+        if self.n_nodes == 1:
+            return 0.0
+        if self.n_nodes > self.nodes_per_switch:
+            return self.latency_inter
+        return self.latency_intra
+
 
 class TorusTopology(Topology):
     """1-D torus (ring) with hop-proportional latency.
@@ -135,6 +148,11 @@ class TorusTopology(Topology):
         if src == dst:
             return 0.0
         return self.base_latency + self.hops(src, dst) * self.per_hop_latency
+
+    def max_latency(self) -> float:
+        if self.n_nodes == 1:
+            return 0.0
+        return self.base_latency + (self.n_nodes // 2) * self.per_hop_latency
 
 
 def default_topology(n_nodes: int, model_latency_intra: Optional[float] = None,

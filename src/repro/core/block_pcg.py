@@ -77,6 +77,7 @@ from ..precond.base import Preconditioner
 from ..precond.identity import IdentityPreconditioner
 from ..solvers.result import SolveResult, jsonify
 from ..utils.logging import get_logger
+from ..utils.validation import check_finite
 
 logger = get_logger("core.block_pcg")
 
@@ -269,7 +270,7 @@ class BlockPCG:
         #: PETSc's overlapped MatMult (last-bits differences; see
         #: repro.distributed.spmv_engine).
         self.overlap_spmv = bool(overlap_spmv)
-        #: Execute the batched SpMVs through the cached local-view engine
+        #: Execute the batched SpMVs through the cached SpMV engine
         #: (default); ``False`` runs the dense-gather reference path
         #: (bit-identical results and charges).
         self.engine = bool(engine)
@@ -362,9 +363,11 @@ class BlockPCG:
         to back.
         """
         model = self.cluster.ledger.model
-        for rank in range(self.partition.n_parts):
-            block = self.preconditioner.apply_block(rank, residual.get_block(rank))
-            out.set_block(rank, block)
+        apply_block = self.preconditioner.apply_block
+        blocks = residual.blocks()
+        targets = out.blocks(overwrite=True)
+        for rank, block in enumerate(blocks):
+            targets[rank][...] = apply_block(rank, block)
         self.cluster.ledger.add_time(
             Phase.PRECOND_COMPUTE,
             model.precond_apply_time(
@@ -374,15 +377,34 @@ class BlockPCG:
         return out
 
     def _initial_guess_block(self, x0) -> DistributedMultiVector:
+        """The iterate block ``X(0)``, validated: finite values, and the
+        shape of the right-hand side -- ``(n,)`` for a 1-D rhs, ``(n, k)``
+        for a block (a distributed ``x0`` must have ``k`` columns)."""
+        name = f"{self.vector_prefix}:x"
         if x0 is None:
             return self._mvec("x")
         if isinstance(x0, DistributedMultiVector):
-            return x0.as_multivector().copy(f"{self.vector_prefix}:x")
+            if x0.n_cols != self.n_cols:
+                raise ValueError(
+                    f"x0 has {x0.n_cols} columns but the right-hand side "
+                    f"has {self.n_cols}"
+                )
+            if x0.cluster is not self.cluster or \
+                    not self.partition.is_compatible_with(x0.partition):
+                raise ValueError(
+                    "x0 lives on another cluster or partition than the "
+                    "right-hand side"
+                )
+            x = x0.as_multivector().copy(name)
+            check_finite(x.stacked(), "x0")
+            return x
+        values = check_finite(x0, "x0")
+        n, k = self.partition.n, self.n_cols
+        shape = (n,) if self.single_rhs else (n, k)
+        if values.shape != shape:
+            raise ValueError(f"x0 must have shape {shape}, got {values.shape}")
         return DistributedMultiVector.from_global(
-            self.cluster, self.partition, f"{self.vector_prefix}:x",
-            np.asarray(x0, dtype=np.float64).reshape(self.partition.n,
-                                                     self.n_cols),
-        )
+            self.cluster, self.partition, name, values.reshape(n, k))
 
     def _spmv(self, x: DistributedMultiVector,
               out: DistributedMultiVector) -> None:

@@ -9,23 +9,16 @@ exact state reconstruction (Sec. 2.2).  The *extra* traffic is charged to the
 ``comm.redundancy`` phase of the cost model using the latency-bandwidth
 analysis of Sec. 4.2 (piggybacked extras pay no latency).
 
-**Fused staging.**  The per-iteration snapshot is executed through a
-precomputed :class:`FusedStagingIndex`: the ``(owner, holder)`` held pattern
-of the :class:`~repro.core.redundancy.RedundancyScheme` is translated once
-into positions inside a staging buffer whose first section mirrors the SpMV
-engine's send pool (layout derived from the same
-:class:`CommunicationContext`) and whose tail holds the few pattern elements
-the SpMV never ships (the non-piggybacked parts of ``R^c_ik``).  When the
-solver's matrix holds a cached
-:class:`~repro.distributed.spmv_engine.SpmvEngine`, the pool section is one
-``memcpy`` of values the engine already staged for the SpMV of the same
-iteration; otherwise it is re-staged with one fancy-index per owner.  Each
-holder's copies then come out of a single vectorized gather and are stored as
-slices -- no Python loop over the ``O(N^2)`` ``(owner, holder)`` pairs, and
-the stored values are byte-identical to the former per-pair gathers.
-Failures are handled exactly as before: a dead holder stores nothing, and a
-failed owner's pairs are skipped for the iteration (the rare case falls back
-to per-pair gathers of the surviving owners).
+**Staging.**  The per-iteration snapshot runs through a precomputed
+:class:`StagingIndex`: the ``(owner, holder)`` held pattern of the
+:class:`~repro.core.redundancy.RedundancyScheme` is translated once into one
+gather index over the global rows of the search direction, grouped by
+holder.  Every iteration then gathers all copies with one fancy-index into
+the search direction's contiguous ``(n, k)`` array (see
+:mod:`repro.distributed.blockstore`) and stores each pair's copies as a
+slice of the result -- the only per-rank work left is the store the model
+makes each holder do.  A dead holder stores nothing, and a failed owner's
+pairs are skipped for the iteration.
 
 After node failures, :meth:`recover_block` re-assembles a failed node's block
 of either generation from the copies on surviving nodes, charging the reverse
@@ -37,16 +30,13 @@ survivor.
 blocks of a lock-step solve with ``n_cols = k`` columns
 (:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`; a single
 right-hand side is ``k = 1``): the stored copies are ``(|R^c_ik|, k)`` row
-slices, staged through the :class:`FusedStagingIndex` tables with a
-``(pool + extras, k)`` buffer whose pool section rides the batched SpMV's
-``(pool, k)`` send pool (one memcpy when the engine staged it from the same
-block).  The **charge model** mirrors the batched halo exchange: per round
-the overhead is ``max_i (lambda_ik? + |R^c_ik| * k * mu)`` -- the extras of
-all ``k`` columns travel in *one* message, so the message count (and every
-latency term) is independent of ``k`` and only the volume term scales (see
-:meth:`RedundancyScheme.round_overhead_times`).  Recovery reassembles all
-``k`` columns of a failed ``(n_i, k)`` block from the same surviving copies
-(one message per holder, ``rows * k`` elements).
+slices of the one gather.  The **charge model** mirrors the batched halo
+exchange: per round the overhead is ``max_i (lambda_ik? + |R^c_ik| * k *
+mu)`` -- the extras of all ``k`` columns travel in *one* message, so the
+message count (and every latency term) is independent of ``k`` and only the
+volume term scales (see :meth:`RedundancyScheme.round_overhead_times`).
+Recovery reassembles all ``k`` columns of a failed ``(n_i, k)`` block from
+the same surviving copies (one message per holder, ``rows * k`` elements).
 
 **Parity schemes.**  The storage strategy above is the default ``"copies"``
 redundancy scheme; the protocol equally drives any scheme registered in
@@ -65,6 +55,7 @@ to the copies path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -78,7 +69,6 @@ from ..utils.rng import RandomState
 from .placement import PlacementLike
 from .redundancy import (
     BackupPlacement,
-    RedundancyScheme,
     RedundancySchemeBase,
     build_redundancy_scheme,
 )
@@ -94,179 +84,63 @@ _ESR_SELF_KEY = "esr_self"
 _ESR_PARITY_KEY = "esr_parity"
 
 
-class FusedStagingIndex:
-    """Precomputed ``(owner, holder) -> staging-buffer slice`` tables.
+class StagingIndex:
+    """Precomputed gather tables of the per-iteration redundant stores.
 
-    Built once from a :class:`RedundancyScheme` (whose held pattern and
-    context are immutable): the staging buffer is ``[send pool | extras]``
-    where the send-pool section replicates the SpMV engine's layout (per
-    owner, the sorted locally-owned indices it sends to at least one other
-    node) and the extras section holds the pattern elements no SpMV message
-    carries.  Per holder, one precomputed gather index array pulls all its
-    copies out of the buffer; per ``(owner, holder)`` pair the copies are a
-    contiguous ``[lo, hi)`` slice of that gather.
+    Built once from the held pattern (immutable): the global indices of all
+    ``(owner, holder)`` pairs, concatenated holder by holder in sorted
+    order, form one gather index into the search direction; per holder,
+    ``[(owner, lo, hi)]`` locates each pair's copies as a contiguous slice
+    of the gathered rows.
     """
 
-    def __init__(self, scheme: RedundancyScheme,
-                 pattern_local: Dict[Tuple[int, int], np.ndarray]):
-        context = scheme.context
-        partition = scheme.partition
-        n_parts = partition.n_parts
-        self._context = context
-        self._n_parts = n_parts
+    def __init__(self, pattern: Dict[Tuple[int, int], np.ndarray]):
         #: Nothing to stage at all (no pattern entries, e.g. a single-node
-        #: run): lets the per-iteration path skip staging entirely, matching
-        #: the former loop-over-nothing no-op.
-        self.is_empty = not pattern_local
+        #: run): lets the per-iteration path skip staging entirely.
+        self.is_empty = not pattern
+        by_holder: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        for (owner, holder), idx in sorted(pattern.items()):
+            by_holder.setdefault(holder, []).append((owner, idx))
+        chunks: List[np.ndarray] = []
+        #: ``(holder, [(owner, lo, hi), ...])`` in ascending holder order.
+        self._holders: List[Tuple[int, List[Tuple[int, int, int]]]] = []
+        pos = 0
+        for holder in sorted(by_holder):
+            slices = []
+            for owner, idx in by_holder[holder]:
+                slices.append((owner, pos, pos + int(idx.size)))
+                chunks.append(idx)
+                pos += int(idx.size)
+            self._holders.append((holder, slices))
+        self._gather = (np.concatenate(chunks) if chunks
+                        else np.empty(0, dtype=np.int64))
 
-        # -- send-pool layout: the context's canonical helper, i.e. the
-        #    exact layout the SpMV engine stages its pool with.
-        sent_global, pool_offsets = context.send_pool_layout()
-        self._sent_local: List[np.ndarray] = [
-            sent_global[owner] - partition.range_of(owner)[0]
-            for owner in range(n_parts)
-        ]
-        self._pool_offsets = pool_offsets
-        self.pool_size = int(pool_offsets[-1])
+    def distribute(self, cluster: VirtualCluster, p, slot: int) -> None:
+        """Store every alive holder's copies of *p* under
+        ``(_ESR_KEY, slot, owner)``.
 
-        # -- extras: pattern elements the SpMV send pool does not carry ----
-        per_owner: Dict[int, List[np.ndarray]] = {}
-        for (owner, _holder), local_idx in pattern_local.items():
-            per_owner.setdefault(owner, []).append(local_idx)
-        self._extra_local: List[np.ndarray] = []
-        extra_offsets = np.zeros(n_parts + 1, dtype=np.int64)
-        for owner in range(n_parts):
-            chunks = per_owner.get(owner)
-            needed = (np.unique(np.concatenate(chunks)) if chunks
-                      else np.empty(0, dtype=np.int64))
-            extra = needed[~self._in_sent(owner, needed)]
-            self._extra_local.append(extra)
-            extra_offsets[owner + 1] = extra_offsets[owner] + extra.size
-        self._extra_offsets = extra_offsets
-        self.extras_size = int(extra_offsets[-1])
-        #: Per column count k: ``(pool + extras, k)`` staging buffers.
-        self._block_buffers: Dict[int, np.ndarray] = {}
-        #: The buffer the most recent ``stage_block`` call filled (what
-        #: :meth:`distribute` reads).
-        self._staged: Optional[np.ndarray] = None
-
-        # -- per-holder gather tables (deterministic pair order) -----------
-        self._holder_gather: Dict[int, np.ndarray] = {}
-        #: holder -> [(owner, lo, hi)] slices of the holder's gather result.
-        self._holder_slices: Dict[int, List[Tuple[int, int, int]]] = {}
-        grouped: Dict[int, List[np.ndarray]] = {}
-        for (owner, holder), local_idx in sorted(pattern_local.items()):
-            sent = self._sent_local[owner]
-            in_pool = self._in_sent(owner, local_idx)
-            pos = np.empty(local_idx.size, dtype=np.int64)
-            pos[in_pool] = pool_offsets[owner] + np.searchsorted(
-                sent, local_idx[in_pool]
-            )
-            pos[~in_pool] = self.pool_size + extra_offsets[owner] + \
-                np.searchsorted(self._extra_local[owner],
-                                local_idx[~in_pool])
-            chunks = grouped.setdefault(holder, [])
-            lo = int(sum(c.size for c in chunks))
-            chunks.append(pos)
-            self._holder_slices.setdefault(holder, []).append(
-                (owner, lo, lo + int(local_idx.size))
-            )
-        for holder, chunks in grouped.items():
-            self._holder_gather[holder] = np.concatenate(chunks)
-
-    def _in_sent(self, owner: int, local_idx: np.ndarray) -> np.ndarray:
-        """Mask over sorted *local_idx*: which entries the send pool carries."""
-        sent = self._sent_local[owner]
-        if sent.size == 0 or local_idx.size == 0:
-            return np.zeros(local_idx.size, dtype=bool)
-        ins = np.searchsorted(sent, local_idx)
-        found = ins < sent.size
-        found[found] = sent[ins[found]] == local_idx[found]
-        return found
-
-    # -- per-iteration execution -------------------------------------------
-    def stage_block(self, p, engine) -> Set[int]:
-        """Fill the staging buffer from the ``(n, k)`` block *p*; returns the
-        failed owner ranks.
-
-        The ``(pool + extras, k)`` buffer's pool section is one memcpy of the
-        engine's batched ``(pool, k)`` send pool when the block SpMV that
-        immediately precedes ``after_spmv`` staged it from *p*
-        (:meth:`SpmvEngine.block_pool_staged_from`); otherwise both sections
-        are staged with one 2-D fancy-index per owner.  Every owner's block
-        is read through the node memory regardless, so failed owners are
-        detected.
+        One gather pulls all copies out of *p*'s ``(n, k)`` array.  A failed
+        owner's pairs are skipped -- its block will be reconstructed before
+        the solver continues -- and keep whatever the slot held before.
         """
-        k = int(p.n_cols)
-        buf = self._block_buffers.get(k)
-        if buf is None:
-            buf = np.empty((self.pool_size + self.extras_size, k))
-            self._block_buffers[k] = buf
-        pool = engine.block_send_pool(k) if engine is not None else None
-        reuse = (
-            pool is not None
-            and engine.context is self._context
-            and pool.shape == (self.pool_size, k)
-            and engine.block_pool_staged_from(p)
-        )
-        if reuse:
-            buf[:self.pool_size] = pool
-        self._staged = buf
-        return self._stage_rest(buf, p, reuse)
-
-    def _stage_rest(self, buf: np.ndarray, p, reuse: bool) -> Set[int]:
-        """Stage the non-reused sections of *buf* from *p*."""
-        failed: Set[int] = set()
-        pool_offsets = self._pool_offsets
-        extra_offsets = self._extra_offsets
-        for owner in range(self._n_parts):
-            try:
-                block = p.get_block(owner)
-            except NodeFailedError:
-                # The owner itself is failed; its block will be reconstructed
-                # before the solver continues, nothing to store now.
-                failed.add(owner)
-                continue
-            if not reuse:
-                sent = self._sent_local[owner]
-                if sent.size:
-                    buf[pool_offsets[owner]:pool_offsets[owner + 1]] = \
-                        block[sent]
-            extra = self._extra_local[owner]
-            if extra.size:
-                lo = self.pool_size + extra_offsets[owner]
-                buf[lo:lo + extra.size] = block[extra]
-        return failed
-
-    def distribute(self, cluster: VirtualCluster, slot: int,
-                   failed: Set[int]) -> None:
-        """Store every alive holder's copies under ``(_ESR_KEY, slot, owner)``.
-
-        The failure-free path is one vectorized gather per holder plus slice
-        views; with failed owners the surviving pairs are gathered
-        individually -- still whole ``(rows, k)`` slices out of the staged
-        buffer (one gather per pair, never one per column) -- and copies of failed
-        owners keep whatever the slot held before, matching the former
-        per-pair behaviour.
-        """
-        buf = self._staged
-        for holder, gather in self._holder_gather.items():
-            node = cluster.node(holder)
+        try:
+            values = p.stacked()[self._gather]
+            failed: Set[int] = set()
+        except NodeFailedError:
+            failed = set(cluster.failed_ranks())
+            values = p.stacked(alive_only=True)[self._gather]
+        nodes = cluster.nodes
+        for holder, slices in self._holders:
+            node = nodes[holder]
             if not node.is_alive:
                 # A failed holder simply stores nothing; the invariant still
                 # guarantees enough surviving copies as long as the total
                 # number of failures stays within phi.
                 continue
-            slices = self._holder_slices[holder]
-            if not failed:
-                values = buf[gather]
-                for owner, lo, hi in slices:
-                    node.memory[(_ESR_KEY, slot, owner)] = values[lo:hi]
-            else:
-                for owner, lo, hi in slices:
-                    if owner in failed:
-                        continue
-                    node.memory[(_ESR_KEY, slot, owner)] = buf[gather[lo:hi]]
+            memory = node.memory
+            for owner, lo, hi in slices:
+                if owner not in failed:
+                    memory[(_ESR_KEY, slot, owner)] = values[lo:hi]
 
 
 @dataclass
@@ -282,7 +156,7 @@ class ESRProtocol:
     def __init__(self, cluster: VirtualCluster, context: CommunicationContext,
                  phi: int, *, placement: PlacementLike = BackupPlacement.PAPER,
                  scheme: Union[str, RedundancySchemeBase, None] = None,
-                 matrix=None, n_cols: int = 1,
+                 n_cols: int = 1,
                  rack_size: Optional[int] = None,
                  rng: Optional[RandomState] = None,
                  scheme_options: Optional[Dict[str, object]] = None):
@@ -311,11 +185,6 @@ class ESRProtocol:
                 f"redundancy scheme phi={self.scheme.phi} does not match "
                 f"protocol phi={self.phi}"
             )
-        #: Optional :class:`~repro.distributed.dmatrix.DistributedMatrix`
-        #: whose cached SpMV engine (for this context) staged the send pool
-        #: during the SpMV that precedes each ``after_spmv`` call; when set,
-        #: the fused staging reuses those pool values instead of re-gathering.
-        self._matrix = matrix
         #: Non-``None`` for parity-kind schemes: storage switches from the
         #: held-pattern snapshots to owner-local snapshots + parity rows.
         self._parity = self.scheme if self.scheme.kind == "parity" else None
@@ -327,11 +196,10 @@ class ESRProtocol:
         for (owner, holder), idx in self._pattern.items():
             start, _ = self.partition.range_of(owner)
             self._pattern_local[(owner, holder)] = idx - start
-        #: Fused per-iteration staging tables (pattern and context are
-        #: static); parity schemes stage nothing through the pattern path.
+        #: Per-iteration staging tables (the pattern is static); parity
+        #: schemes stage nothing through the pattern path.
         self._staging = (None if self._parity is not None
-                         else FusedStagingIndex(self.scheme,
-                                                self._pattern_local))
+                         else StagingIndex(self._pattern))
         #: Iteration number stored in each of the two generation slots.
         self._generations: Dict[int, GenerationInfo] = {
             0: GenerationInfo(), 1: GenerationInfo()
@@ -354,13 +222,10 @@ class ESRProtocol:
         """Record redundant copies of ``p^(iteration)`` on all holder nodes.
 
         *p* is a :class:`~repro.distributed.dmultivector.
-        DistributedMultiVector` with ``n_cols`` columns.  Must be called
-        right after the SpMV of the given iteration (when the halo values
-        have just been communicated anyway) -- the fused staging relies on
-        this to reuse the SpMV engine's already-staged send pool when one is
-        cached on the protocol's matrix.  Charges only the *extra*
-        redundancy traffic; the natural halo traffic was already charged by
-        the SpMV itself.
+        DistributedMultiVector` with ``n_cols`` columns.  Called right after
+        the SpMV of the given iteration (when the halo values have just been
+        communicated anyway).  Charges only the *extra* redundancy traffic;
+        the natural halo traffic was already charged by the SpMV itself.
         """
         if getattr(p, "n_cols", None) != self.n_cols:
             raise ValueError(
@@ -372,10 +237,7 @@ class ESRProtocol:
         if self._parity is not None:
             self._store_parity(p, iteration, slot)
         elif not self._staging.is_empty:
-            engine = (self._matrix.cached_spmv_engine(self.context)
-                      if self._matrix is not None else None)
-            failed = self._staging.stage_block(p, engine)
-            self._staging.distribute(self.cluster, slot, failed)
+            self._staging.distribute(self.cluster, p, slot)
         # Charge the extra redundancy communication of this iteration.
         if self.phi > 0 and self._overhead_time > 0.0:
             self.cluster.ledger.add_time(Phase.REDUNDANCY_COMM, self._overhead_time)
@@ -423,16 +285,23 @@ class ESRProtocol:
 
     def store_replicated_scalars(self, iteration: int, **scalars) -> None:
         """Replicate solver coefficients (e.g. the ``(k,)`` ``beta``) on every
-        alive node; every node stores its own copy so a later in-place driver
-        update cannot silently rewrite history."""
-        payload = dict(scalars)
+        alive node.
+
+        The values are copied once and made read-only, and every node stores
+        that one payload: a later in-place driver update cannot rewrite
+        history, and no node can alter the copy the others hold.
+        """
+        payload = {}
+        for key, value in scalars.items():
+            if isinstance(value, np.ndarray):
+                value = np.array(value, copy=True)
+                value.flags.writeable = False
+            payload[key] = value
         payload["iteration"] = iteration
-        for rank in self.cluster.alive_ranks():
-            self.cluster.node(rank).memory[_SCALAR_KEY] = {
-                key: (np.array(value, copy=True)
-                      if isinstance(value, np.ndarray) else value)
-                for key, value in payload.items()
-            }
+        payload = MappingProxyType(payload)
+        for node in self.cluster.nodes:
+            if node.is_alive:
+                node.memory[_SCALAR_KEY] = payload
 
     # -- queries --------------------------------------------------------------------
     def generation_iteration(self, slot: int) -> int:

@@ -426,11 +426,11 @@ class ESRReconstructor:
         This is the vectorized reverse scatter: instead of assembling a dense
         global zero vector per recovery, only the entries the reconstruction
         actually references (*columns*, sorted and survivor-owned) are
-        gathered block-by-block through the same compressed index maps the
-        SpMV engine uses.  The communication of the surviving entries to the
-        replacement nodes is charged per (survivor -> replacement) message,
-        with message sizes given by the SpMV scatter pattern (exactly as in
-        the paper's reverse-scatter implementation, Sec. 6).
+        gathered block-by-block from the survivors' blocks.  The
+        communication of the surviving entries to the replacement nodes is
+        charged per (survivor -> replacement) message, with message sizes
+        given by the SpMV scatter pattern (exactly as in the paper's
+        reverse-scatter implementation, Sec. 6).
         """
         partition = self.partition
         ledger = self.cluster.ledger

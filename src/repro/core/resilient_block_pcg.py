@@ -21,9 +21,9 @@ reconstruction time and the "overhead with failures" columns.
 The ESR machinery works on whole ``(n_i, k)`` blocks:
 
 * after every batched SpMV, each holder stores ``(rows, k)`` slices of the
-  two most recent search-direction blocks, staged through the fused staging
-  that rides the batched SpMV's already-staged ``(pool, k)`` send pool (one
-  memcpy on the failure-free path; see :mod:`repro.core.esr`);
+  two most recent search-direction blocks, all gathered with one
+  fancy-index into the search direction's ``(n, k)`` array (see
+  :mod:`repro.core.esr`);
 * the extra redundancy traffic is charged with the block charge model --
   message count and latency terms independent of ``k``, volume scaling with
   ``k`` -- exactly mirroring how the batched halo exchange is charged;
@@ -111,12 +111,9 @@ class EsrResilienceMixin:
                                               placement=self.placement,
                                               rack_size=rack_size,
                                               options=scheme_options)
-        # Handing the matrix to the protocol lets the fused redundancy
-        # staging reuse the SpMV engine's already-staged send pool each
-        # iteration instead of re-gathering the natural halo values.
         self.esr = ESRProtocol(self.cluster, self.context, self.phi,
                                placement=self.placement, scheme=self.scheme,
-                               matrix=self.matrix, n_cols=self.n_cols)
+                               n_cols=self.n_cols)
         self.reconstructor = ESRReconstructor(
             self.cluster, self.matrix, self.rhs, self.preconditioner,
             self.context, self.esr,

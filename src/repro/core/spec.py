@@ -23,7 +23,7 @@ Defaults at a glance
 right-hand side, block PCG for a multi-RHS block, resilient PCG as soon as
 a :class:`ResilienceSpec` is attached), ``rtol=1e-8``, ``atol=0``, the
 solver's own iteration cap (``10 n``), serialized SpMV through the
-local-view engine, and a block-Jacobi preconditioner -- exactly the paper's
+SpMV engine, and a block-Jacobi preconditioner -- exactly the paper's
 reference configuration.
 """
 
@@ -246,7 +246,7 @@ class SolveSpec:
     #: Execute SpMVs split-phase (halo exchange overlapped with the diagonal
     #: block product) and charge the overlap-aware cost.
     overlap_spmv: bool = False
-    #: Execute SpMVs through the cached local-view engine (default); ``False``
+    #: Execute SpMVs through the cached SpMV engine (default); ``False``
     #: forces the dense-gather reference path (bit-identical results/charges).
     engine: bool = True
     #: Preconditioner: a registered name (see ``repro.precond.PRECONDITIONERS``),

@@ -1,11 +1,12 @@
 """Distributed sparse linear algebra on the virtual cluster.
 
 Block-row partitions, distributed multi-vectors (a vector is the one-column
-case) and matrices with node-local storage, SpMV communication contexts
-(generalized scatters), the distributed SpMV and its local-view execution
-engine (compressed ghost columns, split-phase comm/compute overlap, one
-batched kernel;
-PETSc-style ``MatMult`` -- see :mod:`repro.distributed.spmv_engine`).
+case) and matrices -- each one contiguous array whose per-rank views live in
+the node memories (see :mod:`repro.distributed.blockstore`) -- SpMV
+communication contexts (generalized scatters), and the distributed SpMV with
+its execution engine (one sparse kernel over all ranks, split-phase
+comm/compute overlap; PETSc-style ``MatMult`` -- see
+:mod:`repro.distributed.spmv_engine`).
 """
 
 from .comm_context import CommunicationContext, ScatterEdge

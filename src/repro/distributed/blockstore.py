@@ -1,22 +1,38 @@
-"""Node-local block bookkeeping of the distributed multi-vector storage.
+"""Contiguous storage of the distributed containers, seen per rank.
 
-A :class:`~repro.distributed.dmultivector.DistributedMultiVector` (and its
-one-column :class:`~repro.distributed.dvector.DistributedVector` view) keeps
-one NumPy block per node, stored under a private key inside that node's
-:class:`~repro.cluster.node.NodeMemory`, with the block of rank ``i``
-covering the partition rows ``I_i``.  The availability queries, the
-recovery write path and the driver-side assembly helper depend only on that
-contract, so they live here, apart from the numeric kernels.
+A distributed container -- a
+:class:`~repro.distributed.dmultivector.DistributedMultiVector` (and so its
+one-column :class:`~repro.distributed.dvector.DistributedVector` face) or a
+:class:`~repro.distributed.dmatrix.DistributedMatrix` -- keeps all its rows
+in **one** driver-side object: a C-order ``(n, k)`` array, or one CSR
+matrix.  A :class:`BlockArray` pairs that object with its per-rank
+zero-copy views (the view of rank ``i`` covers the partition rows ``I_i``)
+and is registered in the cluster's ``arrays`` under the container's
+node-memory key, so every handle of one name sees one array.
+
+Each node's :class:`~repro.cluster.node.NodeMemory` holds only its own
+rank's view.  A failure wipes that memory, so the view is gone and SimSan
+tombstones the key; a replacement node starts without it; and
+``restore_block`` writes the recovered values into the rank's rows and puts
+the view back.  Per-rank access (``get_block``) reads the node memory.
+
+**Liveness check.**  A whole-array kernel (BLAS-1, the reductions, the SpMV,
+ESR staging) first calls :meth:`BlockArray.check`.  It raises exactly what
+the per-rank read ``node.memory[key]`` of the first unreadable rank raises:
+``NodeFailedError`` on a failed node, ``KeyError`` on a replacement node
+whose block was not restored.  The check walks the ranks once and then
+records the cluster's :class:`~repro.cluster.node.MemoryEpoch`; every later
+check is one integer comparison, until a node fails or is replaced or a
+memory entry is deleted.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Tuple
+from typing import Any, Iterable, List, NoReturn, Optional
 
 import numpy as np
 
 from .. import sanitizer as _sanitizer
-from ..cluster.errors import NodeFailedError
 from .partition import BlockRowPartition
 
 
@@ -32,8 +48,88 @@ def participating_max_block_size(partition: BlockRowPartition,
     return max((partition.size_of(r) for r in ranks), default=0)
 
 
+class BlockArray:
+    """One container's contiguous storage and its per-rank views.
+
+    ``data`` is the whole container (an ``(n, k)`` array or a CSR matrix)
+    and ``views[rank]`` the zero-copy object that rank's node memory holds
+    under ``key``.  Creating one registers it as the storage of ``key`` in
+    the cluster's ``arrays`` (replacing any earlier one).  It keeps the
+    cluster's nodes and epoch, not the cluster, so the registry holds no
+    reference cycle and dropped storage is freed at once.
+    """
+
+    __slots__ = ("nodes", "epoch", "key", "data", "views", "checked")
+
+    def __init__(self, cluster, key: Any, data: Any, views: List[Any]):
+        self.nodes = cluster.nodes
+        self.epoch = cluster.epoch
+        self.key = key
+        self.data = data
+        self.views = views
+        #: Memory epoch at which every rank was last seen holding its view.
+        self.checked = -1
+        cluster.arrays[key] = self
+
+    def check(self, *, alive_only: bool = False) -> "BlockArray":
+        """Raise what a per-rank read would, unless every rank holds its view.
+
+        With *alive_only* failed ranks are skipped (the surviving-subset
+        semantics of the reductions); that partial check is not cached.
+        """
+        epoch = self.epoch.value
+        if self.checked == epoch:
+            return self
+        key = self.key
+        for node, view in zip(self.nodes, self.views):
+            if alive_only and node.is_failed:
+                continue
+            if node.memory[key] is not view:
+                raise KeyError(f"{key!r} on rank {node.rank} is not a view "
+                               "of this container's storage")
+        if not alive_only:
+            self.checked = epoch
+        return self
+
+    def install(self, ranks: Optional[Iterable[int]] = None) -> "BlockArray":
+        """Put the views of *ranks* (default: all) into their node memories.
+
+        The write path of an operation that overwrites whole blocks (the
+        SpMV output, the preconditioner output, a new container): a failed
+        node raises ``NodeFailedError``; a replacement node without the
+        block gets its view back.
+        """
+        epoch = self.epoch.value
+        if ranks is None and self.checked == epoch:
+            return self
+        key = self.key
+        for rank in range(len(self.views)) if ranks is None else ranks:
+            memory = self.nodes[rank].memory
+            view = self.views[rank]
+            if key not in memory or memory[key] is not view:
+                memory[key] = view
+        if ranks is None:
+            self.checked = epoch
+        return self
+
+
+def raise_unreadable(cluster, key: Any, *, alive_only: bool = False
+                     ) -> NoReturn:
+    """Fail a read of a container that has no storage of the right shape.
+
+    Reads every rank's entry first (skipping failed ranks with
+    *alive_only*), so a failed node raises ``NodeFailedError`` and a missing
+    entry ``KeyError``, as the per-rank read would; entries that are left
+    belong to other storage.
+    """
+    for node in cluster.nodes:
+        if not (alive_only and node.is_failed):
+            node.memory[key]
+    raise KeyError(f"{key!r} holds storage of a different shape")
+
+
 class NodeBlockStore:
-    """Mixin with the per-node block bookkeeping.
+    """Mixin with the per-rank bookkeeping of the multi-vector storage.
 
     Expected host-class contract:
 
@@ -41,8 +137,6 @@ class NodeBlockStore:
     * ``self.partition`` -- the
       :class:`~repro.distributed.partition.BlockRowPartition`;
     * ``self._key()`` -- the node-memory key the blocks are stored under;
-    * ``self.get_block(rank)`` -- the block of *rank* (raising
-      :class:`~repro.cluster.errors.NodeFailedError` on failed nodes);
     * ``self.set_block(rank, values)`` -- overwrite the block of *rank*
       (shape-validated by the host class).
     """
@@ -53,13 +147,12 @@ class NodeBlockStore:
         The recovery-path counterpart of ``set_block``, used by the ESR
         reconstruction to re-install reconstructed ``(n_i, k)`` blocks on
         the replacement nodes the ULFM runtime provided.  The values are
-        defensively copied so the reconstruction's driver-side work buffers
-        can never alias node-local memory (a later in-place block update
-        must not silently rewrite the driver's recovery records, and vice
-        versa).  Writing to a failed node raises ``NodeFailedError`` exactly
+        copied into the rank's rows of the contiguous storage, so the
+        reconstruction's driver-side work buffers never alias node-local
+        memory.  Writing to a failed node raises ``NodeFailedError`` exactly
         like ``set_block``.
         """
-        self.set_block(rank, np.array(values, dtype=np.float64, copy=True))
+        self.set_block(rank, values)
         if _sanitizer._ACTIVE is not None:
             _sanitizer._ACTIVE.on_block_restored(rank, self._key())
 
@@ -81,32 +174,8 @@ class NodeBlockStore:
     def delete(self) -> None:
         """Remove this container's blocks from all alive nodes."""
         key = self._key()
+        self.cluster.arrays.pop(key, None)
         for rank in range(self.partition.n_parts):
             node = self.cluster.node(rank)
             if node.is_alive and key in node.memory:
                 del node.memory[key]
-
-    # -- driver-side assembly ------------------------------------------------
-    def _assemble(self, extract: Callable[[np.ndarray], np.ndarray],
-                  tail_shape: Tuple[int, ...], *, allow_missing: bool = False,
-                  fill_value: float = np.nan) -> np.ndarray:
-        """Assemble ``extract(block)`` of every rank into one global array.
-
-        *extract* maps each rank's block to the rows it contributes (shape
-        ``(n_i,) + tail_shape``); the identity assembles the full container,
-        a column selector assembles just that column.  This is an
-        orchestration/verification helper (it is *not* charged to the cost
-        model); the solvers themselves only use block access and explicit
-        communication.  With ``allow_missing=True`` the rows of failed nodes
-        are replaced by ``fill_value`` instead of raising.
-        """
-        out = np.full((self.partition.n,) + tail_shape, fill_value,
-                      dtype=np.float64)
-        for rank in range(self.partition.n_parts):
-            start, stop = self.partition.range_of(rank)
-            try:
-                out[start:stop] = extract(self.get_block(rank))
-            except (NodeFailedError, KeyError):
-                if not allow_missing:
-                    raise
-        return out

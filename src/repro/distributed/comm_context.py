@@ -154,31 +154,6 @@ class CommunicationContext:
         """
         return int(np.count_nonzero(self.multiplicity(src) >= min_copies))
 
-    # -- send-pool layout (shared by the SpMV engine and the ESR staging) -----------------
-    def send_pool_layout(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Canonical staging layout of one halo exchange.
-
-        Returns ``(sent, offsets)``: per rank ``i``, ``sent[i]`` is the
-        sorted unique set of *global* indices ``R_i`` that ``i`` sends to at
-        least one other node, and ``offsets`` is the ``(N + 1,)`` prefix-sum
-        placing each rank's staged values inside one shared send pool.
-
-        This is the single source of truth for the pool layout: the SpMV
-        engine stages ghost values through it and the fused ESR staging
-        reuses the engine's staged pool by position, so both sides must
-        derive positions from this exact ordering.
-        """
-        sent: List[np.ndarray] = []
-        offsets = np.zeros(self.partition.n_parts + 1, dtype=np.int64)
-        for rank in range(self.partition.n_parts):
-            sends = [self.send_indices(rank, dst)
-                     for dst in self.receivers_of(rank)]
-            values = (np.unique(np.concatenate(sends)) if sends
-                      else np.empty(0, dtype=np.int64))
-            sent.append(values)
-            offsets[rank + 1] = offsets[rank] + values.size
-        return sent, offsets
-
     # -- reverse plan (who holds what after the exchange) ---------------------------------
     def holders_of_block(self, owner: int, exclude: Iterable[int] = ()
                          ) -> Dict[int, np.ndarray]:

@@ -1,11 +1,15 @@
 """Distributed sparse matrices in block-row layout.
 
-A :class:`DistributedMatrix` stores, for every node, the CSR block of the rows
-that node owns (shape ``(n_i, n)``), inside the node's private memory.  Since
-the system matrix and the preconditioner are *static* data (Sec. 1.1.2), each
-row block is additionally deposited in the cluster's reliable storage so that
-replacement nodes can re-retrieve it during reconstruction -- which is charged
-to the recovery phase of the cost model.
+A :class:`DistributedMatrix` is one CSR matrix on the driver (see
+:mod:`repro.distributed.blockstore`); every node's private memory holds the
+CSR block of the rows that node owns (shape ``(n_i, n)``) as a zero-copy
+view of it -- the block's ``data`` and ``indices`` are slices of the
+matrix's -- so a failed node's block is gone while the SpMV engine runs one
+kernel over all rows (:meth:`DistributedMatrix.stacked`).  Since the system
+matrix and the preconditioner are *static* data (Sec. 1.1.2), each row block
+is additionally deposited in the cluster's reliable storage so that
+replacement nodes can re-retrieve it during reconstruction -- which is
+charged to the recovery phase of the cost model.
 
 The matrix also caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
 instances keyed by communication context (see :meth:`DistributedMatrix.
@@ -24,10 +28,23 @@ import scipy.sparse as sp
 
 from ..cluster.cluster import VirtualCluster
 from ..utils.validation import check_square
+from .blockstore import BlockArray, raise_unreadable
 from .partition import BlockRowPartition
 
 #: Memory key prefix under which matrix row blocks are stored on each node.
 _MAT_KEY = "mat"
+
+
+def _row_view(a: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows ``[start, stop)`` of *a* as a CSR matrix sharing its data and
+    indices (the constructor would copy slices of a much larger array)."""
+    lo, hi = a.indptr[start], a.indptr[stop]
+    block = sp.csr_matrix((stop - start, a.shape[1]), dtype=a.dtype)
+    block.data = a.data[lo:hi]
+    block.indices = a.indices[lo:hi]
+    block.indptr = a.indptr[start:stop + 1] - lo
+    block.has_sorted_indices = True
+    return block
 
 
 class DistributedMatrix:
@@ -69,19 +86,19 @@ class DistributedMatrix:
             retrieved by replacement nodes after a failure (default: true,
             matching the paper's assumption for static data).
         """
-        a = sp.csr_matrix(matrix)
+        a = sp.csr_matrix(matrix, copy=True)
         check_square(a, name)
         if a.shape[0] != partition.n:
             raise ValueError(
                 f"matrix has {a.shape[0]} rows, partition expects {partition.n}"
             )
+        a.sort_indices()
         dist = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            block = a[start:stop, :].tocsr()
-            block.sort_indices()
-            dist._set_row_block(rank, block)
-            if keep_in_storage:
+        views = [_row_view(a, start, stop) for start, stop in partition.ranges]
+        BlockArray(cluster, dist._key(), a, views).install()
+        dist._structure_version += 1
+        if keep_in_storage:
+            for rank, block in enumerate(views):
                 cluster.storage.put_block(dist._storage_name(), rank, block)
         return dist
 
@@ -91,9 +108,21 @@ class DistributedMatrix:
     def _key(self) -> tuple:
         return (_MAT_KEY, self.name)
 
-    def _set_row_block(self, rank: int, block: sp.csr_matrix) -> None:
-        self.cluster.node(rank).memory[self._key()] = block
-        self._structure_version += 1
+    def _record(self) -> BlockArray:
+        record = self.cluster.arrays.get(self._key())
+        if record is None or record.data.shape != self.shape:
+            raise_unreadable(self.cluster, self._key())
+        return record
+
+    def stacked(self) -> sp.csr_matrix:
+        """The one CSR matrix whose row blocks are the ranks' blocks.
+
+        Zero-copy: in-place edits of its values land in the node-local
+        blocks.  Raises what :meth:`row_block` raises on the first
+        unreadable rank (``NodeFailedError`` on a failed node, ``KeyError``
+        on a replacement node whose block was not restored).
+        """
+        return self._record().check().data
 
     @property
     def structure_version(self) -> int:
@@ -146,7 +175,7 @@ class DistributedMatrix:
         return entry[1] if entry is not None else None
 
     def spmv_engine(self, context):
-        """The cached local-view SpMV engine for *context* (or ``None``).
+        """The cached SpMV engine for *context* (or ``None``).
 
         Engines are cached per context object and invalidated whenever a row
         block is rewritten (``structure_version`` changes), e.g. by
@@ -189,10 +218,26 @@ class DistributedMatrix:
         )
 
     def restore_block_to_node(self, rank: int, *, charge: bool = True) -> sp.csr_matrix:
-        """Fetch a row block from storage and install it on the (replacement) node."""
+        """Fetch a row block from storage and install it on the (replacement) node.
+
+        The stored values are copied into the rank's rows of the matrix
+        (their sparsity pattern must match) and the node gets its view back.
+        """
         block = self.row_block_from_storage(rank, charge=charge)
-        self._set_row_block(rank, block)
-        return block
+        record = self._record()
+        view = record.views[rank]
+        if block is not view:
+            if (block.shape != view.shape
+                    or not np.array_equal(block.indptr, view.indptr)
+                    or not np.array_equal(block.indices, view.indices)):
+                raise ValueError(
+                    f"stored row block of rank {rank} does not match the "
+                    f"sparsity pattern of matrix {self.name!r}"
+                )
+            view.data[...] = block.data
+        record.install([rank])
+        self._structure_version += 1
+        return view
 
     def has_block(self, rank: int) -> bool:
         node = self.cluster.node(rank)
@@ -244,9 +289,8 @@ class DistributedMatrix:
 
     # -- global assembly (verification / recovery) -------------------------------------
     def to_global(self) -> sp.csr_matrix:
-        """Assemble the full matrix on the driver (verification only)."""
-        blocks = [self.row_block(rank) for rank in range(self.partition.n_parts)]
-        return sp.vstack(blocks, format="csr")
+        """A copy of the full matrix on the driver (verification only)."""
+        return self.stacked().copy()
 
     def recovery_rows(self, ranks: Iterable[int], *, charge: bool = True
                       ) -> sp.csr_matrix:

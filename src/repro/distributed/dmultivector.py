@@ -1,29 +1,40 @@
 """Distributed multi-vectors: the one distributed-vector storage.
 
-A :class:`DistributedMultiVector` stores a global ``(n, k)`` dense matrix of
-``k`` vectors as one ``(n_i, k)`` NumPy block per node, inside that node's
-private memory: when a node fails, its block of every dynamic operand
-(``X``, ``R``, ``Z``, ``P``, ``AP``) is genuinely gone and any read raises,
-so recovery must rebuild it from redundant copies.  A single vector is the
-``k = 1`` case; :class:`~repro.distributed.dvector.DistributedVector` is
-only a 1-D face of it (same storage, same kernels -- see
+A :class:`DistributedMultiVector` is a global ``(n, k)`` dense matrix of
+``k`` vectors, block-row distributed: rank ``i`` owns the ``(n_i, k)`` block
+of rows ``I_i``.  All blocks of one name live in **one** C-order ``(n, k)``
+array shared by every handle of that name, and each node's private memory
+holds only its rank's zero-copy view of it (see
+:mod:`repro.distributed.blockstore`).  When a node fails, its view of every
+dynamic operand (``X``, ``R``, ``Z``, ``P``, ``AP``) is gone and any read
+raises, so recovery must rebuild the block from redundant copies and write
+it back with ``restore_block``.  A single vector is the ``k = 1`` case;
+:class:`~repro.distributed.dvector.DistributedVector` is only a 1-D face of
+it (same storage, same kernels -- see
 :meth:`DistributedMultiVector.as_multivector`).  The batched ``Y = A X``
 kernel of the SpMV engine
 (:meth:`~repro.distributed.spmv_engine.SpmvEngine.apply_block`), the block
 BLAS-1 operations and the batched reductions below are the only numeric
 kernels; :class:`~repro.core.block_pcg.BlockPCG` is the solver built on
 them, and :class:`~repro.core.resilient_block_pcg.ResilientBlockPCG` adds
-ESR protection (redundant ``(rows, k)`` copies, reconstruction of lost
-blocks re-installed through the ``restore_block`` recovery write path).
+ESR protection.
+
+**Whole-array kernels.**  Every kernel first checks that every rank holds
+its block -- one integer comparison while no node has failed or been
+replaced since the last check -- and raises what :meth:`get_block` would on
+the first unreadable rank (``NodeFailedError`` on a failed node,
+``KeyError`` on a replacement node whose block was not restored).  It then
+runs on the whole array (:meth:`stacked`) or on the cached per-rank views
+(:meth:`blocks`), never looking up node memories rank by rank.
 
 **Block BLAS-1.**  ``copy``/``fill``/``scale``/``axpy``/``aypx``/``assign``
-operate on whole ``(n_i, k)`` blocks; coefficients may be scalars (applied to
-every column) or per-column ``(k,)`` vectors (one independent recurrence per
-column, which is what the lock-step block-PCG needs).  Every operation is
-elementwise, so column ``j`` of the result is bit-identical to the same
-operation on column ``j`` alone (a ``k = 1`` multi-vector), and the charge is
-the single-vector streaming charge with ``k``-fold element count, mirroring
-how the batched SpMV scales.
+are single NumPy operations on the ``(n, k)`` arrays; coefficients may be
+scalars (applied to every column) or per-column ``(k,)`` vectors (one
+independent recurrence per column, which is what the lock-step block-PCG
+needs).  Every operation is elementwise, so column ``j`` of the result is
+bit-identical to the same operation on column ``j`` alone (a ``k = 1``
+multi-vector), and the charge is the single-vector streaming charge with
+``k``-fold element count, mirroring how the batched SpMV scales.
 
 **Batched reductions.**  :meth:`dots` returns the ``k`` per-column dot
 products through **one** allreduce of ``k`` scalars; :meth:`gram` returns
@@ -32,9 +43,11 @@ Either way the collective's message count is that of a single scalar
 allreduce -- one message per tree hop -- and only the per-hop volume scales
 (see :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`), which
 is the latency amortization the paper's cost model (Sec. 4.2) rewards.
-:meth:`dots` gathers each column into a contiguous buffer before the local
-dot, so its per-column results are bit-identical to the ``k = 1`` dots of
-each column.
+The local partial dots stay per rank: each is a contiguous 1-D dot of one
+column of the rank's block (a cached view for ``k = 1``, a slice of one
+transposed copy otherwise), and the partials are summed in rank order, so
+the per-column results are bit-identical to the ``k = 1`` dots of each
+column.
 """
 
 from __future__ import annotations
@@ -45,7 +58,13 @@ import numpy as np
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
-from .blockstore import NodeBlockStore, participating_max_block_size
+from ..cluster.errors import NodeFailedError
+from .blockstore import (
+    BlockArray,
+    NodeBlockStore,
+    participating_max_block_size,
+    raise_unreadable,
+)
 from .partition import BlockRowPartition
 
 #: Memory key prefix under which multi-vector blocks are stored on each node.
@@ -53,6 +72,30 @@ _MVEC_KEY = "mvec"
 
 #: A BLAS-1 coefficient: one scalar for all columns, or one value per column.
 Coefficient = Union[float, np.ndarray]
+
+
+class _Storage(BlockArray):
+    """The storage of one multi-vector name, plus the per-rank column views
+    its reductions dot."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, cluster: VirtualCluster, key: tuple, data: np.ndarray,
+                 views: List[np.ndarray]):
+        super().__init__(cluster, key, data, views)
+        self._columns: Optional[List[List[np.ndarray]]] = None
+
+    def rank_columns(self, partition: BlockRowPartition
+                     ) -> List[List[np.ndarray]]:
+        """Per column ``j``, per rank: column ``j`` of the rank's block as a
+        contiguous 1-D array (cached views for ``k = 1``; slices of one
+        transposed copy otherwise)."""
+        if self.data.shape[1] == 1:
+            if self._columns is None:
+                self._columns = [[view[:, 0] for view in self.views]]
+            return self._columns
+        return [[column[start:stop] for start, stop in partition.ranges]
+                for column in np.ascontiguousarray(self.data.T)]
 
 
 class DistributedMultiVector(NodeBlockStore):
@@ -71,6 +114,8 @@ class DistributedMultiVector(NodeBlockStore):
         self.partition = partition
         self.name = name
         self.n_cols = int(n_cols)
+        self._mem_key = (_MVEC_KEY, name)
+        self._shape = (partition.n, self.n_cols)
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -78,8 +123,7 @@ class DistributedMultiVector(NodeBlockStore):
               name: str, n_cols: int) -> "DistributedMultiVector":
         """Create a distributed multi-vector of zeros."""
         mvec = cls(cluster, partition, name, n_cols)
-        for rank in range(partition.n_parts):
-            mvec.set_block(rank, np.zeros((partition.size_of(rank), n_cols)))
+        mvec._new_storage(np.zeros(mvec._shape)).install()
         return mvec
 
     @classmethod
@@ -92,40 +136,63 @@ class DistributedMultiVector(NodeBlockStore):
                 f"expected a ({partition.n}, k) array, got shape {values.shape}"
             )
         mvec = cls(cluster, partition, name, values.shape[1])
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            mvec.set_block(rank, values[start:stop].copy())
+        mvec._new_storage(np.array(values, order="C")).install()
         return mvec
 
-    @classmethod
-    def from_columns(cls, cluster: VirtualCluster, partition: BlockRowPartition,
-                     name: str, columns) -> "DistributedMultiVector":
-        """Build a multi-vector from ``k`` distributed vectors (not charged)."""
-        columns = list(columns)
-        if not columns:
-            raise ValueError("at least one column vector is required")
-        mvec = cls(cluster, partition, name, len(columns))
-        for vec in columns:
-            if vec.cluster is not cluster:
-                raise ValueError("column vector lives on a different cluster")
-            if not partition.is_compatible_with(vec.partition):
-                raise ValueError("column vector has an incompatible partition")
-        for rank in range(partition.n_parts):
-            mvec.set_block(rank, np.column_stack(
-                [vec.get_block(rank) for vec in columns]
-            ))
-        return mvec
-
-    # -- block access -------------------------------------------------------
+    # -- storage access -----------------------------------------------------
     def _key(self) -> tuple:
-        return (_MVEC_KEY, self.name)
+        return self._mem_key
+
+    def _new_storage(self, data: np.ndarray) -> _Storage:
+        """Register *data* (a fresh C-order ``(n, k)`` array) as the storage
+        of this name, split into per-rank row views."""
+        views = [data[start:stop] for start, stop in self.partition.ranges]
+        return _Storage(self.cluster, self._mem_key, data, views)
+
+    def _lookup(self) -> Optional[_Storage]:
+        """The storage of this name, if it has this container's shape."""
+        record = self.cluster.arrays.get(self._mem_key)
+        if record is None or record.data.shape != self._shape:
+            return None
+        return record
+
+    def _storage(self, *, alive_only: bool = False,
+                 overwrite: bool = False) -> _Storage:
+        record = self._lookup()
+        if overwrite:
+            if record is None:
+                record = self._new_storage(np.zeros(self._shape))
+            return record.install()
+        if record is None:
+            raise_unreadable(self.cluster, self._mem_key,
+                             alive_only=alive_only)
+        return record.check(alive_only=alive_only)
+
+    def stacked(self, *, alive_only: bool = False,
+                overwrite: bool = False) -> np.ndarray:
+        """The C-order ``(n, k)`` array whose row blocks are the ranks' blocks.
+
+        Zero-copy: writes land in the node-local blocks.  Raises what
+        :meth:`get_block` raises on the first unreadable rank
+        (``NodeFailedError`` on a failed node, ``KeyError`` on a replacement
+        node whose block was not restored); with *alive_only* failed ranks
+        are skipped and their rows must not be used.  With *overwrite* the
+        caller promises to overwrite every block: a replacement node then
+        gets its block back instead of raising (a failed node still raises).
+        """
+        return self._storage(alive_only=alive_only, overwrite=overwrite).data
+
+    def blocks(self, *, alive_only: bool = False,
+               overwrite: bool = False) -> List[np.ndarray]:
+        """The per-rank ``(n_i, k)`` views of :meth:`stacked` (same checks)."""
+        return self._storage(alive_only=alive_only, overwrite=overwrite).views
 
     def get_block(self, rank: int) -> np.ndarray:
         """``(n_i, k)`` block of *rank*; raises ``NodeFailedError`` if failed."""
-        return self.cluster.node(rank).memory[self._key()]
+        return self.cluster.node(rank).memory[self._mem_key]
 
     def set_block(self, rank: int, values: np.ndarray) -> None:
-        """Overwrite the block owned by *rank*."""
+        """Overwrite the block owned by *rank* (the values are copied)."""
         values = np.asarray(values, dtype=np.float64)
         expected = (self.partition.size_of(rank), self.n_cols)
         if values.shape != expected:
@@ -133,7 +200,11 @@ class DistributedMultiVector(NodeBlockStore):
                 f"block for rank {rank} must have shape {expected}, "
                 f"got {values.shape}"
             )
-        self.cluster.node(rank).memory[self._key()] = values
+        record = self._lookup()
+        if record is None:
+            record = self._new_storage(np.zeros(self._shape))
+        record.install([rank])
+        record.views[rank][...] = values
 
     def as_multivector(self) -> "DistributedMultiVector":
         """The plain multi-vector over this container's storage.
@@ -148,23 +219,29 @@ class DistributedMultiVector(NodeBlockStore):
     # -- assembly / views ---------------------------------------------------
     def to_global(self, *, allow_missing: bool = False,
                   fill_value: float = np.nan) -> np.ndarray:
-        """Assemble the global ``(n, k)`` array on the driver (not charged)."""
-        return self.as_multivector()._assemble(
-            lambda block: block, (self.n_cols,),
-            allow_missing=allow_missing, fill_value=fill_value)
+        """Assemble the global ``(n, k)`` array on the driver (not charged).
+
+        With ``allow_missing=True`` the rows of unreadable ranks (failed, or
+        replaced and not restored) are ``fill_value`` instead of raising.
+        """
+        if not allow_missing:
+            return self.stacked().copy()
+        mine = self.as_multivector()
+        out = np.full(self._shape, fill_value)
+        for rank, (start, stop) in enumerate(self.partition.ranges):
+            try:
+                out[start:stop] = mine.get_block(rank)
+            except (NodeFailedError, KeyError):
+                continue
+        return out
 
     def column(self, j: int) -> np.ndarray:
-        """Global column *j* assembled on the driver (verification helper).
-
-        Gathers only column *j* of each block -- the full ``(n, k)`` global
-        matrix is never materialised.
-        """
+        """Global column *j* assembled on the driver (verification helper)."""
         j = self._check_column(j)
-        return self.as_multivector()._assemble(lambda block: block[:, j], ())
+        return self.stacked()[:, j].copy()
 
     # ``has_block`` / ``available_ranks`` / ``lost_ranks`` / ``delete`` and
-    # the recovery write path ``restore_block`` (defensive-copy writes of
-    # reconstructed ``(n_i, k)`` blocks onto replacement nodes) come from
+    # the recovery write path ``restore_block`` come from
     # :class:`NodeBlockStore`.
 
     # -- elementwise / block BLAS-1 operations -------------------------------
@@ -195,26 +272,21 @@ class DistributedMultiVector(NodeBlockStore):
     def copy(self, name: str) -> "DistributedMultiVector":
         """Deep copy under a new name (charged as a streaming block op)."""
         out = type(self)(self.cluster, self.partition, name, self.n_cols)
-        src, dst = self.as_multivector(), out.as_multivector()
-        for rank in range(self.partition.n_parts):
-            dst.set_block(rank, src.get_block(rank).copy())
+        out._new_storage(self.stacked().copy()).install()
         self._charge_block_op(1.0)
         return out
 
     def fill(self, value: float) -> "DistributedMultiVector":
         """Set every element (all columns) to *value*."""
-        mine = self.as_multivector()
-        for rank in range(self.partition.n_parts):
-            mine.get_block(rank)[:] = value
+        self.stacked()[...] = value
         self._charge_block_op(1.0)
         return self
 
     def scale(self, alpha: Coefficient) -> "DistributedMultiVector":
         """In-place ``self *= alpha`` (scalar or per-column)."""
         alpha = self._coefficient(alpha)
-        mine = self.as_multivector()
-        for rank in range(self.partition.n_parts):
-            mine.get_block(rank)[:] *= alpha
+        mine = self.stacked()
+        mine *= alpha
         self._charge_block_op(1.0)
         return self
 
@@ -223,9 +295,8 @@ class DistributedMultiVector(NodeBlockStore):
         """In-place ``self[:, j] += alpha_j * x[:, j]`` (scalar or per-column)."""
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
-        mine, theirs = self.as_multivector(), x.as_multivector()
-        for rank in range(self.partition.n_parts):
-            mine.get_block(rank)[:] += alpha * theirs.get_block(rank)
+        mine = self.stacked()
+        mine += alpha * x.stacked()
         self._charge_block_op(2.0)
         return self
 
@@ -237,19 +308,15 @@ class DistributedMultiVector(NodeBlockStore):
         """
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
-        mine, theirs = self.as_multivector(), x.as_multivector()
-        for rank in range(self.partition.n_parts):
-            block = mine.get_block(rank)
-            block[:] = theirs.get_block(rank) + alpha * block
+        mine = self.stacked()
+        mine[...] = x.stacked() + alpha * mine
         self._charge_block_op(2.0)
         return self
 
     def assign(self, other: "DistributedMultiVector") -> "DistributedMultiVector":
         """In-place copy of *other*'s values into this multi-vector."""
         self._check_compatible(other)
-        mine, theirs = self.as_multivector(), other.as_multivector()
-        for rank in range(self.partition.n_parts):
-            mine.get_block(rank)[:] = theirs.get_block(rank)
+        self.stacked()[...] = other.stacked()
         self._charge_block_op(1.0)
         return self
 
@@ -280,13 +347,13 @@ class DistributedMultiVector(NodeBlockStore):
         GEMM, so the diagonal may differ from :meth:`dots` in the last bits.
         """
         self._check_compatible(other)
-        mine, theirs = self.as_multivector(), other.as_multivector()
+        mine = self.blocks(alive_only=alive_only)
+        theirs = other.blocks(alive_only=alive_only)
         contributions: Dict[int, np.ndarray] = {}
-        for rank in range(self.partition.n_parts):
-            node = self.cluster.node(rank)
+        for rank, node in enumerate(self.cluster.nodes):
             if alive_only and not node.is_alive:
                 continue
-            contributions[rank] = mine.get_block(rank).T @ theirs.get_block(rank)
+            contributions[rank] = mine[rank].T @ theirs[rank]
         # 2k flops per stored element: each of the k^2 entries is a length
         # n_i dot, i.e. the streaming charge of k passes over the block.
         self._charge_block_op(2.0 * self.n_cols,
@@ -384,20 +451,22 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     cluster = first.cluster
     partition = first.partition
     k = first.n_cols
-    partials = np.empty((partition.n_parts, len(pairs) * k))
-    contributions: Dict[int, np.ndarray] = {}
-    for rank in range(partition.n_parts):
-        if alive_only and not cluster.node(rank).is_alive:
-            continue
-        row = partials[rank]
-        for i, (x, y) in enumerate(pairs):
-            # Each column is one contiguous 1-D dot on identical data.
-            mine = np.ascontiguousarray(x.get_block(rank).T)
-            theirs = (mine if y is x
-                      else np.ascontiguousarray(y.get_block(rank).T))
-            for j in range(k):
-                row[i * k + j] = mine[j] @ theirs[j]
-        contributions[rank] = row
+    # Every column of every rank's block as a contiguous 1-D array: each
+    # partial is the same contiguous dot the k = 1 run of that column does.
+    operands = []
+    for x, y in pairs:
+        mine = x._storage(alive_only=alive_only)
+        theirs = y._storage(alive_only=alive_only)
+        mine_cols = mine.rank_columns(partition)
+        operands.extend(zip(mine_cols, mine_cols if theirs is mine
+                            else theirs.rank_columns(partition)))
+    partials = np.empty((partition.n_parts, len(operands)))
+    for col, (mine_col, theirs_col) in enumerate(operands):
+        partials[:, col] = [a.dot(b) for a, b in zip(mine_col, theirs_col)]
+    contributions: Dict[int, np.ndarray] = {
+        rank: partials[rank] for rank, node in enumerate(cluster.nodes)
+        if not (alive_only and node.is_failed)
+    }
     n_rows = (participating_max_block_size(partition, contributions)
               if alive_only else None)
     for x, _ in pairs:

@@ -2,14 +2,14 @@
 
 A :class:`DistributedVector` is a
 :class:`~repro.distributed.dmultivector.DistributedMultiVector` fixed at
-``n_cols = 1``.  Its rows live in each node's private
-:class:`~repro.cluster.node.NodeMemory` as the ``(n_i, 1)`` block stored
-under the multi-vector key of its name, so a failed node's rows are
-genuinely gone and recovery must rebuild them.  The vector and
-:meth:`as_multivector` are two handles on that one storage: every kernel --
-BLAS-1, the batched reductions, the SpMV engine, ESR staging and
-reconstruction -- runs on the 2-D blocks, and a recovery that restores the
-multi-vector's blocks has restored the vector.
+``n_cols = 1``.  Its rows are the ``(n, 1)`` array stored under the
+multi-vector key of its name, and each node's private
+:class:`~repro.cluster.node.NodeMemory` holds its ``(n_i, 1)`` view, so a
+failed node's rows are genuinely gone and recovery must rebuild them.  The
+vector and :meth:`as_multivector` are two handles on that one storage:
+every kernel -- BLAS-1, the batched reductions, the SpMV engine, ESR staging
+and reconstruction -- runs on the 2-D storage, and a recovery that restores
+the multi-vector's blocks has restored the vector.
 
 What the class adds is the 1-D face: ``(n,)`` global arrays in
 :meth:`from_global`/:meth:`to_global`, ``(n_i,)`` zero-copy views from

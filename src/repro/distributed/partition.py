@@ -56,10 +56,10 @@ class BlockRowPartition:
         return offsets
 
     @cached_property
-    def _ranges(self) -> List[Tuple[int, int]]:
+    def ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Per rank, the owned ``(start, stop)`` as Python ints."""
         bounds = self.offsets.tolist()
-        return list(zip(bounds[:-1], bounds[1:]))
+        return tuple(zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def _sizes(self) -> np.ndarray:
@@ -70,7 +70,7 @@ class BlockRowPartition:
     def size_of(self, rank: int) -> int:
         """Number of rows owned by *rank* (``|I_i|``)."""
         self._check_rank(rank)
-        start, stop = self._ranges[rank]
+        start, stop = self.ranges[rank]
         return stop - start
 
     def sizes(self) -> np.ndarray:
@@ -85,7 +85,7 @@ class BlockRowPartition:
     def range_of(self, rank: int) -> Tuple[int, int]:
         """Half-open global index range ``[start, stop)`` owned by *rank*."""
         self._check_rank(rank)
-        return self._ranges[rank]
+        return self.ranges[rank]
 
     def slice_of(self, rank: int) -> slice:
         """The owned range as a :class:`slice` (for array indexing)."""

@@ -13,10 +13,10 @@ block-by-block into the output.
 
 Two numeric execution paths produce bit-identical results and charges:
 
-* the **local-view engine** (default) -- a cached
-  :class:`~repro.distributed.spmv_engine.SpmvEngine` that computes each
-  rank's product as ``A_local @ [X_own | X_ghost]`` with compressed ghost
-  columns and preallocated buffers, ``O(nnz + ghosts)`` per call;
+* the **engine** (default) -- a cached
+  :class:`~repro.distributed.spmv_engine.SpmvEngine` that computes every
+  rank's rows with one CSR kernel over the matrix's and the operand's
+  contiguous storage, after one liveness check;
 * the **dense-gather reference** (``engine=False``, or automatic fallback
   when the context does not match the matrix) -- assembles a fresh global
   operand and multiplies each rank's full ``(n_i, n)`` row block against it.
@@ -99,7 +99,7 @@ def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
         Charge communication and compute to the cost ledger (solvers always
         do; some verification helpers pass ``False``).
     engine:
-        Execute through the cached local-view :class:`SpmvEngine` (default).
+        Execute through the cached :class:`SpmvEngine` (default).
         ``False`` forces the dense-gather reference path; the two paths are
         bit-identical in results and charges.
     overlap:

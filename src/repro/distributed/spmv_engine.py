@@ -1,64 +1,53 @@
-"""Local-view SpMV execution engine (a PETSc-style ``MatMult``).
+"""SpMV execution engine (a PETSc-style ``MatMult``).
 
 The dense-gather reference implementation of :func:`repro.distributed.spmv.
-distributed_spmv` assembles a fresh global vector on every call and multiplies
-each rank's full ``(n_i, n)`` row block against it, recomputing the static
-halo-exchange charge from the scatter edges each time -- ``O(n + |edges|)``
-bookkeeping per matvec on top of the unavoidable ``O(nnz)`` numeric work.
-:class:`SpmvEngine` precomputes, once per ``(matrix, context)`` pair, a
-*local view* of the product so the per-call work drops to
-``O(nnz + ghosts)``:
+distributed_spmv` assembles a fresh global vector on every call, multiplies
+each rank's full ``(n_i, n)`` row block against it, and recomputes the static
+halo-exchange charge from the scatter edges each time.  :class:`SpmvEngine`
+does the static work once per ``(matrix, context)`` pair, so a call costs
+one liveness check and one sparse kernel:
 
-**Ghost-column compression.**  For each rank ``k`` the engine takes the ghost
-index set ``G_k`` (the sorted union of the scatter plan's ``S_ik`` over all
-senders ``i``) and renumbers the columns of ``k``'s row block into the
-compressed space ``[0, n_k + |G_k|)``: owned columns map to ``[0, n_k)`` by
-their local offset, ghost columns map to ``n_k + position in G_k``.  Only the
-CSR ``indices`` array is rewritten -- ``data`` and ``indptr`` are *shared*
-with the stored block (so in-place edits of block values stay live, exactly
-as on the reference path) and the stored entry order is preserved, so the
-compressed matvec performs the *identical* sequence of floating-point
-operations as the dense-gather reference and the results are bit-for-bit
-equal.
+**One kernel over all ranks.**  A
+:class:`~repro.distributed.dmatrix.DistributedMatrix` is one CSR matrix
+whose row blocks are the ranks' blocks, and a
+:class:`~repro.distributed.dmultivector.DistributedMultiVector` one C-order
+``(n, k)`` array (see :mod:`repro.distributed.blockstore`).  On a real
+machine rank ``i`` computes its rows from its own block and the ghost
+values the halo exchange brought in; here those values already sit in the
+operand's array, so :meth:`apply_block` computes every rank's rows with one
+``csr_matvecs`` call on the two arrays.  Each row accumulates its stored
+entries in their stored order against the same operand values a rank-local
+kernel would read, so the result is bit-identical to the dense-gather
+reference, and column ``j`` of a batched product is bit-identical to the
+``k = 1`` product of column ``j``.  The kernel shares the matrix's arrays,
+so in-place edits of block values stay live, as on the reference path.
 
-**Send-pool staging.**  Ghost buffers are filled in two vectorized steps
-instead of one Python-level operation per scatter edge (of which there can be
-``O(N^2)``): first every rank stages the entries it sends to *anybody*
-(``R_i``, one fancy-index per rank) into a shared send pool; then each
-receiver gathers its ghost values from the pool through a precomputed
-position map (one fancy-index per rank).  This mirrors what the pack/unpack
-loops of a real halo exchange do, driven by exactly the ``send_indices`` sets
-of the :class:`~repro.distributed.comm_context.CommunicationContext`.
+**Scatter-plan check.**  At build time the engine derives each rank's ghost
+set ``G_k`` (the sorted union of the plan's ``S_ik`` over all senders ``i``)
+and checks that it covers every off-diagonal column of the rank's rows; a
+plan derived from a different sparsity pattern raises
+:class:`ContextMismatchError` and the caller falls back to the reference
+path, whose numerics never depend on the context.
 
-**Split-phase execution (comm/compute overlap).**  At build time each rank's
-compressed block is additionally partitioned into a *diagonal* part (owned
-columns, ``(n_k, n_k)``) and an *off-diagonal* part (ghost columns,
-``(n_k, |G_k|)``).  ``split=True`` models the classical non-blocking
-halo exchange: post the sends, compute ``A_diag @ X_own`` while the ghosts
-are "in flight", then accumulate ``A_offdiag @ X_ghost`` once they "arrive".
-The matching overlap-aware charge (see :meth:`overlap_charge`) is the
-per-rank max reduction ``max_i(max(halo_i, diag_i) + offdiag_i)`` of
+**Split-phase execution (comm/compute overlap).**  ``split=True`` models the
+classical non-blocking halo exchange: post the sends, compute
+``A_diag @ X_own`` while the ghosts are "in flight", then accumulate
+``A_offdiag @ X_ghost`` once they "arrive".  The engine builds (on first
+use) the *diagonal* part of the matrix (each row's entries in its owner's
+columns) and the *off-diagonal* part (its ghost columns) as two CSR
+matrices and runs one kernel on each.  The matching overlap-aware charge
+(see :meth:`overlap_charge`) is the per-rank max reduction
+``max_i(max(halo_i, diag_i) + offdiag_i)`` of
 :meth:`~repro.cluster.cost_model.MachineModel.split_spmv_time` -- never more
 than the serialized ``halo + compute`` charge.  Because the two-kernel
 execution accumulates each row's diagonal terms before its off-diagonal
 terms (exactly as PETSc's overlapped ``MatMult`` does), its results may
 differ from the fused kernel in the last floating-point bits; the fused
 path (``overlap=False``, the default everywhere) remains bit-identical to
-the dense-gather reference.  The split matrices copy the block's ``data``
+the dense-gather reference.  The split matrices copy the matrix's ``data``
 array, so -- unlike the fused path -- silent in-place edits of stored block
-values are only picked up after a ``set_block``-style write bumps the
-structure version and the engine is rebuilt.
-
-**One batched kernel.**  :meth:`apply_block` is the engine's only kernel:
-it computes ``Y = A X`` for the ``(n_i, k)`` blocks of a
-:class:`~repro.distributed.dmultivector.DistributedMultiVector` with *one*
-ghost gather amortized over all ``k`` columns -- the send pool is staged as
-a ``(pool, k)`` matrix with one 2-D fancy-index per rank, and each rank's
-product is a single CSR x dense-block kernel.  A single vector is the
-``k = 1`` case (a :class:`~repro.distributed.dvector.DistributedVector` is
-read and written through its ``(n_i, 1)`` storage); column ``j`` of a batched
-product is bit-identical to the ``k = 1`` product of column ``j`` (the CSR
-kernel accumulates each column in the same entry order).
+values are only picked up after a block write bumps the structure version
+and the engine is rebuilt.
 
 **Charge caching.**  The bulk-synchronous halo and compute charges depend
 only on static data (scatter counts, topology latencies, per-rank nnz), so
@@ -70,23 +59,23 @@ and overlap charges are cached per column count ``k``.
 **Cache invalidation contract.**  Engines are cached on
 :class:`~repro.distributed.dmatrix.DistributedMatrix` keyed by the context
 object (see :meth:`DistributedMatrix.spmv_engine`).  Every row-block write
-(``_set_row_block``, and therefore ``restore_block_to_node`` on the recovery
-path) bumps the matrix's ``structure_version``; a cached engine whose
-``version`` is stale is discarded and rebuilt from the current blocks on the
-next use, so recovery that re-installs matrix blocks on replacement nodes
-stays correct without any explicit notification.
+(``restore_block_to_node`` on the recovery path) bumps the matrix's
+``structure_version``; a cached engine whose ``version`` is stale is
+discarded and rebuilt on the next use, so recovery that re-installs matrix
+blocks on replacement nodes stays correct without any explicit
+notification.
 
-Failure semantics are preserved: every execution path touches every rank's
-matrix block and input-vector block through the node memories, so an SpMV
-involving a failed owner still raises
-:class:`~repro.cluster.errors.NodeFailedError` exactly like the reference
-path.
+Failure semantics are preserved: every call checks that every rank holds
+its matrix block and its input block (and can hold its output block), so an
+SpMV involving a failed owner raises
+:class:`~repro.cluster.errors.NodeFailedError` -- and one involving a
+replacement node whose block was not restored ``KeyError`` -- exactly like
+the reference path.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -137,36 +126,8 @@ class OverlapCharge:
     n_elements: int
 
 
-@dataclass
-class _RankPlan:
-    """Precomputed local view of one rank's row block."""
-
-    #: Number of locally owned rows/columns (``n_k``).
-    n_local: int
-    #: ``(n_k, n_k + |G_k|)`` CSR block with compressed column indices.  The
-    #: stored entry order equals the original row block's, which keeps the
-    #: matvec bit-identical to the dense-gather reference.
-    local: sp.csr_matrix
-    #: Sorted global ghost indices ``G_k`` (diagnostics / tests).
-    ghost_indices: np.ndarray
-    #: Position of each ghost value inside the staged send pool.
-    ghost_pool_pos: np.ndarray
-    #: Per column count k: the ``(n_k + |G_k|, k)`` input buffer
-    #: ``[X_own | X_ghost]``.
-    block_xbufs: Dict[int, np.ndarray] = field(default_factory=dict,
-                                               repr=False)
-    #: Non-zeros in owned columns (the diagonal block ``A_{I_k, I_k}``).
-    diag_nnz: int = 0
-    #: Non-zeros in ghost columns (``nnz - diag_nnz``).
-    offdiag_nnz: int = 0
-    #: ``(n_k, n_k)`` diagonal part, built lazily on first split-phase use.
-    diag: Optional[sp.csr_matrix] = field(default=None, repr=False)
-    #: ``(n_k, |G_k|)`` off-diagonal part (ghost-column space), lazy.
-    offdiag: Optional[sp.csr_matrix] = field(default=None, repr=False)
-
-
 class SpmvEngine:
-    """Executes ``out = A x`` (and ``Y = A X``) through precomputed local views.
+    """Executes ``out = A x`` (and ``Y = A X``) as one kernel over all ranks.
 
     Parameters
     ----------
@@ -193,37 +154,19 @@ class SpmvEngine:
         #: by :meth:`DistributedMatrix.spmv_engine` to invalidate the cache.
         self.version = matrix.structure_version
 
-        n_parts = partition.n_parts
-        # -- send-pool layout: per rank, the locally-owned entries it sends
-        #    to at least one other node (the paper's R_i), in sorted order.
-        #    The layout comes from the context's canonical helper so the
-        #    fused ESR staging (which reuses the staged pool by position)
-        #    derives positions from the exact same ordering.
-        sent_global, pool_offsets = context.send_pool_layout()
-        self._sent_local: List[np.ndarray] = []
-        for rank in range(n_parts):
-            start, stop = partition.range_of(rank)
-            sent = sent_global[rank]
-            if sent.size and (sent[0] < start or sent[-1] >= stop):
-                raise ContextMismatchError(
-                    f"scatter plan sends indices not owned by rank {rank}; "
-                    "cannot build a local view"
-                )
-            self._sent_local.append(sent - start)
-        self._pool_offsets = pool_offsets
-        self._pool_size = int(pool_offsets[-1])
-        #: Per column count k: staged ``(pool, k)`` send-pool buffers.
-        self._block_pools: Dict[int, np.ndarray] = {}
-        #: Weak reference to the multi-vector the block pool was last staged
-        #: from, plus its column count (see :meth:`block_pool_staged_from`).
-        self._block_pool_source: Optional[Tuple[weakref.ReferenceType, int]] = None
-
-        # -- per-rank compressed local views
-        self._plans: List[_RankPlan] = []
-        column_map = np.full(partition.n, -1, dtype=np.int64)
-        for rank in range(n_parts):
-            self._plans.append(self._build_rank_plan(rank, column_map))
-        self._nnz = [int(plan.local.nnz) for plan in self._plans]
+        a = matrix.stacked()
+        #: Per rank, the sorted global ghost indices ``G_k``.
+        self._ghosts = self._ghost_sets(a)
+        # Per-rank non-zeros in owned columns (the diagonal block
+        # A_{I_k, I_k}) and in ghost columns.
+        bounds = a.indptr[partition.offsets]
+        in_diag = np.concatenate(([0], np.cumsum(self._diag_mask(a))))
+        self._nnz = np.diff(bounds).tolist()
+        self._diag_nnz = np.diff(in_diag[bounds]).tolist()
+        self._offdiag_nnz = [nnz - diag for nnz, diag
+                             in zip(self._nnz, self._diag_nnz)]
+        #: ``(diag, offdiag)`` CSR parts, built on first split-phase use.
+        self._split: Optional[Tuple[sp.csr_matrix, sp.csr_matrix]] = None
 
         # -- cached static charges (identical values to the per-call
         #    recomputation of the reference path).
@@ -242,128 +185,99 @@ class SpmvEngine:
         self._overlap_charges: Dict[int, OverlapCharge] = {}
 
     # -- construction -------------------------------------------------------
-    def _build_rank_plan(self, rank: int, column_map: np.ndarray) -> _RankPlan:
-        partition = self.partition
-        context = self.context
-        start, stop = partition.range_of(rank)
-        n_local = stop - start
-
-        senders = context.senders_to(rank)
-        ghost = (np.unique(np.concatenate(
-            [context.send_indices(src, rank) for src in senders]
-        )) if senders else np.empty(0, dtype=np.int64))
-        if ghost.size and np.any((ghost >= start) & (ghost < stop)):
-            raise ContextMismatchError(
-                f"scatter plan ships rank {rank} elements it already owns; "
-                "cannot build a local view"
-            )
-
-        block = self.matrix.row_block(rank)
-
-        # Compress columns: owned -> [0, n_local), ghost g -> n_local + pos(g).
-        # column_map is a scratch array shared across ranks; only the entries
-        # written here are read back, and they are reset before returning.
-        column_map[start:stop] = np.arange(n_local, dtype=np.int64)
-        column_map[ghost] = n_local + np.arange(ghost.size, dtype=np.int64)
-        compressed = column_map[block.indices]
-        if compressed.size and compressed.min() < 0:
-            column_map[start:stop] = -1
-            column_map[ghost] = -1
-            raise ContextMismatchError(
-                f"scatter plan does not cover all off-diagonal columns of "
-                f"rank {rank}'s row block; cannot build a local view"
-            )
-        column_map[start:stop] = -1
-        column_map[ghost] = -1
-
-        # Share data/indptr with the stored block (only the column indices
-        # genuinely differ): in-place edits of block values stay live in the
-        # engine -- matching the reference path -- and the cached engine
-        # costs O(nnz) index memory instead of a full matrix copy.
-        local = sp.csr_matrix(
-            (block.data, compressed.astype(block.indices.dtype),
-             block.indptr),
-            shape=(n_local, n_local + ghost.size),
-        )
-        diag_nnz = int(np.count_nonzero(compressed < n_local))
-
-        # Pool positions of the ghost values: ghost g owned by src sits at
-        # pool_offsets[src] + (position of g within src's sent set).
-        ghost_pool_pos = np.empty(ghost.size, dtype=np.int64)
-        if ghost.size:
-            owners = partition.owner_of(ghost)
-            for src in np.unique(owners):
-                src = int(src)
-                mask = owners == src
-                src_start, _ = partition.range_of(src)
-                ghost_pool_pos[mask] = self._pool_offsets[src] + np.searchsorted(
-                    self._sent_local[src], ghost[mask] - src_start
+    def _ghost_sets(self, a: sp.csr_matrix) -> List[np.ndarray]:
+        """Each rank's ghost set, checked against the matrix pattern."""
+        ranges = self.partition.ranges
+        incoming: Dict[int, List[np.ndarray]] = {}
+        for edge in self.context.edges():
+            start, stop = ranges[edge.src]
+            sent = edge.indices
+            if sent.size and (sent.min() < start or sent.max() >= stop):
+                raise ContextMismatchError(
+                    f"scatter plan sends indices not owned by rank "
+                    f"{edge.src}; cannot build the engine"
                 )
+            incoming.setdefault(edge.dst, []).append(sent)
+        ghosts = []
+        # Scratch mask of the columns rank k may read (owned or ghost);
+        # only the entries set for a rank are read back, then reset.
+        readable = np.zeros(self.partition.n, dtype=bool)
+        for rank, (start, stop) in enumerate(ranges):
+            chunks = incoming.get(rank)
+            ghost = (np.unique(np.concatenate(chunks)) if chunks
+                     else np.empty(0, dtype=np.int64))
+            if ghost.size and np.any((ghost >= start) & (ghost < stop)):
+                raise ContextMismatchError(
+                    f"scatter plan ships rank {rank} elements it already "
+                    "owns; cannot build the engine"
+                )
+            readable[start:stop] = True
+            readable[ghost] = True
+            covered = readable[a.indices[a.indptr[start]:a.indptr[stop]]].all()
+            readable[start:stop] = False
+            readable[ghost] = False
+            if not covered:
+                raise ContextMismatchError(
+                    f"scatter plan does not cover all off-diagonal columns "
+                    f"of rank {rank}'s row block; cannot build the engine"
+                )
+            ghosts.append(ghost)
+        return ghosts
 
-        return _RankPlan(
-            n_local=n_local,
-            local=local,
-            ghost_indices=ghost,
-            ghost_pool_pos=ghost_pool_pos,
-            diag_nnz=diag_nnz,
-            offdiag_nnz=int(local.nnz) - diag_nnz,
-        )
+    def _diag_mask(self, a: sp.csr_matrix) -> np.ndarray:
+        """Per stored entry: does its column lie in its row owner's range?"""
+        sizes = self.partition.sizes()
+        starts = np.repeat(self.partition.offsets[:-1], sizes)
+        row_nnz = np.diff(a.indptr)
+        lo = np.repeat(starts, row_nnz)
+        hi = np.repeat(starts + np.repeat(sizes, sizes), row_nnz)
+        return (a.indices >= lo) & (a.indices < hi)
 
-    def _ensure_split(self, rank: int) -> _RankPlan:
-        """Build the diag/offdiag partition of *rank*'s block on first use.
+    def _split_parts(self) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The diagonal and off-diagonal parts, built on first use.
 
-        The split matrices preserve the stored entry order within each part
-        (they are order-preserving subsets of the compressed block), so the
-        two-kernel execution accumulates the same per-part sequences as the
-        fused kernel -- only the diag/offdiag interleaving differs.
+        Both keep every row's entries in stored order (they are
+        order-preserving subsets of the matrix), so the two-kernel execution
+        accumulates the same per-part sequences as the fused kernel -- only
+        the diag/offdiag interleaving differs.
         """
-        plan = self._plans[rank]
-        if plan.diag is not None:
-            return plan
-        local = plan.local
-        n_local = plan.n_local
-        n_ghost = int(plan.ghost_indices.size)
-        mask = local.indices < n_local
-        running = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-        diag_indptr = running[local.indptr]
-        plan.diag = sp.csr_matrix(
-            (local.data[mask], local.indices[mask], diag_indptr),
-            shape=(n_local, n_local),
-        )
-        off_mask = ~mask
-        running = np.concatenate(([0], np.cumsum(off_mask, dtype=np.int64)))
-        off_indptr = running[local.indptr]
-        plan.offdiag = sp.csr_matrix(
-            (local.data[off_mask], local.indices[off_mask] - n_local,
-             off_indptr),
-            shape=(n_local, n_ghost),
-        )
-        return plan
+        if self._split is None:
+            a = self.matrix.stacked()
+            mask = self._diag_mask(a)
+            parts = []
+            for keep in (mask, ~mask):
+                running = np.concatenate(([0], np.cumsum(keep,
+                                                         dtype=np.int64)))
+                parts.append(sp.csr_matrix(
+                    (a.data[keep], a.indices[keep], running[a.indptr]),
+                    shape=a.shape,
+                ))
+            self._split = (parts[0], parts[1])
+        return self._split
 
     # -- queries ------------------------------------------------------------
     def ghost_indices(self, rank: int) -> np.ndarray:
         """Sorted global ghost (halo) indices of *rank* (``G_k``)."""
-        return self._plans[rank].ghost_indices
-
-    def local_block(self, rank: int) -> sp.csr_matrix:
-        """The compressed ``(n_k, n_k + |G_k|)`` local view of *rank*."""
-        return self._plans[rank].local
+        return self._ghosts[rank]
 
     def diag_block(self, rank: int) -> sp.csr_matrix:
-        """The ``(n_k, n_k)`` diagonal part of *rank*'s compressed block."""
-        return self._ensure_split(rank).diag
+        """The ``(n_k, n_k)`` diagonal part of *rank*'s rows."""
+        start, stop = self.partition.range_of(rank)
+        return self._split_parts()[0][start:stop, start:stop]
 
     def offdiag_block(self, rank: int) -> sp.csr_matrix:
-        """The ``(n_k, |G_k|)`` off-diagonal (ghost-column) part of *rank*."""
-        return self._ensure_split(rank).offdiag
+        """The ``(n_k, |G_k|)`` off-diagonal part of *rank*'s rows, with the
+        ghost columns in ``G_k`` order."""
+        start, stop = self.partition.range_of(rank)
+        return self._split_parts()[1][start:stop][:, self._ghosts[rank]]
 
     def diag_nnz(self, rank: int) -> int:
         """Non-zeros of *rank*'s rows in owned columns."""
-        return self._plans[rank].diag_nnz
+        return self._diag_nnz[rank]
 
     def offdiag_nnz(self, rank: int) -> int:
         """Non-zeros of *rank*'s rows in ghost columns."""
-        return self._plans[rank].offdiag_nnz
+        return self._offdiag_nnz[rank]
 
     # -- cost charges --------------------------------------------------------
     def halo_cost_for(self, n_rhs: int) -> Tuple[float, int, int]:
@@ -425,9 +339,10 @@ class SpmvEngine:
             halo = self._receiver_halo_times(n_rhs)
             total = 0.0
             compute = 0.0
-            for rank, plan in enumerate(self._plans):
-                diag_t = model.spmv_time(plan.diag_nnz * n_rhs)
-                offdiag_t = model.spmv_time(plan.offdiag_nnz * n_rhs)
+            for rank, (diag_nnz, offdiag_nnz) in enumerate(
+                    zip(self._diag_nnz, self._offdiag_nnz)):
+                diag_t = model.spmv_time(diag_nnz * n_rhs)
+                offdiag_t = model.spmv_time(offdiag_nnz * n_rhs)
                 total = max(total, max(float(halo[rank]), diag_t) + offdiag_t)
                 compute = max(compute, diag_t + offdiag_t)
             halo_serial, n_msg, n_elem = self.halo_cost_for(n_rhs)
@@ -447,43 +362,6 @@ class SpmvEngine:
         return self._overlap_charges[n_rhs]
 
     # -- execution ----------------------------------------------------------
-    def _stage_pool_into(self, x, pool: np.ndarray) -> np.ndarray:
-        """Stage *x*'s sent entries into the ``(pool, k)`` *pool* (one
-        fancy-index per rank).  Also reads every rank's matrix block through the node memories,
-        enforcing failure semantics exactly as the reference path's per-call
-        block reads do.
-        """
-        pool_offsets = self._pool_offsets
-        for rank in range(self.partition.n_parts):
-            self.matrix.row_block(rank)
-            sent_local = self._sent_local[rank]
-            if sent_local.size:
-                pool[pool_offsets[rank]:pool_offsets[rank + 1]] = \
-                    x.get_block(rank)[sent_local]
-        return pool
-
-    def block_send_pool(self, n_rhs: int) -> Optional[np.ndarray]:
-        """The staged ``(pool, k)`` multi-RHS send pool for *n_rhs* columns.
-
-        ``None`` until a batched SpMV of that column count ran; consumers
-        (the fused block ESR staging) must first confirm via
-        :meth:`block_pool_staged_from` that it holds the block they expect.
-        """
-        return self._block_pools.get(int(n_rhs))
-
-    def block_pool_staged_from(self, x: "DistributedMultiVector") -> bool:
-        """True if the block send pool holds the staged values of block *x*.
-
-        Lets the fused ESR staging reuse the pool only when the SpMV that
-        immediately preceded it staged this exact block (a stale pool -- one
-        staged from a different multi-vector, or from an earlier iteration's
-        operand object -- would otherwise ship outdated copies).
-        """
-        if self._block_pool_source is None:
-            return False
-        source, n_rhs = self._block_pool_source
-        return source() is x and n_rhs == getattr(x, "n_cols", None)
-
     # ``apply``/``apply_split`` are the single-vector entry points of the
     # engine's public surface (callers and host-time tracers name them);
     # ``apply_block`` is the one kernel, and a vector is its k = 1 case.
@@ -503,61 +381,26 @@ class SpmvEngine:
                     split: bool = False) -> "DistributedMultiVector":
         """Numeric ``Y = A X`` for ``(n_i, k)`` blocks (batched multi-RHS).
 
-        One ghost gather is amortized over all ``k`` columns: the send pool
-        is staged as a ``(pool, k)`` matrix (one 2-D fancy-index per rank)
-        and each rank's product is a single CSR x dense-block kernel
-        accumulated into ``y``'s existing block (a fresh block is set when
-        ``y`` has none yet, or when it aliases the input).  Column ``j`` of
-        the result is bit-identical to the ``k = 1`` product of column ``j``
-        (the CSR kernel accumulates each column in the same entry order).
-        ``y`` may alias ``x``; either may be a 1-D
+        One CSR x dense-block kernel over all ranks' rows (two with
+        ``split``), accumulated into ``y``'s storage in place; a replacement
+        node without a ``y`` block gets it back.  ``y`` may alias ``x``;
+        either may be a 1-D
         :class:`~repro.distributed.dvector.DistributedVector`, whose
         ``(n_i, 1)`` storage is read and written in place.
         """
-        xs, ys = x.as_multivector(), y.as_multivector()
-        n_rhs = xs.n_cols
-        pool = self._block_pools.get(n_rhs)
-        if pool is None or pool.shape[0] != self._pool_size:
-            pool = np.empty((self._pool_size, n_rhs))
-            self._block_pools[n_rhs] = pool
-        self._block_pool_source = None
-        self._stage_pool_into(xs, pool)
-        self._block_pool_source = (weakref.ref(x), n_rhs)
-
-        for rank in range(self.partition.n_parts):
-            plan = (self._ensure_split(rank) if split else self._plans[rank])
-            own = xs.get_block(rank)
-            try:
-                target = ys.get_block(rank)
-            except KeyError:
-                target = None
-            # The kernel writes raw memory: only a C-contiguous block that
-            # does not alias the input is written in place.
-            fresh = (target is None or not target.flags.c_contiguous
-                     or np.may_share_memory(target, own))
-            if fresh:
-                out = np.zeros(own.shape)
-            else:
-                out = target
-                out[:] = 0.0
-            if split:
-                self._matmat_accumulate(plan.diag, own, out)
-                if plan.ghost_pool_pos.size:
-                    self._matmat_accumulate(
-                        plan.offdiag, pool[plan.ghost_pool_pos], out
-                    )
-            else:
-                xbuf = plan.block_xbufs.get(n_rhs)
-                if xbuf is None:
-                    xbuf = np.empty((plan.n_local + plan.ghost_indices.size,
-                                     n_rhs))
-                    plan.block_xbufs[n_rhs] = xbuf
-                xbuf[:plan.n_local] = own
-                if plan.ghost_pool_pos.size:
-                    xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
-                self._matmat_accumulate(plan.local, xbuf, out)
-            if fresh:
-                ys.set_block(rank, out)
+        a = self.matrix.stacked()
+        xs = x.stacked()
+        ys = y.stacked(overwrite=True)
+        out = np.zeros(ys.shape) if np.may_share_memory(ys, xs) else ys
+        if out is ys:
+            out.fill(0.0)
+        if split:
+            for part in self._split_parts():
+                self._matmat_accumulate(part, xs, out)
+        else:
+            self._matmat_accumulate(a, xs, out)
+        if out is not ys:
+            ys[...] = out
         return y
 
     @staticmethod
@@ -573,7 +416,7 @@ class SpmvEngine:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        ghosts = sum(p.ghost_indices.size for p in self._plans)
+        ghosts = sum(g.size for g in self._ghosts)
         return (
             f"SpmvEngine(matrix={self.matrix.name!r}, "
             f"N={self.partition.n_parts}, ghosts={ghosts}, "

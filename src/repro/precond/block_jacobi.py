@@ -124,6 +124,8 @@ class BlockJacobiPreconditioner(Preconditioner):
                     f"got {residual_block.shape}"
                 )
             solve = self._solvers[rank]
+            if residual_block.shape[1] == 1:
+                return solve(np.ascontiguousarray(residual_block[:, 0]))[:, None]
             out = np.empty_like(residual_block)
             for j in range(residual_block.shape[1]):
                 out[:, j] = solve(np.ascontiguousarray(residual_block[:, j]))

@@ -15,7 +15,8 @@ active, four detectors watch every simulated operation:
     the block).  Without the sanitizer such a read returns the default as
     if the data had never existed.  Plain ``memory[key]`` reads are not
     hooked: a lost key raises a loud ``KeyError`` there, which callers
-    handle deliberately (the SpMV engine's output-block probe).
+    handle deliberately (the storage liveness check of the distributed
+    containers).
 ``unmatched_send``
     Point-to-point traffic must quiesce at collective boundaries (ULFM
     semantics) and by sanitizer shutdown: a collective entered with

@@ -4,10 +4,28 @@ import pytest
 
 from repro.cluster.network import (
     FatTreeTopology,
+    Topology,
     TorusTopology,
     UniformTopology,
     default_topology,
 )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UniformTopology(1),
+    lambda: UniformTopology(7, latency=3e-6),
+    lambda: FatTreeTopology(1),
+    lambda: FatTreeTopology(4, nodes_per_switch=4),
+    lambda: FatTreeTopology(33, nodes_per_switch=4),
+    lambda: default_topology(128),
+    lambda: TorusTopology(1),
+    lambda: TorusTopology(2),
+    lambda: TorusTopology(9),
+    lambda: TorusTopology(16),
+])
+def test_closed_form_max_latency_equals_the_pairwise_scan(make):
+    topology = make()
+    assert topology.max_latency() == Topology.max_latency(topology)
 
 
 class TestUniformTopology:

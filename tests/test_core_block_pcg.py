@@ -292,6 +292,77 @@ class TestValidation:
             result.info["n_reductions"] * 2 * levels * N_NODES
 
 
+class TestInitialGuessValidation:
+    """``x0`` must be finite and shaped like the right-hand side."""
+
+    def block_solver(self, k=2):
+        a, cluster, partition, dist, context, precond, rhs_global = \
+            make_problem(n_grid=8, k=k)
+        rhs = DistributedMultiVector.from_global(cluster, partition, "B",
+                                                 rhs_global)
+        return BlockPCG(dist, rhs, precond, context=context), rhs_global
+
+    def vector_solver(self):
+        a, cluster, partition, dist, context, precond, rhs_global = \
+            make_problem(n_grid=8, k=1)
+        rhs = DistributedVector.from_global(cluster, partition, "b",
+                                            rhs_global[:, 0])
+        return DistributedPCG(dist, rhs, precond, context=context)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_rejected(self, bad):
+        solver = self.vector_solver()
+        x0 = np.zeros(solver.partition.n)
+        x0[5] = bad
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(x0)
+
+    def test_non_finite_block_x0_rejected(self):
+        solver, rhs_global = self.block_solver()
+        x0 = np.zeros(rhs_global.shape)
+        x0[3, 1] = np.nan
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(x0)
+
+    def test_non_finite_distributed_x0_rejected(self):
+        solver, rhs_global = self.block_solver()
+        x0 = np.zeros(rhs_global.shape)
+        x0[7, 0] = np.inf
+        dist_x0 = DistributedMultiVector.from_global(
+            solver.cluster, solver.partition, "X0", x0)
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(dist_x0)
+
+    def test_transposed_block_x0_rejected(self):
+        """A (k, n) array is not silently reshaped into garbled columns."""
+        solver, rhs_global = self.block_solver()
+        with pytest.raises(ValueError, match="shape"):
+            solver.solve(np.zeros(rhs_global.shape[::-1]))
+
+    @pytest.mark.parametrize("shape", ["column", "flat"])
+    def test_wrong_rank_x0_rejected(self, shape):
+        vector = self.vector_solver()
+        block, rhs_global = self.block_solver(k=1)
+        n = vector.partition.n
+        with pytest.raises(ValueError, match="shape"):
+            if shape == "column":
+                vector.solve(np.zeros((n, 1)))
+            else:
+                block.solve(np.zeros(n))
+
+    def test_distributed_x0_column_count_checked(self):
+        solver, rhs_global = self.block_solver(k=2)
+        x0 = DistributedMultiVector.zeros(solver.cluster, solver.partition,
+                                          "X0", 3)
+        with pytest.raises(ValueError, match="columns"):
+            solver.solve(x0)
+
+    def test_valid_x0_accepted(self):
+        solver, rhs_global = self.block_solver(k=2)
+        result = solver.solve(np.zeros(rhs_global.shape))
+        assert result.all_converged
+
+
 class TestSingleVectorInterface:
     """One loop: a 1-D rhs runs as the k = 1 block and comes back 1-D."""
 

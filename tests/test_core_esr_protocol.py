@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MachineModel, Phase, UnrecoverableStateError, VirtualCluster
-from repro.core.esr import _ESR_KEY, ESRProtocol
+from repro.core.esr import _ESR_KEY, _SCALAR_KEY, ESRProtocol
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -190,9 +190,9 @@ def stored_snapshot(esr, slot):
 
 
 class TestFusedStaging:
-    """The fused (pool-based) staging must be byte-identical to the former
-    per-(owner, holder) gather loop, with and without an engine pool to
-    reuse, and under node failures mid-iteration."""
+    """The one-gather staging must be byte-identical to the former
+    per-(owner, holder) gather loop, with or without an SpMV before it, and
+    under node failures mid-iteration."""
 
     def assert_stores_equal(self, actual, expected):
         assert sorted(actual) == sorted(expected)
@@ -207,29 +207,25 @@ class TestFusedStaging:
         esr.after_spmv(p, 3)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
 
-    def test_byte_identical_with_engine_pool_reuse(self, setup):
+    def test_byte_identical_after_spmv(self, setup):
         cluster, partition, dist, context = setup
-        esr = ESRProtocol(cluster, context, phi=2, matrix=dist)
+        esr = ESRProtocol(cluster, context, phi=2)
         p = make_p(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
-        distributed_spmv(dist, p, ap, context)  # stages the engine pool
-        engine = dist.cached_spmv_engine(context)
-        assert engine is not None and engine.block_pool_staged_from(p)
+        distributed_spmv(dist, p, ap, context)
         expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
 
-    def test_stale_engine_pool_is_not_reused(self, setup):
-        """A pool staged from a different vector must be ignored (the
-        self-staged values are used instead)."""
+    def test_byte_identical_after_spmv_of_another_vector(self, setup):
+        """The copies come from the stored vector, not from whatever the
+        preceding SpMV read."""
         cluster, partition, dist, context = setup
-        esr = ESRProtocol(cluster, context, phi=1, matrix=dist)
+        esr = ESRProtocol(cluster, context, phi=1)
         other = make_p(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
         distributed_spmv(dist, other, ap, context)
         p = make_p(cluster, partition, 5)
-        engine = dist.cached_spmv_engine(context)
-        assert engine is not None and not engine.block_pool_staged_from(p)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
@@ -268,16 +264,9 @@ class TestFusedStaging:
 
     def test_staging_extras_cover_unsent_elements(self, setup):
         """Pattern elements no SpMV message carries (e.g. Chen-style unsent
-        extras) must land in the extras section and still be recoverable."""
+        extras) must still be stored and recoverable."""
         cluster, partition, _, context = setup
         esr = ESRProtocol(cluster, context, phi=3)
-        staging = esr._staging
-        # The staging buffer covers the pool plus every non-pool element.
-        total_pattern = sum(
-            idx.size for idx in esr._pattern_local.values()
-        )
-        assert staging.pool_size + staging.extras_size <= \
-            staging.pool_size + total_pattern
         p = make_p(cluster, partition, 1)
         esr.after_spmv(p, 1)
         expected = p.to_global()
@@ -289,12 +278,11 @@ class TestFusedStaging:
 
 class TestBlockStaging:
     """Block (multi-RHS) redundant stores: byte-identical to the per-pair
-    gather loop, per-column identical to k = 1 stores, engine block pool
-    reused, and the per-pair fallback under mid-iteration owner failures
-    pulling whole (rows, k) slices from the staged block buffer."""
+    gather loop, per-column identical to k = 1 stores, and whole (rows, k)
+    slices under mid-iteration owner failures."""
 
-    def make_esr(self, cluster, context, phi=2, k=3, matrix=None):
-        return ESRProtocol(cluster, context, phi=phi, matrix=matrix, n_cols=k)
+    def make_esr(self, cluster, context, phi=2, k=3):
+        return ESRProtocol(cluster, context, phi=phi, n_cols=k)
 
     def assert_stores_equal(self, actual, expected):
         assert sorted(actual) == sorted(expected)
@@ -328,38 +316,31 @@ class TestBlockStaging:
             for key, values in col_stores.items():
                 assert np.array_equal(block_stores[key][:, j], values[:, 0])
 
-    def test_engine_block_pool_reused_byte_identical(self, setup):
+    def test_byte_identical_after_block_spmv(self, setup):
         cluster, partition, dist, context = setup
-        esr = self.make_esr(cluster, context, matrix=dist)
+        esr = self.make_esr(cluster, context)
         p = make_block(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP", p.n_cols)
-        distributed_spmv(dist, p, ap, context)  # stages the block pool
-        engine = dist.cached_spmv_engine(context)
-        assert engine is not None and engine.block_pool_staged_from(p)
-        assert engine.block_send_pool(p.n_cols) is not None
+        distributed_spmv(dist, p, ap, context)
         expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
 
-    def test_stale_block_pool_not_reused(self, setup):
+    def test_byte_identical_after_spmv_of_another_block(self, setup):
         cluster, partition, dist, context = setup
-        esr = self.make_esr(cluster, context, matrix=dist)
+        esr = self.make_esr(cluster, context)
         other = make_block(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP",
                                           other.n_cols)
         distributed_spmv(dist, other, ap, context)
         p = make_block(cluster, partition, 5)
-        engine = dist.cached_spmv_engine(context)
-        assert engine is not None and not engine.block_pool_staged_from(p)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)
         self.assert_stores_equal(stored_snapshot(esr, 1), expected)
 
-    def test_failed_owner_fallback_reuses_block_buffer(self, setup):
-        """Satellite pin: with an owner failing mid-iteration the surviving
-        pairs fall back to per-pair gathers -- one (rows, k) slice pulled
-        from the staged block buffer per pair, never one gather per column
-        -- and the stored copies stay byte-identical to the legacy loop."""
+    def test_failed_owner_pairs_skipped_block(self, setup):
+        """With an owner failing mid-iteration the surviving pairs still
+        store whole (rows, k) slices, byte-identical to the legacy loop."""
         cluster, partition, _, context = setup
         esr = self.make_esr(cluster, context)
         p0 = make_block(cluster, partition, 0)
@@ -406,6 +387,21 @@ class TestBlockStaging:
         cluster.fail_nodes([0, 1])
         recovered = esr.recover_replicated_vector("beta")
         assert np.array_equal(recovered, [0.25, -1.5, 3.0])
+
+    def test_replicated_copies_are_read_only(self, setup):
+        """One read-only payload serves every alive node: an in-place write
+        to a stored copy raises instead of rewriting the others."""
+        cluster, partition, _, context = setup
+        esr = self.make_esr(cluster, context)
+        esr.store_replicated_scalars(5, beta=np.array([0.25, -1.5, 3.0]))
+        stored = cluster.node(0).memory[_SCALAR_KEY]
+        assert cluster.node(1).memory[_SCALAR_KEY] is stored
+        with pytest.raises(ValueError):
+            stored["beta"][0] = 99.0
+        with pytest.raises(TypeError):
+            stored["beta"] = np.zeros(3)
+        assert np.array_equal(esr.recover_replicated_vector("beta"),
+                              [0.25, -1.5, 3.0])
 
     def test_redundancy_charge_messages_constant_volume_scales(self, setup):
         cluster, partition, _, context = setup

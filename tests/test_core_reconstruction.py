@@ -5,6 +5,7 @@ reconstructed state (x, r, z, p) matches the pre-failure state to (near)
 machine precision, for every preconditioner form the paper discusses.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import FailureEvent, FailureInjector, MachineModel
@@ -158,8 +159,9 @@ class TestReconstructionFormSelection:
         precond = make_preconditioner(preconditioner)
         precond.setup(problem.matrix.to_global(), problem.partition)
         esr = ESRProtocol(problem.cluster, problem.context, 1)
-        rhs = DistributedMultiVector.from_columns(
-            problem.cluster, problem.partition, "b:as_block", [problem.rhs])
+        rhs = DistributedMultiVector.from_global(
+            problem.cluster, problem.partition, "b:as_block",
+            np.column_stack([problem.rhs.to_global()]))
         reconstructor = ESRReconstructor(
             problem.cluster, problem.matrix, rhs, precond,
             problem.context, esr, reconstruction_form=requested_form,

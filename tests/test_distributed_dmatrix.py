@@ -132,3 +132,51 @@ class TestFailureAndRecovery:
                                              keep_in_storage=False)
         with pytest.raises(KeyError):
             dist.row_block_from_storage(0)
+
+
+class TestContiguousStorage:
+    """One CSR matrix per name; each node holds a zero-copy row view."""
+
+    def test_row_blocks_share_the_matrix_arrays(self, setup):
+        _, partition, a, dist = setup
+        stacked = dist.stacked()
+        assert (stacked != a).nnz == 0
+        for rank in range(4):
+            block = dist.row_block(rank)
+            assert np.shares_memory(block.data, stacked.data)
+            assert np.shares_memory(block.indices, stacked.indices)
+
+    def test_failed_rank_raises(self, setup):
+        cluster, _, _, dist = setup
+        dist.stacked()
+        cluster.fail_nodes([1])
+        with pytest.raises(NodeFailedError):
+            dist.stacked()
+        with pytest.raises(NodeFailedError):
+            dist.to_global()
+
+    def test_replaced_unrestored_rank_raises_key_error(self, setup):
+        cluster, _, _, dist = setup
+        dist.stacked()
+        cluster.fail_nodes([1])
+        cluster.replace_nodes([1])
+        with pytest.raises(KeyError):
+            dist.stacked()
+
+    def test_restore_block_to_node_makes_it_readable(self, setup):
+        cluster, _, a, dist = setup
+        cluster.fail_nodes([1])
+        cluster.replace_nodes([1])
+        block = dist.restore_block_to_node(1)
+        assert block is dist.row_block(1)
+        assert np.shares_memory(block.data, dist.stacked().data)
+        assert (dist.to_global() != a).nnz == 0
+
+    def test_restore_rejects_a_foreign_pattern(self, setup):
+        cluster, partition, a, dist = setup
+        start, stop = partition.range_of(2)
+        cluster.storage.put_block(dist._storage_name(), 2,
+                                  sp.csr_matrix(a[start:stop, :].toarray()
+                                                + 1.0))
+        with pytest.raises(ValueError):
+            dist.restore_block_to_node(2)

@@ -56,13 +56,6 @@ class TestConstructionAndViews:
         mvec, _, values = make_pair(cluster, partition)
         assert np.array_equal(mvec.to_global(), values)
 
-    def test_from_columns(self, setup):
-        cluster, partition = setup
-        _, columns, values = make_pair(cluster, partition)
-        mvec = DistributedMultiVector.from_columns(cluster, partition, "mc",
-                                                   columns)
-        assert np.array_equal(mvec.to_global(), values)
-
     def test_column_gathers_single_column(self, setup):
         cluster, partition = setup
         mvec, _, values = make_pair(cluster, partition)
@@ -214,18 +207,26 @@ class TestBlockOpEquivalence:
             mvec.dots(other)
 
 
+#: Every whole-array operation: each checks all ranks' blocks once (cached
+#: until a node fails or is replaced), then runs on the contiguous storage.
+WHOLE_ARRAY_OPS = [
+    lambda m, o: m.copy("tmp"),
+    lambda m, o: m.fill(1.0),
+    lambda m, o: m.scale(2.0),
+    lambda m, o: m.axpy(1.0, o),
+    lambda m, o: m.aypx(1.0, o),
+    lambda m, o: m.assign(o),
+    lambda m, o: m.dots(o),
+    lambda m, o: m.gram(o),
+    lambda m, o: m.norms2(),
+    lambda m, o: m.to_global(),
+    lambda m, o: m.column(1),
+    lambda m, o: m.stacked(),
+]
+
+
 class TestFailureSemantics:
-    @pytest.mark.parametrize("op", [
-        lambda m, o: m.copy("tmp"),
-        lambda m, o: m.fill(1.0),
-        lambda m, o: m.scale(2.0),
-        lambda m, o: m.axpy(1.0, o),
-        lambda m, o: m.aypx(1.0, o),
-        lambda m, o: m.assign(o),
-        lambda m, o: m.dots(o),
-        lambda m, o: m.gram(o),
-        lambda m, o: m.norms2(),
-    ])
+    @pytest.mark.parametrize("op", WHOLE_ARRAY_OPS)
     def test_ops_raise_on_failed_node(self, setup, op):
         cluster, partition = setup
         mvec, _, _ = make_pair(cluster, partition, seed=13)
@@ -255,6 +256,95 @@ class TestFailureSemantics:
         delta = cluster.ledger.times[Phase.VECTOR_COMPUTE] - before
         model = cluster.ledger.model
         assert delta == pytest.approx(model.vector_op_time(5 * K, 2.0))
+
+
+class TestContiguousStorage:
+    """One ``(n, k)`` array per name, seen per rank through node memory."""
+
+    def test_blocks_are_views_of_one_array(self, setup):
+        cluster, partition = setup
+        mvec, _, values = make_pair(cluster, partition)
+        stacked = mvec.stacked()
+        assert stacked.flags.c_contiguous and stacked.shape == (N, K)
+        for rank, (start, stop) in enumerate(partition.ranges):
+            block = mvec.get_block(rank)
+            assert np.shares_memory(block, stacked)
+            assert np.array_equal(block, values[start:stop])
+
+    def test_two_handles_of_one_name_see_one_array(self, setup):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition)
+        twin = DistributedMultiVector(cluster, partition, mvec.name, K)
+        assert twin.stacked() is mvec.stacked()
+        mvec.fill(3.0)
+        assert np.array_equal(twin.to_global(), np.full((N, K), 3.0))
+        twin.set_block(1, np.zeros((5, K)))
+        assert np.array_equal(mvec.get_block(1), np.zeros((5, K)))
+        # A fresh container under the name replaces the storage for both.
+        DistributedMultiVector.zeros(cluster, partition, mvec.name, K)
+        assert twin.stacked() is mvec.stacked()
+        assert not mvec.stacked().any()
+
+    def test_set_block_copies_into_the_storage(self, setup):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition)
+        values = np.ones((5, K))
+        mvec.set_block(2, values)
+        values[:] = 7.0  # the caller's buffer is not aliased
+        assert np.array_equal(mvec.get_block(2), np.ones((5, K)))
+        assert np.shares_memory(mvec.get_block(2), mvec.stacked())
+
+    @pytest.mark.parametrize("op", WHOLE_ARRAY_OPS)
+    def test_replaced_unrestored_rank_raises_key_error(self, setup, op):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition, seed=13)
+        other, _, _ = make_pair(cluster, partition, seed=14)
+        op(mvec, other)
+        cluster.fail_nodes([2])
+        cluster.replace_nodes([2])
+        with pytest.raises(KeyError):
+            op(mvec, other)
+
+    @pytest.mark.parametrize("op", WHOLE_ARRAY_OPS)
+    def test_restore_block_makes_the_op_work(self, setup, op):
+        cluster, partition = setup
+        mvec, _, values = make_pair(cluster, partition, seed=13)
+        other, _, other_values = make_pair(cluster, partition, seed=14)
+        cluster.fail_nodes([2])
+        cluster.replace_nodes([2])
+        start, stop = partition.range_of(2)
+        mvec.restore_block(2, values[start:stop])
+        other.restore_block(2, other_values[start:stop])
+        op(mvec, other)
+        assert np.shares_memory(mvec.get_block(2), mvec.stacked())
+
+    def test_restore_block_roundtrip(self, setup):
+        cluster, partition = setup
+        mvec, _, values = make_pair(cluster, partition, seed=15)
+        cluster.fail_nodes([1, 3])
+        cluster.replace_nodes([1, 3])
+        for rank in (1, 3):
+            start, stop = partition.range_of(rank)
+            mvec.restore_block(rank, values[start:stop])
+        assert np.array_equal(mvec.to_global(), values)
+
+    def test_to_global_allow_missing_fills_unreadable_ranks(self, setup):
+        cluster, partition = setup
+        mvec, _, values = make_pair(cluster, partition, seed=16)
+        cluster.fail_nodes([0])
+        cluster.fail_nodes([3])
+        cluster.replace_nodes([3])
+        out = mvec.to_global(allow_missing=True, fill_value=-1.0)
+        assert np.all(out[:6] == -1.0) and np.all(out[16:] == -1.0)
+        assert np.array_equal(out[6:16], values[6:16])
+
+    def test_delete_drops_the_storage(self, setup):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition)
+        mvec.delete()
+        assert mvec.lost_ranks() == [0, 1, 2, 3]
+        with pytest.raises(KeyError):
+            mvec.stacked()
 
 
 class TestBatchedReductionCharges:

@@ -148,17 +148,6 @@ class TestGhostCompression:
                          engine=False)
         assert np.array_equal(y_engine.to_global(), y_reference.to_global())
 
-    def test_local_block_preserves_nnz(self):
-        matrix = build_matrix("M4", n=1000, seed=0)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 5)
-        engine = dist.spmv_engine(ctx)
-        for rank in range(5):
-            local = engine.local_block(rank)
-            assert local.nnz == dist.row_block(rank).nnz
-            n_local = partition.size_of(rank)
-            assert local.shape == (n_local,
-                                   n_local + engine.ghost_indices(rank).size)
-
 
 class TestCache:
     def test_engine_cached_per_context(self):
@@ -249,6 +238,37 @@ class TestCache:
         y = DistributedVector.zeros(cluster, partition, "y")
         distributed_spmv(dist, x, y, ctx)
         assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+
+    def test_unrestored_input_raises_key_error(self):
+        matrix = poisson_2d(10)
+        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        x = DistributedVector.from_global(cluster, partition, "x",
+                                          np.ones(100))
+        y = DistributedVector.zeros(cluster, partition, "y")
+        distributed_spmv(dist, x, y, ctx)
+        cluster.fail_nodes([2])
+        cluster.replace_nodes([2])
+        dist.restore_block_to_node(2, charge=False)
+        with pytest.raises(KeyError):
+            distributed_spmv(dist, x, y, ctx)
+
+    def test_output_block_reinstalled_on_replacement_node(self):
+        """The SpMV overwrites every output block, so a replacement node
+        that lost its output block gets it back (the solver's ``AP`` after
+        a recovery)."""
+        matrix = poisson_2d(10)
+        values = np.arange(100.0)
+        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        x = DistributedVector.from_global(cluster, partition, "x", values)
+        y = DistributedVector.zeros(cluster, partition, "y")
+        cluster.fail_nodes([2])
+        cluster.replace_nodes([2])
+        dist.restore_block_to_node(2, charge=False)
+        start, stop = partition.range_of(2)
+        x.restore_block(2, values[start:stop])
+        distributed_spmv(dist, x, y, ctx)
+        assert y.has_block(2)
+        assert np.array_equal(y.to_global(), matrix @ values)
 
     def test_ownership_violating_context_falls_back_to_reference(self):
         """A plan whose edges ship indices their 'sender' does not own must
