@@ -33,7 +33,7 @@ logger = get_logger("baselines.checkpoint")
 #: recurrence coefficients, the lock-step and per-column iteration counters,
 #: the column states and the residual histories.
 _CHECKPOINTED = ("global_iterations", "iterations", "rz", "beta_prev",
-                 "active", "breakdown", "residual_histories")
+                 "active", "breakdown", "nonfinite", "residual_histories")
 
 
 @dataclass(frozen=True)

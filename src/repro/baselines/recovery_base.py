@@ -99,9 +99,9 @@ class FailureHandlingMixin:
         """Restart the recurrences from the current iterate: recompute
         ``R``, ``Z`` and ``P`` (:meth:`BlockPCG._reset_krylov`) and ``R^T Z``,
         and forget ``beta``.  The restart rewrote the iterate of every
-        column, so every column that did not break down iterates again --
-        including ones that had already converged."""
+        column, so every column that did not break down or go non-finite
+        iterates again -- including ones that had already converged."""
         self._reset_krylov()
         self.rz = self.r.dots(self.z)
         self.beta_prev = np.zeros(self.n_cols)
-        self.active = ~self.breakdown
+        self.active = ~(self.breakdown | self.nonfinite)

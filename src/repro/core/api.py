@@ -81,14 +81,18 @@ class DistributedProblem:
     """A linear system distributed over a virtual cluster.
 
     Besides the distributed operands the problem caches two derived objects
-    keyed by the matrix's ``structure_version`` (bumped on every row-block
-    write, e.g. when recovery restores blocks):
+    keyed by the matrix's ``structure_version``:
 
     * :meth:`global_operator` -- the assembled global CSR matrix, so repeated
       solves stop paying an ``O(nnz)`` gather per call;
     * :meth:`resolve_preconditioner` -- set-up preconditioner instances per
       ``(name, options)``, so one problem re-uses one block-Jacobi
       factorization across its solves.
+
+    A recovered solve keeps both: restoring a rank's block from reliable
+    storage puts the rank's own view back and changes no value, so the
+    version stays.  A restore of other values bumps it, and both caches are
+    rebuilt on next use.
     """
 
     cluster: VirtualCluster
@@ -118,7 +122,7 @@ class DistributedProblem:
 
     # -- cached derived objects ------------------------------------------------
     def global_operator(self) -> sp.csr_matrix:
-        """The assembled global matrix, cached until a row block is rewritten."""
+        """The assembled global matrix, cached until a stored value changes."""
         version = self.matrix.structure_version
         if self._operator_cache is None or self._operator_version != version:
             self._operator_cache = self.matrix.to_global()
@@ -133,7 +137,8 @@ class DistributedProblem:
         Instances are set up (against the cached :meth:`global_operator`) and
         returned as-is; names are built via
         :func:`~repro.precond.factory.make_preconditioner` once per
-        ``(name, options)`` and cached until the matrix structure changes.
+        ``(name, options)`` and cached until a stored matrix value changes
+        (the matrix's ``structure_version``).
         """
         if isinstance(preconditioner, Preconditioner):
             if not preconditioner.is_set_up:

@@ -44,6 +44,14 @@ so the lock-step block updates leave them untouched bit-for-bit, their
 history stops growing -- exactly where the sequential solve stopped -- and
 the remaining columns continue.
 
+**Non-finite columns.**  A column whose ``r^T z``, ``p^T A p`` or residual
+norm comes out NaN or infinite (a non-finite rhs or ``x0`` entry, an
+overflow) is frozen the same way, with ``converged=False``, and listed in
+``info["nonfinite_columns"]``.  The check reads the scalars the reductions
+already delivered to every rank: no extra collective, no charge.  A frozen
+non-finite column's own iterate is not meaningful; the other columns are
+unaffected.
+
 The class exposes protected hooks (``_on_setup``, ``_after_spmv``,
 ``_handle_failures``, ``_after_iteration``) that the resilient variant and
 the baseline recovery strategies override to add redundancy and failure
@@ -321,6 +329,9 @@ class BlockPCG:
         self.active: Optional[np.ndarray] = None
         #: Columns frozen by a ``p^T A p <= 0`` breakdown.
         self.breakdown: Optional[np.ndarray] = None
+        #: Columns frozen by a non-finite ``r^T z``, ``p^T A p`` or
+        #: residual norm.
+        self.nonfinite: Optional[np.ndarray] = None
         self.residual_histories: List[List[float]] = []
 
     # -- hooks overridden by the resilient variant and the baselines -------
@@ -439,6 +450,20 @@ class BlockPCG:
         np.divide(numer, denom, out=out, where=mask)
         return out
 
+    def _freeze_nonfinite(self, columns: np.ndarray, iteration: int) -> None:
+        """Freeze the *columns* (a mask) whose reductions came out non-finite.
+
+        Like a breakdown, the column stops iterating with
+        ``converged=False``; it is listed in ``info["nonfinite_columns"]``.
+        """
+        for col in np.nonzero(columns)[0]:
+            logger.warning(
+                "non-finite reduction for column %d at iteration %d; "
+                "freezing the column", col, iteration
+            )
+        self.nonfinite |= columns
+        self.active &= ~columns
+
     # -- main loop -----------------------------------------------------------
     def solve(self, x0: Union[None, np.ndarray, DistributedMultiVector] = None
               ) -> Union[BlockSolveResult, DistributedSolveResult]:
@@ -477,7 +502,12 @@ class BlockPCG:
         self.residual_histories = [[float(r_norms[j])] for j in range(k)]
         self.iterations = np.zeros(k, dtype=np.int64)
         self.breakdown = np.zeros(k, dtype=bool)
+        self.nonfinite = np.zeros(k, dtype=bool)
         self.active = ~(r_norms <= thresholds)
+        # A non-finite rhs (or preconditioned residual) never iterates: an
+        # inf norm would otherwise meet its own inf threshold.
+        self._freeze_nonfinite(~(np.isfinite(self.rz) & np.isfinite(r_norms)),
+                               0)
         self.beta_prev = np.zeros(k)
         self.global_iterations = 0
         self._on_setup()
@@ -506,10 +536,12 @@ class BlockPCG:
             pap = self.p.dots(self.ap)
             n_reductions += 1
 
-            # Breakdown columns freeze *before* the update, exactly where the
-            # sequential solve stops.
-            broken = self.active & (pap <= 0.0)
-            if np.any(broken):
+            # Breakdown (p^T A p <= 0) and non-finite columns freeze
+            # *before* the update, exactly where the sequential solve stops.
+            finite = np.isfinite(pap)
+            stop = self.active & ~(finite & (pap > 0.0))
+            if stop.any():
+                broken = stop & finite
                 for col in np.nonzero(broken)[0]:
                     logger.warning(
                         "p^T A p = %.3e <= 0 for column %d at iteration %d; "
@@ -517,7 +549,8 @@ class BlockPCG:
                     )
                 self.breakdown |= broken
                 self.active &= ~broken
-                if not np.any(self.active):
+                self._freeze_nonfinite(stop & ~finite, j)
+                if not self.active.any():
                     break
             alpha = self._masked_ratio(self.rz, pap, self.active)
             # --- lines 4-5: iterate and residual updates (frozen columns get
@@ -551,6 +584,9 @@ class BlockPCG:
                 n_reductions += 1
             for col in np.nonzero(self.active)[0]:
                 self.residual_histories[col].append(float(r_norms[col]))
+            finite = np.isfinite(rz_next) & np.isfinite(r_norms)
+            if not finite.all():
+                self._freeze_nonfinite(self.active & ~finite, j)
             self.active &= ~(r_norms <= thresholds)
             self._after_iteration(self.global_iterations)
 
@@ -566,7 +602,7 @@ class BlockPCG:
         b_global = self.rhs.to_global()
         a_global = self.matrix.to_global()
         true_residuals = np.linalg.norm(b_global - a_global @ x_global, axis=0)
-        converged = ~self.active & ~self.breakdown
+        converged = ~(self.active | self.breakdown | self.nonfinite)
 
         # Only phases actually charged during THIS solve: a second solve on
         # the same cluster must not report stale zero-delta phases left on
@@ -596,6 +632,8 @@ class BlockPCG:
                 "fuse_reductions": self.fuse_reductions,
                 "breakdown_columns": [int(j) for j in
                                       np.nonzero(self.breakdown)[0]],
+                "nonfinite_columns": [int(j) for j in
+                                      np.nonzero(self.nonfinite)[0]],
                 "n_reductions": int(n_reductions),
             },
             global_iterations=int(self.global_iterations),

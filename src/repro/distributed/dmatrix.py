@@ -13,10 +13,14 @@ charged to the recovery phase of the cost model.
 
 The matrix also caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
 instances keyed by communication context (see :meth:`DistributedMatrix.
-spmv_engine`).  Every row-block write bumps ``structure_version`` so cached
-engines are invalidated whenever a block changes -- in particular when
-``restore_block_to_node`` re-installs a block on a replacement node during
-recovery.
+spmv_engine`) and a default scatter plan, both tagged with
+``structure_version``.  The version changes only when stored values do: at
+distribution, and when ``restore_block_to_node`` installs values that
+differ from the rank's.  Reliable storage holds each rank's view object
+itself, so a recovery that re-installs blocks on replacement nodes writes
+nothing and keeps these caches, and the ones
+:class:`~repro.core.api.DistributedProblem` keys by the same version (the
+global operator and the set-up preconditioners).
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class DistributedMatrix:
         self.cluster = cluster
         self.partition = partition
         self.name = name
-        #: Bumped on every row-block write; SpMV engines built against an
-        #: older version are discarded (cache invalidation contract).
+        #: Bumped when stored values change (distribution, a restore of
+        #: other values); SpMV engines built against an older version are
+        #: discarded (cache invalidation contract).
         self._structure_version = 0
         #: ``id(context) -> (context, engine_or_None, version)``.
         self._spmv_engines: dict = {}
@@ -126,7 +131,7 @@ class DistributedMatrix:
 
     @property
     def structure_version(self) -> int:
-        """Monotone counter of row-block writes (engine-cache invalidation)."""
+        """Monotone counter of stored-value changes (cache invalidation)."""
         return self._structure_version
 
     #: Engines cached per context; solvers hold one long-lived plan, so a
@@ -177,9 +182,9 @@ class DistributedMatrix:
     def spmv_engine(self, context):
         """The cached SpMV engine for *context* (or ``None``).
 
-        Engines are cached per context object and invalidated whenever a row
-        block is rewritten (``structure_version`` changes), e.g. by
-        ``restore_block_to_node`` during failure recovery.  Returns ``None``
+        Engines are cached per context object and invalidated whenever the
+        stored values change (``structure_version`` changes), e.g. when
+        ``restore_block_to_node`` installs other values.  Returns ``None``
         when *context* does not cover the matrix's off-diagonal columns --
         callers then fall back to the dense-gather reference path, whose
         numerics never depend on the context.
@@ -220,8 +225,11 @@ class DistributedMatrix:
     def restore_block_to_node(self, rank: int, *, charge: bool = True) -> sp.csr_matrix:
         """Fetch a row block from storage and install it on the (replacement) node.
 
-        The stored values are copied into the rank's rows of the matrix
-        (their sparsity pattern must match) and the node gets its view back.
+        The node gets its view back.  Storage normally holds that view
+        itself, so nothing is written and every cache keyed by
+        ``structure_version`` stays valid.  A stored block of other values
+        (its sparsity pattern must match) is copied into the rank's rows,
+        and the version is bumped if that changes any stored value.
         """
         block = self.row_block_from_storage(rank, charge=charge)
         record = self._record()
@@ -234,9 +242,11 @@ class DistributedMatrix:
                     f"stored row block of rank {rank} does not match the "
                     f"sparsity pattern of matrix {self.name!r}"
                 )
-            view.data[...] = block.data
+            values = np.asarray(block.data, dtype=view.data.dtype)
+            if values.tobytes() != view.data.tobytes():
+                view.data[...] = values
+                self._structure_version += 1
         record.install([rank])
-        self._structure_version += 1
         return view
 
     def has_block(self, rank: int) -> bool:
@@ -306,23 +316,6 @@ class DistributedMatrix:
         if not blocks:
             return sp.csr_matrix((0, self.partition.n))
         return sp.vstack(blocks, format="csr")
-
-    def submatrix(self, row_indices: np.ndarray, col_indices: np.ndarray,
-                  *, from_storage: bool = False, charge: bool = False
-                  ) -> sp.csr_matrix:
-        """Extract ``A[rows, cols]`` (verification and local-solve helper)."""
-        if from_storage:
-            owners = np.unique(self.partition.owner_of(row_indices))
-            rows = self.recovery_rows(owners, charge=charge)
-            offsets = self.partition.offsets
-            base = np.concatenate([
-                self.partition.indices_of(int(r)) for r in owners
-            ])
-            lookup = {int(g): i for i, g in enumerate(base)}
-            local_rows = np.array([lookup[int(g)] for g in row_indices])
-            return rows[local_rows, :][:, col_indices].tocsr()
-        full = self.to_global()
-        return full[row_indices, :][:, col_indices].tocsr()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -114,10 +114,6 @@ class BlockRowPartition:
         owners = np.searchsorted(self.offsets, idx, side="right") - 1
         return owners if np.ndim(index) else owners.reshape(np.shape(index))
 
-    def owner_of_scalar(self, index: int) -> int:
-        """Owning rank of a single global index."""
-        return int(self.owner_of(np.asarray([index]))[0])
-
     def local_index(self, rank: int, global_index) -> np.ndarray:
         """Convert global indices owned by *rank* into block-local offsets."""
         start, stop = self.range_of(rank)

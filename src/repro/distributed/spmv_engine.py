@@ -46,8 +46,8 @@ differ from the fused kernel in the last floating-point bits; the fused
 path (``overlap=False``, the default everywhere) remains bit-identical to
 the dense-gather reference.  The split matrices copy the matrix's ``data``
 array, so -- unlike the fused path -- silent in-place edits of stored block
-values are only picked up after a block write bumps the structure version
-and the engine is rebuilt.
+values are only picked up after a restore that changes values bumps the
+structure version and the engine is rebuilt.
 
 **Charge caching.**  The bulk-synchronous halo and compute charges depend
 only on static data (scatter counts, topology latencies, per-rank nnz), so
@@ -58,12 +58,13 @@ and overlap charges are cached per column count ``k``.
 
 **Cache invalidation contract.**  Engines are cached on
 :class:`~repro.distributed.dmatrix.DistributedMatrix` keyed by the context
-object (see :meth:`DistributedMatrix.spmv_engine`).  Every row-block write
-(``restore_block_to_node`` on the recovery path) bumps the matrix's
-``structure_version``; a cached engine whose ``version`` is stale is
-discarded and rebuilt on the next use, so recovery that re-installs matrix
-blocks on replacement nodes stays correct without any explicit
-notification.
+object (see :meth:`DistributedMatrix.spmv_engine`) and by the matrix's
+``structure_version``, which ``restore_block_to_node`` bumps only when it
+changes a stored value; a cached engine whose ``version`` is stale is
+discarded and rebuilt on the next use.  A recovery re-installs the ranks'
+own views on the replacement nodes, so it changes no value and keeps the
+engine: the engine reads the matrix through the same arrays, and its next
+liveness check sees the views back.
 
 Failure semantics are preserved: every call checks that every rank holds
 its matrix block and its input block (and can hold its output block), so an

@@ -101,3 +101,22 @@ def block_jacobi_factory():
         return preconditioner
 
     return factory
+
+
+@pytest.fixture
+def store_raised_diagonal():
+    """Store a copy of a matrix row block with its diagonal raised by 1.0.
+
+    ``store(dist, rank)`` puts the copy into reliable storage and returns
+    it, so the next ``restore_block_to_node(rank)`` changes stored values
+    (same sparsity pattern; an SPD matrix stays SPD).
+    """
+
+    def store(dist, rank):
+        start, _ = dist.partition.range_of(rank)
+        block = dist.row_block(rank).copy()
+        block.setdiag(block.diagonal(k=start) + 1.0, k=start)
+        dist.cluster.storage.put_block(dist._storage_name(), rank, block)
+        return block
+
+    return store

@@ -252,3 +252,24 @@ class TestBlockRightHandSides:
             assert result.converged[j]
             assert np.linalg.norm(rhs[:, j] - matrix @ result.x[:, j]) <= \
                 10 * max(rtol * np.linalg.norm(rhs[:, j]), atol)
+
+    def test_nonfinite_column_stays_frozen_across_a_restart(self, matrix):
+        """A restart reactivates converged columns, not non-finite ones;
+        the healthy column still matches its single-rhs run."""
+        rhs = np.random.default_rng(2).standard_normal((matrix.shape[0], 2))
+        rhs[3, 1] = np.nan
+        problem = fresh(matrix)
+        result = build(FullRestartPCG, problem, failures=[(12, [2])],
+                       rhs=DistributedMultiVector.from_global(
+                           problem.cluster, problem.partition, "B", rhs)
+                       ).solve()
+        assert result.converged == [True, False]
+        assert result.info["nonfinite_columns"] == [1]
+        assert result.iterations[1] == 0
+        single_problem = fresh(matrix)
+        single = build(FullRestartPCG, single_problem, failures=[(12, [2])],
+                       rhs=DistributedVector.from_global(
+                           single_problem.cluster, single_problem.partition,
+                           "b", rhs[:, 0])).solve()
+        assert result.residual_histories[0] == single.residual_norms
+        assert np.array_equal(result.x[:, 0], single.x)

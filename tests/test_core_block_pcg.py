@@ -405,3 +405,113 @@ class TestSingleVectorInterface:
             assert col.true_residual_norm == block.true_residual_norms[j]
             assert col.info["threshold"] == block.info["thresholds"][j]
             assert col.simulated_time == block.simulated_time
+
+
+class _PoisonedJacobi:
+    """Factory of a Jacobi preconditioner whose output for column 1 turns
+    NaN after *clean* rank applications (an overflow inside the solve)."""
+
+    @staticmethod
+    def build(clean):
+        precond = make_preconditioner("jacobi")
+        apply_block = precond.apply_block
+        calls = {"n": 0}
+
+        def poisoned(rank, block):
+            out = apply_block(rank, block)
+            calls["n"] += 1
+            if calls["n"] > clean and out.ndim == 2 and out.shape[1] > 1:
+                out = np.array(out, copy=True)
+                out[:, 1] = np.nan
+            return out
+
+        precond.apply_block = poisoned
+        return precond
+
+
+class TestNonFiniteColumns:
+    """A column whose ``r^T z``, ``p^T A p`` or residual norm is NaN or
+    infinite freezes with ``converged=False`` and is listed in
+    ``info["nonfinite_columns"]``; the healthy columns stay bit-identical to
+    their ``k = 1`` solves."""
+
+    @staticmethod
+    def solve(rhs_global, precond=None, **kwargs):
+        a = poisson_2d(12)
+        partition = BlockRowPartition(a.shape[0], N_NODES)
+        cluster = VirtualCluster(N_NODES,
+                                 machine=MachineModel(jitter_rel_std=0.0))
+        dist = DistributedMatrix.from_global(cluster, partition, "A", a)
+        if precond is None:
+            precond = make_preconditioner("block_jacobi")
+        precond.setup(a, partition)
+        container = (DistributedVector if rhs_global.ndim == 1
+                     else DistributedMultiVector)
+        rhs = container.from_global(cluster, partition, "b", rhs_global)
+        return BlockPCG(dist, rhs, precond, **kwargs).solve()
+
+    def test_inf_rhs_entry_is_not_reported_converged(self):
+        b = np.ones(144)
+        b[5] = np.inf
+        result = self.solve(b)
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.info["nonfinite_columns"] == [0]
+
+    def test_nan_rhs_entry_stops_without_iterating(self):
+        b = np.ones(144)
+        b[5] = np.nan
+        result = self.solve(b)
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.info["nonfinite_columns"] == [0]
+
+    def test_nan_column_freezes_while_the_others_converge(self):
+        rhs = np.random.default_rng(3).standard_normal((144, 3))
+        rhs[7, 1] = np.nan
+        result = self.solve(rhs)
+        assert result.converged == [True, False, True]
+        assert result.info["nonfinite_columns"] == [1]
+        assert result.info["breakdown_columns"] == []
+        assert result.iterations[1] == 0
+        # The block stops with the healthy columns, not at the cap.
+        assert result.global_iterations == max(result.iterations)
+        for j in (0, 2):
+            single = self.solve(rhs[:, j].copy())
+            assert single.converged
+            assert result.residual_histories[j] == single.residual_norms
+            assert np.array_equal(result.x[:, j], single.x)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_p_ap_freezes_before_the_update(self):
+        a = poisson_2d(12)
+        rng = np.random.default_rng(4)
+        huge = rng.standard_normal(144)
+        huge *= 1e154 / np.linalg.norm(huge)  # r^T r finite, p^T A p not
+        assert np.isfinite(huge @ huge) and not np.isfinite(huge @ (a @ huge))
+        rhs = np.column_stack([rng.standard_normal(144), huge])
+        identity = make_preconditioner("identity")
+        result = self.solve(rhs, precond=identity)
+        assert result.converged == [True, False]
+        assert result.info["nonfinite_columns"] == [1]
+        assert result.iterations[1] == 0
+        assert result.residual_histories[1] == [float(np.linalg.norm(huge))]
+        assert np.array_equal(result.x[:, 1], np.zeros(144))
+        single = self.solve(rhs[:, 0].copy(),
+                            precond=make_preconditioner("identity"))
+        assert result.residual_histories[0] == single.residual_norms
+        assert np.array_equal(result.x[:, 0], single.x)
+
+    def test_nan_mid_solve_freezes_at_that_iteration(self):
+        rhs = np.random.default_rng(5).standard_normal((144, 2))
+        # Setup and two iterations apply the preconditioner cleanly.
+        result = self.solve(rhs, precond=_PoisonedJacobi.build(3 * N_NODES))
+        assert result.converged == [True, False]
+        assert result.info["nonfinite_columns"] == [1]
+        # Iteration 2 updated x and r, then its r^T z came out NaN.
+        assert result.iterations[1] == 3
+        assert len(result.residual_histories[1]) == 4
+        single = self.solve(rhs[:, 0].copy(),
+                            precond=make_preconditioner("jacobi"))
+        assert result.residual_histories[0] == single.residual_norms
+        assert np.array_equal(result.x[:, 0], single.x)

@@ -278,14 +278,21 @@ class TestRegistry:
 
 
 class TestProblemCaches:
-    def test_global_operator_cached_until_structure_changes(self):
+    def test_global_operator_cached_until_structure_changes(
+            self, store_raised_diagonal):
         problem = fresh_problem(RHS_1D)
         first = problem.global_operator()
         assert problem.global_operator() is first
+        # Restoring the values already stored keeps the operator.
+        problem.matrix.restore_block_to_node(0, charge=False)
+        assert problem.global_operator() is first
+        raised = store_raised_diagonal(problem.matrix, 0)
         problem.matrix.restore_block_to_node(0, charge=False)
         rebuilt = problem.global_operator()
         assert rebuilt is not first
-        assert (rebuilt != first).nnz == 0  # same values, fresh assembly
+        start, stop = problem.partition.range_of(0)
+        assert (rebuilt[start:stop] != raised).nnz == 0  # restored values
+        assert (rebuilt[stop:] != first[stop:]).nnz == 0
 
     def test_preconditioner_cached_per_name_and_options(self):
         problem = fresh_problem(RHS_1D)
@@ -296,9 +303,14 @@ class TestProblemCaches:
         assert problem.resolve_preconditioner("ssor", omega=1.4) is not omega
         assert problem.resolve_preconditioner("ssor", omega=1.3) is omega
 
-    def test_preconditioner_cache_invalidated_on_structure_change(self):
+    def test_preconditioner_cache_invalidated_on_structure_change(
+            self, store_raised_diagonal):
         problem = fresh_problem(RHS_1D)
         p1 = problem.resolve_preconditioner("block_jacobi")
+        # Restoring the values already stored keeps the factorization.
+        problem.matrix.restore_block_to_node(0, charge=False)
+        assert problem.resolve_preconditioner("block_jacobi") is p1
+        store_raised_diagonal(problem.matrix, 0)
         problem.matrix.restore_block_to_node(0, charge=False)
         assert problem.resolve_preconditioner("block_jacobi") is not p1
 
@@ -314,6 +326,44 @@ class TestProblemCaches:
         second = solve(problem)
         assert np.array_equal(first.x, second.x)
         assert len(problem._precond_cache) == 1
+
+
+class TestRecoveryKeepsCaches:
+    """ESR recovery puts each failed rank's own matrix view back from
+    reliable storage and changes no value, so the problem's caches and the
+    cached SpMV engine survive it."""
+
+    def test_recovered_solve_keeps_every_cache(self):
+        problem = fresh_problem(RHS_1D)
+        dist, context = problem.matrix, problem.context
+        solve(problem)  # builds the engine, operator and factorization
+        version = dist.structure_version
+        engine = dist.cached_spmv_engine(context)
+        operator = problem.global_operator()
+        precond = problem.resolve_preconditioner("block_jacobi")
+        result = solve(problem, phi=2, failures=FAILURES)
+        assert result.converged and result.n_failures_recovered == 2
+        assert dist.structure_version == version
+        assert engine is not None
+        assert dist.cached_spmv_engine(context) is engine
+        assert problem.global_operator() is operator
+        assert problem.resolve_preconditioner("block_jacobi") is precond
+
+    @pytest.mark.parametrize("rhs", [RHS_1D, RHS_2D], ids=["1d", "2d"])
+    def test_second_recovered_solve_matches_a_fresh_problem(self, rhs):
+        reused = fresh_problem(RHS_1D)
+        solve(reused, rhs, phi=2, failures=FAILURES)
+        reused.cluster.ledger.reset()
+        again = solve(reused, rhs, phi=2, failures=FAILURES)
+        fresh = fresh_problem(RHS_1D)
+        first = solve(fresh, rhs, phi=2, failures=FAILURES)
+        assert np.array_equal(again.x, first.x)
+        if rhs.ndim == 1:
+            assert again.residual_norms == first.residual_norms
+        else:
+            assert again.residual_histories == first.residual_histories
+        assert again.time_breakdown == first.time_breakdown
+        assert ledger_state(reused) == ledger_state(fresh)
 
 
 class TestResilienceOptionsForwarding:

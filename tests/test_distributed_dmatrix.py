@@ -119,13 +119,6 @@ class TestFailureAndRecovery:
         rows = dist.recovery_rows([0, 1, 2, 3], charge=False)
         assert (rows != a).nnz == 0
 
-    def test_submatrix_from_storage(self, setup):
-        _, partition, a, dist = setup
-        rows = partition.indices_of(1)
-        cols = partition.indices_of(2)
-        sub = dist.submatrix(rows, cols, from_storage=True)
-        assert (sub != a[rows, :][:, cols]).nnz == 0
-
     def test_optional_no_storage(self, setup):
         cluster, partition, a, _ = setup
         dist = DistributedMatrix.from_global(cluster, partition, "B", a,

@@ -90,11 +90,6 @@ class TestOwnership:
         owners = part.owner_of(np.array([0, 3, 4, 6, 7, 9]))
         assert list(owners) == [0, 0, 1, 1, 2, 2]
 
-    def test_owner_of_scalar(self):
-        part = BlockRowPartition(10, 3)
-        assert part.owner_of_scalar(0) == 0
-        assert part.owner_of_scalar(9) == 2
-
     def test_owner_out_of_range(self):
         part = BlockRowPartition(10, 2)
         with pytest.raises(IndexError):

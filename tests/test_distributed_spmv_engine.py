@@ -222,11 +222,16 @@ class TestCache:
         assert ledgers[0].messages == ledgers[1].messages
         assert ledgers[0].elements == ledgers[1].elements
 
-    def test_restore_block_invalidates_cache(self):
+    def test_restore_block_invalidates_cache(self, store_raised_diagonal):
         matrix = poisson_2d(12)
         partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
         engine = dist.spmv_engine(ctx)
         version = dist.structure_version
+        # Restoring the values already stored keeps the engine.
+        dist.restore_block_to_node(2, charge=False)
+        assert dist.structure_version == version
+        assert dist.spmv_engine(ctx) is engine
+        raised = store_raised_diagonal(dist, 2)
         dist.restore_block_to_node(2, charge=False)
         assert dist.structure_version > version
         rebuilt = dist.spmv_engine(ctx)
@@ -237,7 +242,10 @@ class TestCache:
         )
         y = DistributedVector.zeros(cluster, partition, "y")
         distributed_spmv(dist, x, y, ctx)
-        assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+        start, stop = partition.range_of(2)
+        expected = sp.vstack([matrix[:start], raised, matrix[stop:]],
+                             format="csr")
+        assert np.array_equal(y.to_global(), expected @ np.arange(144.0))
 
     def test_unrestored_input_raises_key_error(self):
         matrix = poisson_2d(10)

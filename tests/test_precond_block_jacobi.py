@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import BlockRowPartition
 from repro.matrices import poisson_2d
@@ -139,3 +142,90 @@ class TestAsPreconditionerInPCG:
         assert np.allclose(prec.x, plain.x, atol=1e-6)
         # Block Jacobi must not blow up the iteration count on this easy problem.
         assert prec.iterations <= 2 * plain.iterations
+
+
+# -- the row accessors against a one-row-at-a-time oracle ----------------------
+
+def _sorted_unique(indices):
+    return np.unique(np.asarray(list(indices), dtype=np.int64))
+
+
+def forward_rows_per_row(p, indices):
+    """Rows of ``M``, one padded 1 x n CSR row per index, stacked."""
+    n = p.matrix.shape[0]
+    rows = []
+    for gi in _sorted_unique(indices):
+        rank = int(p.block_partition.owner_of(gi))
+        start, _ = p.block_partition.range_of(rank)
+        local_row = p.diagonal_block(rank)[int(gi) - start, :]
+        rows.append(sp.csr_matrix(
+            (local_row.data, local_row.indices + start,
+             np.array([0, local_row.nnz])), shape=(1, n)))
+    if not rows:
+        return sp.csr_matrix((0, n))
+    return sp.vstack(rows, format="csr")
+
+
+def inverse_rows_per_row(p, indices):
+    """Rows of ``P = M^{-1}``, one padded 1 x n CSR row per index, stacked."""
+    n = p.matrix.shape[0]
+    rows = []
+    for gi in _sorted_unique(indices):
+        rank = int(p.block_partition.owner_of(gi))
+        start, stop = p.block_partition.range_of(rank)
+        data = np.linalg.inv(p.diagonal_block(rank).toarray())[gi - start, :]
+        rows.append(sp.csr_matrix(
+            (data, (np.zeros(data.size, dtype=int), np.arange(start, stop))),
+            shape=(1, n)))
+    if not rows:
+        return sp.csr_matrix((0, n))
+    return sp.vstack(rows, format="csr")
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        got_array, expected_array = getattr(got, name), getattr(expected, name)
+        assert got_array.dtype == expected_array.dtype, name
+        assert got_array.tobytes() == expected_array.tobytes(), name
+
+
+def zeroed_couplings(side, n_zeroed):
+    """``poisson_2d(side)`` with symmetric pairs of off-diagonal entries set
+    to explicit (stored) zeros; it stays symmetric positive definite."""
+    a = poisson_2d(side).tocsr()
+    coo = a.tocoo()
+    upper = np.nonzero(coo.row < coo.col)[0][:n_zeroed]
+    for entry in upper:
+        i, j = int(coo.row[entry]), int(coo.col[entry])
+        for r, c in ((i, j), (j, i)):
+            lo, hi = a.indptr[r], a.indptr[r + 1]
+            a.data[lo + int(np.nonzero(a.indices[lo:hi] == c)[0][0])] = 0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(side=st.integers(2, 9), parts=st.integers(1, 40),
+       solver=st.sampled_from(["direct", "ilu", "ic"]),
+       n_zeroed=st.integers(0, 4), data=st.data())
+def test_row_accessors_match_per_row_construction(side, parts, solver,
+                                                  n_zeroed, data):
+    """Byte for byte, for unsorted and repeated index sets (including the
+    empty one) over up to one rank per row."""
+    a = zeroed_couplings(side, n_zeroed)
+    n = a.shape[0]
+    p = BlockJacobiPreconditioner(block_solver=solver)
+    p.setup(a, BlockRowPartition(n, min(parts, n)))
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    assert_same_csr(p.forward_rows(indices), forward_rows_per_row(p, indices))
+    assert_same_csr(p.inverse_rows(np.array(indices, dtype=np.int64)),
+                    inverse_rows_per_row(p, indices))
+
+
+def test_row_accessors_reject_out_of_range_indices(matrix, partition):
+    p = BlockJacobiPreconditioner()
+    p.setup(matrix, partition)
+    for rows in (p.forward_rows, p.inverse_rows):
+        with pytest.raises(IndexError):
+            rows([3, 100])

@@ -56,7 +56,7 @@ def test_partition_ownership_consistent(n, n_parts, probe):
     n_parts = min(n_parts, n)
     part = BlockRowPartition(n, n_parts)
     index = probe % n
-    owner = part.owner_of_scalar(index)
+    owner = int(part.owner_of(index))
     start, stop = part.range_of(owner)
     assert start <= index < stop
     assert part.local_index(owner, np.array([index]))[0] == index - start

@@ -4,12 +4,15 @@ The whole-array kernels -- block BLAS-1, the batched reductions and the
 SpMV -- check liveness once per memory epoch, not once per rank, and the
 SpMV runs one sparse kernel over all ranks.  So after a warm-up call, one
 ``axpy``, one ``dots`` and one ``distributed_spmv`` make the same number of
-node-memory reads and ``csr_matvecs`` calls on 16 nodes as on 128.  Counting
-calls instead of timing them keeps the guard deterministic.
+node-memory reads and ``csr_matvecs`` calls on 16 nodes as on 128.  In the
+same way the recovery's rows of ``M`` are built per failed rank, not per
+failed row.  Counting calls instead of timing them keeps the guard
+deterministic.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.cluster import MachineModel, VirtualCluster
 from repro.cluster.node import NodeMemory
@@ -22,6 +25,7 @@ from repro.distributed import (
     spmv_engine,
 )
 from repro.matrices import poisson_2d
+from repro.precond import BlockJacobiPreconditioner
 
 SIDE = 16  # n = 256: at least two rows per rank on 128 nodes
 
@@ -80,3 +84,27 @@ def test_counts_do_not_grow_with_node_count(monkeypatch, name, k):
     assert counts[16] == counts[128]
     if name == "distributed_spmv":
         assert counts[128][1] == 1
+
+
+def test_forward_rows_builds_per_rank_not_per_row(monkeypatch):
+    """The rows of one failed rank cost the same number of CSR
+    constructions whether the rank owns 16 rows or 64."""
+    matrix = poisson_2d(SIDE)
+    counts = {}
+    for n_nodes in (16, 4):
+        partition = BlockRowPartition(matrix.shape[0], n_nodes)
+        preconditioner = BlockJacobiPreconditioner()
+        preconditioner.setup(matrix, partition)
+        rows = partition.indices_of(1)
+        built = {"csr": 0}
+        init = sp.csr_matrix.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built["csr"] += 1
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.csr_matrix, "__init__", counted_init)
+            preconditioner.forward_rows(rows)
+        counts[rows.size] = built["csr"]
+    assert counts[16] == counts[64]

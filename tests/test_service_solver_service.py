@@ -399,11 +399,12 @@ class TestAccountingIntegration:
 
 class TestProblemCacheAudit:
     def test_structure_bump_invalidates_next_batch_not_running_one(
-            self, service, small_poisson):
-        """``restore_block_to_node`` mid-queue: the cached operator and
-        preconditioner of the *next* batch are rebuilt, while the objects a
-        running batch already resolved stay alive and usable (regression
-        pin for concurrent service reuse of the per-problem caches)."""
+            self, service, small_poisson, store_raised_diagonal):
+        """A ``restore_block_to_node`` that changes values mid-queue: the
+        cached operator and preconditioner of the *next* batch are rebuilt,
+        while the objects a running batch already resolved stay alive and
+        usable (regression pin for concurrent service reuse of the
+        per-problem caches)."""
         problem = service.problem("poisson")
         handle = service.submit("poisson", np.ones(small_poisson.shape[0]))
         service.drain()
@@ -412,7 +413,15 @@ class TestProblemCacheAudit:
         pc_before = problem.resolve_preconditioner("block_jacobi")
         version_before = problem.matrix.structure_version
 
-        # A recovery path restores a row block between two batches.
+        # Restoring the values already stored keeps both caches.
+        problem.matrix.restore_block_to_node(1)
+        assert problem.matrix.structure_version == version_before
+        assert problem.global_operator() is op_before
+        assert problem.resolve_preconditioner("block_jacobi") is pc_before
+
+        # A recovery path restores other values of a row block between two
+        # batches.
+        store_raised_diagonal(problem.matrix, 1)
         problem.matrix.restore_block_to_node(1)
         assert problem.matrix.structure_version == version_before + 1
 
