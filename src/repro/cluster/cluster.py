@@ -15,7 +15,7 @@ from ..utils.rng import RandomState, as_rng
 from .communicator import Communicator
 from .cost_model import CostLedger, MachineModel
 from .errors import ClusterError
-from .failure import FailureInjector, UlfmRuntime
+from .failure import UlfmRuntime
 from .network import Topology, UniformTopology, default_topology
 from .node import MemoryEpoch, Node
 from .reliable_storage import ReliableStorage
@@ -105,10 +105,6 @@ class VirtualCluster:
     def replace_nodes(self, ranks: Iterable[int]) -> List[int]:
         """Install replacement nodes for the given failed ranks."""
         return self.ulfm.provide_replacements(ranks)
-
-    def attach_failure_schedule(self, events) -> FailureInjector:
-        """Convenience: build a :class:`FailureInjector` for this cluster."""
-        return FailureInjector(events)
 
     # -- time accounting ------------------------------------------------------
     def simulated_time(self) -> float:

@@ -155,11 +155,11 @@ class Communicator:
 
         Notes
         -----
-        Batched reductions -- ``k`` per-column dots of a multi-RHS block, or
-        a ``k x k`` Gram matrix -- pass ndarray contributions: each tree hop
-        still moves **one** message (the message count is independent of the
-        payload width), only the per-hop volume scales with the element
-        count, mirroring how the SpMV's ``halo_exchange_cost`` scales with
+        Batched reductions -- the ``k`` per-column dots of a multi-RHS
+        block -- pass ndarray contributions: each tree hop still moves
+        **one** message (the message count is independent of the payload
+        width), only the per-hop volume scales with the element count,
+        mirroring how the SpMV's ``halo_exchange_cost`` scales with
         ``n_rhs``.  This is the amortization
         :meth:`~repro.distributed.dmultivector.DistributedMultiVector.dots`
         and :class:`~repro.core.block_pcg.BlockPCG` build on.  The partial

@@ -178,12 +178,11 @@ class MachineModel:
     def allreduce_time(self, n_nodes: int, n_scalars: int = 1) -> float:
         """Cost of an allreduce over *n_nodes* of *n_scalars* doubles.
 
-        Batched reductions (the ``k`` per-column dots of a multi-RHS block,
-        or a ``k x k`` Gram matrix) pass ``n_scalars = k`` or ``k^2``: every
-        tree hop remains **one** message paying the per-level latency once,
-        and only the per-hop volume term scales with the payload width --
-        the same message-count-invariant scaling ``halo_exchange_cost``
-        applies to multi-RHS halo exchanges.  Since the latency term
+        Batched reductions (the ``k`` per-column dots of a multi-RHS block)
+        pass ``n_scalars = k``: every tree hop remains **one** message
+        paying the per-level latency once, and only the per-hop volume term
+        scales with the payload width -- the same message-count-invariant
+        scaling ``halo_exchange_cost`` applies to multi-RHS halo exchanges.  Since the latency term
         dominates for the few-scalar reductions of (block-)PCG, a ``k``-wide
         reduction costs far less than ``k`` scalar ones.
         """

@@ -88,10 +88,6 @@ class ReliableStorage:
         """Fetch a per-node block stored via :meth:`put_block`."""
         return self.retrieve((name, rank), charge=charge)
 
-    def attach_ledger(self, ledger: CostLedger) -> None:
-        """Bind (or rebind) the cost ledger that retrievals are charged to."""
-        self._ledger = ledger
-
     def stored_element_count(self) -> int:
         """Total number of scalar elements held (for reporting)."""
         return sum(_element_count(v) for v in self._store.values())

@@ -259,7 +259,6 @@ class BlockPCG:
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None,
                  overlap_spmv: bool = False,
-                 engine: bool = True,
                  fuse_reductions: bool = False):
         self.matrix = matrix
         self.cluster: VirtualCluster = matrix.cluster
@@ -273,15 +272,10 @@ class BlockPCG:
         self.n_cols = rhs.n_cols
         #: Execute the batched SpMVs split-phase (halo exchange overlapped
         #: with the diagonal-block product) and charge the overlap-aware
-        #: cost.  Off by default: the serialized path is bit-identical to
-        #: the dense-gather reference, while split execution rounds like
-        #: PETSc's overlapped MatMult (last-bits differences; see
-        #: repro.distributed.spmv_engine).
+        #: cost.  Off by default: the serialized kernel is bit-exact, while
+        #: split execution rounds like PETSc's overlapped MatMult (last-bits
+        #: differences; see repro.distributed.spmv_engine).
         self.overlap_spmv = bool(overlap_spmv)
-        #: Execute the batched SpMVs through the cached SpMV engine
-        #: (default); ``False`` runs the dense-gather reference path
-        #: (bit-identical results and charges).
-        self.engine = bool(engine)
         #: Ship the trailing ``R^T Z`` and ``R^T R`` reductions of each
         #: iteration as **one** ``2k``-wide allreduce (3 -> 2 reductions per
         #: iteration; see :func:`~repro.distributed.dmultivector.fused_dots`).
@@ -421,7 +415,7 @@ class BlockPCG:
               out: DistributedMultiVector) -> None:
         """``out = A x`` through the batched kernel (one halo exchange)."""
         distributed_spmv(self.matrix, x, out, self.context,
-                         overlap=self.overlap_spmv, engine=self.engine)
+                         overlap=self.overlap_spmv)
 
     def _spmv_p(self) -> None:
         """``AP = A P`` -- split out so recovery can repeat it."""
@@ -628,7 +622,6 @@ class BlockPCG:
                 "n_nodes": self.partition.n_parts,
                 "n_cols": self.n_cols,
                 "overlap_spmv": self.overlap_spmv,
-                "engine": self.engine,
                 "fuse_reductions": self.fuse_reductions,
                 "breakdown_columns": [int(j) for j in
                                       np.nonzero(self.breakdown)[0]],

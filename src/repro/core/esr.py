@@ -304,10 +304,6 @@ class ESRProtocol:
                 node.memory[_SCALAR_KEY] = payload
 
     # -- queries --------------------------------------------------------------------
-    def generation_iteration(self, slot: int) -> int:
-        """The solver iteration stored in parity *slot* (-1 if empty)."""
-        return self._generations[slot].iteration
-
     def available_generations(self) -> List[int]:
         """Iteration numbers currently retained (at most two)."""
         return sorted(

@@ -132,8 +132,7 @@ def _build(cls: type, problem: "DistributedProblem",
     return cls(
         problem.matrix, rhs, preconditioner,
         rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        context=problem.context, overlap_spmv=spec.overlap_spmv,
-        engine=spec.engine, **extra,
+        context=problem.context, overlap_spmv=spec.overlap_spmv, **extra,
     )
 
 

@@ -239,7 +239,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         split); by default the preconditioner's natural form is used.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
-    ``context``/``overlap_spmv``/``engine``/``fuse_reductions``) are those of
+    ``context``/``overlap_spmv``/``fuse_reductions``) are those of
     :class:`BlockPCG`.
     """
 
@@ -261,11 +261,10 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None,
                  overlap_spmv: bool = False,
-                 engine: bool = True,
                  fuse_reductions: bool = False):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context,
-                         overlap_spmv=overlap_spmv, engine=engine,
+                         overlap_spmv=overlap_spmv,
                          fuse_reductions=fuse_reductions)
         self._init_resilience(
             phi=phi, placement=placement, failure_injector=failure_injector,

@@ -246,9 +246,6 @@ class SolveSpec:
     #: Execute SpMVs split-phase (halo exchange overlapped with the diagonal
     #: block product) and charge the overlap-aware cost.
     overlap_spmv: bool = False
-    #: Execute SpMVs through the cached SpMV engine (default); ``False``
-    #: forces the dense-gather reference path (bit-identical results/charges).
-    engine: bool = True
     #: Preconditioner: a registered name (see ``repro.precond.PRECONDITIONERS``),
     #: ``None`` for the default block Jacobi, or an already-built
     #: :class:`~repro.precond.base.Preconditioner` instance (not serializable).
@@ -279,7 +276,6 @@ class SolveSpec:
         if isinstance(self.block, Mapping):
             object.__setattr__(self, "block", BlockSpec.from_dict(self.block))
         object.__setattr__(self, "overlap_spmv", bool(self.overlap_spmv))
-        object.__setattr__(self, "engine", bool(self.engine))
         object.__setattr__(self, "preconditioner_options",
                            dict(self.preconditioner_options))
 
@@ -358,7 +354,6 @@ class SolveSpec:
             "atol": self.atol,
             "max_iterations": self.max_iterations,
             "overlap_spmv": self.overlap_spmv,
-            "engine": self.engine,
             "preconditioner": self.preconditioner,
             "preconditioner_options": dict(self.preconditioner_options),
             "resilience": (self.resilience.to_dict()

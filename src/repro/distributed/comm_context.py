@@ -136,10 +136,6 @@ class CommunicationContext:
             self._multiplicity_cache[src] = counts
         return self._multiplicity_cache[src]
 
-    def sent_anywhere_mask(self, src: int) -> np.ndarray:
-        """Boolean mask over ``S_i``: true where ``m_i(s) >= 1`` (``R_i``)."""
-        return self.multiplicity(src) > 0
-
     def unsent_indices(self, src: int) -> np.ndarray:
         """``R^c_i``: global indices of *src* that no other node receives."""
         start, _ = self.partition.range_of(src)

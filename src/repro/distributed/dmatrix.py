@@ -68,7 +68,7 @@ class DistributedMatrix:
         #: other values); SpMV engines built against an older version are
         #: discarded (cache invalidation contract).
         self._structure_version = 0
-        #: ``id(context) -> (context, engine_or_None, version)``.
+        #: ``id(context) -> (context, engine, version)``.
         self._spmv_engines: dict = {}
         #: Cached default scatter plan (see :meth:`default_context`).
         self._default_context = None
@@ -155,8 +155,18 @@ class DistributedMatrix:
             self._default_context_version = self._structure_version
         return self._default_context
 
-    def _cached_engine_entry(self, context):
-        """The live cache entry for *context*, LRU-refreshed, or ``None``."""
+    def spmv_engine(self, context):
+        """The cached SpMV engine for *context*, built on a cache miss.
+
+        Engines are cached per context object and invalidated whenever the
+        stored values change (``structure_version`` changes), e.g. when
+        ``restore_block_to_node`` installs other values.  A cache hit
+        touches no node memory.  A miss builds the engine, which raises
+        :class:`~repro.distributed.spmv_engine.ContextMismatchError` when
+        *context* does not cover the matrix's off-diagonal columns and
+        ``NodeFailedError`` when a row block sits on a failed node; nothing
+        is cached then.
+        """
         key = id(context)
         entry = self._spmv_engines.get(key)
         if (entry is not None and entry[0] is context
@@ -164,40 +174,10 @@ class DistributedMatrix:
             # LRU refresh so a long-lived hot plan is not evicted by a
             # stream of short-lived foreign contexts.
             self._spmv_engines[key] = self._spmv_engines.pop(key)
-            return entry
-        return None
-
-    def cached_spmv_engine(self, context):
-        """The cached engine for *context* without building one.
-
-        Pure cache lookup -- never touches node memories, so callers can use
-        it to pick the cached static charges before any operation that may
-        raise on failed nodes (keeping the charge order identical to the
-        dense-gather reference path).  ``None`` on a cache miss *or* when
-        the cached entry records a context mismatch.
-        """
-        entry = self._cached_engine_entry(context)
-        return entry[1] if entry is not None else None
-
-    def spmv_engine(self, context):
-        """The cached SpMV engine for *context* (or ``None``).
-
-        Engines are cached per context object and invalidated whenever the
-        stored values change (``structure_version`` changes), e.g. when
-        ``restore_block_to_node`` installs other values.  Returns ``None``
-        when *context* does not cover the matrix's off-diagonal columns --
-        callers then fall back to the dense-gather reference path, whose
-        numerics never depend on the context.
-        """
-        entry = self._cached_engine_entry(context)
-        if entry is not None:
             return entry[1]
-        from .spmv_engine import ContextMismatchError, SpmvEngine
+        from .spmv_engine import SpmvEngine
 
-        try:
-            engine = SpmvEngine(self, context)
-        except ContextMismatchError:
-            engine = None
+        engine = SpmvEngine(self, context)
         if len(self._spmv_engines) >= self._ENGINE_CACHE_SIZE:
             stale = [cached_key for cached_key, cached in
                      self._spmv_engines.items()
@@ -206,8 +186,7 @@ class DistributedMatrix:
                 del self._spmv_engines[cached_key]
         while len(self._spmv_engines) >= self._ENGINE_CACHE_SIZE:
             self._spmv_engines.pop(next(iter(self._spmv_engines)))
-        self._spmv_engines[id(context)] = (context, engine,
-                                           self._structure_version)
+        self._spmv_engines[key] = (context, engine, self._structure_version)
         return engine
 
     # -- block access ------------------------------------------------------------

@@ -37,10 +37,9 @@ multi-vector), and the charge is the single-vector streaming charge with
 ``k``-fold element count, mirroring how the batched SpMV scales.
 
 **Batched reductions.**  :meth:`dots` returns the ``k`` per-column dot
-products through **one** allreduce of ``k`` scalars; :meth:`gram` returns
-the ``k x k`` block Gram matrix through one allreduce of ``k^2`` scalars.
-Either way the collective's message count is that of a single scalar
-allreduce -- one message per tree hop -- and only the per-hop volume scales
+products through **one** allreduce of ``k`` scalars.  The collective's
+message count is that of a single scalar allreduce -- one message per tree
+hop -- and only the per-hop volume scales
 (see :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`), which
 is the latency amortization the paper's cost model (Sec. 4.2) rewards.
 The local partial dots stay per rank: each is a contiguous 1-D dot of one
@@ -334,35 +333,6 @@ class DistributedMultiVector(NodeBlockStore):
         ``k``-fold volume (cf. Sec. 4.2's latency-dominated reductions).
         """
         return fused_dots([(self, other)], alive_only=alive_only)[0]
-
-    def gram(self, other: "DistributedMultiVector", *,
-             alive_only: bool = False) -> np.ndarray:
-        """The ``k x k`` block Gram matrix ``self^T other`` in one allreduce.
-
-        Each rank contributes its local ``(k, k)`` product; the collective
-        ships ``k^2`` scalars in one payload per tree hop.  This is the
-        reduction genuine block-Krylov recurrences (block-CG with coupled
-        columns) consume; :class:`~repro.core.block_pcg.BlockPCG` only needs
-        the diagonal (see :meth:`dots`).  The local products use a dense
-        GEMM, so the diagonal may differ from :meth:`dots` in the last bits.
-        """
-        self._check_compatible(other)
-        mine = self.blocks(alive_only=alive_only)
-        theirs = other.blocks(alive_only=alive_only)
-        contributions: Dict[int, np.ndarray] = {}
-        for rank, node in enumerate(self.cluster.nodes):
-            if alive_only and not node.is_alive:
-                continue
-            contributions[rank] = mine[rank].T @ theirs[rank]
-        # 2k flops per stored element: each of the k^2 entries is a length
-        # n_i dot, i.e. the streaming charge of k passes over the block.
-        self._charge_block_op(2.0 * self.n_cols,
-                              n_rows=participating_max_block_size(
-                                  self.partition, contributions)
-                              if alive_only else None)
-        total = self.cluster.comm.allreduce_sum(contributions,
-                                                alive_only=alive_only)
-        return np.asarray(total, dtype=np.float64)
 
     def norms2(self, *, alive_only: bool = False) -> np.ndarray:
         """Per-column Euclidean norms (one batched allreduce via :meth:`dots`).

@@ -1,11 +1,10 @@
 """SpMV execution engine (a PETSc-style ``MatMult``).
 
-The dense-gather reference implementation of :func:`repro.distributed.spmv.
-distributed_spmv` assembles a fresh global vector on every call, multiplies
-each rank's full ``(n_i, n)`` row block against it, and recomputes the static
-halo-exchange charge from the scatter edges each time.  :class:`SpmvEngine`
-does the static work once per ``(matrix, context)`` pair, so a call costs
-one liveness check and one sparse kernel:
+:class:`SpmvEngine` is the one SpMV of :func:`repro.distributed.spmv.
+distributed_spmv`.  It does the static work -- checking the scatter plan,
+pricing the halo exchange and the local products -- once per
+``(matrix, context)`` pair, so a call costs one liveness check and one
+sparse kernel:
 
 **One kernel over all ranks.**  A
 :class:`~repro.distributed.dmatrix.DistributedMatrix` is one CSR matrix
@@ -17,17 +16,17 @@ values the halo exchange brought in; here those values already sit in the
 operand's array, so :meth:`apply_block` computes every rank's rows with one
 ``csr_matvecs`` call on the two arrays.  Each row accumulates its stored
 entries in their stored order against the same operand values a rank-local
-kernel would read, so the result is bit-identical to the dense-gather
-reference, and column ``j`` of a batched product is bit-identical to the
-``k = 1`` product of column ``j``.  The kernel shares the matrix's arrays,
-so in-place edits of block values stay live, as on the reference path.
+kernel would read, so the result is bit-identical to multiplying each
+rank's ``(n_i, n)`` row block by the gathered operand, and column ``j`` of a
+batched product is bit-identical to the ``k = 1`` product of column ``j``.
+The kernel shares the matrix's arrays, so in-place edits of block values
+stay live.
 
 **Scatter-plan check.**  At build time the engine derives each rank's ghost
 set ``G_k`` (the sorted union of the plan's ``S_ik`` over all senders ``i``)
 and checks that it covers every off-diagonal column of the rank's rows; a
 plan derived from a different sparsity pattern raises
-:class:`ContextMismatchError` and the caller falls back to the reference
-path, whose numerics never depend on the context.
+:class:`ContextMismatchError`, which reaches the SpMV's caller.
 
 **Split-phase execution (comm/compute overlap).**  ``split=True`` models the
 classical non-blocking halo exchange: post the sends, compute
@@ -43,18 +42,17 @@ than the serialized ``halo + compute`` charge.  Because the two-kernel
 execution accumulates each row's diagonal terms before its off-diagonal
 terms (exactly as PETSc's overlapped ``MatMult`` does), its results may
 differ from the fused kernel in the last floating-point bits; the fused
-path (``overlap=False``, the default everywhere) remains bit-identical to
-the dense-gather reference.  The split matrices copy the matrix's ``data``
-array, so -- unlike the fused path -- silent in-place edits of stored block
-values are only picked up after a restore that changes values bumps the
-structure version and the engine is rebuilt.
+path (``overlap=False``, the default everywhere) is the bit-exact one.  The
+split matrices copy the matrix's ``data`` array, so -- unlike the fused
+path -- silent in-place edits of stored block values are only picked up
+after a restore that changes values bumps the structure version and the
+engine is rebuilt.
 
 **Charge caching.**  The bulk-synchronous halo and compute charges depend
 only on static data (scatter counts, topology latencies, per-rank nnz), so
-the engine computes them once with the same helper functions the reference
-path calls per matvec.  The charged values -- and, with cost jitter enabled,
-the RNG draw sequence -- are identical to the reference path's.  Multi-RHS
-and overlap charges are cached per column count ``k``.
+the engine computes them once per column count ``k`` (the halo charge with
+:func:`~repro.distributed.spmv.halo_exchange_cost`), and likewise the
+overlap-aware charge.
 
 **Cache invalidation contract.**  Engines are cached on
 :class:`~repro.distributed.dmatrix.DistributedMatrix` keyed by the context
@@ -66,12 +64,11 @@ own views on the replacement nodes, so it changes no value and keeps the
 engine: the engine reads the matrix through the same arrays, and its next
 liveness check sees the views back.
 
-Failure semantics are preserved: every call checks that every rank holds
-its matrix block and its input block (and can hold its output block), so an
-SpMV involving a failed owner raises
-:class:`~repro.cluster.errors.NodeFailedError` -- and one involving a
-replacement node whose block was not restored ``KeyError`` -- exactly like
-the reference path.
+Failure semantics: every call checks that every rank holds its matrix
+block and its input block (and can hold its output block), so an SpMV
+involving a failed owner raises
+:class:`~repro.cluster.errors.NodeFailedError`, and one involving a
+replacement node whose block was not restored ``KeyError``.
 """
 
 from __future__ import annotations
@@ -101,8 +98,9 @@ class ContextMismatchError(ValueError):
     Raised while building an engine when the supplied
     :class:`CommunicationContext` was derived from a different sparsity
     pattern (e.g. a stale plan, or a plan for another matrix on the same
-    partition).  The caller is expected to fall back to the dense-gather
-    reference path, whose numerics never depend on the context.
+    partition), or ships elements to ranks that own them.  The SpMV cannot
+    run on such a plan, so :func:`~repro.distributed.spmv.distributed_spmv`
+    raises it before charging anything.
     """
 
 
@@ -169,21 +167,14 @@ class SpmvEngine:
         #: ``(diag, offdiag)`` CSR parts, built on first split-phase use.
         self._split: Optional[Tuple[sp.csr_matrix, sp.csr_matrix]] = None
 
-        # -- cached static charges (identical values to the per-call
-        #    recomputation of the reference path).
-        from .spmv import halo_exchange_cost, spmv_compute_cost
-
-        cluster = matrix.cluster
-        self.halo_cost = halo_exchange_cost(
-            context, cluster.topology, cluster.ledger.model
-        )
-        self.compute_cost = spmv_compute_cost(matrix, cluster.ledger.model)
-        #: Per column count k > 1: cached (time, msgs, elements) halo charge.
-        self._halo_cost_k: Dict[int, Tuple[float, int, int]] = {}
-        #: Per column count k > 1: cached bulk-synchronous compute charge.
-        self._compute_cost_k: Dict[int, float] = {}
-        #: Per column count k: cached overlap-aware charge.
+        #: Per column count k: cached (time, msgs, elements) halo charge,
+        #: bulk-synchronous compute charge and overlap-aware charge.
+        self._halo_costs: Dict[int, Tuple[float, int, int]] = {}
+        self._compute_costs: Dict[int, float] = {}
         self._overlap_charges: Dict[int, OverlapCharge] = {}
+        #: The single-vector (k = 1) halo and compute charges.
+        self.halo_cost = self.halo_cost_for(1)
+        self.compute_cost = self.compute_cost_for(1)
 
     # -- construction -------------------------------------------------------
     def _ghost_sets(self, a: sp.csr_matrix) -> List[np.ndarray]:
@@ -284,34 +275,31 @@ class SpmvEngine:
     def halo_cost_for(self, n_rhs: int) -> Tuple[float, int, int]:
         """``(time, messages, elements)`` of one halo exchange of *n_rhs* columns.
 
-        ``n_rhs == 1`` returns the cached single-vector charge (bit-identical
-        to the reference path's per-call recomputation).  For batched
-        multi-RHS exchanges every scatter edge ships ``|S_ik| * n_rhs``
-        values in one message, so the message count is unchanged while the
-        per-message volume scales with the column count.
+        Priced by :func:`~repro.distributed.spmv.halo_exchange_cost` and
+        cached per column count.  For batched multi-RHS exchanges every
+        scatter edge ships ``|S_ik| * n_rhs`` values in one message, so the
+        message count is unchanged while the per-message volume scales with
+        the column count.
         """
-        if n_rhs == 1:
-            return self.halo_cost
-        if n_rhs not in self._halo_cost_k:
+        if n_rhs not in self._halo_costs:
             from .spmv import halo_exchange_cost
 
             cluster = self.matrix.cluster
-            self._halo_cost_k[n_rhs] = halo_exchange_cost(
+            self._halo_costs[n_rhs] = halo_exchange_cost(
                 self.context, cluster.topology, cluster.ledger.model,
                 n_rhs=n_rhs,
             )
-        return self._halo_cost_k[n_rhs]
+        return self._halo_costs[n_rhs]
 
     def compute_cost_for(self, n_rhs: int) -> float:
-        """Bulk-synchronous compute charge of ``Y = A X`` with *n_rhs* columns."""
-        if n_rhs == 1:
-            return self.compute_cost
-        if n_rhs not in self._compute_cost_k:
+        """Bulk-synchronous compute charge of ``Y = A X`` with *n_rhs* columns:
+        the slowest rank's local product (cached per column count)."""
+        if n_rhs not in self._compute_costs:
             model = self.matrix.cluster.ledger.model
-            self._compute_cost_k[n_rhs] = max(
+            self._compute_costs[n_rhs] = max(
                 model.spmv_time(nnz * n_rhs) for nnz in self._nnz
             )
-        return self._compute_cost_k[n_rhs]
+        return self._compute_costs[n_rhs]
 
     def _receiver_halo_times(self, n_rhs: int) -> np.ndarray:
         """Per-rank serialized halo time (sum of incoming-message costs)."""

@@ -22,7 +22,7 @@ if str(_SRC) not in sys.path:
     except ImportError:  # pragma: no cover - only hit in uninstalled checkouts
         sys.path.insert(0, str(_SRC))
 
-from repro.cluster import MachineModel, VirtualCluster  # noqa: E402
+from repro.cluster import MachineModel, Phase, VirtualCluster  # noqa: E402
 from repro.core.api import distribute_problem  # noqa: E402
 from repro.matrices import generators  # noqa: E402
 from repro.precond import make_preconditioner  # noqa: E402
@@ -120,3 +120,63 @@ def store_raised_diagonal():
         return block
 
     return store
+
+
+def _dense_gather_spmv(matrix, x, out, context=None, *, charge=True):
+    """``out = matrix @ x`` by gathering the whole operand on every rank.
+
+    The independent oracle for ``distributed_spmv``: it charges the halo
+    exchange the plan prices (:func:`halo_exchange_cost`), multiplies each
+    rank's ``(n_i, n)`` row block by a freshly assembled global operand,
+    then charges the local products (:func:`spmv_compute_cost`).  Its
+    numerics never depend on the plan, and reading every owner's block
+    raises on a failed owner, as the SpMV must.
+    """
+    from repro.distributed import halo_exchange_cost, spmv_compute_cost
+
+    ledger = matrix.cluster.ledger
+    n_rhs = x.n_cols
+    if context is None:
+        context = matrix.default_context()
+    if charge:
+        halo_time, n_msg, n_elem = halo_exchange_cost(
+            context, matrix.cluster.topology, ledger.model, n_rhs=n_rhs)
+        ledger.add_time(Phase.HALO_COMM, halo_time)
+        ledger.add_traffic(Phase.HALO_COMM, n_msg, n_elem)
+    xs, ys = x.as_multivector(), out.as_multivector()
+    partition = matrix.partition
+    x_global = np.empty((partition.n, n_rhs))
+    for rank in range(partition.n_parts):
+        start, stop = partition.range_of(rank)
+        x_global[start:stop] = xs.get_block(rank)
+    for rank in range(partition.n_parts):
+        ys.set_block(rank, matrix.row_block(rank) @ x_global)
+    if charge:
+        ledger.add_time(Phase.SPMV_COMPUTE,
+                        spmv_compute_cost(matrix, ledger.model, n_rhs=n_rhs))
+    return out
+
+
+@pytest.fixture(scope="session")
+def dense_gather_spmv():
+    """The dense-gather reference SpMV (see :func:`_dense_gather_spmv`);
+    called like ``distributed_spmv(matrix, x, out, context, charge=...)``."""
+    return _dense_gather_spmv
+
+
+@pytest.fixture
+def solvers_on_dense_gather(monkeypatch):
+    """Run every solver SpMV through the dense-gather oracle for one test.
+
+    Patches ``BlockPCG._spmv``, the one SpMV call site that the block,
+    resilient and single-vector solvers share, so whole solves -- failures
+    and recoveries included -- never touch the cached engine.  The oracle
+    has no split phase: an ``overlap_spmv`` solver runs it serialized and
+    books serialized charges.
+    """
+    from repro.core.block_pcg import BlockPCG
+
+    def spmv(self, x, out):
+        _dense_gather_spmv(self.matrix, x, out, self.context)
+
+    monkeypatch.setattr(BlockPCG, "_spmv", spmv)

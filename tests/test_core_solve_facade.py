@@ -26,7 +26,11 @@ from repro.core import (
     solve,
 )
 from repro.core.redundancy import BackupPlacement
-from repro.distributed import DistributedMultiVector, DistributedVector
+from repro.distributed import (
+    DistributedMultiVector,
+    DistributedVector,
+    SpmvEngine,
+)
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 
@@ -49,12 +53,11 @@ def ledger_state(problem):
     return (dict(ledger.times), dict(ledger.messages), dict(ledger.elements))
 
 
-def build_direct_solver(solver_name, problem, overlap, engine):
+def build_direct_solver(solver_name, problem, overlap):
     """Hand-constructed solver on *problem*, bypassing the façade."""
     precond = make_preconditioner("block_jacobi")
     precond.setup(MATRIX, problem.partition)
-    common = dict(rtol=1e-8, context=problem.context,
-                  overlap_spmv=overlap, engine=engine)
+    common = dict(rtol=1e-8, context=problem.context, overlap_spmv=overlap)
     if solver_name == "pcg":
         return DistributedPCG(problem.matrix, problem.rhs, precond, **common)
     if solver_name == "resilient_pcg":
@@ -66,12 +69,11 @@ def build_direct_solver(solver_name, problem, overlap, engine):
     return BlockPCG(problem.matrix, rhs, precond, **common)
 
 
-def facade_spec(solver_name, overlap, engine):
+def facade_spec(solver_name, overlap):
     resilience = (ResilienceSpec(phi=2, failures=tuple(FAILURES))
                   if solver_name == "resilient_pcg" else None)
     return SolveSpec(solver=solver_name, rtol=1e-8, overlap_spmv=overlap,
-                     engine=engine, preconditioner="block_jacobi",
-                     resilience=resilience)
+                     preconditioner="block_jacobi", resilience=resilience)
 
 
 class TestCrossSolverEquivalence:
@@ -84,19 +86,23 @@ class TestCrossSolverEquivalence:
     @pytest.mark.parametrize("solver_name",
                              ["pcg", "resilient_pcg", "block_pcg"])
     def test_bit_identical_to_direct_construction(self, solver_name, overlap,
-                                                  engine):
+                                                  engine, request):
+        # ``reference``: both solves run their SpMVs on the dense-gather
+        # oracle, so the equivalence does not lean on the engine cache.
+        if not engine:
+            request.getfixturevalue("solvers_on_dense_gather")
         rhs = RHS_2D if solver_name == "block_pcg" else RHS_1D
 
         facade_problem = fresh_problem(None if solver_name == "block_pcg"
                                        else rhs)
         via_facade = solve(facade_problem,
                            rhs if solver_name == "block_pcg" else None,
-                           spec=facade_spec(solver_name, overlap, engine))
+                           spec=facade_spec(solver_name, overlap))
 
         direct_problem = fresh_problem(None if solver_name == "block_pcg"
                                        else rhs)
-        direct = build_direct_solver(solver_name, direct_problem, overlap,
-                                     engine).solve()
+        direct = build_direct_solver(solver_name, direct_problem,
+                                     overlap).solve()
 
         assert np.array_equal(via_facade.x, direct.x)
         assert np.array_equal(via_facade.iterations, direct.iterations)
@@ -111,10 +117,10 @@ class TestCrossSolverEquivalence:
     def test_resilient_recoveries_identical(self):
         facade_problem = fresh_problem(RHS_1D)
         via_facade = solve(facade_problem,
-                           spec=facade_spec("resilient_pcg", False, True))
+                           spec=facade_spec("resilient_pcg", False))
         direct_problem = fresh_problem(RHS_1D)
-        direct = build_direct_solver("resilient_pcg", direct_problem, False,
-                                     True).solve()
+        direct = build_direct_solver("resilient_pcg", direct_problem,
+                                     False).solve()
         assert len(via_facade.recoveries) == len(direct.recoveries) == 1
         assert (via_facade.recoveries[0].failed_ranks
                 == direct.recoveries[0].failed_ranks)
@@ -333,19 +339,27 @@ class TestRecoveryKeepsCaches:
     reliable storage and changes no value, so the problem's caches and the
     cached SpMV engine survive it."""
 
-    def test_recovered_solve_keeps_every_cache(self):
+    def test_recovered_solve_keeps_every_cache(self, monkeypatch):
         problem = fresh_problem(RHS_1D)
         dist, context = problem.matrix, problem.context
         solve(problem)  # builds the engine, operator and factorization
         version = dist.structure_version
-        engine = dist.cached_spmv_engine(context)
+        engine = dist.spmv_engine(context)
         operator = problem.global_operator()
         precond = problem.resolve_preconditioner("block_jacobi")
+        builds = []
+        build = SpmvEngine.__init__
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpmvEngine, "__init__", counting_build)
         result = solve(problem, phi=2, failures=FAILURES)
         assert result.converged and result.n_failures_recovered == 2
         assert dist.structure_version == version
-        assert engine is not None
-        assert dist.cached_spmv_engine(context) is engine
+        assert builds == []
+        assert dist.spmv_engine(context) is engine
         assert problem.global_operator() is operator
         assert problem.resolve_preconditioner("block_jacobi") is precond
 

@@ -10,10 +10,12 @@ import json
 
 import pytest
 
+import repro
 from repro.cluster import FailureEvent
 from repro.core import BlockSpec, ResilienceSpec, SolveSpec
 from repro.core.redundancy import BackupPlacement
 from repro.core.spec import build_failure_events
+from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 from repro.precond.base import PreconditionerForm
 
@@ -26,7 +28,6 @@ class TestValidation:
         assert spec.atol == 0.0
         assert spec.max_iterations is None
         assert spec.overlap_spmv is False
-        assert spec.engine is True
         assert spec.preconditioner == "block_jacobi"
         assert spec.resilience is None
         assert spec.block is None
@@ -156,7 +157,7 @@ class TestRoundTrip:
     def full_spec(self):
         return SolveSpec(
             solver="resilient_pcg", rtol=1e-10, atol=1e-30,
-            max_iterations=500, overlap_spmv=True, engine=False,
+            max_iterations=500, overlap_spmv=True,
             preconditioner="ssor", preconditioner_options={"omega": 1.3},
             resilience=ResilienceSpec(
                 phi=3, placement=BackupPlacement.NEXT_RANKS,
@@ -194,6 +195,12 @@ class TestRoundTrip:
     def test_unknown_keys_rejected(self, cls):
         with pytest.raises(ValueError, match="unknown"):
             cls.from_dict({"definitely_not_a_field": 1})
+
+    def test_removed_engine_key_rejected(self):
+        """The ``engine`` switch is gone with the dense-gather SpMV; a
+        spec that still names it fails loudly instead of being ignored."""
+        with pytest.raises(ValueError, match="engine"):
+            SolveSpec.from_dict({"engine": True})
 
     def test_unknown_failure_event_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -237,6 +244,11 @@ class TestWithOverrides:
         message = str(excinfo.value)
         assert "not_a_knob" in message
         assert "rtol" in message and "phi" in message
+
+    def test_removed_engine_override_rejected_by_solve(self):
+        problem = repro.distribute_problem(poisson_2d(8), n_nodes=2)
+        with pytest.raises(ValueError, match="engine"):
+            repro.solve(problem, engine=False)
 
 
 class TestResolvedSolver:

@@ -185,14 +185,6 @@ class TestBlockOpEquivalence:
         assert np.isnan(norms[1])
         assert not np.isnan(norms[2])
 
-    def test_gram(self, setup):
-        cluster, partition = setup
-        mvec, _, values = make_pair(cluster, partition, seed=10)
-        other, _, other_values = make_pair(cluster, partition, seed=11)
-        gram = mvec.gram(other)
-        assert gram.shape == (K, K)
-        assert np.allclose(gram, values.T @ other_values, rtol=1e-13)
-
     def test_coefficient_shape_validated(self, setup):
         cluster, partition = setup
         mvec, _, _ = make_pair(cluster, partition)
@@ -217,7 +209,6 @@ WHOLE_ARRAY_OPS = [
     lambda m, o: m.aypx(1.0, o),
     lambda m, o: m.assign(o),
     lambda m, o: m.dots(o),
-    lambda m, o: m.gram(o),
     lambda m, o: m.norms2(),
     lambda m, o: m.to_global(),
     lambda m, o: m.column(1),
@@ -374,17 +365,6 @@ class TestBatchedReductionCharges:
         assert per_k[K][1] == K * per_k[1][1]
         model = cluster.ledger.model
         assert per_k[K][2] == pytest.approx(model.allreduce_time(N_NODES, K))
-
-    def test_gram_ships_k_squared_volume(self, setup):
-        cluster, partition = setup
-        levels = math.ceil(math.log2(N_NODES))
-        mvec, _, _ = make_pair(cluster, partition, seed=16)
-        msgs, elems, time = self.allreduce_stats(
-            cluster, lambda: mvec.gram(mvec))
-        assert msgs == 2 * levels * N_NODES
-        assert elems == 2 * levels * N_NODES * K * K
-        model = cluster.ledger.model
-        assert time == pytest.approx(model.allreduce_time(N_NODES, K * K))
 
 
 class TestChargeEqualityAtK1:

@@ -1,10 +1,11 @@
 """Tests for the local-view SpMV execution engine.
 
-The central property: the engine path of ``distributed_spmv`` is equivalent
-to the dense-gather reference path -- bit-identical numeric results and
-bit-identical simulated-time charges -- including after failure/recovery
-cycles that rewrite matrix blocks (cache invalidation) and for degenerate
-scatter plans (single node, no off-node dependencies).
+The central property: ``distributed_spmv`` is equivalent to the dense-gather
+oracle (the ``dense_gather_spmv`` fixture) -- bit-identical numeric results
+and bit-identical simulated-time charges on a twin cluster -- including
+after failure/recovery cycles and for degenerate scatter plans (single
+node, no off-node dependencies).  A plan that does not cover the matrix, or
+a cold engine cache with a failed owner, raises before anything is charged.
 """
 
 import numpy as np
@@ -20,11 +21,13 @@ from repro.cluster import (
     NodeFailedError,
     VirtualCluster,
 )
+from repro.core import BlockPCG, ResilientBlockPCG
 from repro.core.api import distribute_problem
 from repro.core.resilient_pcg import ResilientPCG
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
+    ContextMismatchError,
     DistributedMatrix,
     DistributedVector,
     distributed_spmv,
@@ -46,16 +49,20 @@ def make_pair(matrix, n_parts):
     return partition, out
 
 
-def spmv_both_paths(matrix, n_parts, values, repeats=3, charge=True):
-    """Run engine and reference paths on twin clusters; return both results."""
+def ledger_state(ledger):
+    return (dict(ledger.times), dict(ledger.messages), dict(ledger.elements))
+
+
+def spmv_both_paths(matrix, n_parts, values, oracle, repeats=3):
+    """Run the SpMV and the *oracle* on twin clusters; return both results."""
     partition, (engine_side, reference_side) = make_pair(matrix, n_parts)
     results = []
-    for (cluster, dist, ctx), use_engine in ((engine_side, True),
-                                             (reference_side, False)):
+    for (cluster, dist, ctx), spmv in ((engine_side, distributed_spmv),
+                                       (reference_side, oracle)):
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
         for _ in range(repeats):
-            distributed_spmv(dist, x, y, ctx, charge=charge, engine=use_engine)
+            spmv(dist, x, y, ctx)
         results.append((y.to_global(), cluster.ledger))
     return results
 
@@ -64,29 +71,33 @@ class TestEquivalence:
     @pytest.mark.parametrize("matrix_id,n,n_parts", [
         ("M1", 1500, 4), ("M3", 2000, 8), ("M4", 1500, 6), ("M8", 1500, 5),
     ])
-    def test_bit_identical_results_across_suite(self, matrix_id, n, n_parts):
+    def test_bit_identical_results_across_suite(self, matrix_id, n, n_parts,
+                                                dense_gather_spmv):
         matrix = build_matrix(matrix_id, n=n, seed=0)
         values = np.random.default_rng(7).standard_normal(matrix.shape[0])
-        (y_engine, _), (y_reference, _) = spmv_both_paths(matrix, n_parts, values)
+        (y_engine, led_engine), (y_reference, led_reference) = \
+            spmv_both_paths(matrix, n_parts, values, dense_gather_spmv)
         assert np.array_equal(y_engine, y_reference)
+        assert ledger_state(led_engine) == ledger_state(led_reference)
 
     @pytest.mark.parametrize("n_parts", [2, 4, 8])
-    def test_bit_identical_charges(self, n_parts):
+    def test_bit_identical_charges(self, n_parts, dense_gather_spmv):
         matrix = poisson_2d(20)
         values = np.linspace(-1.0, 1.0, matrix.shape[0])
-        (_, led_engine), (_, led_reference) = spmv_both_paths(
-            matrix, n_parts, values, repeats=5
-        )
-        assert led_engine.times == led_reference.times
-        assert led_engine.messages == led_reference.messages
-        assert led_engine.elements == led_reference.elements
+        (y_engine, led_engine), (y_reference, led_reference) = \
+            spmv_both_paths(matrix, n_parts, values, dense_gather_spmv,
+                            repeats=5)
+        assert np.array_equal(y_engine, y_reference)
+        assert ledger_state(led_engine) == ledger_state(led_reference)
 
-    def test_empty_scatter_plan_single_node(self):
+    def test_empty_scatter_plan_single_node(self, dense_gather_spmv):
         matrix = poisson_2d(8)  # n = 64
         values = np.arange(64.0)
-        (y_engine, led), (y_reference, _) = spmv_both_paths(matrix, 1, values)
+        (y_engine, led), (y_reference, led_reference) = spmv_both_paths(
+            matrix, 1, values, dense_gather_spmv)
         assert np.array_equal(y_engine, y_reference)
         assert np.array_equal(y_engine, matrix @ values)
+        assert ledger_state(led) == ledger_state(led_reference)
         # no off-node dependencies: nothing charged to the halo phase
         assert led.total_elements(["comm.halo"]) == 0
 
@@ -130,23 +141,25 @@ class TestGhostCompression:
             )) if senders else np.empty(0, dtype=np.int64))
             assert np.array_equal(engine.ghost_indices(rank), expected)
 
-    def test_in_place_value_edits_stay_live(self):
+    def test_in_place_value_edits_stay_live(self, dense_gather_spmv):
         """The engine shares data/indptr with the stored blocks, so value
-        edits without set_block are reflected exactly like on the reference
-        path."""
+        edits without set_block are reflected exactly like in the
+        dense-gather oracle, which reads the blocks afresh."""
         matrix = poisson_2d(10)
         values = np.random.default_rng(5).standard_normal(100)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        x = DistributedVector.from_global(cluster, partition, "x", values)
-        y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx, charge=False)  # engine cached
-        dist.row_block(1).data *= 2.0
-        y_engine = DistributedVector.zeros(cluster, partition, "y1")
-        y_reference = DistributedVector.zeros(cluster, partition, "y2")
-        distributed_spmv(dist, x, y_engine, ctx, charge=False, engine=True)
-        distributed_spmv(dist, x, y_reference, ctx, charge=False,
-                         engine=False)
-        assert np.array_equal(y_engine.to_global(), y_reference.to_global())
+        partition, sides = make_pair(matrix, 4)
+        results = []
+        for (cluster, dist, ctx), spmv in zip(
+                sides, (distributed_spmv, dense_gather_spmv)):
+            x = DistributedVector.from_global(cluster, partition, "x", values)
+            y = DistributedVector.zeros(cluster, partition, "y")
+            distributed_spmv(dist, x, y, ctx, charge=False)  # engine cached
+            dist.row_block(1).data *= 2.0
+            spmv(dist, x, y, ctx)
+            results.append((y.to_global(), ledger_state(cluster.ledger)))
+        (y_engine, led_engine), (y_reference, led_reference) = results
+        assert np.array_equal(y_engine, y_reference)
+        assert led_engine == led_reference
 
 
 class TestCache:
@@ -202,25 +215,24 @@ class TestCache:
         assert id(ctx) in dist._spmv_engines
         assert dist.spmv_engine(ctx) is rebuilt  # hit, not a rebuild
 
-    def test_failed_owner_charge_order_matches_reference(self):
-        """With a failed owner and a cold engine cache, both paths must
-        leave identical ledgers (halo charged, then the raise)."""
+    @pytest.mark.parametrize("overlap", [False, True],
+                             ids=["serialized", "overlap"])
+    def test_cold_cache_failed_owner_raises_with_nothing_booked(self,
+                                                                overlap):
+        """With a failed owner and a cold engine cache, the engine build
+        raises before the SpMV charges anything."""
         matrix = poisson_2d(10)
-        partition, ((c_eng, d_eng, _), (c_ref, d_ref, _)) = make_pair(matrix, 4)
-        ledgers = []
-        for cluster, dist, use_engine in ((c_eng, d_eng, True),
-                                          (c_ref, d_ref, False)):
-            x = DistributedVector.from_global(cluster, partition, "x",
-                                              np.ones(100))
-            y = DistributedVector.zeros(cluster, partition, "y")
-            fresh_ctx = CommunicationContext.from_matrix(dist)  # cold cache
-            cluster.fail_nodes([2])
-            with pytest.raises(NodeFailedError):
-                distributed_spmv(dist, x, y, fresh_ctx, engine=use_engine)
-            ledgers.append(cluster.ledger)
-        assert ledgers[0].times == ledgers[1].times
-        assert ledgers[0].messages == ledgers[1].messages
-        assert ledgers[0].elements == ledgers[1].elements
+        partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
+        x = DistributedVector.from_global(cluster, partition, "x",
+                                          np.ones(100))
+        y = DistributedVector.zeros(cluster, partition, "y")
+        fresh_ctx = CommunicationContext.from_matrix(dist)  # cold cache
+        cluster.fail_nodes([2])
+        before = ledger_state(cluster.ledger)
+        with pytest.raises(NodeFailedError):
+            distributed_spmv(dist, x, y, fresh_ctx, overlap=overlap)
+        assert ledger_state(cluster.ledger) == before
+        assert id(fresh_ctx) not in dist._spmv_engines
 
     def test_restore_block_invalidates_cache(self, store_raised_diagonal):
         matrix = poisson_2d(12)
@@ -278,9 +290,9 @@ class TestCache:
         assert y.has_block(2)
         assert np.array_equal(y.to_global(), matrix @ values)
 
-    def test_ownership_violating_context_falls_back_to_reference(self):
-        """A plan whose edges ship indices their 'sender' does not own must
-        be rejected at build time, not silently mis-staged."""
+    def test_ownership_violating_context_raises(self):
+        """A plan whose edges ship indices their 'sender' does not own is
+        rejected before anything is charged, not silently mis-staged."""
         matrix = poisson_2d(12)
         partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
         full_cols = np.arange(144, dtype=np.int64)
@@ -288,60 +300,98 @@ class TestCache:
         bogus_ctx = CommunicationContext(
             partition, {(0, dst): full_cols for dst in range(1, 4)}
         )
-        assert dist.spmv_engine(bogus_ctx) is None
+        with pytest.raises(ContextMismatchError):
+            dist.spmv_engine(bogus_ctx)
         x = DistributedVector.from_global(cluster, partition, "x",
                                           np.arange(144.0))
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, bogus_ctx, charge=False)
-        assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+        before = ledger_state(cluster.ledger)
+        with pytest.raises(ContextMismatchError):
+            distributed_spmv(dist, x, y, bogus_ctx)
+        assert ledger_state(cluster.ledger) == before
+        assert np.array_equal(y.to_global(), np.zeros(144))
 
-    def test_mismatched_context_falls_back_to_reference(self):
-        """A plan that does not cover the sparsity pattern must not be used
-        numerically -- the reference path's numerics ignore the context."""
+    def test_mismatched_context_raises(self):
+        """A plan that does not cover the sparsity pattern (here: an empty
+        plan, which would book no halo traffic for a product that needs
+        ghost values) raises before anything is charged."""
         matrix = poisson_2d(12)  # has off-diagonal blocks
         partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
         empty_ctx = CommunicationContext(partition, {})
-        assert dist.spmv_engine(empty_ctx) is None
+        with pytest.raises(ContextMismatchError):
+            dist.spmv_engine(empty_ctx)
         x = DistributedVector.from_global(
             cluster, partition, "x", np.arange(144.0)
         )
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, empty_ctx, charge=False)
-        assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+        before = ledger_state(cluster.ledger)
+        with pytest.raises(ContextMismatchError):
+            distributed_spmv(dist, x, y, empty_ctx)
+        assert ledger_state(cluster.ledger) == before
+        assert id(empty_ctx) not in dist._spmv_engines
+
+
+class TestNoEngineSwitch:
+    """The cached engine is the only SpMV, so no layer takes an ``engine``
+    switch: a caller that still passes one fails instead of silently
+    running the one path."""
+
+    def test_distributed_spmv_rejects_engine(self):
+        matrix = poisson_2d(8)
+        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 2)
+        x = DistributedVector.from_global(cluster, partition, "x",
+                                          np.ones(64))
+        y = DistributedVector.zeros(cluster, partition, "y")
+        before = ledger_state(cluster.ledger)
+        with pytest.raises(TypeError, match="engine"):
+            distributed_spmv(dist, x, y, ctx, engine=False)
+        assert ledger_state(cluster.ledger) == before
+
+    @pytest.mark.parametrize("solver_cls", [BlockPCG, ResilientBlockPCG])
+    def test_solvers_reject_engine(self, solver_cls):
+        problem = distribute_problem(poisson_2d(8), n_nodes=2)
+        with pytest.raises(TypeError, match="engine"):
+            solver_cls(problem.matrix, problem.rhs, engine=False)
 
 
 class TestAfterRecovery:
-    def test_engine_matches_reference_after_failure_recovery_cycle(self):
-        """Failure -> ESR recovery rewrites matrix blocks on replacement
-        nodes; the cached engine must be invalidated and stay exact."""
+    def test_engine_matches_reference_after_failure_recovery_cycle(
+            self, dense_gather_spmv):
+        """Failure -> ESR recovery re-installs matrix blocks on replacement
+        nodes; the cached engine must stay exact.  Twin problems run the
+        same recovered solve, then one probe SpMV each."""
         matrix = poisson_2d(20)  # n = 400
-        problem = distribute_problem(matrix, n_nodes=5, seed=0,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        precond = make_preconditioner("block_jacobi")
-        precond.setup(problem.matrix.to_global(), problem.partition)
-        injector = FailureInjector([FailureEvent(8, (1, 3))])
-        solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=2,
-                              failure_injector=injector,
-                              context=problem.context)
-        result = solver.solve()
-        assert result.converged
-        assert result.n_failures_recovered == 2
+        values = np.random.default_rng(11).standard_normal(matrix.shape[0])
+        results = []
+        for spmv in (distributed_spmv, dense_gather_spmv):
+            problem = distribute_problem(
+                matrix, n_nodes=5, seed=0,
+                machine=MachineModel(jitter_rel_std=0.0))
+            precond = make_preconditioner("block_jacobi")
+            precond.setup(problem.matrix.to_global(), problem.partition)
+            injector = FailureInjector([FailureEvent(8, (1, 3))])
+            solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=2,
+                                  failure_injector=injector,
+                                  context=problem.context)
+            result = solver.solve()
+            assert result.converged
+            assert result.n_failures_recovered == 2
 
-        values = np.random.default_rng(11).standard_normal(problem.n)
-        x = DistributedVector.from_global(problem.cluster, problem.partition,
-                                          "probe_x", values)
-        y_engine = DistributedVector.zeros(problem.cluster, problem.partition,
-                                           "probe_y1")
-        y_reference = DistributedVector.zeros(problem.cluster,
-                                              problem.partition, "probe_y2")
-        distributed_spmv(problem.matrix, x, y_engine, problem.context,
-                         charge=False, engine=True)
-        distributed_spmv(problem.matrix, x, y_reference, problem.context,
-                         charge=False, engine=False)
-        assert np.array_equal(y_engine.to_global(), y_reference.to_global())
+            x = DistributedVector.from_global(
+                problem.cluster, problem.partition, "probe_x", values)
+            y = DistributedVector.zeros(problem.cluster, problem.partition,
+                                        "probe_y")
+            spmv(problem.matrix, x, y, problem.context)
+            results.append((y.to_global(),
+                            ledger_state(problem.cluster.ledger)))
+        (y_engine, led_engine), (y_reference, led_reference) = results
+        assert np.array_equal(y_engine, y_reference)
+        assert led_engine == led_reference
 
-    def test_solver_trajectory_identical_with_and_without_engine(self):
-        """Full solves through the engine and the reference path agree."""
+    def test_solver_trajectory_identical_with_and_without_engine(
+            self, dense_gather_spmv):
+        """A recovered solve on the cached engine and one whose SpMVs all
+        run on the dense-gather oracle agree bit for bit, ledger included."""
         matrix = poisson_2d(16)
         results = []
         for use_engine in (True, False):
@@ -357,35 +407,36 @@ class TestAfterRecovery:
                                   ),
                                   context=problem.context)
             if not use_engine:
-                solver._spmv_p = lambda: distributed_spmv(
-                    solver.matrix, solver.p, solver.ap, solver.context,
-                    engine=False,
-                )
-            results.append(solver.solve())
-        with_engine, without_engine = results
+                solver._spmv = lambda x, out, s=solver: dense_gather_spmv(
+                    s.matrix, x, out, s.context)
+            result = solver.solve()
+            results.append((result, ledger_state(problem.cluster.ledger)))
+        (with_engine, led_engine), (without_engine, led_reference) = results
         assert with_engine.converged and without_engine.converged
+        assert with_engine.n_failures_recovered == 1
         assert with_engine.iterations == without_engine.iterations
-        assert np.allclose(with_engine.x, without_engine.x,
-                           rtol=1e-12, atol=1e-14)
-        assert with_engine.simulated_time == pytest.approx(
-            without_engine.simulated_time, rel=1e-12
-        )
+        assert with_engine.residual_norms == without_engine.residual_norms
+        assert np.array_equal(with_engine.x, without_engine.x)
+        assert with_engine.simulated_time == without_engine.simulated_time
+        assert led_engine == led_reference
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(24, 400), n_parts=st.integers(1, 12),
        density=st.floats(0.01, 0.2), seed=st.integers(0, 2**32 - 1))
-def test_property_engine_equals_reference(n, n_parts, density, seed):
-    """For random sparse matrices and partitions the engine path returns
-    bit-identical results to the dense-gather reference path."""
+def test_property_engine_equals_reference(dense_gather_spmv, n, n_parts,
+                                          density, seed):
+    """For random sparse matrices and partitions the SpMV returns
+    bit-identical results and charges to the dense-gather oracle."""
     n_parts = min(n_parts, n)
     rng = np.random.default_rng(seed)
     random_part = sp.random(n, n, density=density, random_state=rng,
                             format="csr")
     matrix = (random_part + random_part.T + sp.eye(n)).tocsr()
     values = rng.standard_normal(n)
-    (y_engine, _), (y_reference, _) = spmv_both_paths(
-        matrix, n_parts, values, repeats=1, charge=False
+    (y_engine, led_engine), (y_reference, led_reference) = spmv_both_paths(
+        matrix, n_parts, values, dense_gather_spmv, repeats=1
     )
     assert np.array_equal(y_engine, y_reference)
+    assert ledger_state(led_engine) == ledger_state(led_reference)

@@ -3,7 +3,8 @@
 Contracts exercised here:
 
 * ``overlap=False`` (the default) is untouched by this feature: results and
-  charges stay bit-identical to the dense-gather reference.
+  charges stay bit-identical to the dense-gather oracle (the
+  ``dense_gather_spmv`` fixture).
 * ``overlap=True`` executes through the diag/offdiag split: results equal an
   independent split oracle exactly and the fused kernel to rounding; the
   overlap-aware charge obeys ``max(halo, diag) + offdiag <= halo + diag +
@@ -11,6 +12,8 @@ Contracts exercised here:
 * Batched ``Y = A X`` is column-wise bit-identical to ``k`` single-vector
   calls on the same execution path, with one halo exchange shipping ``k``
   columns (same message count, ``k``-fold element volume).
+* A plan that does not cover the matrix raises on either path before
+  anything is charged.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from repro.core.pcg import DistributedPCG
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
+    ContextMismatchError,
     DistributedMatrix,
     DistributedMultiVector,
     DistributedVector,
@@ -89,17 +93,17 @@ class TestSplitPhaseEquivalence:
         assert np.max(np.abs(y_split.to_global() - y_fused.to_global())) \
             <= 1e-13 * max(scale, 1.0)
 
-    def test_overlap_false_charges_bit_identical_to_reference(self):
+    def test_overlap_false_charges_bit_identical_to_reference(
+            self, dense_gather_spmv):
         matrix = build_matrix("M3", n=2000, seed=0)
         ledgers = []
         results = []
-        for use_engine in (True, False):
+        for spmv in (distributed_spmv, dense_gather_spmv):
             cluster, partition, dist, ctx, values = make_problem(matrix, 8)
             x = DistributedVector.from_global(cluster, partition, "x", values)
             y = DistributedVector.zeros(cluster, partition, "y")
             for _ in range(3):
-                distributed_spmv(dist, x, y, ctx, engine=use_engine,
-                                 overlap=False)
+                spmv(dist, x, y, ctx)
             ledgers.append(cluster.ledger)
             results.append(y.to_global())
         assert np.array_equal(results[0], results[1])
@@ -143,14 +147,19 @@ class TestSplitPhaseEquivalence:
         assert ledger.elements[Phase.HALO_COMM] == \
             ctx.total_exchanged_elements()
 
-    def test_overlap_with_mismatched_context_falls_back(self):
+    def test_overlap_with_mismatched_context_raises(self):
         matrix = poisson_2d(12)
         cluster, partition, dist, ctx, values = make_problem(matrix, 4)
         empty_ctx = CommunicationContext(partition, {})
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, empty_ctx, charge=False, overlap=True)
-        assert np.array_equal(y.to_global(), matrix @ values)
+        ledger = cluster.ledger
+        before = (dict(ledger.times), dict(ledger.messages),
+                  dict(ledger.elements))
+        with pytest.raises(ContextMismatchError):
+            distributed_spmv(dist, x, y, empty_ctx, overlap=True)
+        assert (ledger.times, ledger.messages, ledger.elements) == before
+        assert np.array_equal(y.to_global(), np.zeros(matrix.shape[0]))
 
     def test_overlap_may_alias_input(self):
         matrix = poisson_2d(10)
@@ -240,25 +249,26 @@ class TestMultiRHS:
             distributed_spmv(dist, xj, yj, ctx, charge=False)
             assert np.array_equal(y_global[:, j], yj.to_global())
 
-    def test_engine_and_reference_block_paths_agree(self):
+    def test_engine_and_reference_block_paths_agree(self, dense_gather_spmv):
         matrix = build_matrix("M3", n=1500, seed=0)
-        cluster, partition, dist, ctx, _ = make_problem(matrix, 6)
         block = np.random.default_rng(5).standard_normal(
             (matrix.shape[0], 4)
         )
         outs = []
-        for use_engine in (True, False):
-            x = DistributedMultiVector.from_global(
-                cluster, partition, f"X{use_engine}", block
-            )
-            y = DistributedMultiVector.zeros(
-                cluster, partition, f"Y{use_engine}", 4
-            )
-            distributed_spmv(dist, x, y, ctx, charge=False,
-                             engine=use_engine)
+        ledgers = []
+        for spmv in (distributed_spmv, dense_gather_spmv):
+            cluster, partition, dist, ctx, _ = make_problem(matrix, 6)
+            x = DistributedMultiVector.from_global(cluster, partition, "X",
+                                                   block)
+            y = DistributedMultiVector.zeros(cluster, partition, "Y", 4)
+            spmv(dist, x, y, ctx)
             outs.append(y.to_global())
+            ledgers.append(cluster.ledger)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], matrix @ block)
+        assert ledgers[0].times == ledgers[1].times
+        assert ledgers[0].messages == ledgers[1].messages
+        assert ledgers[0].elements == ledgers[1].elements
 
     def test_block_halo_amortizes_messages(self):
         """One batched exchange: same message count, k-fold elements, and
@@ -426,7 +436,7 @@ class TestPreconditionerWorkCache:
        density=st.floats(0.01, 0.2), seed=st.integers(0, 2**32 - 1))
 def test_property_split_phase_equals_oracle(n, n_parts, density, seed):
     """Split-phase execution equals the independent diag/offdiag oracle and
-    stays within rounding of the dense-gather reference for random inputs."""
+    stays within rounding of the SciPy product for random inputs."""
     n_parts = min(n_parts, n)
     rng = np.random.default_rng(seed)
     random_part = sp.random(n, n, density=density, random_state=rng,

@@ -6,7 +6,8 @@ One parametrized grid replaces the ad-hoc failure scenario tests:
      failure-during-recovery}
   x {resilient_pcg, resilient_block_pcg}
   x {overlap_spmv on/off}
-  x {engine on/off}
+  x {SpMV kernel: the cached engine / the dense-gather oracle of
+     ``tests/conftest.py``}
 
 Every cell asserts the same three properties:
 
@@ -19,9 +20,11 @@ Every cell asserts the same three properties:
   simulated time, recovery phases were actually charged, and
   iteration + recovery phases account for the entire run.
 
-The non-default execution paths (overlap on, engine off) are marked
-``slow`` and run in CI's separate non-blocking lane; the default path stays
-in the blocking tier-1 lane.
+The non-default execution paths (overlap on, dense-gather oracle) are
+marked ``slow`` and run in CI's separate non-blocking lane; the default
+path (serialized, cached engine) stays in the blocking tier-1 lane.  The
+oracle has no split phase, so its overlap cells run serialized SpMVs inside
+an ``overlap_spmv`` solver.
 """
 
 import numpy as np
@@ -73,7 +76,7 @@ EXECUTION_PATHS = [
 ]
 
 
-def run_scenario(solver_name, events, *, overlap, engine, seed=0):
+def run_scenario(solver_name, events, *, overlap, seed=0):
     """One resilient solve of the scenario on a completely fresh cluster."""
     a = poisson_2d(N_GRID)
     n = a.shape[0]
@@ -90,13 +93,13 @@ def run_scenario(solver_name, events, *, overlap, engine, seed=0):
             cluster, partition, "b", rng.standard_normal(n))
         solver = ResilientPCG(dist, rhs, precond, phi=PHI,
                               failure_injector=injector, context=context,
-                              overlap_spmv=overlap, engine=engine)
+                              overlap_spmv=overlap)
     else:
         rhs = DistributedMultiVector.from_global(
             cluster, partition, "B", rng.standard_normal((n, K_BLOCK)))
         solver = ResilientBlockPCG(dist, rhs, precond, phi=PHI,
                                    failure_injector=injector, context=context,
-                                   overlap_spmv=overlap, engine=engine)
+                                   overlap_spmv=overlap)
     result = solver.solve()
     assert injector.all_triggered(), "scenario events must fire mid-solve"
     return result
@@ -117,10 +120,11 @@ def histories_of(result):
 @pytest.mark.parametrize("solver_name", SOLVERS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestFailureMatrix:
-    def test_scenario(self, scenario, solver_name, overlap, engine):
+    def test_scenario(self, scenario, solver_name, overlap, engine, request):
+        if not engine:
+            request.getfixturevalue("solvers_on_dense_gather")
         events = SCENARIOS[scenario]
-        result = run_scenario(solver_name, events,
-                              overlap=overlap, engine=engine)
+        result = run_scenario(solver_name, events, overlap=overlap)
 
         # -- convergence and complete recovery ------------------------------
         assert converged_of(result)
@@ -135,8 +139,7 @@ class TestFailureMatrix:
                        for note in result.recoveries[0].notes)
 
         # -- recovered-state bit-equality (deterministic recovery) ----------
-        rerun = run_scenario(solver_name, events,
-                             overlap=overlap, engine=engine)
+        rerun = run_scenario(solver_name, events, overlap=overlap)
         assert histories_of(rerun) == histories_of(result)
         assert np.array_equal(rerun.x, result.x)
 

@@ -284,26 +284,6 @@ def test_batched_dots_and_fused_dots_bit_equal_to_vector_dots(
         assert norms[j] == vx[j].norm2()
 
 
-@COMMON_SETTINGS
-@given(n=st.integers(8, 300), n_nodes=st.integers(1, 8),
-       k=st.integers(1, 8), seed=st.integers(0, 10**6))
-def test_gram_matches_dense_blocked_product(n, n_nodes, k, seed):
-    """gram() equals the rank-blocked dense X^T Y (bit-identical to summing
-    the per-rank GEMM contributions in rank order) and its diagonal agrees
-    with dots() to rounding."""
-    n_nodes = min(n_nodes, n)
-    _, xg, yg, bx, by, vx, vy = _mv_setup(n, n_nodes, k, seed)
-    gram = bx.gram(by)
-    assert gram.shape == (k, k)
-    partition = bx.partition
-    expected = np.zeros((k, k))
-    for rank in range(n_nodes):
-        start, stop = partition.range_of(rank)
-        expected = expected + xg[start:stop].T @ yg[start:stop]
-    assert np.array_equal(gram, expected)
-    assert np.allclose(np.diag(gram), bx.dots(by), rtol=1e-12, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # sequential PCG properties
 # ---------------------------------------------------------------------------
