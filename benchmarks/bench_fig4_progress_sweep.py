@@ -44,7 +44,6 @@ def test_benchmark_progress_sweep_single_point(benchmark, bench_settings):
     """Time one run of the sweep's mid-point configuration."""
     from repro.core.api import distribute_problem, solve
     from repro.failures import FailureScenario, resolve_events
-    from repro.matrices import build_matrix
 
     config = make_config(bench_settings, "M5")
     matrix = config.build_matrix()

@@ -34,7 +34,6 @@ right-hand side dispatches there automatically).  Keyword arguments like
 from . import analysis  # noqa: F401  (re-exported subpackages)
 from . import baselines  # noqa: F401
 from . import cluster  # noqa: F401
-from . import lint  # noqa: F401
 from . import sanitizer  # noqa: F401
 from . import core  # noqa: F401
 from . import distributed  # noqa: F401

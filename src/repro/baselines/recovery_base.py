@@ -65,7 +65,6 @@ class FailureHandlingMixin:
         if failed:
             newly = self.cluster.ulfm.detect_failures()
             failed = sorted(set(failed) | set(newly))
-            self.cluster.comm.drop_messages_to_failed()
             logger.info("iteration %d: failure of ranks %s", iteration, failed)
         return failed
 
@@ -74,7 +73,6 @@ class FailureHandlingMixin:
         """Provide replacement nodes and restore the static data they own."""
         still_failed = [r for r in failed_ranks if self.cluster.node(r).is_failed]
         if still_failed:
-            self.cluster.ulfm.notify_survivors(still_failed)
             self.cluster.replace_nodes(still_failed)
         for rank in failed_ranks:
             self.matrix.restore_block_to_node(rank, charge=True)

@@ -2,9 +2,9 @@
 
 This package simulates the parallel computer of Sec. 1.1 of the paper: ``N``
 compute nodes with private memories, an interconnection network with a
-latency-bandwidth cost model, MPI-like communication, fail-stop node failures
-with ULFM-like detection/replacement, and reliable external storage for the
-static problem data.
+latency-bandwidth cost model, the dot-product allreduce, fail-stop node
+failures with ULFM-like detection/replacement, and reliable external storage
+for the static problem data.
 """
 
 from .cluster import VirtualCluster, make_cluster
@@ -16,7 +16,7 @@ from .errors import (
     NodeFailedError,
     UnrecoverableStateError,
 )
-from .failure import FailureEvent, FailureInjector, RecoveryRecord, UlfmRuntime
+from .failure import FailureEvent, FailureInjector, UlfmRuntime
 from .network import (
     FatTreeTopology,
     Topology,
@@ -41,7 +41,6 @@ __all__ = [
     "UnrecoverableStateError",
     "FailureEvent",
     "FailureInjector",
-    "RecoveryRecord",
     "UlfmRuntime",
     "FatTreeTopology",
     "Topology",

@@ -2,9 +2,10 @@
 
 A ``VirtualCluster`` bundles everything the distributed solvers need from the
 machine: the nodes with their private memories, the interconnect topology, the
-latency-bandwidth cost model with its ledger, the MPI-like communicator, the
-ULFM-like failure runtime and the reliable storage for static data.  It is
-the single object that experiment code constructs and passes around.
+latency-bandwidth cost model with its ledger, the communicator with its one
+collective (the dot-product allreduce), the ULFM-like failure runtime and the
+reliable storage for static data.  It is the single object that experiment
+code constructs and passes around.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class VirtualCluster:
         #: :mod:`repro.distributed.blockstore`).
         self.arrays: Dict[Any, Any] = {}
         self.ledger = CostLedger(model=self.machine, rng=self._rng)
-        self.comm = Communicator(self.nodes, self.topology, self.ledger)
+        self.comm = Communicator(self.nodes, self.ledger)
         self.storage = ReliableStorage(self.ledger)
         self.ulfm = UlfmRuntime(self.nodes)
 
@@ -99,7 +100,6 @@ class VirtualCluster:
         for rank in ranks:
             self.node(rank).fail()
             failed.append(int(rank))
-        self.comm.drop_messages_to_failed()
         return failed
 
     def replace_nodes(self, ranks: Iterable[int]) -> List[int]:

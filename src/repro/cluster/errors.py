@@ -27,7 +27,8 @@ class NodeFailedError(ClusterError):
 
 
 class CommunicationError(ClusterError):
-    """Raised when a point-to-point or collective operation cannot complete."""
+    """Raised when the allreduce cannot complete (a failed node, or partials
+    without exactly one row per rank)."""
 
     def __init__(self, message: str, failed_ranks: Optional[Iterable[int]] = None):
         self.failed_ranks = sorted(set(failed_ranks)) if failed_ranks else []

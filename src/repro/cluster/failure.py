@@ -9,15 +9,14 @@ Two pieces live here:
   reconstruction of a first one is still running, Sec. 4.1) are expressed by
   events carrying ``during_recovery_of`` references.
 * :class:`UlfmRuntime` -- models the fault-tolerance features the paper
-  assumes from the MPI runtime (Sec. 1.1.1): detection of failures,
-  notification of the surviving nodes, and provisioning of replacement nodes
-  that take over the failed ranks.
+  assumes from the MPI runtime (Sec. 1.1.1): detection of failures and
+  provisioning of replacement nodes that take over the failed ranks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..utils.validation import ValidationError, check_rank_list
 from .node import Node, NodeStatus
@@ -132,34 +131,20 @@ class FailureInjector:
         return max((e.n_failures for e in self._events), default=0)
 
 
-@dataclass
-class RecoveryRecord:
-    """Bookkeeping for one recovery episode (possibly spanning overlaps)."""
-
-    start_iteration: int
-    failed_ranks: List[int] = field(default_factory=list)
-    restarts: int = 0
-    simulated_time: float = 0.0
-    wallclock_time: float = 0.0
-
-
 class UlfmRuntime:
-    """Failure detection, notification and node replacement.
+    """Failure detection and node replacement.
 
     The real counterpart is the MPI ULFM extension: failures are detected,
-    surviving processes are notified which ranks died, and the application
-    obtains replacement processes.  Here detection is exact and immediate (the
-    paper does not study detection latency), and replacements reuse the failed
-    rank's slot with a wiped memory, matching the simulation methodology of
-    Sec. 6 of the paper.
+    and the application obtains replacement processes.  Here detection is
+    exact and immediate (the paper does not study detection latency), and
+    replacements reuse the failed rank's slot with a wiped memory, matching
+    the simulation methodology of Sec. 6 of the paper.
     """
 
     def __init__(self, nodes: Sequence[Node]):
         self._nodes = list(nodes)
         self._known_failed: Set[int] = set()
-        self.recoveries: List[RecoveryRecord] = []
 
-    # -- detection / notification -------------------------------------------
     def detect_failures(self) -> List[int]:
         """Return newly failed ranks since the last call (and remember them)."""
         current = {n.rank for n in self._nodes if n.is_failed}
@@ -167,26 +152,6 @@ class UlfmRuntime:
         self._known_failed |= set(new)
         return new
 
-    def known_failed(self) -> List[int]:
-        """Ranks currently known to be failed and not yet replaced."""
-        return sorted(
-            r for r in self._known_failed if self._nodes[r].is_failed
-        )
-
-    def notify_survivors(self, failed_ranks: Iterable[int]) -> Dict[int, List[int]]:
-        """Deliver the failure notification to every surviving rank.
-
-        Returns a map ``surviving rank -> list of failed ranks`` (what each
-        survivor now knows), mirroring ULFM's revoke/agree pattern.
-        """
-        failed = sorted(set(failed_ranks))
-        return {
-            node.rank: list(failed)
-            for node in self._nodes
-            if node.is_alive
-        }
-
-    # -- replacement ----------------------------------------------------------
     def provide_replacements(self, failed_ranks: Iterable[int]) -> List[int]:
         """Install replacement nodes for *failed_ranks*; return their ranks."""
         replaced = []
@@ -200,15 +165,3 @@ class UlfmRuntime:
             self._known_failed.discard(rank)
             replaced.append(rank)
         return replaced
-
-    def begin_recovery(self, iteration: int, failed_ranks: Iterable[int]
-                       ) -> RecoveryRecord:
-        """Open a recovery record (used by the resilient solver driver)."""
-        record = RecoveryRecord(
-            start_iteration=iteration, failed_ranks=sorted(set(failed_ranks))
-        )
-        self.recoveries.append(record)
-        return record
-
-    def total_recoveries(self) -> int:
-        return len(self.recoveries)

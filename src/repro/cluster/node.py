@@ -136,23 +136,6 @@ class NodeMemory:
         self._store.clear()
         self._node.epoch.bump()
 
-    def invalidate(self, key: Any) -> bool:
-        """Remove *key* from the raw store without the liveness check.
-
-        Driver-side maintenance hook for metadata operations (vector renames
-        and swaps) that must not leave stale blocks behind on failed nodes:
-        a node that is later restored -- or wrongly declared dead and rejoins
-        without a scrub -- must not expose data that predates the operation
-        under a now-reassigned key.  Returns True if the key was present.
-        """
-        if _sanitizer._ACTIVE is not None:
-            _sanitizer._ACTIVE.on_memory_invalidate(self._node, key)
-        if key not in self._store:
-            return False
-        del self._store[key]
-        self._node.epoch.bump()
-        return True
-
     def nbytes(self) -> int:
         """Approximate memory footprint of stored NumPy data (for statistics)."""
         self._check()

@@ -24,14 +24,15 @@ Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 * one block-local preconditioner application on the full ``(n_i, k)``
   residual block (the 2-D path of :meth:`Preconditioner.apply_block`);
 * three batched reductions (``P^T AP``, ``R^T Z``, ``R^T R``) through
-  :meth:`DistributedMultiVector.dots` -- each is **one** allreduce of ``k``
-  scalars instead of ``k`` scalar allreduces, so the allreduce *message*
-  count per iteration is independent of ``k`` while the volume scales with
-  ``k`` (see :meth:`Communicator.allreduce_sum` /
-  :meth:`MachineModel.allreduce_time`).  With ``fuse_reductions=True`` the
-  adjacent trailing pair ``R^T Z`` / ``R^T R`` additionally ships as **one**
-  ``2k``-wide collective (3 -> 2 reductions per iteration, bit-identical
-  iterates; off by default, which keeps the paper's per-iteration charges).
+  :meth:`DistributedMultiVector.dots` -- each sums one ``(N, k)`` array of
+  per-rank partial dots in **one** allreduce instead of ``k`` scalar
+  allreduces, so the allreduce *message* count per iteration is independent
+  of ``k`` while the volume scales with ``k`` (see
+  :meth:`Communicator.allreduce_sum` / :meth:`MachineModel.allreduce_time`).
+  With ``fuse_reductions=True`` the adjacent trailing pair ``R^T Z`` /
+  ``R^T R`` additionally ships as **one** ``2k``-wide collective (3 -> 2
+  reductions per iteration, bit-identical iterates; off by default, which
+  keeps the paper's per-iteration charges).
 
 **Equivalence contract.**  The recurrences are independent (per-column
 ``alpha_j`` / ``beta_j``, no Gram coupling), every block operation is

@@ -247,7 +247,6 @@ class ESRReconstructor:
         still_failed = [f for f in failed_ranks if cluster.node(f).is_failed]
         if still_failed:
             cluster.ulfm.detect_failures()
-            cluster.ulfm.notify_survivors(still_failed)
             cluster.replace_nodes(still_failed)
 
         failed = sorted(set(int(f) for f in failed_ranks))

@@ -151,7 +151,6 @@ class EsrResilienceMixin:
                         f" ({event.label})" if event.label else "")
         newly_detected = self.cluster.ulfm.detect_failures()
         failed_ranks = sorted(set(failed_ranks) | set(newly_detected))
-        self.cluster.comm.drop_messages_to_failed()
 
         try:
             report = self.reconstructor.reconstruct(
@@ -167,10 +166,6 @@ class EsrResilienceMixin:
             exc.iteration = iteration
             raise
         self.recovery_reports.append(report)
-        record = self.cluster.ulfm.begin_recovery(iteration, report.failed_ranks)
-        record.restarts = report.restarts
-        record.simulated_time = report.simulated_time
-        record.wallclock_time = report.wallclock_time
         return True
 
     def _make_overlap_provider(self, iteration: int):
@@ -186,7 +181,6 @@ class EsrResilienceMixin:
                 ranks.extend(event.ranks)
             if ranks:
                 self.cluster.ulfm.detect_failures()
-                self.cluster.comm.drop_messages_to_failed()
             return sorted(set(ranks))
 
         return provider

@@ -33,19 +33,6 @@ from typing import Any, Iterable, List, NoReturn, Optional
 import numpy as np
 
 from .. import sanitizer as _sanitizer
-from .partition import BlockRowPartition
-
-
-def participating_max_block_size(partition: BlockRowPartition,
-                                 ranks: Iterable[int]) -> int:
-    """Largest block size among *ranks* (0 when the collection is empty).
-
-    Bulk-synchronous local compute on a shrunken communicator is paced by
-    the slowest rank that actually participates -- dead ranks contribute no
-    work, so ``partition.max_block_size()`` would over-charge whenever the
-    largest rank is among the failed ones.
-    """
-    return max((partition.size_of(r) for r in ranks), default=0)
 
 
 class BlockArray:
@@ -74,8 +61,8 @@ class BlockArray:
     def check(self, *, alive_only: bool = False) -> "BlockArray":
         """Raise what a per-rank read would, unless every rank holds its view.
 
-        With *alive_only* failed ranks are skipped (the surviving-subset
-        semantics of the reductions); that partial check is not cached.
+        With *alive_only* failed ranks are skipped (ESR staging reads the
+        surviving ranks' rows this way); that partial check is not cached.
         """
         epoch = self.epoch.value
         if self.checked == epoch:

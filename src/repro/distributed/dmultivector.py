@@ -44,26 +44,22 @@ hop -- and only the per-hop volume scales
 is the latency amortization the paper's cost model (Sec. 4.2) rewards.
 The local partial dots stay per rank: each is a contiguous 1-D dot of one
 column of the rank's block (a cached view for ``k = 1``, a slice of one
-transposed copy otherwise), and the partials are summed in rank order, so
-the per-column results are bit-identical to the ``k = 1`` dots of each
-column.
+transposed copy otherwise).  They fill one ``(N, k)`` partials array, row
+``r`` holding rank ``r``'s partials, which the allreduce sums row by row in
+rank order, so the per-column results are bit-identical to the ``k = 1``
+dots of each column.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.errors import NodeFailedError
-from .blockstore import (
-    BlockArray,
-    NodeBlockStore,
-    participating_max_block_size,
-    raise_unreadable,
-)
+from .blockstore import BlockArray, NodeBlockStore, raise_unreadable
 from .partition import BlockRowPartition
 
 #: Memory key prefix under which multi-vector blocks are stored on each node.
@@ -257,12 +253,10 @@ class DistributedMultiVector(NodeBlockStore):
         return arr
 
     def _charge_block_op(self, flops_per_element: float = 2.0,
-                         phase: str = Phase.VECTOR_COMPUTE,
-                         n_rows: Optional[int] = None) -> None:
+                         phase: str = Phase.VECTOR_COMPUTE) -> None:
         """Charge one streaming block op: single-vector charge, ``k``-fold size."""
         model = self.cluster.ledger.model
-        if n_rows is None:
-            n_rows = self.partition.max_block_size()
+        n_rows = self.partition.max_block_size()
         self.cluster.ledger.add_time(
             phase,
             model.vector_op_time(n_rows * self.n_cols, flops_per_element),
@@ -320,8 +314,7 @@ class DistributedMultiVector(NodeBlockStore):
         return self
 
     # -- batched reductions --------------------------------------------------
-    def dots(self, other: "DistributedMultiVector", *,
-             alive_only: bool = False) -> np.ndarray:
+    def dots(self, other: "DistributedMultiVector") -> np.ndarray:
         """The ``k`` per-column dot products through **one** batched allreduce.
 
         Column ``j`` of the result is bit-identical to the ``k = 1`` dot of
@@ -332,16 +325,16 @@ class DistributedMultiVector(NodeBlockStore):
         partial dots in one payload: message count of a scalar allreduce,
         ``k``-fold volume (cf. Sec. 4.2's latency-dominated reductions).
         """
-        return fused_dots([(self, other)], alive_only=alive_only)[0]
+        return fused_dots([(self, other)])[0]
 
-    def norms2(self, *, alive_only: bool = False) -> np.ndarray:
+    def norms2(self) -> np.ndarray:
         """Per-column Euclidean norms (one batched allreduce via :meth:`dots`).
 
         A NaN reduction (corrupted or lost data) propagates as that column's
         NaN norm -- clamping it to ``0.0`` would silently read as
         "converged"; only tiny negative rounding residue is clamped.
         """
-        return norms_from_dots(self.dots(self, alive_only=alive_only))
+        return norms_from_dots(self.dots(self))
 
     # -- validation ----------------------------------------------------------
     def _check_column(self, j: int) -> int:
@@ -387,7 +380,7 @@ def norms_from_dots(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
+def fused_dots(pairs) -> List[np.ndarray]:
     """Per-column dots of several multi-vector pairs through **one** allreduce.
 
     ``fused_dots([(x1, y1), ..., (xm, ym)])`` returns the ``m`` per-column
@@ -404,12 +397,12 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     :meth:`DistributedMultiVector.dots` result: the local partial dots are
     computed by the same kernel on the same buffers (``dots`` itself is a
     single-pair call of this function, so there is exactly one copy of the
-    kernel), and
-    :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`
-    accumulates the concatenated payload elementwise in the same rank order
-    as the separate calls.  Only the ledger differs (fewer allreduce
-    messages / latency terms; the local compute charge is the sum of the
-    pairs' individual charges).
+    kernel).  They fill one ``(N, m * k)`` partials array, row ``r`` holding
+    rank ``r``'s partials, and
+    :meth:`~repro.cluster.communicator.Communicator.allreduce_sum` sums its
+    rows in rank order, column by column, as the separate calls would.
+    Only the ledger differs (fewer allreduce messages / latency terms; the
+    local compute charge is the sum of the pairs' individual charges).
     """
     pairs = [(x.as_multivector(), y.as_multivector()) for x, y in pairs]
     if not pairs:
@@ -425,24 +418,15 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     # partial is the same contiguous dot the k = 1 run of that column does.
     operands = []
     for x, y in pairs:
-        mine = x._storage(alive_only=alive_only)
-        theirs = y._storage(alive_only=alive_only)
+        mine = x._storage()
+        theirs = y._storage()
         mine_cols = mine.rank_columns(partition)
         operands.extend(zip(mine_cols, mine_cols if theirs is mine
                             else theirs.rank_columns(partition)))
     partials = np.empty((partition.n_parts, len(operands)))
     for col, (mine_col, theirs_col) in enumerate(operands):
         partials[:, col] = [a.dot(b) for a, b in zip(mine_col, theirs_col)]
-    contributions: Dict[int, np.ndarray] = {
-        rank: partials[rank] for rank, node in enumerate(cluster.nodes)
-        if not (alive_only and node.is_failed)
-    }
-    n_rows = (participating_max_block_size(partition, contributions)
-              if alive_only else None)
     for x, _ in pairs:
-        x._charge_block_op(2.0, n_rows=n_rows)
-    total = np.asarray(
-        cluster.comm.allreduce_sum(contributions, alive_only=alive_only),
-        dtype=np.float64,
-    )
+        x._charge_block_op(2.0)
+    total = cluster.comm.allreduce_sum(partials)
     return [total[i * k:(i + 1) * k].copy() for i in range(len(pairs))]

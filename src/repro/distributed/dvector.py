@@ -73,14 +73,13 @@ class DistributedVector(DistributedMultiVector):
         return super().to_global(allow_missing=allow_missing,
                                  fill_value=fill_value)[:, 0]
 
-    def dot(self, other: DistributedMultiVector, *,
-            alive_only: bool = False) -> float:
+    def dot(self, other: DistributedMultiVector) -> float:
         """Global dot product: column 0 of :meth:`dots`."""
-        return float(self.dots(other, alive_only=alive_only)[0])
+        return float(self.dots(other)[0])
 
-    def norm2(self, *, alive_only: bool = False) -> float:
+    def norm2(self) -> float:
         """Euclidean norm: column 0 of :meth:`norms2` (NaN propagates)."""
-        return float(self.norms2(alive_only=alive_only)[0])
+        return float(self.norms2()[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -92,29 +92,11 @@ class Preconditioner(abc.ABC):
         (one independent application per column); the 2-D path is what
         :class:`~repro.core.block_pcg.BlockPCG` drives once per iteration
         for all ``k`` recurrences.  Column ``j`` of a 2-D application must
-        be bit-identical to the 1-D application of column ``j`` alone --
-        subclasses without a natively elementwise kernel should delegate to
-        :meth:`_apply_block_columns`.
+        be bit-identical to the 1-D application of column ``j`` alone.
         """
         raise NotImplementedError(
             f"{self.name} is not block-diagonal; apply_block is unavailable"
         )
-
-    def _apply_block_columns(self, rank: int,
-                             residual_block: np.ndarray) -> np.ndarray:
-        """Generic 2-D ``apply_block`` path: one 1-D application per column.
-
-        Each column is handed to the single-vector path as a fresh
-        contiguous array, which guarantees the per-column bit-identity the
-        block-Krylov equivalence contract requires (a strided view could
-        take a different BLAS kernel and round differently).
-        """
-        out = np.empty_like(residual_block, dtype=np.float64)
-        for j in range(residual_block.shape[1]):
-            out[:, j] = self.apply_block(
-                rank, np.ascontiguousarray(residual_block[:, j])
-            )
-        return out
 
     @property
     def is_block_diagonal(self) -> bool:

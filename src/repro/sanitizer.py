@@ -6,7 +6,7 @@ simulation runs*.  The cluster substrate (:class:`~repro.cluster.node.
 NodeMemory`, :class:`~repro.cluster.communicator.Communicator`,
 :class:`~repro.cluster.cost_model.CostLedger`, the block stores) carries
 cheap hook points that are inert until a sanitizer is activated; with one
-active, four detectors watch every simulated operation:
+active, two detectors watch every simulated operation:
 
 ``use_after_failure``
     Any *silent* read (``get``/``pop`` with a default) of a node-memory key
@@ -17,15 +17,6 @@ active, four detectors watch every simulated operation:
     hooked: a lost key raises a loud ``KeyError`` there, which callers
     handle deliberately (the storage liveness check of the distributed
     containers).
-``unmatched_send``
-    Point-to-point traffic must quiesce at collective boundaries (ULFM
-    semantics) and by sanitizer shutdown: a collective entered with
-    sent-but-unreceived messages, or a sanitizer stopped over a communicator
-    with pending mail, is flagged.
-``allreduce_uniformity``
-    All contributions to one allreduce must carry the *same shape* (the
-    communicator itself only checks element counts; equal-size different-
-    shape payloads broadcast-sum into silently wrong results).
 ``uncharged_op``
     Simulated operations that must book simulated cost open an *op window*
     (:func:`op_window`); a window that closes with zero ledger delta means
@@ -60,15 +51,11 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
-from weakref import WeakKeyDictionary, WeakSet
-
-import numpy as np
+from weakref import WeakKeyDictionary
 
 #: Every default detector, all enabled by a plain ``REPRO_SANITIZE=1``.
 DETECTORS: Tuple[str, ...] = (
     "use_after_failure",
-    "unmatched_send",
-    "allreduce_uniformity",
     "uncharged_op",
 )
 
@@ -123,11 +110,10 @@ class SanitizerError(RuntimeError):
 class SimSan:
     """The sanitizer state machine behind the module-level hooks.
 
-    One instance tracks tombstones of failed-and-wiped node-memory keys,
-    the set of live communicators (weakly, so instrumentation never keeps
-    a cluster alive), per-detector enablement, event counters in
-    :attr:`stats`, and the rank/iteration/phase context attached to every
-    :class:`SanitizerError`.
+    One instance tracks tombstones of failed-and-wiped node-memory keys
+    (weakly, so instrumentation never keeps a cluster alive), per-detector
+    enablement, event counters in :attr:`stats`, and the
+    rank/iteration/phase context attached to every :class:`SanitizerError`.
     """
 
     def __init__(self, detectors: Optional[Iterable[str]] = None):
@@ -141,12 +127,10 @@ class SimSan:
         #: ``NodeMemory -> {key, ...}`` of data lost in that node's failure
         #: and not rewritten since.
         self._tombstones: "WeakKeyDictionary[Any, set]" = WeakKeyDictionary()
-        self._comms: "WeakSet[Any]" = WeakSet()
         self.stats: Dict[str, int] = {
             "memory_reads": 0,
             "memory_writes": 0,
             "node_failures": 0,
-            "sends": 0,
             "collectives": 0,
             "op_windows": 0,
             "blocks_restored": 0,
@@ -195,12 +179,6 @@ class SimSan:
         if lost is not None:
             lost.discard(key)
 
-    def on_memory_invalidate(self, node: Any, key: Any) -> None:
-        """An explicit driver-side scrub also clears the tombstone."""
-        lost = self._tombstones.get(node.memory)
-        if lost is not None:
-            lost.discard(key)
-
     def tombstoned_keys(self, node: Any) -> Tuple[Any, ...]:
         """The keys currently tombstoned on *node* (diagnostics/tests)."""
         lost = self._tombstones.get(node.memory)
@@ -208,38 +186,10 @@ class SimSan:
             return ()
         return tuple(sorted(lost, key=repr))
 
-    # -- communicator hooks (called from repro.cluster.communicator) -------
-    def on_send(self, comm: Any, src: int, dst: int, tag: Any) -> None:
-        self.stats["sends"] += 1
-        self._comms.add(comm)
-
-    def on_collective(self, comm: Any, op: str,
-                      contributions: Optional[Dict[int, Any]] = None) -> None:
-        """Boundary checks when *comm* enters the collective *op*."""
+    # -- communicator hook (called from repro.cluster.communicator) --------
+    def on_collective(self) -> None:
+        """Count one allreduce."""
         self.stats["collectives"] += 1
-        self._comms.add(comm)
-        if self.enabled("unmatched_send"):
-            pending = comm.pending_messages()
-            if pending:
-                raise self._error(
-                    "unmatched_send",
-                    f"collective {op!r} entered with {pending} "
-                    "sent-but-unreceived point-to-point message(s); "
-                    "p2p traffic must quiesce at collective boundaries",
-                    op=op)
-        if contributions and self.enabled("allreduce_uniformity"):
-            shapes = {rank: np.shape(value)
-                      for rank, value in contributions.items()}
-            if len(set(shapes.values())) > 1:
-                detail = ", ".join(
-                    f"rank {rank}: {shape}"
-                    for rank, shape in sorted(shapes.items()))
-                raise self._error(
-                    "allreduce_uniformity",
-                    f"{op} contributions have non-uniform shapes "
-                    f"({detail}); equal-size different-shape payloads "
-                    "broadcast-sum into wrong results",
-                    op=op)
 
     # -- block-store hooks (called from repro.distributed.blockstore) ------
     def on_block_restored(self, rank: int, key: Any) -> None:
@@ -278,19 +228,6 @@ class SimSan:
         if fired is not None:
             fired.add(name)
 
-    # -- shutdown checks ---------------------------------------------------
-    def final_checks(self) -> None:
-        """Run end-of-session checks (pending mail on live communicators)."""
-        if not self.enabled("unmatched_send"):
-            return
-        for comm in list(self._comms):
-            pending = comm.pending_messages()
-            if pending:
-                raise self._error(
-                    "unmatched_send",
-                    f"sanitizer stopped with {pending} sent-but-unreceived "
-                    "message(s) still buffered on a communicator")
-
 
 # ---------------------------------------------------------------------------
 # activation API
@@ -313,35 +250,24 @@ def enable(detectors: Optional[Iterable[str]] = None) -> SimSan:
     return _ACTIVE
 
 
-def disable(*, run_final_checks: bool = False) -> None:
-    """Deactivate SimSan (optionally running the shutdown checks first)."""
+def disable() -> None:
+    """Deactivate SimSan."""
     global _ACTIVE
-    san, _ACTIVE = _ACTIVE, None
-    if run_final_checks and san is not None:
-        san.final_checks()
+    _ACTIVE = None
 
 
 @contextmanager
 def sanitized(detectors: Optional[Iterable[str]] = None
               ) -> Iterator[SimSan]:
-    """Run a block under SimSan; restores the previous state on exit.
-
-    The shutdown checks (pending point-to-point mail) run on clean exit --
-    not when the block is already raising, so the original error wins.
-    """
+    """Run a block under SimSan; restores the previous state on exit."""
     global _ACTIVE
     previous = _ACTIVE
     san = SimSan(detectors) if previous is None else previous
     _ACTIVE = san
     try:
         yield san
-    except BaseException:
+    finally:
         _ACTIVE = previous
-        raise
-    else:
-        _ACTIVE = previous
-        if previous is None:
-            san.final_checks()
 
 
 @contextmanager

@@ -16,12 +16,12 @@ normal perturbation, emulating the request similarity real workloads show
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..utils.rng import SeedLike, as_rng, spawn_rngs
+from ..utils.rng import SeedLike, spawn_rngs
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for failure events, the injector and the ULFM-like runtime."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import FailureEvent, FailureInjector, NodeStatus, VirtualCluster
@@ -98,6 +99,13 @@ class TestFailureInjector:
         injector.add_event(FailureEvent(5, (0,)))
         assert len(injector.pending_events()) == 1
 
+    def test_empty_schedule(self):
+        injector = FailureInjector()
+        assert injector.events == []
+        assert injector.events_due(10**6) == []
+        assert injector.all_triggered()
+        assert injector.max_simultaneous_failures() == 0
+
     def test_out_of_range_rank_rejected(self, cluster):
         injector = FailureInjector([FailureEvent(0, (99,))])
         with pytest.raises(ValidationError):
@@ -113,13 +121,6 @@ class TestUlfmRuntime:
         # already reported -> not reported again
         assert runtime.detect_failures() == []
 
-    def test_notify_survivors(self, cluster):
-        runtime = UlfmRuntime(cluster.nodes)
-        cluster.fail_nodes([2])
-        notified = runtime.notify_survivors([2])
-        assert 2 not in notified
-        assert all(v == [2] for v in notified.values())
-
     def test_provide_replacements(self, cluster):
         runtime = cluster.ulfm
         cluster.fail_nodes([1])
@@ -127,17 +128,37 @@ class TestUlfmRuntime:
         replaced = runtime.provide_replacements([1])
         assert replaced == [1]
         assert cluster.node(1).status is NodeStatus.REPLACEMENT
-        assert runtime.known_failed() == []
+        assert runtime.detect_failures() == []
+        # A replaced rank that fails again is reported again.
+        cluster.fail_nodes([1])
+        assert runtime.detect_failures() == [1]
 
     def test_replace_alive_node_rejected(self, cluster):
         with pytest.raises(ValidationError):
             cluster.ulfm.provide_replacements([0])
 
-    def test_recovery_records(self, cluster):
-        record = cluster.ulfm.begin_recovery(42, [1, 2])
-        record.simulated_time = 0.5
-        assert cluster.ulfm.total_recoveries() == 1
-        assert cluster.ulfm.recoveries[0].failed_ranks == [1, 2]
+    def test_detect_failures_reports_each_batch_sorted(self, cluster):
+        runtime = UlfmRuntime(cluster.nodes)
+        cluster.fail_nodes([5, 1])
+        assert runtime.detect_failures() == [1, 5]
+        cluster.fail_nodes([3])
+        assert runtime.detect_failures() == [3]
+
+    def test_provide_replacements_sorts_and_deduplicates(self, cluster):
+        cluster.fail_nodes([4, 2])
+        assert cluster.ulfm.provide_replacements([4, 2, 4]) == [2, 4]
+        assert [cluster.node(r).status for r in (2, 4)] == \
+            [NodeStatus.REPLACEMENT] * 2
+        assert cluster.failed_ranks() == []
+
+    def test_replacement_starts_with_empty_memory(self, cluster):
+        cluster.node(3).memory["block"] = np.ones(4)
+        cluster.fail_nodes([3])
+        cluster.ulfm.provide_replacements([3])
+        node = cluster.node(3)
+        assert node.is_alive
+        assert len(node.memory) == 0
+        assert "block" not in node.memory
 
 
 class TestClusterFacade:
@@ -157,7 +178,7 @@ class TestClusterFacade:
 
     def test_simulated_time_accumulates(self, cluster):
         assert cluster.simulated_time() == 0.0
-        cluster.comm.barrier()
+        cluster.comm.allreduce_sum(np.ones((cluster.n_nodes, 1)))
         assert cluster.simulated_time() > 0.0
         cluster.reset_costs()
         assert cluster.simulated_time() == 0.0

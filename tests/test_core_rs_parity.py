@@ -26,9 +26,7 @@ from repro.core.esr import ESRProtocol
 from repro.core.placement import PLACEMENTS, RackLayout, register_placement
 from repro.core.redundancy import (
     REDUNDANCY_SCHEMES,
-    BackupPlacement,
     RedundancyScheme,
-    RedundancySchemeBase,
     backup_targets,
     build_redundancy_scheme,
 )

@@ -11,7 +11,6 @@ preconditioners) are cached per problem until the matrix structure changes.
 import numpy as np
 import pytest
 
-import repro
 from repro.cluster import FailureEvent, FailureInjector, MachineModel
 from repro.core import (
     SOLVERS,

@@ -19,6 +19,7 @@ from repro.distributed import (
     DistributedMultiVector,
     DistributedVector,
 )
+from repro.distributed.dmultivector import fused_dots
 
 N_NODES = 4
 N = 21  # uneven blocks: sizes (6, 5, 5, 5)
@@ -226,27 +227,34 @@ class TestFailureSemantics:
         with pytest.raises(NodeFailedError):
             op(mvec, other)
 
-    def test_dots_alive_only_skips_dead_ranks(self, setup):
-        cluster, partition = setup
-        mvec = DistributedMultiVector.from_global(
-            cluster, partition, "m", np.ones((N, K)))
-        cluster.fail_nodes([3])
-        dots = mvec.dots(mvec, alive_only=True)
-        # 16 surviving elements per column (ranks 0-2 own 6+5+5 rows).
-        assert np.allclose(dots, 16.0)
+    REDUCTIONS = {
+        "dots": lambda m, o, **kw: m.dots(o, **kw),
+        "norms2": lambda m, o, **kw: m.norms2(**kw),
+        "fused_dots": lambda m, o, **kw: fused_dots([(m, o), (m, m)], **kw),
+    }
 
-    def test_dots_alive_only_charges_participating_max(self, setup):
-        """Mirror of the DistributedVector.dot charge bugfix: the dead
-        largest rank must not set the local-compute pace."""
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_reduction_with_failed_rank_books_nothing(self, setup, name):
+        """A failed rank fails the whole reduction before any charge: there
+        is no mode that reduces over the surviving ranks only."""
         cluster, partition = setup
-        mvec = DistributedMultiVector.from_global(
-            cluster, partition, "m", np.ones((N, K)))
-        cluster.fail_nodes([0])  # rank 0 owns the largest block (6 rows)
-        before = cluster.ledger.times.get(Phase.VECTOR_COMPUTE, 0.0)
-        mvec.dots(mvec, alive_only=True)
-        delta = cluster.ledger.times[Phase.VECTOR_COMPUTE] - before
-        model = cluster.ledger.model
-        assert delta == pytest.approx(model.vector_op_time(5 * K, 2.0))
+        mvec, _, _ = make_pair(cluster, partition, seed=13)
+        other, _, _ = make_pair(cluster, partition, seed=14)
+        cluster.fail_nodes([2])
+        ledger = cluster.ledger
+        before = (dict(ledger.times), dict(ledger.messages),
+                  dict(ledger.elements))
+        with pytest.raises(NodeFailedError):
+            self.REDUCTIONS[name](mvec, other)
+        assert (ledger.times, ledger.messages, ledger.elements) == before
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_reduction_takes_no_alive_only(self, setup, name):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition, seed=13)
+        other, _, _ = make_pair(cluster, partition, seed=14)
+        with pytest.raises(TypeError):
+            self.REDUCTIONS[name](mvec, other, alive_only=True)
 
 
 class TestContiguousStorage:

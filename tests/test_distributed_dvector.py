@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import MachineModel, NodeFailedError, VirtualCluster
-from repro.cluster.cost_model import Phase
 from repro.distributed import (
     BlockRowPartition,
     DistributedMultiVector,
@@ -166,40 +165,32 @@ class TestFailureSemantics:
         vec.set_block(1, np.zeros(5))
         assert vec.has_block(1)
 
-    def test_dot_alive_only(self, setup):
+    REDUCTIONS = {
+        "dot": lambda v, w, **kw: v.dot(w, **kw),
+        "norm2": lambda v, w, **kw: v.norm2(**kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_reduction_with_failed_rank_raises_and_books_nothing(
+            self, setup, name):
         cluster, partition = setup
         vec = DistributedVector.from_global(cluster, partition, "v", np.ones(20))
+        other = DistributedVector.from_global(cluster, partition, "w",
+                                              np.arange(20.0))
         cluster.fail_nodes([3])
-        assert vec.dot(vec, alive_only=True) == pytest.approx(15.0)
+        ledger = cluster.ledger
+        before = (dict(ledger.times), dict(ledger.messages),
+                  dict(ledger.elements))
+        with pytest.raises(NodeFailedError):
+            self.REDUCTIONS[name](vec, other)
+        assert (ledger.times, ledger.messages, ledger.elements) == before
 
-    def test_dot_alive_only_charges_participating_max_block(self):
-        """Regression: the local-compute charge must be paced by the slowest
-        *participating* rank.  With the largest rank dead on a shrunken
-        communicator, its (larger) block must not set the charge."""
-        cluster = VirtualCluster(4, machine=MachineModel(jitter_rel_std=0.0))
-        partition = BlockRowPartition(21, 4)  # block sizes (6, 5, 5, 5)
-        vec = DistributedVector.from_global(cluster, partition, "v",
-                                            np.ones(21))
-        cluster.fail_nodes([0])  # rank 0 owns the largest block
-        before = cluster.ledger.times.get(Phase.VECTOR_COMPUTE, 0.0)
-        vec.dot(vec, alive_only=True)
-        delta = cluster.ledger.times[Phase.VECTOR_COMPUTE] - before
-        model = cluster.ledger.model
-        assert delta == pytest.approx(model.vector_op_time(5, 2.0))
-        assert delta < model.vector_op_time(6, 2.0)
-
-    def test_dot_alive_only_charge_unchanged_when_largest_rank_alive(self):
-        """Failing a non-largest rank keeps the max-block charge."""
-        cluster = VirtualCluster(4, machine=MachineModel(jitter_rel_std=0.0))
-        partition = BlockRowPartition(21, 4)
-        vec = DistributedVector.from_global(cluster, partition, "v",
-                                            np.ones(21))
-        cluster.fail_nodes([2])
-        before = cluster.ledger.times.get(Phase.VECTOR_COMPUTE, 0.0)
-        vec.dot(vec, alive_only=True)
-        delta = cluster.ledger.times[Phase.VECTOR_COMPUTE] - before
-        model = cluster.ledger.model
-        assert delta == pytest.approx(model.vector_op_time(6, 2.0))
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_reduction_takes_no_alive_only(self, setup, name):
+        cluster, partition = setup
+        vec = DistributedVector.from_global(cluster, partition, "v", np.ones(20))
+        with pytest.raises(TypeError):
+            self.REDUCTIONS[name](vec, vec, alive_only=True)
 
 
 class TestMaintenance:

@@ -7,6 +7,8 @@ clean/violations/errors to exit codes 0/1/2; and the real source tree is
 clean under all rules (the invariant CI enforces).
 """
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -783,6 +785,27 @@ class TestCli:
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert lint_main(["--explain", "R999"]) == 2
         assert "R999" in capsys.readouterr().err
+
+
+class TestLoadedOnDemand:
+    """``import repro`` leaves the linter unloaded; it is reached through
+    ``python -m repro.lint`` or ``from repro.lint import ...``."""
+
+    def run_python(self, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True)
+
+    def test_import_repro_does_not_load_lint(self):
+        out = self.run_python(
+            "-c", "import repro, sys; print('repro.lint' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_module_entry_point_runs(self):
+        out = self.run_python("-m", "repro.lint", "--list-rules")
+        assert out.returncode == 0, out.stderr
+        for rule_id in rule_ids():
+            assert rule_id in out.stdout
 
 
 class TestRealTreeIsClean:

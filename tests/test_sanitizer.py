@@ -4,18 +4,21 @@ Contract: each detector fires on a synthetic violation with structured
 context and stays quiet on the corresponding clean pattern; activation is
 opt-in (env var, context manager, explicit enable) and nests correctly; the
 instrumentation is semantics-preserving -- pre-existing error contracts
-(``KeyError`` probes, ``CommunicationError`` size checks) are untouched and
-a sanitized solve is bit-identical to an unsanitized one.
+(``KeyError`` probes) are untouched and a sanitized solve is bit-identical
+to an unsanitized one.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import repro
 from repro import sanitizer
-from repro.cluster import VirtualCluster
+from repro.cluster import CommunicationError, VirtualCluster
 from repro.cluster.cost_model import CostLedger, MachineModel, Phase
-from repro.cluster.errors import CommunicationError
 from repro.sanitizer import DETECTORS, SanitizerError, SimSan, op_window
 
 
@@ -80,9 +83,11 @@ class TestActivation:
                 raise RuntimeError("boom")
         assert not sanitizer.is_active()
 
-    def test_unknown_detector_rejected(self):
+    @pytest.mark.parametrize("name", [
+        "not_a_detector", "unmatched_send", "allreduce_uniformity"])
+    def test_unknown_detector_rejected(self, name):
         with pytest.raises(ValueError, match="unknown sanitizer detector"):
-            SimSan(["not_a_detector"])
+            SimSan([name])
 
     def test_detector_subset(self):
         san = SimSan(["uncharged_op"])
@@ -94,6 +99,7 @@ class TestActivation:
         san = sanitizer.enable_from_env({"REPRO_SANITIZE": value})
         assert san is not None
         assert san.detectors == frozenset(DETECTORS)
+        assert san.detectors == {"use_after_failure", "uncharged_op"}
 
     @pytest.mark.parametrize("environ", [
         {}, {"REPRO_SANITIZE": "0"}, {"REPRO_SANITIZE": "off"},
@@ -104,8 +110,29 @@ class TestActivation:
 
     def test_env_detector_subset(self):
         san = sanitizer.enable_from_env(
-            {"REPRO_SANITIZE": "uncharged_op, unmatched_send"})
-        assert san.detectors == {"uncharged_op", "unmatched_send"}
+            {"REPRO_SANITIZE": "uncharged_op, use_after_failure"})
+        assert san.detectors == {"uncharged_op", "use_after_failure"}
+
+    @pytest.mark.parametrize("name", DETECTORS)
+    def test_env_single_detector(self, name):
+        san = sanitizer.enable_from_env({"REPRO_SANITIZE": name})
+        assert san.detectors == {name}
+
+    @pytest.mark.parametrize("name", ["unmatched_send", "allreduce_uniformity"])
+    def test_env_removed_detector_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown sanitizer detector"):
+            sanitizer.enable_from_env({"REPRO_SANITIZE": name})
+        assert not sanitizer.is_active()
+
+    def test_import_arms_the_default_detectors(self):
+        """``REPRO_SANITIZE=1`` is honoured by ``import repro`` itself and
+        arms exactly the two default detectors."""
+        env = dict(os.environ, REPRO_SANITIZE="1")
+        code = ("import repro; "
+                "print(','.join(sorted(repro.sanitizer.active().detectors)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "uncharged_op,use_after_failure"
 
 
 class TestUseAfterFailure:
@@ -141,12 +168,6 @@ class TestUseAfterFailure:
             node.memory["blob"] = np.zeros(3)  # reconstruction restored it
             assert np.array_equal(node.memory.get("blob"), np.zeros(3))
 
-    def test_invalidate_clears_tombstone(self, cluster):
-        with sanitizer.sanitized():
-            node = failed_and_replaced(cluster, 1, blob=np.ones(3))
-            node.memory.invalidate("blob")
-            assert node.memory.get("blob") is None  # deliberate scrub
-
     def test_loud_keyerror_probe_is_not_flagged(self, cluster):
         """Regression: the SpMV engine probes ``memory[key]`` and handles
         the KeyError to allocate missing output blocks on replacements --
@@ -175,62 +196,6 @@ class TestUseAfterFailure:
             assert san.tombstoned_keys(node) == ("a", "b")
             node.memory["a"] = np.zeros(2)
             assert san.tombstoned_keys(node) == ("b",)
-
-
-class TestUnmatchedSend:
-    def test_collective_with_pending_message_fires(self, cluster):
-        with sanitizer.sanitized():
-            cluster.comm.send(0, 1, np.ones(3))
-            with pytest.raises(SanitizerError) as excinfo:
-                cluster.comm.allreduce_sum({r: 1.0 for r in range(4)})
-            cluster.comm.recv(1, 0)  # drain for the clean-shutdown check
-        assert excinfo.value.detector == "unmatched_send"
-        assert excinfo.value.op == "allreduce_sum"
-
-    def test_drained_mailboxes_pass(self, cluster):
-        with sanitizer.sanitized():
-            cluster.comm.send(0, 1, np.ones(3))
-            cluster.comm.recv(1, 0)
-            cluster.comm.allreduce_sum({r: 1.0 for r in range(4)})
-
-    def test_sanitized_exit_with_pending_message_fires(self, cluster):
-        with pytest.raises(SanitizerError) as excinfo:
-            with sanitizer.sanitized():
-                cluster.comm.send(0, 1, np.ones(3))
-        assert excinfo.value.detector == "unmatched_send"
-
-    def test_barrier_checks_boundary(self, cluster):
-        with sanitizer.sanitized():
-            cluster.comm.send(2, 3, np.ones(2))
-            with pytest.raises(SanitizerError):
-                cluster.comm.barrier()
-            cluster.comm.recv(3, 2)  # drain for the clean-shutdown check
-
-
-class TestAllreduceUniformity:
-    def test_same_size_different_shape_fires(self, cluster):
-        contributions = {0: np.ones((2, 2)), 1: np.ones(4),
-                         2: np.ones((2, 2)), 3: np.ones((2, 2))}
-        with sanitizer.sanitized():
-            with pytest.raises(SanitizerError) as excinfo:
-                cluster.comm.allreduce_sum(contributions)
-        assert excinfo.value.detector == "allreduce_uniformity"
-
-    def test_uniform_shapes_pass(self, cluster):
-        with sanitizer.sanitized():
-            total = cluster.comm.allreduce_sum(
-                {r: np.full((2, 2), float(r)) for r in range(4)})
-        assert np.array_equal(total, np.full((2, 2), 6.0))
-
-    def test_size_mismatch_stays_communication_error(self, cluster):
-        """Regression: the communicator's own size check must keep raising
-        CommunicationError -- the sanitizer only adds the stricter
-        same-shape check *after* it."""
-        contributions = {0: np.ones(3), 1: np.ones(4),
-                        2: np.ones(3), 3: np.ones(3)}
-        with sanitizer.sanitized():
-            with pytest.raises(CommunicationError, match="mismatched sizes"):
-                cluster.comm.allreduce_sum(contributions)
 
 
 class TestUnchargedOp:
@@ -281,6 +246,38 @@ class TestUnchargedOp:
             with pytest.raises(SanitizerError) as excinfo:
                 repro.solve(problem, max_iterations=3, rtol=0.0)
         assert excinfo.value.detector == "uncharged_op"
+
+
+class TestCollectiveCounter:
+    """``stats["collectives"]`` counts the allreduces that took place."""
+
+    def test_each_allreduce_counted_once(self, cluster):
+        with sanitizer.sanitized() as san:
+            cluster.comm.allreduce_sum(np.ones((4, 3)))
+            cluster.comm.allreduce_sum(np.ones((4, 1)))
+        assert san.stats["collectives"] == 2
+
+    def test_refused_allreduce_not_counted(self, cluster):
+        with sanitizer.sanitized() as san:
+            with pytest.raises(CommunicationError):
+                cluster.comm.allreduce_sum(np.ones(4))
+            cluster.fail_nodes([0])
+            with pytest.raises(CommunicationError):
+                cluster.comm.allreduce_sum(np.ones((4, 1)))
+        assert san.stats["collectives"] == 0
+
+    def test_fused_reduction_is_one_collective(self, cluster):
+        from repro.distributed import BlockRowPartition, DistributedMultiVector
+        from repro.distributed.dmultivector import fused_dots
+
+        partition = BlockRowPartition(12, 4)
+        values = np.random.default_rng(3).standard_normal((12, 3))
+        x = DistributedMultiVector.from_global(cluster, partition, "x", values)
+        y = DistributedMultiVector.from_global(cluster, partition, "y", values)
+        with sanitizer.sanitized() as san:
+            fused_dots([(x, y), (x, x), (y, y)])
+            x.norms2()
+        assert san.stats["collectives"] == 2
 
 
 class TestContext:
