@@ -1,16 +1,17 @@
 """Consolidate individual benchmark JSON outputs into one tracking file.
 
-The CI bench smoke job runs the SpMV, solver, reliability, service and
-redundancy benchmarks (``bench_spmv_engine.py``, ``bench_spmv_overlap.py``,
-``bench_block_pcg.py``, ``bench_resilient_block_pcg.py``,
-``bench_reliability_campaign.py``, ``bench_solver_service.py``,
-``bench_redundancy_schemes.py``) with ``--json`` and merges their outputs
-into a single ``BENCH_spmv.json`` at the repository root, so the
-performance trajectory (engine speedup, overlap gain, multi-RHS
-amortization, block-PCG allreduce amortization, resilient-block recovery
-amortization, campaign survival probabilities per placement, service
-coalescing throughput, redundancy-scheme storage/traffic frontier) is
-tracked PR over PR from one artifact.
+The CI bench smoke job runs the SpMV, solver, reliability, service,
+redundancy and scaling benchmarks (``bench_spmv_engine.py``,
+``bench_spmv_overlap.py``, ``bench_block_pcg.py``,
+``bench_resilient_block_pcg.py``, ``bench_reliability_campaign.py``,
+``bench_solver_service.py``, ``bench_redundancy_schemes.py``,
+``bench_solve_scaling.py``) with ``--json`` and merges their outputs into a
+single ``BENCH_spmv.json`` at the repository root, so the performance
+trajectory (engine speedup, overlap gain, multi-RHS amortization, block-PCG
+allreduce amortization, resilient-block recovery amortization, campaign
+survival probabilities per placement, service coalescing throughput,
+redundancy-scheme storage/traffic frontier, per-iteration solve cost across
+node counts) is tracked PR over PR from one artifact.
 
 Usage::
 

@@ -13,12 +13,21 @@ analysis of Sec. 4.2 (piggybacked extras pay no latency).
 :class:`StagingIndex`: the ``(owner, holder)`` held pattern of the
 :class:`~repro.core.redundancy.RedundancyScheme` is translated once into one
 gather index over the global rows of the search direction, grouped by
-holder.  Every iteration then gathers all copies with one fancy-index into
-the search direction's contiguous ``(n, k)`` array (see
-:mod:`repro.distributed.blockstore`) and stores each pair's copies as a
-slice of the result -- the only per-rank work left is the store the model
-makes each holder do.  A dead holder stores nothing, and a failed owner's
-pairs are skipped for the iteration.
+holder.  Each of the two generation slots owns one buffer of the gathered
+rows, and each pair's copies are a zero-copy view of that buffer held in the
+holder's node memory.  Every iteration refills the slot's buffer in place
+with one ``np.take`` from the search direction's contiguous ``(n, k)``
+array (see :mod:`repro.distributed.blockstore`), so the holders' views see
+the new copies without a node-memory write.  The views of a slot are
+written into the holders' memories again only when the cluster's
+:class:`~repro.cluster.node.MemoryEpoch` has moved (a failure or a
+replacement wiped some memory) or when another protocol has stored into the
+same slot since (the slot's buffer is recorded in the cluster's ``arrays``;
+a different record there means the entries are no longer ours).  A dead
+holder stores nothing, and a failed owner's pairs keep their previous
+copies for the iteration.  The replicated ``beta`` works the same way: one
+read-only holder per protocol sits in every alive node's memory, and each
+store swaps its payload.
 
 After node failures, :meth:`recover_block` re-assembles a failed node's block
 of either generation from the copies on surviving nodes, charging the reverse
@@ -54,9 +63,10 @@ to the copies path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Collection, Dict, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -85,16 +95,31 @@ _ESR_PARITY_KEY = "esr_parity"
 
 
 class StagingIndex:
-    """Precomputed gather tables of the per-iteration redundant stores.
+    """Precomputed gather tables and slot buffers of the redundant stores.
 
     Built once from the held pattern (immutable): the global indices of all
     ``(owner, holder)`` pairs, concatenated holder by holder in sorted
     order, form one gather index into the search direction; per holder,
     ``[(owner, lo, hi)]`` locates each pair's copies as a contiguous slice
-    of the gathered rows.
+    of the gathered rows.  Each generation slot owns one
+    ``(len(gather), n_cols)`` buffer of gathered rows, and a holder keeps
+    the pair's copies as the view ``buffer[lo:hi]`` under
+    ``(_ESR_KEY, slot, owner)``.
+
+    The views of a slot are *registered* -- written into the alive holders'
+    memories -- per slot: writing one slot never registers the other, so a
+    replacement holder cannot pass for a holder of a generation it never
+    received.  A registration stays current while the cluster's memory
+    epoch is the one it was made at (a failure or a replacement moves it)
+    and while the slot's record in ``cluster.arrays``, under
+    ``(_ESR_KEY, slot)``, is still this buffer.  That record is the
+    ownership guard: another protocol storing into the same slot of the
+    cluster replaces it, so the next store of this one registers its own
+    views again instead of refilling a buffer no holder reads.
     """
 
-    def __init__(self, pattern: Dict[Tuple[int, int], np.ndarray]):
+    def __init__(self, pattern: Dict[Tuple[int, int], np.ndarray],
+                 n_cols: int):
         #: Nothing to stage at all (no pattern entries, e.g. a single-node
         #: run): lets the per-iteration path skip staging entirely.
         self.is_empty = not pattern
@@ -114,21 +139,56 @@ class StagingIndex:
             self._holders.append((holder, slices))
         self._gather = (np.concatenate(chunks) if chunks
                         else np.empty(0, dtype=np.int64))
+        #: One buffer of gathered rows per generation slot.
+        self._buffers = tuple(np.zeros((self._gather.size, n_cols))
+                              for _ in range(2))
+        #: Memory epoch each slot's views were registered at (-1: never).
+        self._registered = [-1, -1]
 
     def distribute(self, cluster: VirtualCluster, p, slot: int) -> None:
-        """Store every alive holder's copies of *p* under
-        ``(_ESR_KEY, slot, owner)``.
+        """Refill *slot*'s buffer with the copies of *p*, registering its
+        views under ``(_ESR_KEY, slot, owner)`` unless they are current.
 
-        One gather pulls all copies out of *p*'s ``(n, k)`` array.  A failed
+        One ``np.take`` pulls all copies out of *p*'s ``(n, k)`` array into
+        the buffer; with the registration current (same memory epoch, the
+        slot's record still this buffer) that is the whole store.  A failed
         owner's pairs are skipped -- its block will be reconstructed before
-        the solver continues -- and keep whatever the slot held before.
+        the solver continues: its rows keep the copies the slot held before,
+        its pairs are not registered on holders that lack them, and the slot
+        is left unregistered so its next store registers again.
         """
+        buffer = self._buffers[slot]
         try:
-            values = p.stacked()[self._gather]
-            failed: Set[int] = set()
+            np.take(p.stacked(), self._gather, axis=0, out=buffer)
         except NodeFailedError:
-            failed = set(cluster.failed_ranks())
-            values = p.stacked(alive_only=True)[self._gather]
+            self._distribute_alive_owners(cluster, p, slot)
+            return
+        epoch = cluster.epoch.value
+        if (self._registered[slot] != epoch
+                or cluster.arrays.get((_ESR_KEY, slot)) is not buffer):
+            self._register(cluster, slot)
+            self._registered[slot] = epoch
+
+    def _distribute_alive_owners(self, cluster: VirtualCluster, p,
+                                 slot: int) -> None:
+        """The store of an iteration in which some owners have failed."""
+        failed = set(cluster.failed_ranks())
+        buffer = self._buffers[slot]
+        kept = [(lo, hi, buffer[lo:hi].copy())
+                for _, slices in self._holders
+                for owner, lo, hi in slices if owner in failed]
+        np.take(p.stacked(alive_only=True), self._gather, axis=0, out=buffer)
+        for lo, hi, rows in kept:
+            buffer[lo:hi] = rows
+        self._register(cluster, slot, skip=failed)
+        # Some pairs were left out, so the next store registers again.
+        self._registered[slot] = -1
+
+    def _register(self, cluster: VirtualCluster, slot: int,
+                  skip: Collection[int] = ()) -> None:
+        """Put *slot*'s views of all owners but *skip* on the alive holders
+        and record the buffer as the slot's storage."""
+        buffer = self._buffers[slot]
         nodes = cluster.nodes
         for holder, slices in self._holders:
             node = nodes[holder]
@@ -139,8 +199,32 @@ class StagingIndex:
                 continue
             memory = node.memory
             for owner, lo, hi in slices:
-                if owner not in failed:
-                    memory[(_ESR_KEY, slot, owner)] = values[lo:hi]
+                if owner not in skip:
+                    memory[(_ESR_KEY, slot, owner)] = buffer[lo:hi]
+        cluster.arrays[(_ESR_KEY, slot)] = buffer
+
+
+class ReplicatedScalars(Mapping[str, Any]):
+    """The read-only holder of a protocol's replicated coefficients.
+
+    Every alive node's memory holds this one object under ``_SCALAR_KEY``,
+    and a store swaps its payload instead of writing every node memory.
+    It has no item assignment, so no node can alter what the others hold.
+    """
+
+    __slots__ = ("_payload",)
+
+    def __init__(self) -> None:
+        self._payload: Dict[str, Any] = {}
+
+    def __getitem__(self, key: str) -> Any:
+        return self._payload[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._payload)
+
+    def __len__(self) -> int:
+        return len(self._payload)
 
 
 @dataclass
@@ -199,11 +283,15 @@ class ESRProtocol:
         #: Per-iteration staging tables (the pattern is static); parity
         #: schemes stage nothing through the pattern path.
         self._staging = (None if self._parity is not None
-                         else StagingIndex(self._pattern))
+                         else StagingIndex(self._pattern, self.n_cols))
         #: Iteration number stored in each of the two generation slots.
         self._generations: Dict[int, GenerationInfo] = {
             0: GenerationInfo(), 1: GenerationInfo()
         }
+        #: The holder of the replicated coefficients, and the memory epoch
+        #: it was put on every alive node at (-1: never).
+        self._scalars = ReplicatedScalars()
+        self._scalars_registered = -1
         # Precompute per-iteration redundancy overhead (pattern is static):
         # the volume terms scale with the column count, latency terms and
         # message counts do not.
@@ -233,11 +321,15 @@ class ESRProtocol:
                 f"got an operand with n_cols={getattr(p, 'n_cols', None)}"
             )
         slot = self._slot_for(iteration)
-        self._generations[slot] = GenerationInfo(iteration=iteration)
+        # The slot holds no whole generation until the store succeeds: a
+        # store that raises must not leave it tagged as p^(iteration).
+        generation = self._generations[slot]
+        generation.iteration = -1
         if self._parity is not None:
             self._store_parity(p, iteration, slot)
         elif not self._staging.is_empty:
             self._staging.distribute(self.cluster, p, slot)
+        generation.iteration = iteration
         # Charge the extra redundancy communication of this iteration.
         if self.phi > 0 and self._overhead_time > 0.0:
             self.cluster.ledger.add_time(Phase.REDUNDANCY_COMM, self._overhead_time)
@@ -287,9 +379,13 @@ class ESRProtocol:
         """Replicate solver coefficients (e.g. the ``(k,)`` ``beta``) on every
         alive node.
 
-        The values are copied once and made read-only, and every node stores
-        that one payload: a later in-place driver update cannot rewrite
-        history, and no node can alter the copy the others hold.
+        The values are copied once and made read-only, and become the
+        payload of the protocol's one :class:`ReplicatedScalars` holder: a
+        later in-place update by the solver cannot rewrite history, and no
+        node can alter the copy the others hold.  The holder is put into
+        every alive node's memory only when it is not current there -- the
+        memory epoch moved, or another protocol's holder took over
+        ``_SCALAR_KEY`` (its record in ``cluster.arrays``) since.
         """
         payload = {}
         for key, value in scalars.items():
@@ -298,10 +394,17 @@ class ESRProtocol:
                 value.flags.writeable = False
             payload[key] = value
         payload["iteration"] = iteration
-        payload = MappingProxyType(payload)
-        for node in self.cluster.nodes:
-            if node.is_alive:
-                node.memory[_SCALAR_KEY] = payload
+        holder = self._scalars
+        holder._payload = payload
+        cluster = self.cluster
+        epoch = cluster.epoch.value
+        if (self._scalars_registered != epoch
+                or cluster.arrays.get(_SCALAR_KEY) is not holder):
+            for node in cluster.nodes:
+                if node.is_alive:
+                    node.memory[_SCALAR_KEY] = holder
+            cluster.arrays[_SCALAR_KEY] = holder
+            self._scalars_registered = epoch
 
     # -- queries --------------------------------------------------------------------
     def available_generations(self) -> List[int]:

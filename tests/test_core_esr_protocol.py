@@ -159,6 +159,75 @@ class TestRecovery:
         esr.after_spmv(p, 0)
         assert 0 not in esr.holders_with_copies(1, 0)
 
+    @pytest.mark.parametrize("scheme", ["copies", "rs_parity"])
+    def test_failed_store_does_not_claim_its_generation(self, setup, scheme):
+        """A store that raises leaves its slot empty: recovering from it
+        fails loudly instead of returning the slot's older copies."""
+        cluster, partition, _, context = setup
+        esr = ESRProtocol(cluster, context, phi=2, scheme=scheme)
+        esr.after_spmv(make_p(cluster, partition, 0), 0)
+        p2 = make_p(cluster, partition, 2)  # same slot as iteration 0
+        cluster.fail_nodes([4])
+        cluster.replace_nodes([4])  # p2's block on rank 4 is not restored
+        with pytest.raises(KeyError):
+            esr.after_spmv(p2, 2)
+        assert esr.available_generations() == []
+        cluster.fail_nodes([1])
+        with pytest.raises(UnrecoverableStateError):
+            esr.recover_block(1, 2)
+
+
+class TestRegistration:
+    """Stores refill per-slot buffers whose views the holders keep; the
+    views are registered per slot and per protocol."""
+
+    def test_replaced_holder_does_not_gain_other_slot(self, setup):
+        cluster, partition, _, context = setup
+        esr = ESRProtocol(cluster, context, phi=2)
+        esr.after_spmv(make_p(cluster, partition, 0), 0)
+        esr.after_spmv(make_p(cluster, partition, 1), 1)
+        owner = 2
+        holder = esr.holders_with_copies(owner, 1)[0]
+        cluster.fail_nodes([holder])
+        cluster.replace_nodes([holder])
+        esr.after_spmv(make_p(cluster, partition, 2), 2)  # slot 0 only
+        assert holder in esr.holders_with_copies(owner, 2)
+        # The replacement never received p^(1): it must not count as a
+        # holder of that generation.
+        assert holder not in esr.holders_with_copies(owner, 1)
+
+    def test_interleaved_protocols_keep_their_own_copies(self, setup):
+        """Protocols A, B, A storing into one slot of one cluster: A's
+        recovery reads A's latest copies and coefficients, not B's."""
+        cluster, partition, _, context = setup
+        a = ESRProtocol(cluster, context, phi=2)
+        b = ESRProtocol(cluster, context, phi=2)
+        a.after_spmv(make_p(cluster, partition, 0), 0)
+        a.store_replicated_scalars(0, beta=np.array([0.5]))
+        b.after_spmv(make_p(cluster, partition, 10), 10)
+        b.store_replicated_scalars(10, beta=np.array([7.0]))
+        p2 = make_p(cluster, partition, 2)
+        a.after_spmv(p2, 2)
+        a.store_replicated_scalars(2, beta=np.array([0.25]))
+        expected = p2.to_global()
+        cluster.fail_nodes([3])
+        start, stop = partition.range_of(3)
+        assert np.array_equal(a.recover_block(3, 2), expected[start:stop])
+        assert np.array_equal(a.recover_replicated_vector("beta"), [0.25])
+
+    def test_replicated_holder_swaps_its_payload(self, setup):
+        """The nodes keep one holder; each store replaces what it reads."""
+        cluster, _, _, context = setup
+        esr = ESRProtocol(cluster, context, phi=1)
+        esr.store_replicated_scalars(1, beta=np.array([0.5]))
+        holder = cluster.node(0).memory[_SCALAR_KEY]
+        esr.store_replicated_scalars(2, beta=np.array([0.25]))
+        assert all(node.memory[_SCALAR_KEY] is holder
+                   for node in cluster.nodes)
+        assert sorted(holder) == ["beta", "iteration"] and len(holder) == 2
+        assert holder["iteration"] == 2
+        assert np.array_equal(holder["beta"], [0.25])
+
 
 def legacy_stores(esr, p, slot):
     """Reference implementation of the former per-(owner, holder) loop."""
@@ -177,7 +246,11 @@ def legacy_stores(esr, p, slot):
 
 
 def stored_snapshot(esr, slot):
-    """All ESR stores of *slot* currently present on alive nodes."""
+    """Copies of all ESR stores of *slot* currently present on alive nodes.
+
+    The stores are views of a buffer the next store of the slot refills in
+    place, so a snapshot taken before that store must copy them.
+    """
     out = {}
     for (owner, holder) in esr._pattern_local:
         node = esr.cluster.node(holder)
@@ -185,7 +258,7 @@ def stored_snapshot(esr, slot):
             continue
         key = (_ESR_KEY, slot, owner)
         if key in node.memory:
-            out[(holder, key)] = node.memory[key]
+            out[(holder, key)] = node.memory[key].copy()
     return out
 
 

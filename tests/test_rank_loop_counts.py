@@ -4,7 +4,9 @@ The whole-array kernels -- block BLAS-1, the batched reductions and the
 SpMV -- check liveness once per memory epoch, not once per rank, and the
 SpMV runs one sparse kernel over all ranks.  So after a warm-up call, one
 ``axpy``, one ``dots`` and one ``distributed_spmv`` make the same number of
-node-memory reads and ``csr_matvecs`` calls on 16 nodes as on 128.  In the
+node-memory reads and writes and ``csr_matvecs`` calls on 16 nodes as on
+128.  The ESR stores refill buffers whose views the holders already keep,
+so a warm store writes no node memory at all, at any node count.  In the
 same way the recovery's rows of ``M`` are built per failed rank, not per
 failed row.  Counting calls instead of timing them keeps the guard
 deterministic.
@@ -16,6 +18,7 @@ import scipy.sparse as sp
 
 from repro.cluster import MachineModel, VirtualCluster
 from repro.cluster.node import NodeMemory
+from repro.core.esr import ESRProtocol
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -44,14 +47,20 @@ def make_operands(n_nodes, k):
 
 
 def count_calls(monkeypatch, op):
-    """``(node-memory reads, csr_matvecs calls)`` of ``op()``."""
-    counts = {"reads": 0, "kernels": 0}
+    """``(node-memory reads, csr_matvecs calls, node-memory writes)`` of
+    ``op()``."""
+    counts = {"reads": 0, "kernels": 0, "writes": 0}
     read = NodeMemory.__getitem__
+    write = NodeMemory.__setitem__
     kernel = spmv_engine._csr_matvecs
 
     def counted_read(memory, key):
         counts["reads"] += 1
         return read(memory, key)
+
+    def counted_write(memory, key, value):
+        counts["writes"] += 1
+        write(memory, key, value)
 
     def counted_kernel(*args):
         counts["kernels"] += 1
@@ -59,9 +68,10 @@ def count_calls(monkeypatch, op):
 
     with monkeypatch.context() as patch:
         patch.setattr(NodeMemory, "__getitem__", counted_read)
+        patch.setattr(NodeMemory, "__setitem__", counted_write)
         patch.setattr(spmv_engine, "_csr_matvecs", counted_kernel)
         op()
-    return counts["reads"], counts["kernels"]
+    return counts["reads"], counts["kernels"], counts["writes"]
 
 
 OPS = {
@@ -84,6 +94,45 @@ def test_counts_do_not_grow_with_node_count(monkeypatch, name, k):
     assert counts[16] == counts[128]
     if name == "distributed_spmv":
         assert counts[128][1] == 1
+
+
+def esr_store(esr, p, iteration):
+    """What the resilient solver stores after the SpMV of *iteration*."""
+    esr.after_spmv(p, iteration)
+    esr.store_replicated_scalars(iteration, beta=np.full(p.n_cols, 0.5))
+
+
+def test_warm_esr_stores_write_no_node_memory(monkeypatch):
+    counts = {}
+    for n_nodes in (16, 128):
+        dist, context, x, _ = make_operands(n_nodes, 1)
+        esr = ESRProtocol(dist.cluster, context, phi=3)
+        esr_store(esr, x, 0)  # warm-up: both slots registered
+        esr_store(esr, x, 1)
+        counts[n_nodes] = [count_calls(monkeypatch,
+                                       lambda j=j: esr_store(esr, x, j))[2]
+                           for j in (2, 3)]
+    assert counts == {16: [0, 0], 128: [0, 0]}
+
+
+def test_esr_stores_register_each_slot_once_after_replacement(monkeypatch):
+    dist, context, x, _ = make_operands(16, 1)
+    cluster = dist.cluster
+    esr = ESRProtocol(cluster, context, phi=3)
+
+    def writes(iteration):
+        return count_calls(monkeypatch,
+                           lambda: esr_store(esr, x, iteration))[2]
+
+    cold = [writes(0), writes(1)]
+    assert cold[0] > 0 and cold[1] > 0
+    values = x.to_global()
+    cluster.fail_nodes([5])
+    cluster.replace_nodes([5])
+    start, stop = x.partition.range_of(5)
+    x.restore_block(5, values[start:stop])
+    assert [writes(2), writes(3)] == cold
+    assert [writes(4), writes(5)] == [0, 0]
 
 
 def test_forward_rows_builds_per_rank_not_per_row(monkeypatch):
