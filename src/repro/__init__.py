@@ -68,12 +68,10 @@ from .core import (
     RecoveryReport,
     RedundancyScheme,
     RedundancySchemeBase,
-    RedundancySchemeRegistry,
     ResilienceSpec,
     ResilientBlockPCG,
     ResilientPCG,
     RSParityScheme,
-    SolverRegistry,
     SolveSpec,
     build_redundancy_scheme,
     distribute_problem,
@@ -125,7 +123,6 @@ __all__ = [
     "ResilienceSpec",
     "BlockSpec",
     "SOLVERS",
-    "SolverRegistry",
     "register_solver",
     "DistributedPCG",
     "ResilientPCG",
@@ -139,7 +136,6 @@ __all__ = [
     "RecoveryReport",
     "RedundancyScheme",
     "RedundancySchemeBase",
-    "RedundancySchemeRegistry",
     "REDUNDANCY_SCHEMES",
     "RSParityScheme",
     "register_redundancy_scheme",

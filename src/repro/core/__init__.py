@@ -6,7 +6,7 @@ from .api import (
     distribute_problem,
     solve,
 )
-from .registry import SOLVERS, SolverRegistry, register_solver
+from .registry import SOLVERS, register_solver
 from .spec import BlockSpec, ResilienceSpec, SolveSpec
 from .block_pcg import BlockPCG, BlockSolveResult, DistributedSolveResult
 from .esr import ESRProtocol
@@ -23,7 +23,6 @@ from .metrics import (
 from .pcg import DistributedPCG
 from .placement import (
     PLACEMENTS,
-    PlacementRegistry,
     PlacementStrategy,
     RackLayout,
     register_placement,
@@ -36,7 +35,6 @@ from .redundancy import (
     OwnerRedundancy,
     RedundancyScheme,
     RedundancySchemeBase,
-    RedundancySchemeRegistry,
     backup_targets,
     build_redundancy_scheme,
     paper_backup_target,
@@ -58,7 +56,6 @@ __all__ = [
     "RecoveryReport",
     "RedundancyScheme",
     "RedundancySchemeBase",
-    "RedundancySchemeRegistry",
     "REDUNDANCY_SCHEMES",
     "RSParityScheme",
     "register_redundancy_scheme",
@@ -68,7 +65,6 @@ __all__ = [
     "backup_targets",
     "paper_backup_target",
     "PLACEMENTS",
-    "PlacementRegistry",
     "PlacementStrategy",
     "RackLayout",
     "register_placement",
@@ -80,7 +76,6 @@ __all__ = [
     "ResilienceSpec",
     "BlockSpec",
     "SOLVERS",
-    "SolverRegistry",
     "register_solver",
     "build_failure_events",
     "relative_residual_difference",

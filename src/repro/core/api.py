@@ -55,7 +55,7 @@ from ..precond.factory import make_preconditioner
 from ..utils.validation import check_finite
 from .block_pcg import BlockSolveResult, DistributedSolveResult
 from .reconstruction import restore_rhs, store_rhs
-from .registry import SOLVERS, SolverRegistry, register_solver
+from .registry import SOLVERS, register_solver
 from .spec import BlockSpec, ResilienceSpec, SolveSpec, build_failure_events
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "ResilienceSpec",
     "BlockSpec",
     "SOLVERS",
-    "SolverRegistry",
     "register_solver",
     "build_failure_events",
 ]
@@ -285,6 +284,6 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
         multi_rhs=not isinstance(rhs_obj, DistributedVector))
     preconditioner = problem.resolve_preconditioner(
         spec.preconditioner, **spec.preconditioner_options)
-    solver = SOLVERS.build(solver_name, problem, rhs_obj, preconditioner, spec)
+    solver = SOLVERS.get(solver_name)(problem, rhs_obj, preconditioner, spec)
     return solver.solve()
 

@@ -3,14 +3,14 @@
 The paper selects the ``phi`` backup nodes ``d_i1 .. d_iphi`` of owner ``i``
 with the alternating-neighbour heuristic of Eqn. (5) and explicitly leaves
 the optimal placement for general settings as future work.  This module
-turns the placement choice into a registry (mirroring
-:data:`repro.core.registry.SOLVERS` and the preconditioner factory): each
-strategy is a function registered under a short name via
-``@register_placement("name")``, and :class:`~repro.core.redundancy.
-RedundancyScheme` resolves whatever a :class:`~repro.core.spec.
-ResilienceSpec` carries -- a :class:`BackupPlacement` enum member, a
-registered name, or a :class:`PlacementStrategy` -- through
-:func:`resolve_placement`.
+turns the placement choice into a registry: each strategy is a function
+registered under a short name via ``@register_placement("name")``, stored
+in :data:`PLACEMENTS` -- a :class:`~repro.utils.registry.Registry`, the
+class every named choice uses -- as a :class:`PlacementStrategy`.
+:class:`~repro.core.redundancy.RedundancyScheme` resolves whatever a
+:class:`~repro.core.spec.ResilienceSpec` carries -- a
+:class:`BackupPlacement` enum member, a registered name, or the registered
+:class:`PlacementStrategy` -- through :func:`resolve_placement`.
 
 Besides the three historical options (``"paper"``, ``"next_ranks"``,
 ``"random"``), two failure-domain-aware strategies are provided for the
@@ -37,8 +37,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
+from ..utils.registry import Registry
 from ..utils.rng import RandomState, as_rng
 
 
@@ -148,47 +149,22 @@ class PlacementStrategy:
         return f"PlacementStrategy({self.name!r})"
 
 
-class PlacementRegistry:
-    """Name -> :class:`PlacementStrategy` mapping with a decorator API."""
-
-    def __init__(self) -> None:
-        self._strategies: Dict[str, PlacementStrategy] = {}
-
-    def register(self, name: str, description: str = ""
-                 ) -> Callable[[PlacementFn], PlacementFn]:
-        """Decorator registering a placement function under *name*."""
-        key = str(name).lower()
-
-        def decorator(fn: PlacementFn) -> PlacementFn:
-            self._strategies[key] = PlacementStrategy(key, fn, description)
-            return fn
-
-        return decorator
-
-    def names(self) -> Tuple[str, ...]:
-        """The registered strategy names, sorted."""
-        return tuple(sorted(self._strategies))
-
-    def get(self, name: str) -> PlacementStrategy:
-        """The strategy registered under *name* (case-insensitive).
-
-        Raises ``ValueError`` listing every registered name when *name* is
-        unknown (mirroring :class:`repro.core.registry.SolverRegistry`).
-        """
-        key = str(name).lower()
-        try:
-            return self._strategies[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown placement {name!r}; available: {self.names()}"
-            ) from None
+#: The registry consulted by :func:`resolve_placement`.
+PLACEMENTS: Registry[PlacementStrategy] = Registry("placement")
 
 
-#: The default registry consulted by :func:`resolve_placement`.
-PLACEMENTS = PlacementRegistry()
+def register_placement(name: str, description: str = ""
+                       ) -> Callable[[PlacementFn], PlacementFn]:
+    """Decorator adding a placement function to :data:`PLACEMENTS`."""
+    key = str(name).lower()
 
-#: Register a placement strategy in the default registry (decorator).
-register_placement = PLACEMENTS.register
+    def decorator(fn: PlacementFn) -> PlacementFn:
+        PLACEMENTS.add(key, PlacementStrategy(key, fn, description),
+                       description)
+        return fn
+
+    return decorator
+
 
 #: Anything the configuration surface accepts as a placement.
 PlacementLike = Union[BackupPlacement, str, PlacementStrategy]
@@ -211,8 +187,17 @@ def normalize_placement(placement: PlacementLike
     :class:`BackupPlacement` member (so existing ``spec.placement is
     BackupPlacement.X`` identity checks keep working); every other
     registered strategy normalises to its lower-case name.  Unknown names
-    raise ``ValueError`` listing the registered strategies.
+    raise ``ValueError`` listing the registered strategies.  A spec keeps
+    only the name, so a strategy object must be the one :data:`PLACEMENTS`
+    holds under that name; any other raises ``ValueError``.
     """
+    if isinstance(placement, PlacementStrategy) and not (
+            placement.name in PLACEMENTS
+            and PLACEMENTS.get(placement.name) is placement):
+        raise ValueError(
+            f"placement strategy {placement.name!r} is not the one "
+            "registered under that name; register it with "
+            "@register_placement and pass its name")
     strategy = resolve_placement(placement)
     try:
         return BackupPlacement(strategy.name)

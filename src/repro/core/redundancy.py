@@ -30,17 +30,18 @@ on the overhead-vs-tolerance frontier; erasure-coded alternatives (e.g. the
 Reed-Solomon parity stripes of :mod:`repro.core.rs_parity`) tolerate the
 same number of failures at a fraction of the stored volume.  The redundancy
 layer is therefore pluggable: scheme classes register under short names via
-``@register_redundancy_scheme("name")`` (mirroring the solver /
-preconditioner / placement / batching-policy registries), a
-:class:`~repro.core.spec.ResilienceSpec` selects one by name through its
-``scheme`` field, and :func:`build_redundancy_scheme` constructs the chosen
-class.  ``"copies"`` -- this module's :class:`RedundancyScheme`, unchanged
--- is the default and reproduces the paper's behaviour bit for bit.
+``@register_redundancy_scheme("name")`` in :data:`REDUNDANCY_SCHEMES` (a
+:class:`~repro.utils.registry.Registry`, the class every named choice
+uses), a :class:`~repro.core.spec.ResilienceSpec` selects one by name
+through its ``scheme`` field, and :func:`build_redundancy_scheme`
+constructs the chosen class.  ``"copies"`` -- this module's
+:class:`RedundancyScheme`, unchanged -- is the default and reproduces the
+paper's behaviour bit for bit; ``"rs_parity"`` registers when
+:mod:`repro.core` imports :mod:`repro.core.rs_parity`.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
 
@@ -49,6 +50,7 @@ import numpy as np
 from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.partition import BlockRowPartition
+from ..utils.registry import Registry
 from ..utils.rng import RandomState
 from .placement import (  # re-exported for backwards compatibility
     BackupPlacement,
@@ -64,7 +66,6 @@ __all__ = [
     "REDUNDANCY_SCHEMES",
     "RedundancyScheme",
     "RedundancySchemeBase",
-    "RedundancySchemeRegistry",
     "backup_targets",
     "build_redundancy_scheme",
     "paper_backup_target",
@@ -156,7 +157,7 @@ class RedundancySchemeBase:
     all registered schemes).
     """
 
-    #: Registered name; set by :meth:`RedundancySchemeRegistry.register`.
+    #: Registered name; set by :func:`register_redundancy_scheme`.
     scheme_name: str = "?"
     #: ``"pattern"`` (full copies) or ``"parity"`` (erasure-coded).
     kind: str = "pattern"
@@ -206,72 +207,24 @@ class RedundancySchemeBase:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class RegisteredScheme:
-    """A registry entry: the scheme class plus its one-line description."""
-
-    name: str
-    cls: Type[RedundancySchemeBase]
-    description: str = ""
+#: The registry consulted by :func:`build_redundancy_scheme`.
+REDUNDANCY_SCHEMES: Registry[Type[RedundancySchemeBase]] = \
+    Registry("redundancy scheme")
 
 
-class RedundancySchemeRegistry:
-    """Name -> scheme-class mapping with a decorator-based registration API."""
+def register_redundancy_scheme(name: str, description: str = ""
+                               ) -> Callable[[Type[RedundancySchemeBase]],
+                                             Type[RedundancySchemeBase]]:
+    """Decorator adding a scheme class to :data:`REDUNDANCY_SCHEMES`."""
+    key = str(name).lower()
 
-    def __init__(self) -> None:
-        self._schemes: Dict[str, RegisteredScheme] = {}
+    def decorator(cls: Type[RedundancySchemeBase]
+                  ) -> Type[RedundancySchemeBase]:
+        cls.scheme_name = key
+        REDUNDANCY_SCHEMES.add(key, cls, description)
+        return cls
 
-    def register(self, name: str, description: str = ""
-                 ) -> Callable[[Type[RedundancySchemeBase]],
-                               Type[RedundancySchemeBase]]:
-        """Decorator registering a scheme class under *name* (case-insensitive)."""
-        key = str(name).lower()
-
-        def decorator(cls: Type[RedundancySchemeBase]
-                      ) -> Type[RedundancySchemeBase]:
-            cls.scheme_name = key
-            self._schemes[key] = RegisteredScheme(key, cls, description)
-            return cls
-
-        return decorator
-
-    def names(self) -> Tuple[str, ...]:
-        """The registered scheme names, sorted."""
-        _load_builtin_schemes()
-        return tuple(sorted(self._schemes))
-
-    def get(self, name: str) -> Type[RedundancySchemeBase]:
-        """The scheme class registered under *name* (case-insensitive).
-
-        Raises ``ValueError`` listing every registered name when *name* is
-        unknown (mirroring :class:`repro.core.registry.SolverRegistry`).
-        """
-        _load_builtin_schemes()
-        key = str(name).lower()
-        try:
-            return self._schemes[key].cls
-        except KeyError:
-            raise ValueError(
-                f"unknown redundancy scheme {name!r}; available: "
-                f"{self.names()}"
-            ) from None
-
-
-#: The default registry consulted by :func:`build_redundancy_scheme`.
-REDUNDANCY_SCHEMES = RedundancySchemeRegistry()
-
-#: Register a redundancy scheme in the default registry (decorator).
-register_redundancy_scheme = REDUNDANCY_SCHEMES.register
-
-
-def _load_builtin_schemes() -> None:
-    """Import the built-in scheme modules that live outside this file.
-
-    ``rs_parity`` imports *from* this module (the base class and the
-    registration decorator), so the import happens lazily on first registry
-    access instead of at the bottom of this module.
-    """
-    importlib.import_module(".rs_parity", __package__)
+    return decorator
 
 
 #: Anything the configuration surface accepts as a redundancy scheme.

@@ -1,11 +1,12 @@
 """Solver registry: from ``SolveSpec.solver`` names to configured solvers.
 
-Mirrors :mod:`repro.precond.factory`: solvers are registered under short
-string names and built from a declarative configuration.  The façade
+:data:`SOLVERS` is a :class:`~repro.utils.registry.Registry` of solver
+builders, the same class every named choice uses (preconditioners,
+placements, redundancy schemes, batching policies).  The façade
 (:func:`repro.core.api.solve`) resolves the name with
-:meth:`SolveSpec.resolved_solver` and calls :meth:`SolverRegistry.build`;
-new scenarios (coupled block-CG, ...) plug in as a
-``@register_solver("name")`` builder plus whatever :class:`SolveSpec`
+:meth:`SolveSpec.resolved_solver`, looks the builder up with
+``SOLVERS.get`` and calls it; new scenarios (coupled block-CG, ...) plug in
+as a ``@register_solver("name")`` builder plus whatever :class:`SolveSpec`
 extension they need -- no new top-level helper required.
 
 Every built-in name builds one of the two classes of the single PCG core:
@@ -30,12 +31,13 @@ returns a solver object exposing ``solve()``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 from ..cluster.failure import FailureInjector
 from ..precond.base import Preconditioner
 from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
+from ..utils.registry import Registry
 from .block_pcg import BlockPCG
 from .resilient_block_pcg import ResilientBlockPCG
 from .spec import ResilienceSpec, SolveSpec
@@ -46,53 +48,10 @@ if TYPE_CHECKING:  # circular at runtime: api.py imports this module
 #: A solver builder: ``(problem, rhs, preconditioner, spec) -> solver``.
 SolverBuilder = Callable[..., object]
 
+#: The registry behind :func:`repro.solve`.
+SOLVERS: Registry[SolverBuilder] = Registry("solver")
 
-class SolverRegistry:
-    """Name -> builder mapping with a decorator-based registration API."""
-
-    def __init__(self) -> None:
-        self._builders: Dict[str, SolverBuilder] = {}
-
-    def register(self, name: str) -> Callable[[SolverBuilder], SolverBuilder]:
-        """Decorator registering *builder* under *name* (case-insensitive)."""
-        key = str(name).lower()
-
-        def decorator(builder: SolverBuilder) -> SolverBuilder:
-            self._builders[key] = builder
-            return builder
-
-        return decorator
-
-    def names(self) -> Tuple[str, ...]:
-        """The registered solver names, sorted."""
-        return tuple(sorted(self._builders))
-
-    def get(self, name: str) -> SolverBuilder:
-        """The builder registered under *name*.
-
-        Raises ``ValueError`` listing every registered name when *name* is
-        unknown (mirroring :func:`repro.precond.factory.make_preconditioner`).
-        """
-        key = str(name).lower()
-        try:
-            return self._builders[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown solver {name!r}; available: {self.names()}"
-            ) from None
-
-    def build(self, name: str, problem: "DistributedProblem",
-              rhs: DistributedMultiVector,
-              preconditioner: Preconditioner,
-              spec: SolveSpec) -> object:
-        """Build the configured solver *name* for one solve."""
-        return self.get(name)(problem, rhs, preconditioner, spec)
-
-
-#: The default registry behind :func:`repro.solve`.
-SOLVERS = SolverRegistry()
-
-#: Register a solver builder in the default registry (decorator).
+#: Register a solver builder in :data:`SOLVERS` (decorator).
 register_solver = SOLVERS.register
 
 

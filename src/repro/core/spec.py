@@ -36,6 +36,7 @@ import numpy as np
 
 from ..cluster.failure import FailureEvent
 from ..precond.base import Preconditioner, PreconditionerForm
+from ..utils.validation import check_known_keys
 from .placement import normalize_placement, placement_name
 from .redundancy import REDUNDANCY_SCHEMES, BackupPlacement
 
@@ -63,14 +64,6 @@ def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
     return events
 
 
-def _check_unknown_keys(data: Mapping[str, Any], known: Iterable[str],
-                        what: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; "
-                         f"known keys: {sorted(known)}")
-
-
 def _event_to_dict(event: FailureEvent) -> Dict[str, Any]:
     return {
         "iteration": int(event.iteration),
@@ -81,8 +74,8 @@ def _event_to_dict(event: FailureEvent) -> Dict[str, Any]:
 
 
 def _event_from_dict(data: Mapping[str, Any]) -> FailureEvent:
-    _check_unknown_keys(data, ("iteration", "ranks", "during_recovery_of",
-                               "label"), "failure-event")
+    check_known_keys(data, ("iteration", "ranks", "during_recovery_of",
+                            "label"), "failure-event")
     return FailureEvent(
         iteration=int(data["iteration"]),
         ranks=tuple(int(r) for r in data["ranks"]),
@@ -180,7 +173,7 @@ class ResilienceSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ResilienceSpec":
-        _check_unknown_keys(data, [f.name for f in fields(cls)], "ResilienceSpec")
+        check_known_keys(data, [f.name for f in fields(cls)], "ResilienceSpec")
         kwargs = dict(data)
         if "failures" in kwargs:
             kwargs["failures"] = tuple(
@@ -216,7 +209,7 @@ class BlockSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BlockSpec":
-        _check_unknown_keys(data, [f.name for f in fields(cls)], "BlockSpec")
+        check_known_keys(data, [f.name for f in fields(cls)], "BlockSpec")
         return cls(**data)
 
 
@@ -364,7 +357,7 @@ class SolveSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolveSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        _check_unknown_keys(data, [f.name for f in fields(cls)], "SolveSpec")
+        check_known_keys(data, [f.name for f in fields(cls)], "SolveSpec")
         kwargs = dict(data)
         if kwargs.get("resilience") is not None:
             kwargs["resilience"] = ResilienceSpec.from_dict(kwargs["resilience"])

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 from ..cluster.failure import FailureEvent
 from ..core.placement import RackLayout
 from ..utils.rng import RandomState, as_rng
+from ..utils.validation import check_known_keys
 
 __all__ = [
     "LifetimeModel",
@@ -48,14 +49,6 @@ __all__ = [
     "FailureTrace",
     "generate_trace",
 ]
-
-
-def _check_unknown_keys(data: Mapping[str, Any], known: List[str],
-                        what: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; "
-                         f"known keys: {sorted(known)}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,7 @@ class LifetimeModel:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LifetimeModel":
-        _check_unknown_keys(data, [f.name for f in fields(cls)],
-                            "LifetimeModel")
+        check_known_keys(data, [f.name for f in fields(cls)], "LifetimeModel")
         return cls(**data)
 
 
@@ -165,7 +157,7 @@ class TraceSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceSpec":
-        _check_unknown_keys(data, [f.name for f in fields(cls)], "TraceSpec")
+        check_known_keys(data, [f.name for f in fields(cls)], "TraceSpec")
         kwargs = dict(data)
         if isinstance(kwargs.get("lifetime"), Mapping):
             kwargs["lifetime"] = LifetimeModel.from_dict(kwargs["lifetime"])

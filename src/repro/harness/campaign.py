@@ -40,6 +40,7 @@ from ..core.redundancy import BackupPlacement
 from ..core.spec import ResilienceSpec, SolveSpec
 from ..failures.traces import TraceSpec, generate_trace
 from ..utils.rng import stable_hash_seed
+from ..utils.validation import check_known_keys
 
 __all__ = [
     "OUTCOME_KINDS",
@@ -142,11 +143,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown CampaignSpec keys {unknown}; "
-                             f"known keys: {sorted(known)}")
+        check_known_keys(data, [f.name for f in fields(cls)], "CampaignSpec")
         kwargs = dict(data)
         if isinstance(kwargs.get("trace"), Mapping):
             kwargs["trace"] = TraceSpec.from_dict(kwargs["trace"])
@@ -196,11 +193,7 @@ class RunOutcome:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunOutcome":
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown RunOutcome keys {unknown}; "
-                             f"known keys: {sorted(known)}")
+        check_known_keys(data, [f.name for f in fields(cls)], "RunOutcome")
         return cls(**data)
 
 

@@ -3,10 +3,9 @@
 from .base import Preconditioner, PreconditionerForm
 from .block_jacobi import BlockJacobiPreconditioner
 from .factory import (
-    describe_all,
+    PRECONDITIONERS,
     make_preconditioner,
     register_preconditioner,
-    registered_preconditioners,
 )
 from .ichol import FactorizationError, factorization_residual, ic0, ic0_solve
 from .identity import IdentityPreconditioner
@@ -23,8 +22,6 @@ __all__ = [
     "SplitCholeskyPreconditioner",
     "make_preconditioner",
     "register_preconditioner",
-    "registered_preconditioners",
-    "describe_all",
     "PRECONDITIONERS",
     "ic0",
     "ic0_solve",
@@ -32,12 +29,3 @@ __all__ = [
     "FactorizationError",
 ]
 
-
-def __getattr__(name: str):
-    # ``PRECONDITIONERS`` is a live view of the factory registry (so names
-    # added via ``register_preconditioner`` after import show up); delegate
-    # instead of snapshotting at package import.
-    if name == "PRECONDITIONERS":
-        from . import factory
-        return factory.PRECONDITIONERS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,43 +2,29 @@
 
 The experiment harness, the :class:`~repro.core.spec.SolveSpec` configuration
 layer and the examples refer to preconditioners by short string identifiers
-(``"block_jacobi"``, ``"jacobi"``, ...); this module maps those names to
-configured instances through a small name registry -- the same pattern
-:class:`~repro.core.registry.SolverRegistry` uses for solvers.  New
-preconditioners plug in with :func:`register_preconditioner`.
+(``"block_jacobi"``, ``"jacobi"``, ...).  :data:`PRECONDITIONERS` maps those
+names to builders; it is a :class:`~repro.utils.registry.Registry`, the
+class every named choice uses.  New preconditioners plug in with
+:func:`register_preconditioner`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable
 
+from ..utils.registry import Registry
 from .base import Preconditioner
 from .block_jacobi import BlockJacobiPreconditioner
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
 from .ssor import SplitCholeskyPreconditioner, SSORPreconditioner
 
-#: ``name -> (builder, description)``; populated via ``register_preconditioner``.
-_REGISTRY: Dict[str, Tuple[Callable[..., Preconditioner], str]] = {}
+#: Registered preconditioner builders, ``**kwargs -> Preconditioner``.
+PRECONDITIONERS: Registry[Callable[..., Preconditioner]] = \
+    Registry("preconditioner")
 
-
-def register_preconditioner(name: str, description: str = ""
-                            ) -> Callable[[Callable[..., Preconditioner]],
-                                          Callable[..., Preconditioner]]:
-    """Decorator registering a preconditioner builder under *name*."""
-    key = str(name).lower()
-
-    def decorator(builder: Callable[..., Preconditioner]
-                  ) -> Callable[..., Preconditioner]:
-        _REGISTRY[key] = (builder, description)
-        return builder
-
-    return decorator
-
-
-def registered_preconditioners() -> Tuple[str, ...]:
-    """The registered preconditioner names, sorted."""
-    return tuple(sorted(_REGISTRY))
+#: Register a preconditioner builder in :data:`PRECONDITIONERS` (decorator).
+register_preconditioner = PRECONDITIONERS.register
 
 
 def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
@@ -53,21 +39,7 @@ def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
         # alias and run unpreconditioned; demand an explicit string.
         raise TypeError(
             f"preconditioner name must be a string, got {name!r}")
-    key = name.lower()
-    try:
-        builder, _ = _REGISTRY[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown preconditioner {name!r}; available: "
-            f"{registered_preconditioners()}"
-        ) from None
-    return builder(**kwargs)
-
-
-def describe_all() -> Dict[str, str]:
-    """Short description of every registered preconditioner (for --help text)."""
-    return {name: description for name, (_, description)
-            in sorted(_REGISTRY.items())}
+    return PRECONDITIONERS.get(name)(**kwargs)
 
 
 @register_preconditioner("identity", "No preconditioning (plain CG).")
@@ -117,11 +89,3 @@ def _build_ssor(**kwargs: Any) -> Preconditioner:
 def _build_split_ic0(**kwargs: Any) -> Preconditioner:
     return SplitCholeskyPreconditioner(**kwargs)
 
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    # Live view of the registered names (kept for back-compat; prefer
-    # ``registered_preconditioners()``).  Computed on access so names added
-    # through ``register_preconditioner`` after import are included.
-    if name == "PRECONDITIONERS":
-        return registered_preconditioners()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,6 @@ from .jobs import (
 from .policies import (
     BATCHING_POLICIES,
     BatchingPolicy,
-    BatchingPolicyRegistry,
     register_batching_policy,
 )
 from .service import DEFAULT_K_MAX, DEFAULT_WINDOW_S, SolverService
@@ -36,7 +35,6 @@ from .traffic import SyntheticRequest, TrafficSpec, generate_traffic
 __all__ = [
     "BATCHING_POLICIES",
     "BatchingPolicy",
-    "BatchingPolicyRegistry",
     "DEFAULT_K_MAX",
     "DEFAULT_WINDOW_S",
     "JobHandle",

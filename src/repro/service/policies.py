@@ -2,10 +2,9 @@
 
 A batching policy decides, given the FIFO queue of pending requests and the
 current instant, which batches are ready to dispatch *now*.  Policies are
-plain functions behind a decorator registry mirroring the solver,
-preconditioner and placement registries
-(:data:`repro.core.registry.SOLVERS`,
-:data:`repro.core.placement.PLACEMENTS`):
+plain functions registered by a decorator in :data:`BATCHING_POLICIES`, a
+:class:`~repro.utils.registry.Registry` (the class every named choice
+uses), which stores each as a :class:`BatchingPolicy`:
 
 .. code-block:: python
 
@@ -44,8 +43,9 @@ Two built-in policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
+from ..utils.registry import Registry
 from .jobs import ServiceRequest
 
 #: A batching-policy function:
@@ -71,47 +71,22 @@ class BatchingPolicy:
         return f"BatchingPolicy({self.name!r})"
 
 
-class BatchingPolicyRegistry:
-    """Name -> :class:`BatchingPolicy` mapping with a decorator API."""
-
-    def __init__(self) -> None:
-        self._policies: Dict[str, BatchingPolicy] = {}
-
-    def register(self, name: str, description: str = ""
-                 ) -> Callable[[BatchingPolicyFn], BatchingPolicyFn]:
-        """Decorator registering a batching-policy function under *name*."""
-        key = str(name).lower()
-
-        def decorator(fn: BatchingPolicyFn) -> BatchingPolicyFn:
-            self._policies[key] = BatchingPolicy(key, fn, description)
-            return fn
-
-        return decorator
-
-    def names(self) -> Tuple[str, ...]:
-        """The registered policy names, sorted."""
-        return tuple(sorted(self._policies))
-
-    def get(self, name: str) -> BatchingPolicy:
-        """The policy registered under *name* (case-insensitive).
-
-        Raises ``ValueError`` listing every registered name when *name* is
-        unknown (mirroring :class:`repro.core.registry.SolverRegistry`).
-        """
-        key = str(name).lower()
-        try:
-            return self._policies[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown batching policy {name!r}; available: {self.names()}"
-            ) from None
+#: The registry consulted by :class:`repro.service.SolverService`.
+BATCHING_POLICIES: Registry[BatchingPolicy] = Registry("batching policy")
 
 
-#: The default registry consulted by :class:`repro.service.SolverService`.
-BATCHING_POLICIES = BatchingPolicyRegistry()
+def register_batching_policy(name: str, description: str = ""
+                             ) -> Callable[[BatchingPolicyFn],
+                                           BatchingPolicyFn]:
+    """Decorator adding a policy function to :data:`BATCHING_POLICIES`."""
+    key = str(name).lower()
 
-#: Register a batching policy in the default registry (decorator).
-register_batching_policy = BATCHING_POLICIES.register
+    def decorator(fn: BatchingPolicyFn) -> BatchingPolicyFn:
+        BATCHING_POLICIES.add(key, BatchingPolicy(key, fn, description),
+                              description)
+        return fn
+
+    return decorator
 
 
 def _take_group(pending: List[ServiceRequest], head: ServiceRequest,

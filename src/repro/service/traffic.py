@@ -16,12 +16,13 @@ normal perturbation, emulating the request similarity real workloads show
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..utils.rng import SeedLike, spawn_rngs
+from ..utils.validation import check_known_keys
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class TrafficSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":
+        check_known_keys(data, [f.name for f in fields(cls)], "TrafficSpec")
         return cls(n_requests=int(data["n_requests"]),
                    matrix_ids=tuple(str(m) for m in data["matrix_ids"]),
                    tenants=tuple(str(t) for t in data["tenants"]),

@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG handling, validation, lightweight logging.
+"""Small shared utilities: RNG handling, validation, the name registry, logging.
 
 These helpers are deliberately dependency-free (NumPy only) and are used by
 every other subpackage.  They carry no domain logic of their own.

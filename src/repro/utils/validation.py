@@ -7,7 +7,7 @@ error messages consistent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,6 +15,19 @@ import scipy.sparse as sp
 
 class ValidationError(ValueError):
     """Raised when a user-supplied argument fails a sanity check."""
+
+
+def check_known_keys(data: Mapping[str, Any], known: Iterable[str],
+                     what: str) -> None:
+    """Reject keys of *data* outside *known* (a spec's ``from_dict`` input).
+
+    A misspelled key would otherwise load silently with the field's default.
+    """
+    known = sorted(known)
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"unknown {what} keys {unknown}; known keys: {known}")
 
 
 def check_positive(value: float, name: str) -> float:

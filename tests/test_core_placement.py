@@ -5,11 +5,11 @@ import pytest
 from repro.core.placement import (
     PLACEMENTS,
     BackupPlacement,
-    PlacementRegistry,
     PlacementStrategy,
     RackLayout,
     normalize_placement,
     placement_name,
+    register_placement,
     resolve_placement,
 )
 from repro.core.redundancy import RedundancyScheme, backup_targets
@@ -25,24 +25,19 @@ class TestRegistry:
     def test_default_registry_names(self):
         assert PLACEMENTS.names() == tuple(sorted(ALL_PLACEMENTS))
 
-    def test_get_is_case_insensitive(self):
-        assert PLACEMENTS.get("PAPER") is PLACEMENTS.get("paper")
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="copyset"):
-            PLACEMENTS.get("no_such_strategy")
-
-    def test_register_decorator(self):
-        registry = PlacementRegistry()
-
-        @registry.register("mine", "test strategy")
+    def test_register_decorator_wraps_function(self):
+        @register_placement("Mine_Test_Only", "test strategy")
         def _mine(owner, phi, n_nodes, *, racks=None, rng=None):
             return [(owner + k) % n_nodes for k in range(1, phi + 1)]
 
-        strategy = registry.get("mine")
+        try:
+            strategy = PLACEMENTS.get("mine_test_only")
+        finally:
+            del PLACEMENTS._entries["mine_test_only"]
         assert isinstance(strategy, PlacementStrategy)
-        assert strategy.name == "mine"
-        assert strategy.value == "mine"
+        assert strategy.name == "mine_test_only"
+        assert strategy.value == "mine_test_only"
+        assert strategy.fn is _mine
         assert strategy.description == "test strategy"
         assert strategy.targets(0, 2, 8) == [1, 2]
 
@@ -69,6 +64,29 @@ class TestRegistry:
     def test_normalize_unknown_raises(self):
         with pytest.raises(ValueError):
             normalize_placement("no_such_strategy")
+
+    def test_normalize_accepts_the_registered_strategy_object(self):
+        assert normalize_placement(PLACEMENTS.get("copyset")) == "copyset"
+        assert normalize_placement(PLACEMENTS.get("paper")) \
+            is BackupPlacement.PAPER
+
+    def test_spec_rejects_unregistered_strategy_object(self):
+        # A spec stores only the name: an unregistered strategy would be
+        # dropped, and ``repro.solve`` / ``from_dict`` would then fail on
+        # the unknown name.
+        adhoc = PlacementStrategy("adhoc", lambda o, phi, n, **kw: [])
+        with pytest.raises(ValueError, match="'adhoc'.*register"):
+            ResilienceSpec(phi=1, placement=adhoc)
+
+    def test_spec_rejects_strategy_shadowing_a_registered_name(self):
+        # Same name as a registered strategy, different function: the spec
+        # would silently run the registered one instead.
+        def fn(owner, phi, n_nodes, *, racks=None, rng=None):
+            return [(owner + 2) % n_nodes, (owner - 2) % n_nodes][:phi]
+
+        shadow = PlacementStrategy("paper", fn)
+        with pytest.raises(ValueError, match="'paper'.*register"):
+            ResilienceSpec(phi=2, placement=shadow)
 
     def test_placement_name(self):
         assert placement_name(BackupPlacement.PAPER) == "paper"

@@ -19,7 +19,6 @@ from repro.core import (
     DistributedPCG,
     ResilienceSpec,
     ResilientPCG,
-    SolverRegistry,
     SolveSpec,
     distribute_problem,
     solve,
@@ -230,29 +229,26 @@ class TestRegistry:
         assert SOLVERS.names() == ("block_pcg", "pcg", "resilient_block_pcg",
                                    "resilient_pcg")
 
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError) as excinfo:
-            SOLVERS.get("does_not_exist")
-        message = str(excinfo.value)
-        assert "does_not_exist" in message
-        for name in SOLVERS.names():
-            assert name in message
-
     def test_unknown_name_through_solve(self):
         with pytest.raises(ValueError, match="available"):
             solve(fresh_problem(RHS_1D), spec=SolveSpec(solver="nope"))
 
-    def test_decorator_registration_and_case_insensitivity(self):
-        registry = SolverRegistry()
+    def test_solve_calls_the_registered_builder(self):
+        calls = []
 
-        @registry.register("MySolver")
+        @SOLVERS.register("facade_test_only")
         def build(problem, rhs, precond, spec):
-            return "built"
+            calls.append(spec.solver)
+            return BlockPCG(problem.matrix, rhs, precond,
+                            context=problem.context)
 
-        assert registry.names() == ("mysolver",)
-        assert registry.get("MYSOLVER") is build
-        assert registry.build("mysolver", None, None, None,
-                              SolveSpec()) == "built"
+        try:
+            result = solve(fresh_problem(RHS_1D),
+                           spec=SolveSpec(solver="Facade_Test_Only"))
+        finally:
+            del SOLVERS._entries["facade_test_only"]
+        assert calls == ["Facade_Test_Only"]
+        assert result.converged
 
     def test_make_preconditioner_unknown_name_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
@@ -266,7 +262,7 @@ class TestRegistry:
         with pytest.raises(TypeError, match="must be a string"):
             make_preconditioner(None)
 
-    def test_preconditioners_tuple_sees_late_registrations(self):
+    def test_preconditioners_registry_sees_late_registrations(self):
         from repro import precond
         from repro.precond import factory
 
@@ -275,10 +271,10 @@ class TestRegistry:
             return make_preconditioner("identity")
 
         try:
+            assert precond.PRECONDITIONERS is factory.PRECONDITIONERS
             assert "facade_test_only" in precond.PRECONDITIONERS
-            assert "facade_test_only" in factory.PRECONDITIONERS
         finally:
-            del factory._REGISTRY["facade_test_only"]
+            del factory.PRECONDITIONERS._entries["facade_test_only"]
         assert "facade_test_only" not in precond.PRECONDITIONERS
 
 

@@ -106,8 +106,8 @@ class TestRegistryRoundTrip:
         assert sorted(SOLVERS.names()) == REGISTERED_SOLVER_NAMES
 
     def test_pinned_preconditioner_names_match_registry(self):
-        from repro.precond.factory import registered_preconditioners
-        assert sorted(registered_preconditioners()) == \
+        from repro.precond.factory import PRECONDITIONERS
+        assert sorted(PRECONDITIONERS.names()) == \
             REGISTERED_PRECONDITIONER_NAMES
 
     @pytest.mark.parametrize("name", REGISTERED_SOLVER_NAMES)

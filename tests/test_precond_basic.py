@@ -10,7 +10,6 @@ from repro.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
     PreconditionerForm,
-    describe_all,
     make_preconditioner,
     PRECONDITIONERS,
 )
@@ -145,12 +144,10 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_preconditioner("does_not_exist")
 
-    def test_describe_all_covers_registry(self):
-        descriptions = describe_all()
+    def test_every_preconditioner_is_described(self):
+        descriptions = PRECONDITIONERS.descriptions()
         for name in PRECONDITIONERS:
-            if name == "none":
-                continue
-            assert name in descriptions
+            assert descriptions[name]
 
     def test_kwargs_forwarded(self, matrix):
         p = make_preconditioner("ssor", omega=1.3)

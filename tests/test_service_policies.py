@@ -13,7 +13,6 @@ import pytest
 from repro.service import (
     BATCHING_POLICIES,
     BatchingPolicy,
-    BatchingPolicyRegistry,
     register_batching_policy,
 )
 from repro.service.jobs import JobHandle, ServiceRequest
@@ -38,35 +37,28 @@ class TestRegistry:
         names = BATCHING_POLICIES.names()
         assert "fifo_window" in names
         assert "greedy_width" in names
-        assert names == tuple(sorted(names))
 
     def test_get_returns_policy_wrapper(self):
         policy = BATCHING_POLICIES.get("fifo_window")
         assert isinstance(policy, BatchingPolicy)
         assert policy.name == "fifo_window"
         assert policy.fn is fifo_window
+        assert BATCHING_POLICIES.get("greedy_width").fn is greedy_width
 
-    def test_get_is_case_insensitive(self):
-        assert BATCHING_POLICIES.get("GREEDY_WIDTH").fn is greedy_width
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="fifo_window"):
-            BATCHING_POLICIES.get("nope")
-
-    def test_register_decorator_on_fresh_registry(self):
-        registry = BatchingPolicyRegistry()
-
-        @registry.register("mine", "test policy")
+    def test_register_decorator_wraps_function(self):
+        @register_batching_policy("Mine_Test_Only", "test policy")
         def mine(pending, *, now, window_s, k_max, drain=False):
             return [pending] if pending else []
 
-        assert registry.names() == ("mine",)
-        assert registry.get("mine").description == "test policy"
-        # The decorator returns the function unchanged.
-        assert mine([], now=0.0, window_s=0.0, k_max=1) == []
-
-    def test_default_decorator_targets_default_registry(self):
-        assert register_batching_policy.__self__ is BATCHING_POLICIES
+        try:
+            policy = BATCHING_POLICIES.get("mine_test_only")
+        finally:
+            del BATCHING_POLICIES._entries["mine_test_only"]
+        assert isinstance(policy, BatchingPolicy)
+        assert policy.name == "mine_test_only"
+        assert policy.fn is mine
+        assert policy.description == "test policy"
+        assert policy.select([], now=0.0, window_s=0.0, k_max=1) == []
 
 
 # -- shared contract -----------------------------------------------------------

@@ -29,6 +29,15 @@ class TestTrafficSpec:
             spec.to_dict())))
         assert restored == spec
 
+    def test_from_dict_rejects_a_misspelled_key(self):
+        # A typo must not load silently with the default rate.
+        data = dict(TrafficSpec().to_dict(), rate_per_sec=5.0)
+        with pytest.raises(
+                ValueError,
+                match=r"unknown TrafficSpec keys \['rate_per_sec'\]; "
+                      r"known keys: \['matrix_ids', "):
+            TrafficSpec.from_dict(data)
+
 
 class TestGenerateTraffic:
     SIZES = {"a": 16, "b": 24}

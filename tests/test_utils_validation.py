@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro.utils.validation import (
     ValidationError,
     check_in_range,
+    check_known_keys,
     check_nonnegative,
     check_positive,
     check_rank_list,
@@ -96,3 +97,16 @@ class TestRankList:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             check_rank_list([-1], 4)
+
+
+class TestKnownKeys:
+    def test_known_keys_pass(self):
+        check_known_keys({"a": 1}, ("a", "b"), "Thing")
+        check_known_keys({}, iter(["a"]), "Thing")
+
+    def test_unknown_keys_named_sorted_with_the_known_ones(self):
+        with pytest.raises(ValidationError) as excinfo:
+            check_known_keys({"z": 0, "c": 1, "a": 2}, iter(["b", "a"]),
+                             "Thing")
+        assert str(excinfo.value) == (
+            "unknown Thing keys ['c', 'z']; known keys: ['a', 'b']")
