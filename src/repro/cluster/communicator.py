@@ -10,6 +10,9 @@ charges the latency-bandwidth cost model and updates the traffic counters,
 which is what the paper's analysis (Sec. 4.2) and experiments measure.  It
 is *fault aware* in the spirit of ULFM (Sec. 1.1.1): it raises
 :class:`~repro.cluster.errors.CommunicationError` while any node is failed.
+A node failing or being replaced clears its memory, which moves the
+cluster's :class:`~repro.cluster.node.MemoryEpoch`, so the nodes are looked
+at only when the epoch moved since the last allreduce found none failed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ class Communicator:
     def __init__(self, nodes: Sequence[Node], ledger: CostLedger):
         self._nodes = list(nodes)
         self._ledger = ledger
+        self._epoch = self._nodes[0].epoch
+        if any(node.epoch is not self._epoch for node in self._nodes):
+            raise ValueError("the nodes of a communicator must share one "
+                             "memory epoch (the nodes of one cluster do)")
+        #: Epoch value at which no node was last seen failed.
+        self._alive_at = -1
 
     def allreduce_sum(self, partials: np.ndarray) -> np.ndarray:
         """Sum the rows of *partials* and make the result globally known.
@@ -57,11 +66,14 @@ class Communicator:
             raise CommunicationError(
                 f"allreduce needs one row per rank, an ({n_ranks}, m) "
                 f"array, got shape {partials.shape}")
-        failed = [node.rank for node in self._nodes
-                  if node.status is NodeStatus.FAILED]
-        if failed:
-            raise CommunicationError("allreduce involves failed node(s)",
-                                     failed_ranks=failed)
+        epoch = self._epoch.value
+        if self._alive_at != epoch:
+            failed = [node.rank for node in self._nodes
+                      if node.status is NodeStatus.FAILED]
+            if failed:
+                raise CommunicationError("allreduce involves failed node(s)",
+                                         failed_ranks=failed)
+            self._alive_at = epoch
         if _sanitizer._ACTIVE is not None:
             _sanitizer._ACTIVE.on_collective()
         total = np.add.accumulate(partials, axis=0)[-1]

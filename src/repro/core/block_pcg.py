@@ -21,8 +21,8 @@ Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 * one batched SpMV ``AP = A P`` -- one halo exchange, message count
   independent of ``k``, ``k``-fold volume (optionally split-phase with
   comm/compute overlap via ``overlap_spmv=True``);
-* one block-local preconditioner application on the full ``(n_i, k)``
-  residual block (the 2-D path of :meth:`Preconditioner.apply_block`);
+* one block-local preconditioner application per rank on its residual
+  block (:meth:`Preconditioner.apply_block`, 1-D for ``k = 1``);
 * three batched reductions (``P^T AP``, ``R^T Z``, ``R^T R``) through
   :meth:`DistributedMultiVector.dots` -- each sums one ``(N, k)`` array of
   per-rank partial dots in **one** allreduce instead of ``k`` scalar
@@ -360,18 +360,26 @@ class BlockPCG:
     def _apply_preconditioner(self, residual: DistributedMultiVector,
                               out: DistributedMultiVector
                               ) -> DistributedMultiVector:
-        """Block-local application on full ``(n_i, k)`` blocks, charged once.
+        """Block-local application, one :meth:`Preconditioner.apply_block`
+        call per rank, charged once.
 
-        Drives the 2-D path of :meth:`Preconditioner.apply_block`; the
-        bulk-synchronous charge is the worst rank's block work (static, so
-        it comes from the cached :meth:`Preconditioner.max_block_work_nnz`)
-        scaled by the column count -- ``k`` independent applications back
-        to back.
+        A single right-hand side takes the 1-D path: each rank's block is
+        the storage's contiguous ``(n_i,)`` view
+        (:meth:`DistributedMultiVector.vector_blocks`) and the result is
+        written into the target's view.  ``k`` right-hand sides take the
+        2-D path on the ``(n_i, k)`` views.  The bulk-synchronous charge is
+        the worst rank's block work (static, so it comes from the cached
+        :meth:`Preconditioner.max_block_work_nnz`) scaled by the column
+        count -- ``k`` independent applications back to back.
         """
         model = self.cluster.ledger.model
         apply_block = self.preconditioner.apply_block
-        blocks = residual.blocks()
-        targets = out.blocks(overwrite=True)
+        if self.n_cols == 1:
+            blocks = residual.vector_blocks()
+            targets = out.vector_blocks(overwrite=True)
+        else:
+            blocks = residual.blocks()
+            targets = out.blocks(overwrite=True)
         for rank, block in enumerate(blocks):
             targets[rank][...] = apply_block(rank, block)
         self.cluster.ledger.add_time(

@@ -42,12 +42,15 @@ message count is that of a single scalar allreduce -- one message per tree
 hop -- and only the per-hop volume scales
 (see :meth:`~repro.cluster.communicator.Communicator.allreduce_sum`), which
 is the latency amortization the paper's cost model (Sec. 4.2) rewards.
-The local partial dots stay per rank: each is a contiguous 1-D dot of one
-column of the rank's block (a cached view for ``k = 1``, a slice of one
-transposed copy otherwise).  They fill one ``(N, k)`` partials array, row
-``r`` holding rank ``r``'s partials, which the allreduce sums row by row in
-rank order, so the per-column results are bit-identical to the ``k = 1``
-dots of each column.
+Rank ``r``'s partial dot of column ``j`` is a contiguous 1-D dot over
+rank ``r``'s stretch of row ``j`` of the ``(k, n)`` transpose (a view for
+``k = 1``, one copy otherwise).  One ``np.matmul`` per run of equal block
+size computes them all, calling the BLAS dot that a per-rank
+``ndarray.dot`` calls on the same buffers, so each partial is bit for bit
+the per-rank one (see :func:`fused_dots`).  They fill one ``(N, k)``
+partials array, row ``r`` holding rank ``r``'s partials, which the
+allreduce sums row by row in rank order, so the per-column results are
+bit-identical to the ``k = 1`` dots of each column.
 """
 
 from __future__ import annotations
@@ -70,27 +73,22 @@ Coefficient = Union[float, np.ndarray]
 
 
 class _Storage(BlockArray):
-    """The storage of one multi-vector name, plus the per-rank column views
-    its reductions dot."""
+    """The storage of one multi-vector name, plus the per-rank 1-D views of
+    a one-column storage (:meth:`DistributedMultiVector.vector_blocks`)."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_vectors",)
 
     def __init__(self, cluster: VirtualCluster, key: tuple, data: np.ndarray,
                  views: List[np.ndarray]):
         super().__init__(cluster, key, data, views)
-        self._columns: Optional[List[List[np.ndarray]]] = None
+        self._vectors: Optional[List[np.ndarray]] = None
 
-    def rank_columns(self, partition: BlockRowPartition
-                     ) -> List[List[np.ndarray]]:
-        """Per column ``j``, per rank: column ``j`` of the rank's block as a
-        contiguous 1-D array (cached views for ``k = 1``; slices of one
-        transposed copy otherwise)."""
-        if self.data.shape[1] == 1:
-            if self._columns is None:
-                self._columns = [[view[:, 0] for view in self.views]]
-            return self._columns
-        return [[column[start:stop] for start, stop in partition.ranges]
-                for column in np.ascontiguousarray(self.data.T)]
+    def vectors(self) -> List[np.ndarray]:
+        """Per rank, its ``(n_i, 1)`` view as a contiguous ``(n_i,)`` view
+        (built on first use)."""
+        if self._vectors is None:
+            self._vectors = [view[:, 0] for view in self.views]
+        return self._vectors
 
 
 class DistributedMultiVector(NodeBlockStore):
@@ -181,6 +179,21 @@ class DistributedMultiVector(NodeBlockStore):
                overwrite: bool = False) -> List[np.ndarray]:
         """The per-rank ``(n_i, k)`` views of :meth:`stacked` (same checks)."""
         return self._storage(alive_only=alive_only, overwrite=overwrite).views
+
+    def vector_blocks(self, *, overwrite: bool = False) -> List[np.ndarray]:
+        """The per-rank blocks of a one-column multi-vector as contiguous
+        ``(n_i,)`` views of :meth:`stacked` (same checks as :meth:`blocks`).
+
+        Built once per storage, so a kernel that hands a 1-D block per rank
+        to a 1-D routine (the block-local preconditioner) neither slices nor
+        copies per call.
+        """
+        if self.n_cols != 1:
+            raise ValueError(
+                f"vector_blocks needs one column, {self.name!r} has "
+                f"{self.n_cols}"
+            )
+        return self._storage(overwrite=overwrite).vectors()
 
     def get_block(self, rank: int) -> np.ndarray:
         """``(n_i, k)`` block of *rank*; raises ``NodeFailedError`` if failed."""
@@ -394,11 +407,14 @@ def fused_dots(pairs) -> List[np.ndarray]:
     per-iteration reduction count from 3 to 2.
 
     Every component is **bit-identical** to the corresponding unfused
-    :meth:`DistributedMultiVector.dots` result: the local partial dots are
-    computed by the same kernel on the same buffers (``dots`` itself is a
+    :meth:`DistributedMultiVector.dots` result: ``dots`` itself is a
     single-pair call of this function, so there is exactly one copy of the
-    kernel).  They fill one ``(N, m * k)`` partials array, row ``r`` holding
-    rank ``r``'s partials, and
+    kernel.  Each rank's partial dot of column ``j`` is computed on a
+    contiguous stretch of row ``j`` of the ``(k, n)`` transpose of each
+    operand, so column ``j`` of a ``k``-column pair gets the partials of
+    the ``k = 1`` pair of its columns (:func:`_partial_dots`).  They fill
+    one ``(N, m * k)`` partials array, row ``r`` holding rank ``r``'s
+    partials, and
     :meth:`~repro.cluster.communicator.Communicator.allreduce_sum` sums its
     rows in rank order, column by column, as the separate calls would.
     Only the ledger differs (fewer allreduce messages / latency terms; the
@@ -414,19 +430,39 @@ def fused_dots(pairs) -> List[np.ndarray]:
     cluster = first.cluster
     partition = first.partition
     k = first.n_cols
-    # Every column of every rank's block as a contiguous 1-D array: each
-    # partial is the same contiguous dot the k = 1 run of that column does.
-    operands = []
-    for x, y in pairs:
-        mine = x._storage()
-        theirs = y._storage()
-        mine_cols = mine.rank_columns(partition)
-        operands.extend(zip(mine_cols, mine_cols if theirs is mine
-                            else theirs.rank_columns(partition)))
-    partials = np.empty((partition.n_parts, len(operands)))
-    for col, (mine_col, theirs_col) in enumerate(operands):
-        partials[:, col] = [a.dot(b) for a, b in zip(mine_col, theirs_col)]
+    partials = np.empty((partition.n_parts, len(pairs) * k))
+    for i, (x, y) in enumerate(pairs):
+        mine = x.stacked()
+        theirs = y.stacked()
+        xs = np.ascontiguousarray(mine.T)
+        ys = xs if theirs is mine else np.ascontiguousarray(theirs.T)
+        _partial_dots(xs, ys, partition, partials[:, i * k:(i + 1) * k])
     for x, _ in pairs:
         x._charge_block_op(2.0)
     total = cluster.comm.allreduce_sum(partials)
     return [total[i * k:(i + 1) * k].copy() for i in range(len(pairs))]
+
+
+def _partial_dots(xs: np.ndarray, ys: np.ndarray,
+                  partition: BlockRowPartition, out: np.ndarray) -> None:
+    """``out[r, j] = xs[j, I_r] . ys[j, I_r]`` for every rank ``r`` and row
+    ``j`` of the C-order ``(k, n)`` arrays, bit for bit
+    ``xs[j, I_r].dot(ys[j, I_r])``.
+
+    One call per run of equal block size (:attr:`BlockRowPartition.size_runs`)
+    instead of one per rank: ``np.matmul`` of a ``(1, m)`` row by an
+    ``(m, 1)`` column hands each batch element to NumPy's BLAS dot with the
+    pointer, length and stride ``ndarray.dot`` passes for the 1-D stretch.
+    ``ndarray.dot`` of one-element vectors is NumPy's scalar product
+    instead, which keeps the sign of a zero product, so one-row blocks are
+    multiplied.  Tests compare this against the per-rank dots bit for bit.
+    """
+    k = xs.shape[0]
+    for ranks, rows, size in partition.size_runs:
+        a, b = xs[:, rows], ys[:, rows]
+        if size == 1:
+            out[ranks] = (a * b).T
+        else:
+            a = a.reshape(k, -1, size)[..., None, :]
+            b = b.reshape(k, -1, size)[..., :, None]
+            out[ranks] = np.matmul(a, b)[..., 0, 0].T

@@ -62,6 +62,21 @@ class BlockRowPartition:
         return tuple(zip(bounds[:-1], bounds[1:]))
 
     @cached_property
+    def size_runs(self) -> Tuple[Tuple[slice, slice, int], ...]:
+        """Per run of consecutive ranks with equal block size, the
+        ``(ranks, rows, size)`` it covers: a slice of the ranks, a slice of
+        the global rows they own, and their block size.
+
+        The first ``n mod N`` ranks own ``ceil(n/N)`` rows and the others
+        ``floor(n/N)``, so there are one or two runs.
+        """
+        base, extra = divmod(self.n, self.n_parts)
+        split = extra * (base + 1)
+        runs = ((slice(0, extra), slice(0, split), base + 1),
+                (slice(extra, self.n_parts), slice(split, self.n), base))
+        return runs if extra else runs[1:]
+
+    @cached_property
     def _sizes(self) -> np.ndarray:
         sizes = np.diff(self.offsets)
         sizes.flags.writeable = False

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,9 @@ class Preconditioner(abc.ABC):
         self._matrix: Optional[sp.csr_matrix] = None
         self._partition: Optional[BlockRowPartition] = None
         self._max_block_work_nnz: Optional[int] = None
+        #: Per rank, the row count of the blocks :meth:`apply_block`
+        #: accepts (empty until :meth:`setup` knows the blocks).
+        self._block_rows: Tuple[int, ...] = ()
 
     # -- lifecycle ---------------------------------------------------------
     def setup(self, matrix, partition: Optional[BlockRowPartition] = None) -> None:
@@ -57,7 +60,12 @@ class Preconditioner(abc.ABC):
         self._matrix = sp.csr_matrix(matrix)
         self._partition = partition
         self._max_block_work_nnz = None
+        self._block_rows = ()
         self._setup_impl()
+        blocks = self.block_partition
+        if blocks is not None:
+            self._block_rows = tuple(stop - start
+                                     for start, stop in blocks.ranges)
 
     def _setup_impl(self) -> None:
         """Hook for subclasses; called after the matrix has been stored."""
@@ -70,6 +78,12 @@ class Preconditioner(abc.ABC):
 
     @property
     def partition(self) -> Optional[BlockRowPartition]:
+        return self._partition
+
+    @property
+    def block_partition(self) -> Optional[BlockRowPartition]:
+        """The partition whose blocks :meth:`apply_block` applies to: the
+        one given to :meth:`setup`."""
         return self._partition
 
     @property
@@ -89,13 +103,38 @@ class Preconditioner(abc.ABC):
 
         Block-diagonal implementations accept both a single residual block
         of shape ``(n_i,)`` and a 2-D multi-RHS block of shape ``(n_i, k)``
-        (one independent application per column); the 2-D path is what
-        :class:`~repro.core.block_pcg.BlockPCG` drives once per iteration
-        for all ``k`` recurrences.  Column ``j`` of a 2-D application must
-        be bit-identical to the 1-D application of column ``j`` alone.
+        (one independent application per column), where ``n_i`` is the
+        rank's entry of the row tuple :meth:`setup` builds.
+        :class:`~repro.core.block_pcg.BlockPCG` calls it once per rank and
+        application: with the 1-D path for a single right-hand side, the
+        2-D path for ``k`` recurrences.  Column ``j`` of a 2-D application
+        must be bit-identical to the 1-D application of column ``j`` alone.
+
+        Implementations test the rank and the block against the row tuple
+        inline -- ``0 <= rank < len(rows)``, one or two dimensions and
+        ``len(block) == rows[rank]`` -- and raise :meth:`_block_error` when
+        a test fails, so a call costs no Python-level call besides its own.
         """
         raise NotImplementedError(
             f"{self.name} is not block-diagonal; apply_block is unavailable"
+        )
+
+    def _block_error(self, rank: int, block: np.ndarray) -> Exception:
+        """The error for an :meth:`apply_block` call whose rank or block
+        does not match the blocks set up."""
+        rows = self._block_rows
+        if not rows:
+            return RuntimeError(
+                f"{self.name}: apply_block requires setup() with a partition"
+            )
+        if not 0 <= rank < len(rows):
+            return ValueError(
+                f"rank {rank} out of range for a partition into "
+                f"{len(rows)} parts"
+            )
+        return ValueError(
+            f"block for rank {rank} must have shape ({rows[rank]},) or "
+            f"({rows[rank]}, k), got {block.shape}"
         )
 
     @property

@@ -112,30 +112,21 @@ class BlockJacobiPreconditioner(Preconditioner):
         return out
 
     def apply_block(self, rank: int, residual_block: np.ndarray) -> np.ndarray:
-        expected = self.block_partition.size_of(rank)
-        residual_block = np.asarray(residual_block, dtype=np.float64)
-        if residual_block.ndim == 2:
-            # Multi-RHS block: one inner solve per contiguous column
-            # (bit-identical per column to the 1-D path; a multi-RHS
-            # sparse-LU solve could round differently).
-            if residual_block.shape[0] != expected:
-                raise ValueError(
-                    f"block for rank {rank} must have {expected} rows, "
-                    f"got {residual_block.shape}"
-                )
-            solve = self._solvers[rank]
-            if residual_block.shape[1] == 1:
-                return solve(np.ascontiguousarray(residual_block[:, 0]))[:, None]
-            out = np.empty_like(residual_block)
-            for j in range(residual_block.shape[1]):
-                out[:, j] = solve(np.ascontiguousarray(residual_block[:, j]))
-            return out
-        if residual_block.shape != (expected,):
-            raise ValueError(
-                f"block for rank {rank} must have shape ({expected},), "
-                f"got {residual_block.shape}"
-            )
-        return self._solvers[rank](residual_block)
+        block = np.asarray(residual_block, dtype=np.float64)
+        rows = self._block_rows
+        if not (0 <= rank < len(rows) and 0 < block.ndim < 3
+                and len(block) == rows[rank]):
+            raise self._block_error(rank, block)
+        solve = self._solvers[rank]
+        if block.ndim == 1:
+            return solve(block)
+        # Multi-RHS block: one inner solve per contiguous column
+        # (bit-identical per column to the 1-D path; a multi-RHS sparse-LU
+        # solve could round differently).
+        out = np.empty_like(block)
+        for j in range(block.shape[1]):
+            out[:, j] = solve(np.ascontiguousarray(block[:, j]))
+        return out
 
     @property
     def is_block_diagonal(self) -> bool:

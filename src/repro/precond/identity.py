@@ -21,9 +21,12 @@ class IdentityPreconditioner(Preconditioner):
         return np.array(residual, dtype=np.float64, copy=True)
 
     def apply_block(self, rank: int, residual_block: np.ndarray) -> np.ndarray:
-        # Shape-agnostic copy: works for (n_i,) blocks and (n_i, k)
-        # multi-RHS blocks alike.
-        return np.array(residual_block, dtype=np.float64, copy=True)
+        block = np.array(residual_block, dtype=np.float64, copy=True)
+        rows = self._block_rows
+        if not (0 <= rank < len(rows) and 0 < block.ndim < 3
+                and len(block) == rows[rank]):
+            raise self._block_error(rank, block)
+        return block
 
     @property
     def is_block_diagonal(self) -> bool:

@@ -37,16 +37,18 @@ class JacobiPreconditioner(Preconditioner):
         return residual * self._inv_diag
 
     def apply_block(self, rank: int, residual_block: np.ndarray) -> np.ndarray:
-        if self.partition is None:
-            raise RuntimeError("apply_block requires a partition at setup()")
-        start, stop = self.partition.range_of(rank)
+        block = np.asarray(residual_block, dtype=np.float64)
+        rows = self._block_rows
+        if not (0 <= rank < len(rows) and 0 < block.ndim < 3
+                and len(block) == rows[rank]):
+            raise self._block_error(rank, block)
+        start, stop = self._partition.ranges[rank]
         inv = self._inv_diag[start:stop]
-        residual_block = np.asarray(residual_block, dtype=np.float64)
-        if residual_block.ndim == 2:
-            # Multi-RHS block: scale every column elementwise (bit-identical
-            # per column to the 1-D path).
-            return residual_block * inv[:, None]
-        return residual_block * inv
+        if block.ndim == 1:
+            return block * inv
+        # Multi-RHS block: scale every column elementwise (bit-identical per
+        # column to the 1-D path).
+        return block * inv[:, None]
 
     @property
     def is_block_diagonal(self) -> bool:

@@ -14,6 +14,7 @@ from repro.cluster import (
     VirtualCluster,
 )
 from repro.cluster.communicator import Communicator
+from repro.cluster.node import Node
 
 
 @pytest.fixture
@@ -61,6 +62,22 @@ class TestAllreduce:
             cluster.comm.allreduce_sum(np.ones((4, 1)))
         assert excinfo.value.failed_ranks == [1, 3]
         assert ledger_state(cluster) == before
+
+    def test_failure_after_a_warm_allreduce_raises(self, cluster):
+        """The nodes are looked at again once a failure or a replacement
+        moved the memory epoch."""
+        cluster.comm.allreduce_sum(np.ones((4, 1)))
+        cluster.fail_nodes([2])
+        with pytest.raises(CommunicationError) as excinfo:
+            cluster.comm.allreduce_sum(np.ones((4, 1)))
+        assert excinfo.value.failed_ranks == [2]
+        cluster.replace_nodes([2])
+        assert cluster.comm.allreduce_sum(np.ones((4, 1)))[0] == 4.0
+
+    def test_nodes_must_share_one_epoch(self):
+        ledger = CostLedger(model=MachineModel(jitter_rel_std=0.0))
+        with pytest.raises(ValueError, match="epoch"):
+            Communicator([Node(rank=0), Node(rank=1)], ledger)
 
     def test_charges_allreduce_phase(self, cluster):
         cluster.comm.allreduce_sum(np.ones((4, 1)))

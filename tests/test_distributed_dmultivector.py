@@ -19,7 +19,7 @@ from repro.distributed import (
     DistributedMultiVector,
     DistributedVector,
 )
-from repro.distributed.dmultivector import fused_dots
+from repro.distributed.dmultivector import fused_dots, norms_from_dots
 
 N_NODES = 4
 N = 21  # uneven blocks: sizes (6, 5, 5, 5)
@@ -413,3 +413,141 @@ class TestChargeEqualityAtK1:
         assert cluster_m.ledger.times == cluster_v.ledger.times
         assert cluster_m.ledger.messages == cluster_v.ledger.messages
         assert cluster_m.ledger.elements == cluster_v.ledger.elements
+
+
+def per_rank_dots(x, y, partition):
+    """The reference for the batched reductions: one ``ndarray.dot`` per
+    rank and column on contiguous copies, summed in rank order."""
+    k = x.shape[1]
+    partials = np.empty((partition.n_parts, k))
+    for rank, (start, stop) in enumerate(partition.ranges):
+        for j in range(k):
+            partials[rank, j] = np.ascontiguousarray(x[start:stop, j]).dot(
+                np.ascontiguousarray(y[start:stop, j]))
+    return np.add.accumulate(partials, axis=0)[-1]
+
+
+def oracle_values(rng, n, k, kind):
+    """An ``(n, k)`` operand pair whose products exercise *kind*."""
+    x, y = rng.standard_normal((2, n, k))
+    if kind == "huge":
+        # Magnitudes near 1e+-300: products overflow or underflow.
+        x *= 10.0 ** rng.integers(-300, 301, size=(n, k))
+        y *= 10.0 ** rng.integers(-300, 301, size=(n, k))
+    elif kind == "zero_products":
+        # Every product is -0.0 and keeps its sign only if it is multiplied,
+        # not accumulated from 0.0.
+        x[:] = 0.0
+        y = -np.abs(y)
+    elif kind == "special":
+        pick = rng.random((n, k))
+        x[pick < 0.02] = np.nan
+        x[(pick >= 0.02) & (pick < 0.04)] = np.inf
+        x[(pick >= 0.04) & (pick < 0.06)] = -np.inf
+        x[(pick >= 0.06) & (pick < 0.3)] = 0.0
+        y[(pick >= 0.3) & (pick < 0.5)] = -0.0
+    return x, y
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestReductionsMatchPerRankOracle:
+    """``dots``, ``norms2`` and ``fused_dots`` compute all partial dots in
+    batched calls; each result must be bit for bit the per-rank dots summed
+    in rank order -- zeros, signed zeros, +-inf, NaN and overflow included,
+    on uneven partitions and on one-row blocks."""
+
+    N_ROWS = 301  # uneven over 3, 8 and 128 ranks
+
+    @staticmethod
+    def operands(n_nodes, x_values, y_values):
+        cluster = VirtualCluster(n_nodes,
+                                 machine=MachineModel(jitter_rel_std=0.0))
+        partition = BlockRowPartition(len(x_values), n_nodes)
+        x, y = (DistributedMultiVector.from_global(cluster, partition, name,
+                                                   values)
+                for name, values in (("x", x_values), ("y", y_values)))
+        return cluster, partition, x, y
+
+    @staticmethod
+    def assert_match_oracle(x, y, partition):
+        xg, yg = x.to_global(), y.to_global()
+        xy = per_rank_dots(xg, yg, partition)
+        xx = per_rank_dots(xg, xg, partition)
+        yy = per_rank_dots(yg, yg, partition)
+        assert_bits_equal(x.dots(y), xy)
+        assert_bits_equal(x.norms2(), norms_from_dots(xx))
+        for got, want in zip(fused_dots([(x, y), (x, x), (y, y)]),
+                             (xy, xx, yy)):
+            assert_bits_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind",
+                             ["normal", "huge", "zero_products", "special"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 8, 128, N_ROWS])
+    def test_bit_identical_to_per_rank_dots(self, n_nodes, k, kind):
+        rng = np.random.default_rng([n_nodes, k, len(kind)])
+        x_values, y_values = oracle_values(rng, self.N_ROWS, k, kind)
+        _, partition, x, y = self.operands(n_nodes, x_values, y_values)
+        self.assert_match_oracle(x, y, partition)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("n_nodes", [8, 128])
+    def test_bit_identical_after_recovery(self, n_nodes, k):
+        """Restored blocks are read like any other: fail, replace, restore
+        new values (specials included), then reduce."""
+        rng = np.random.default_rng([n_nodes, k])
+        x_values, y_values = oracle_values(rng, self.N_ROWS, k, "normal")
+        cluster, partition, x, y = self.operands(n_nodes, x_values, y_values)
+        x.dots(y)  # warm: the liveness check is cached
+        lost = [0, n_nodes // 2, n_nodes - 1]
+        cluster.fail_nodes(lost)
+        cluster.replace_nodes(lost)
+        new_x, new_y = oracle_values(rng, self.N_ROWS, k, "special")
+        for rank in lost:
+            start, stop = partition.range_of(rank)
+            x.restore_block(rank, new_x[start:stop])
+            y.restore_block(rank, new_y[start:stop])
+        self.assert_match_oracle(x, y, partition)
+
+
+class TestVectorBlocks:
+    """The per-rank 1-D views of a one-column multi-vector."""
+
+    def test_views_are_contiguous_and_zero_copy(self, setup):
+        cluster, partition = setup
+        mvec, _, values = make_pair(cluster, partition, k=1)
+        views = mvec.vector_blocks()
+        assert views is mvec.vector_blocks()  # built once per storage
+        for rank, view in enumerate(views):
+            start, stop = partition.range_of(rank)
+            assert view.shape == (stop - start,) and view.flags.c_contiguous
+            assert np.shares_memory(view, mvec.stacked())
+            assert np.array_equal(view, values[start:stop, 0])
+
+    def test_rejects_more_than_one_column(self, setup):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition)
+        with pytest.raises(ValueError):
+            mvec.vector_blocks()
+
+    def test_liveness_checks_of_blocks(self, setup):
+        cluster, partition = setup
+        mvec, _, _ = make_pair(cluster, partition, k=1)
+        cluster.fail_nodes([2])
+        with pytest.raises(NodeFailedError):
+            mvec.vector_blocks()
+        with pytest.raises(NodeFailedError):
+            mvec.vector_blocks(overwrite=True)
+        cluster.replace_nodes([2])
+        with pytest.raises(KeyError):
+            mvec.vector_blocks()
+        views = mvec.vector_blocks(overwrite=True)
+        assert mvec.get_block(2) is mvec.blocks()[2]
+        views[2][...] = 4.0
+        assert np.array_equal(mvec.get_block(2), np.full((5, 1), 4.0))

@@ -33,7 +33,15 @@ class TestIdentity:
         p = IdentityPreconditioner()
         p.setup(matrix, BlockRowPartition(64, 4))
         block = np.ones(16)
-        assert np.array_equal(p.apply_block(0, block), block)
+        out = p.apply_block(0, block)
+        assert np.array_equal(out, block)
+        assert not np.shares_memory(out, block)
+
+    def test_apply_block_without_partition_raises(self, matrix):
+        p = IdentityPreconditioner()
+        p.setup(matrix)
+        with pytest.raises(RuntimeError):
+            p.apply_block(0, np.ones(16))
 
     def test_form_and_rows(self, matrix):
         p = IdentityPreconditioner()
@@ -194,11 +202,19 @@ class TestMultiRhsApplyBlock:
                 p.apply_block(0, np.ascontiguousarray(block[:, j])),
             )
 
-    def test_2d_wrong_row_count_rejected(self, matrix):
-        from repro.precond import BlockJacobiPreconditioner
-
+    @pytest.mark.parametrize("name", ["identity", "jacobi", "block_jacobi"])
+    def test_2d_wrong_row_count_rejected(self, matrix, name):
+        """Every block-diagonal ``apply_block`` checks the rank and the
+        block's rows against the partition: a one-row block is not
+        broadcast, and ranks -1 and N do not exist."""
         partition = BlockRowPartition(64, 4)
-        p = BlockJacobiPreconditioner()
-        p.setup(matrix, partition)
-        with pytest.raises(ValueError):
-            p.apply_block(0, np.ones((7, self.K)))
+        p = self._make(name, matrix, partition)
+        for block in (np.ones((7, self.K)), np.ones((1, self.K)),
+                      np.ones((1, 1)), np.ones(1), np.ones(7),
+                      np.ones((16, self.K, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                p.apply_block(0, block)
+        for rank in (-1, partition.n_parts):
+            for block in (np.ones(16), np.ones((16, self.K))):
+                with pytest.raises(ValueError):
+                    p.apply_block(rank, block)

@@ -5,12 +5,18 @@ SpMV -- check liveness once per memory epoch, not once per rank, and the
 SpMV runs one sparse kernel over all ranks.  So after a warm-up call, one
 ``axpy``, one ``dots`` and one ``distributed_spmv`` make the same number of
 node-memory reads and writes and ``csr_matvecs`` calls on 16 nodes as on
-128.  The ESR stores refill buffers whose views the holders already keep,
-so a warm store writes no node memory at all, at any node count.  In the
-same way the recovery's rows of ``M`` are built per failed rank, not per
-failed row.  Counting calls instead of timing them keeps the guard
-deterministic.
+128.  A fused reduction batches its partial dots per run of equal block
+size and checks for failed nodes once per memory epoch, so warm, it makes
+the same C-level calls and runs the same Python lines on 16 and 128 nodes;
+a one-column preconditioner application makes one Python-level call per
+rank: the ``apply_block`` itself.  The ESR stores refill buffers
+whose views the holders already keep, so a warm store writes no node
+memory at all, at any node count.  In the same way the recovery's rows of
+``M`` are built per failed rank, not per failed row.  Counting calls
+instead of timing them keeps the guard deterministic.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ import scipy.sparse as sp
 
 from repro.cluster import MachineModel, VirtualCluster
 from repro.cluster.node import NodeMemory
+from repro.core.block_pcg import BlockPCG
 from repro.core.esr import ESRProtocol
 from repro.distributed import (
     BlockRowPartition,
@@ -27,6 +34,7 @@ from repro.distributed import (
     distributed_spmv,
     spmv_engine,
 )
+from repro.distributed.dmultivector import fused_dots
 from repro.matrices import poisson_2d
 from repro.precond import BlockJacobiPreconditioner
 
@@ -94,6 +102,85 @@ def test_counts_do_not_grow_with_node_count(monkeypatch, name, k):
     assert counts[16] == counts[128]
     if name == "distributed_spmv":
         assert counts[128][1] == 1
+
+
+def count_profile_events(op, event):
+    """How many ``sys.setprofile`` events named *event* ``op()`` makes
+    (``"call"``: Python-level calls; ``"c_call"``: C-level calls)."""
+    seen = [0]
+
+    def profile(frame, name, arg):
+        if name == event:
+            seen[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(previous)
+    return seen[0]
+
+
+def count_lines(op):
+    """How many Python lines ``op()`` executes (``sys.settrace`` line
+    events; a loop body counts once per pass)."""
+    seen = [0]
+
+    def trace(frame, event, arg):
+        if event == "line":
+            seen[0] += 1
+        return trace
+
+    # Put back whatever traced before (a coverage run's tracer, say).
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        op()
+    finally:
+        sys.settrace(previous)
+    return seen[0]
+
+
+# 256 rows split evenly over 16 and 128 ranks, 300 rows unevenly.
+@pytest.mark.parametrize("n", [256, 300])
+@pytest.mark.parametrize("k", [1, 3])
+def test_fused_dots_calls_do_not_grow_with_node_count(n, k):
+    """The partial dots are batched per run of equal block size and the
+    allreduce's failed-node check is one epoch comparison: a warm fused
+    reduction makes the same C-level calls and runs the same Python lines
+    on 16 and 128 nodes."""
+    counts = {}
+    for n_nodes in (16, 128):
+        cluster = VirtualCluster(n_nodes,
+                                 machine=MachineModel(jitter_rel_std=0.0))
+        partition = BlockRowPartition(n, n_nodes)
+        rng = np.random.default_rng(0)
+        x, y = (DistributedMultiVector.from_global(
+            cluster, partition, name, rng.standard_normal((n, k)))
+            for name in ("x", "y"))
+
+        def op():
+            fused_dots([(x, y), (x, x)])
+
+        op()  # warm-up: liveness checked, no node failed
+        counts[n_nodes] = (count_profile_events(op, "c_call"),
+                           count_lines(op))
+    assert counts[16] == counts[128]
+
+
+def test_preconditioner_makes_one_python_call_per_rank():
+    """A warm one-column application calls ``apply_block`` once per rank
+    and nothing else per rank (no partition lookups, no rank checks)."""
+    counts = {}
+    for n_nodes in (16, 128):
+        dist, context, x, y = make_operands(n_nodes, 1)
+        solver = BlockPCG(dist, x, BlockJacobiPreconditioner(),
+                          context=context)
+        solver._apply_preconditioner(x, y)  # warm-up: liveness checked
+        counts[n_nodes] = count_profile_events(
+            lambda: solver._apply_preconditioner(x, y), "call")
+    assert counts[128] - counts[16] == 128 - 16
 
 
 def esr_store(esr, p, iteration):
