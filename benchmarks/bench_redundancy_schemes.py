@@ -61,12 +61,11 @@ import numpy as np  # noqa: E402
 
 from repro.cluster import (  # noqa: E402
     FailureEvent,
-    FailureInjector,
     MachineModel,
     Phase,
     UnrecoverableStateError,
 )
-from repro.core import distribute_problem  # noqa: E402
+from repro.core import ResilienceSpec, distribute_problem  # noqa: E402
 from repro.core.redundancy import REDUNDANCY_SCHEMES  # noqa: E402
 from repro.core.resilient_block_pcg import ResilientBlockPCG  # noqa: E402
 from repro.core.rs_parity import RSParityScheme  # noqa: E402
@@ -81,11 +80,13 @@ def _solver(matrix, n_nodes: int, phi: int, scheme: str, rtol: float,
             ) -> ResilientBlockPCG:
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
-    options = {"group_size": GROUP_SIZE} if scheme == "rs_parity" else None
+    options = {"group_size": GROUP_SIZE} if scheme == "rs_parity" else {}
     return ResilientBlockPCG(
         problem.matrix, problem.rhs, make_preconditioner("block_jacobi"),
-        phi=phi, scheme=scheme, scheme_options=options, rtol=rtol,
-        failure_injector=FailureInjector(failures) if failures else None,
+        resilience=ResilienceSpec(phi=phi, scheme=scheme,
+                                  scheme_options=options,
+                                  failures=failures or ()),
+        rtol=rtol,
     )
 
 

@@ -90,12 +90,13 @@ def test_benchmark_distributed_spmv(benchmark, bench_settings):
 def test_benchmark_esr_exchange(benchmark, bench_settings):
     """Wall-clock of one ESR redundant-copy exchange."""
     from repro.core.esr import ESRProtocol
+    from repro.core.redundancy import RedundancyScheme
 
     nx = max(int(np.sqrt(bench_settings.matrix_size)), 24)
     matrix = poisson_2d(nx)
     problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
     phi = max(p for p in bench_settings.phis if p < bench_settings.n_nodes)
-    esr = ESRProtocol(problem.cluster, problem.context, phi)
+    esr = ESRProtocol(problem.cluster, RedundancyScheme(problem.context, phi))
     p = DistributedVector.from_global(problem.cluster, problem.partition, "p",
                                       np.ones(matrix.shape[0]))
 

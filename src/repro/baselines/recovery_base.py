@@ -38,6 +38,8 @@ class FailureHandlingMixin:
     def _init_failure_handling(self,
                                failure_injector: Optional[FailureInjector]
                                ) -> None:
+        if failure_injector is not None:
+            failure_injector.check_ranks(self.partition.n_parts)
         self.failure_injector = failure_injector
         # The right-hand side is static data: deposit it in reliable storage.
         store_rhs(self.cluster, self.rhs)

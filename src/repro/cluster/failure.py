@@ -16,9 +16,10 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
-from ..utils.validation import ValidationError, check_rank_list
+from ..utils.validation import ValidationError, check_known_keys, check_rank_list
 from .node import Node, NodeStatus
 
 
@@ -61,6 +62,27 @@ class FailureEvent:
     @property
     def n_failures(self) -> int:
         return len(self.ranks)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain JSON-serializable dictionary (see :meth:`from_dict`)."""
+        return {
+            "iteration": int(self.iteration),
+            "ranks": [int(r) for r in self.ranks],
+            "during_recovery_of": self.during_recovery_of,
+            "label": self.label,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "FailureEvent":
+        """Rebuild an event from :meth:`to_dict` output."""
+        check_known_keys(data, ("iteration", "ranks", "during_recovery_of",
+                                "label"), "failure-event")
+        return cls(
+            iteration=int(data["iteration"]),
+            ranks=tuple(int(r) for r in data["ranks"]),
+            during_recovery_of=data.get("during_recovery_of"),
+            label=data.get("label", ""),
+        )
 
 
 class FailureInjector:
@@ -122,6 +144,12 @@ class FailureInjector:
                 nodes[rank].fail()
         self._triggered.add(idx)
         return event
+
+    def check_ranks(self, n_nodes: int) -> None:
+        """Raise, before anything runs, the error :meth:`trigger` would raise
+        for a scheduled rank outside ``[0, n_nodes)``."""
+        for event in self._events:
+            check_rank_list(event.ranks, n_nodes, "failure ranks")
 
     def all_triggered(self) -> bool:
         return len(self._triggered) == len(self._events)

@@ -606,6 +606,11 @@ class BlockPCG:
         a_global = self.matrix.to_global()
         true_residuals = np.linalg.norm(b_global - a_global @ x_global, axis=0)
         converged = ~(self.active | self.breakdown | self.nonfinite)
+        # Scheduled failures of a failure-handling subclass that never
+        # struck (the solve stopped first, or an overlap had nothing to
+        # overlap), in the ``ResilienceSpec.to_dict`` event form.
+        injector = getattr(self, "failure_injector", None)
+        unfired = injector.pending_events() if injector is not None else []
 
         # Only phases actually charged during THIS solve: a second solve on
         # the same cluster must not report stale zero-delta phases left on
@@ -637,6 +642,7 @@ class BlockPCG:
                 "nonfinite_columns": [int(j) for j in
                                       np.nonzero(self.nonfinite)[0]],
                 "n_reductions": int(n_reductions),
+                "unfired_failures": [e.to_dict() for e in unfired],
             },
             global_iterations=int(self.global_iterations),
             simulated_time=ledger.since(start_snapshot),

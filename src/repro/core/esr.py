@@ -66,22 +66,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import (Any, Collection, Dict, Iterator, List, Optional, Set,
-                    Tuple, Union)
+                    Tuple)
 
 import numpy as np
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.errors import NodeFailedError, UnrecoverableStateError
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.partition import BlockRowPartition
-from ..utils.rng import RandomState
-from .placement import PlacementLike
-from .redundancy import (
-    BackupPlacement,
-    RedundancySchemeBase,
-    build_redundancy_scheme,
-)
+from .redundancy import RedundancySchemeBase
 
 #: Node-memory key prefix for ESR ghost stores.
 _ESR_KEY = "esr_store"
@@ -235,40 +228,26 @@ class GenerationInfo:
 
 
 class ESRProtocol:
-    """Maintains the redundant copies required by the ESR approach."""
+    """Maintains the redundant copies required by the ESR approach.
 
-    def __init__(self, cluster: VirtualCluster, context: CommunicationContext,
-                 phi: int, *, placement: PlacementLike = BackupPlacement.PAPER,
-                 scheme: Union[str, RedundancySchemeBase, None] = None,
-                 n_cols: int = 1,
-                 rack_size: Optional[int] = None,
-                 rng: Optional[RandomState] = None,
-                 scheme_options: Optional[Dict[str, object]] = None):
+    *scheme* is a built redundancy scheme (the resilient solver builds it
+    once, from its :class:`~repro.core.spec.ResilienceSpec`); the protocol
+    protects the scheme's partition with the scheme's ``phi``.
+    """
+
+    def __init__(self, cluster: VirtualCluster, scheme: RedundancySchemeBase,
+                 *, n_cols: int = 1):
         self.cluster = cluster
-        self.context = context
-        self.partition: BlockRowPartition = context.partition
-        self.phi = int(phi)
+        self.scheme = scheme
+        self.context = scheme.context
+        self.partition: BlockRowPartition = scheme.partition
+        self.phi = scheme.phi
         #: Columns of the protected ``(n_i, k)`` search-direction blocks
         #: (copies are ``(rows, k)`` slices, charges follow the block charge
         #: model of the module docstring).
         self.n_cols = int(n_cols)
         if self.n_cols < 1:
             raise ValueError(f"n_cols must be positive, got {n_cols}")
-        #: The redundancy scheme: an already-built instance passes through
-        #: unchanged (the solver path); otherwise the registered name (or
-        #: the default ``"copies"``) is built with *every* layout parameter
-        #: forwarded -- ``rack_size`` and ``rng`` included, so rack-aware
-        #: placements see the configured failure domains and the ``random``
-        #: placement is seedable from here too.
-        self.scheme: RedundancySchemeBase = build_redundancy_scheme(
-            scheme, context, phi, placement=placement, rng=rng,
-            rack_size=rack_size, options=scheme_options,
-        )
-        if self.scheme.phi != self.phi:
-            raise ValueError(
-                f"redundancy scheme phi={self.scheme.phi} does not match "
-                f"protocol phi={self.phi}"
-            )
         #: Non-``None`` for parity-kind schemes: storage switches from the
         #: held-pattern snapshots to owner-local snapshots + parity rows.
         self._parity = self.scheme if self.scheme.kind == "parity" else None

@@ -33,17 +33,21 @@ layer is therefore pluggable: scheme classes register under short names via
 ``@register_redundancy_scheme("name")`` in :data:`REDUNDANCY_SCHEMES` (a
 :class:`~repro.utils.registry.Registry`, the class every named choice
 uses), a :class:`~repro.core.spec.ResilienceSpec` selects one by name
-through its ``scheme`` field, and :func:`build_redundancy_scheme`
-constructs the chosen class.  ``"copies"`` -- this module's
-:class:`RedundancyScheme`, unchanged -- is the default and reproduces the
-paper's behaviour bit for bit; ``"rs_parity"`` registers when
-:mod:`repro.core` imports :mod:`repro.core.rs_parity`.
+through its ``scheme`` field, and :func:`build_redundancy_scheme` builds
+the named class -- once per resilient solver, in its
+``_init_resilience``, which hands the instance to the
+:class:`~repro.core.esr.ESRProtocol`.  :class:`RedundancySchemeBase`
+holds the layout every scheme shares (``phi``, partition, placement,
+racks).  ``"copies"`` -- this module's :class:`RedundancyScheme` -- is the
+default and reproduces the paper's behaviour bit for bit;
+``"rs_parity"`` registers when :mod:`repro.core` imports
+:mod:`repro.core.rs_parity`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -162,11 +166,30 @@ class RedundancySchemeBase:
     #: ``"pattern"`` (full copies) or ``"parity"`` (erasure-coded).
     kind: str = "pattern"
 
-    # Set by concrete ``__init__``s:
-    context: CommunicationContext
-    partition: BlockRowPartition
-    phi: int
-    racks: RackLayout
+    def __init__(self, context: CommunicationContext, phi: int, *,
+                 placement: PlacementLike = BackupPlacement.PAPER,
+                 rng: Optional[RandomState] = None,
+                 rack_size: Optional[int] = None):
+        """The layout every scheme shares: ``0 <= phi < N`` over the
+        context's partition, the resolved placement strategy, the rack
+        (failure-domain) layout and the placement's random source."""
+        if phi < 0:
+            raise ValueError(f"phi must be non-negative, got {phi}")
+        self.context = context
+        self.partition: BlockRowPartition = context.partition
+        self.phi = int(phi)
+        #: The resolved strategy; ``.value`` is the registered name, so the
+        #: pre-registry ``scheme.placement.value`` spelling keeps working.
+        self.placement = resolve_placement(placement)
+        n_nodes = self.partition.n_parts
+        if phi >= n_nodes:
+            raise ValueError(
+                f"phi={phi} requires at least phi+1={phi + 1} nodes, "
+                f"but the cluster has {n_nodes}"
+            )
+        #: Failure-domain layout fed to the rack-aware strategies.
+        self.racks = RackLayout.default(n_nodes, rack_size)
+        self._rng = rng
 
     # -- charge model (Sec. 4.2) ------------------------------------------------
     def round_overhead_times(self, topology: Topology, model: Any,
@@ -227,38 +250,24 @@ def register_redundancy_scheme(name: str, description: str = ""
     return decorator
 
 
-#: Anything the configuration surface accepts as a redundancy scheme.
-RedundancySchemeLike = Union[str, RedundancySchemeBase, None]
-
-
-def build_redundancy_scheme(scheme: RedundancySchemeLike,
-                            context: CommunicationContext, phi: int, *,
+def build_redundancy_scheme(name: str, context: CommunicationContext,
+                            phi: int, *,
                             placement: PlacementLike = BackupPlacement.PAPER,
                             rng: Optional[RandomState] = None,
                             rack_size: Optional[int] = None,
                             options: Optional[Mapping[str, Any]] = None
                             ) -> RedundancySchemeBase:
-    """Resolve *scheme* (name / instance / ``None``) to a built scheme.
+    """Build the scheme registered under *name*.
 
-    ``None`` selects the default ``"copies"`` scheme; a registered name is
-    built as ``cls(context, phi, placement=..., rng=..., rack_size=...,
-    **options)``; an already-built instance passes through unchanged
-    (*options* must then be empty).  Scheme-specific *options* (e.g.
+    The registered class is built as ``cls(context, phi, placement=...,
+    rng=..., rack_size=..., **options)``.  Scheme-specific *options* (e.g.
     ``group_size`` for ``"rs_parity"``) the chosen class does not accept
     raise ``ValueError`` naming the scheme.
     """
-    options = dict(options) if options else {}
-    if isinstance(scheme, RedundancySchemeBase):
-        if options:
-            raise ValueError(
-                "scheme_options cannot be combined with an already-built "
-                f"redundancy scheme instance (got options {sorted(options)})"
-            )
-        return scheme
-    cls = REDUNDANCY_SCHEMES.get("copies" if scheme is None else scheme)
+    cls = REDUNDANCY_SCHEMES.get(name)
     try:
         return cls(context, phi, placement=placement, rng=rng,
-                   rack_size=rack_size, **options)
+                   rack_size=rack_size, **(options or {}))
     except TypeError as exc:
         raise ValueError(
             f"invalid options for redundancy scheme {cls.scheme_name!r}: "
@@ -276,25 +285,10 @@ class RedundancyScheme(RedundancySchemeBase):
                  placement: PlacementLike = BackupPlacement.PAPER,
                  rng: Optional[RandomState] = None,
                  rack_size: Optional[int] = None):
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
-        self.context = context
-        self.partition: BlockRowPartition = context.partition
-        self.phi = int(phi)
-        #: The resolved strategy; ``.value`` is the registered name, so the
-        #: pre-registry ``scheme.placement.value`` spelling keeps working.
-        self.placement = resolve_placement(placement)
-        n_nodes = self.partition.n_parts
-        if phi >= n_nodes:
-            raise ValueError(
-                f"phi={phi} requires at least phi+1={phi + 1} nodes, "
-                f"but the cluster has {n_nodes}"
-            )
-        #: Failure-domain layout fed to the rack-aware strategies.
-        self.racks = RackLayout.default(n_nodes, rack_size)
-        self._rng = rng
+        super().__init__(context, phi, placement=placement, rng=rng,
+                         rack_size=rack_size)
         self._owners: Dict[int, OwnerRedundancy] = {}
-        for owner in range(n_nodes):
+        for owner in range(self.partition.n_parts):
             self._owners[owner] = self._compute_owner(owner)
         # The held pattern and the per-owner copy counts are immutable after
         # construction; memoize them so per-iteration consumers (the ESR

@@ -31,16 +31,15 @@ returns a solver object exposing ``solve()``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..cluster.failure import FailureInjector
 from ..precond.base import Preconditioner
 from ..distributed.dmultivector import DistributedMultiVector
 from ..distributed.dvector import DistributedVector
 from ..utils.registry import Registry
 from .block_pcg import BlockPCG
 from .resilient_block_pcg import ResilientBlockPCG
-from .spec import ResilienceSpec, SolveSpec
+from .spec import SolveSpec
 
 if TYPE_CHECKING:  # circular at runtime: api.py imports this module
     from .api import DistributedProblem
@@ -95,22 +94,6 @@ def _build(cls: type, problem: "DistributedProblem",
     )
 
 
-def _resilience_options(spec: SolveSpec) -> Dict[str, Any]:
-    """:class:`ResilientBlockPCG` keyword arguments of the spec's
-    ``ResilienceSpec`` (the default one when none is attached)."""
-    res = spec.resilience if spec.resilience is not None else ResilienceSpec()
-    return dict(
-        phi=res.phi, scheme=res.scheme,
-        scheme_options=dict(res.scheme_options),
-        placement=res.placement, rack_size=res.rack_size,
-        failure_injector=(FailureInjector(list(res.failures))
-                          if res.failures else None),
-        local_solver_method=res.local_solver_method,
-        local_rtol=res.local_rtol,
-        reconstruction_form=res.reconstruction_form,
-    )
-
-
 @register_solver("pcg")
 def build_pcg(problem: "DistributedProblem",
               rhs: DistributedMultiVector,
@@ -132,7 +115,7 @@ def build_resilient_pcg(problem: "DistributedProblem",
     _require_no_block(spec, "resilient_pcg")
     return _build(ResilientBlockPCG, problem,
                   _require_single_rhs(rhs, "resilient_pcg"), preconditioner,
-                  spec, **_resilience_options(spec))
+                  spec, resilience=spec.resilience)
 
 
 def _block_rhs(rhs: DistributedMultiVector,
@@ -173,4 +156,4 @@ def build_resilient_block_pcg(problem: "DistributedProblem",
     return _build(ResilientBlockPCG, problem,
                   _block_rhs(rhs, spec), preconditioner,
                   spec, fuse_reductions=_fuse_reductions(spec),
-                  **_resilience_options(spec))
+                  resilience=spec.resilience)

@@ -53,7 +53,7 @@ and ``benchmarks/bench_resilient_block_pcg.py``):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional
 
 from .. import sanitizer as _sanitizer
 from ..cluster.errors import UnrecoverableStateError
@@ -61,17 +61,13 @@ from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
-from ..precond.base import Preconditioner, PreconditionerForm
+from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
 from .block_pcg import BlockPCG
 from .esr import ESRProtocol
-from .placement import PlacementLike, resolve_placement
 from .reconstruction import ESRReconstructor, RecoveryReport
-from .redundancy import (
-    BackupPlacement,
-    RedundancySchemeBase,
-    build_redundancy_scheme,
-)
+from .redundancy import build_redundancy_scheme
+from .spec import ResilienceSpec
 
 logger = get_logger("core.resilient_block_pcg")
 
@@ -80,46 +76,38 @@ class EsrResilienceMixin:
     """ESR-resilience plumbing of the resilient solver.
 
     Expects the host class to provide the solver substrate (``cluster``,
-    ``context``, ``matrix``, ``rhs``, ``n_cols``, ``preconditioner``, and
-    the live state operands ``x``/``r``/``z``/``p`` plus ``beta_prev``);
-    adds the redundancy scheme, the ESR protocol, the reconstructor, and
-    the failure-handling driver the solver hooks call.
+    ``partition``, ``context``, ``matrix``, ``rhs``, ``n_cols``,
+    ``preconditioner``, and the live state operands ``x``/``r``/``z``/``p``
+    plus ``beta_prev``); adds the redundancy scheme, the ESR protocol, the
+    reconstructor, and the failure handling the solver hooks call.
     """
 
-    def _init_resilience(self, *, phi: int, placement: PlacementLike,
-                         failure_injector: Optional[FailureInjector],
-                         local_solver_method: str, local_rtol: float,
-                         reconstruction_form: Optional[PreconditionerForm],
-                         rack_size: Optional[int] = None,
-                         scheme: Union[str, RedundancySchemeBase,
-                                       None] = None,
-                         scheme_options: Optional[Dict[str, Any]] = None
-                         ) -> None:
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
+    def _init_resilience(self, resilience: ResilienceSpec) -> None:
+        """Build the redundancy scheme, the ESR protocol, the reconstructor
+        and the failure injector that *resilience* describes."""
+        failure_injector = (FailureInjector(list(resilience.failures))
+                            if resilience.failures else None)
         if failure_injector is not None:
+            failure_injector.check_ranks(self.partition.n_parts)
             worst = failure_injector.max_simultaneous_failures()
-            if worst > phi:
+            if worst > resilience.phi:
                 logger.warning(
                     "failure schedule contains %d simultaneous failures but "
                     "phi=%d redundant copies are kept; recovery may fail",
-                    worst, phi,
+                    worst, resilience.phi,
                 )
-        self.phi = int(phi)
-        self.placement = resolve_placement(placement)
-        self.scheme = build_redundancy_scheme(scheme, self.context, self.phi,
-                                              placement=self.placement,
-                                              rack_size=rack_size,
-                                              options=scheme_options)
-        self.esr = ESRProtocol(self.cluster, self.context, self.phi,
-                               placement=self.placement, scheme=self.scheme,
-                               n_cols=self.n_cols)
+        self.resilience = resilience
+        self.scheme = build_redundancy_scheme(
+            resilience.scheme, self.context, resilience.phi,
+            placement=resilience.placement, rack_size=resilience.rack_size,
+            options=resilience.scheme_options)
+        self.esr = ESRProtocol(self.cluster, self.scheme, n_cols=self.n_cols)
         self.reconstructor = ESRReconstructor(
             self.cluster, self.matrix, self.rhs, self.preconditioner,
             self.context, self.esr,
-            local_solver_method=local_solver_method,
-            local_rtol=local_rtol,
-            reconstruction_form=reconstruction_form,
+            local_solver_method=resilience.local_solver_method,
+            local_rtol=resilience.local_rtol,
+            reconstruction_form=resilience.reconstruction_form,
         )
         self.failure_injector = failure_injector
         self.recovery_reports: List[RecoveryReport] = []
@@ -191,8 +179,8 @@ class EsrResilienceMixin:
         resilience metadata (the host's ``_build_result`` already collected
         the recovery reports)."""
         result = super().solve(x0)
-        result.info["phi"] = self.phi
-        result.info["placement"] = self.placement.value
+        result.info["phi"] = self.scheme.phi
+        result.info["placement"] = self.scheme.placement.value
         result.info["scheme"] = self.scheme.scheme_name
         result.info["redundancy"] = self.esr.overhead_summary()
         return result
@@ -208,29 +196,14 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         :class:`~repro.distributed.dvector.DistributedVector` or an ``(n, k)``
         :class:`DistributedMultiVector`); the preconditioner must be
         block-diagonal (the paper uses block Jacobi).
-    phi:
-        Number of redundant copies kept per search-direction row block, i.e.
-        the maximum number of simultaneous or overlapping node failures the
-        solver can tolerate.  Must satisfy ``0 <= phi < N``.
-    scheme:
-        Redundancy scheme: a registered name (``"copies"``, ``"rs_parity"``),
-        a pre-built :class:`~repro.core.redundancy.RedundancySchemeBase`
-        instance, or ``None`` for the default full-copy scheme.
-    scheme_options:
-        Extra constructor keyword arguments for the scheme (e.g.
-        ``{"group_size": 4}`` for ``"rs_parity"``); only valid with a
-        scheme *name*.
-    placement:
-        Backup-node placement strategy (Eqn. (5) by default).
-    failure_injector:
-        Optional schedule of failure events to strike during the solve.
-    local_solver_method, local_rtol:
-        Configuration of the reconstruction's local subsystem solver
-        (``"pcg_ilu"`` with ``1e-14`` in the paper); the reconstruction
-        shares one factorization across all ``k`` columns.
-    reconstruction_form:
-        Force a particular reconstruction variant (``P`` given / ``M`` given /
-        split); by default the preconditioner's natural form is used.
+    resilience:
+        The whole resilience configuration: redundancy level ``phi``
+        (``0 <= phi < N``), redundancy scheme and its options, backup
+        placement and rack size, failure schedule, and the reconstruction's
+        local solver (see :class:`~repro.core.spec.ResilienceSpec`).
+        ``None`` means ``ResilienceSpec()``, the paper's settings.  The spec
+        stays readable as :attr:`resilience`, the injector built from its
+        failure schedule as :attr:`failure_injector`.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
     ``context``/``overlap_spmv``/``fuse_reductions``) are those of
@@ -242,15 +215,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     def __init__(self, matrix: DistributedMatrix,
                  rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
-                 phi: int = 1,
-                 scheme: Union[str, RedundancySchemeBase, None] = None,
-                 scheme_options: Optional[Dict[str, Any]] = None,
-                 placement: PlacementLike = BackupPlacement.PAPER,
-                 rack_size: Optional[int] = None,
-                 failure_injector: Optional[FailureInjector] = None,
-                 local_solver_method: str = "pcg_ilu",
-                 local_rtol: float = 1e-14,
-                 reconstruction_form: Optional[PreconditionerForm] = None,
+                 resilience: Optional[ResilienceSpec] = None,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None,
@@ -260,9 +225,5 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
                          max_iterations=max_iterations, context=context,
                          overlap_spmv=overlap_spmv,
                          fuse_reductions=fuse_reductions)
-        self._init_resilience(
-            phi=phi, placement=placement, failure_injector=failure_injector,
-            local_solver_method=local_solver_method, local_rtol=local_rtol,
-            reconstruction_form=reconstruction_form, rack_size=rack_size,
-            scheme=scheme, scheme_options=scheme_options,
-        )
+        self._init_resilience(resilience if resilience is not None
+                              else ResilienceSpec())

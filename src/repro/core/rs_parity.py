@@ -51,9 +51,8 @@ import numpy as np
 
 from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
-from ..distributed.partition import BlockRowPartition
 from ..utils.rng import RandomState
-from .placement import BackupPlacement, PlacementLike, RackLayout, resolve_placement
+from .placement import BackupPlacement, PlacementLike
 from .redundancy import (
     RedundancySchemeBase,
     backup_targets,
@@ -145,23 +144,12 @@ class RSParityScheme(RedundancySchemeBase):
                  rng: Optional[RandomState] = None,
                  rack_size: Optional[int] = None,
                  group_size: int = DEFAULT_GROUP_SIZE):
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
-        self.context = context
-        self.partition: BlockRowPartition = context.partition
-        self.phi = int(phi)
+        super().__init__(context, phi, placement=placement, rng=rng,
+                         rack_size=rack_size)
         self.m = self.phi
-        self.placement = resolve_placement(placement)
         n_nodes = self.partition.n_parts
-        if phi >= n_nodes:
-            raise ValueError(
-                f"phi={phi} requires at least phi+1={phi + 1} nodes, "
-                f"but the cluster has {n_nodes}"
-            )
         if int(group_size) < 1:
             raise ValueError(f"group_size must be positive, got {group_size}")
-        self.racks = RackLayout.default(n_nodes, rack_size)
-        self._rng = rng
         #: Stripe width, clamped so every stripe has >= m off-stripe ranks.
         self.group_size = min(int(group_size), max(1, n_nodes - self.m))
         if self.group_size + self.m > 256:

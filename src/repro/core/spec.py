@@ -40,14 +40,6 @@ from ..utils.validation import check_known_keys
 from .placement import normalize_placement, placement_name
 from .redundancy import REDUNDANCY_SCHEMES, BackupPlacement
 
-#: Spec fields routed to :class:`ResilienceSpec` by ``SolveSpec.with_overrides``.
-_RESILIENCE_FIELDS = ("phi", "scheme", "scheme_options", "placement",
-                      "rack_size", "failures",
-                      "local_solver_method", "local_rtol",
-                      "reconstruction_form")
-#: Spec fields routed to :class:`BlockSpec` by ``SolveSpec.with_overrides``.
-_BLOCK_FIELDS = ("n_cols", "fuse_reductions")
-
 
 def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
                          ) -> List[FailureEvent]:
@@ -62,26 +54,6 @@ def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
                 ranks = [int(ranks)]
             events.append(FailureEvent(int(iteration), tuple(int(r) for r in ranks)))
     return events
-
-
-def _event_to_dict(event: FailureEvent) -> Dict[str, Any]:
-    return {
-        "iteration": int(event.iteration),
-        "ranks": [int(r) for r in event.ranks],
-        "during_recovery_of": event.during_recovery_of,
-        "label": event.label,
-    }
-
-
-def _event_from_dict(data: Mapping[str, Any]) -> FailureEvent:
-    check_known_keys(data, ("iteration", "ranks", "during_recovery_of",
-                            "label"), "failure-event")
-    return FailureEvent(
-        iteration=int(data["iteration"]),
-        ranks=tuple(int(r) for r in data["ranks"]),
-        during_recovery_of=data.get("during_recovery_of"),
-        label=data.get("label", ""),
-    )
 
 
 @dataclass(frozen=True)
@@ -116,6 +88,7 @@ class ResilienceSpec:
     rack_size: Optional[int] = None
     #: Failure schedule: :class:`FailureEvent` objects or ``(iteration,
     #: ranks)`` tuples (normalised on construction).  Empty = undisturbed.
+    #: Events that never fire come back in ``info["unfired_failures"]``.
     failures: Tuple[FailureEvent, ...] = ()
     #: Local subsystem solver of the reconstruction (``"pcg_ilu"`` with
     #: ``1e-14`` in the paper).
@@ -163,7 +136,7 @@ class ResilienceSpec:
             "scheme_options": dict(self.scheme_options),
             "placement": placement_name(self.placement),
             "rack_size": self.rack_size,
-            "failures": [_event_to_dict(e) for e in self.failures],
+            "failures": [e.to_dict() for e in self.failures],
             "local_solver_method": self.local_solver_method,
             "local_rtol": self.local_rtol,
             "reconstruction_form": (self.reconstruction_form.value
@@ -177,7 +150,7 @@ class ResilienceSpec:
         kwargs = dict(data)
         if "failures" in kwargs:
             kwargs["failures"] = tuple(
-                _event_from_dict(e) if isinstance(e, Mapping) else e
+                FailureEvent.from_dict(e) if isinstance(e, Mapping) else e
                 for e in kwargs["failures"]
             )
         return cls(**kwargs)
@@ -276,26 +249,24 @@ class SolveSpec:
     def with_overrides(self, **overrides: Any) -> "SolveSpec":
         """A new spec with *overrides* applied.
 
-        Top-level :class:`SolveSpec` field names override directly;
-        :class:`ResilienceSpec` / :class:`BlockSpec` field names (``phi``,
-        ``scheme``, ``scheme_options``, ``placement``, ``failures``,
-        ``local_solver_method``, ``local_rtol``,
-        ``reconstruction_form`` / ``n_cols``, ``fuse_reductions``) are routed
+        Top-level :class:`SolveSpec` field names override directly; the
+        field names of :class:`ResilienceSpec` (``phi``, ``failures``, ...)
+        and :class:`BlockSpec` (``n_cols``, ``fuse_reductions``) are routed
         into the corresponding extension, creating it with defaults if absent.
         Unknown names raise ``ValueError``.
         """
         own = {f.name for f in fields(self)}
+        res_fields = {f.name for f in fields(ResilienceSpec)}
+        blk_fields = {f.name for f in fields(BlockSpec)}
         top = {k: v for k, v in overrides.items() if k in own}
-        res = {k: v for k, v in overrides.items() if k in _RESILIENCE_FIELDS}
-        blk = {k: v for k, v in overrides.items() if k in _BLOCK_FIELDS}
-        unknown = sorted(set(overrides) - own
-                         - set(_RESILIENCE_FIELDS) - set(_BLOCK_FIELDS))
+        res = {k: v for k, v in overrides.items() if k in res_fields}
+        blk = {k: v for k, v in overrides.items() if k in blk_fields}
+        unknown = sorted(set(overrides) - own - res_fields - blk_fields)
         if unknown:
             raise ValueError(
                 f"unknown SolveSpec override(s) {unknown}; top-level fields: "
-                f"{sorted(own)}, resilience fields: "
-                f"{sorted(_RESILIENCE_FIELDS)}, block fields: "
-                f"{sorted(_BLOCK_FIELDS)}"
+                f"{sorted(own)}, resilience fields: {sorted(res_fields)}, "
+                f"block fields: {sorted(blk_fields)}"
             )
         spec = replace(self, **top) if top else self
         if res:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import MachineModel, Phase, UnrecoverableStateError, VirtualCluster
 from repro.core.esr import _ESR_KEY, _SCALAR_KEY, ESRProtocol
+from repro.core.redundancy import REDUNDANCY_SCHEMES, RedundancyScheme
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -44,49 +45,42 @@ def make_block(cluster, partition, iteration, k=3):
 class TestStorage:
     def test_after_spmv_charges_redundancy(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 0)
         esr.after_spmv(p, 0)
         assert cluster.ledger.total_time([Phase.REDUNDANCY_COMM]) > 0
 
     def test_phi_zero_charges_nothing(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=0)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 0))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         assert cluster.ledger.total_time([Phase.REDUNDANCY_COMM]) == 0.0
 
     def test_two_generations_retained(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         for j in range(4):
             esr.after_spmv(make_p(cluster, partition, j), j)
         assert esr.available_generations() == [2, 3]
 
     def test_scalar_replication(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.store_replicated_scalars(5, beta=0.25)
         assert esr.recover_replicated_vector("beta", charge=False) == [0.25]
 
     def test_scalar_survives_failures(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.store_replicated_scalars(5, beta=0.75)
         cluster.fail_nodes([0, 1, 2])
         assert esr.recover_replicated_vector("beta") == [0.75]
 
     def test_missing_scalar_raises(self, setup):
         cluster, _, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         with pytest.raises(UnrecoverableStateError):
             esr.recover_replicated_vector("beta")
-
-    def test_mismatched_scheme_rejected(self, setup):
-        cluster, _, _, context = setup
-        from repro.core.redundancy import RedundancyScheme
-        scheme = RedundancyScheme(context, 1)
-        with pytest.raises(ValueError):
-            ESRProtocol(cluster, context, phi=2, scheme=scheme)
 
 
 class TestRecovery:
@@ -98,7 +92,7 @@ class TestRecovery:
     ])
     def test_recover_blocks_after_failures(self, setup, phi, failed):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=phi)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, phi))
         p_prev = make_p(cluster, partition, 6)
         p_cur = make_p(cluster, partition, 7)
         esr.after_spmv(p_prev, 6)
@@ -115,7 +109,7 @@ class TestRecovery:
 
     def test_recovery_charges_communication(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         cluster.fail_nodes([3])
         esr.recover_block(3, 0)
@@ -123,7 +117,7 @@ class TestRecovery:
 
     def test_unretained_generation_rejected(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         for j in range(3):
             esr.after_spmv(make_p(cluster, partition, j), j)
         cluster.fail_nodes([1])
@@ -132,7 +126,7 @@ class TestRecovery:
 
     def test_too_many_failures_unrecoverable(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         # phi = 1 cannot tolerate the loss of three adjacent nodes: some
         # elements only had copies on the failed neighbours.
@@ -142,7 +136,7 @@ class TestRecovery:
 
     def test_holders_listing(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         holders = esr.holders_with_copies(2, 0)
         assert len(holders) >= 2
@@ -152,7 +146,7 @@ class TestRecovery:
 
     def test_failed_holder_does_not_store(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 0)
         cluster.fail_nodes([0])
         # Storing with a failed holder present must not raise.
@@ -164,7 +158,7 @@ class TestRecovery:
         """A store that raises leaves its slot empty: recovering from it
         fails loudly instead of returning the slot's older copies."""
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2, scheme=scheme)
+        esr = ESRProtocol(cluster, REDUNDANCY_SCHEMES.get(scheme)(context, 2))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         p2 = make_p(cluster, partition, 2)  # same slot as iteration 0
         cluster.fail_nodes([4])
@@ -183,7 +177,7 @@ class TestRegistration:
 
     def test_replaced_holder_does_not_gain_other_slot(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         esr.after_spmv(make_p(cluster, partition, 0), 0)
         esr.after_spmv(make_p(cluster, partition, 1), 1)
         owner = 2
@@ -200,8 +194,8 @@ class TestRegistration:
         """Protocols A, B, A storing into one slot of one cluster: A's
         recovery reads A's latest copies and coefficients, not B's."""
         cluster, partition, _, context = setup
-        a = ESRProtocol(cluster, context, phi=2)
-        b = ESRProtocol(cluster, context, phi=2)
+        a = ESRProtocol(cluster, RedundancyScheme(context, 2))
+        b = ESRProtocol(cluster, RedundancyScheme(context, 2))
         a.after_spmv(make_p(cluster, partition, 0), 0)
         a.store_replicated_scalars(0, beta=np.array([0.5]))
         b.after_spmv(make_p(cluster, partition, 10), 10)
@@ -218,7 +212,7 @@ class TestRegistration:
     def test_replicated_holder_swaps_its_payload(self, setup):
         """The nodes keep one holder; each store replaces what it reads."""
         cluster, _, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.store_replicated_scalars(1, beta=np.array([0.5]))
         holder = cluster.node(0).memory[_SCALAR_KEY]
         esr.store_replicated_scalars(2, beta=np.array([0.25]))
@@ -274,7 +268,7 @@ class TestFusedStaging:
 
     def test_byte_identical_without_engine(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 3)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 3)
@@ -282,7 +276,7 @@ class TestFusedStaging:
 
     def test_byte_identical_after_spmv(self, setup):
         cluster, partition, dist, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
         distributed_spmv(dist, p, ap, context)
@@ -294,7 +288,7 @@ class TestFusedStaging:
         """The copies come from the stored vector, not from whatever the
         preceding SpMV read."""
         cluster, partition, dist, context = setup
-        esr = ESRProtocol(cluster, context, phi=1)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         other = make_p(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
         distributed_spmv(dist, other, ap, context)
@@ -307,7 +301,7 @@ class TestFusedStaging:
         """Stores of a failed owner are skipped; the surviving owners'
         copies still match the legacy loop byte for byte."""
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p0 = make_p(cluster, partition, 0)
         esr.after_spmv(p0, 0)
         baseline = stored_snapshot(esr, 0)
@@ -327,7 +321,7 @@ class TestFusedStaging:
 
     def test_failed_holder_stores_nothing_fused(self, setup):
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 0)
         cluster.fail_nodes([1])
         expected = legacy_stores(esr, p, slot=0)
@@ -339,7 +333,7 @@ class TestFusedStaging:
         """Pattern elements no SpMV message carries (e.g. Chen-style unsent
         extras) must still be stored and recoverable."""
         cluster, partition, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=3)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 3))
         p = make_p(cluster, partition, 1)
         esr.after_spmv(p, 1)
         expected = p.to_global()
@@ -355,7 +349,7 @@ class TestBlockStaging:
     slices under mid-iteration owner failures."""
 
     def make_esr(self, cluster, context, phi=2, k=3):
-        return ESRProtocol(cluster, context, phi=phi, n_cols=k)
+        return ESRProtocol(cluster, RedundancyScheme(context, phi), n_cols=k)
 
     def assert_stores_equal(self, actual, expected):
         assert sorted(actual) == sorted(expected)
@@ -380,7 +374,7 @@ class TestBlockStaging:
         esr.after_spmv(p, 0)
         block_stores = stored_snapshot(esr, 0)
         for j in range(k):
-            col_esr = ESRProtocol(cluster, context, phi=2)
+            col_esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
             pj = DistributedMultiVector.from_global(
                 cluster, partition, f"col{j}", p.to_global()[:, j:j + 1])
             col_esr.after_spmv(pj, 0)
@@ -483,7 +477,7 @@ class TestBlockStaging:
         stats = {}
         for k in (1, 4):
             fresh = VirtualCluster(6, machine=MachineModel(jitter_rel_std=0.0))
-            esr = ESRProtocol(fresh, context, phi=2, n_cols=k)
+            esr = ESRProtocol(fresh, RedundancyScheme(context, 2), n_cols=k)
             esr.after_spmv(make_block(fresh, partition, 0, k=k), 0)
             stats[k] = (fresh.ledger.messages.get(P.REDUNDANCY_COMM, 0),
                         fresh.ledger.elements.get(P.REDUNDANCY_COMM, 0))
@@ -501,13 +495,13 @@ class TestBlockStaging:
     def test_invalid_n_cols_rejected(self, setup):
         cluster, _, _, context = setup
         with pytest.raises(ValueError):
-            ESRProtocol(cluster, context, phi=1, n_cols=0)
+            ESRProtocol(cluster, RedundancyScheme(context, 1), n_cols=0)
 
 
 class TestOverheadSummary:
     def test_summary_fields(self, setup):
         cluster, _, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=2)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         summary = esr.overhead_summary()
         assert summary["phi"] == 2.0
         assert summary["lower_bound"] <= summary["per_iteration_time"] + 1e-15
@@ -515,7 +509,7 @@ class TestOverheadSummary:
 
     def test_overhead_time_matches_property(self, setup):
         cluster, _, _, context = setup
-        esr = ESRProtocol(cluster, context, phi=3)
+        esr = ESRProtocol(cluster, RedundancyScheme(context, 3))
         assert esr.per_iteration_overhead_time == pytest.approx(
             esr.overhead_summary()["per_iteration_time"]
         )

@@ -8,11 +8,12 @@ machine precision, for every preconditioner form the paper discusses.
 import numpy as np
 import pytest
 
-from repro.cluster import FailureEvent, FailureInjector, MachineModel
+from repro.cluster import FailureEvent, MachineModel
 from repro.core.api import distribute_problem
 from repro.core.metrics import state_difference
 from repro.core.resilient_pcg import ResilientPCG
 from repro.core.redundancy import BackupPlacement
+from repro.core.spec import ResilienceSpec
 from repro.distributed import DistributedMultiVector
 from repro.matrices import poisson_2d, graph_laplacian_spd, elasticity_3d
 from repro.precond import make_preconditioner
@@ -27,12 +28,13 @@ def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteratio
                                  machine=MachineModel(jitter_rel_std=0.0))
     precond = make_preconditioner(preconditioner)
     precond.setup(problem.matrix.to_global(), problem.partition)
-    injector = FailureInjector([FailureEvent(failure_iteration, tuple(failed_ranks))])
-    solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=phi,
-                          placement=placement, failure_injector=injector,
-                          local_solver_method=local_solver,
-                          reconstruction_form=reconstruction_form,
-                          context=problem.context)
+    resilience = ResilienceSpec(
+        phi=phi, placement=placement,
+        failures=[FailureEvent(failure_iteration, tuple(failed_ranks))],
+        local_solver_method=local_solver,
+        reconstruction_form=reconstruction_form)
+    solver = ResilientPCG(problem.matrix, problem.rhs, precond,
+                          resilience=resilience, context=problem.context)
     captured = {}
     original = solver._handle_failures
 
@@ -153,12 +155,14 @@ class TestReconstructionFormSelection:
     def _reconstructor(self, preconditioner, requested_form=None):
         from repro.core.esr import ESRProtocol
         from repro.core.reconstruction import ESRReconstructor
+        from repro.core.redundancy import RedundancyScheme
 
         problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
                                      machine=MachineModel(jitter_rel_std=0.0))
         precond = make_preconditioner(preconditioner)
         precond.setup(problem.matrix.to_global(), problem.partition)
-        esr = ESRProtocol(problem.cluster, problem.context, 1)
+        esr = ESRProtocol(problem.cluster,
+                          RedundancyScheme(problem.context, 1))
         rhs = DistributedMultiVector.from_global(
             problem.cluster, problem.partition, "b:as_block",
             np.column_stack([problem.rhs.to_global()]))

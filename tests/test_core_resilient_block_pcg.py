@@ -20,7 +20,6 @@ import pytest
 
 from repro.cluster import (
     FailureEvent,
-    FailureInjector,
     MachineModel,
     Phase,
     UnrecoverableStateError,
@@ -71,13 +70,10 @@ def resilient_block_solve(a, rhs_global, *, phi, failures=(), seed_cluster=0,
     precond.setup(a, partition)
     rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                              rhs_global)
-    injector = FailureInjector([
-        e if isinstance(e, FailureEvent) else FailureEvent(e[0], tuple(e[1]))
-        for e in failures
-    ]) if failures else None
-    solver = ResilientBlockPCG(dist, rhs, precond, phi=phi,
-                               failure_injector=injector, context=context,
-                               **kwargs)
+    solver = ResilientBlockPCG(
+        dist, rhs, precond,
+        resilience=ResilienceSpec(phi=phi, failures=failures),
+        context=context, **kwargs)
     return solver.solve(), cluster
 
 
@@ -98,14 +94,10 @@ def sequential_resilient_solves(a, rhs_global, *, phi, failures=(), **kwargs):
         precond.setup(a, partition)
         rhs = DistributedVector.from_global(cluster, partition, "b",
                                             rhs_global[:, j])
-        injector = FailureInjector([
-            e if isinstance(e, FailureEvent)
-            else FailureEvent(e[0], tuple(e[1]))
-            for e in failures
-        ]) if failures else None
-        solver = ResilientPCG(dist, rhs, precond, phi=phi,
-                              failure_injector=injector, context=context,
-                              **kwargs)
+        solver = ResilientPCG(
+            dist, rhs, precond,
+            resilience=ResilienceSpec(phi=phi, failures=failures),
+            context=context, **kwargs)
         results.append(solver.solve())
         clusters.append(cluster)
     return results, clusters
@@ -355,7 +347,9 @@ class TestValidation:
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         with pytest.raises(ValueError):
-            ResilientBlockPCG(dist, rhs, precond, phi=-1, context=context)
+            ResilientBlockPCG(dist, rhs, precond,
+                              resilience=ResilienceSpec(phi=-1),
+                              context=context)
 
     def test_phi_at_least_node_count_rejected(self):
         a, cluster, partition, dist, context, precond, rhs_global = \
@@ -363,7 +357,8 @@ class TestValidation:
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         with pytest.raises(ValueError):
-            ResilientBlockPCG(dist, rhs, precond, phi=N_NODES,
+            ResilientBlockPCG(dist, rhs, precond,
+                              resilience=ResilienceSpec(phi=N_NODES),
                               context=context)
 
     def test_failures_beyond_phi_unrecoverable(self):

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines import (
+    CheckpointRestartPCG,
+    FullRestartPCG,
+    InterpolationRecoveryPCG,
+)
 from repro.cluster import (
     FailureEvent,
     FailureInjector,
@@ -13,6 +18,8 @@ from repro.cluster import (
 from repro.core.api import distribute_problem, solve
 from repro.core.redundancy import BackupPlacement
 from repro.core.resilient_pcg import ResilientPCG
+from repro.core.spec import ResilienceSpec, SolveSpec, build_failure_events
+from repro.utils.validation import ValidationError
 from repro.distributed import DistributedVector
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
@@ -133,12 +140,13 @@ class TestOverlappingFailures:
         problem = fresh_problem(matrix, n_nodes=6)
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
-        injector = FailureInjector([
+        failures = [
             FailureEvent(10, (1, 2)),
             FailureEvent(10, (4,), during_recovery_of=0),
-        ])
-        solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=3,
-                              failure_injector=injector,
+        ]
+        solver = ResilientPCG(problem.matrix, problem.rhs, precond,
+                              resilience=ResilienceSpec(phi=3,
+                                                        failures=failures),
                               context=problem.context)
         result = solver.solve()
         assert result.converged
@@ -154,12 +162,14 @@ class TestOverlappingFailures:
         problem = fresh_problem(matrix, n_nodes=6)
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
-        injector = FailureInjector([
+        failures = [
             FailureEvent(10, (0,)),
             FailureEvent(10, (3,), during_recovery_of=0),
-        ])
-        solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=2,
-                              failure_injector=injector, context=problem.context)
+        ]
+        solver = ResilientPCG(problem.matrix, problem.rhs, precond,
+                              resilience=ResilienceSpec(phi=2,
+                                                        failures=failures),
+                              context=problem.context)
         result = solver.solve()
         assert result.converged
         assert np.allclose(result.x, reference.x, atol=1e-7)
@@ -171,14 +181,16 @@ class TestValidation:
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
         with pytest.raises(ValueError):
-            ResilientPCG(problem.matrix, problem.rhs, precond, phi=-1)
+            ResilientPCG(problem.matrix, problem.rhs, precond,
+                         resilience=ResilienceSpec(phi=-1))
 
     def test_phi_at_least_node_count_rejected(self, matrix):
         problem = fresh_problem(matrix)
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
         with pytest.raises(ValueError):
-            ResilientPCG(problem.matrix, problem.rhs, precond, phi=5)
+            ResilientPCG(problem.matrix, problem.rhs, precond,
+                         resilience=ResilienceSpec(phi=5))
 
 
 class TestCooperativeHookChain:
@@ -218,11 +230,7 @@ class TestCooperativeHookChain:
 
             def __init__(self, matrix, rhs, preconditioner, **kwargs):
                 super().__init__(matrix, rhs, preconditioner, **kwargs)
-                self._init_resilience(
-                    phi=1, placement=BackupPlacement.PAPER,
-                    failure_injector=None,
-                    local_solver_method="pcg_ilu", local_rtol=1e-14,
-                    reconstruction_form=None)
+                self._init_resilience(ResilienceSpec(phi=1))
 
         problem = fresh_problem(matrix)
         precond = make_preconditioner("block_jacobi")
@@ -281,3 +289,86 @@ class TestReusedProblem:
         assert len(result.recoveries) == 1
         assert rhs.lost_ranks() == []
         assert np.array_equal(rhs.to_global(), values)
+
+
+#: The four failure-handling solvers: the ESR solver and the baselines.
+FAILURE_HANDLERS = ("resilient", "checkpoint_restart", "interpolation",
+                    "full_restart")
+
+
+def build_failure_handler(kind, problem, failures):
+    """*kind* on *problem* with the failure schedule *failures*."""
+    precond = make_preconditioner("block_jacobi")
+    precond.setup(problem.matrix.to_global(), problem.partition)
+    if kind == "resilient":
+        return ResilientPCG(problem.matrix, problem.rhs, precond,
+                            resilience=ResilienceSpec(phi=2,
+                                                      failures=failures),
+                            context=problem.context)
+    cls = {"checkpoint_restart": CheckpointRestartPCG,
+           "interpolation": InterpolationRecoveryPCG,
+           "full_restart": FullRestartPCG}[kind]
+    injector = FailureInjector(build_failure_events(failures))
+    return cls(problem.matrix, problem.rhs, precond,
+               failure_injector=injector, context=problem.context)
+
+
+def ledger_state(problem):
+    ledger = problem.cluster.ledger
+    return (dict(ledger.times), dict(ledger.messages), dict(ledger.elements))
+
+
+class TestFailureRanksCheckedAtSetup:
+    """A scheduled rank outside the cluster fails at set-up, before the
+    solve runs and charges the problem's ledger."""
+
+    MESSAGE = "failure ranks entry 9 out of range for 8 nodes"
+
+    def test_facade_raises_before_any_charge(self, matrix):
+        problem = fresh_problem(matrix, n_nodes=8)
+        before = ledger_state(problem)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            solve(problem, phi=2, failures=[(5, [9])])
+        assert ledger_state(problem) == before
+
+    @pytest.mark.parametrize("kind", FAILURE_HANDLERS)
+    def test_construction_raises_before_any_charge(self, matrix, kind):
+        problem = fresh_problem(matrix, n_nodes=8)
+        before = ledger_state(problem)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            build_failure_handler(kind, problem, [(5, [1]), (7, [9])])
+        assert ledger_state(problem) == before
+
+
+class TestUnfiredFailures:
+    """Scheduled failures that never struck are listed in the result."""
+
+    @pytest.mark.parametrize("kind", FAILURE_HANDLERS)
+    @pytest.mark.parametrize("failures,expected", [
+        pytest.param([(5000, [1])],
+                     [{"iteration": 5000, "ranks": [1],
+                       "during_recovery_of": None, "label": ""}],
+                     id="after-convergence"),
+        pytest.param([FailureEvent(3, (2,), during_recovery_of=0)],
+                     [{"iteration": 3, "ranks": [2],
+                       "during_recovery_of": 0, "label": ""}],
+                     id="overlap-without-recovery"),
+        pytest.param([(5, [2]), FailureEvent(5, (4,), during_recovery_of=0)],
+                     [], id="all-fired"),
+    ])
+    def test_unfired_failures_listed(self, matrix, kind, failures, expected):
+        solver = build_failure_handler(kind, fresh_problem(matrix, n_nodes=8),
+                                       failures)
+        result = solver.solve()
+        assert result.converged
+        assert result.info["unfired_failures"] == expected
+        # Only the ESR solver keeps recovery reports.
+        recovered = not expected and kind == "resilient"
+        assert len(result.recoveries) == int(recovered)
+
+    def test_unfired_failures_in_spec_form(self, matrix):
+        """The listing uses the event form of ``ResilienceSpec.to_dict``."""
+        spec = ResilienceSpec(phi=2, failures=[(5000, [1, 3])])
+        result = solve(fresh_problem(matrix, n_nodes=8), spec=SolveSpec(
+            resilience=spec))
+        assert result.info["unfired_failures"] == spec.to_dict()["failures"]

@@ -14,15 +14,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    FailureEvent,
-    FailureInjector,
     MachineModel,
     Phase,
     UnrecoverableStateError,
     VirtualCluster,
 )
 from repro.core.api import distribute_problem
-from repro.core.esr import ESRProtocol
 from repro.core.placement import PLACEMENTS, RackLayout, register_placement
 from repro.core.redundancy import (
     REDUNDANCY_SCHEMES,
@@ -58,16 +55,18 @@ def fresh_problem(n_nodes=6, seed=0, grid=16):
                               machine=MachineModel(jitter_rel_std=0.0))
 
 
-def injector(failures):
-    return FailureInjector([FailureEvent(it, ranks) for it, ranks in failures])
+def resilience(scheme, failures, phi):
+    """The spec of a run: *scheme* ``None`` keeps the default scheme."""
+    options = {} if scheme is None else {"scheme": scheme}
+    return ResilienceSpec(phi=phi, failures=failures or (), **options)
 
 
 def run_solver(scheme=None, failures=None, phi=2, n_nodes=6, **kw):
     problem = fresh_problem(n_nodes=n_nodes)
     precond = make_preconditioner("block_jacobi")
     solver = ResilientPCG(
-        problem.matrix, problem.rhs, precond, phi=phi, scheme=scheme,
-        failure_injector=injector(failures) if failures else None, **kw)
+        problem.matrix, problem.rhs, precond,
+        resilience=resilience(scheme, failures, phi), **kw)
     return solver.solve(), solver
 
 
@@ -79,8 +78,8 @@ def run_block_solver(scheme=None, failures=None, phi=2, k=3, n_nodes=6):
         problem.cluster, problem.matrix.partition, "B",
         rng.standard_normal((problem.matrix.partition.n, k)))
     solver = ResilientBlockPCG(
-        problem.matrix, rhs, precond, phi=phi, scheme=scheme,
-        failure_injector=injector(failures) if failures else None)
+        problem.matrix, rhs, precond,
+        resilience=resilience(scheme, failures, phi))
     return solver.solve(), solver
 
 
@@ -102,12 +101,6 @@ class TestRegistry:
         assert RedundancyScheme.kind == "pattern"
         assert RSParityScheme.kind == "parity"
 
-    def test_build_none_selects_copies(self):
-        _, _, context = make_context()
-        scheme = build_redundancy_scheme(None, context, 2)
-        assert isinstance(scheme, RedundancyScheme)
-        assert scheme.scheme_name == "copies"
-
     def test_build_by_name(self):
         _, _, context = make_context()
         scheme = build_redundancy_scheme("rs_parity", context, 2,
@@ -115,17 +108,20 @@ class TestRegistry:
         assert isinstance(scheme, RSParityScheme)
         assert scheme.group_size == 3
 
-    def test_build_passes_instances_through(self):
-        _, _, context = make_context()
-        instance = RSParityScheme(context, 1)
-        assert build_redundancy_scheme(instance, context, 1) is instance
+    def test_build_forwards_rng(self):
+        """A seeded rng reaches the random placement of the built scheme:
+        the same seed gives the same backups, and the backups differ from
+        the per-owner default seeding."""
+        _, _, context = make_context(n_nodes=8)
 
-    def test_build_rejects_options_with_instance(self):
-        _, _, context = make_context()
-        instance = RSParityScheme(context, 1)
-        with pytest.raises(ValueError, match="already-built"):
-            build_redundancy_scheme(instance, context, 1,
-                                    options={"group_size": 2})
+        def targets(rng):
+            scheme = build_redundancy_scheme("copies", context, 2,
+                                             placement="random", rng=rng)
+            return [scheme.targets_of(owner) for owner in range(8)]
+
+        seeded = targets(np.random.default_rng(99))
+        assert targets(np.random.default_rng(99)) == seeded
+        assert targets(None) != seeded
 
     def test_build_rejects_unknown_options(self):
         _, _, context = make_context()
@@ -340,7 +336,7 @@ class TestCopiesBitIdentity:
         assert s0.cluster.ledger.breakdown() == s1.cluster.ledger.breakdown()
 
     def test_prebuilt_instance_path_identical(self):
-        """Solver paths hand a pre-built scheme to the protocol unchanged."""
+        """The solver's protocol runs on the scheme the solver built."""
         result, solver = run_solver("copies")
         assert solver.esr.scheme is solver.scheme
         assert result.info["scheme"] == "copies"
@@ -392,45 +388,6 @@ class TestRSParityRecovery:
         rs, _ = run_solver("rs_parity", phi=2)
         assert rs.info["redundancy"]["per_iteration_time"] < \
             copies.info["redundancy"]["per_iteration_time"]
-
-
-# ---------------------------------------------------------------------------
-# ESR protocol integration (satellite: rack_size / rng forwarding)
-# ---------------------------------------------------------------------------
-
-class TestProtocolSchemeForwarding:
-    def test_protocol_forwards_rack_size(self):
-        """Regression: the default-built scheme must see the rack layout."""
-        cluster, _, context = make_context(n_nodes=8)
-        esr = ESRProtocol(cluster, context, 1, placement="rack_aware",
-                          rack_size=2)
-        assert esr.scheme.racks.rack_size == 2
-        esr_default = ESRProtocol(cluster, context, 1,
-                                  placement="rack_aware")
-        assert esr_default.scheme.racks.rack_size == \
-            RackLayout.default(8, None).rack_size
-
-    def test_protocol_forwards_rng(self):
-        """Regression: a seeded rng must reach the random placement."""
-        cluster, _, context = make_context(n_nodes=8)
-        patterns = []
-        for _ in range(2):
-            esr = ESRProtocol(cluster, context, 2, placement="random",
-                              rng=np.random.default_rng(99))
-            patterns.append(sorted(esr.scheme.held_pattern()))
-        assert patterns[0] == patterns[1]
-
-    def test_protocol_forwards_scheme_options(self):
-        cluster, _, context = make_context(n_nodes=6)
-        esr = ESRProtocol(cluster, context, 1, scheme="rs_parity",
-                          scheme_options={"group_size": 2})
-        assert esr.scheme.group_size == 2
-
-    def test_protocol_rejects_phi_mismatch(self):
-        cluster, _, context = make_context(n_nodes=6)
-        scheme = RSParityScheme(context, 2)
-        with pytest.raises(ValueError, match="does not match"):
-            ESRProtocol(cluster, context, 1, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ preconditioners) are cached per problem until the matrix structure changes.
 import numpy as np
 import pytest
 
-from repro.cluster import FailureEvent, FailureInjector, MachineModel
+from repro.cluster import FailureEvent, MachineModel
 from repro.core import (
     SOLVERS,
     BlockPCG,
@@ -23,6 +23,7 @@ from repro.core import (
     distribute_problem,
     solve,
 )
+from repro.core.placement import RackLayout
 from repro.core.redundancy import BackupPlacement
 from repro.distributed import (
     DistributedMultiVector,
@@ -60,8 +61,8 @@ def build_direct_solver(solver_name, problem, overlap):
         return DistributedPCG(problem.matrix, problem.rhs, precond, **common)
     if solver_name == "resilient_pcg":
         return ResilientPCG(
-            problem.matrix, problem.rhs, precond, phi=2,
-            failure_injector=FailureInjector(list(FAILURES)), **common)
+            problem.matrix, problem.rhs, precond,
+            resilience=ResilienceSpec(phi=2, failures=FAILURES), **common)
     rhs = DistributedMultiVector.from_global(
         problem.cluster, problem.partition, "solve:B", RHS_2D)
     return BlockPCG(problem.matrix, rhs, precond, **common)
@@ -418,15 +419,79 @@ class TestResilienceOptionsForwarding:
         precond = make_preconditioner("block_jacobi")
         precond.setup(MATRIX, problem.partition)
         direct = ResilientPCG(
-            problem.matrix, problem.rhs, precond, phi=2,
-            placement=BackupPlacement.NEXT_RANKS,
-            failure_injector=FailureInjector(list(FAILURES)),
-            local_solver_method="direct",
+            problem.matrix, problem.rhs, precond,
+            resilience=ResilienceSpec(
+                phi=2, placement=BackupPlacement.NEXT_RANKS,
+                failures=FAILURES, local_solver_method="direct"),
             context=problem.context,
         ).solve()
         assert np.array_equal(one_call.x, direct.x)
         assert one_call.residual_norms == direct.residual_norms
         assert one_call.simulated_time == direct.simulated_time
+
+
+class TestResilienceSpecReachesScheme:
+    """The spec's layout fields reach the redundancy scheme, which the
+    solver builds once and hands to its ESR protocol."""
+
+    def build(self, resilience, n_nodes=8):
+        problem = distribute_problem(MATRIX, RHS_1D, n_nodes=n_nodes,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        precond = make_preconditioner("block_jacobi")
+        precond.setup(MATRIX, problem.partition)
+        return ResilientPCG(problem.matrix, problem.rhs, precond,
+                            resilience=resilience, context=problem.context)
+
+    @pytest.mark.parametrize("resilience,attribute,expected", [
+        pytest.param(ResilienceSpec(phi=1, placement="rack_aware",
+                                    rack_size=2),
+                     "racks.rack_size", 2, id="rack_size"),
+        pytest.param(ResilienceSpec(phi=1, placement="rack_aware"),
+                     "racks.rack_size", RackLayout.default(8, None).rack_size,
+                     id="default_rack_size"),
+        pytest.param(ResilienceSpec(phi=1, scheme="rs_parity",
+                                    scheme_options={"group_size": 2}),
+                     "group_size", 2, id="scheme_options"),
+        pytest.param(ResilienceSpec(phi=2,
+                                    placement=BackupPlacement.NEXT_RANKS),
+                     "placement.value", "next_ranks", id="placement"),
+    ])
+    def test_layout_field_reaches_scheme(self, resilience, attribute,
+                                         expected):
+        solver = self.build(resilience)
+        value = solver.scheme
+        for name in attribute.split("."):
+            value = getattr(value, name)
+        assert value == expected
+        assert solver.scheme.phi == resilience.phi
+        assert solver.scheme.scheme_name == resilience.scheme
+        assert solver.resilience is resilience
+
+    def test_scheme_built_once_and_shared_with_the_protocol(self,
+                                                            monkeypatch):
+        from repro.core import resilient_block_pcg
+
+        built = []
+        original = resilient_block_pcg.build_redundancy_scheme
+
+        def counting(*args, **kwargs):
+            scheme = original(*args, **kwargs)
+            built.append(scheme)
+            return scheme
+
+        monkeypatch.setattr(resilient_block_pcg, "build_redundancy_scheme",
+                            counting)
+        solver = self.build(ResilienceSpec(phi=2, scheme="rs_parity"))
+        assert len(built) == 1
+        assert solver.scheme is built[0]
+        assert solver.esr.scheme is solver.scheme
+
+    def test_default_spec_is_the_papers(self):
+        solver = self.build(None)
+        assert solver.resilience == ResilienceSpec()
+        assert solver.failure_injector is None
+        assert (solver.scheme.phi, solver.scheme.placement.value,
+                solver.scheme.scheme_name) == (1, "paper", "copies")
 
 
 class TestFusedReductions:

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FailureEvent,
-    FailureInjector,
     MachineModel,
     NodeFailedError,
     VirtualCluster,
 )
-from repro.core import BlockPCG, ResilientBlockPCG
+from repro.core import BlockPCG, ResilienceSpec, ResilientBlockPCG
 from repro.core.api import distribute_problem
 from repro.core.resilient_pcg import ResilientPCG
 from repro.distributed import (
@@ -369,10 +368,11 @@ class TestAfterRecovery:
                 machine=MachineModel(jitter_rel_std=0.0))
             precond = make_preconditioner("block_jacobi")
             precond.setup(problem.matrix.to_global(), problem.partition)
-            injector = FailureInjector([FailureEvent(8, (1, 3))])
-            solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=2,
-                                  failure_injector=injector,
-                                  context=problem.context)
+            solver = ResilientPCG(
+                problem.matrix, problem.rhs, precond,
+                resilience=ResilienceSpec(
+                    phi=2, failures=[FailureEvent(8, (1, 3))]),
+                context=problem.context)
             result = solver.solve()
             assert result.converged
             assert result.n_failures_recovered == 2
@@ -401,11 +401,11 @@ class TestAfterRecovery:
             )
             precond = make_preconditioner("block_jacobi")
             precond.setup(problem.matrix.to_global(), problem.partition)
-            solver = ResilientPCG(problem.matrix, problem.rhs, precond, phi=1,
-                                  failure_injector=FailureInjector(
-                                      [FailureEvent(5, (2,))]
-                                  ),
-                                  context=problem.context)
+            solver = ResilientPCG(
+                problem.matrix, problem.rhs, precond,
+                resilience=ResilienceSpec(
+                    phi=1, failures=[FailureEvent(5, (2,))]),
+                context=problem.context)
             if not use_engine:
                 solver._spmv = lambda x, out, s=solver: dense_gather_spmv(
                     s.matrix, x, out, s.context)

@@ -32,12 +32,11 @@ import pytest
 
 from repro.cluster import (
     FailureEvent,
-    FailureInjector,
     MachineModel,
     Phase,
     VirtualCluster,
 )
-from repro.core import ResilientBlockPCG, ResilientPCG
+from repro.core import ResilienceSpec, ResilientBlockPCG, ResilientPCG
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -86,22 +85,21 @@ def run_scenario(solver_name, events, *, overlap, seed=0):
     context = CommunicationContext.from_matrix(dist)
     precond = make_preconditioner("block_jacobi")
     precond.setup(a, partition)
-    injector = FailureInjector(list(events))
+    resilience = ResilienceSpec(phi=PHI, failures=events)
     rng = np.random.default_rng(seed)
     if solver_name == "resilient_pcg":
         rhs = DistributedVector.from_global(
             cluster, partition, "b", rng.standard_normal(n))
-        solver = ResilientPCG(dist, rhs, precond, phi=PHI,
-                              failure_injector=injector, context=context,
-                              overlap_spmv=overlap)
+        solver = ResilientPCG(dist, rhs, precond, resilience=resilience,
+                              context=context, overlap_spmv=overlap)
     else:
         rhs = DistributedMultiVector.from_global(
             cluster, partition, "B", rng.standard_normal((n, K_BLOCK)))
-        solver = ResilientBlockPCG(dist, rhs, precond, phi=PHI,
-                                   failure_injector=injector, context=context,
-                                   overlap_spmv=overlap)
+        solver = ResilientBlockPCG(dist, rhs, precond, resilience=resilience,
+                                   context=context, overlap_spmv=overlap)
     result = solver.solve()
-    assert injector.all_triggered(), "scenario events must fire mid-solve"
+    assert solver.failure_injector.all_triggered(), \
+        "scenario events must fire mid-solve"
     return result
 
 

@@ -26,6 +26,7 @@ from repro.cluster import MachineModel, VirtualCluster
 from repro.cluster.node import NodeMemory
 from repro.core.block_pcg import BlockPCG
 from repro.core.esr import ESRProtocol
+from repro.core.redundancy import RedundancyScheme
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
@@ -193,7 +194,7 @@ def test_warm_esr_stores_write_no_node_memory(monkeypatch):
     counts = {}
     for n_nodes in (16, 128):
         dist, context, x, _ = make_operands(n_nodes, 1)
-        esr = ESRProtocol(dist.cluster, context, phi=3)
+        esr = ESRProtocol(dist.cluster, RedundancyScheme(context, 3))
         esr_store(esr, x, 0)  # warm-up: both slots registered
         esr_store(esr, x, 1)
         counts[n_nodes] = [count_calls(monkeypatch,
@@ -205,7 +206,7 @@ def test_warm_esr_stores_write_no_node_memory(monkeypatch):
 def test_esr_stores_register_each_slot_once_after_replacement(monkeypatch):
     dist, context, x, _ = make_operands(16, 1)
     cluster = dist.cluster
-    esr = ESRProtocol(cluster, context, phi=3)
+    esr = ESRProtocol(cluster, RedundancyScheme(context, 3))
 
     def writes(iteration):
         return count_calls(monkeypatch,

@@ -376,7 +376,8 @@ class TestHookSuper:
         problem = self._problem()
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
-        solver = BrokenESR(problem.matrix, problem.rhs, precond, phi=1,
+        solver = BrokenESR(problem.matrix, problem.rhs, precond,
+                           resilience=repro.ResilienceSpec(phi=1),
                            context=problem.context)
         with sanitizer.sanitized(DETECTORS + ("hook_super",)):
             with pytest.raises(SanitizerError) as excinfo:
@@ -395,7 +396,8 @@ class TestHookSuper:
         problem = self._problem()
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
-        solver = BrokenESR(problem.matrix, problem.rhs, precond, phi=1,
+        solver = BrokenESR(problem.matrix, problem.rhs, precond,
+                           resilience=repro.ResilienceSpec(phi=1),
                            context=problem.context)
         with sanitizer.sanitized():  # default detectors only
             assert solver.solve().converged
