@@ -94,9 +94,7 @@ def _stripe_failure_ranks(matrix, n_nodes: int, phi: int) -> List[int]:
     """``phi`` members of one RS stripe -- the parity scheme's worst case."""
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
-    from repro.distributed.comm_context import CommunicationContext
-    context = CommunicationContext.from_matrix(problem.matrix)
-    scheme = RSParityScheme(context, phi, group_size=GROUP_SIZE)
+    scheme = RSParityScheme(problem.context, phi, group_size=GROUP_SIZE)
     members = scheme.group_members(0)
     return sorted(members[:min(phi, len(members))])
 

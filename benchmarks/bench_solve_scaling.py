@@ -19,6 +19,11 @@ node count with the same ``n_rhs`` (``host_ratio``; 128 over 8 nodes is the
 "flat per-iteration host cost" measure): a simulator whose per-iteration
 host work does not grow with the number of ranks scores 1 everywhere.
 
+The full sweep then adds the weak-scaling rows (JSON key ``"weak"``): the
+same spec on ``poisson_2d(128)`` (n = 16384, 16 rows per rank at the top)
+on 64, 256 and 1024 nodes, one right-hand side; their ``host_ratio`` is
+over the 64-node row.  ``--smoke`` skips them.
+
 Usage::
 
     python benchmarks/bench_solve_scaling.py                  # full sweep
@@ -64,6 +69,9 @@ BLOCK_SPEC = SPEC.with_overrides(solver="resilient_block_pcg")
 N_RHS = (1, 8)
 #: Timed solves per node count (after one warm-up solve).
 REPEATS = 7
+#: Full sweep only: the weak-scaling rows' grid side and node counts (k = 1).
+WEAK_SIDE = 128
+WEAK_NODE_COUNTS = [64, 256, 1024]
 
 
 def run_case(side: int, n_nodes: int, repeats: int,
@@ -102,10 +110,10 @@ def run_case(side: int, n_nodes: int, repeats: int,
     }
 
 
-def run_sweep(side: int, node_counts: List[int],
-              repeats: int) -> Dict[str, object]:
+def run_sweep(side: int, node_counts: List[int], repeats: int,
+              n_rhs_counts=N_RHS) -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
-    for n_rhs in N_RHS:
+    for n_rhs in n_rhs_counts:
         base: Optional[Dict[str, object]] = None
         for n_nodes in node_counts:
             row = run_case(side, n_nodes, repeats, n_rhs)
@@ -146,10 +154,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"Solve-scaling benchmark: poisson_2d({side}) N={node_counts} "
           f"k={list(N_RHS)} phi=3 block_jacobi, median of {repeats} solves")
     results = run_sweep(side, node_counts, repeats)
+    rows = list(results["rows"])
+    if not args.smoke:
+        print(f"Weak-scaling rows: poisson_2d({WEAK_SIDE}) "
+              f"N={WEAK_NODE_COUNTS} k=1")
+        results["weak"] = run_sweep(WEAK_SIDE, WEAK_NODE_COUNTS, repeats,
+                                    n_rhs_counts=(1,))
+        rows += results["weak"]["rows"]
     if args.json:
         Path(args.json).write_text(json.dumps(results, indent=2))
         print(f"wrote {args.json}")
-    return 0 if all(row["converged"] for row in results["rows"]) else 1
+    return 0 if all(row["converged"] for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ import numpy as np  # noqa: E402
 from repro.cluster import MachineModel, Phase, VirtualCluster  # noqa: E402
 from repro.distributed import (  # noqa: E402
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedVector,
     distributed_spmv,
@@ -115,7 +114,7 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int,
         cluster = VirtualCluster(n_nodes,
                                  machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-        context = CommunicationContext.from_matrix(dist)
+        context = dist.default_context()
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
         sides[label] = (cluster, dist, context, x, y)

@@ -53,7 +53,6 @@ import numpy as np  # noqa: E402
 from repro.cluster import MachineModel, VirtualCluster  # noqa: E402
 from repro.distributed import (  # noqa: E402
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedMultiVector,
     DistributedVector,
@@ -92,7 +91,7 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int, k: int,
 
     cluster = VirtualCluster(n_nodes, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-    context = CommunicationContext.from_matrix(dist)
+    context = dist.default_context()
     engine = dist.spmv_engine(context)
 
     # -- simulated overlap gain (static charges, no timing loop needed) ----

@@ -99,8 +99,7 @@ def analyze_overhead(matrix: DistributedMatrix, phi: int, *,
                      scheme: Optional[RedundancyScheme] = None
                      ) -> OverheadAnalysis:
     """Full Sec. 4.2-style analysis for one distributed matrix and ``phi``."""
-    context = context if context is not None else \
-        CommunicationContext.from_matrix(matrix)
+    context = context if context is not None else matrix.default_context()
     scheme = scheme if scheme is not None else RedundancyScheme(
         context, phi, placement=placement
     )
@@ -139,7 +138,7 @@ def overhead_sweep(matrix: DistributedMatrix, phis,
                    placement: BackupPlacement = BackupPlacement.PAPER
                    ) -> List[OverheadAnalysis]:
     """Analyse several redundancy levels on the same matrix (Fig. 3 style)."""
-    context = CommunicationContext.from_matrix(matrix)
+    context = matrix.default_context()
     return [
         analyze_overhead(matrix, int(phi), placement=placement, context=context)
         for phi in phis

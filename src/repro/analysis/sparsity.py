@@ -83,7 +83,7 @@ def band_condition_holds(matrix: DistributedMatrix, phi: int, *,
     extras of round ``k`` always piggyback on an SpMV message and no extra
     latency is ever paid.
     """
-    context = CommunicationContext.from_matrix(matrix)
+    context = matrix.default_context()
     n_nodes = matrix.partition.n_parts
     for owner in range(n_nodes):
         targets = backup_targets(owner, phi, n_nodes, placement)
@@ -115,8 +115,7 @@ def sparsity_report(matrix: DistributedMatrix, phi: int, *,
                     context: Optional[CommunicationContext] = None
                     ) -> SparsityReport:
     """Produce a :class:`SparsityReport` for one matrix/partition/phi."""
-    context = context if context is not None else \
-        CommunicationContext.from_matrix(matrix)
+    context = context if context is not None else matrix.default_context()
     scheme = RedundancyScheme(context, phi, placement=placement)
     unsent = {
         owner: int(context.unsent_indices(owner).size)

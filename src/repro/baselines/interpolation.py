@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from ..cluster.cost_model import Phase
 from ..cluster.failure import FailureInjector
 from ..core.block_pcg import BlockPCG
+from ..core.reconstruction import charge_reverse_scatter
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
@@ -137,16 +138,8 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
         if self.method == "li":
             # Communication: survivors ship the x entries referenced by the
             # failed rows (reverse SpMV pattern), like the ESR gather.
-            for dst in failed_ranks:
-                for src in self.context.senders_to(dst):
-                    if src in failed_ranks:
-                        continue
-                    count = self.context.send_count(src, dst) * self.n_cols
-                    if count:
-                        latency = self.cluster.topology.latency(src, dst)
-                        ledger.add_time(Phase.RECOVERY_COMM,
-                                        ledger.model.message_time(latency, count))
-                        ledger.add_traffic(Phase.RECOVERY_COMM, 1, count)
+            charge_reverse_scatter(self.cluster, self.context, failed_ranks,
+                                   self.n_cols)
             work = 10.0 * a_global[failed_indices, :][:, failed_indices].nnz
         else:
             # LSI touches every row that references a lost unknown: charge a

@@ -193,8 +193,8 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     b_dist = DistributedVector.from_global(cluster, partition, "b", rhs)
     # Static data: a recovered solve of another rhs may replace nodes.
     store_rhs(cluster, b_dist)
-    context = CommunicationContext.from_matrix(a_dist)
-    return DistributedProblem(cluster, partition, a_dist, b_dist, context)
+    return DistributedProblem(cluster, partition, a_dist, b_dist,
+                              a_dist.default_context())
 
 
 def _normalize_rhs(problem: DistributedProblem, rhs: Any

@@ -298,7 +298,7 @@ class BlockPCG:
             int(max_iterations) if max_iterations is not None else 10 * self.partition.n
         )
         self.context = context if context is not None else \
-            CommunicationContext.from_matrix(matrix)
+            matrix.default_context()
         if not self.preconditioner.is_set_up:
             self.preconditioner.setup(matrix.to_global(), self.partition)
 

@@ -465,7 +465,6 @@ class ESRProtocol:
         size = self.partition.size_of(owner)
         block = np.full((size, self.n_cols), np.nan)
         covered = np.zeros(size, dtype=bool)
-        ledger = self.cluster.ledger
 
         # First, the owner's own copy if the owner is somehow still alive
         # (e.g. recovery triggered for a different node); normally it is not.
@@ -479,16 +478,12 @@ class ESRProtocol:
                 continue
             block[local_idx[newly]] = values[newly]
             covered[local_idx[newly]] = True
-            if charge and holder != destination:
+            if charge:
                 # One message per holder, all k columns of the covered rows
                 # in it (rows * k elements).
-                n_sent = int(np.count_nonzero(newly)) * self.n_cols
-                latency = self.cluster.topology.latency(holder, destination)
-                ledger.add_time(
-                    Phase.RECOVERY_COMM,
-                    ledger.model.message_time(latency, n_sent),
-                )
-                ledger.add_traffic(Phase.RECOVERY_COMM, 1, n_sent)
+                self._charge_recovery_message(
+                    holder, destination,
+                    int(np.count_nonzero(newly)) * self.n_cols)
             if np.all(covered):
                 break
 

@@ -89,6 +89,27 @@ def restore_rhs(cluster: VirtualCluster, rhs, rank: int) -> None:
                                                      charge=True))
 
 
+def charge_reverse_scatter(cluster: VirtualCluster,
+                           context: CommunicationContext,
+                           failed: Sequence[int], n_cols: int) -> None:
+    """Charge the survivors' messages of a reverse scatter to *failed*.
+
+    The SpMV scatter reversed (Sec. 6): for each failed rank in order,
+    every surviving sender ``i`` (ascending) ships the ``|S_ik|`` elements
+    the failed rows reference, all *n_cols* columns in one message.
+    """
+    ledger = cluster.ledger
+    for dst in failed:
+        for src in context.senders_to(dst):
+            if src in failed:
+                continue
+            count = context.send_count(src, dst) * n_cols
+            latency = cluster.topology.latency(src, dst)
+            ledger.add_time(Phase.RECOVERY_COMM,
+                            ledger.model.message_time(latency, count))
+            ledger.add_traffic(Phase.RECOVERY_COMM, 1, count)
+
+
 @dataclass
 class RecoveryReport:
     """Outcome and cost of one recovery episode."""
@@ -432,9 +453,7 @@ class ESRReconstructor:
         reverse-scatter implementation, Sec. 6).
         """
         partition = self.partition
-        ledger = self.cluster.ledger
-        width = self.n_cols
-        out = np.empty((columns.size, width))
+        out = np.empty((columns.size, self.n_cols))
         if columns.size:
             owners = partition.owner_of(columns)
             uniq, starts = np.unique(owners, return_index=True)
@@ -444,21 +463,7 @@ class ESRReconstructor:
                 lo, hi = int(bounds[j]), int(bounds[j + 1])
                 start, _ = partition.range_of(rank)
                 out[lo:hi] = vector.get_block(rank)[columns[lo:hi] - start]
-        # Charge the gather: each surviving sender ships the elements the failed
-        # rows reference (the reverse of the SpMV scatter towards the failed
-        # rank); all k columns travel in the same message.
-        for dst in failed:
-            for src in self.context.senders_to(dst):
-                if src in failed:
-                    continue
-                count = self.context.send_count(src, dst)
-                if count == 0:
-                    continue
-                latency = self.cluster.topology.latency(src, dst)
-                ledger.add_time(Phase.RECOVERY_COMM,
-                                ledger.model.message_time(latency,
-                                                          count * width))
-                ledger.add_traffic(Phase.RECOVERY_COMM, 1, count * width)
+        charge_reverse_scatter(self.cluster, self.context, failed, self.n_cols)
         return out
 
     def _charge_local_solve(self, solver: LocalSubsystemSolver) -> None:

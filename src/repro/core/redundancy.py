@@ -310,7 +310,7 @@ class RedundancyScheme(RedundancySchemeBase):
         n_nodes = partition.n_parts
         start, _stop = partition.range_of(owner)
         size = partition.size_of(owner)
-        multiplicity = self.context.multiplicity(owner).copy()
+        multiplicity = self.context.multiplicity(owner)
 
         targets = backup_targets(owner, self.phi, n_nodes, self.placement,
                                  rng=self._rng, racks=self.racks)

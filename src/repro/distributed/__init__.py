@@ -9,7 +9,7 @@ comm/compute overlap; PETSc-style ``MatMult`` -- see
 :mod:`repro.distributed.spmv_engine`).
 """
 
-from .comm_context import CommunicationContext, ScatterEdge
+from .comm_context import CommunicationContext
 from .dmatrix import DistributedMatrix
 from .dmultivector import DistributedMultiVector, fused_dots, norms_from_dots
 from .dvector import DistributedVector
@@ -25,7 +25,6 @@ __all__ = [
     "CommunicationContext",
     "ContextMismatchError",
     "OverlapCharge",
-    "ScatterEdge",
     "SpmvEngine",
     "distributed_spmv",
     "fused_dots",

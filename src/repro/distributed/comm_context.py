@@ -14,38 +14,29 @@ PETSc calls the resulting plan a *generalized scatter*; the paper's notation
 * ``m_i(s)``-- the multiplicity of element ``s``: to how many distinct nodes
   it is sent during the SpMV (Eqn. (3)).
 
-:class:`CommunicationContext` computes all of these once from the matrix
-sparsity pattern; the ESR redundancy scheme (:mod:`repro.core.redundancy`)
-and the overhead analysis (:mod:`repro.analysis.overhead`) are built on top.
-The *reverse* of the context (who holds copies of which remote elements after
-the exchange) is what reconstruction uses to re-gather lost search-direction
-blocks, exactly as the paper's implementation reverses the PETSc scatter
-(Sec. 6).
+:class:`CommunicationContext` indexes the plan once, when it is built: per
+sender ``i`` the table ``{k: S_ik}`` in ascending receiver order, and per
+receiver ``k`` its senders in ascending order.  Every per-rank query is a
+lookup that costs that rank's degree, and ``m_i(s)`` is counted from
+sender ``i``'s own row.  A plan that ships an index its sender does not own
+raises :class:`~repro.distributed.spmv_engine.ContextMismatchError` when it
+is built.  The ESR redundancy scheme (:mod:`repro.core.redundancy`) and the
+overhead analysis (:mod:`repro.analysis.overhead`) are built on top.  The
+*reverse* scatter (who holds copies of which remote elements after the
+exchange) is read with :meth:`CommunicationContext.senders_to`: it is what
+reconstruction uses to re-gather lost search-direction blocks, exactly as
+the paper's implementation reverses the PETSc scatter (Sec. 6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .dmatrix import DistributedMatrix
 from .partition import BlockRowPartition
-
-
-@dataclass(frozen=True)
-class ScatterEdge:
-    """One sender->receiver edge of the scatter plan."""
-
-    src: int
-    dst: int
-    #: Global indices (owned by ``src``) whose values are shipped to ``dst``.
-    indices: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.indices.size)
+from .spmv_engine import ContextMismatchError
 
 
 class CommunicationContext:
@@ -54,15 +45,30 @@ class CommunicationContext:
     def __init__(self, partition: BlockRowPartition,
                  edges: Dict[Tuple[int, int], np.ndarray]):
         self.partition = partition
-        # Normalise: sorted unique int64 indices per (src, dst) edge, drop empties.
-        self._edges: Dict[Tuple[int, int], np.ndarray] = {}
-        for (src, dst), idx in edges.items():
-            if src == dst:
-                continue
+        n_parts = partition.n_parts
+        #: Per sender ``i``: ``{k: S_ik}`` in ascending receiver order, each
+        #: ``S_ik`` sorted unique int64 indices; empty edges are dropped.
+        self._sends: List[Dict[int, np.ndarray]] = [{} for _ in range(n_parts)]
+        #: Per receiver ``k``: its senders in ascending order.
+        self._senders: List[List[int]] = [[] for _ in range(n_parts)]
+        for (src, dst), idx in sorted(edges.items()):
+            src, dst = int(src), int(dst)
+            if not (0 <= src < n_parts and 0 <= dst < n_parts):
+                raise ContextMismatchError(
+                    f"scatter plan edge ({src}, {dst}) names a rank outside "
+                    f"the {n_parts}-rank partition"
+                )
             arr = np.unique(np.asarray(idx, dtype=np.int64))
-            if arr.size:
-                self._edges[(int(src), int(dst))] = arr
-        self._multiplicity_cache: Dict[int, np.ndarray] = {}
+            if src == dst or not arr.size:
+                continue
+            start, stop = partition.range_of(src)
+            if arr[0] < start or arr[-1] >= stop:
+                raise ContextMismatchError(
+                    f"scatter plan sends rank {dst} indices that rank {src} "
+                    "does not own"
+                )
+            self._sends[src][dst] = arr
+            self._senders[dst].append(src)
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -71,7 +77,8 @@ class CommunicationContext:
 
         For every receiving node ``k``, the needed global column indices are
         grouped by their owner ``i``; the group owned by ``i != k`` is
-        ``S_ik``.
+        ``S_ik``.  Solvers and analyses take the matrix's one plan,
+        :meth:`DistributedMatrix.default_context`, which calls this once.
         """
         partition = matrix.partition
         edges: Dict[Tuple[int, int], np.ndarray] = {}
@@ -90,34 +97,22 @@ class CommunicationContext:
     # -- basic queries -------------------------------------------------------------
     def send_indices(self, src: int, dst: int) -> np.ndarray:
         """``S_ik``: global indices sent from *src* to *dst* (possibly empty)."""
-        return self._edges.get((src, dst), np.empty(0, dtype=np.int64))
+        idx = self._sends[src].get(dst)
+        return idx if idx is not None else np.empty(0, dtype=np.int64)
 
     def send_count(self, src: int, dst: int) -> int:
         """``|S_ik|``."""
         return int(self.send_indices(src, dst).size)
 
     def receivers_of(self, src: int) -> List[int]:
-        """Nodes that receive at least one element from *src* during SpMV."""
-        return sorted(dst for (s, dst) in self._edges if s == src)
+        """Nodes that receive at least one element from *src* during SpMV,
+        in ascending order."""
+        return list(self._sends[src])
 
     def senders_to(self, dst: int) -> List[int]:
-        """Nodes that send at least one element to *dst* during SpMV."""
-        return sorted(src for (src, d) in self._edges if d == dst)
-
-    def edges(self) -> List[ScatterEdge]:
-        """All non-empty edges of the plan."""
-        return [
-            ScatterEdge(src, dst, idx)
-            for (src, dst), idx in sorted(self._edges.items())
-        ]
-
-    def edge_count_matrix(self) -> np.ndarray:
-        """Dense ``(N, N)`` matrix of ``|S_ik|`` (zero diagonal)."""
-        n = self.partition.n_parts
-        mat = np.zeros((n, n), dtype=np.int64)
-        for (src, dst), idx in self._edges.items():
-            mat[src, dst] = idx.size
-        return mat
+        """Nodes that send at least one element to *dst* during SpMV, in
+        ascending order (the reverse scatter of *dst*)."""
+        return list(self._senders[dst])
 
     # -- paper quantities --------------------------------------------------------------
     def multiplicity(self, src: int) -> np.ndarray:
@@ -126,15 +121,11 @@ class CommunicationContext:
         Entry ``j`` of the returned array is the number of distinct nodes the
         ``j``-th locally-owned element of *src* is sent to during SpMV.
         """
-        if src not in self._multiplicity_cache:
-            size = self.partition.size_of(src)
-            counts = np.zeros(size, dtype=np.int64)
-            start, _ = self.partition.range_of(src)
-            for (s, _dst), idx in self._edges.items():
-                if s == src:
-                    counts[idx - start] += 1
-            self._multiplicity_cache[src] = counts
-        return self._multiplicity_cache[src]
+        start, stop = self.partition.range_of(src)
+        row = list(self._sends[src].values())
+        if not row:
+            return np.zeros(stop - start, dtype=np.int64)
+        return np.bincount(np.concatenate(row) - start, minlength=stop - start)
 
     def unsent_indices(self, src: int) -> np.ndarray:
         """``R^c_i``: global indices of *src* that no other node receives."""
@@ -150,43 +141,22 @@ class CommunicationContext:
         """
         return int(np.count_nonzero(self.multiplicity(src) >= min_copies))
 
-    # -- reverse plan (who holds what after the exchange) ---------------------------------
-    def holders_of_block(self, owner: int, exclude: Iterable[int] = ()
-                         ) -> Dict[int, np.ndarray]:
-        """Map ``receiver -> global indices of *owner*'s block it received``.
-
-        This is the reverse scatter used in reconstruction: after a failure of
-        *owner*, surviving receivers can return the copies they naturally hold
-        (the designated ESR backups additionally hold the ``R^c_ik`` extras,
-        tracked by the ESR protocol itself).
-        """
-        excluded = set(int(e) for e in exclude)
-        return {
-            dst: idx
-            for (src, dst), idx in self._edges.items()
-            if src == owner and dst not in excluded
-        }
-
     # -- summaries used by the cost/overhead analysis ----------------------------------------
+    def _counts(self) -> List[int]:
+        """``|S_ik|`` of every edge, in (sender, receiver) order."""
+        return [idx.size for row in self._sends for idx in row.values()]
+
     def total_exchanged_elements(self) -> int:
         """Total number of vector elements moved per SpMV."""
-        return int(sum(idx.size for idx in self._edges.values()))
+        return int(sum(self._counts()))
 
     def total_messages(self) -> int:
         """Number of point-to-point messages per SpMV."""
-        return len(self._edges)
-
-    def incoming_counts(self, dst: int) -> Dict[int, int]:
-        """Per-sender element counts arriving at *dst*."""
-        return {
-            src: int(idx.size)
-            for (src, d), idx in self._edges.items()
-            if d == dst
-        }
+        return sum(len(row) for row in self._sends)
 
     def describe(self) -> str:
         """Short human-readable summary of the plan."""
-        counts = [idx.size for idx in self._edges.values()]
+        counts = self._counts()
         if not counts:
             return "CommunicationContext(no off-node dependencies)"
         return (

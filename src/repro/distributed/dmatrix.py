@@ -11,16 +11,17 @@ is additionally deposited in the cluster's reliable storage so that
 replacement nodes can re-retrieve it during reconstruction -- which is
 charged to the recovery phase of the cost model.
 
-The matrix also caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
+The matrix keeps its one scatter plan (:meth:`DistributedMatrix.
+default_context`, derived once from the sparsity pattern, which never
+changes) and caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
 instances keyed by communication context (see :meth:`DistributedMatrix.
-spmv_engine`) and a default scatter plan, both tagged with
-``structure_version``.  The version changes only when stored values do: at
-distribution, and when ``restore_block_to_node`` installs values that
-differ from the rank's.  Reliable storage holds each rank's view object
-itself, so a recovery that re-installs blocks on replacement nodes writes
-nothing and keeps these caches, and the ones
-:class:`~repro.core.api.DistributedProblem` keys by the same version (the
-global operator and the set-up preconditioners).
+spmv_engine`) and tagged with ``structure_version``.  The version changes
+only when stored values do: at distribution, and when
+``restore_block_to_node`` installs values that differ from the rank's.
+Reliable storage holds each rank's view object itself, so a recovery that
+re-installs blocks on replacement nodes writes nothing and keeps these
+caches, and the ones :class:`~repro.core.api.DistributedProblem` keys by
+the same version (the global operator and the set-up preconditioners).
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class DistributedMatrix:
         self._structure_version = 0
         #: ``id(context) -> (context, engine, version)``.
         self._spmv_engines: dict = {}
-        #: Cached default scatter plan (see :meth:`default_context`).
+        #: The matrix's one scatter plan (see :meth:`default_context`).
         self._default_context = None
-        self._default_context_version = -1
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -140,19 +140,18 @@ class DistributedMatrix:
     _ENGINE_CACHE_SIZE = 8
 
     def default_context(self):
-        """Cached scatter plan derived from this matrix's sparsity pattern.
+        """The scatter plan derived from this matrix's sparsity pattern.
 
-        ``distributed_spmv`` uses this when no context is passed, so repeated
-        default-context calls reuse one plan (and therefore one cached SpMV
-        engine) instead of deriving a fresh plan per call.  Rebuilt when the
-        structure version changes.
+        Built on first use and then kept: a problem, its solvers, the
+        analyses and ``distributed_spmv`` without a context all share this
+        one plan (and therefore one cached SpMV engine).  A restore cannot
+        change the pattern (:meth:`restore_block_to_node` rejects another
+        one), so the plan never goes stale.
         """
-        if (self._default_context is None
-                or self._default_context_version != self._structure_version):
+        if self._default_context is None:
             from .comm_context import CommunicationContext
 
             self._default_context = CommunicationContext.from_matrix(self)
-            self._default_context_version = self._structure_version
         return self._default_context
 
     def spmv_engine(self, context):

@@ -26,17 +26,43 @@ the ledger is charged the overlap-aware
 ``max_i(max(halo_i, diag_i) + offdiag_i)`` instead of the serialized
 ``halo + compute``.  See :mod:`repro.distributed.spmv_engine` for the
 execution model and the (last-bits) rounding caveat of split execution.
+
+Both halo charges read one per-receiver pass over the plan,
+:func:`receiver_halo_times`: rank ``k``'s incoming message costs summed
+over its senders in ascending order.  The serialized charge is its maximum
+(:func:`halo_exchange_cost`); the overlap-aware charge pairs each entry
+with that rank's diagonal and off-diagonal compute.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .. import sanitizer as _sanitizer
 from ..cluster.cost_model import Phase
 from .comm_context import CommunicationContext
 from .dmatrix import DistributedMatrix
 from .dmultivector import DistributedMultiVector
+
+
+def receiver_halo_times(context: CommunicationContext, topology, model,
+                        n_rhs: int = 1) -> List[float]:
+    """Per receiving rank, the summed cost of its incoming halo messages.
+
+    Entry ``k`` is ``sum_i (lambda_ik + |S_ik| * n_rhs * mu)`` over the
+    senders ``i`` of rank ``k`` in ascending order (``0.0`` for a rank
+    that receives nothing).  This one pass feeds both the serialized halo
+    charge (:func:`halo_exchange_cost`) and the overlap-aware charge of
+    :meth:`~repro.distributed.spmv_engine.SpmvEngine.overlap_charge`.
+    """
+    times = []
+    for dst in range(context.partition.n_parts):
+        total = 0.0
+        for src in context.senders_to(dst):
+            total += model.message_time(topology.latency(src, dst),
+                                        context.send_count(src, dst) * n_rhs)
+        times.append(total)
+    return times
 
 
 def halo_exchange_cost(context: CommunicationContext, topology, model,
@@ -49,18 +75,9 @@ def halo_exchange_cost(context: CommunicationContext, topology, model,
     Batched multi-RHS exchanges (``n_rhs > 1``) ship all columns of an edge
     in one message: the message count is unchanged, the volume scales.
     """
-    per_receiver: Dict[int, float] = {}
-    n_messages = 0
-    n_elements = 0
-    for edge in context.edges():
-        cost = model.message_time(
-            topology.latency(edge.src, edge.dst), edge.count * n_rhs
-        )
-        per_receiver[edge.dst] = per_receiver.get(edge.dst, 0.0) + cost
-        n_messages += 1
-        n_elements += edge.count * n_rhs
-    max_time = max(per_receiver.values()) if per_receiver else 0.0
-    return max_time, n_messages, n_elements
+    return (max(receiver_halo_times(context, topology, model, n_rhs)),
+            context.total_messages(),
+            context.total_exchanged_elements() * n_rhs)
 
 
 def spmv_compute_cost(matrix: DistributedMatrix, model,
@@ -85,10 +102,11 @@ def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
         Distributed operands sharing one partition and cluster; *x* and
         *out* have the same column count ``k`` (``1`` for vectors).
     context:
-        The SpMV scatter plan.  If ``None`` the matrix's cached default plan
+        The SpMV scatter plan.  If ``None`` the matrix's one plan,
+        :meth:`~repro.distributed.dmatrix.DistributedMatrix.default_context`,
         is used (derived from the sparsity pattern on first use; solvers
-        pass a prebuilt plan).  A plan that does not cover the matrix's
-        off-diagonal columns raises :class:`ContextMismatchError`.
+        and problems hold the same plan).  A plan that does not cover the
+        matrix's off-diagonal columns raises :class:`ContextMismatchError`.
     charge:
         Charge communication and compute to the cost ledger (solvers always
         do; some verification helpers pass ``False``).

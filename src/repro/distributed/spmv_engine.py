@@ -22,11 +22,14 @@ batched product is bit-identical to the ``k = 1`` product of column ``j``.
 The kernel shares the matrix's arrays, so in-place edits of block values
 stay live.
 
-**Scatter-plan check.**  At build time the engine derives each rank's ghost
-set ``G_k`` (the sorted union of the plan's ``S_ik`` over all senders ``i``)
-and checks that it covers every off-diagonal column of the rank's rows; a
-plan derived from a different sparsity pattern raises
-:class:`ContextMismatchError`, which reaches the SpMV's caller.
+**Scatter-plan check.**  The plan checks ownership when it is built
+(:class:`~repro.distributed.comm_context.CommunicationContext` rejects an
+``S_ik`` holding an index that rank ``i`` does not own); the engine checks
+coverage.  At build time it reads each rank's ghost set ``G_k`` (the union
+of the plan's ``S_ik`` over the senders ``i`` of rank ``k``) and checks that
+it covers every off-diagonal column of the rank's rows; a plan derived from
+a different sparsity pattern raises :class:`ContextMismatchError`, which
+reaches the SpMV's caller.
 
 **Split-phase execution (comm/compute overlap).**  ``split=True`` models the
 classical non-blocking halo exchange: post the sends, compute
@@ -50,9 +53,9 @@ engine is rebuilt.
 
 **Charge caching.**  The bulk-synchronous halo and compute charges depend
 only on static data (scatter counts, topology latencies, per-rank nnz), so
-the engine computes them once per column count ``k`` (the halo charge with
-:func:`~repro.distributed.spmv.halo_exchange_cost`), and likewise the
-overlap-aware charge.
+the engine computes them once per column count ``k``, and likewise the
+overlap-aware charge.  Both halo charges come from one per-receiver pass,
+:func:`~repro.distributed.spmv.receiver_halo_times`.
 
 **Cache invalidation contract.**  Engines are cached on
 :class:`~repro.distributed.dmatrix.DistributedMatrix` keyed by the context
@@ -93,14 +96,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 
 class ContextMismatchError(ValueError):
-    """The scatter plan does not cover the matrix's off-diagonal columns.
+    """The scatter plan does not fit the partition or the matrix.
 
-    Raised while building an engine when the supplied
-    :class:`CommunicationContext` was derived from a different sparsity
-    pattern (e.g. a stale plan, or a plan for another matrix on the same
-    partition), or ships elements to ranks that own them.  The SpMV cannot
-    run on such a plan, so :func:`~repro.distributed.spmv.distributed_spmv`
-    raises it before charging anything.
+    Raised when a :class:`CommunicationContext` is built with an edge that
+    ships an index its sender does not own (or names a rank outside the
+    partition), and while building an engine when the plan does not cover
+    the matrix's off-diagonal columns because it was derived from a
+    different sparsity pattern (e.g. a plan for another matrix on the same
+    partition).  The SpMV cannot run on such a plan, so
+    :func:`~repro.distributed.spmv.distributed_spmv` raises it before
+    charging anything.
     """
 
 
@@ -179,30 +184,18 @@ class SpmvEngine:
     # -- construction -------------------------------------------------------
     def _ghost_sets(self, a: sp.csr_matrix) -> List[np.ndarray]:
         """Each rank's ghost set, checked against the matrix pattern."""
-        ranges = self.partition.ranges
-        incoming: Dict[int, List[np.ndarray]] = {}
-        for edge in self.context.edges():
-            start, stop = ranges[edge.src]
-            sent = edge.indices
-            if sent.size and (sent.min() < start or sent.max() >= stop):
-                raise ContextMismatchError(
-                    f"scatter plan sends indices not owned by rank "
-                    f"{edge.src}; cannot build the engine"
-                )
-            incoming.setdefault(edge.dst, []).append(sent)
+        context = self.context
         ghosts = []
         # Scratch mask of the columns rank k may read (owned or ghost);
         # only the entries set for a rank are read back, then reset.
         readable = np.zeros(self.partition.n, dtype=bool)
-        for rank, (start, stop) in enumerate(ranges):
-            chunks = incoming.get(rank)
-            ghost = (np.unique(np.concatenate(chunks)) if chunks
+        for rank, (start, stop) in enumerate(self.partition.ranges):
+            # Senders ascend and each ships sorted indices of its own
+            # range, so the concatenation is sorted and unique.
+            chunks = [context.send_indices(src, rank)
+                      for src in context.senders_to(rank)]
+            ghost = (np.concatenate(chunks) if chunks
                      else np.empty(0, dtype=np.int64))
-            if ghost.size and np.any((ghost >= start) & (ghost < stop)):
-                raise ContextMismatchError(
-                    f"scatter plan ships rank {rank} elements it already "
-                    "owns; cannot build the engine"
-                )
             readable[start:stop] = True
             readable[ghost] = True
             covered = readable[a.indices[a.indptr[start]:a.indptr[stop]]].all()
@@ -301,18 +294,6 @@ class SpmvEngine:
             )
         return self._compute_costs[n_rhs]
 
-    def _receiver_halo_times(self, n_rhs: int) -> np.ndarray:
-        """Per-rank serialized halo time (sum of incoming-message costs)."""
-        cluster = self.matrix.cluster
-        model = cluster.ledger.model
-        times = np.zeros(self.partition.n_parts)
-        for edge in self.context.edges():
-            times[edge.dst] += model.message_time(
-                cluster.topology.latency(edge.src, edge.dst),
-                edge.count * n_rhs,
-            )
-        return times
-
     def overlap_charge(self, n_rhs: int = 1) -> OverlapCharge:
         """The overlap-aware charge of one split-phase SpMV (cached per k).
 
@@ -324,15 +305,19 @@ class SpmvEngine:
         (see :meth:`CostLedger.add_overlapped`).
         """
         if n_rhs not in self._overlap_charges:
-            model = self.matrix.cluster.ledger.model
-            halo = self._receiver_halo_times(n_rhs)
+            from .spmv import receiver_halo_times
+
+            cluster = self.matrix.cluster
+            model = cluster.ledger.model
+            halo = receiver_halo_times(self.context, cluster.topology, model,
+                                       n_rhs=n_rhs)
             total = 0.0
             compute = 0.0
-            for rank, (diag_nnz, offdiag_nnz) in enumerate(
-                    zip(self._diag_nnz, self._offdiag_nnz)):
+            for halo_t, diag_nnz, offdiag_nnz in zip(
+                    halo, self._diag_nnz, self._offdiag_nnz):
                 diag_t = model.spmv_time(diag_nnz * n_rhs)
                 offdiag_t = model.spmv_time(offdiag_nnz * n_rhs)
-                total = max(total, max(float(halo[rank]), diag_t) + offdiag_t)
+                total = max(total, max(halo_t, diag_t) + offdiag_t)
                 compute = max(compute, diag_t + offdiag_t)
             halo_serial, n_msg, n_elem = self.halo_cost_for(n_rhs)
             exposed = total - compute

@@ -1,12 +1,14 @@
 """Tests for the SpMV communication context (S_i, S_ik, R^c_i, m_i)."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.cluster import MachineModel, VirtualCluster
 from repro.distributed import (
     BlockRowPartition,
     CommunicationContext,
+    ContextMismatchError,
     DistributedMatrix,
 )
 from repro.matrices import poisson_2d, graph_laplacian_spd
@@ -35,9 +37,10 @@ class TestFromMatrix:
         a = poisson_2d(10)
         dist, ctx = make_context(a, 5)
         partition = dist.partition
-        for edge in ctx.edges():
-            owners = partition.owner_of(edge.indices)
-            assert np.all(owners == edge.src)
+        for src in range(5):
+            for dst in ctx.receivers_of(src):
+                owners = partition.owner_of(ctx.send_indices(src, dst))
+                assert np.all(owners == src)
 
     def test_receiver_needs_exactly_the_sent_indices(self):
         a = poisson_2d(10)
@@ -112,41 +115,56 @@ class TestPaperQuantities:
         assert total_sent > 0
 
 
-class TestReversePlan:
-    def test_holders_of_block(self):
-        a = poisson_2d(10)
-        _, ctx = make_context(a, 5)
-        holders = ctx.holders_of_block(2)
-        assert set(holders.keys()) == set(ctx.receivers_of(2))
+class TestTables:
+    """The plan is indexed once: per sender its receivers, per receiver
+    its senders, both ascending and each the reverse of the other."""
 
-    def test_holders_exclude(self):
-        a = poisson_2d(10)
-        _, ctx = make_context(a, 5)
-        receivers = ctx.receivers_of(2)
-        if receivers:
-            excluded = receivers[0]
-            holders = ctx.holders_of_block(2, exclude=[excluded])
-            assert excluded not in holders
+    def test_senders_and_receivers_are_reverse_and_ascending(self):
+        a = graph_laplacian_spd(200, avg_degree=6, long_range_fraction=0.5,
+                                seed=1)
+        _, ctx = make_context(a, 8)
+        sent = {(src, dst) for src in range(8) for dst in ctx.receivers_of(src)}
+        received = {(src, dst) for dst in range(8)
+                    for src in ctx.senders_to(dst)}
+        assert sent == received
+        for rank in range(8):
+            assert ctx.receivers_of(rank) == sorted(ctx.receivers_of(rank))
+            assert ctx.senders_to(rank) == sorted(ctx.senders_to(rank))
+        assert ctx.total_messages() == len(sent)
+        assert ctx.total_exchanged_elements() == sum(
+            ctx.send_count(src, dst) for src, dst in sent)
+
+    def test_edges_are_normalised(self):
+        """Unsorted and repeated indices collapse; self and empty edges
+        are dropped, whatever order the edges come in."""
+        partition = BlockRowPartition(12, 3)
+        ctx = CommunicationContext(partition, {
+            (2, 0): [9, 8, 8], (1, 1): [4], (1, 2): [], (0, 2): [1],
+            (0, 1): [3, 0],
+        })
+        assert ctx.receivers_of(0) == [1, 2]
+        assert ctx.receivers_of(1) == []
+        assert ctx.senders_to(2) == [0]
+        assert ctx.send_indices(2, 0).tolist() == [8, 9]
+        assert ctx.send_indices(0, 1).dtype == np.int64
+        assert ctx.total_messages() == 3
+        assert ctx.multiplicity(0).tolist() == [1, 1, 0, 1]
+
+    def test_queries_do_not_expose_the_tables(self):
+        _, ctx = make_context(poisson_2d(10), 5)
+        ctx.receivers_of(2).append(4)
+        ctx.senders_to(2).clear()
+        assert ctx.receivers_of(2) == [1, 3]
+        assert ctx.senders_to(2) == [1, 3]
+
+    def test_edge_outside_partition_raises(self):
+        partition = BlockRowPartition(12, 3)
+        for key in [(0, 3), (-1, 0)]:
+            with pytest.raises(ContextMismatchError, match="outside"):
+                CommunicationContext(partition, {key: [0]})
 
 
 class TestSummaries:
-    def test_edge_count_matrix(self):
-        a = poisson_2d(10)
-        _, ctx = make_context(a, 5)
-        mat = ctx.edge_count_matrix()
-        assert mat.shape == (5, 5)
-        assert np.all(mat.diagonal() == 0)
-        assert mat.sum() == ctx.total_exchanged_elements()
-
-    def test_incoming_counts(self):
-        a = poisson_2d(10)
-        _, ctx = make_context(a, 5)
-        for dst in range(5):
-            incoming = ctx.incoming_counts(dst)
-            assert sum(incoming.values()) == sum(
-                ctx.send_count(src, dst) for src in range(5) if src != dst
-            )
-
     def test_describe(self):
         a = poisson_2d(10)
         _, ctx = make_context(a, 5)

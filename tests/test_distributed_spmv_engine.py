@@ -183,6 +183,23 @@ class TestCache:
         assert len(dist._spmv_engines) == 1
         assert dist.default_context() is dist.default_context()
 
+    def test_one_plan_per_matrix(self, store_raised_diagonal):
+        """The problem and a solver built without a context hold the
+        matrix's one plan, the one a context-free SpMV uses; a
+        value-changing restore keeps it, since a restore cannot change the
+        pattern."""
+        problem = distribute_problem(poisson_2d(12), n_nodes=4,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        dist = problem.matrix
+        plan = dist.default_context()
+        assert problem.context is plan
+        assert BlockPCG(dist, problem.rhs).context is plan
+        version = dist.structure_version
+        store_raised_diagonal(dist, 2)
+        dist.restore_block_to_node(2, charge=False)
+        assert dist.structure_version > version
+        assert dist.default_context() is plan
+
     def test_engine_cache_is_bounded(self):
         matrix = poisson_2d(12)
         partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
@@ -291,24 +308,39 @@ class TestCache:
 
     def test_ownership_violating_context_raises(self):
         """A plan whose edges ship indices their 'sender' does not own is
-        rejected before anything is charged, not silently mis-staged."""
+        rejected when it is built, so no engine or SpMV can ever see it."""
         matrix = poisson_2d(12)
-        partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
+        partition, ((cluster, _, _), _) = make_pair(matrix, 4)
         full_cols = np.arange(144, dtype=np.int64)
-        # rank 0 "sends" every index, including ones owned by other ranks
-        bogus_ctx = CommunicationContext(
-            partition, {(0, dst): full_cols for dst in range(1, 4)}
-        )
-        with pytest.raises(ContextMismatchError):
-            dist.spmv_engine(bogus_ctx)
-        x = DistributedVector.from_global(cluster, partition, "x",
-                                          np.arange(144.0))
-        y = DistributedVector.zeros(cluster, partition, "y")
         before = ledger_state(cluster.ledger)
-        with pytest.raises(ContextMismatchError):
-            distributed_spmv(dist, x, y, bogus_ctx)
+        # rank 0 "sends" every index, including ones owned by other ranks
+        with pytest.raises(ContextMismatchError, match="does not own"):
+            CommunicationContext(
+                partition, {(0, dst): full_cols for dst in range(1, 4)}
+            )
         assert ledger_state(cluster.ledger) == before
-        assert np.array_equal(y.to_global(), np.zeros(144))
+
+    @pytest.mark.parametrize("src, dst, index", [(0, 3, 100), (1, 3, 0)],
+                             ids=["index-of-rank-2", "index-of-rank-0"])
+    def test_plan_with_unowned_index_fails_before_any_charge(self, src, dst,
+                                                             index):
+        """The problem's own plan plus one index its sender does not own
+        (rank 2's index 100 in ``S_03``; rank 0's index 0 in ``S_13``,
+        whose negative local offset would count against rank 1's row 0)
+        fails when it is built, before a resilient solver can take it."""
+        problem = distribute_problem(poisson_2d(12), n_nodes=4,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        plan = problem.context
+        edges = {(s, d): plan.send_indices(s, d)
+                 for s in range(4) for d in plan.receivers_of(s)}
+        edges[(src, dst)] = np.append(plan.send_indices(src, dst), index)
+        before = ledger_state(problem.cluster.ledger)
+        with pytest.raises(ContextMismatchError, match="does not own"):
+            ResilientBlockPCG(
+                problem.matrix, problem.rhs,
+                resilience=ResilienceSpec(phi=2),
+                context=CommunicationContext(problem.partition, edges))
+        assert ledger_state(problem.cluster.ledger) == before
 
     def test_mismatched_context_raises(self):
         """A plan that does not cover the sparsity pattern (here: an empty

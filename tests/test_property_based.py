@@ -163,10 +163,11 @@ def test_context_send_sets_partition_consistent(n, n_nodes, density, seed):
     partition = BlockRowPartition(n, n_nodes)
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
     context = CommunicationContext.from_matrix(dist)
-    for edge in context.edges():
-        assert np.all(partition.owner_of(edge.indices) == edge.src)
-        needed = dist.needed_column_indices(edge.dst)
-        assert np.isin(edge.indices, needed).all()
+    for src in range(n_nodes):
+        for dst in context.receivers_of(src):
+            sent = context.send_indices(src, dst)
+            assert np.all(partition.owner_of(sent) == src)
+            assert np.isin(sent, dist.needed_column_indices(dst)).all()
     # multiplicities are consistent with the total exchanged volume
     total = sum(int(context.multiplicity(o).sum()) for o in range(n_nodes))
     assert total == context.total_exchanged_elements()

@@ -12,8 +12,11 @@ a one-column preconditioner application makes one Python-level call per
 rank: the ``apply_block`` itself.  The ESR stores refill buffers
 whose views the holders already keep, so a warm store writes no node
 memory at all, at any node count.  In the same way the recovery's rows of
-``M`` are built per failed rank, not per failed row.  Counting calls
-instead of timing them keeps the guard deterministic.
+``M`` are built per failed rank, not per failed row, and the scatter plan
+answers each per-rank query from tables built once, so a query costs the
+rank's degree and a redundancy-scheme build the same per rank at any node
+count.  Counting calls instead of timing them keeps the guard
+deterministic.
 """
 
 import sys
@@ -36,7 +39,7 @@ from repro.distributed import (
     spmv_engine,
 )
 from repro.distributed.dmultivector import fused_dots
-from repro.matrices import poisson_2d
+from repro.matrices import poisson_1d, poisson_2d
 from repro.precond import BlockJacobiPreconditioner
 
 SIDE = 16  # n = 256: at least two rows per rank on 128 nodes
@@ -221,6 +224,38 @@ def test_esr_stores_register_each_slot_once_after_replacement(monkeypatch):
     x.restore_block(5, values[start:stop])
     assert [writes(2), writes(3)] == cold
     assert [writes(4), writes(5)] == [0, 0]
+
+
+def test_plan_queries_and_scheme_build_do_not_grow_with_node_count():
+    """On a 1-D Laplacian every rank has at most two neighbours at any node
+    count.  A warm query of one rank then runs the same Python lines on 16
+    and 128 ranks, and one ``RedundancyScheme`` build runs the same lines
+    per rank.  The build's count is affine in N, not proportional (the two
+    end ranks have one neighbour each, and the build has a fixed set-up),
+    so per rank it agrees to 2 %.  A scan of the whole plan per query, as
+    the pre-indexed plan made, grows the build's count per rank about 2x
+    from 16 to 128 ranks."""
+    queries, build_per_rank = {}, {}
+    for n_nodes in (16, 128):
+        cluster = VirtualCluster(n_nodes,
+                                 machine=MachineModel(jitter_rel_std=0.0))
+        matrix = poisson_1d(4 * n_nodes)
+        partition = BlockRowPartition(matrix.shape[0], n_nodes)
+        context = DistributedMatrix.from_global(
+            cluster, partition, "A", matrix).default_context()
+        rank = 5
+        ops = (lambda: context.receivers_of(rank),
+               lambda: context.senders_to(rank),
+               lambda: context.send_indices(rank, rank + 1),
+               lambda: context.multiplicity(rank),
+               lambda: RedundancyScheme(context, 3))
+        for op in ops:
+            op()  # warm-up
+        *query_lines, build_lines = (count_lines(op) for op in ops)
+        queries[n_nodes] = query_lines
+        build_per_rank[n_nodes] = build_lines / n_nodes
+    assert queries[16] == queries[128]
+    assert build_per_rank[128] == pytest.approx(build_per_rank[16], rel=0.02)
 
 
 def test_forward_rows_builds_per_rank_not_per_row(monkeypatch):
