@@ -17,7 +17,6 @@ from repro.baselines import (
     FullRestartPCG,
     InterpolationRecoveryPCG,
 )
-from repro.cluster import FailureEvent, FailureInjector
 from repro.core.api import distribute_problem, solve
 from repro.core.spec import SolveSpec
 from repro.harness import format_table
@@ -31,9 +30,9 @@ def _failure_iteration(reference_iterations: int) -> int:
 def _run_baseline(cls, matrix, n_nodes, failure_iteration, failed_ranks, **kwargs):
     problem = distribute_problem(matrix, n_nodes=n_nodes)
     precond = problem.resolve_preconditioner("block_jacobi")
-    injector = FailureInjector([FailureEvent(failure_iteration, tuple(failed_ranks))])
     solver = cls(problem.matrix, problem.rhs, precond,
-                 failure_injector=injector, context=problem.context, **kwargs)
+                 failures=[(failure_iteration, failed_ranks)],
+                 context=problem.context, **kwargs)
     return solver.solve()
 
 

@@ -16,7 +16,6 @@ from repro.baselines import (
     FullRestartPCG,
     InterpolationRecoveryPCG,
 )
-from repro.cluster import FailureEvent, FailureInjector
 from repro.harness import format_table
 
 
@@ -27,9 +26,9 @@ FAILED_RANKS = (5, 6, 7)
 def run_baseline(cls, matrix, failure_iteration, **kwargs):
     problem = repro.distribute_problem(matrix, n_nodes=N_NODES)
     precond = problem.resolve_preconditioner("block_jacobi")
-    injector = FailureInjector([FailureEvent(failure_iteration, FAILED_RANKS)])
     solver = cls(problem.matrix, problem.rhs, precond,
-                 failure_injector=injector, context=problem.context, **kwargs)
+                 failures=[(failure_iteration, FAILED_RANKS)],
+                 context=problem.context, **kwargs)
     return solver.solve()
 
 

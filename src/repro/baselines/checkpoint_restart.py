@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..cluster.cost_model import Phase
-from ..cluster.failure import FailureInjector
 from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
-from .recovery_base import FailureHandlingMixin
+from .recovery_base import BaselineRecoveryMixin
 
 logger = get_logger("baselines.checkpoint")
 
@@ -52,8 +51,15 @@ class CheckpointConfig:
             raise ValueError(f"checkpoint interval must be >= 1, got {self.interval}")
 
 
-class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
-    """Distributed PCG protected by periodic in-memory/remote checkpoints."""
+class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
+    """Distributed PCG protected by periodic in-memory/remote checkpoints.
+
+    *failures* is the failure schedule, in the ``ResilienceSpec.failures``
+    form; each failure rolls the solver back to its last checkpoint, one
+    :class:`~repro.core.reconstruction.RecoveryReport` per episode in
+    ``result.recoveries``.  ``info["iterations_lost"]`` counts the
+    iterations the rollbacks discarded.
+    """
 
     vector_prefix = "cr_pcg"
 
@@ -61,17 +67,16 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
                  rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  config: Optional[CheckpointConfig] = None,
-                 failure_injector: Optional[FailureInjector] = None,
+                 failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
         self.config = config if config is not None else CheckpointConfig()
-        self._init_failure_handling(failure_injector)
+        self._init_failure_handling(failures)
         self._checkpoint: Optional[Dict[str, object]] = None
         self.checkpoints_taken = 0
-        self.rollbacks = 0
         self.iterations_lost = 0
 
     # -- checkpointing ------------------------------------------------------------
@@ -97,7 +102,7 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
             4 * self.partition.n * self.n_cols,
         )
 
-    def _restore_checkpoint(self) -> None:
+    def _restore_state(self, failed: List[int], iteration: int) -> None:
         """Roll the full solver state back to the last checkpoint."""
         if self._checkpoint is None:
             raise RuntimeError("no checkpoint available to restore")
@@ -105,7 +110,6 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
                                               charge=True)
         lost = self.global_iterations - int(state["global_iterations"])
         self.iterations_lost += max(lost, 0)
-        self.rollbacks += 1
         for name in ("x", "r", "z", "p"):
             values = np.asarray(state[name])
             vec = getattr(self, name)
@@ -114,6 +118,8 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
                 vec.restore_block(rank, values[start:stop])
         for name in _CHECKPOINTED:
             setattr(self, name, copy.deepcopy(state[name]))
+        logger.info("rolled back to iteration %d after failure of %s",
+                    self.global_iterations, failed)
 
     # -- hooks -----------------------------------------------------------------------
     def _on_setup(self) -> None:
@@ -126,22 +132,11 @@ class CheckpointRestartPCG(FailureHandlingMixin, BlockPCG):
         if iteration % self.config.interval == 0:
             self._take_checkpoint()
 
-    def _handle_failures(self, iteration: int) -> bool:
-        failed = self._trigger_due_failures(iteration)
-        if not failed:
-            return super()._handle_failures(iteration)
-        self._install_replacements(failed)
-        self._restore_checkpoint()
-        logger.info("rolled back to iteration %d after failure of %s",
-                    self.global_iterations, failed)
-        return True
-
     # -- result ------------------------------------------------------------------------
     def solve(self, x0=None):
         result = super().solve(x0)
         result.info["strategy"] = "checkpoint_restart"
         result.info["checkpoint_interval"] = self.config.interval
         result.info["checkpoints_taken"] = self.checkpoints_taken
-        result.info["rollbacks"] = self.rollbacks
         result.info["iterations_lost"] = self.iterations_lost
         return result

@@ -21,13 +21,12 @@ the ESR papers quantify.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..cluster.cost_model import Phase
-from ..cluster.failure import FailureInjector
 from ..core.block_pcg import BlockPCG
 from ..core.reconstruction import charge_reverse_scatter
 from ..distributed.comm_context import CommunicationContext
@@ -35,10 +34,7 @@ from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
 from ..solvers.local_solver import LocalSubsystemSolver
-from ..utils.logging import get_logger
-from .recovery_base import FailureHandlingMixin
-
-logger = get_logger("baselines.interpolation")
+from .recovery_base import BaselineRecoveryMixin
 
 #: Supported interpolation variants.
 INTERPOLATION_METHODS = ("li", "lsi")
@@ -85,8 +81,15 @@ def least_squares_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
     return solver.solve(normal_matrix, normal_rhs)
 
 
-class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
-    """PCG with interpolation/restart recovery (LI or LSI)."""
+class InterpolationRecoveryPCG(BaselineRecoveryMixin, BlockPCG):
+    """PCG with interpolation/restart recovery (LI or LSI).
+
+    *failures* is the failure schedule, in the ``ResilienceSpec.failures``
+    form; each failure interpolates the lost iterate entries and restarts
+    the Krylov process, one
+    :class:`~repro.core.reconstruction.RecoveryReport` per episode in
+    ``result.recoveries``.
+    """
 
     vector_prefix = "interp_pcg"
 
@@ -94,7 +97,7 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
                  rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
                  method: str = "li",
-                 failure_injector: Optional[FailureInjector] = None,
+                 failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None):
@@ -105,20 +108,11 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
         self.method = method
-        self._init_failure_handling(failure_injector)
-        self.recoveries = 0
+        self._init_failure_handling(failures)
 
     # -- recovery -------------------------------------------------------------------
-    def _handle_failures(self, iteration: int) -> bool:
-        failed = self._trigger_due_failures(iteration)
-        if not failed:
-            return super()._handle_failures(iteration)
-        self._install_replacements(failed)
-        self._interpolate_and_restart(failed)
-        self.recoveries += 1
-        return True
-
-    def _interpolate_and_restart(self, failed_ranks: List[int]) -> None:
+    def _restore_state(self, failed_ranks: List[int], iteration: int) -> None:
+        """Interpolate the lost iterate entries and restart from them."""
         ledger = self.cluster.ledger
         partition = self.partition
         failed_indices = partition.indices_of_set(failed_ranks)
@@ -165,5 +159,4 @@ class InterpolationRecoveryPCG(FailureHandlingMixin, BlockPCG):
     def solve(self, x0=None):
         result = super().solve(x0)
         result.info["strategy"] = f"interpolation_restart_{self.method}"
-        result.info["recoveries"] = self.recoveries
         return result

@@ -1,85 +1,55 @@
-"""Shared machinery for the baseline recovery strategies.
+"""The recovery the baseline strategies share.
 
-Every baseline (checkpoint/restart, interpolation/restart, full restart) has
-to perform the same bookkeeping when nodes fail: trigger the due events of
-the failure schedule, install replacement nodes through the ULFM runtime, and
-re-retrieve the *static* data (matrix row blocks, right-hand-side blocks) from
-reliable storage -- only the treatment of the *dynamic* solver state differs
-between strategies.  :class:`FailureHandlingMixin` factors out the common
-part so the baselines stay small and directly comparable to the ESR solver.
-The baselines run the one PCG core (:class:`~repro.core.block_pcg.BlockPCG`:
-a 1-D right-hand side is its ``k = 1`` case) and only override its hooks.
+Every baseline (checkpoint/restart, interpolation/restart, full restart)
+handles failures on the one failure path of the library,
+:class:`~repro.core.reconstruction.FailureHandlingMixin`, like the ESR
+solver: it takes a ``failures`` schedule in the ``ResilienceSpec.failures``
+form, fires the due events, and reports each episode as a
+:class:`~repro.core.reconstruction.RecoveryReport` in ``result.recoveries``.
+:class:`BaselineRecoveryMixin` is the episode's recovery for a strategy
+without redundant dynamic data: fold the overlapping failures into the
+failed set, install replacement nodes, and re-retrieve the *static* data
+(matrix row blocks, right-hand-side blocks) from reliable storage.  Only the
+treatment of the *dynamic* solver state differs between strategies: each
+implements ``_restore_state(failed, iteration)``.  The baselines run the one
+PCG core (:class:`~repro.core.block_pcg.BlockPCG`: a 1-D right-hand side is
+its ``k = 1`` case) and only override its hooks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..cluster.failure import FailureInjector
-from ..core.reconstruction import restore_rhs, store_rhs
-from ..utils.logging import get_logger
-
-logger = get_logger("baselines")
+from ..core.reconstruction import (FailureHandlingMixin, RecoveryReport,
+                                   restore_rhs)
 
 
-class FailureHandlingMixin:
-    """Mixin for :class:`~repro.core.block_pcg.BlockPCG` subclasses.
+class BaselineRecoveryMixin(FailureHandlingMixin):
+    """Recovery episodes of a :class:`~repro.core.block_pcg.BlockPCG`
+    baseline; the subclass implements ``_restore_state(failed, iteration)``,
+    which rebuilds the lost dynamic state."""
 
-    Expects the host class to provide the solver substrate (``cluster``,
-    ``matrix``, ``rhs``, ``partition``, ``n_cols`` and the work blocks); the
-    subclass constructor sets ``failure_injector`` through
-    :meth:`_init_failure_handling`.
-    """
-
-    failure_injector: Optional[FailureInjector]
-
-    def _init_failure_handling(self,
-                               failure_injector: Optional[FailureInjector]
-                               ) -> None:
-        if failure_injector is not None:
-            failure_injector.check_ranks(self.partition.n_parts)
-        self.failure_injector = failure_injector
-        # The right-hand side is static data: deposit it in reliable storage.
-        store_rhs(self.cluster, self.rhs)
-
-    # -- event handling ---------------------------------------------------------
-    def _trigger_due_failures(self, iteration: int) -> List[int]:
-        """Fire all failure events due at *iteration*; return the failed ranks.
+    def _recover(self, failed: List[int], iteration: int) -> RecoveryReport:
+        """Recover from the failure of *failed* at *iteration*.
 
         Overlapping events (``during_recovery_of``) are folded into the same
         failure set: the baseline strategies have no notion of a restartable
         reconstruction, so an overlapping failure simply behaves like an
         additional simultaneous failure.
         """
-        if self.failure_injector is None:
-            return []
-        failed: List[int] = []
-        for overlapping in (False, True):
-            due = self.failure_injector.events_due(iteration, overlapping=overlapping)
-            if overlapping and not failed:
-                # Overlap events only make sense if a primary event fired.
-                continue
-            for idx, event in due:
-                self.failure_injector.trigger(idx, self.cluster.nodes)
-                failed.extend(event.ranks)
-        if failed:
-            newly = self.cluster.ulfm.detect_failures()
-            failed = sorted(set(failed) | set(newly))
-            logger.info("iteration %d: failure of ranks %s", iteration, failed)
-        return failed
-
-    # -- static data restoration -----------------------------------------------------
-    def _install_replacements(self, failed_ranks: List[int]) -> None:
-        """Provide replacement nodes and restore the static data they own."""
-        still_failed = [r for r in failed_ranks if self.cluster.node(r).is_failed]
+        failed = sorted(set(failed) | set(
+            self._fire_due_failures(iteration, overlapping=True)))
+        still_failed = [r for r in failed if self.cluster.node(r).is_failed]
         if still_failed:
             self.cluster.replace_nodes(still_failed)
-        for rank in failed_ranks:
+        for rank in failed:
             self.matrix.restore_block_to_node(rank, charge=True)
             restore_rhs(self.cluster, self.rhs, rank)
-        self._reinitialize_lost_blocks(failed_ranks)
+        self._reinitialize_lost_blocks(failed)
+        self._restore_state(failed, iteration)
+        return RecoveryReport(iteration=iteration, failed_ranks=failed)
 
     def _reinitialize_lost_blocks(self, failed_ranks: List[int]) -> None:
         """Create zero blocks of the dynamic work vectors on replacement nodes.

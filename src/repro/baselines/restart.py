@@ -9,57 +9,62 @@ against.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, List, Optional
 
-from ..cluster.failure import FailureInjector
 from ..core.block_pcg import BlockPCG
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
-from .recovery_base import FailureHandlingMixin
+from .recovery_base import BaselineRecoveryMixin
 
 logger = get_logger("baselines.restart")
 
 
-class FullRestartPCG(FailureHandlingMixin, BlockPCG):
-    """PCG that restarts from scratch whenever nodes fail."""
+class FullRestartPCG(BaselineRecoveryMixin, BlockPCG):
+    """PCG that restarts from scratch whenever nodes fail.
+
+    *failures* is the failure schedule, in the ``ResilienceSpec.failures``
+    form; each failure restarts the solve, one
+    :class:`~repro.core.reconstruction.RecoveryReport` per episode in
+    ``result.recoveries``.  ``info["iterations_lost"]`` counts the
+    iterations the restarts discarded.
+    """
 
     vector_prefix = "restart_pcg"
 
     def __init__(self, matrix: DistributedMatrix,
                  rhs: DistributedMultiVector,
                  preconditioner: Optional[Preconditioner] = None, *,
-                 failure_injector: Optional[FailureInjector] = None,
+                 failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
                  context: Optional[CommunicationContext] = None):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations, context=context)
-        self._init_failure_handling(failure_injector)
-        self.restarts = 0
+        self._init_failure_handling(failures)
         self.iterations_lost = 0
+        #: Iteration of the last restart (0: the initial start).
+        self._restarted_at = 0
 
-    def _handle_failures(self, iteration: int) -> bool:
-        failed = self._trigger_due_failures(iteration)
-        if not failed:
-            return super()._handle_failures(iteration)
-        self._install_replacements(failed)
-        # Back to the initial guess (zero iterate).  The iteration counter
-        # keeps running: a restart does not make the time already spent
-        # disappear, it only discards its effect.
+    def _restore_state(self, failed: List[int], iteration: int) -> None:
+        """Back to the initial guess (zero iterate).
+
+        The iteration counter keeps running: a restart does not make the
+        time already spent disappear, it only discards the iterations since
+        the last restart.
+        """
         self.x.fill(0.0)
         self._restart_krylov()
+        lost = iteration - self._restarted_at
+        self.iterations_lost += lost
+        self._restarted_at = iteration
         logger.info("restarting from scratch after failure of %s "
-                    "(%d iterations lost)", failed, iteration)
-        self.iterations_lost += iteration
-        self.restarts += 1
-        return True
+                    "(%d iterations lost)", failed, lost)
 
     def solve(self, x0=None):
         result = super().solve(x0)
         result.info["strategy"] = "full_restart"
-        result.info["restarts"] = self.restarts
         result.info["iterations_lost"] = self.iterations_lost
         return result

@@ -4,8 +4,9 @@ Two pieces live here:
 
 * :class:`FailureInjector` -- turns a declarative schedule of
   :class:`FailureEvent` objects ("at iteration 120, ranks {4, 5, 6} fail")
-  into actual node failures on the virtual cluster, at the right point of the
-  solver's progress.  Overlapping failures (a second event that strikes while
+  into actual node failures on the virtual cluster; every recovering solver
+  builds one from its ``failures`` schedule and fires it at the right point
+  of its progress.  Overlapping failures (a second event that strikes while
   reconstruction of a first one is still running, Sec. 4.1) are expressed by
   events carrying ``during_recovery_of`` references.
 * :class:`UlfmRuntime` -- models the fault-tolerance features the paper
@@ -155,8 +156,13 @@ class FailureInjector:
         return len(self._triggered) == len(self._events)
 
     def max_simultaneous_failures(self) -> int:
-        """Largest number of ranks failing in one event (lower bound for phi)."""
-        return max((e.n_failures for e in self._events), default=0)
+        """Largest number of distinct ranks failing at one iteration (lower
+        bound for phi): every event due at an iteration, overlapping ones
+        included, fails before the same recovery ends."""
+        ranks: Dict[int, Set[int]] = {}
+        for event in self._events:
+            ranks.setdefault(event.iteration, set()).update(event.ranks)
+        return max(map(len, ranks.values()), default=0)
 
 
 class UlfmRuntime:

@@ -72,6 +72,7 @@ import numpy as np
 from .. import sanitizer as _sanitizer
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
+from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import (
@@ -328,6 +329,10 @@ class BlockPCG:
         #: residual norm.
         self.nonfinite: Optional[np.ndarray] = None
         self.residual_histories: List[List[float]] = []
+        #: The failure schedule and its recovery episodes (filled by
+        #: :class:`~repro.core.reconstruction.FailureHandlingMixin`).
+        self.failure_injector: Optional[FailureInjector] = None
+        self.recovery_reports: List[object] = []
 
     # -- hooks overridden by the resilient variant and the baselines -------
     def _on_setup(self) -> None:
@@ -606,10 +611,10 @@ class BlockPCG:
         a_global = self.matrix.to_global()
         true_residuals = np.linalg.norm(b_global - a_global @ x_global, axis=0)
         converged = ~(self.active | self.breakdown | self.nonfinite)
-        # Scheduled failures of a failure-handling subclass that never
-        # struck (the solve stopped first, or an overlap had nothing to
-        # overlap), in the ``ResilienceSpec.to_dict`` event form.
-        injector = getattr(self, "failure_injector", None)
+        # Scheduled failures that never struck (the solve stopped first, or
+        # an overlap had nothing to overlap), in the
+        # ``ResilienceSpec.to_dict`` event form.
+        injector = self.failure_injector
         unfired = injector.pending_events() if injector is not None else []
 
         # Only phases actually charged during THIS solve: a second solve on
@@ -651,5 +656,5 @@ class BlockPCG:
             simulated_recovery_time=ledger.since(start_snapshot,
                                                  Phase.RECOVERY_PHASES),
             time_breakdown=breakdown_phases,
-            recoveries=list(getattr(self, "recovery_reports", [])),
+            recoveries=list(self.recovery_reports),
         )

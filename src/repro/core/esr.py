@@ -394,28 +394,9 @@ class ESRProtocol:
         )
 
     def holders_with_copies(self, owner: int, iteration: int) -> List[int]:
-        """Surviving ranks holding state that helps recover *owner*'s block.
-
-        For pattern (copies) schemes these are the holders with snapshots of
-        the owner's elements; for parity schemes, the stripe members with a
-        valid generation snapshot plus the holders with a valid parity row
-        of the owner's stripe.
-        """
+        """Surviving holders with copies of *owner*'s elements (copies
+        schemes; a parity scheme recovers from its stripe instead)."""
         slot = self._slot_for(iteration)
-        if self._parity is not None:
-            scheme = self._parity
-            gidx = scheme.group_of(owner)
-            ranks = set()
-            for rank in scheme.group_members(gidx):
-                if self._parity_snapshot(rank, slot, iteration) is not None:
-                    ranks.add(rank)
-            for j, holder in enumerate(scheme.group_holders(gidx)):
-                node = self.cluster.node(holder)
-                key = (_ESR_PARITY_KEY, slot, gidx, j)
-                if node.is_alive and key in node.memory and \
-                        node.memory[key][0] == iteration:
-                    ranks.add(holder)
-            return sorted(ranks)
         holders = []
         for (own, holder) in self._pattern_local:
             if own != owner:
@@ -428,9 +409,11 @@ class ESRProtocol:
         return sorted(holders)
 
     # -- recovery -----------------------------------------------------------------------
-    def recover_block(self, owner: int, iteration: int, *, charge: bool = True,
-                      destination: Optional[int] = None) -> np.ndarray:
+    def recover_block(self, owner: int, iteration: int) -> np.ndarray:
         """Re-assemble ``p^(iteration)_{I_owner}`` from surviving copies.
+
+        The reverse communication -- to *owner*'s replacement node -- is
+        charged to the recovery phase.
 
         Parameters
         ----------
@@ -439,11 +422,6 @@ class ESRProtocol:
         iteration:
             Which retained generation to recover (must be one of
             :meth:`available_generations`).
-        charge:
-            Charge the reverse communication to the recovery phase.
-        destination:
-            Rank of the replacement node the copies are sent to (defaults to
-            *owner*, i.e. the replacement occupying the failed slot).
 
         Raises
         ------
@@ -458,10 +436,8 @@ class ESRProtocol:
                 f"no retained copies of iteration {iteration} "
                 f"(slot holds iteration {stored})"
             )
-        destination = owner if destination is None else destination
         if self._parity is not None:
-            return self._recover_parity_block(owner, iteration, slot,
-                                              charge, destination)
+            return self._recover_parity_block(owner, iteration, slot)
         size = self.partition.size_of(owner)
         block = np.full((size, self.n_cols), np.nan)
         covered = np.zeros(size, dtype=bool)
@@ -478,12 +454,10 @@ class ESRProtocol:
                 continue
             block[local_idx[newly]] = values[newly]
             covered[local_idx[newly]] = True
-            if charge:
-                # One message per holder, all k columns of the covered rows
-                # in it (rows * k elements).
-                self._charge_recovery_message(
-                    holder, destination,
-                    int(np.count_nonzero(newly)) * self.n_cols)
+            # One message per holder, all k columns of the covered rows in
+            # it (rows * k elements).
+            self._charge_recovery_message(
+                holder, owner, int(np.count_nonzero(newly)) * self.n_cols)
             if np.all(covered):
                 break
 
@@ -519,14 +493,14 @@ class ESRProtocol:
                         ledger.model.message_time(latency, n_elements))
         ledger.add_traffic(Phase.RECOVERY_COMM, 1, n_elements)
 
-    def _recover_parity_block(self, owner: int, iteration: int, slot: int,
-                              charge: bool, destination: int) -> np.ndarray:
+    def _recover_parity_block(self, owner: int, iteration: int,
+                              slot: int) -> np.ndarray:
         """Parity-scheme recovery: solve the stripe's parity system.
 
-        CR-SIM's ``repair`` cost model: the destination downloads the ``g``
-        stripe units -- the surviving member snapshots plus as many parity
-        rows as members are missing -- decodes the missing blocks, and
-        heals the stripe (writes the decoded snapshots back onto the
+        CR-SIM's ``repair`` cost model: *owner*'s replacement node downloads
+        the ``g`` stripe units -- the surviving member snapshots plus as many
+        parity rows as members are missing -- decodes the missing blocks,
+        and heals the stripe (writes the decoded snapshots back onto the
         replaced members and re-encodes lost parity rows), so co-failed
         members recover node-locally and the next failure sees a fully
         redundant stripe again.
@@ -565,23 +539,20 @@ class ESRProtocol:
         decoded = scheme.decode(gidx, have,
                                 {j: rows[j][1] for j in use},
                                 n_cols=self.n_cols)
-        if charge:
-            # Download the g stripe units to the destination.
-            for rank in sorted(have):
-                self._charge_recovery_message(
-                    rank, destination,
-                    self.partition.size_of(rank) * row_width)
-            padded = scheme.padded_rows(gidx) * row_width
-            for j in use:
-                self._charge_recovery_message(rows[j][0], destination, padded)
-        self._heal_parity_group(gidx, slot, iteration, have, decoded,
-                                charge, destination)
+        # Download the g stripe units to the owner's replacement.
+        for rank in sorted(have):
+            self._charge_recovery_message(
+                rank, owner, self.partition.size_of(rank) * row_width)
+        padded = scheme.padded_rows(gidx) * row_width
+        for j in use:
+            self._charge_recovery_message(rows[j][0], owner, padded)
+        self._heal_parity_group(gidx, slot, iteration, have, decoded, owner)
         return np.array(decoded[owner], copy=True)
 
     def _heal_parity_group(self, gidx: int, slot: int, iteration: int,
                            have: Dict[int, np.ndarray],
                            decoded: Dict[int, np.ndarray],
-                           charge: bool, destination: int) -> None:
+                           destination: int) -> None:
         """Write decoded snapshots onto replaced members, restore parity.
 
         Each upload (a member snapshot or a re-encoded parity row) is one
@@ -599,10 +570,8 @@ class ESRProtocol:
                 iteration, np.array(decoded[rank], dtype=np.float64,
                                     copy=True),
             )
-            if charge:
-                self._charge_recovery_message(
-                    destination, rank,
-                    self.partition.size_of(rank) * row_width)
+            self._charge_recovery_message(
+                destination, rank, self.partition.size_of(rank) * row_width)
         blocks = {}
         blocks.update(have)
         blocks.update(decoded)
@@ -617,11 +586,9 @@ class ESRProtocol:
             if key in node.memory and node.memory[key][0] == iteration:
                 continue
             node.memory[key] = (iteration, parity_rows[j])
-            if charge:
-                self._charge_recovery_message(destination, holder, padded)
+            self._charge_recovery_message(destination, holder, padded)
 
-    def recover_replicated_vector(self, name: str, *, charge: bool = True
-                                  ) -> np.ndarray:
+    def recover_replicated_vector(self, name: str) -> np.ndarray:
         """Fetch a replicated ``(k,)`` coefficient vector from any survivor
         (one recovery message of ``k`` elements)."""
         for rank in self.cluster.alive_ranks():
@@ -630,14 +597,13 @@ class ESRProtocol:
                 continue
             payload = memory[_SCALAR_KEY]
             value = np.atleast_1d(np.asarray(payload[name], dtype=np.float64))
-            if charge:
-                ledger = self.cluster.ledger
-                ledger.add_time(
-                    Phase.RECOVERY_COMM,
-                    ledger.model.message_time(
-                        self.cluster.topology.max_latency(), value.size),
-                )
-                ledger.add_traffic(Phase.RECOVERY_COMM, 1, value.size)
+            ledger = self.cluster.ledger
+            ledger.add_time(
+                Phase.RECOVERY_COMM,
+                ledger.model.message_time(
+                    self.cluster.topology.max_latency(), value.size),
+            )
+            ledger.add_traffic(Phase.RECOVERY_COMM, 1, value.size)
             return value.copy()
         raise UnrecoverableStateError(
             f"replicated scalar {name!r} is not available on any surviving node"

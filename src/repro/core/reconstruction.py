@@ -34,10 +34,12 @@ bit-identical to a standalone solve.  Column ``j`` of the reconstructed
 state is therefore bit-identical to the ``k = 1`` reconstruction of column
 ``j`` alone.
 
-The right-hand side is static data: :func:`store_rhs` deposits it in
-reliable storage when a solver is set up and :func:`restore_rhs` brings a
-lost block back onto its replacement node -- the one code path the ESR
-reconstruction and the baseline recovery strategies share.
+**One failure path.**  The ESR solver and the baselines of
+:mod:`repro.baselines` handle failures through :class:`FailureHandlingMixin`:
+a ``failures`` schedule in the ``ResilienceSpec.failures`` form, due events
+fired and detected each iteration, one :class:`RecoveryReport` per episode.
+The right-hand side is static data: the mixin deposits it in reliable
+storage (:func:`store_rhs`), :func:`restore_rhs` brings a lost block back.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .. import sanitizer as _sanitizer
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.errors import UnrecoverableStateError
+from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
@@ -60,6 +64,7 @@ from ..precond.base import Preconditioner, PreconditionerForm
 from ..solvers.local_solver import LocalSolveStats, LocalSubsystemSolver
 from ..utils.logging import get_logger
 from .esr import ESRProtocol
+from .spec import build_failure_events
 
 logger = get_logger("core.reconstruction")
 
@@ -112,10 +117,12 @@ def charge_reverse_scatter(cluster: VirtualCluster,
 
 @dataclass
 class RecoveryReport:
-    """Outcome and cost of one recovery episode."""
+    """Outcome and cost of one recovery episode (of any strategy)."""
 
     iteration: int
     failed_ranks: List[int]
+    #: Reconstruction restarts caused by overlapping failures (ESR only:
+    #: the baselines fold an overlapping failure into the failed set).
     restarts: int = 0
     simulated_time: float = 0.0
     wallclock_time: float = 0.0
@@ -144,20 +151,79 @@ class RecoveryReport:
         }
 
 
+class FailureHandlingMixin:
+    """The one failure path of every recovering solver.
+
+    Mixed in before :class:`~repro.core.block_pcg.BlockPCG`, whose
+    ``failure_injector`` and ``recovery_reports`` it fills.  The subclass
+    implements ``_recover(failed, iteration)``: restore the solver state
+    after the failure of the sorted ranks *failed*, return the episode's
+    :class:`RecoveryReport`.
+    """
+
+    def _init_failure_handling(self, failures: Iterable) -> None:
+        """Build the injector of *failures* (normalised like
+        ``ResilienceSpec.failures``), reject a rank outside the cluster
+        before anything runs, and store the right-hand side."""
+        events = build_failure_events(failures)
+        if events:
+            self.failure_injector = FailureInjector(events)
+            self.failure_injector.check_ranks(self.partition.n_parts)
+        store_rhs(self.cluster, self.rhs)
+
+    def _fire_due_failures(self, iteration: int, *,
+                           overlapping: bool = False) -> List[int]:
+        """Fire the events due at *iteration* (with *overlapping*, those
+        striking during a recovery) in schedule order; return the failed
+        ranks ULFM detects, sorted."""
+        injector = self.failure_injector
+        failed: List[int] = []
+        for idx, event in injector.events_due(iteration,
+                                              overlapping=overlapping):
+            injector.trigger(idx, self.cluster.nodes)
+            failed.extend(event.ranks)
+        if not failed:
+            return failed
+        failed = sorted(set(failed) | set(self.cluster.ulfm.detect_failures()))
+        logger.info("iteration %d: %sfailure of ranks %s", iteration,
+                    "overlapping " if overlapping else "", failed)
+        return failed
+
+    def _handle_failures(self, iteration: int) -> bool:
+        """Fire the failures due at *iteration* and recover from them: one
+        episode, timed on both clocks, appended to ``recovery_reports``."""
+        if _sanitizer._ACTIVE is not None:
+            _sanitizer._ACTIVE.on_resilience_hook(self, "handle_failures")
+        if self.failure_injector is None:
+            return super()._handle_failures(iteration)
+        failed = self._fire_due_failures(iteration)
+        if not failed:
+            return super()._handle_failures(iteration)
+        ledger = self.cluster.ledger
+        start_snapshot = ledger.snapshot()
+        wall_start = time.perf_counter()
+        report = self._recover(failed, iteration)
+        report.simulated_time = ledger.since(start_snapshot,
+                                             Phase.RECOVERY_PHASES)
+        report.wallclock_time = time.perf_counter() - wall_start
+        self.recovery_reports.append(report)
+        return True
+
+
 class ESRReconstructor:
     """Implements the (multi-node) ESR reconstruction phase."""
 
-    def __init__(self, cluster: VirtualCluster, matrix: DistributedMatrix,
+    def __init__(self, matrix: DistributedMatrix,
                  rhs: DistributedMultiVector, preconditioner: Preconditioner,
-                 context: CommunicationContext, esr: ESRProtocol, *,
+                 esr: ESRProtocol, *,
                  local_solver_method: str = "pcg_ilu",
                  local_rtol: float = 1e-14,
                  reconstruction_form: Optional[PreconditionerForm] = None):
-        self.cluster = cluster
+        self.cluster: VirtualCluster = esr.cluster
         self.matrix = matrix
         self.rhs = rhs
         self.preconditioner = preconditioner
-        self.context = context
+        self.context: CommunicationContext = esr.context
         self.esr = esr
         self.partition: BlockRowPartition = matrix.partition
         self.local_solver_method = local_solver_method
@@ -172,8 +238,6 @@ class ESRReconstructor:
                 f"right-hand side has n_cols={rhs_cols} but the ESR protocol "
                 f"protects n_cols={self.n_cols} operands"
             )
-        # The right-hand side is static data: deposit it in reliable storage.
-        store_rhs(cluster, rhs)
 
     # -- form selection -------------------------------------------------------------
     def reconstruction_form(self) -> PreconditionerForm:
@@ -196,7 +260,6 @@ class ESRReconstructor:
     def reconstruct(self, failed_ranks: Iterable[int], *, iteration: int,
                     x: DistributedMultiVector, r: DistributedMultiVector,
                     z: DistributedMultiVector, p: DistributedMultiVector,
-                    beta_fallback=0.0,
                     overlap_provider: Optional[Callable[[], List[int]]] = None
                     ) -> RecoveryReport:
         """Recover the solver state after the failure of *failed_ranks*.
@@ -211,27 +274,21 @@ class ESRReconstructor:
         x, r, z, p:
             The solver's ``(n, k)`` state multi-vectors; blocks of the
             failed ranks are rewritten in place on the replacement nodes.
-        beta_fallback:
-            Value of ``beta^(j-1)`` (a ``(k,)`` coefficient vector or a
-            scalar for every column) to use if no replicated copy can be
-            found (only relevant in artificial test setups).
         overlap_provider:
             Callable returning ranks that failed *while this reconstruction
             was running*; when it returns a non-empty list the reconstruction
             is restarted with the enlarged failed set.
-        """
-        ledger = self.cluster.ledger
-        start_snapshot = ledger.snapshot()
-        wall_start = time.perf_counter()
 
+        Raises :class:`UnrecoverableStateError` when a copy it needs (of a
+        search-direction element or of ``beta``) survives on no node.
+        """
         pending = sorted(set(int(f) for f in failed_ranks))
         report = RecoveryReport(iteration=iteration, failed_ranks=list(pending))
         report.reconstruction_form = self.reconstruction_form().value
 
         restarts = 0
         while True:
-            self._reconstruct_once(pending, iteration, x, r, z, p,
-                                    beta_fallback, report)
+            self._reconstruct_once(pending, iteration, x, r, z, p, report)
             new_failures = list(overlap_provider()) if overlap_provider else []
             if not new_failures:
                 break
@@ -246,20 +303,16 @@ class ESRReconstructor:
                 f"overlapping failure of ranks {sorted(new_failures)}; "
                 f"reconstruction restarted with failed set {pending}"
             )
-            logger.info("overlapping failure during recovery: restarting with %s",
-                        pending)
 
         report.failed_ranks = list(pending)
         report.restarts = restarts
-        report.simulated_time = ledger.since(start_snapshot, Phase.RECOVERY_PHASES)
-        report.wallclock_time = time.perf_counter() - wall_start
         return report
 
     # -- single reconstruction pass -----------------------------------------------------------
     def _reconstruct_once(self, failed_ranks: Sequence[int], iteration: int,
                           x: DistributedMultiVector, r: DistributedMultiVector,
                           z: DistributedMultiVector, p: DistributedMultiVector,
-                          beta_fallback, report: RecoveryReport) -> None:
+                          report: RecoveryReport) -> None:
         cluster = self.cluster
         ledger = cluster.ledger
         partition = self.partition
@@ -282,13 +335,7 @@ class ESRReconstructor:
         # Step 2/3: the replicated per-column ``(k,)`` coefficient vector and
         # the two most recent ``(n_i, k)`` search-direction generations; the
         # recurrence below broadcasts per column.
-        try:
-            beta_prev = self.esr.recover_replicated_vector("beta")
-        except UnrecoverableStateError:
-            beta_prev = np.broadcast_to(
-                np.asarray(beta_fallback, dtype=np.float64), (self.n_cols,)
-            ).astype(np.float64)
-            report.notes.append("beta recovered from driver fallback")
+        beta_prev = self.esr.recover_replicated_vector("beta")
 
         p_cur_blocks: Dict[int, np.ndarray] = {}
         p_prev_blocks: Dict[int, np.ndarray] = {}

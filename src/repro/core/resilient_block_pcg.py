@@ -8,10 +8,11 @@ block) with
   of each row block of the two most recent search directions are kept on the
   backup nodes selected by Eqn. (5), shipping only the minimal extra sets of
   Eqn. (6);
-* failure handling -- when the failure injector strikes (possibly several
-  nodes simultaneously, possibly again during a running recovery), the ULFM
-  runtime provides replacement nodes and the ESR reconstruction restores the
-  exact solver state before iterating on.
+* failure handling -- when the ``failures`` schedule strikes (possibly
+  several nodes simultaneously, possibly again during a running recovery),
+  the ULFM runtime provides replacement nodes and the ESR reconstruction
+  restores the exact solver state before iterating on (the one failure path
+  of :class:`~repro.core.reconstruction.FailureHandlingMixin`).
 
 A failure-free run (with ``phi >= 1``) measures the "relative overhead
 undisturbed" column of Table 2; runs with injected failures measure the
@@ -57,7 +58,6 @@ from typing import List, Optional
 
 from .. import sanitizer as _sanitizer
 from ..cluster.errors import UnrecoverableStateError
-from ..cluster.failure import FailureInjector
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
@@ -65,31 +65,30 @@ from ..precond.base import Preconditioner
 from ..utils.logging import get_logger
 from .block_pcg import BlockPCG
 from .esr import ESRProtocol
-from .reconstruction import ESRReconstructor, RecoveryReport
+from .reconstruction import (ESRReconstructor, FailureHandlingMixin,
+                             RecoveryReport)
 from .redundancy import build_redundancy_scheme
 from .spec import ResilienceSpec
 
 logger = get_logger("core.resilient_block_pcg")
 
 
-class EsrResilienceMixin:
+class EsrResilienceMixin(FailureHandlingMixin):
     """ESR-resilience plumbing of the resilient solver.
 
     Expects the host class to provide the solver substrate (``cluster``,
     ``partition``, ``context``, ``matrix``, ``rhs``, ``n_cols``,
     ``preconditioner``, and the live state operands ``x``/``r``/``z``/``p``
     plus ``beta_prev``); adds the redundancy scheme, the ESR protocol, the
-    reconstructor, and the failure handling the solver hooks call.
+    reconstructor, and the ESR reconstruction as the episode's ``_recover``.
     """
 
     def _init_resilience(self, resilience: ResilienceSpec) -> None:
-        """Build the redundancy scheme, the ESR protocol, the reconstructor
-        and the failure injector that *resilience* describes."""
-        failure_injector = (FailureInjector(list(resilience.failures))
-                            if resilience.failures else None)
-        if failure_injector is not None:
-            failure_injector.check_ranks(self.partition.n_parts)
-            worst = failure_injector.max_simultaneous_failures()
+        """Build the failure injector, the redundancy scheme, the ESR
+        protocol and the reconstructor that *resilience* describes."""
+        self._init_failure_handling(resilience.failures)
+        if self.failure_injector is not None:
+            worst = self.failure_injector.max_simultaneous_failures()
             if worst > resilience.phi:
                 logger.warning(
                     "failure schedule contains %d simultaneous failures but "
@@ -103,14 +102,11 @@ class EsrResilienceMixin:
             options=resilience.scheme_options)
         self.esr = ESRProtocol(self.cluster, self.scheme, n_cols=self.n_cols)
         self.reconstructor = ESRReconstructor(
-            self.cluster, self.matrix, self.rhs, self.preconditioner,
-            self.context, self.esr,
+            self.matrix, self.rhs, self.preconditioner, self.esr,
             local_solver_method=resilience.local_solver_method,
             local_rtol=resilience.local_rtol,
             reconstruction_form=resilience.reconstruction_form,
         )
-        self.failure_injector = failure_injector
-        self.recovery_reports: List[RecoveryReport] = []
 
     # -- hooks ------------------------------------------------------------------
     def _after_spmv(self, iteration: int) -> None:
@@ -121,57 +117,21 @@ class EsrResilienceMixin:
         self.esr.after_spmv(self.p, iteration)
         self.esr.store_replicated_scalars(iteration, beta=self.beta_prev)
 
-    def _handle_failures(self, iteration: int) -> bool:
-        """Trigger due failure events and run the ESR reconstruction."""
-        if _sanitizer._ACTIVE is not None:
-            _sanitizer._ACTIVE.on_resilience_hook(self, "handle_failures")
-        if self.failure_injector is None:
-            return super()._handle_failures(iteration)
-        due = self.failure_injector.events_due(iteration, overlapping=False)
-        if not due:
-            return super()._handle_failures(iteration)
-        failed_ranks: List[int] = []
-        for idx, event in due:
-            self.failure_injector.trigger(idx, self.cluster.nodes)
-            failed_ranks.extend(event.ranks)
-            logger.info("iteration %d: node failure of ranks %s%s",
-                        iteration, list(event.ranks),
-                        f" ({event.label})" if event.label else "")
-        newly_detected = self.cluster.ulfm.detect_failures()
-        failed_ranks = sorted(set(failed_ranks) | set(newly_detected))
-
+    def _recover(self, failed: List[int], iteration: int) -> RecoveryReport:
+        """Run the ESR reconstruction; failures that strike while it runs
+        restart it with the enlarged failed set."""
         try:
-            report = self.reconstructor.reconstruct(
-                failed_ranks,
-                iteration=iteration,
+            return self.reconstructor.reconstruct(
+                failed, iteration=iteration,
                 x=self.x, r=self.r, z=self.z, p=self.p,
-                beta_fallback=self.beta_prev,
-                overlap_provider=self._make_overlap_provider(iteration),
+                overlap_provider=lambda: self._fire_due_failures(
+                    iteration, overlapping=True),
             )
         except UnrecoverableStateError as exc:
             # Tag the loss point so campaign-style consumers can report a
             # time-to-unrecoverable-loss distribution from the typed error.
             exc.iteration = iteration
             raise
-        self.recovery_reports.append(report)
-        return True
-
-    def _make_overlap_provider(self, iteration: int):
-        """Closure handing overlapping-failure events to the reconstructor."""
-
-        def provider() -> List[int]:
-            if self.failure_injector is None:
-                return []
-            due = self.failure_injector.events_due(iteration, overlapping=True)
-            ranks: List[int] = []
-            for idx, event in due:
-                self.failure_injector.trigger(idx, self.cluster.nodes)
-                ranks.extend(event.ranks)
-            if ranks:
-                self.cluster.ulfm.detect_failures()
-            return sorted(set(ranks))
-
-        return provider
 
     # -- result assembly ------------------------------------------------------------
     def solve(self, x0=None):
@@ -203,7 +163,8 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         local solver (see :class:`~repro.core.spec.ResilienceSpec`).
         ``None`` means ``ResilienceSpec()``, the paper's settings.  The spec
         stays readable as :attr:`resilience`, the injector built from its
-        failure schedule as :attr:`failure_injector`.
+        failure schedule as :attr:`failure_injector`; each recovery episode
+        is a :class:`RecoveryReport` in ``result.recoveries``.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
     ``context``/``overlap_spmv``/``fuse_reductions``) are those of

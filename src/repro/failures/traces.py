@@ -20,11 +20,11 @@ inputs CR-SIM style: an event-driven simulation with
 
 All randomness flows through :mod:`repro.utils.rng` from a single integer
 seed: the same ``(spec, seed)`` pair reproduces the trace bit-for-bit.  A
-generated :class:`FailureTrace` resolves into the existing
-:class:`~repro.cluster.failure.FailureEvent` schedule format
-(:meth:`FailureTrace.to_failure_events`), so every solver path -- resilient
-PCG, resilient block PCG, and the baselines -- consumes traces unmodified
-through :class:`~repro.cluster.failure.FailureInjector`.
+generated :class:`FailureTrace` resolves into a ``failures`` schedule of
+:class:`~repro.cluster.failure.FailureEvent` objects
+(:meth:`FailureTrace.to_failure_events`), the form every recovering solver
+-- resilient PCG, resilient block PCG, and the baselines -- takes unmodified
+(``ResilienceSpec.failures``, or the baselines' ``failures`` argument).
 
 Time is measured in solver iterations: an event at continuous time ``t``
 strikes before iteration ``int(t)`` (clamped to ``[1, horizon]``).

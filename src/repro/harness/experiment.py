@@ -27,9 +27,8 @@ import scipy.sparse as sp
 
 from ..cluster.cost_model import MachineModel
 from ..core.api import distribute_problem, solve
-from ..core.block_pcg import BlockSolveResult
+from ..core.block_pcg import BlockSolveResult, DistributedSolveResult
 from ..core.metrics import relative_residual_difference, residual_difference_of
-from ..core.pcg import DistributedSolveResult
 from ..core.redundancy import BackupPlacement
 from ..core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from ..failures.scenarios import (

@@ -23,7 +23,7 @@ ALLOWLISTS: Dict[str, Tuple[str, ...]] = {
     # R002 -- wallclock may only be read where *host* time is the measured
     # quantity, never where it could leak into simulated charges:
     #   - harness/experiment.py reports wallclock next to simulated time;
-    #   - core/reconstruction.py times the driver-side recovery solve;
+    #   - core/reconstruction.py times each recovery episode;
     #   - service/service.py drives the batching windows and the per-request
     #     latency accounting off host-monotonic time (queue wait / batch
     #     wait / solve seconds are host quantities by definition; simulated
@@ -64,8 +64,8 @@ ALLOWLISTS: Dict[str, Tuple[str, ...]] = {
     #   - utils/rng.py owns the documented unseeded escape hatch;
     #   - harness/experiment.py measures host wallclock by design (its
     #     values feed host-timing reports, never simulated charges);
-    #   - core/reconstruction.py times the driver-side recovery solve and
-    #     stores the measurement in RecoveryReport's wallclock field;
+    #   - core/reconstruction.py times each recovery episode and stores
+    #     the measurement in RecoveryReport's wallclock field;
     #   - service/service.py is the R002-exempted wallclock reader of the
     #     serving layer: its monotonic instants flow only into the
     #     latency fields of RequestResult/ServiceStats (excluded from the

@@ -11,7 +11,7 @@ from repro.baselines import (
     least_squares_interpolation,
     local_interpolation,
 )
-from repro.cluster import FailureEvent, FailureInjector, MachineModel, Phase
+from repro.cluster import MachineModel, Phase
 from repro.core.api import distribute_problem, solve
 from repro.distributed import DistributedMultiVector, DistributedVector
 from repro.matrices import poisson_2d
@@ -31,10 +31,8 @@ def fresh(matrix, n_nodes=6):
 def build(cls, problem, failures=(), rhs=None, **kwargs):
     precond = make_preconditioner("block_jacobi")
     precond.setup(problem.matrix.to_global(), problem.partition)
-    injector = FailureInjector([FailureEvent(it, tuple(rk)) for it, rk in failures]) \
-        if failures else None
     return cls(problem.matrix, problem.rhs if rhs is None else rhs, precond,
-               failure_injector=injector, context=problem.context, **kwargs)
+               failures=failures, context=problem.context, **kwargs)
 
 
 class TestCheckpointRestart:
@@ -55,7 +53,7 @@ class TestCheckpointRestart:
                        config=CheckpointConfig(interval=10))
         result = solver.solve()
         assert result.converged
-        assert result.info["rollbacks"] == 1
+        assert len(result.recoveries) == 1
         # rolled back from iteration 15 to the checkpoint at 10 -> 5 lost
         assert result.info["iterations_lost"] == 5
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
@@ -92,7 +90,7 @@ class TestInterpolationRecovery:
                        failures=[(12, [2, 3])])
         result = solver.solve()
         assert result.converged
-        assert result.info["recoveries"] == 1
+        assert len(result.recoveries) == 1
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
 
     def test_needs_more_iterations_than_esr(self, matrix):
@@ -136,9 +134,22 @@ class TestFullRestart:
         solver = build(FullRestartPCG, problem, failures=[(15, [0, 1])])
         result = solver.solve()
         assert result.converged
-        assert result.info["restarts"] == 1
+        assert len(result.recoveries) == 1
         assert result.info["iterations_lost"] == 15
         assert np.allclose(result.x, np.ones(problem.n), atol=1e-6)
+
+    def test_iterations_lost_count_each_restart_once(self, matrix):
+        """Each restart discards the iterations since the previous one, so
+        the lost iterations are those beyond the failure-free solve."""
+        reference = solve(fresh(matrix), solver="pcg",
+                          preconditioner="block_jacobi")
+        result = build(FullRestartPCG, fresh(matrix),
+                       failures=[(15, [0, 1]), (30, [2])]).solve()
+        assert result.converged
+        assert len(result.recoveries) == 2
+        assert result.info["iterations_lost"] == 15 + 15
+        assert result.info["iterations_lost"] == \
+            result.iterations - reference.iterations
 
     def test_most_expensive_strategy(self, matrix):
         problem = fresh(matrix)

@@ -94,6 +94,19 @@ class TestFailureInjector:
         ])
         assert injector.max_simultaneous_failures() == 3
 
+    def test_max_simultaneous_counts_all_events_of_one_iteration(self):
+        split = FailureInjector([FailureEvent(5, (1, 2)),
+                                 FailureEvent(5, (3, 4))])
+        assert split.max_simultaneous_failures() == 4
+        # Overlapping events fail before the same recovery ends; a rank
+        # named twice fails once.
+        overlap = FailureInjector([
+            FailureEvent(5, (1, 2)),
+            FailureEvent(5, (2, 3), during_recovery_of=0),
+            FailureEvent(9, (4,)),
+        ])
+        assert overlap.max_simultaneous_failures() == 3
+
     def test_add_event(self):
         injector = FailureInjector()
         injector.add_event(FailureEvent(5, (0,)))

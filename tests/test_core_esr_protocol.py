@@ -67,7 +67,7 @@ class TestStorage:
         cluster, partition, _, context = setup
         esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         esr.store_replicated_scalars(5, beta=0.25)
-        assert esr.recover_replicated_vector("beta", charge=False) == [0.25]
+        assert esr.recover_replicated_vector("beta") == [0.25]
 
     def test_scalar_survives_failures(self, setup):
         cluster, partition, _, context = setup

@@ -167,8 +167,8 @@ class TestReconstructionFormSelection:
             problem.cluster, problem.partition, "b:as_block",
             np.column_stack([problem.rhs.to_global()]))
         reconstructor = ESRReconstructor(
-            problem.cluster, problem.matrix, rhs, precond,
-            problem.context, esr, reconstruction_form=requested_form,
+            problem.matrix, rhs, precond, esr,
+            reconstruction_form=requested_form,
         )
         return reconstructor, precond
 

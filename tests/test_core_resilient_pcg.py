@@ -1,5 +1,7 @@
 """Tests for the resilient PCG driver (failure handling, overheads, overlaps)."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,15 @@ from repro.baselines import (
 )
 from repro.cluster import (
     FailureEvent,
-    FailureInjector,
     MachineModel,
     Phase,
     UnrecoverableStateError,
 )
 from repro.core.api import distribute_problem, solve
+from repro.core.esr import _SCALAR_KEY
 from repro.core.redundancy import BackupPlacement
 from repro.core.resilient_pcg import ResilientPCG
-from repro.core.spec import ResilienceSpec, SolveSpec, build_failure_events
+from repro.core.spec import ResilienceSpec, SolveSpec
 from repro.utils.validation import ValidationError
 from repro.distributed import DistributedVector
 from repro.matrices import poisson_2d
@@ -126,6 +128,22 @@ class TestWithFailures:
             solve(fresh_problem(matrix), solver="resilient_pcg", phi=1,
                             preconditioner="block_jacobi",
                             failures=[(10, [1, 2, 3])])
+
+    @pytest.mark.parametrize("failures", [
+        pytest.param([(5, [1, 2, 3, 4])], id="one-event"),
+        pytest.param([(5, [1, 2]), (5, [3, 4])], id="split-events"),
+        pytest.param([(5, [1, 2]), FailureEvent(5, (3, 4),
+                                                during_recovery_of=0)],
+                     id="overlapping-event"),
+    ])
+    def test_failures_beyond_phi_warn_at_setup(self, caplog, failures):
+        """Every event due at one iteration fails before the same recovery,
+        so the phi warning counts their ranks together."""
+        problem = distribute_problem(poisson_2d(16), n_nodes=8, seed=0)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with pytest.raises(UnrecoverableStateError):
+                solve(problem, phi=3, failures=failures)
+        assert "contains 4 simultaneous failures but phi=3" in caplog.text
 
     def test_failure_event_objects_accepted(self, matrix):
         result = solve(
@@ -308,9 +326,8 @@ def build_failure_handler(kind, problem, failures):
     cls = {"checkpoint_restart": CheckpointRestartPCG,
            "interpolation": InterpolationRecoveryPCG,
            "full_restart": FullRestartPCG}[kind]
-    injector = FailureInjector(build_failure_events(failures))
     return cls(problem.matrix, problem.rhs, precond,
-               failure_injector=injector, context=problem.context)
+               failures=failures, context=problem.context)
 
 
 def ledger_state(problem):
@@ -340,6 +357,48 @@ class TestFailureRanksCheckedAtSetup:
         assert ledger_state(problem) == before
 
 
+class TestRecoveryReports:
+    """Every recovering solver reports each failure episode the same way."""
+
+    @pytest.mark.parametrize("kind", FAILURE_HANDLERS)
+    def test_one_report_per_episode(self, matrix, kind):
+        failures = [(5, [1]), (10, [3]),
+                    FailureEvent(10, (6,), during_recovery_of=1)]
+        solver = build_failure_handler(kind, fresh_problem(matrix, n_nodes=8),
+                                       failures)
+        result = solver.solve()
+        assert result.converged
+        assert [(r.iteration, r.failed_ranks) for r in result.recoveries] == \
+            [(5, [1]), (10, [3, 6])]
+        # ESR restarts its reconstruction for the overlapping failure; the
+        # baselines fold it into the failed set.
+        overlap_restarts = 1 if kind == "resilient" else 0
+        assert [r.restarts for r in result.recoveries] == [0, overlap_restarts]
+        assert all(r.simulated_time > 0 and r.wallclock_time > 0
+                   for r in result.recoveries)
+        assert result.n_failures_recovered == 3
+        assert result.info["unfired_failures"] == []
+
+    def test_lost_replicated_beta_raises(self, matrix):
+        """A recovery that finds ``beta`` on no surviving node fails loudly
+        instead of continuing from the driver's own coefficients."""
+        solver = build_failure_handler("resilient",
+                                       fresh_problem(matrix, n_nodes=8),
+                                       [(5, [1, 2])])
+        reconstruct = solver.reconstructor.reconstruct
+
+        def without_scalars(*args, **kwargs):
+            for node in solver.cluster.nodes:
+                if node.is_alive and _SCALAR_KEY in node.memory:
+                    del node.memory[_SCALAR_KEY]
+            return reconstruct(*args, **kwargs)
+
+        solver.reconstructor.reconstruct = without_scalars
+        with pytest.raises(UnrecoverableStateError, match="'beta'") as info:
+            solver.solve()
+        assert info.value.iteration == 5
+
+
 class TestUnfiredFailures:
     """Scheduled failures that never struck are listed in the result."""
 
@@ -362,9 +421,8 @@ class TestUnfiredFailures:
         result = solver.solve()
         assert result.converged
         assert result.info["unfired_failures"] == expected
-        # Only the ESR solver keeps recovery reports.
-        recovered = not expected and kind == "resilient"
-        assert len(result.recoveries) == int(recovered)
+        # Every solver reports the one episode of a fired schedule.
+        assert len(result.recoveries) == int(not expected)
 
     def test_unfired_failures_in_spec_form(self, matrix):
         """The listing uses the event form of ``ResilienceSpec.to_dict``."""

@@ -28,7 +28,7 @@ from repro.baselines import (
     FullRestartPCG,
     InterpolationRecoveryPCG,
 )
-from repro.cluster import FailureEvent, FailureInjector
+from repro.cluster import FailureEvent
 from repro.matrices import poisson_2d
 
 SIDE = 16
@@ -84,9 +84,8 @@ def _run_resilient(scheme: str, failures: str, overlap: bool) -> str:
 def _run_baseline(cls, **kwargs) -> str:
     problem = _problem()
     precond = problem.resolve_preconditioner("block_jacobi")
-    injector = FailureInjector([FailureEvent(6, (1, 2))])
     result = cls(problem.matrix, problem.rhs, precond,
-                 failure_injector=injector, context=problem.context,
+                 failures=[FailureEvent(6, (1, 2))], context=problem.context,
                  **kwargs).solve()
     assert result.converged
     return _digest(problem, result)
