@@ -31,8 +31,7 @@ def _run_baseline(cls, matrix, n_nodes, failure_iteration, failed_ranks, **kwarg
     problem = distribute_problem(matrix, n_nodes=n_nodes)
     precond = problem.resolve_preconditioner("block_jacobi")
     solver = cls(problem.matrix, problem.rhs, precond,
-                 failures=[(failure_iteration, failed_ranks)],
-                 context=problem.context, **kwargs)
+                 failures=[(failure_iteration, failed_ranks)], **kwargs)
     return solver.solve()
 
 

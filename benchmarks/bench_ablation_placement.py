@@ -35,8 +35,7 @@ def ablation_data(bench_settings):
         for placement in PLACEMENTS:
             problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
             analysis = analyze_overhead(problem.matrix, phi,
-                                        placement=placement,
-                                        context=problem.context)
+                                        placement=placement)
             result = solve(problem, spec=SolveSpec(
                 preconditioner="block_jacobi",
                 resilience=ResilienceSpec(phi=phi, placement=placement)))

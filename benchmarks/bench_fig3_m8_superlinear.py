@@ -60,8 +60,7 @@ def test_extra_traffic_growth_matches_analysis(benchmark, bench_settings):
         problem = distribute_problem(matrix, n_nodes=bench_settings.n_nodes)
         phis = [p for p in bench_settings.phis if p < bench_settings.n_nodes]
         extras = [
-            analyze_overhead(problem.matrix, phi, context=problem.context
-                             ).total_extra_elements
+            analyze_overhead(problem.matrix, phi).total_extra_elements
             for phi in phis
         ]
         growth[matrix_id] = extras[-1] / max(matrix.shape[0], 1)

@@ -77,16 +77,16 @@ def _timed_loop(fn, reps: int, repeats: int = 3) -> float:
     return float(np.median(samples))
 
 
-def dense_gather_spmv(matrix, x, out, context) -> None:
+def dense_gather_spmv(matrix, x, out) -> None:
     """The baseline ``out = matrix @ x``, with the engine's charges.
 
-    Books the halo exchange priced from *context*, multiplies each rank's
-    row block by a freshly assembled global operand, then books the local
-    products -- the per-call work the engine does once and caches.
+    Books the halo exchange priced from the matrix's plan, multiplies each
+    rank's row block by a freshly assembled global operand, then books the
+    local products -- the per-call work the engine does once and caches.
     """
     ledger = matrix.cluster.ledger
     halo_time, n_msg, n_elem = halo_exchange_cost(
-        context, matrix.cluster.topology, ledger.model)
+        matrix.context, matrix.cluster.topology, ledger.model)
     ledger.add_time(Phase.HALO_COMM, halo_time)
     ledger.add_traffic(Phase.HALO_COMM, n_msg, n_elem)
     xs, ys = x.as_multivector(), out.as_multivector()
@@ -114,18 +114,17 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int,
         cluster = VirtualCluster(n_nodes,
                                  machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-        context = dist.default_context()
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
-        sides[label] = (cluster, dist, context, x, y)
+        sides[label] = (cluster, dist, x, y)
 
     def engine_call():
-        cluster, dist, context, x, y = sides["engine"]
-        distributed_spmv(dist, x, y, context)
+        cluster, dist, x, y = sides["engine"]
+        distributed_spmv(dist, x, y)
 
     def reference_call():
-        cluster, dist, context, x, y = sides["reference"]
-        dense_gather_spmv(dist, x, y, context)
+        cluster, dist, x, y = sides["reference"]
+        dense_gather_spmv(dist, x, y)
 
     t_engine = _timed_loop(engine_call, reps)
     t_reference = _timed_loop(reference_call, reps)
@@ -140,7 +139,7 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int,
         and led_engine.elements == led_reference.elements
     )
     deviation = float(np.max(np.abs(
-        sides["engine"][4].to_global() - sides["reference"][4].to_global()
+        sides["engine"][3].to_global() - sides["reference"][3].to_global()
     )))
 
     return {
@@ -148,8 +147,9 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int,
         "n": int(n_actual),
         "nnz": int(matrix.nnz),
         "n_nodes": int(n_nodes),
-        "scatter_messages": int(sides["engine"][2].total_messages()),
-        "scatter_elements": int(sides["engine"][2].total_exchanged_elements()),
+        "scatter_messages": int(sides["engine"][1].context.total_messages()),
+        "scatter_elements": int(
+            sides["engine"][1].context.total_exchanged_elements()),
         "engine_us_per_call": t_engine * 1e6,
         "reference_us_per_call": t_reference * 1e6,
         "speedup": t_reference / t_engine,

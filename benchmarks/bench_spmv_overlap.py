@@ -91,8 +91,7 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int, k: int,
 
     cluster = VirtualCluster(n_nodes, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-    context = dist.default_context()
-    engine = dist.spmv_engine(context)
+    engine = dist.spmv_engine()
 
     # -- simulated overlap gain (static charges, no timing loop needed) ----
     charge = engine.overlap_charge()
@@ -104,8 +103,8 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int, k: int,
     x = DistributedVector.from_global(cluster, partition, "x", values)
     y_split = DistributedVector.zeros(cluster, partition, "ys")
     y_ref = DistributedVector.zeros(cluster, partition, "yr")
-    distributed_spmv(dist, x, y_split, context, charge=False, overlap=True)
-    distributed_spmv(dist, x, y_ref, context, charge=False)
+    distributed_spmv(dist, x, y_split, charge=False, overlap=True)
+    distributed_spmv(dist, x, y_ref, charge=False)
     scale = max(float(np.max(np.abs(y_ref.to_global()))), 1.0)
     deviation = float(
         np.max(np.abs(y_split.to_global() - y_ref.to_global())) / scale
@@ -126,11 +125,11 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int, k: int,
     ]
 
     def batched_call():
-        distributed_spmv(dist, X, Y, context)
+        distributed_spmv(dist, X, Y)
 
     def sequential_calls():
         for xj, yj in zip(singles_x, singles_y):
-            distributed_spmv(dist, xj, yj, context)
+            distributed_spmv(dist, xj, yj)
 
     t_batched = _timed_loop(batched_call, reps)
     t_sequential = _timed_loop(sequential_calls, reps)

@@ -31,8 +31,7 @@ def scaling_rows(bench_settings):
         for phi in (1, 2, 3):
             if phi >= n_nodes:
                 continue
-            analysis = analyze_overhead(problem.matrix, phi,
-                                        context=problem.context)
+            analysis = analyze_overhead(problem.matrix, phi)
             rows.append({
                 "n_nodes": n_nodes,
                 "phi": phi,
@@ -80,7 +79,7 @@ def test_benchmark_distributed_spmv(benchmark, bench_settings):
     y = DistributedVector.zeros(problem.cluster, problem.partition, "y")
 
     def run():
-        distributed_spmv(problem.matrix, x, y, problem.context)
+        distributed_spmv(problem.matrix, x, y)
         return y
 
     result = benchmark(run)

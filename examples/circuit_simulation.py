@@ -38,7 +38,7 @@ def main() -> None:
     problem = repro.distribute_problem(matrix, n_nodes=N_NODES, seed=0)
 
     # --- sparsity-pattern analysis (Sec. 5) --------------------------------
-    report = sparsity_report(problem.matrix, phi=3, context=problem.context)
+    report = sparsity_report(problem.matrix, phi=3)
     print("\nSparsity analysis for phi = 3:")
     print(f"  multiplicity histogram m_i(s): {report.multiplicity_histogram}")
     print(f"  elements with >= 3 natural copies: {report.natural_coverage:.1%}")
@@ -52,7 +52,7 @@ def main() -> None:
 
     rows = []
     for phi in (1, 3, 8):
-        analysis = analyze_overhead(problem.matrix, phi, context=problem.context)
+        analysis = analyze_overhead(problem.matrix, phi)
         resilient = repro.solve(matrix, n_nodes=N_NODES, seed=phi,
                                 machine=machine,
                                 preconditioner="block_jacobi", phi=phi)

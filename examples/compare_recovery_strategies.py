@@ -27,8 +27,7 @@ def run_baseline(cls, matrix, failure_iteration, **kwargs):
     problem = repro.distribute_problem(matrix, n_nodes=N_NODES)
     precond = problem.resolve_preconditioner("block_jacobi")
     solver = cls(problem.matrix, problem.rhs, precond,
-                 failures=[(failure_iteration, FAILED_RANKS)],
-                 context=problem.context, **kwargs)
+                 failures=[(failure_iteration, FAILED_RANKS)], **kwargs)
     return solver.solve()
 
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.cost_model import MachineModel
 from ..cluster.network import Topology
 from ..core.redundancy import BackupPlacement, RedundancyScheme
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 
 
@@ -95,11 +94,11 @@ def analyze_overhead(matrix: DistributedMatrix, phi: int, *,
                      placement: BackupPlacement = BackupPlacement.PAPER,
                      topology: Optional[Topology] = None,
                      model: Optional[MachineModel] = None,
-                     context: Optional[CommunicationContext] = None,
                      scheme: Optional[RedundancyScheme] = None
                      ) -> OverheadAnalysis:
-    """Full Sec. 4.2-style analysis for one distributed matrix and ``phi``."""
-    context = context if context is not None else matrix.default_context()
+    """Full Sec. 4.2-style analysis for one distributed matrix and ``phi``,
+    over the matrix's scatter plan."""
+    context = matrix.context
     scheme = scheme if scheme is not None else RedundancyScheme(
         context, phi, placement=placement
     )
@@ -138,8 +137,5 @@ def overhead_sweep(matrix: DistributedMatrix, phis,
                    placement: BackupPlacement = BackupPlacement.PAPER
                    ) -> List[OverheadAnalysis]:
     """Analyse several redundancy levels on the same matrix (Fig. 3 style)."""
-    context = matrix.default_context()
-    return [
-        analyze_overhead(matrix, int(phi), placement=placement, context=context)
-        for phi in phis
-    ]
+    return [analyze_overhead(matrix, int(phi), placement=placement)
+            for phi in phis]

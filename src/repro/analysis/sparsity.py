@@ -11,7 +11,7 @@ These helpers evaluate both conditions for a concrete matrix and partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def band_condition_holds(matrix: DistributedMatrix, phi: int, *,
     extras of round ``k`` always piggyback on an SpMV message and no extra
     latency is ever paid.
     """
-    context = matrix.default_context()
+    context = matrix.context
     n_nodes = matrix.partition.n_parts
     for owner in range(n_nodes):
         targets = backup_targets(owner, phi, n_nodes, placement)
@@ -111,11 +111,10 @@ def piggyback_fraction(scheme: RedundancyScheme) -> float:
 
 
 def sparsity_report(matrix: DistributedMatrix, phi: int, *,
-                    placement: BackupPlacement = BackupPlacement.PAPER,
-                    context: Optional[CommunicationContext] = None
+                    placement: BackupPlacement = BackupPlacement.PAPER
                     ) -> SparsityReport:
     """Produce a :class:`SparsityReport` for one matrix/partition/phi."""
-    context = context if context is not None else matrix.default_context()
+    context = matrix.context
     scheme = RedundancyScheme(context, phi, placement=placement)
     unsent = {
         owner: int(context.unsent_indices(owner).size)

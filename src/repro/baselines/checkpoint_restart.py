@@ -18,8 +18,8 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..cluster.cost_model import Phase
+from ..cluster.errors import UnrecoverableStateError
 from ..core.block_pcg import BlockPCG
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
@@ -69,15 +69,11 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
                  config: Optional[CheckpointConfig] = None,
                  failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
-                 max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None):
+                 max_iterations: Optional[int] = None):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
-                         max_iterations=max_iterations, context=context)
+                         max_iterations=max_iterations)
         self.config = config if config is not None else CheckpointConfig()
         self._init_failure_handling(failures)
-        self._checkpoint: Optional[Dict[str, object]] = None
-        self.checkpoints_taken = 0
-        self.iterations_lost = 0
 
     # -- checkpointing ------------------------------------------------------------
     def _checkpoint_cost(self) -> float:
@@ -105,7 +101,8 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
     def _restore_state(self, failed: List[int], iteration: int) -> None:
         """Roll the full solver state back to the last checkpoint."""
         if self._checkpoint is None:
-            raise RuntimeError("no checkpoint available to restore")
+            raise UnrecoverableStateError(
+                "no checkpoint available to restore")
         state = self.cluster.storage.retrieve(("checkpoint", self.vector_prefix),
                                               charge=True)
         lost = self.global_iterations - int(state["global_iterations"])
@@ -124,6 +121,10 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
     # -- hooks -----------------------------------------------------------------------
     def _on_setup(self) -> None:
         super()._on_setup()
+        #: This solve's last checkpoint and counters.
+        self._checkpoint: Optional[Dict[str, object]] = None
+        self.checkpoints_taken = 0
+        self.iterations_lost = 0
         if self.config.checkpoint_initial_state:
             self._take_checkpoint()
 

@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from ..cluster.cost_model import Phase
 from ..core.block_pcg import BlockPCG
 from ..core.reconstruction import charge_reverse_scatter
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
@@ -99,14 +98,13 @@ class InterpolationRecoveryPCG(BaselineRecoveryMixin, BlockPCG):
                  method: str = "li",
                  failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
-                 max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None):
+                 max_iterations: Optional[int] = None):
         if method not in INTERPOLATION_METHODS:
             raise ValueError(
                 f"method must be one of {INTERPOLATION_METHODS}, got {method!r}"
             )
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
-                         max_iterations=max_iterations, context=context)
+                         max_iterations=max_iterations)
         self.method = method
         self._init_failure_handling(failures)
 

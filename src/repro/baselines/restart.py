@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from ..core.block_pcg import BlockPCG
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
@@ -39,11 +38,14 @@ class FullRestartPCG(BaselineRecoveryMixin, BlockPCG):
                  preconditioner: Optional[Preconditioner] = None, *,
                  failures: Iterable = (),
                  rtol: float = 1e-8, atol: float = 0.0,
-                 max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None):
+                 max_iterations: Optional[int] = None):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
-                         max_iterations=max_iterations, context=context)
+                         max_iterations=max_iterations)
         self._init_failure_handling(failures)
+
+    def _on_setup(self) -> None:
+        super()._on_setup()
+        #: Iterations this solve's restarts discarded.
         self.iterations_lost = 0
         #: Iteration of the last restart (0: the initial start).
         self._restarted_at = 0

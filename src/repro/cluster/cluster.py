@@ -33,16 +33,13 @@ class VirtualCluster:
         Performance parameters; defaults to :class:`MachineModel` defaults.
     topology:
         Interconnect; defaults to a fat tree sized for ``n_nodes``.
-    processors_per_node:
-        ``m`` of Sec. 1.1 -- kept for reporting; the node is the unit of
-        failure either way.
     seed:
         Seed for the cost model's run-to-run jitter (only used if the machine
         model has ``jitter_rel_std > 0``).
     """
 
     def __init__(self, n_nodes: int, *, machine: Optional[MachineModel] = None,
-                 topology: Optional[Topology] = None, processors_per_node: int = 1,
+                 topology: Optional[Topology] = None,
                  seed: Optional[int] = None):
         if n_nodes < 1:
             raise ClusterError(f"a cluster needs at least one node, got {n_nodes}")
@@ -63,7 +60,7 @@ class VirtualCluster:
         #: Bumped by every node failure, replacement and memory deletion.
         self.epoch = MemoryEpoch()
         self.nodes: List[Node] = [
-            Node(rank=r, n_processors=processors_per_node, epoch=self.epoch)
+            Node(rank=r, epoch=self.epoch)
             for r in range(self.n_nodes)
         ]
         #: Driver-side backing storage of the distributed containers, keyed

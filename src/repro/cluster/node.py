@@ -161,15 +161,12 @@ class Node:
     ----------
     rank:
         Global rank (0-based) of the node.  The paper indexes nodes
-        ``1..N``; ranks map to that numbering shifted by one.
-    n_processors:
-        Number of processors sharing the node's memory (``m`` in Sec. 1.1).
-        The simulation treats the node as the unit of failure and of data
-        ownership, matching the paper's experiments (one process per node).
+        ``1..N``; ranks map to that numbering shifted by one.  The node is
+        the unit of failure and of data ownership, matching the paper's
+        experiments (one process per node).
     """
 
     rank: int
-    n_processors: int = 1
     status: NodeStatus = NodeStatus.ALIVE
     #: Number of times this rank has failed during the simulation.
     failure_count: int = 0
@@ -181,10 +178,6 @@ class Node:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
-        if self.n_processors < 1:
-            raise ValueError(
-                f"n_processors must be at least 1, got {self.n_processors}"
-            )
         self.memory = NodeMemory(self)
 
     # -- status helpers ---------------------------------------------------

@@ -98,7 +98,6 @@ class DistributedProblem:
     partition: BlockRowPartition
     matrix: DistributedMatrix
     rhs: DistributedVector
-    context: CommunicationContext
 
     #: Cached ``matrix.to_global()`` (+ the structure version it was built at).
     _operator_cache: Optional[sp.csr_matrix] = field(
@@ -118,6 +117,11 @@ class DistributedProblem:
     @property
     def n_nodes(self) -> int:
         return self.partition.n_parts
+
+    @property
+    def context(self) -> CommunicationContext:
+        """The matrix's scatter plan (:attr:`DistributedMatrix.context`)."""
+        return self.matrix.context
 
     # -- cached derived objects ------------------------------------------------
     def global_operator(self) -> sp.csr_matrix:
@@ -193,8 +197,7 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     b_dist = DistributedVector.from_global(cluster, partition, "b", rhs)
     # Static data: a recovered solve of another rhs may replace nodes.
     store_rhs(cluster, b_dist)
-    return DistributedProblem(cluster, partition, a_dist, b_dist,
-                              a_dist.default_context())
+    return DistributedProblem(cluster, partition, a_dist, b_dist)
 
 
 def _normalize_rhs(problem: DistributedProblem, rhs: Any

@@ -73,7 +73,6 @@ from .. import sanitizer as _sanitizer
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.failure import FailureInjector
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import (
     DistributedMultiVector,
@@ -259,7 +258,6 @@ class BlockPCG:
                  preconditioner: Optional[Preconditioner] = None, *,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None,
                  overlap_spmv: bool = False,
                  fuse_reductions: bool = False):
         self.matrix = matrix
@@ -298,8 +296,8 @@ class BlockPCG:
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 10 * self.partition.n
         )
-        self.context = context if context is not None else \
-            matrix.default_context()
+        #: The matrix's scatter plan (the recovery strategies read it).
+        self.context = matrix.context
         if not self.preconditioner.is_set_up:
             self.preconditioner.setup(matrix.to_global(), self.partition)
 
@@ -329,8 +327,8 @@ class BlockPCG:
         #: residual norm.
         self.nonfinite: Optional[np.ndarray] = None
         self.residual_histories: List[List[float]] = []
-        #: The failure schedule and its recovery episodes (filled by
-        #: :class:`~repro.core.reconstruction.FailureHandlingMixin`).
+        #: The failure schedule and the current solve's recovery episodes
+        #: (filled by :class:`~repro.core.reconstruction.FailureHandlingMixin`).
         self.failure_injector: Optional[FailureInjector] = None
         self.recovery_reports: List[object] = []
 
@@ -428,8 +426,7 @@ class BlockPCG:
     def _spmv(self, x: DistributedMultiVector,
               out: DistributedMultiVector) -> None:
         """``out = A x`` through the batched kernel (one halo exchange)."""
-        distributed_spmv(self.matrix, x, out, self.context,
-                         overlap=self.overlap_spmv)
+        distributed_spmv(self.matrix, x, out, overlap=self.overlap_spmv)
 
     def _spmv_p(self) -> None:
         """``AP = A P`` -- split out so recovery can repeat it."""
@@ -518,6 +515,7 @@ class BlockPCG:
                                0)
         self.beta_prev = np.zeros(k)
         self.global_iterations = 0
+        self.recovery_reports = []
         self._on_setup()
         # ``n_reductions`` counts the batched collectives so far; it is
         # exposed via the result so harnesses can verify the one-collective-

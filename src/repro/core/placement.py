@@ -122,6 +122,14 @@ class RackLayout:
     def racks(self) -> List[List[int]]:
         return [self.ranks_in(j) for j in range(self.n_racks)]
 
+    def striding_order(self) -> List[int]:
+        """The ranks rack-striding: first one rank per rack, then the second
+        rank of every rack, ... -- consecutive entries live in distinct
+        racks, so a contiguous group spans as many racks as exist."""
+        return sorted(range(self.n_nodes),
+                      key=lambda r: (self.position_in_rack(r),
+                                     self.rack_of(r)))
+
 
 #: A placement function: ``(owner, phi, n_nodes, *, racks, rng) -> targets``.
 PlacementFn = Callable[..., List[int]]
@@ -294,12 +302,7 @@ def _copyset_placement(owner: int, phi: int, n_nodes: int, *,
     if phi == 0:
         return []
     layout = racks if racks is not None else RackLayout.default(n_nodes)
-    # Rack-striding permutation: first one rank per rack, then the second
-    # rank of every rack, ... -- consecutive entries live in distinct racks,
-    # so a contiguous group of phi + 1 entries spans as many racks as exist.
-    order = sorted(range(n_nodes),
-                   key=lambda r: (layout.position_in_rack(r),
-                                  layout.rack_of(r)))
+    order = layout.striding_order()
     group_size = phi + 1
     n_groups = max(n_nodes // group_size, 1)
     pos = order.index(owner)

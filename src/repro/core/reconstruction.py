@@ -191,7 +191,10 @@ class FailureHandlingMixin:
 
     def _handle_failures(self, iteration: int) -> bool:
         """Fire the failures due at *iteration* and recover from them: one
-        episode, timed on both clocks, appended to ``recovery_reports``."""
+        episode, timed on both clocks, appended to ``recovery_reports``.  A
+        loss the strategy cannot recover from raises
+        :class:`~repro.cluster.errors.UnrecoverableStateError` with
+        ``.iteration`` set to *iteration*."""
         if _sanitizer._ACTIVE is not None:
             _sanitizer._ACTIVE.on_resilience_hook(self, "handle_failures")
         if self.failure_injector is None:
@@ -202,7 +205,13 @@ class FailureHandlingMixin:
         ledger = self.cluster.ledger
         start_snapshot = ledger.snapshot()
         wall_start = time.perf_counter()
-        report = self._recover(failed, iteration)
+        try:
+            report = self._recover(failed, iteration)
+        except UnrecoverableStateError as exc:
+            # Tag the loss point so campaign-style consumers can report a
+            # time-to-unrecoverable-loss distribution from the typed error.
+            exc.iteration = iteration
+            raise
         report.simulated_time = ledger.since(start_snapshot,
                                              Phase.RECOVERY_PHASES)
         report.wallclock_time = time.perf_counter() - wall_start

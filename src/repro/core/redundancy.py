@@ -205,7 +205,23 @@ class RedundancySchemeBase:
 
     def overhead_bounds(self, topology: Topology, model: Any,
                         n_cols: int = 1) -> Tuple[float, float]:
-        """``(lower, upper)`` sandwich around the per-iteration overhead."""
+        """``(lower, upper)`` sandwich around the per-iteration overhead.
+
+        ``lower`` is the scheme's volume with every latency hidden
+        (:meth:`_lower_bound_elements` elements), ``upper`` the Sec. 4.2
+        bound ``phi (lambda_max + ceil(n/N) mu)`` of completely unshared,
+        full-block messages.  For block solves (``n_cols > 1``) the volume
+        terms of both scale with the column count, matching
+        :meth:`round_overhead_times`.
+        """
+        mu = model.element_transfer_time * n_cols
+        upper = self.phi * (
+            topology.max_latency() + self.partition.max_block_size() * mu
+        )
+        return float(self._lower_bound_elements() * mu), float(upper)
+
+    def _lower_bound_elements(self) -> int:
+        """Elements of the lower bound (the overhead with no latency)."""
         raise NotImplementedError
 
     def extra_traffic_per_iteration(self, n_cols: int = 1) -> Tuple[int, int]:
@@ -453,32 +469,12 @@ class RedundancyScheme(RedundancySchemeBase):
             times.append(worst)
         return times
 
-    def per_iteration_overhead_time(self, topology: Topology, model,
-                                    n_cols: int = 1) -> float:
-        """Total redundancy overhead per iteration (sum of the round maxima).
-
-        ``n_cols`` scales the volume term only (see
-        :meth:`round_overhead_times`); at ``n_cols=1`` this is exactly the
-        single-vector charge.
-        """
-        return float(sum(self.round_overhead_times(topology, model,
-                                                   n_cols=n_cols)))
-
-    def overhead_bounds(self, topology: Topology, model,
-                        n_cols: int = 1) -> Tuple[float, float]:
-        """Lower/upper bounds of Sec. 4.2: ``[max_i sum_k |R^c_ik| mu, phi (lambda_max + ceil(n/N) mu)]``.
-
-        For block solves (``n_cols > 1``) the volume terms of both bounds
-        scale with the column count, matching :meth:`round_overhead_times`.
-        """
-        mu = model.element_transfer_time * n_cols
-        lower = max(
+    def _lower_bound_elements(self) -> int:
+        """``max_i sum_k |R^c_ik|``: every extra set piggybacks on an SpMV
+        message (the Sec. 4.2 lower bound)."""
+        return max(
             (sum(info.extra_counts) for info in self._owners.values()), default=0
-        ) * mu
-        upper = self.phi * (
-            topology.max_latency() + self.partition.max_block_size() * mu
         )
-        return float(lower), float(upper)
 
     def extra_traffic_per_iteration(self, n_cols: int = 1) -> Tuple[int, int]:
         """``(messages, elements)`` of extra redundancy traffic per iteration.
@@ -514,6 +510,3 @@ class RedundancyScheme(RedundancySchemeBase):
             f"RedundancyScheme(phi={self.phi}, placement={self.placement.value}, "
             f"extra_elements_per_iteration={total})"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return self.describe()

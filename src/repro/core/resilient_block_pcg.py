@@ -7,12 +7,15 @@ block) with
 * the ESR protocol of Sec. 4.1 -- after every SpMV, ``phi`` redundant copies
   of each row block of the two most recent search directions are kept on the
   backup nodes selected by Eqn. (5), shipping only the minimal extra sets of
-  Eqn. (6);
+  Eqn. (6); the redundancy scheme is laid out over the matrix's own scatter
+  plan (:attr:`~repro.distributed.dmatrix.DistributedMatrix.context`);
 * failure handling -- when the ``failures`` schedule strikes (possibly
   several nodes simultaneously, possibly again during a running recovery),
   the ULFM runtime provides replacement nodes and the ESR reconstruction
   restores the exact solver state before iterating on (the one failure path
-  of :class:`~repro.core.reconstruction.FailureHandlingMixin`).
+  of :class:`~repro.core.reconstruction.FailureHandlingMixin`, which also
+  tags an :class:`~repro.cluster.errors.UnrecoverableStateError` with the
+  iteration it struck at).
 
 A failure-free run (with ``phi >= 1``) measures the "relative overhead
 undisturbed" column of Table 2; runs with injected failures measure the
@@ -57,8 +60,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .. import sanitizer as _sanitizer
-from ..cluster.errors import UnrecoverableStateError
-from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
 from ..precond.base import Preconditioner
@@ -120,18 +121,12 @@ class EsrResilienceMixin(FailureHandlingMixin):
     def _recover(self, failed: List[int], iteration: int) -> RecoveryReport:
         """Run the ESR reconstruction; failures that strike while it runs
         restart it with the enlarged failed set."""
-        try:
-            return self.reconstructor.reconstruct(
-                failed, iteration=iteration,
-                x=self.x, r=self.r, z=self.z, p=self.p,
-                overlap_provider=lambda: self._fire_due_failures(
-                    iteration, overlapping=True),
-            )
-        except UnrecoverableStateError as exc:
-            # Tag the loss point so campaign-style consumers can report a
-            # time-to-unrecoverable-loss distribution from the typed error.
-            exc.iteration = iteration
-            raise
+        return self.reconstructor.reconstruct(
+            failed, iteration=iteration,
+            x=self.x, r=self.r, z=self.z, p=self.p,
+            overlap_provider=lambda: self._fire_due_failures(
+                iteration, overlapping=True),
+        )
 
     # -- result assembly ------------------------------------------------------------
     def solve(self, x0=None):
@@ -167,8 +162,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         is a :class:`RecoveryReport` in ``result.recoveries``.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
-    ``context``/``overlap_spmv``/``fuse_reductions``) are those of
-    :class:`BlockPCG`.
+    ``overlap_spmv``/``fuse_reductions``) are those of :class:`BlockPCG`.
     """
 
     vector_prefix = "resilient_bpcg"
@@ -179,11 +173,10 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
                  resilience: Optional[ResilienceSpec] = None,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
-                 context: Optional[CommunicationContext] = None,
                  overlap_spmv: bool = False,
                  fuse_reductions: bool = False):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
-                         max_iterations=max_iterations, context=context,
+                         max_iterations=max_iterations,
                          overlap_spmv=overlap_spmv,
                          fuse_reductions=fuse_reductions)
         self._init_resilience(resilience if resilience is not None

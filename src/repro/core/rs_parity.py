@@ -157,13 +157,8 @@ class RSParityScheme(RedundancySchemeBase):
                 f"GF(2^8) coding supports at most 256 units per stripe, got "
                 f"g={self.group_size} data + m={self.m} parity"
             )
-        # Rack-striding owner order (the "copyset" order): consecutive
-        # entries live in distinct racks, so each stripe spans racks.
-        order = sorted(
-            range(n_nodes),
-            key=lambda r: (self.racks.position_in_rack(r),
-                           self.racks.rack_of(r)),
-        )
+        # Rack-striding owner order: each stripe spans racks.
+        order = self.racks.striding_order()
         self._groups: List[Tuple[int, ...]] = [
             tuple(order[lo:lo + self.group_size])
             for lo in range(0, n_nodes, self.group_size)
@@ -358,23 +353,11 @@ class RSParityScheme(RedundancySchemeBase):
             times.append(worst)
         return times
 
-    def overhead_bounds(self, topology: Topology, model: Any,
-                        n_cols: int = 1) -> Tuple[float, float]:
-        """``[max_g m padded_g mu k, phi (lambda_max + ceil(n/N) mu k)]``.
-
-        The lower bound is the latency-free volume of the widest stripe's
-        parity, the upper bound is the copies scheme's (padded stripe rows
-        never exceed the largest block), so the sandwich
-        ``lower <= per-iteration time <= upper`` holds structurally.
-        """
-        mu = model.element_transfer_time * n_cols
-        lower = max(
-            (self.m * rows for rows in self._padded_rows), default=0
-        ) * mu
-        upper = self.phi * (
-            topology.max_latency() + self.partition.max_block_size() * mu
-        )
-        return float(lower), float(upper)
+    def _lower_bound_elements(self) -> int:
+        """``max_g m padded_g``: the widest stripe's parity volume.  Padded
+        stripe rows never exceed the largest block, so the sandwich
+        ``lower <= per-iteration time <= upper`` holds structurally."""
+        return max((self.m * rows for rows in self._padded_rows), default=0)
 
     def extra_traffic_per_iteration(self, n_cols: int = 1) -> Tuple[int, int]:
         """``m`` parity messages per stripe, ``padded_g * k`` elements each."""

@@ -9,13 +9,13 @@ comm/compute overlap; PETSc-style ``MatMult`` -- see
 :mod:`repro.distributed.spmv_engine`).
 """
 
-from .comm_context import CommunicationContext
+from .comm_context import CommunicationContext, ContextMismatchError
 from .dmatrix import DistributedMatrix
 from .dmultivector import DistributedMultiVector, fused_dots, norms_from_dots
 from .dvector import DistributedVector
 from .partition import BlockRowPartition
 from .spmv import distributed_spmv, halo_exchange_cost, spmv_compute_cost
-from .spmv_engine import ContextMismatchError, OverlapCharge, SpmvEngine
+from .spmv_engine import OverlapCharge, SpmvEngine
 
 __all__ = [
     "BlockRowPartition",

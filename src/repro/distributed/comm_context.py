@@ -19,13 +19,16 @@ sender ``i`` the table ``{k: S_ik}`` in ascending receiver order, and per
 receiver ``k`` its senders in ascending order.  Every per-rank query is a
 lookup that costs that rank's degree, and ``m_i(s)`` is counted from
 sender ``i``'s own row.  A plan that ships an index its sender does not own
-raises :class:`~repro.distributed.spmv_engine.ContextMismatchError` when it
-is built.  The ESR redundancy scheme (:mod:`repro.core.redundancy`) and the
-overhead analysis (:mod:`repro.analysis.overhead`) are built on top.  The
-*reverse* scatter (who holds copies of which remote elements after the
-exchange) is read with :meth:`CommunicationContext.senders_to`: it is what
-reconstruction uses to re-gather lost search-direction blocks, exactly as
-the paper's implementation reverses the PETSc scatter (Sec. 6).
+raises :class:`ContextMismatchError` when it is built.  A
+:class:`~repro.distributed.dmatrix.DistributedMatrix` derives its one plan
+from its own pattern (:attr:`DistributedMatrix.context`), so that plan
+covers the matrix by construction.  The ESR redundancy scheme
+(:mod:`repro.core.redundancy`) and the overhead analysis
+(:mod:`repro.analysis.overhead`) are built on top.  The *reverse* scatter
+(who holds copies of which remote elements after the exchange) is read
+with :meth:`CommunicationContext.senders_to`: it is what reconstruction
+uses to re-gather lost search-direction blocks, exactly as the paper's
+implementation reverses the PETSc scatter (Sec. 6).
 """
 
 from __future__ import annotations
@@ -36,7 +39,15 @@ import numpy as np
 
 from .dmatrix import DistributedMatrix
 from .partition import BlockRowPartition
-from .spmv_engine import ContextMismatchError
+
+
+class ContextMismatchError(ValueError):
+    """The scatter plan does not fit the partition.
+
+    Raised when a :class:`CommunicationContext` is built with an edge that
+    ships an index its sender does not own, or that names a rank outside
+    the partition.
+    """
 
 
 class CommunicationContext:
@@ -77,8 +88,8 @@ class CommunicationContext:
 
         For every receiving node ``k``, the needed global column indices are
         grouped by their owner ``i``; the group owned by ``i != k`` is
-        ``S_ik``.  Solvers and analyses take the matrix's one plan,
-        :meth:`DistributedMatrix.default_context`, which calls this once.
+        ``S_ik``.  :attr:`DistributedMatrix.context` calls this once; the
+        matrix's engine, its solvers and the analyses all read that plan.
         """
         partition = matrix.partition
         edges: Dict[Tuple[int, int], np.ndarray] = {}

@@ -11,17 +11,17 @@ is additionally deposited in the cluster's reliable storage so that
 replacement nodes can re-retrieve it during reconstruction -- which is
 charged to the recovery phase of the cost model.
 
-The matrix keeps its one scatter plan (:meth:`DistributedMatrix.
-default_context`, derived once from the sparsity pattern, which never
-changes) and caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
-instances keyed by communication context (see :meth:`DistributedMatrix.
-spmv_engine`) and tagged with ``structure_version``.  The version changes
-only when stored values do: at distribution, and when
-``restore_block_to_node`` installs values that differ from the rank's.
-Reliable storage holds each rank's view object itself, so a recovery that
-re-installs blocks on replacement nodes writes nothing and keeps these
-caches, and the ones :class:`~repro.core.api.DistributedProblem` keys by
-the same version (the global operator and the set-up preconditioners).
+The matrix owns its one scatter plan (:attr:`DistributedMatrix.context`,
+derived once from the sparsity pattern, which never changes) and its one
+:class:`~repro.distributed.spmv_engine.SpmvEngine`
+(:meth:`DistributedMatrix.spmv_engine`), rebuilt when ``structure_version``
+moves.  The version changes only when stored values do: at distribution,
+and when ``restore_block_to_node`` installs values that differ from the
+rank's.  Reliable storage holds each rank's view object itself, so a
+recovery that re-installs blocks on replacement nodes writes nothing and
+keeps the engine, and the caches
+:class:`~repro.core.api.DistributedProblem` keys by the same version (the
+global operator and the set-up preconditioners).
 """
 
 from __future__ import annotations
@@ -66,30 +66,24 @@ class DistributedMatrix:
         self.partition = partition
         self.name = name
         #: Bumped when stored values change (distribution, a restore of
-        #: other values); SpMV engines built against an older version are
-        #: discarded (cache invalidation contract).
+        #: other values); an SpMV engine built against an older version is
+        #: rebuilt on its next use.
         self._structure_version = 0
-        #: ``id(context) -> (context, engine, version)``.
-        self._spmv_engines: dict = {}
-        #: The matrix's one scatter plan (see :meth:`default_context`).
-        self._default_context = None
+        #: The one scatter plan (:attr:`context`) and SpMV engine
+        #: (:meth:`spmv_engine`), built on first use.
+        self._context = None
+        self._engine = None
 
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_global(cls, cluster: VirtualCluster, partition: BlockRowPartition,
-                    name: str, matrix, *, keep_in_storage: bool = True
-                    ) -> "DistributedMatrix":
+                    name: str, matrix) -> "DistributedMatrix":
         """Distribute a global sparse matrix over the cluster (setup phase).
 
-        Parameters
-        ----------
-        matrix:
-            Any SciPy sparse matrix (or dense array) of shape ``(n, n)`` with
-            ``n == partition.n``.
-        keep_in_storage:
-            Also deposit each row block in reliable storage so it can be
-            retrieved by replacement nodes after a failure (default: true,
-            matching the paper's assumption for static data).
+        *matrix* is any SciPy sparse matrix (or dense array) of shape
+        ``(n, n)`` with ``n == partition.n``.  Each row block is also
+        deposited in reliable storage, so replacement nodes can retrieve it
+        after a failure (the paper's assumption for static data).
         """
         a = sp.csr_matrix(matrix, copy=True)
         check_square(a, name)
@@ -102,9 +96,8 @@ class DistributedMatrix:
         views = [_row_view(a, start, stop) for start, stop in partition.ranges]
         BlockArray(cluster, dist._key(), a, views).install()
         dist._structure_version += 1
-        if keep_in_storage:
-            for rank, block in enumerate(views):
-                cluster.storage.put_block(dist._storage_name(), rank, block)
+        for rank, block in enumerate(views):
+            cluster.storage.put_block(dist._storage_name(), rank, block)
         return dist
 
     def _storage_name(self) -> str:
@@ -134,58 +127,35 @@ class DistributedMatrix:
         """Monotone counter of stored-value changes (cache invalidation)."""
         return self._structure_version
 
-    #: Engines cached per context; solvers hold one long-lived plan, so a
-    #: small bound suffices while preventing unbounded growth when callers
-    #: keep passing fresh context objects.
-    _ENGINE_CACHE_SIZE = 8
-
-    def default_context(self):
+    @property
+    def context(self):
         """The scatter plan derived from this matrix's sparsity pattern.
 
-        Built on first use and then kept: a problem, its solvers, the
-        analyses and ``distributed_spmv`` without a context all share this
-        one plan (and therefore one cached SpMV engine).  A restore cannot
+        Built on first use and then kept: the engine, the problem, its
+        solvers and the analyses all read this one plan.  A restore cannot
         change the pattern (:meth:`restore_block_to_node` rejects another
         one), so the plan never goes stale.
         """
-        if self._default_context is None:
+        if self._context is None:
             from .comm_context import CommunicationContext
 
-            self._default_context = CommunicationContext.from_matrix(self)
-        return self._default_context
+            self._context = CommunicationContext.from_matrix(self)
+        return self._context
 
-    def spmv_engine(self, context):
-        """The cached SpMV engine for *context*, built on a cache miss.
+    def spmv_engine(self):
+        """The matrix's SpMV engine, rebuilt when ``structure_version`` moves.
 
-        Engines are cached per context object and invalidated whenever the
-        stored values change (``structure_version`` changes), e.g. when
-        ``restore_block_to_node`` installs other values.  A cache hit
-        touches no node memory.  A miss builds the engine, which raises
-        :class:`~repro.distributed.spmv_engine.ContextMismatchError` when
-        *context* does not cover the matrix's off-diagonal columns and
-        ``NodeFailedError`` when a row block sits on a failed node; nothing
-        is cached then.
+        A stored value that changes (e.g. ``restore_block_to_node``
+        installing other values) makes the engine stale; the next call
+        builds a new one.  A current engine is returned without touching
+        node memory.  A build raises ``NodeFailedError`` when a row block
+        sits on a failed node, and keeps nothing then.
         """
-        key = id(context)
-        entry = self._spmv_engines.get(key)
-        if (entry is not None and entry[0] is context
-                and entry[2] == self._structure_version):
-            # LRU refresh so a long-lived hot plan is not evicted by a
-            # stream of short-lived foreign contexts.
-            self._spmv_engines[key] = self._spmv_engines.pop(key)
-            return entry[1]
-        from .spmv_engine import SpmvEngine
+        engine = self._engine
+        if engine is None or engine.version != self._structure_version:
+            from .spmv_engine import SpmvEngine
 
-        engine = SpmvEngine(self, context)
-        if len(self._spmv_engines) >= self._ENGINE_CACHE_SIZE:
-            stale = [cached_key for cached_key, cached in
-                     self._spmv_engines.items()
-                     if cached[2] != self._structure_version]
-            for cached_key in stale:
-                del self._spmv_engines[cached_key]
-        while len(self._spmv_engines) >= self._ENGINE_CACHE_SIZE:
-            self._spmv_engines.pop(next(iter(self._spmv_engines)))
-        self._spmv_engines[key] = (context, engine, self._structure_version)
+            engine = self._engine = SpmvEngine(self)
         return engine
 
     # -- block access ------------------------------------------------------------

@@ -4,21 +4,21 @@
 and the ``(n_i, k)`` blocks of a
 :class:`~repro.distributed.dmultivector.DistributedMultiVector` -- a single
 :class:`~repro.distributed.dvector.DistributedVector` is the ``k = 1`` case.
-The halo exchange defined by the :class:`CommunicationContext` ships all
+The halo exchange defined by the matrix's scatter plan (its
+:class:`CommunicationContext`, :attr:`DistributedMatrix.context`) ships all
 ``k`` columns in one message per scatter edge (same message count, ``k``-fold
 volume) and is charged to the latency-bandwidth cost model (Phase
 ``comm.halo``); the local row-block products are charged as memory-bound
 compute (Phase ``compute.spmv``), and the numeric result is stored
 block-by-block into the output.
 
-Every product runs through the matrix's cached
-:class:`~repro.distributed.spmv_engine.SpmvEngine`, which computes every
-rank's rows with one CSR kernel over the matrix's and the operand's
-contiguous storage, after one liveness check.  The engine is looked up (and
-on a cold cache built) before anything is charged, so a scatter plan that
-does not cover the matrix raises
-:class:`~repro.distributed.spmv_engine.ContextMismatchError`, and a cold
-lookup with a failed owner ``NodeFailedError``, with nothing booked.
+Every product runs through the matrix's one
+:class:`~repro.distributed.spmv_engine.SpmvEngine`
+(:meth:`DistributedMatrix.spmv_engine`), which computes every rank's rows
+with one CSR kernel over the matrix's and the operand's contiguous storage,
+after one liveness check.  The engine is looked up (and, when it is missing
+or stale, built) before anything is charged, so a build with a failed owner
+raises ``NodeFailedError`` with nothing booked.
 
 With ``overlap=True`` the SpMV executes split-phase -- ``A_diag @ X_own``
 while the ghosts are in flight, then the off-diagonal accumulation -- and
@@ -36,7 +36,7 @@ with that rank's diagonal and off-diagonal compute.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .. import sanitizer as _sanitizer
 from ..cluster.cost_model import Phase
@@ -90,9 +90,7 @@ def spmv_compute_cost(matrix: DistributedMatrix, model,
 
 
 def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
-                     out: DistributedMultiVector,
-                     context: Optional[CommunicationContext] = None,
-                     *, charge: bool = True,
+                     out: DistributedMultiVector, *, charge: bool = True,
                      overlap: bool = False) -> DistributedMultiVector:
     """Compute ``out = matrix @ x`` on the virtual cluster.
 
@@ -100,13 +98,8 @@ def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
     ----------
     matrix, x, out:
         Distributed operands sharing one partition and cluster; *x* and
-        *out* have the same column count ``k`` (``1`` for vectors).
-    context:
-        The SpMV scatter plan.  If ``None`` the matrix's one plan,
-        :meth:`~repro.distributed.dmatrix.DistributedMatrix.default_context`,
-        is used (derived from the sparsity pattern on first use; solvers
-        and problems hold the same plan).  A plan that does not cover the
-        matrix's off-diagonal columns raises :class:`ContextMismatchError`.
+        *out* have the same column count ``k`` (``1`` for vectors).  The
+        halo exchange follows the matrix's own scatter plan.
     charge:
         Charge communication and compute to the cost ledger (solvers always
         do; some verification helpers pass ``False``).
@@ -138,10 +131,9 @@ def distributed_spmv(matrix: DistributedMatrix, x: DistributedMultiVector,
     ledger = matrix.cluster.ledger
     n_rhs = x.n_cols
     with _sanitizer.op_window("spmv", ledger, required=charge):
-        # Looked up before anything is charged: a mismatched plan, or a
-        # cold cache with a failed owner, raises with nothing booked.
-        engine = matrix.spmv_engine(
-            context if context is not None else matrix.default_context())
+        # Looked up before anything is charged: a build with a failed owner
+        # raises with nothing booked.
+        engine = matrix.spmv_engine()
         if overlap:
             if charge:
                 ch = engine.overlap_charge(n_rhs)

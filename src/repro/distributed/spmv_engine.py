@@ -1,10 +1,10 @@
 """SpMV execution engine (a PETSc-style ``MatMult``).
 
 :class:`SpmvEngine` is the one SpMV of :func:`repro.distributed.spmv.
-distributed_spmv`.  It does the static work -- checking the scatter plan,
-pricing the halo exchange and the local products -- once per
-``(matrix, context)`` pair, so a call costs one liveness check and one
-sparse kernel:
+distributed_spmv`.  It does the static work -- reading each rank's ghost set
+from the matrix's scatter plan, pricing the halo exchange and the local
+products -- once per matrix and ``structure_version``, so a call costs one
+liveness check and one sparse kernel:
 
 **One kernel over all ranks.**  A
 :class:`~repro.distributed.dmatrix.DistributedMatrix` is one CSR matrix
@@ -22,14 +22,11 @@ batched product is bit-identical to the ``k = 1`` product of column ``j``.
 The kernel shares the matrix's arrays, so in-place edits of block values
 stay live.
 
-**Scatter-plan check.**  The plan checks ownership when it is built
-(:class:`~repro.distributed.comm_context.CommunicationContext` rejects an
-``S_ik`` holding an index that rank ``i`` does not own); the engine checks
-coverage.  At build time it reads each rank's ghost set ``G_k`` (the union
-of the plan's ``S_ik`` over the senders ``i`` of rank ``k``) and checks that
-it covers every off-diagonal column of the rank's rows; a plan derived from
-a different sparsity pattern raises :class:`ContextMismatchError`, which
-reaches the SpMV's caller.
+**Ghost sets.**  At build time the engine reads each rank's ghost set
+``G_k`` (the union of the plan's ``S_ik`` over the senders ``i`` of rank
+``k``) from the matrix's own plan, :attr:`DistributedMatrix.context`,
+which is derived from the same sparsity pattern and so covers every
+off-diagonal column by construction.
 
 **Split-phase execution (comm/compute overlap).**  ``split=True`` models the
 classical non-blocking halo exchange: post the sends, compute
@@ -57,15 +54,14 @@ the engine computes them once per column count ``k``, and likewise the
 overlap-aware charge.  Both halo charges come from one per-receiver pass,
 :func:`~repro.distributed.spmv.receiver_halo_times`.
 
-**Cache invalidation contract.**  Engines are cached on
-:class:`~repro.distributed.dmatrix.DistributedMatrix` keyed by the context
-object (see :meth:`DistributedMatrix.spmv_engine`) and by the matrix's
-``structure_version``, which ``restore_block_to_node`` bumps only when it
-changes a stored value; a cached engine whose ``version`` is stale is
-discarded and rebuilt on the next use.  A recovery re-installs the ranks'
-own views on the replacement nodes, so it changes no value and keeps the
-engine: the engine reads the matrix through the same arrays, and its next
-liveness check sees the views back.
+**Invalidation contract.**  The matrix keeps one engine
+(:meth:`DistributedMatrix.spmv_engine`) tagged with the
+``structure_version`` it was built at; ``restore_block_to_node`` bumps the
+version only when it changes a stored value, and a stale engine is rebuilt
+on its next use.  A recovery re-installs the ranks' own views on the
+replacement nodes, so it changes no value and keeps the engine: the engine
+reads the matrix through the same arrays, and its next liveness check sees
+the views back.
 
 Failure semantics: every call checks that every rank holds its matrix
 block and its input block (and can hold its output block), so an SpMV
@@ -77,7 +73,7 @@ replacement node whose block was not restored ``KeyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,23 +86,8 @@ except (ImportError, AttributeError):  # pragma: no cover - old/odd SciPy
     _csr_matvecs = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from .comm_context import CommunicationContext
     from .dmatrix import DistributedMatrix
     from .dmultivector import DistributedMultiVector
-
-
-class ContextMismatchError(ValueError):
-    """The scatter plan does not fit the partition or the matrix.
-
-    Raised when a :class:`CommunicationContext` is built with an edge that
-    ships an index its sender does not own (or names a rank outside the
-    partition), and while building an engine when the plan does not cover
-    the matrix's off-diagonal columns because it was derived from a
-    different sparsity pattern (e.g. a plan for another matrix on the same
-    partition).  The SpMV cannot run on such a plan, so
-    :func:`~repro.distributed.spmv.distributed_spmv` raises it before
-    charging anything.
-    """
 
 
 @dataclass(frozen=True)
@@ -133,34 +114,24 @@ class OverlapCharge:
 class SpmvEngine:
     """Executes ``out = A x`` (and ``Y = A X``) as one kernel over all ranks.
 
-    Parameters
-    ----------
-    matrix:
-        The block-row distributed matrix.  All row blocks must currently be
-        readable (building from a failed node raises ``NodeFailedError``).
-    context:
-        The SpMV scatter plan.  Its edges must cover every off-diagonal
-        column of every row block; otherwise :class:`ContextMismatchError`
-        is raised.
+    *matrix* is the block-row distributed matrix; its row blocks must
+    currently be readable (building from a failed node raises
+    ``NodeFailedError``).  The halo exchange follows the matrix's own plan,
+    :attr:`~repro.distributed.dmatrix.DistributedMatrix.context`.
     """
 
-    def __init__(self, matrix: "DistributedMatrix",
-                 context: "CommunicationContext"):
-        partition = matrix.partition
-        if not partition.is_compatible_with(context.partition):
-            raise ContextMismatchError(
-                "communication context and matrix have incompatible partitions"
-            )
+    def __init__(self, matrix: "DistributedMatrix"):
         self.matrix = matrix
-        self.context = context
-        self.partition = partition
+        self.context = matrix.context
+        self.partition = partition = matrix.partition
         #: Matrix structure version this engine was built against; compared
-        #: by :meth:`DistributedMatrix.spmv_engine` to invalidate the cache.
+        #: by :meth:`DistributedMatrix.spmv_engine` to rebuild a stale one.
         self.version = matrix.structure_version
 
         a = matrix.stacked()
         #: Per rank, the sorted global ghost indices ``G_k``.
-        self._ghosts = self._ghost_sets(a)
+        self._ghosts = [self._ghost_set(rank)
+                        for rank in range(partition.n_parts)]
         # Per-rank non-zeros in owned columns (the diagonal block
         # A_{I_k, I_k}) and in ghost columns.
         bounds = a.indptr[partition.offsets]
@@ -182,32 +153,13 @@ class SpmvEngine:
         self.compute_cost = self.compute_cost_for(1)
 
     # -- construction -------------------------------------------------------
-    def _ghost_sets(self, a: sp.csr_matrix) -> List[np.ndarray]:
-        """Each rank's ghost set, checked against the matrix pattern."""
-        context = self.context
-        ghosts = []
-        # Scratch mask of the columns rank k may read (owned or ghost);
-        # only the entries set for a rank are read back, then reset.
-        readable = np.zeros(self.partition.n, dtype=bool)
-        for rank, (start, stop) in enumerate(self.partition.ranges):
-            # Senders ascend and each ships sorted indices of its own
-            # range, so the concatenation is sorted and unique.
-            chunks = [context.send_indices(src, rank)
-                      for src in context.senders_to(rank)]
-            ghost = (np.concatenate(chunks) if chunks
-                     else np.empty(0, dtype=np.int64))
-            readable[start:stop] = True
-            readable[ghost] = True
-            covered = readable[a.indices[a.indptr[start]:a.indptr[stop]]].all()
-            readable[start:stop] = False
-            readable[ghost] = False
-            if not covered:
-                raise ContextMismatchError(
-                    f"scatter plan does not cover all off-diagonal columns "
-                    f"of rank {rank}'s row block; cannot build the engine"
-                )
-            ghosts.append(ghost)
-        return ghosts
+    def _ghost_set(self, rank: int) -> np.ndarray:
+        """``G_k`` of *rank*: senders ascend and each ships sorted indices of
+        its own range, so the concatenation is sorted and unique."""
+        chunks = [self.context.send_indices(src, rank)
+                  for src in self.context.senders_to(rank)]
+        return (np.concatenate(chunks) if chunks
+                else np.empty(0, dtype=np.int64))
 
     def _diag_mask(self, a: sp.csr_matrix) -> np.ndarray:
         """Per stored entry: does its column lie in its row owner's range?"""

@@ -122,25 +122,25 @@ def store_raised_diagonal():
     return store
 
 
-def _dense_gather_spmv(matrix, x, out, context=None, *, charge=True):
+def _dense_gather_spmv(matrix, x, out, *, charge=True):
     """``out = matrix @ x`` by gathering the whole operand on every rank.
 
     The independent oracle for ``distributed_spmv``: it charges the halo
-    exchange the plan prices (:func:`halo_exchange_cost`), multiplies each
-    rank's ``(n_i, n)`` row block by a freshly assembled global operand,
-    then charges the local products (:func:`spmv_compute_cost`).  Its
-    numerics never depend on the plan, and reading every owner's block
-    raises on a failed owner, as the SpMV must.
+    exchange the matrix's plan prices (:func:`halo_exchange_cost`),
+    multiplies each rank's ``(n_i, n)`` row block by a freshly assembled
+    global operand, then charges the local products
+    (:func:`spmv_compute_cost`).  Its numerics never depend on the plan,
+    and reading every owner's block raises on a failed owner, as the SpMV
+    must.
     """
     from repro.distributed import halo_exchange_cost, spmv_compute_cost
 
     ledger = matrix.cluster.ledger
     n_rhs = x.n_cols
-    if context is None:
-        context = matrix.default_context()
     if charge:
         halo_time, n_msg, n_elem = halo_exchange_cost(
-            context, matrix.cluster.topology, ledger.model, n_rhs=n_rhs)
+            matrix.context, matrix.cluster.topology, ledger.model,
+            n_rhs=n_rhs)
         ledger.add_time(Phase.HALO_COMM, halo_time)
         ledger.add_traffic(Phase.HALO_COMM, n_msg, n_elem)
     xs, ys = x.as_multivector(), out.as_multivector()
@@ -160,7 +160,7 @@ def _dense_gather_spmv(matrix, x, out, context=None, *, charge=True):
 @pytest.fixture(scope="session")
 def dense_gather_spmv():
     """The dense-gather reference SpMV (see :func:`_dense_gather_spmv`);
-    called like ``distributed_spmv(matrix, x, out, context, charge=...)``."""
+    called like ``distributed_spmv(matrix, x, out, charge=...)``."""
     return _dense_gather_spmv
 
 
@@ -177,6 +177,6 @@ def solvers_on_dense_gather(monkeypatch):
     from repro.core.block_pcg import BlockPCG
 
     def spmv(self, x, out):
-        _dense_gather_spmv(self.matrix, x, out, self.context)
+        _dense_gather_spmv(self.matrix, x, out)
 
     monkeypatch.setattr(BlockPCG, "_spmv", spmv)

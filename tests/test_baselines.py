@@ -11,7 +11,8 @@ from repro.baselines import (
     least_squares_interpolation,
     local_interpolation,
 )
-from repro.cluster import MachineModel, Phase
+from repro.cluster import MachineModel, Phase, UnrecoverableStateError
+from repro.core import ResilienceSpec, ResilientBlockPCG
 from repro.core.api import distribute_problem, solve
 from repro.distributed import DistributedMultiVector, DistributedVector
 from repro.matrices import poisson_2d
@@ -32,7 +33,7 @@ def build(cls, problem, failures=(), rhs=None, **kwargs):
     precond = make_preconditioner("block_jacobi")
     precond.setup(problem.matrix.to_global(), problem.partition)
     return cls(problem.matrix, problem.rhs if rhs is None else rhs, precond,
-               failures=failures, context=problem.context, **kwargs)
+               failures=failures, **kwargs)
 
 
 class TestCheckpointRestart:
@@ -69,6 +70,15 @@ class TestCheckpointRestart:
         # re-executes them); ESR resumes exactly where the failure struck.
         assert cr.info["iterations_lost"] == 14 - 8
         assert esr.iterations <= reference.iterations + 1
+
+    def test_rollback_before_first_checkpoint_is_unrecoverable(self, matrix):
+        solver = build(CheckpointRestartPCG, fresh(matrix),
+                       failures=[(5, [1, 2])],
+                       config=CheckpointConfig(
+                           interval=10, checkpoint_initial_state=False))
+        with pytest.raises(UnrecoverableStateError) as info:
+            solver.solve()
+        assert info.value.iteration == 5
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -163,6 +173,50 @@ class TestFullRestart:
         reference = solve(fresh(matrix), solver="pcg", preconditioner="block_jacobi")
         result = build(FullRestartPCG, problem).solve()
         assert result.iterations == reference.iterations
+
+
+class TestEachSolveReportsItsOwnEpisodes:
+    """A second solve on one recovering solver, whose failures already
+    struck in the first, reports no recovery and no lost work."""
+
+    FAILURES = [(5, [1, 2])]
+
+    @pytest.fixture
+    def problem(self):
+        return fresh(poisson_2d(16), n_nodes=8)
+
+    def test_resilient(self, problem):
+        solver = ResilientBlockPCG(
+            problem.matrix, problem.rhs,
+            resilience=ResilienceSpec(phi=2, failures=self.FAILURES))
+        first, second = solver.solve(), solver.solve()
+        assert first.n_failures_recovered == 2
+        assert second.recoveries == [] and second.n_failures_recovered == 0
+        assert second.simulated_recovery_time == 0.0
+
+    def test_checkpoint_restart(self, problem):
+        solver = build(CheckpointRestartPCG, problem, failures=self.FAILURES,
+                       config=CheckpointConfig(interval=3))
+        first, second = solver.solve(), solver.solve()
+        assert first.info["iterations_lost"] == 2
+        assert second.recoveries == []
+        assert second.info["iterations_lost"] == 0
+        assert second.info["checkpoints_taken"] == 1 + second.iterations // 3
+
+    def test_full_restart(self, problem):
+        solver = build(FullRestartPCG, problem, failures=self.FAILURES)
+        first, second = solver.solve(), solver.solve()
+        assert first.info["iterations_lost"] == 5
+        assert second.recoveries == []
+        assert second.info["iterations_lost"] == 0
+
+    def test_interpolation(self, problem):
+        solver = build(InterpolationRecoveryPCG, problem,
+                       failures=self.FAILURES)
+        first, second = solver.solve(), solver.solve()
+        assert first.n_failures_recovered == 2
+        assert second.recoveries == [] and second.n_failures_recovered == 0
+        assert second.simulated_recovery_time == 0.0
 
 
 class TestHookChaining:

@@ -19,10 +19,6 @@ class TestNodeLifecycle:
         with pytest.raises(ValueError):
             Node(rank=-1)
 
-    def test_invalid_processor_count_rejected(self):
-        with pytest.raises(ValueError):
-            Node(rank=0, n_processors=0)
-
     def test_fail_erases_memory(self):
         node = Node(rank=0)
         node.memory["key"] = np.arange(5)

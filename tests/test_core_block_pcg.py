@@ -24,7 +24,6 @@ from repro.core import (
 )
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedMultiVector,
     DistributedVector,
@@ -36,17 +35,16 @@ N_NODES = 4
 
 
 def make_problem(n_grid=12, seed=0, k=4, precond_name="block_jacobi"):
-    """Fresh cluster/matrix/context/preconditioner and a random rhs block."""
+    """Fresh cluster/matrix/preconditioner and a random rhs block."""
     a = poisson_2d(n_grid)
     n = a.shape[0]
     partition = BlockRowPartition(n, N_NODES)
     cluster = VirtualCluster(N_NODES, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    context = CommunicationContext.from_matrix(dist)
     precond = make_preconditioner(precond_name)
     precond.setup(a, partition)
     rhs_global = np.random.default_rng(seed).standard_normal((n, k))
-    return a, cluster, partition, dist, context, precond, rhs_global
+    return a, cluster, partition, dist, precond, rhs_global
 
 
 def sequential_solves(a, partition, rhs_global, precond_name, **kwargs):
@@ -56,15 +54,11 @@ def sequential_solves(a, partition, rhs_global, precond_name, **kwargs):
         cluster = VirtualCluster(N_NODES,
                                  machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-        context = CommunicationContext.from_matrix(dist)
         precond = make_preconditioner(precond_name)
         precond.setup(a, partition)
         rhs = DistributedVector.from_global(cluster, partition, "b",
                                             rhs_global[:, j])
-        results.append(
-            DistributedPCG(dist, rhs, precond, context=context,
-                           **kwargs).solve()
-        )
+        results.append(DistributedPCG(dist, rhs, precond, **kwargs).solve())
     return results
 
 
@@ -72,11 +66,11 @@ class TestEquivalence:
     @pytest.mark.parametrize("precond_name", ["identity", "jacobi",
                                               "block_jacobi"])
     def test_bit_identical_to_sequential_solves(self, precond_name):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(precond_name=precond_name)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8, context=context).solve()
+        block = BlockPCG(dist, rhs, precond, rtol=1e-8).solve()
         seq = sequential_solves(a, partition, rhs_global, precond_name,
                                 rtol=1e-8)
         for j, result in enumerate(seq):
@@ -86,11 +80,11 @@ class TestEquivalence:
             assert np.array_equal(block.x[:, j], result.x)
 
     def test_bit_identical_with_overlap_spmv(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=1)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8, context=context,
+        block = BlockPCG(dist, rhs, precond, rtol=1e-8,
                          overlap_spmv=True).solve()
         seq = sequential_solves(a, partition, rhs_global, "block_jacobi",
                                 rtol=1e-8, overlap_spmv=True)
@@ -101,7 +95,7 @@ class TestEquivalence:
     def test_column_freezing_stops_history_where_sequential_stops(self):
         """Columns converging at different iterations freeze independently;
         a column converged at setup runs zero iterations."""
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=2, k=3)
         # Column 0 is tiny: with atol above its r0 norm it converges at
         # iteration 0 while the others iterate.
@@ -109,8 +103,7 @@ class TestEquivalence:
         atol = 1e-10
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8, atol=atol,
-                         context=context).solve()
+        block = BlockPCG(dist, rhs, precond, rtol=1e-8, atol=atol).solve()
         seq = sequential_solves(a, partition, rhs_global, "block_jacobi",
                                 rtol=1e-8, atol=atol)
         assert block.iterations[0] == 0
@@ -124,12 +117,11 @@ class TestEquivalence:
             assert np.array_equal(block.x[:, j], result.x)
 
     def test_solves_the_systems(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=3)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        result = BlockPCG(dist, rhs, precond, rtol=1e-8,
-                          context=context).solve()
+        result = BlockPCG(dist, rhs, precond, rtol=1e-8).solve()
         assert result.all_converged
         for j in range(rhs_global.shape[1]):
             rel = result.true_residual_norms[j] / \
@@ -137,24 +129,22 @@ class TestEquivalence:
             assert rel < 1e-7
 
     def test_initial_guess_block_matches_sequential(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=4, k=2)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         x0 = np.random.default_rng(40).standard_normal(rhs_global.shape)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8,
-                         context=context).solve(x0)
+        block = BlockPCG(dist, rhs, precond, rtol=1e-8).solve(x0)
         for j in range(rhs_global.shape[1]):
             cluster_j = VirtualCluster(
                 N_NODES, machine=MachineModel(jitter_rel_std=0.0))
             dist_j = DistributedMatrix.from_global(cluster_j, partition, "A", a)
-            context_j = CommunicationContext.from_matrix(dist_j)
             precond_j = make_preconditioner("block_jacobi")
             precond_j.setup(a, partition)
             rhs_j = DistributedVector.from_global(cluster_j, partition, "b",
                                                   rhs_global[:, j])
-            seq = DistributedPCG(dist_j, rhs_j, precond_j, rtol=1e-8,
-                                 context=context_j).solve(x0[:, j].copy())
+            seq = DistributedPCG(dist_j, rhs_j, precond_j,
+                                 rtol=1e-8).solve(x0[:, j].copy())
             assert block.residual_histories[j] == seq.residual_norms
             assert np.array_equal(block.x[:, j], seq.x)
 
@@ -163,11 +153,11 @@ class TestCharges:
     def test_k1_charges_identical_to_distributed_pcg(self):
         """At k = 1 the block solver is charge-identical to DistributedPCG
         (same ops, same batched-reduction sizes, same order)."""
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=5, k=1)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8, context=context).solve()
+        block = BlockPCG(dist, rhs, precond, rtol=1e-8).solve()
         seq = sequential_solves(a, partition, rhs_global, "block_jacobi",
                                 rtol=1e-8)[0]
         assert block.residual_histories[0] == seq.residual_norms
@@ -176,12 +166,12 @@ class TestCharges:
 
     def fixed_iteration_run(self, k, iterations=5, seed=6):
         """A run of exactly *iterations* lock-step iterations (rtol=0)."""
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=seed, k=k)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         result = BlockPCG(dist, rhs, precond, rtol=0.0, atol=0.0,
-                          max_iterations=iterations, context=context).solve()
+                          max_iterations=iterations).solve()
         assert result.global_iterations == iterations
         assert result.info["n_reductions"] == 2 + 3 * iterations
         return cluster, result
@@ -232,16 +222,16 @@ class TestCharges:
 
 class TestValidation:
     def test_rejects_non_block_diagonal_preconditioner(self):
-        a, cluster, partition, dist, context, _, rhs_global = make_problem()
+        a, cluster, partition, dist, _, rhs_global = make_problem()
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         ssor = make_preconditioner("ssor")
         ssor.setup(a, partition)
         with pytest.raises(ValueError):
-            BlockPCG(dist, rhs, ssor, context=context)
+            BlockPCG(dist, rhs, ssor)
 
     def test_rejects_incompatible_partitions(self):
-        a, cluster, partition, dist, context, precond, _ = make_problem()
+        a, cluster, partition, dist, precond, _ = make_problem()
         other_cluster = VirtualCluster(
             N_NODES, machine=MachineModel(jitter_rel_std=0.0))
         other_partition = BlockRowPartition(partition.n + 1, N_NODES)
@@ -252,11 +242,11 @@ class TestValidation:
 
     def test_node_failure_raises_out_of_solve(self):
         """BlockPCG has no recovery; a failure mid-setup must surface."""
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=7, k=2)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        solver = BlockPCG(dist, rhs, precond, rtol=1e-8, context=context)
+        solver = BlockPCG(dist, rhs, precond, rtol=1e-8)
         cluster.fail_nodes([1])
         with pytest.raises(NodeFailedError):
             solver.solve()
@@ -274,15 +264,14 @@ class TestValidation:
         cluster = VirtualCluster(N_NODES,
                                  machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-        context = CommunicationContext.from_matrix(dist)
         precond = make_preconditioner("identity")
         precond.setup(a, partition)
         rng = np.random.default_rng(8)
         rhs_global = rng.standard_normal((n, 2))
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        result = BlockPCG(dist, rhs, precond, rtol=1e-8, max_iterations=50,
-                          context=context).solve()
+        result = BlockPCG(dist, rhs, precond, rtol=1e-8,
+                          max_iterations=50).solve()
         assert result.info["breakdown_columns"], "expected a CG breakdown"
         assert np.all(np.isfinite(result.x))
         # The reported reduction count stays consistent with the ledger even
@@ -296,18 +285,18 @@ class TestInitialGuessValidation:
     """``x0`` must be finite and shaped like the right-hand side."""
 
     def block_solver(self, k=2):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(n_grid=8, k=k)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        return BlockPCG(dist, rhs, precond, context=context), rhs_global
+        return BlockPCG(dist, rhs, precond), rhs_global
 
     def vector_solver(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(n_grid=8, k=1)
         rhs = DistributedVector.from_global(cluster, partition, "b",
                                             rhs_global[:, 0])
-        return DistributedPCG(dist, rhs, precond, context=context)
+        return DistributedPCG(dist, rhs, precond)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_x0_rejected(self, bad):
@@ -371,16 +360,14 @@ class TestSingleVectorInterface:
         assert ResilientPCG is ResilientBlockPCG
 
     def test_vector_rhs_returns_column_of_k1_block(self):
-        _, cluster, partition, dist, context, precond, rhs_global = \
+        _, cluster, partition, dist, precond, rhs_global = \
             make_problem(k=1)
         block = BlockPCG(dist, DistributedMultiVector.from_global(
-            cluster, partition, "B", rhs_global), precond,
-            context=context).solve()
+            cluster, partition, "B", rhs_global), precond).solve()
         # A fresh cluster, so both ledgers start from zero.
-        a, cluster, partition, dist, context, precond, _ = make_problem(k=1)
+        a, cluster, partition, dist, precond, _ = make_problem(k=1)
         vector = BlockPCG(dist, DistributedVector.from_global(
-            cluster, partition, "b", rhs_global[:, 0]), precond,
-            context=context).solve()
+            cluster, partition, "b", rhs_global[:, 0]), precond).solve()
         assert isinstance(vector, DistributedSolveResult)
         assert vector.x.shape == (a.shape[0],)
         expected = block.column(0)
@@ -390,11 +377,10 @@ class TestSingleVectorInterface:
         assert vector.time_breakdown == expected.time_breakdown
 
     def test_column_carries_per_column_fields(self):
-        _, cluster, partition, dist, context, precond, rhs_global = \
+        _, cluster, partition, dist, precond, rhs_global = \
             make_problem(k=3)
         block = BlockPCG(dist, DistributedMultiVector.from_global(
-            cluster, partition, "B", rhs_global), precond,
-            context=context).solve()
+            cluster, partition, "B", rhs_global), precond).solve()
         for j in range(3):
             col = block.column(j)
             assert np.array_equal(col.x, block.x[:, j])

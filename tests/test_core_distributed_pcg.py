@@ -38,7 +38,7 @@ class TestNumerics:
         precond = make_preconditioner("jacobi")
         precond.setup(a, problem.partition)
         dist_solver = DistributedPCG(problem.matrix, problem.rhs, precond,
-                                     rtol=1e-8, context=problem.context)
+                                     rtol=1e-8)
         dist_result = dist_solver.solve()
 
         seq_precond = make_preconditioner("jacobi")
@@ -75,8 +75,7 @@ class TestNumerics:
 
     def test_initial_guess(self, problem):
         precond = make_preconditioner("block_jacobi")
-        solver = DistributedPCG(problem.matrix, problem.rhs, precond,
-                                context=problem.context)
+        solver = DistributedPCG(problem.matrix, problem.rhs, precond)
         exact = np.ones(problem.n)  # rhs was A @ ones
         result = solver.solve(x0=exact)
         assert result.iterations == 0

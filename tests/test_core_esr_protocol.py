@@ -279,7 +279,7 @@ class TestFusedStaging:
         esr = ESRProtocol(cluster, RedundancyScheme(context, 2))
         p = make_p(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
-        distributed_spmv(dist, p, ap, context)
+        distributed_spmv(dist, p, ap)
         expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
@@ -291,7 +291,7 @@ class TestFusedStaging:
         esr = ESRProtocol(cluster, RedundancyScheme(context, 1))
         other = make_p(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "ap", 1)
-        distributed_spmv(dist, other, ap, context)
+        distributed_spmv(dist, other, ap)
         p = make_p(cluster, partition, 5)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)
@@ -388,7 +388,7 @@ class TestBlockStaging:
         esr = self.make_esr(cluster, context)
         p = make_block(cluster, partition, 4)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP", p.n_cols)
-        distributed_spmv(dist, p, ap, context)
+        distributed_spmv(dist, p, ap)
         expected = legacy_stores(esr, p, slot=0)
         esr.after_spmv(p, 4)
         self.assert_stores_equal(stored_snapshot(esr, 0), expected)
@@ -399,7 +399,7 @@ class TestBlockStaging:
         other = make_block(cluster, partition, 9)
         ap = DistributedMultiVector.zeros(cluster, partition, "AP",
                                           other.n_cols)
-        distributed_spmv(dist, other, ap, context)
+        distributed_spmv(dist, other, ap)
         p = make_block(cluster, partition, 5)
         expected = legacy_stores(esr, p, slot=1)
         esr.after_spmv(p, 5)

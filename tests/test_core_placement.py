@@ -104,6 +104,17 @@ class TestRackLayout:
             [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
         assert layout.position_in_rack(6) == 2
 
+    def test_striding_order(self):
+        """One rank per rack, then the next rank of every rack: consecutive
+        entries lie in distinct racks, and the short last rack drops out
+        once it runs out of ranks."""
+        layout = RackLayout(10, 4)
+        order = layout.striding_order()
+        assert order == [0, 4, 8, 1, 5, 9, 2, 6, 3, 7]
+        assert all(layout.rack_of(a) != layout.rack_of(b)
+                   for a, b in zip(order, order[1:]))
+        assert RackLayout(4, 4).striding_order() == [0, 1, 2, 3]
+
     def test_default_keeps_two_racks(self):
         assert RackLayout.default(8).rack_size == 4
         assert RackLayout.default(4).rack_size == 2

@@ -34,7 +34,7 @@ def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteratio
         local_solver_method=local_solver,
         reconstruction_form=reconstruction_form)
     solver = ResilientPCG(problem.matrix, problem.rhs, precond,
-                          resilience=resilience, context=problem.context)
+                          resilience=resilience)
     captured = {}
     original = solver._handle_failures
 

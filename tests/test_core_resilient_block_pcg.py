@@ -30,7 +30,6 @@ from repro.core.api import distribute_problem, solve
 from repro.core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
     DistributedMultiVector,
     DistributedVector,
 )
@@ -41,7 +40,7 @@ N_NODES = 5
 
 
 def make_problem(n_grid=16, seed=0, k=3, precond_name="block_jacobi"):
-    """Fresh cluster/matrix/context/preconditioner and a random rhs block."""
+    """Fresh cluster/matrix/preconditioner and a random rhs block."""
     a = poisson_2d(n_grid)
     n = a.shape[0]
     partition = BlockRowPartition(n, N_NODES)
@@ -49,11 +48,10 @@ def make_problem(n_grid=16, seed=0, k=3, precond_name="block_jacobi"):
     from repro.distributed import DistributedMatrix
 
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    context = CommunicationContext.from_matrix(dist)
     precond = make_preconditioner(precond_name)
     precond.setup(a, partition)
     rhs_global = np.random.default_rng(seed).standard_normal((n, k))
-    return a, cluster, partition, dist, context, precond, rhs_global
+    return a, cluster, partition, dist, precond, rhs_global
 
 
 def resilient_block_solve(a, rhs_global, *, phi, failures=(), seed_cluster=0,
@@ -65,15 +63,13 @@ def resilient_block_solve(a, rhs_global, *, phi, failures=(), seed_cluster=0,
     from repro.distributed import DistributedMatrix
 
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    context = CommunicationContext.from_matrix(dist)
     precond = make_preconditioner("block_jacobi")
     precond.setup(a, partition)
     rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                              rhs_global)
     solver = ResilientBlockPCG(
         dist, rhs, precond,
-        resilience=ResilienceSpec(phi=phi, failures=failures),
-        context=context, **kwargs)
+        resilience=ResilienceSpec(phi=phi, failures=failures), **kwargs)
     return solver.solve(), cluster
 
 
@@ -89,15 +85,13 @@ def sequential_resilient_solves(a, rhs_global, *, phi, failures=(), **kwargs):
         from repro.distributed import DistributedMatrix
 
         dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-        context = CommunicationContext.from_matrix(dist)
         precond = make_preconditioner("block_jacobi")
         precond.setup(a, partition)
         rhs = DistributedVector.from_global(cluster, partition, "b",
                                             rhs_global[:, j])
         solver = ResilientPCG(
             dist, rhs, precond,
-            resilience=ResilienceSpec(phi=phi, failures=failures),
-            context=context, **kwargs)
+            resilience=ResilienceSpec(phi=phi, failures=failures), **kwargs)
         results.append(solver.solve())
         clusters.append(cluster)
     return results, clusters
@@ -193,11 +187,11 @@ class TestCharges:
         assert block.simulated_time == seq.simulated_time
 
     def test_phi0_charge_identical_to_block_pcg(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=6, k=4)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        plain = BlockPCG(dist, rhs, precond, context=context).solve()
+        plain = BlockPCG(dist, rhs, precond).solve()
         resilient, _ = resilient_block_solve(a, rhs_global, phi=0)
         assert resilient.residual_histories == plain.residual_histories
         assert np.array_equal(resilient.x, plain.x)
@@ -205,11 +199,11 @@ class TestCharges:
         assert resilient.simulated_time == plain.simulated_time
 
     def test_undisturbed_iterates_identical_only_redundancy_extra(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=7, k=3)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        plain = BlockPCG(dist, rhs, precond, context=context).solve()
+        plain = BlockPCG(dist, rhs, precond).solve()
         resilient, _ = resilient_block_solve(a, rhs_global, phi=2)
         assert resilient.residual_histories == plain.residual_histories
         assert np.array_equal(resilient.x, plain.x)
@@ -342,24 +336,22 @@ class TestFacadeDispatch:
 
 class TestValidation:
     def test_negative_phi_rejected(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=14, k=2)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         with pytest.raises(ValueError):
             ResilientBlockPCG(dist, rhs, precond,
-                              resilience=ResilienceSpec(phi=-1),
-                              context=context)
+                              resilience=ResilienceSpec(phi=-1))
 
     def test_phi_at_least_node_count_rejected(self):
-        a, cluster, partition, dist, context, precond, rhs_global = \
+        a, cluster, partition, dist, precond, rhs_global = \
             make_problem(seed=15, k=2)
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
         with pytest.raises(ValueError):
             ResilientBlockPCG(dist, rhs, precond,
-                              resilience=ResilienceSpec(phi=N_NODES),
-                              context=context)
+                              resilience=ResilienceSpec(phi=N_NODES))
 
     def test_failures_beyond_phi_unrecoverable(self):
         a, *_, rhs_global = make_problem(seed=16, k=2)

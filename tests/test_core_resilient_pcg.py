@@ -164,8 +164,7 @@ class TestOverlappingFailures:
         ]
         solver = ResilientPCG(problem.matrix, problem.rhs, precond,
                               resilience=ResilienceSpec(phi=3,
-                                                        failures=failures),
-                              context=problem.context)
+                                                        failures=failures))
         result = solver.solve()
         assert result.converged
         assert len(result.recoveries) == 1
@@ -186,8 +185,7 @@ class TestOverlappingFailures:
         ]
         solver = ResilientPCG(problem.matrix, problem.rhs, precond,
                               resilience=ResilienceSpec(phi=2,
-                                                        failures=failures),
-                              context=problem.context)
+                                                        failures=failures))
         result = solver.solve()
         assert result.converged
         assert np.allclose(result.x, reference.x, atol=1e-7)
@@ -253,8 +251,7 @@ class TestCooperativeHookChain:
         problem = fresh_problem(matrix)
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
-        solver = ProbeResilient(problem.matrix, problem.rhs, precond,
-                                context=problem.context)
+        solver = ProbeResilient(problem.matrix, problem.rhs, precond)
         return solver, fired
 
     def test_mixin_hooks_chain_past_the_mixin(self, matrix):
@@ -321,13 +318,12 @@ def build_failure_handler(kind, problem, failures):
     if kind == "resilient":
         return ResilientPCG(problem.matrix, problem.rhs, precond,
                             resilience=ResilienceSpec(phi=2,
-                                                      failures=failures),
-                            context=problem.context)
+                                                      failures=failures))
     cls = {"checkpoint_restart": CheckpointRestartPCG,
            "interpolation": InterpolationRecoveryPCG,
            "full_restart": FullRestartPCG}[kind]
     return cls(problem.matrix, problem.rhs, precond,
-               failures=failures, context=problem.context)
+               failures=failures)
 
 
 def ledger_state(problem):

@@ -56,7 +56,7 @@ def build_direct_solver(solver_name, problem, overlap):
     """Hand-constructed solver on *problem*, bypassing the façade."""
     precond = make_preconditioner("block_jacobi")
     precond.setup(MATRIX, problem.partition)
-    common = dict(rtol=1e-8, context=problem.context, overlap_spmv=overlap)
+    common = dict(rtol=1e-8, overlap_spmv=overlap)
     if solver_name == "pcg":
         return DistributedPCG(problem.matrix, problem.rhs, precond, **common)
     if solver_name == "resilient_pcg":
@@ -240,8 +240,7 @@ class TestRegistry:
         @SOLVERS.register("facade_test_only")
         def build(problem, rhs, precond, spec):
             calls.append(spec.solver)
-            return BlockPCG(problem.matrix, rhs, precond,
-                            context=problem.context)
+            return BlockPCG(problem.matrix, rhs, precond)
 
         try:
             result = solve(fresh_problem(RHS_1D),
@@ -280,6 +279,13 @@ class TestRegistry:
 
 
 class TestProblemCaches:
+    def test_problem_context_is_the_matrix_plan_and_read_only(self):
+        problem = fresh_problem(RHS_1D)
+        assert problem.context is problem.matrix.context
+        with pytest.raises(AttributeError):
+            problem.context = problem.matrix.context
+        assert problem.context is problem.matrix.context
+
     def test_global_operator_cached_until_structure_changes(
             self, store_raised_diagonal):
         problem = fresh_problem(RHS_1D)
@@ -337,10 +343,10 @@ class TestRecoveryKeepsCaches:
 
     def test_recovered_solve_keeps_every_cache(self, monkeypatch):
         problem = fresh_problem(RHS_1D)
-        dist, context = problem.matrix, problem.context
+        dist = problem.matrix
         solve(problem)  # builds the engine, operator and factorization
         version = dist.structure_version
-        engine = dist.spmv_engine(context)
+        engine = dist.spmv_engine()
         operator = problem.global_operator()
         precond = problem.resolve_preconditioner("block_jacobi")
         builds = []
@@ -355,7 +361,7 @@ class TestRecoveryKeepsCaches:
         assert result.converged and result.n_failures_recovered == 2
         assert dist.structure_version == version
         assert builds == []
-        assert dist.spmv_engine(context) is engine
+        assert dist.spmv_engine() is engine
         assert problem.global_operator() is operator
         assert problem.resolve_preconditioner("block_jacobi") is precond
 
@@ -423,7 +429,6 @@ class TestResilienceOptionsForwarding:
             resilience=ResilienceSpec(
                 phi=2, placement=BackupPlacement.NEXT_RANKS,
                 failures=FAILURES, local_solver_method="direct"),
-            context=problem.context,
         ).solve()
         assert np.array_equal(one_call.x, direct.x)
         assert one_call.residual_norms == direct.residual_norms
@@ -440,7 +445,7 @@ class TestResilienceSpecReachesScheme:
         precond = make_preconditioner("block_jacobi")
         precond.setup(MATRIX, problem.partition)
         return ResilientPCG(problem.matrix, problem.rhs, precond,
-                            resilience=resilience, context=problem.context)
+                            resilience=resilience)
 
     @pytest.mark.parametrize("resilience,attribute,expected", [
         pytest.param(ResilienceSpec(phi=1, placement="rack_aware",

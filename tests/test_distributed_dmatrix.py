@@ -119,13 +119,6 @@ class TestFailureAndRecovery:
         rows = dist.recovery_rows([0, 1, 2, 3], charge=False)
         assert (rows != a).nnz == 0
 
-    def test_optional_no_storage(self, setup):
-        cluster, partition, a, _ = setup
-        dist = DistributedMatrix.from_global(cluster, partition, "B", a,
-                                             keep_in_storage=False)
-        with pytest.raises(KeyError):
-            dist.row_block_from_storage(0)
-
 
 class TestContiguousStorage:
     """One CSR matrix per name; each node holds a zero-copy row view."""

@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import MachineModel, NodeFailedError, Phase, VirtualCluster
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedVector,
     distributed_spmv,
@@ -22,7 +21,7 @@ def setup():
     a = poisson_2d(10)  # n = 100
     partition = BlockRowPartition(100, 4)
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    ctx = CommunicationContext.from_matrix(dist)
+    ctx = dist.context
     return cluster, partition, a, dist, ctx
 
 
@@ -33,7 +32,7 @@ class TestNumerics:
         x_values = rng.standard_normal(100)
         x = DistributedVector.from_global(cluster, partition, "x", x_values)
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         assert np.allclose(y.to_global(), a @ x_values)
 
     def test_without_prebuilt_context(self, setup):
@@ -48,7 +47,7 @@ class TestNumerics:
         x = DistributedVector.from_global(cluster, partition, "x", np.arange(100.0))
         y = DistributedVector.zeros(cluster, partition, "y")
         for _ in range(3):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
         assert np.allclose(y.to_global(), a @ np.arange(100.0))
 
     def test_partition_mismatch_rejected(self, setup):
@@ -58,7 +57,7 @@ class TestNumerics:
         x = DistributedVector.zeros(other_cluster, other, "x")
         y = DistributedVector.zeros(cluster, partition, "y")
         with pytest.raises(ValueError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
 
     def test_fails_when_owner_failed(self, setup):
         cluster, partition, _, dist, ctx = setup
@@ -66,7 +65,7 @@ class TestNumerics:
         y = DistributedVector.zeros(cluster, partition, "y")
         cluster.fail_nodes([2])
         with pytest.raises(NodeFailedError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
 
 
 class TestCosts:
@@ -74,7 +73,7 @@ class TestCosts:
         cluster, partition, _, dist, ctx = setup
         x = DistributedVector.from_global(cluster, partition, "x", np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         assert cluster.ledger.total_time([Phase.HALO_COMM]) > 0
         assert cluster.ledger.total_time([Phase.SPMV_COMPUTE]) > 0
 
@@ -83,7 +82,7 @@ class TestCosts:
         x = DistributedVector.from_global(cluster, partition, "x", np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
         before = cluster.simulated_time()
-        distributed_spmv(dist, x, y, ctx, charge=False)
+        distributed_spmv(dist, x, y, charge=False)
         assert cluster.simulated_time() == before
 
     def test_halo_cost_formula(self, setup):
@@ -113,7 +112,7 @@ class TestCosts:
         cluster, partition, _, dist, ctx = setup
         x = DistributedVector.from_global(cluster, partition, "x", np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         assert cluster.ledger.total_elements([Phase.HALO_COMM]) == \
             ctx.total_exchanged_elements()
 

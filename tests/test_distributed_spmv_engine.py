@@ -4,8 +4,8 @@ The central property: ``distributed_spmv`` is equivalent to the dense-gather
 oracle (the ``dense_gather_spmv`` fixture) -- bit-identical numeric results
 and bit-identical simulated-time charges on a twin cluster -- including
 after failure/recovery cycles and for degenerate scatter plans (single
-node, no off-node dependencies).  A plan that does not cover the matrix, or
-a cold engine cache with a failed owner, raises before anything is charged.
+node, no off-node dependencies).  The matrix owns one plan and one engine,
+and an engine build with a failed owner raises before anything is charged.
 """
 
 import numpy as np
@@ -14,6 +14,12 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze_overhead, sparsity_report
+from repro.baselines import (
+    CheckpointRestartPCG,
+    FullRestartPCG,
+    InterpolationRecoveryPCG,
+)
 from repro.cluster import (
     FailureEvent,
     MachineModel,
@@ -21,7 +27,7 @@ from repro.cluster import (
     VirtualCluster,
 )
 from repro.core import BlockPCG, ResilienceSpec, ResilientBlockPCG
-from repro.core.api import distribute_problem
+from repro.core.api import distribute_problem, solve
 from repro.core.resilient_pcg import ResilientPCG
 from repro.distributed import (
     BlockRowPartition,
@@ -29,6 +35,7 @@ from repro.distributed import (
     ContextMismatchError,
     DistributedMatrix,
     DistributedVector,
+    SpmvEngine,
     distributed_spmv,
 )
 from repro.matrices import build_matrix, poisson_2d
@@ -43,8 +50,7 @@ def make_pair(matrix, n_parts):
     for _ in range(2):
         cluster = VirtualCluster(n_parts, machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-        ctx = CommunicationContext.from_matrix(dist)
-        out.append((cluster, dist, ctx))
+        out.append((cluster, dist))
     return partition, out
 
 
@@ -56,12 +62,12 @@ def spmv_both_paths(matrix, n_parts, values, oracle, repeats=3):
     """Run the SpMV and the *oracle* on twin clusters; return both results."""
     partition, (engine_side, reference_side) = make_pair(matrix, n_parts)
     results = []
-    for (cluster, dist, ctx), spmv in ((engine_side, distributed_spmv),
-                                       (reference_side, oracle)):
+    for (cluster, dist), spmv in ((engine_side, distributed_spmv),
+                                  (reference_side, oracle)):
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
         for _ in range(repeats):
-            spmv(dist, x, y, ctx)
+            spmv(dist, x, y)
         results.append((y.to_global(), cluster.ledger))
     return results
 
@@ -103,8 +109,8 @@ class TestEquivalence:
     def test_block_diagonal_matrix_has_no_ghosts(self):
         blocks = [np.eye(4) * (i + 2) for i in range(4)]
         matrix = sp.block_diag(blocks, format="csr")
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        engine = dist.spmv_engine(ctx)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
+        engine = dist.spmv_engine()
         assert engine is not None
         for rank in range(4):
             assert engine.ghost_indices(rank).size == 0
@@ -112,27 +118,28 @@ class TestEquivalence:
     def test_output_may_alias_input(self):
         matrix = poisson_2d(10)
         values = np.random.default_rng(3).standard_normal(100)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x", values)
-        distributed_spmv(dist, x, x, ctx)
+        distributed_spmv(dist, x, x)
         assert np.array_equal(x.to_global(), matrix @ values)
 
     def test_fails_when_owner_failed(self):
         matrix = poisson_2d(10)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x", np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)  # engine built and cached
+        distributed_spmv(dist, x, y)  # engine built and cached
         cluster.fail_nodes([1])
         with pytest.raises(NodeFailedError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
 
 
 class TestGhostCompression:
     def test_ghost_indices_match_scatter_plan(self):
         matrix = build_matrix("M3", n=1200, seed=0)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 6)
-        engine = dist.spmv_engine(ctx)
+        partition, ((cluster, dist), _) = make_pair(matrix, 6)
+        engine = dist.spmv_engine()
+        ctx = dist.context
         for rank in range(6):
             senders = ctx.senders_to(rank)
             expected = (np.unique(np.concatenate(
@@ -148,13 +155,13 @@ class TestGhostCompression:
         values = np.random.default_rng(5).standard_normal(100)
         partition, sides = make_pair(matrix, 4)
         results = []
-        for (cluster, dist, ctx), spmv in zip(
+        for (cluster, dist), spmv in zip(
                 sides, (distributed_spmv, dense_gather_spmv)):
             x = DistributedVector.from_global(cluster, partition, "x", values)
             y = DistributedVector.zeros(cluster, partition, "y")
-            distributed_spmv(dist, x, y, ctx, charge=False)  # engine cached
+            distributed_spmv(dist, x, y, charge=False)  # engine cached
             dist.row_block(1).data *= 2.0
-            spmv(dist, x, y, ctx)
+            spmv(dist, x, y)
             results.append((y.to_global(), ledger_state(cluster.ledger)))
         (y_engine, led_engine), (y_reference, led_reference) = results
         assert np.array_equal(y_engine, y_reference)
@@ -162,114 +169,117 @@ class TestGhostCompression:
 
 
 class TestCache:
-    def test_engine_cached_per_context(self):
-        matrix = poisson_2d(12)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        engine = dist.spmv_engine(ctx)
-        assert dist.spmv_engine(ctx) is engine
-        other_ctx = CommunicationContext.from_matrix(dist)
-        assert dist.spmv_engine(other_ctx) is not engine
-
     def test_default_context_calls_reuse_one_engine(self):
-        """Repeated ``context=None`` calls must not build (and leak) a fresh
-        plan + engine per call."""
+        """Repeated SpMVs must not build (and leak) a fresh plan + engine
+        per call."""
         matrix = poisson_2d(12)
-        partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x",
                                           np.arange(144.0))
         y = DistributedVector.zeros(cluster, partition, "y")
+        engine = dist.spmv_engine()
         for _ in range(10):
             distributed_spmv(dist, x, y)
-        assert len(dist._spmv_engines) == 1
-        assert dist.default_context() is dist.default_context()
+        assert dist.spmv_engine() is engine
+        assert dist.context is dist.context
 
     def test_one_plan_per_matrix(self, store_raised_diagonal):
-        """The problem and a solver built without a context hold the
-        matrix's one plan, the one a context-free SpMV uses; a
-        value-changing restore keeps it, since a restore cannot change the
-        pattern."""
+        """The problem, the engine and every solver hold the matrix's one
+        plan; a value-changing restore keeps it, since a restore cannot
+        change the pattern."""
         problem = distribute_problem(poisson_2d(12), n_nodes=4,
                                      machine=MachineModel(jitter_rel_std=0.0))
         dist = problem.matrix
-        plan = dist.default_context()
+        plan = dist.context
         assert problem.context is plan
-        assert BlockPCG(dist, problem.rhs).context is plan
+        assert dist.spmv_engine().context is plan
+        resilient = ResilientBlockPCG(dist, problem.rhs,
+                                      resilience=ResilienceSpec(phi=2))
+        solvers = [BlockPCG(dist, problem.rhs), resilient,
+                   FullRestartPCG(dist, problem.rhs),
+                   CheckpointRestartPCG(dist, problem.rhs),
+                   InterpolationRecoveryPCG(dist, problem.rhs)]
+        assert all(solver.context is plan for solver in solvers)
+        assert resilient.esr.context is plan
+        assert resilient.reconstructor.context is plan
         version = dist.structure_version
         store_raised_diagonal(dist, 2)
         dist.restore_block_to_node(2, charge=False)
         assert dist.structure_version > version
-        assert dist.default_context() is plan
+        assert dist.context is plan
 
-    def test_engine_cache_is_bounded(self):
-        matrix = poisson_2d(12)
-        partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
-        x = DistributedVector.from_global(cluster, partition, "x",
-                                          np.arange(144.0))
-        y = DistributedVector.zeros(cluster, partition, "y")
-        hot_ctx = CommunicationContext.from_matrix(dist)
-        hot_engine = dist.spmv_engine(hot_ctx)
-        for _ in range(3 * dist._ENGINE_CACHE_SIZE):
-            ctx = CommunicationContext.from_matrix(dist)
-            distributed_spmv(dist, x, y, ctx)
-            # LRU: touching the long-lived plan keeps it cached throughout
-            assert dist.spmv_engine(hot_ctx) is hot_engine
-        assert len(dist._spmv_engines) <= dist._ENGINE_CACHE_SIZE
-        assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+    def test_one_problem_builds_one_engine(self, monkeypatch,
+                                           store_raised_diagonal):
+        """Solves of every kind, the analyses and a direct SpMV on one
+        problem share one engine; a value-changing restore builds exactly
+        one more."""
+        builds = []
+        init = SpmvEngine.__init__
 
-    def test_engine_recached_under_own_key_after_invalidation(self):
-        """Eviction of stale entries must not corrupt the key the rebuilt
-        engine is stored under (regression: loop-variable shadowing)."""
+        def counted_init(engine, matrix):
+            builds.append(matrix)
+            init(engine, matrix)
+
+        monkeypatch.setattr(SpmvEngine, "__init__", counted_init)
         matrix = poisson_2d(12)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        contexts = [CommunicationContext.from_matrix(dist)
-                    for _ in range(dist._ENGINE_CACHE_SIZE)]
-        for extra_ctx in contexts:
-            assert dist.spmv_engine(extra_ctx) is not None
-        dist.restore_block_to_node(0, charge=False)  # all entries now stale
-        rebuilt = dist.spmv_engine(ctx)
-        assert rebuilt is not None
-        assert id(ctx) in dist._spmv_engines
-        assert dist.spmv_engine(ctx) is rebuilt  # hit, not a rebuild
+        problem = distribute_problem(matrix, n_nodes=4,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        rhs_block = np.column_stack([problem.rhs.to_global(), np.ones(144)])
+        assert solve(problem).converged
+        assert solve(problem, phi=2).converged
+        assert solve(problem, rhs_block).all_converged
+        analyze_overhead(problem.matrix, 2)
+        sparsity_report(problem.matrix, 2)
+        x = DistributedVector.from_global(problem.cluster, problem.partition,
+                                          "x", np.arange(144.0))
+        y = DistributedVector.zeros(problem.cluster, problem.partition, "y")
+        distributed_spmv(problem.matrix, x, y)
+        assert builds == [problem.matrix]
+        store_raised_diagonal(problem.matrix, 2)
+        problem.matrix.restore_block_to_node(2, charge=False)
+        distributed_spmv(problem.matrix, x, y)
+        assert solve(problem).converged
+        assert builds == [problem.matrix] * 2
 
     @pytest.mark.parametrize("overlap", [False, True],
                              ids=["serialized", "overlap"])
     def test_cold_cache_failed_owner_raises_with_nothing_booked(self,
                                                                 overlap):
-        """With a failed owner and a cold engine cache, the engine build
-        raises before the SpMV charges anything."""
+        """With a failed owner and no engine built yet, the engine build
+        raises before the SpMV charges anything, and keeps no engine."""
         matrix = poisson_2d(10)
-        partition, ((cluster, dist, _), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x",
                                           np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
-        fresh_ctx = CommunicationContext.from_matrix(dist)  # cold cache
+        assert dist.context is not None  # the plan is built, the engine not
         cluster.fail_nodes([2])
         before = ledger_state(cluster.ledger)
         with pytest.raises(NodeFailedError):
-            distributed_spmv(dist, x, y, fresh_ctx, overlap=overlap)
+            distributed_spmv(dist, x, y, overlap=overlap)
         assert ledger_state(cluster.ledger) == before
-        assert id(fresh_ctx) not in dist._spmv_engines
+        assert dist._engine is None
 
     def test_restore_block_invalidates_cache(self, store_raised_diagonal):
         matrix = poisson_2d(12)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        engine = dist.spmv_engine(ctx)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
+        engine = dist.spmv_engine()
         version = dist.structure_version
         # Restoring the values already stored keeps the engine.
         dist.restore_block_to_node(2, charge=False)
         assert dist.structure_version == version
-        assert dist.spmv_engine(ctx) is engine
+        assert dist.spmv_engine() is engine
         raised = store_raised_diagonal(dist, 2)
         dist.restore_block_to_node(2, charge=False)
         assert dist.structure_version > version
-        rebuilt = dist.spmv_engine(ctx)
+        rebuilt = dist.spmv_engine()
         assert rebuilt is not engine
         # the rebuilt engine computes with the restored blocks
         x = DistributedVector.from_global(
             cluster, partition, "x", np.arange(144.0)
         )
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         start, stop = partition.range_of(2)
         expected = sp.vstack([matrix[:start], raised, matrix[stop:]],
                              format="csr")
@@ -277,16 +287,16 @@ class TestCache:
 
     def test_unrestored_input_raises_key_error(self):
         matrix = poisson_2d(10)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x",
                                           np.ones(100))
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         cluster.fail_nodes([2])
         cluster.replace_nodes([2])
         dist.restore_block_to_node(2, charge=False)
         with pytest.raises(KeyError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
 
     def test_output_block_reinstalled_on_replacement_node(self):
         """The SpMV overwrites every output block, so a replacement node
@@ -294,7 +304,7 @@ class TestCache:
         a recovery)."""
         matrix = poisson_2d(10)
         values = np.arange(100.0)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
+        partition, ((cluster, dist), _) = make_pair(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
         cluster.fail_nodes([2])
@@ -302,7 +312,7 @@ class TestCache:
         dist.restore_block_to_node(2, charge=False)
         start, stop = partition.range_of(2)
         x.restore_block(2, values[start:stop])
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         assert y.has_block(2)
         assert np.array_equal(y.to_global(), matrix @ values)
 
@@ -310,7 +320,7 @@ class TestCache:
         """A plan whose edges ship indices their 'sender' does not own is
         rejected when it is built, so no engine or SpMV can ever see it."""
         matrix = poisson_2d(12)
-        partition, ((cluster, _, _), _) = make_pair(matrix, 4)
+        partition, ((cluster, _), _) = make_pair(matrix, 4)
         full_cols = np.arange(144, dtype=np.int64)
         before = ledger_state(cluster.ledger)
         # rank 0 "sends" every index, including ones owned by other ranks
@@ -327,7 +337,7 @@ class TestCache:
         """The problem's own plan plus one index its sender does not own
         (rank 2's index 100 in ``S_03``; rank 0's index 0 in ``S_13``,
         whose negative local offset would count against rank 1's row 0)
-        fails when it is built, before a resilient solver can take it."""
+        fails when it is built, before anything is charged."""
         problem = distribute_problem(poisson_2d(12), n_nodes=4,
                                      machine=MachineModel(jitter_rel_std=0.0))
         plan = problem.context
@@ -336,30 +346,9 @@ class TestCache:
         edges[(src, dst)] = np.append(plan.send_indices(src, dst), index)
         before = ledger_state(problem.cluster.ledger)
         with pytest.raises(ContextMismatchError, match="does not own"):
-            ResilientBlockPCG(
-                problem.matrix, problem.rhs,
-                resilience=ResilienceSpec(phi=2),
-                context=CommunicationContext(problem.partition, edges))
+            CommunicationContext(problem.partition, edges)
         assert ledger_state(problem.cluster.ledger) == before
-
-    def test_mismatched_context_raises(self):
-        """A plan that does not cover the sparsity pattern (here: an empty
-        plan, which would book no halo traffic for a product that needs
-        ghost values) raises before anything is charged."""
-        matrix = poisson_2d(12)  # has off-diagonal blocks
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 4)
-        empty_ctx = CommunicationContext(partition, {})
-        with pytest.raises(ContextMismatchError):
-            dist.spmv_engine(empty_ctx)
-        x = DistributedVector.from_global(
-            cluster, partition, "x", np.arange(144.0)
-        )
-        y = DistributedVector.zeros(cluster, partition, "y")
-        before = ledger_state(cluster.ledger)
-        with pytest.raises(ContextMismatchError):
-            distributed_spmv(dist, x, y, empty_ctx)
-        assert ledger_state(cluster.ledger) == before
-        assert id(empty_ctx) not in dist._spmv_engines
+        assert problem.context is plan
 
 
 class TestNoEngineSwitch:
@@ -369,13 +358,13 @@ class TestNoEngineSwitch:
 
     def test_distributed_spmv_rejects_engine(self):
         matrix = poisson_2d(8)
-        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 2)
+        partition, ((cluster, dist), _) = make_pair(matrix, 2)
         x = DistributedVector.from_global(cluster, partition, "x",
                                           np.ones(64))
         y = DistributedVector.zeros(cluster, partition, "y")
         before = ledger_state(cluster.ledger)
         with pytest.raises(TypeError, match="engine"):
-            distributed_spmv(dist, x, y, ctx, engine=False)
+            distributed_spmv(dist, x, y, engine=False)
         assert ledger_state(cluster.ledger) == before
 
     @pytest.mark.parametrize("solver_cls", [BlockPCG, ResilientBlockPCG])
@@ -403,8 +392,7 @@ class TestAfterRecovery:
             solver = ResilientPCG(
                 problem.matrix, problem.rhs, precond,
                 resilience=ResilienceSpec(
-                    phi=2, failures=[FailureEvent(8, (1, 3))]),
-                context=problem.context)
+                    phi=2, failures=[FailureEvent(8, (1, 3))]))
             result = solver.solve()
             assert result.converged
             assert result.n_failures_recovered == 2
@@ -413,7 +401,7 @@ class TestAfterRecovery:
                 problem.cluster, problem.partition, "probe_x", values)
             y = DistributedVector.zeros(problem.cluster, problem.partition,
                                         "probe_y")
-            spmv(problem.matrix, x, y, problem.context)
+            spmv(problem.matrix, x, y)
             results.append((y.to_global(),
                             ledger_state(problem.cluster.ledger)))
         (y_engine, led_engine), (y_reference, led_reference) = results
@@ -436,11 +424,10 @@ class TestAfterRecovery:
             solver = ResilientPCG(
                 problem.matrix, problem.rhs, precond,
                 resilience=ResilienceSpec(
-                    phi=1, failures=[FailureEvent(5, (2,))]),
-                context=problem.context)
+                    phi=1, failures=[FailureEvent(5, (2,))]))
             if not use_engine:
                 solver._spmv = lambda x, out, s=solver: dense_gather_spmv(
-                    s.matrix, x, out, s.context)
+                    s.matrix, x, out)
             result = solver.solve()
             results.append((result, ledger_state(problem.cluster.ledger)))
         (with_engine, led_engine), (without_engine, led_reference) = results

@@ -12,8 +12,6 @@ Contracts exercised here:
 * Batched ``Y = A X`` is column-wise bit-identical to ``k`` single-vector
   calls on the same execution path, with one halo exchange shipping ``k``
   columns (same message count, ``k``-fold element volume).
-* A plan that does not cover the matrix raises on either path before
-  anything is charged.
 """
 
 import numpy as np
@@ -26,8 +24,6 @@ from repro.cluster import MachineModel, NodeFailedError, Phase, VirtualCluster
 from repro.core.pcg import DistributedPCG
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
-    ContextMismatchError,
     DistributedMatrix,
     DistributedMultiVector,
     DistributedVector,
@@ -42,7 +38,7 @@ def make_problem(matrix, n_parts, seed=7):
     partition = BlockRowPartition(n, n_parts)
     cluster = VirtualCluster(n_parts, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-    ctx = CommunicationContext.from_matrix(dist)
+    ctx = dist.context
     values = np.random.default_rng(seed).standard_normal(n)
     return cluster, partition, dist, ctx, values
 
@@ -83,8 +79,8 @@ class TestSplitPhaseEquivalence:
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y_split = DistributedVector.zeros(cluster, partition, "ys")
         y_fused = DistributedVector.zeros(cluster, partition, "yf")
-        distributed_spmv(dist, x, y_split, ctx, charge=False, overlap=True)
-        distributed_spmv(dist, x, y_fused, ctx, charge=False, overlap=False)
+        distributed_spmv(dist, x, y_split, charge=False, overlap=True)
+        distributed_spmv(dist, x, y_fused, charge=False, overlap=False)
         # Exactly the split summation order (diag terms, then offdiag terms).
         assert np.array_equal(y_split.to_global(),
                               split_oracle(matrix, partition, values))
@@ -103,7 +99,7 @@ class TestSplitPhaseEquivalence:
             x = DistributedVector.from_global(cluster, partition, "x", values)
             y = DistributedVector.zeros(cluster, partition, "y")
             for _ in range(3):
-                spmv(dist, x, y, ctx)
+                spmv(dist, x, y)
             ledgers.append(cluster.ledger)
             results.append(y.to_global())
         assert np.array_equal(results[0], results[1])
@@ -117,7 +113,7 @@ class TestSplitPhaseEquivalence:
     def test_overlap_charge_bounded_by_serialized(self, matrix_id, n_parts):
         matrix = build_matrix(matrix_id, n=2000, seed=0)
         cluster, partition, dist, ctx, _ = make_problem(matrix, n_parts)
-        engine = dist.spmv_engine(ctx)
+        engine = dist.spmv_engine()
         ch = engine.overlap_charge()
         serialized = engine.halo_cost[0] + engine.compute_cost
         assert ch.total_time <= serialized + 1e-18
@@ -133,8 +129,8 @@ class TestSplitPhaseEquivalence:
         cluster, partition, dist, ctx, values = make_problem(matrix, 8)
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx, overlap=True)
-        engine = dist.spmv_engine(ctx)
+        distributed_spmv(dist, x, y, overlap=True)
+        engine = dist.spmv_engine()
         ch = engine.overlap_charge()
         ledger = cluster.ledger
         assert ledger.times[Phase.SPMV_COMPUTE] == ch.compute_time
@@ -147,25 +143,11 @@ class TestSplitPhaseEquivalence:
         assert ledger.elements[Phase.HALO_COMM] == \
             ctx.total_exchanged_elements()
 
-    def test_overlap_with_mismatched_context_raises(self):
-        matrix = poisson_2d(12)
-        cluster, partition, dist, ctx, values = make_problem(matrix, 4)
-        empty_ctx = CommunicationContext(partition, {})
-        x = DistributedVector.from_global(cluster, partition, "x", values)
-        y = DistributedVector.zeros(cluster, partition, "y")
-        ledger = cluster.ledger
-        before = (dict(ledger.times), dict(ledger.messages),
-                  dict(ledger.elements))
-        with pytest.raises(ContextMismatchError):
-            distributed_spmv(dist, x, y, empty_ctx, overlap=True)
-        assert (ledger.times, ledger.messages, ledger.elements) == before
-        assert np.array_equal(y.to_global(), np.zeros(matrix.shape[0]))
-
     def test_overlap_may_alias_input(self):
         matrix = poisson_2d(10)
         cluster, partition, dist, ctx, values = make_problem(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x", values)
-        distributed_spmv(dist, x, x, ctx, charge=False, overlap=True)
+        distributed_spmv(dist, x, x, charge=False, overlap=True)
         assert np.array_equal(x.to_global(),
                               split_oracle(matrix, partition, values))
 
@@ -174,15 +156,15 @@ class TestSplitPhaseEquivalence:
         cluster, partition, dist, ctx, values = make_problem(matrix, 4)
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
-        distributed_spmv(dist, x, y, ctx, overlap=True)
+        distributed_spmv(dist, x, y, overlap=True)
         cluster.fail_nodes([2])
         with pytest.raises(NodeFailedError):
-            distributed_spmv(dist, x, y, ctx, overlap=True)
+            distributed_spmv(dist, x, y, overlap=True)
 
     def test_diag_offdiag_partition_structure(self):
         matrix = build_matrix("M4", n=1200, seed=0)
         cluster, partition, dist, ctx, _ = make_problem(matrix, 6)
-        engine = dist.spmv_engine(ctx)
+        engine = dist.spmv_engine()
         for rank in range(6):
             diag = engine.diag_block(rank)
             offdiag = engine.offdiag_block(rank)
@@ -239,14 +221,14 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv(dist, x, y, ctx, charge=False)
+        distributed_spmv(dist, x, y, charge=False)
         y_global = y.to_global()
         for j in range(k):
             xj = DistributedVector.from_global(
                 cluster, partition, f"x{j}", block[:, j]
             )
             yj = DistributedVector.zeros(cluster, partition, f"y{j}")
-            distributed_spmv(dist, xj, yj, ctx, charge=False)
+            distributed_spmv(dist, xj, yj, charge=False)
             assert np.array_equal(y_global[:, j], yj.to_global())
 
     def test_engine_and_reference_block_paths_agree(self, dense_gather_spmv):
@@ -261,7 +243,7 @@ class TestMultiRHS:
             x = DistributedMultiVector.from_global(cluster, partition, "X",
                                                    block)
             y = DistributedMultiVector.zeros(cluster, partition, "Y", 4)
-            spmv(dist, x, y, ctx)
+            spmv(dist, x, y)
             outs.append(y.to_global())
             ledgers.append(cluster.ledger)
         assert np.array_equal(outs[0], outs[1])
@@ -281,12 +263,12 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         ledger = cluster.ledger
         assert ledger.messages[Phase.HALO_COMM] == ctx.total_messages()
         assert ledger.elements[Phase.HALO_COMM] == \
             k * ctx.total_exchanged_elements()
-        engine = dist.spmv_engine(ctx)
+        engine = dist.spmv_engine()
         halo_k = engine.halo_cost_for(k)[0]
         assert halo_k < k * engine.halo_cost[0]  # latency paid once
         assert ledger.times[Phase.HALO_COMM] == halo_k
@@ -301,14 +283,14 @@ class TestMultiRHS:
         )
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", k)
-        distributed_spmv(dist, x, y, ctx, charge=False, overlap=True)
+        distributed_spmv(dist, x, y, charge=False, overlap=True)
         y_global = y.to_global()
         for j in range(k):
             xj = DistributedVector.from_global(
                 cluster, partition, f"x{j}", block[:, j]
             )
             yj = DistributedVector.zeros(cluster, partition, f"y{j}")
-            distributed_spmv(dist, xj, yj, ctx, charge=False, overlap=True)
+            distributed_spmv(dist, xj, yj, charge=False, overlap=True)
             assert np.array_equal(y_global[:, j], yj.to_global())
 
     def test_block_output_may_alias_input(self):
@@ -316,7 +298,7 @@ class TestMultiRHS:
         cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
         block = np.random.default_rng(2).standard_normal((100, 3))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
-        distributed_spmv(dist, x, x, ctx, charge=False)
+        distributed_spmv(dist, x, x, charge=False)
         assert np.array_equal(x.to_global(), matrix @ block)
 
     @pytest.mark.parametrize("overlap", [False, True])
@@ -328,10 +310,10 @@ class TestMultiRHS:
         x = DistributedMultiVector.from_global(cluster, partition, "X",
                                                values[:, None])
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 1)
-        distributed_spmv(dist, x, y, ctx, charge=False, overlap=overlap)
+        distributed_spmv(dist, x, y, charge=False, overlap=overlap)
         xv = DistributedVector.from_global(cluster, partition, "xv", values)
         yv = DistributedVector.zeros(cluster, partition, "yv")
-        distributed_spmv(dist, xv, yv, ctx, charge=False, overlap=overlap)
+        distributed_spmv(dist, xv, yv, charge=False, overlap=overlap)
         assert np.array_equal(y.to_global()[:, 0], yv.to_global())
 
     def test_block_output_written_in_place(self):
@@ -342,7 +324,7 @@ class TestMultiRHS:
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 2)
         before = [y.get_block(rank) for rank in range(4)]
         for overlap in (False, True):
-            distributed_spmv(dist, x, y, ctx, charge=False,
+            distributed_spmv(dist, x, y, charge=False,
                              overlap=overlap)
             assert all(y.get_block(rank) is before[rank] for rank in range(4))
             assert np.allclose(y.to_global(), matrix @ block)
@@ -352,7 +334,7 @@ class TestMultiRHS:
         cluster, partition, dist, ctx, _ = make_problem(matrix, 4)
         block = np.random.default_rng(2).standard_normal((100, 3))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
-        distributed_spmv(dist, x, x, ctx, charge=False, overlap=True)
+        distributed_spmv(dist, x, x, charge=False, overlap=True)
         assert np.allclose(x.to_global(), matrix @ block)
 
     def test_block_fails_when_owner_failed(self):
@@ -361,10 +343,10 @@ class TestMultiRHS:
         block = np.ones((100, 2))
         x = DistributedMultiVector.from_global(cluster, partition, "X", block)
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 2)
-        distributed_spmv(dist, x, y, ctx)
+        distributed_spmv(dist, x, y)
         cluster.fail_nodes([1])
         with pytest.raises(NodeFailedError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
 
     def test_multivector_validation(self):
         matrix = poisson_2d(10)
@@ -380,7 +362,7 @@ class TestMultiRHS:
             x.set_block(0, np.ones((partition.size_of(0), 3)))
         y = DistributedMultiVector.zeros(cluster, partition, "Y", 3)
         with pytest.raises(ValueError):
-            distributed_spmv(dist, x, y, ctx)
+            distributed_spmv(dist, x, y)
         with pytest.raises(IndexError):
             x.column(5)
         assert np.array_equal(x.column(1), np.zeros(100))
@@ -446,10 +428,9 @@ def test_property_split_phase_equals_oracle(n, n_parts, density, seed):
     partition = BlockRowPartition(n, n_parts)
     cluster = VirtualCluster(n_parts, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-    ctx = CommunicationContext.from_matrix(dist)
     x = DistributedVector.from_global(cluster, partition, "x", values)
     y = DistributedVector.zeros(cluster, partition, "y")
-    distributed_spmv(dist, x, y, ctx, charge=False, overlap=True)
+    distributed_spmv(dist, x, y, charge=False, overlap=True)
     assert np.array_equal(y.to_global(),
                           split_oracle(matrix, partition, values))
     reference = matrix @ values

@@ -39,7 +39,6 @@ from repro.cluster import (
 from repro.core import ResilienceSpec, ResilientBlockPCG, ResilientPCG
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedMultiVector,
     DistributedVector,
@@ -82,7 +81,6 @@ def run_scenario(solver_name, events, *, overlap, seed=0):
     partition = BlockRowPartition(n, N_NODES)
     cluster = VirtualCluster(N_NODES, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    context = CommunicationContext.from_matrix(dist)
     precond = make_preconditioner("block_jacobi")
     precond.setup(a, partition)
     resilience = ResilienceSpec(phi=PHI, failures=events)
@@ -91,12 +89,12 @@ def run_scenario(solver_name, events, *, overlap, seed=0):
         rhs = DistributedVector.from_global(
             cluster, partition, "b", rng.standard_normal(n))
         solver = ResilientPCG(dist, rhs, precond, resilience=resilience,
-                              context=context, overlap_spmv=overlap)
+                              overlap_spmv=overlap)
     else:
         rhs = DistributedMultiVector.from_global(
             cluster, partition, "B", rng.standard_normal((n, K_BLOCK)))
         solver = ResilientBlockPCG(dist, rhs, precond, resilience=resilience,
-                                   context=context, overlap_spmv=overlap)
+                                   overlap_spmv=overlap)
     result = solver.solve()
     assert solver.failure_injector.all_triggered(), \
         "scenario events must fire mid-solve"

@@ -85,8 +85,7 @@ def _run_baseline(cls, **kwargs) -> str:
     problem = _problem()
     precond = problem.resolve_preconditioner("block_jacobi")
     result = cls(problem.matrix, problem.rhs, precond,
-                 failures=[FailureEvent(6, (1, 2))], context=problem.context,
-                 **kwargs).solve()
+                 failures=[FailureEvent(6, (1, 2))], **kwargs).solve()
     assert result.converged
     return _digest(problem, result)
 

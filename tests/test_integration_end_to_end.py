@@ -78,7 +78,7 @@ class TestSuiteMatrixEndToEnd:
     def test_analysis_consistent_with_measured_redundancy(self, suite_case):
         _, matrix = suite_case
         problem = distribute_problem(matrix, n_nodes=8, machine=MACHINE)
-        analysis = analyze_overhead(problem.matrix, 2, context=problem.context)
+        analysis = analyze_overhead(problem.matrix, 2)
         result = solve(problem, solver="resilient_pcg", phi=2, preconditioner="block_jacobi")
         charged = result.time_breakdown.get(Phase.REDUNDANCY_COMM, 0.0)
         expected = analysis.per_iteration_time * result.iterations
@@ -87,7 +87,7 @@ class TestSuiteMatrixEndToEnd:
     def test_sparsity_report_runs(self, suite_case):
         _, matrix = suite_case
         problem = distribute_problem(matrix, n_nodes=8, machine=MACHINE)
-        report = sparsity_report(problem.matrix, 3, context=problem.context)
+        report = sparsity_report(problem.matrix, 3)
         assert 0.0 <= report.natural_coverage <= 1.0
 
 

@@ -32,7 +32,6 @@ from repro.core.esr import ESRProtocol
 from repro.core.redundancy import RedundancyScheme
 from repro.distributed import (
     BlockRowPartition,
-    CommunicationContext,
     DistributedMatrix,
     DistributedMultiVector,
     distributed_spmv,
@@ -50,12 +49,11 @@ def make_operands(n_nodes, k):
     matrix = poisson_2d(SIDE)
     partition = BlockRowPartition(matrix.shape[0], n_nodes)
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-    context = CommunicationContext.from_matrix(dist)
     rng = np.random.default_rng(0)
     x, y = (DistributedMultiVector.from_global(
         cluster, partition, name, rng.standard_normal((matrix.shape[0], k)))
         for name in ("x", "y"))
-    return dist, context, x, y
+    return dist, dist.context, x, y
 
 
 def count_calls(monkeypatch, op):
@@ -90,7 +88,7 @@ OPS = {
     "axpy": lambda dist, context, x, y: y.axpy(0.5, x),
     "dots": lambda dist, context, x, y: x.dots(y),
     "distributed_spmv": lambda dist, context, x, y: distributed_spmv(
-        dist, x, y, context),
+        dist, x, y),
 }
 
 
@@ -178,9 +176,8 @@ def test_preconditioner_makes_one_python_call_per_rank():
     and nothing else per rank (no partition lookups, no rank checks)."""
     counts = {}
     for n_nodes in (16, 128):
-        dist, context, x, y = make_operands(n_nodes, 1)
-        solver = BlockPCG(dist, x, BlockJacobiPreconditioner(),
-                          context=context)
+        dist, _, x, y = make_operands(n_nodes, 1)
+        solver = BlockPCG(dist, x, BlockJacobiPreconditioner())
         solver._apply_preconditioner(x, y)  # warm-up: liveness checked
         counts[n_nodes] = count_profile_events(
             lambda: solver._apply_preconditioner(x, y), "call")
@@ -242,7 +239,7 @@ def test_plan_queries_and_scheme_build_do_not_grow_with_node_count():
         matrix = poisson_1d(4 * n_nodes)
         partition = BlockRowPartition(matrix.shape[0], n_nodes)
         context = DistributedMatrix.from_global(
-            cluster, partition, "A", matrix).default_context()
+            cluster, partition, "A", matrix).context
         rank = 5
         ops = (lambda: context.receivers_of(rank),
                lambda: context.senders_to(rank),

@@ -377,8 +377,7 @@ class TestHookSuper:
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
         solver = BrokenESR(problem.matrix, problem.rhs, precond,
-                           resilience=repro.ResilienceSpec(phi=1),
-                           context=problem.context)
+                           resilience=repro.ResilienceSpec(phi=1))
         with sanitizer.sanitized(DETECTORS + ("hook_super",)):
             with pytest.raises(SanitizerError) as excinfo:
                 solver.solve()
@@ -397,7 +396,6 @@ class TestHookSuper:
         precond = make_preconditioner("block_jacobi")
         precond.setup(problem.matrix.to_global(), problem.partition)
         solver = BrokenESR(problem.matrix, problem.rhs, precond,
-                           resilience=repro.ResilienceSpec(phi=1),
-                           context=problem.context)
+                           resilience=repro.ResilienceSpec(phi=1))
         with sanitizer.sanitized():  # default detectors only
             assert solver.solve().converged
