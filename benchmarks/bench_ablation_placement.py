@@ -15,13 +15,11 @@ import pytest
 
 from repro.analysis import analyze_overhead
 from repro.core.api import distribute_problem, solve
-from repro.core.redundancy import BackupPlacement
 from repro.core.spec import ResilienceSpec, SolveSpec
 from repro.harness import format_table
 from repro.matrices import build_matrix
 
-PLACEMENTS = (BackupPlacement.PAPER, BackupPlacement.NEXT_RANKS,
-              BackupPlacement.RANDOM)
+PLACEMENTS = ("paper", "next_ranks", "random")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +39,7 @@ def ablation_data(bench_settings):
                 resilience=ResilienceSpec(phi=phi, placement=placement)))
             rows.append({
                 "matrix": matrix_id,
-                "placement": placement.value,
+                "placement": placement,
                 "extra_elements": analysis.total_extra_elements,
                 "extra_messages": analysis.extra_messages,
                 "undisturbed_overhead_pct": 100.0 * (

@@ -55,7 +55,7 @@ def main() -> None:
     print(f"relative solution difference: {difference:.2e}")
     print(f"total overhead vs. reference: {overhead:.1%}")
     print(f"residual deviation (Eqn. 7): "
-          f"{repro.core.residual_difference_of(resilient):+.2e}")
+          f"{resilient.relative_residual_deviation:+.2e}")
 
     # 5. Multi-RHS: an (n, k) right-hand-side block dispatches to the block
     #    PCG -- one halo exchange and one k-wide allreduce per reduction,

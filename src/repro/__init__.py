@@ -54,7 +54,6 @@ from .core import (
     PLACEMENTS,
     REDUNDANCY_SCHEMES,
     SOLVERS,
-    BackupPlacement,
     BlockPCG,
     BlockSolveResult,
     BlockSpec,
@@ -63,7 +62,6 @@ from .core import (
     DistributedSolveResult,
     ESRProtocol,
     ESRReconstructor,
-    PlacementStrategy,
     RackLayout,
     RecoveryReport,
     RedundancyScheme,
@@ -92,7 +90,6 @@ from .harness import CampaignSpec, run_campaign
 from .precond import make_preconditioner
 from .service import (
     BATCHING_POLICIES,
-    BatchingPolicy,
     JobHandle,
     RequestResult,
     ServiceStats,
@@ -140,9 +137,7 @@ __all__ = [
     "RSParityScheme",
     "register_redundancy_scheme",
     "build_redundancy_scheme",
-    "BackupPlacement",
     "PLACEMENTS",
-    "PlacementStrategy",
     "RackLayout",
     "register_placement",
     "distribute_problem",
@@ -164,7 +159,6 @@ __all__ = [
     "RequestResult",
     "ServiceStats",
     "BATCHING_POLICIES",
-    "BatchingPolicy",
     "register_batching_policy",
     "TrafficSpec",
     "generate_traffic",

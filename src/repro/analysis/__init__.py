@@ -4,12 +4,7 @@ Populated by :mod:`repro.analysis.overhead` and
 :mod:`repro.analysis.sparsity`.
 """
 
-from .overhead import (
-    OverheadAnalysis,
-    analyze_overhead,
-    overhead_bounds,
-    per_round_extras,
-)
+from .overhead import OverheadAnalysis, analyze_overhead
 from .sparsity import (
     SparsityReport,
     band_condition_holds,
@@ -21,8 +16,6 @@ from .sparsity import (
 __all__ = [
     "OverheadAnalysis",
     "analyze_overhead",
-    "overhead_bounds",
-    "per_round_extras",
     "SparsityReport",
     "sparsity_report",
     "multiplicity_histogram",

@@ -16,12 +16,11 @@ the cost model against the analytic expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..cluster.cost_model import MachineModel
-from ..cluster.network import Topology
-from ..core.redundancy import BackupPlacement, RedundancyScheme
+from ..core.redundancy import RedundancyScheme
 from ..distributed.dmatrix import DistributedMatrix
+from .sparsity import natural_coverage_fraction
 
 
 @dataclass
@@ -79,41 +78,20 @@ class OverheadAnalysis:
         }
 
 
-def per_round_extras(scheme: RedundancyScheme) -> List[int]:
-    """``max_i |R^c_ik|`` for each round ``k`` (Sec. 4.2)."""
-    return scheme.max_extra_per_round()
-
-
-def overhead_bounds(scheme: RedundancyScheme, topology: Topology,
-                    model: MachineModel) -> Tuple[float, float]:
-    """The Sec. 4.2 lower/upper bounds on the per-iteration overhead."""
-    return scheme.overhead_bounds(topology, model)
-
-
 def analyze_overhead(matrix: DistributedMatrix, phi: int, *,
-                     placement: BackupPlacement = BackupPlacement.PAPER,
-                     topology: Optional[Topology] = None,
-                     model: Optional[MachineModel] = None,
-                     scheme: Optional[RedundancyScheme] = None
-                     ) -> OverheadAnalysis:
+                     placement: str = "paper") -> OverheadAnalysis:
     """Full Sec. 4.2-style analysis for one distributed matrix and ``phi``,
-    over the matrix's scatter plan."""
+    over the matrix's scatter plan, priced on the matrix's cluster."""
     context = matrix.context
-    scheme = scheme if scheme is not None else RedundancyScheme(
-        context, phi, placement=placement
-    )
-    topology = topology if topology is not None else matrix.cluster.topology
-    model = model if model is not None else matrix.cluster.machine
+    scheme = RedundancyScheme(context, phi, placement=placement)
+    topology = matrix.cluster.topology
+    model = matrix.cluster.machine
 
     n_nodes = matrix.partition.n_parts
     lower, upper = scheme.overhead_bounds(topology, model)
-    messages, elements = scheme.extra_traffic_per_iteration()
+    messages, _elements = scheme.extra_traffic_per_iteration()
     per_iteration_time = scheme.per_iteration_overhead_time(topology, model)
 
-    total_elements = matrix.partition.n
-    covered = sum(
-        context.natural_copy_count(owner, phi) for owner in range(n_nodes)
-    )
     per_owner = {
         owner: scheme.owner(owner).total_extra for owner in range(n_nodes)
     }
@@ -121,21 +99,13 @@ def analyze_overhead(matrix: DistributedMatrix, phi: int, *,
         phi=phi,
         n_nodes=n_nodes,
         block_size_max=matrix.partition.max_block_size(),
-        max_extras_per_round=per_round_extras(scheme),
+        max_extras_per_round=scheme.max_extra_per_round(),
         total_extra_elements=scheme.total_extra_elements(),
         extra_messages=messages,
         per_iteration_time=per_iteration_time,
         lower_bound=lower,
         upper_bound=upper,
-        natural_coverage=covered / total_elements if total_elements else 1.0,
+        natural_coverage=natural_coverage_fraction(context, phi),
         halo_elements=context.total_exchanged_elements(),
         per_owner_extras=per_owner,
     )
-
-
-def overhead_sweep(matrix: DistributedMatrix, phis,
-                   placement: BackupPlacement = BackupPlacement.PAPER
-                   ) -> List[OverheadAnalysis]:
-    """Analyse several redundancy levels on the same matrix (Fig. 3 style)."""
-    return [analyze_overhead(matrix, int(phi), placement=placement)
-            for phi in phis]

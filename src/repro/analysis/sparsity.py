@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core.redundancy import BackupPlacement, RedundancyScheme, backup_targets
+from ..core.redundancy import RedundancyScheme, backup_targets
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 
@@ -74,8 +74,7 @@ def natural_coverage_fraction(context: CommunicationContext, phi: int) -> float:
 
 
 def band_condition_holds(matrix: DistributedMatrix, phi: int, *,
-                         placement: BackupPlacement = BackupPlacement.PAPER
-                         ) -> bool:
+                         placement: str = "paper") -> bool:
     """Check the Sec. 5 no-extra-latency condition.
 
     For all owners ``i`` and rounds ``k``: the submatrix
@@ -111,8 +110,7 @@ def piggyback_fraction(scheme: RedundancyScheme) -> float:
 
 
 def sparsity_report(matrix: DistributedMatrix, phi: int, *,
-                    placement: BackupPlacement = BackupPlacement.PAPER
-                    ) -> SparsityReport:
+                    placement: str = "paper") -> SparsityReport:
     """Produce a :class:`SparsityReport` for one matrix/partition/phi."""
     context = matrix.context
     scheme = RedundancyScheme(context, phi, placement=placement)

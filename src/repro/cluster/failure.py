@@ -99,10 +99,6 @@ class FailureInjector:
     def events(self) -> List[FailureEvent]:
         return list(self._events)
 
-    def add_event(self, event: FailureEvent) -> None:
-        self._events.append(event)
-        self._events.sort(key=lambda e: (e.iteration, e.during_recovery_of is not None))
-
     def pending_events(self) -> List[FailureEvent]:
         """Events that have not been triggered yet."""
         return [e for i, e in enumerate(self._events) if i not in self._triggered]

@@ -16,33 +16,29 @@ from .metrics import (
     convergence_rate_estimate,
     iterations_to_tolerance,
     max_residual_difference,
-    relative_residual_difference,
-    residual_difference_of,
     state_difference,
 )
 from .pcg import DistributedPCG
 from .placement import (
     PLACEMENTS,
-    PlacementStrategy,
     RackLayout,
+    paper_backup_target,
     register_placement,
-    resolve_placement,
 )
 from .reconstruction import ESRReconstructor, RecoveryReport
 from .redundancy import (
     REDUNDANCY_SCHEMES,
-    BackupPlacement,
     OwnerRedundancy,
     RedundancyScheme,
     RedundancySchemeBase,
     backup_targets,
     build_redundancy_scheme,
-    paper_backup_target,
     register_redundancy_scheme,
 )
 from .rs_parity import RSParityScheme
 from .resilient_block_pcg import ResilientBlockPCG
 from .resilient_pcg import ResilientPCG
+from ..solvers.result import relative_residual_difference
 
 __all__ = [
     "BlockPCG",
@@ -61,14 +57,11 @@ __all__ = [
     "register_redundancy_scheme",
     "build_redundancy_scheme",
     "OwnerRedundancy",
-    "BackupPlacement",
     "backup_targets",
     "paper_backup_target",
     "PLACEMENTS",
-    "PlacementStrategy",
     "RackLayout",
     "register_placement",
-    "resolve_placement",
     "DistributedProblem",
     "distribute_problem",
     "solve",
@@ -79,7 +72,6 @@ __all__ = [
     "register_solver",
     "build_failure_events",
     "relative_residual_difference",
-    "residual_difference_of",
     "max_residual_difference",
     "compare_runs",
     "ConvergenceComparison",

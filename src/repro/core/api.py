@@ -133,7 +133,7 @@ class DistributedProblem:
         return self._operator_cache
 
     def resolve_preconditioner(
-            self, preconditioner: Union[None, str, Preconditioner] = None,
+            self, preconditioner: Union[str, Preconditioner] = "block_jacobi",
             **options: Any) -> Preconditioner:
         """A set-up preconditioner for this problem.
 
@@ -147,15 +147,14 @@ class DistributedProblem:
             if not preconditioner.is_set_up:
                 preconditioner.setup(self.global_operator(), self.partition)
             return preconditioner
-        name = "block_jacobi" if preconditioner is None else str(preconditioner)
         version = self.matrix.structure_version
         if self._precond_version != version:
             self._precond_cache.clear()
             self._precond_version = version
-        key = (name.lower(), tuple(sorted(options.items())))
+        key = (preconditioner.lower(), tuple(sorted(options.items())))
         cached = self._precond_cache.get(key)
         if cached is None:
-            cached = make_preconditioner(name, **options)
+            cached = make_preconditioner(preconditioner, **options)
             cached.setup(self.global_operator(), self.partition)
             self._precond_cache[key] = cached
         return cached

@@ -1,11 +1,13 @@
 """Accuracy and convergence metrics.
 
 The paper quantifies the numerical effect of the reconstruction with the
-*relative residual difference* of Eqn. (7): after convergence, the solver's
-internal residual ``r`` and the explicitly recomputed residual ``b - A x``
-differ slightly due to loss of orthogonality in finite precision, and the
-reconstruction (which solves its local systems only to a tight tolerance)
-can enlarge that gap.  Table 3 compares the worst case of this metric over
+*relative residual difference* of Eqn. (7)
+(:func:`repro.solvers.result.relative_residual_difference`, read off a
+result as ``SolveResult.relative_residual_deviation``): after convergence,
+the solver's internal residual ``r`` and the explicitly recomputed residual
+``b - A x`` differ slightly due to loss of orthogonality in finite
+precision, and the reconstruction (which solves its local systems only to a
+tight tolerance) can enlarge that gap.  Table 3 compares the worst case of this metric over
 all failure experiments against the reference PCG value.
 """
 
@@ -19,28 +21,13 @@ import numpy as np
 from ..solvers.result import SolveResult
 
 
-def relative_residual_difference(solver_residual_norm: float,
-                                 true_residual_norm: float) -> float:
-    """Eqn. (7): ``(||r|| - ||b - A x||) / ||b - A x||``."""
-    if true_residual_norm == 0.0:
-        return float("nan")
-    return (solver_residual_norm - true_residual_norm) / true_residual_norm
-
-
-def residual_difference_of(result: SolveResult) -> float:
-    """Evaluate Eqn. (7) for a finished solve."""
-    return relative_residual_difference(
-        result.final_residual_norm, result.true_residual_norm
-    )
-
-
 def max_residual_difference(results: Iterable[SolveResult]) -> float:
     """``max Delta_ESR`` over a collection of runs (first column of Table 3).
 
     The maximum is taken over the *magnitude-signed* values as in the paper:
     the value whose absolute deviation is largest is reported with its sign.
     """
-    values = [residual_difference_of(r) for r in results]
+    values = [r.relative_residual_deviation for r in results]
     values = [v for v in values if np.isfinite(v)]
     if not values:
         return float("nan")
@@ -83,8 +70,8 @@ def compare_runs(reference: SolveResult, resilient: SolveResult
         resilient_iterations=resilient.iterations,
         reference_residual=reference.final_residual_norm,
         resilient_residual=resilient.final_residual_norm,
-        reference_deviation=residual_difference_of(reference),
-        resilient_deviation=residual_difference_of(resilient),
+        reference_deviation=reference.relative_residual_deviation,
+        resilient_deviation=resilient.relative_residual_deviation,
         solution_difference_norm=diff,
         solution_relative_difference=diff / ref_norm if ref_norm > 0 else diff,
     )

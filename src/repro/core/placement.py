@@ -4,13 +4,14 @@ The paper selects the ``phi`` backup nodes ``d_i1 .. d_iphi`` of owner ``i``
 with the alternating-neighbour heuristic of Eqn. (5) and explicitly leaves
 the optimal placement for general settings as future work.  This module
 turns the placement choice into a registry: each strategy is a function
-registered under a short name via ``@register_placement("name")``, stored
-in :data:`PLACEMENTS` -- a :class:`~repro.utils.registry.Registry`, the
-class every named choice uses -- as a :class:`PlacementStrategy`.
-:class:`~repro.core.redundancy.RedundancyScheme` resolves whatever a
-:class:`~repro.core.spec.ResilienceSpec` carries -- a
-:class:`BackupPlacement` enum member, a registered name, or the registered
-:class:`PlacementStrategy` -- through :func:`resolve_placement`.
+``(owner, phi, n_nodes, *, racks, rng) -> targets`` registered under a
+short name via ``@register_placement("name")`` in :data:`PLACEMENTS` -- a
+:class:`~repro.utils.registry.Registry`, the class every named choice
+uses.  A placement is picked by its registered name everywhere (the
+:class:`~repro.core.spec.ResilienceSpec` field, the redundancy schemes,
+the analysis helpers, the harness), and
+:func:`~repro.core.redundancy.backup_targets` looks the function up and
+checks the targets it returns.
 
 Besides the three historical options (``"paper"``, ``"next_ranks"``,
 ``"random"``), two failure-domain-aware strategies are provided for the
@@ -34,30 +35,12 @@ per rack, matching how the correlated bursts of
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from ..utils.registry import Registry
 from ..utils.rng import RandomState, as_rng
-
-
-class BackupPlacement(enum.Enum):
-    """Strategy for choosing the backup nodes ``d_ik`` (legacy enum).
-
-    The enum predates the placement registry and is kept as the stable
-    spelling of the three original strategies; every member's ``value`` is
-    also a registered strategy name, and anywhere a placement is accepted a
-    registered name string works as well (``"copyset"``, ``"rack_aware"``).
-    """
-
-    #: Eqn. (5): alternate +-1, +-2, ... ranks around the owner.
-    PAPER = "paper"
-    #: The next ``phi`` ranks ``i+1, ..., i+phi`` (mod N).
-    NEXT_RANKS = "next_ranks"
-    #: ``phi`` distinct ranks chosen uniformly at random (per owner).
-    RANDOM = "random"
 
 
 #: Rack size used when a rack-aware strategy runs without an explicit layout.
@@ -134,88 +117,11 @@ class RackLayout:
 #: A placement function: ``(owner, phi, n_nodes, *, racks, rng) -> targets``.
 PlacementFn = Callable[..., List[int]]
 
+#: The registry :func:`~repro.core.redundancy.backup_targets` consults.
+PLACEMENTS: Registry[PlacementFn] = Registry("placement")
 
-@dataclass(frozen=True)
-class PlacementStrategy:
-    """A registered placement policy (name + target-selection function)."""
-
-    name: str
-    fn: PlacementFn
-    description: str = ""
-
-    @property
-    def value(self) -> str:
-        """The registered name (``BackupPlacement``-compatible spelling)."""
-        return self.name
-
-    def targets(self, owner: int, phi: int, n_nodes: int, *,
-                racks: Optional[RackLayout] = None,
-                rng: Optional[RandomState] = None) -> List[int]:
-        return self.fn(owner, phi, n_nodes, racks=racks, rng=rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"PlacementStrategy({self.name!r})"
-
-
-#: The registry consulted by :func:`resolve_placement`.
-PLACEMENTS: Registry[PlacementStrategy] = Registry("placement")
-
-
-def register_placement(name: str, description: str = ""
-                       ) -> Callable[[PlacementFn], PlacementFn]:
-    """Decorator adding a placement function to :data:`PLACEMENTS`."""
-    key = str(name).lower()
-
-    def decorator(fn: PlacementFn) -> PlacementFn:
-        PLACEMENTS.add(key, PlacementStrategy(key, fn, description),
-                       description)
-        return fn
-
-    return decorator
-
-
-#: Anything the configuration surface accepts as a placement.
-PlacementLike = Union[BackupPlacement, str, PlacementStrategy]
-
-
-def resolve_placement(placement: PlacementLike) -> PlacementStrategy:
-    """Resolve an enum member / registered name / strategy to the strategy."""
-    if isinstance(placement, PlacementStrategy):
-        return placement
-    if isinstance(placement, BackupPlacement):
-        return PLACEMENTS.get(placement.value)
-    return PLACEMENTS.get(placement)
-
-
-def normalize_placement(placement: PlacementLike
-                        ) -> Union[BackupPlacement, str]:
-    """Canonical spec-level spelling of *placement*.
-
-    The three historical strategies normalise to their
-    :class:`BackupPlacement` member (so existing ``spec.placement is
-    BackupPlacement.X`` identity checks keep working); every other
-    registered strategy normalises to its lower-case name.  Unknown names
-    raise ``ValueError`` listing the registered strategies.  A spec keeps
-    only the name, so a strategy object must be the one :data:`PLACEMENTS`
-    holds under that name; any other raises ``ValueError``.
-    """
-    if isinstance(placement, PlacementStrategy) and not (
-            placement.name in PLACEMENTS
-            and PLACEMENTS.get(placement.name) is placement):
-        raise ValueError(
-            f"placement strategy {placement.name!r} is not the one "
-            "registered under that name; register it with "
-            "@register_placement and pass its name")
-    strategy = resolve_placement(placement)
-    try:
-        return BackupPlacement(strategy.name)
-    except ValueError:
-        return strategy.name
-
-
-def placement_name(placement: PlacementLike) -> str:
-    """The registered-name string of *placement* (for reports and JSON)."""
-    return resolve_placement(placement).name
+#: Register a placement function in :data:`PLACEMENTS` (decorator).
+register_placement = PLACEMENTS.register
 
 
 def paper_backup_target(owner: int, k: int, n_nodes: int) -> int:

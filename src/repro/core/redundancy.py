@@ -19,11 +19,9 @@ distinct nodes other than its owner.
 :class:`~repro.distributed.comm_context.CommunicationContext`, provides the
 held-element pattern the ESR protocol stores each iteration, and knows the
 per-round communication overhead of Sec. 4.2.  Alternative placements (naive
-next-ranks, random, and the failure-domain-aware strategies of
-:mod:`repro.core.placement`) are included for the placement ablation the
-paper lists as future work; the strategy registry itself lives in
-:mod:`repro.core.placement` and this module re-exports the historical
-names (``BackupPlacement``, ``paper_backup_target``).
+next-ranks, random, and the failure-domain-aware strategies) are included
+for the placement ablation the paper lists as future work; they are
+registered by name in :mod:`repro.core.placement`.
 
 **The scheme registry.**  Keeping ``phi`` *full* copies is only one point
 on the overhead-vs-tolerance frontier; erasure-coded alternatives (e.g. the
@@ -56,38 +54,30 @@ from ..distributed.comm_context import CommunicationContext
 from ..distributed.partition import BlockRowPartition
 from ..utils.registry import Registry
 from ..utils.rng import RandomState
-from .placement import (  # re-exported for backwards compatibility
-    BackupPlacement,
-    PlacementLike,
-    RackLayout,
-    paper_backup_target,
-    resolve_placement,
-)
+from .placement import PLACEMENTS, RackLayout
 
 __all__ = [
-    "BackupPlacement",
     "OwnerRedundancy",
     "REDUNDANCY_SCHEMES",
     "RedundancyScheme",
     "RedundancySchemeBase",
     "backup_targets",
     "build_redundancy_scheme",
-    "paper_backup_target",
     "register_redundancy_scheme",
 ]
 
 
 def backup_targets(owner: int, phi: int, n_nodes: int,
-                   placement: PlacementLike = BackupPlacement.PAPER,
+                   placement: str = "paper",
                    rng: Optional[RandomState] = None,
                    racks: Optional[RackLayout] = None) -> List[int]:
     """The ``phi`` backup nodes of *owner* under the chosen placement.
 
-    *placement* may be a :class:`BackupPlacement` member, a name registered
-    in :data:`repro.core.placement.PLACEMENTS`, or a strategy object;
-    *racks* feeds the rack-aware strategies (``None`` = the default layout
-    of :meth:`RackLayout.default`).  The targets are guaranteed to be
-    distinct and different from the owner; this requires ``phi < n_nodes``.
+    *placement* is a name registered in
+    :data:`repro.core.placement.PLACEMENTS`; *racks* feeds the rack-aware
+    strategies (``None`` = the default layout of
+    :meth:`RackLayout.default`).  The targets are guaranteed to be distinct
+    and different from the owner; this requires ``phi < n_nodes``.
     """
     if not 0 <= owner < n_nodes:
         raise ValueError(f"owner {owner} out of range for {n_nodes} nodes")
@@ -98,14 +88,14 @@ def backup_targets(owner: int, phi: int, n_nodes: int,
             f"phi must be smaller than the number of nodes ({phi} >= {n_nodes}): "
             "fewer than phi+1 distinct nodes cannot hold phi+1 copies"
         )
-    strategy = resolve_placement(placement)
-    targets = strategy.targets(owner, phi, n_nodes, racks=racks, rng=rng)
+    targets = PLACEMENTS.get(placement)(owner, phi, n_nodes, racks=racks,
+                                        rng=rng)
     if len(targets) != phi or len(set(targets)) != len(targets) \
             or owner in targets:
         # A real error, not an assert: a broken *registered* strategy must
         # fail loudly (and identifiably) even under ``python -O``.
         raise ValueError(
-            f"placement strategy {strategy.name!r} returned invalid backup "
+            f"placement strategy {placement.lower()!r} returned invalid backup "
             f"targets {targets} for owner {owner} (phi={phi}, N={n_nodes}): "
             "targets must be phi distinct ranks different from the owner"
         )
@@ -167,20 +157,20 @@ class RedundancySchemeBase:
     kind: str = "pattern"
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: PlacementLike = BackupPlacement.PAPER,
+                 placement: str = "paper",
                  rng: Optional[RandomState] = None,
                  rack_size: Optional[int] = None):
         """The layout every scheme shares: ``0 <= phi < N`` over the
-        context's partition, the resolved placement strategy, the rack
+        context's partition, the placement's registered name, the rack
         (failure-domain) layout and the placement's random source."""
         if phi < 0:
             raise ValueError(f"phi must be non-negative, got {phi}")
         self.context = context
         self.partition: BlockRowPartition = context.partition
         self.phi = int(phi)
-        #: The resolved strategy; ``.value`` is the registered name, so the
-        #: pre-registry ``scheme.placement.value`` spelling keeps working.
-        self.placement = resolve_placement(placement)
+        PLACEMENTS.get(placement)  # an unknown name raises ValueError
+        #: The placement's registered (lower-case) name.
+        self.placement = placement.lower()
         n_nodes = self.partition.n_parts
         if phi >= n_nodes:
             raise ValueError(
@@ -268,7 +258,7 @@ def register_redundancy_scheme(name: str, description: str = ""
 
 def build_redundancy_scheme(name: str, context: CommunicationContext,
                             phi: int, *,
-                            placement: PlacementLike = BackupPlacement.PAPER,
+                            placement: str = "paper",
                             rng: Optional[RandomState] = None,
                             rack_size: Optional[int] = None,
                             options: Optional[Mapping[str, Any]] = None
@@ -298,7 +288,7 @@ class RedundancyScheme(RedundancySchemeBase):
     """Computes and stores the multi-failure redundancy sets of Sec. 4.1."""
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: PlacementLike = BackupPlacement.PAPER,
+                 placement: str = "paper",
                  rng: Optional[RandomState] = None,
                  rack_size: Optional[int] = None):
         super().__init__(context, phi, placement=placement, rng=rng,
@@ -507,6 +497,6 @@ class RedundancyScheme(RedundancySchemeBase):
     def describe(self) -> str:
         total = self.total_extra_elements()
         return (
-            f"RedundancyScheme(phi={self.phi}, placement={self.placement.value}, "
+            f"RedundancyScheme(phi={self.phi}, placement={self.placement}, "
             f"extra_elements_per_iteration={total})"
         )

@@ -135,7 +135,7 @@ class EsrResilienceMixin(FailureHandlingMixin):
         the recovery reports)."""
         result = super().solve(x0)
         result.info["phi"] = self.scheme.phi
-        result.info["placement"] = self.scheme.placement.value
+        result.info["placement"] = self.scheme.placement
         result.info["scheme"] = self.scheme.scheme_name
         result.info["redundancy"] = self.esr.overhead_summary()
         return result

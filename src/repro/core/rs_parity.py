@@ -52,7 +52,6 @@ import numpy as np
 from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
 from ..utils.rng import RandomState
-from .placement import BackupPlacement, PlacementLike
 from .redundancy import (
     RedundancySchemeBase,
     backup_targets,
@@ -125,8 +124,9 @@ class RSParityScheme(RedundancySchemeBase):
         the number of parity blocks ``m`` per stripe, i.e. the number of
         simultaneous in-group failures survived.
     placement:
-        Strategy choosing each stripe's parity holders (from the ranks
-        outside the stripe); the paper placement by default.
+        Registered name of the strategy choosing each stripe's parity
+        holders (from the ranks outside the stripe); ``"paper"`` by
+        default.
     rng:
         Seeds the ``"random"`` placement's holder choice.
     rack_size:
@@ -140,7 +140,7 @@ class RSParityScheme(RedundancySchemeBase):
     kind = "parity"
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: PlacementLike = BackupPlacement.PAPER,
+                 placement: str = "paper",
                  rng: Optional[RandomState] = None,
                  rack_size: Optional[int] = None,
                  group_size: int = DEFAULT_GROUP_SIZE):
@@ -379,5 +379,5 @@ class RSParityScheme(RedundancySchemeBase):
     def describe(self) -> str:
         return (
             f"RSParityScheme(m={self.m}, group_size={self.group_size}, "
-            f"n_groups={self.n_groups}, placement={self.placement.value})"
+            f"n_groups={self.n_groups}, placement={self.placement})"
         )

@@ -37,8 +37,8 @@ import numpy as np
 from ..cluster.failure import FailureEvent
 from ..precond.base import Preconditioner, PreconditionerForm
 from ..utils.validation import check_known_keys
-from .placement import normalize_placement, placement_name
-from .redundancy import REDUNDANCY_SCHEMES, BackupPlacement
+from .placement import PLACEMENTS
+from .redundancy import REDUNDANCY_SCHEMES
 
 
 def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
@@ -76,12 +76,11 @@ class ResilienceSpec:
     #: Keyword arguments for the scheme constructor (e.g. ``group_size``
     #: for ``"rs_parity"``); mirrors ``SolveSpec.preconditioner_options``.
     scheme_options: Dict[str, Any] = field(default_factory=dict)
-    #: Backup-node placement strategy (Eqn. (5) of the paper by default):
-    #: a :class:`BackupPlacement` member or any name registered in
-    #: :data:`repro.core.placement.PLACEMENTS` (e.g. ``"copyset"``,
-    #: ``"rack_aware"``).  The three historical names normalise to their
-    #: enum member, registry-only names to their lower-case string.
-    placement: Union[BackupPlacement, str] = BackupPlacement.PAPER
+    #: Backup-node placement strategy: any name registered in
+    #: :data:`repro.core.placement.PLACEMENTS` (``"paper"`` -- Eqn. (5) --
+    #: ``"next_ranks"``, ``"random"``, ``"rack_aware"``, ``"copyset"``),
+    #: stored lower-case.
+    placement: str = "paper"
     #: Rack (failure-domain) size used by the rack-aware placement
     #: strategies; ``None`` = the default layout of
     #: :meth:`repro.core.placement.RackLayout.default`.
@@ -107,12 +106,8 @@ class ResilienceSpec:
         scheme_cls = REDUNDANCY_SCHEMES.get(str(self.scheme))
         object.__setattr__(self, "scheme", scheme_cls.scheme_name)
         object.__setattr__(self, "scheme_options", dict(self.scheme_options))
-        if not isinstance(self.placement, BackupPlacement):
-            # Registered-name validation + canonical spelling (enum member
-            # for the three historical strategies, lower-case name string
-            # for registry-only strategies like "copyset" / "rack_aware").
-            object.__setattr__(self, "placement",
-                               normalize_placement(self.placement))
+        PLACEMENTS.get(self.placement)  # an unknown name raises ValueError
+        object.__setattr__(self, "placement", self.placement.lower())
         if self.rack_size is not None:
             if int(self.rack_size) < 1:
                 raise ValueError(
@@ -134,7 +129,7 @@ class ResilienceSpec:
             "phi": self.phi,
             "scheme": self.scheme,
             "scheme_options": dict(self.scheme_options),
-            "placement": placement_name(self.placement),
+            "placement": self.placement,
             "rack_size": self.rack_size,
             "failures": [e.to_dict() for e in self.failures],
             "local_solver_method": self.local_solver_method,
@@ -212,10 +207,10 @@ class SolveSpec:
     #: Execute SpMVs split-phase (halo exchange overlapped with the diagonal
     #: block product) and charge the overlap-aware cost.
     overlap_spmv: bool = False
-    #: Preconditioner: a registered name (see ``repro.precond.PRECONDITIONERS``),
-    #: ``None`` for the default block Jacobi, or an already-built
+    #: Preconditioner: a registered name (see ``repro.precond.PRECONDITIONERS``;
+    #: ``"identity"`` runs unpreconditioned) or an already-built
     #: :class:`~repro.precond.base.Preconditioner` instance (not serializable).
-    preconditioner: Union[None, str, Preconditioner] = "block_jacobi"
+    preconditioner: Union[str, Preconditioner] = "block_jacobi"
     #: Keyword arguments for the preconditioner factory (e.g. ``omega`` for
     #: SSOR); ignored when an instance is passed.
     preconditioner_options: Dict[str, Any] = field(default_factory=dict)
@@ -241,6 +236,11 @@ class SolveSpec:
                                ResilienceSpec.from_dict(self.resilience))
         if isinstance(self.block, Mapping):
             object.__setattr__(self, "block", BlockSpec.from_dict(self.block))
+        if not isinstance(self.preconditioner, (str, Preconditioner)):
+            # Checked here, so a bad spec never joins a coalesced batch.
+            raise TypeError(
+                "preconditioner must be a registered name or a "
+                f"Preconditioner instance, got {self.preconditioner!r}")
         object.__setattr__(self, "overlap_spmv", bool(self.overlap_spmv))
         object.__setattr__(self, "preconditioner_options",
                            dict(self.preconditioner_options))

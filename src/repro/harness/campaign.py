@@ -30,13 +30,12 @@ import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..cluster.errors import UnrecoverableStateError
-from ..core.placement import placement_name
-from ..core.redundancy import BackupPlacement
+from ..core.placement import PLACEMENTS
 from ..core.spec import ResilienceSpec, SolveSpec
 from ..failures.traces import TraceSpec, generate_trace
 from ..utils.rng import stable_hash_seed
@@ -72,8 +71,8 @@ class CampaignSpec:
     n_nodes: int = 8
     #: Redundant copies per block (``0 <= phi < n_nodes``).
     phi: int = 3
-    #: Placement strategy: enum member or registered name.
-    placement: Union[BackupPlacement, str] = "paper"
+    #: Registered placement name (``to_dict`` writes it lower-case).
+    placement: str = "paper"
     #: Rack size for the rack-aware placements (``None`` = default layout).
     rack_size: Optional[int] = None
     preconditioner: str = "block_jacobi"
@@ -104,6 +103,7 @@ class CampaignSpec:
             raise ValueError(
                 f"trace.n_nodes={self.trace.n_nodes} does not match the "
                 f"campaign's n_nodes={self.n_nodes}")
+        PLACEMENTS.get(self.placement)  # an unknown name raises ValueError
 
     # -- derived configuration -------------------------------------------------
     def solve_spec(self, failures: Tuple = ()) -> SolveSpec:
@@ -130,7 +130,7 @@ class CampaignSpec:
             "matrix_seed": self.matrix_seed,
             "n_nodes": self.n_nodes,
             "phi": self.phi,
-            "placement": placement_name(self.placement),
+            "placement": self.placement.lower(),
             "rack_size": self.rack_size,
             "preconditioner": self.preconditioner,
             "rtol": self.rtol,

@@ -28,8 +28,6 @@ import scipy.sparse as sp
 from ..cluster.cost_model import MachineModel
 from ..core.api import distribute_problem, solve
 from ..core.block_pcg import BlockSolveResult, DistributedSolveResult
-from ..core.metrics import relative_residual_difference, residual_difference_of
-from ..core.redundancy import BackupPlacement
 from ..core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from ..failures.scenarios import (
     PAPER_FAILURE_COUNTS,
@@ -39,6 +37,7 @@ from ..failures.scenarios import (
     resolve_events,
 )
 from ..matrices.suite import build_matrix
+from ..solvers.result import relative_residual_difference
 from ..utils.logging import get_logger
 from ..utils.rng import as_rng, stable_hash_seed
 
@@ -78,7 +77,8 @@ class ExperimentConfig:
     seed: int = 0
     #: Relative run-to-run noise of the simulated machine.
     jitter_rel_std: float = 0.02
-    placement: BackupPlacement = BackupPlacement.PAPER
+    #: Registered backup-placement name (see ``repro.core.PLACEMENTS``).
+    placement: str = "paper"
     local_solver_method: str = "pcg_ilu"
     local_rtol: float = 1e-14
     machine: Optional[MachineModel] = None
@@ -187,7 +187,7 @@ class RepetitionResult:
             iterations = int(result.global_iterations)
             converged = result.all_converged
         else:
-            deviation = residual_difference_of(result)
+            deviation = result.relative_residual_deviation
             iterations = result.iterations
             converged = result.converged
         return cls(

@@ -34,7 +34,7 @@ from .engine import Project, SourceFile, dotted_name
 #: Decorators whose application marks a function as a registered entry point.
 REGISTRATION_DECORATORS = frozenset({
     "register_solver", "register_preconditioner", "register_placement",
-    "register_redundancy_scheme",
+    "register_batching_policy", "register_redundancy_scheme",
 })
 
 #: Maximum number of same-named methods an untraceable attribute call may

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
+from .callgraph import REGISTRATION_DECORATORS
 from .engine import Project, Rule, SourceFile, Violation, dotted_name
 
 
@@ -19,25 +20,19 @@ class RegisteredNameCoverageRule(Rule):
     """R003: every registered solver/preconditioner/placement name is
     test-covered.
 
-    Walks the scanned tree for ``@register_solver("name")`` /
-    ``@register_preconditioner("name", ...)`` /
-    ``@register_placement("name", ...)`` /
-    ``@register_batching_policy("name", ...)`` /
-    ``@register_redundancy_scheme("name", ...)`` registrations and requires
-    each registered name to appear as a string literal somewhere in the
-    test suite -- which, given the spec round-trip tests parametrise over
-    the registered names, means a name that never shows up in ``tests/``
-    has silently dropped out of round-trip coverage.  A missing ``tests``
-    directory is itself a finding (the rule cannot vouch for anything).
+    Walks the scanned tree for registrations through any of
+    :data:`~repro.lint.callgraph.REGISTRATION_DECORATORS`
+    (``@register_solver("name")``, ``@register_placement("name", ...)``,
+    ...) and requires each registered name to appear as a string literal
+    somewhere in the test suite -- which, given the spec round-trip tests
+    parametrise over the registered names, means a name that never shows
+    up in ``tests/`` has silently dropped out of round-trip coverage.  A
+    missing ``tests`` directory is itself a finding (the rule cannot vouch
+    for anything).
     """
 
     id = "R003"
     title = "registered names must be test-covered"
-
-    _DECORATORS = frozenset({"register_solver", "register_preconditioner",
-                             "register_placement",
-                             "register_batching_policy",
-                             "register_redundancy_scheme"})
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         registrations = self._registrations(project)
@@ -70,8 +65,8 @@ class RegisteredNameCoverageRule(Rule):
                     if not isinstance(decorator, ast.Call):
                         continue
                     name = dotted_name(decorator.func)
-                    if name is None or \
-                            name.split(".")[-1] not in self._DECORATORS:
+                    if name is None or name.split(".")[-1] \
+                            not in REGISTRATION_DECORATORS:
                         continue
                     if decorator.args and isinstance(
                             decorator.args[0], ast.Constant) and isinstance(

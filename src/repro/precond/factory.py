@@ -35,8 +35,6 @@ def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
     raises ``ValueError`` listing every registered name.
     """
     if not isinstance(name, str):
-        # ``str(None) == 'None'`` would silently hit the registered "none"
-        # alias and run unpreconditioned; demand an explicit string.
         raise TypeError(
             f"preconditioner name must be a string, got {name!r}")
     return PRECONDITIONERS.get(name)(**kwargs)
@@ -44,11 +42,6 @@ def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
 
 @register_preconditioner("identity", "No preconditioning (plain CG).")
 def _build_identity(**kwargs: Any) -> Preconditioner:
-    return IdentityPreconditioner(**kwargs)
-
-
-@register_preconditioner("none", "No preconditioning (alias of 'identity').")
-def _build_none(**kwargs: Any) -> Preconditioner:
     return IdentityPreconditioner(**kwargs)
 
 

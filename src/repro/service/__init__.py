@@ -24,17 +24,12 @@ from .jobs import (
     ServiceRequest,
     UnknownMatrixError,
 )
-from .policies import (
-    BATCHING_POLICIES,
-    BatchingPolicy,
-    register_batching_policy,
-)
+from .policies import BATCHING_POLICIES, register_batching_policy
 from .service import DEFAULT_K_MAX, DEFAULT_WINDOW_S, SolverService
 from .traffic import SyntheticRequest, TrafficSpec, generate_traffic
 
 __all__ = [
     "BATCHING_POLICIES",
-    "BatchingPolicy",
     "DEFAULT_K_MAX",
     "DEFAULT_WINDOW_S",
     "JobHandle",

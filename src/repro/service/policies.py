@@ -4,7 +4,8 @@ A batching policy decides, given the FIFO queue of pending requests and the
 current instant, which batches are ready to dispatch *now*.  Policies are
 plain functions registered by a decorator in :data:`BATCHING_POLICIES`, a
 :class:`~repro.utils.registry.Registry` (the class every named choice
-uses), which stores each as a :class:`BatchingPolicy`:
+uses), which stores the function itself; a
+:class:`~repro.service.SolverService` picks one by its registered name:
 
 .. code-block:: python
 
@@ -42,7 +43,6 @@ Two built-in policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from ..utils.registry import Registry
@@ -52,41 +52,11 @@ from .jobs import ServiceRequest
 #: ``(pending, *, now, window_s, k_max, drain) -> batches``.
 BatchingPolicyFn = Callable[..., List[List[ServiceRequest]]]
 
+#: The registry :class:`repro.service.SolverService` picks its policy from.
+BATCHING_POLICIES: Registry[BatchingPolicyFn] = Registry("batching policy")
 
-@dataclass(frozen=True)
-class BatchingPolicy:
-    """A registered batching policy (name + batch-selection function)."""
-
-    name: str
-    fn: BatchingPolicyFn
-    description: str = ""
-
-    def select(self, pending: List[ServiceRequest], *, now: float,
-               window_s: float, k_max: int,
-               drain: bool = False) -> List[List[ServiceRequest]]:
-        return self.fn(pending, now=now, window_s=window_s, k_max=k_max,
-                       drain=drain)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"BatchingPolicy({self.name!r})"
-
-
-#: The registry consulted by :class:`repro.service.SolverService`.
-BATCHING_POLICIES: Registry[BatchingPolicy] = Registry("batching policy")
-
-
-def register_batching_policy(name: str, description: str = ""
-                             ) -> Callable[[BatchingPolicyFn],
-                                           BatchingPolicyFn]:
-    """Decorator adding a policy function to :data:`BATCHING_POLICIES`."""
-    key = str(name).lower()
-
-    def decorator(fn: BatchingPolicyFn) -> BatchingPolicyFn:
-        BATCHING_POLICIES.add(key, BatchingPolicy(key, fn, description),
-                              description)
-        return fn
-
-    return decorator
+#: Register a policy function in :data:`BATCHING_POLICIES` (decorator).
+register_batching_policy = BATCHING_POLICIES.register
 
 
 def _take_group(pending: List[ServiceRequest], head: ServiceRequest,

@@ -6,11 +6,12 @@
 :class:`~repro.core.api.DistributedProblem`, so the operator gather and the
 preconditioner factorization are paid once, not per request) and then submit
 many independent ``(matrix_id, rhs, spec)`` solve requests.  A batching
-policy (:mod:`repro.service.policies`) groups pending requests that share a
-compatible ``(matrix_id, SolveSpec)`` key into one ``(n, k)`` block solve
-through :func:`repro.solve` -- continuous batching, exactly as inference
-servers do it: the block solver's allreduce *message* count is independent
-of ``k``, so ``k`` coalesced requests pay the latency-bound reductions once.
+policy, picked by its registered name (:mod:`repro.service.policies`),
+groups pending requests that share a compatible ``(matrix_id, SolveSpec)``
+key into one ``(n, k)`` block solve through :func:`repro.solve` --
+continuous batching, exactly as inference servers do it: the block
+solver's allreduce *message* count is independent of ``k``, so ``k``
+coalesced requests pay the latency-bound reductions once.
 
 **Bit-exactness.**  A batch of width 1 dispatches the raw 1-D right-hand
 side through the identical ``repro.solve`` path a direct call would take; a
@@ -43,7 +44,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .jobs import (
     ServiceRequest,
     UnknownMatrixError,
 )
-from .policies import BATCHING_POLICIES, BatchingPolicy
+from .policies import BATCHING_POLICIES
 
 logger = get_logger("service")
 
@@ -88,8 +89,9 @@ class SolverService:
     Parameters
     ----------
     policy:
-        Batching policy: a registered name (``"fifo_window"``,
-        ``"greedy_width"``, ...) or a :class:`BatchingPolicy` instance.
+        Batching policy: a name registered in
+        :data:`~repro.service.policies.BATCHING_POLICIES`
+        (``"fifo_window"``, ``"greedy_width"``, ...).
     window_s:
         Maximum time a request may wait for co-batchable arrivals before its
         batch dispatches anyway.
@@ -103,7 +105,7 @@ class SolverService:
         Monotonic time source (injectable for window tests).
     """
 
-    def __init__(self, *, policy: Union[str, BatchingPolicy] = "fifo_window",
+    def __init__(self, *, policy: str = "fifo_window",
                  window_s: float = DEFAULT_WINDOW_S,
                  k_max: int = DEFAULT_K_MAX,
                  autostart: bool = False,
@@ -112,8 +114,10 @@ class SolverService:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        self.policy = policy if isinstance(policy, BatchingPolicy) \
-            else BATCHING_POLICIES.get(policy)
+        #: The registered policy function (an unknown name raises
+        #: ``ValueError``) and its name, for error messages.
+        self.policy = BATCHING_POLICIES.get(policy)
+        self._policy_name = policy.lower()
         self.window_s = float(window_s)
         self.k_max = int(k_max)
         self._clock = clock if clock is not None else time.monotonic
@@ -325,13 +329,13 @@ class SolverService:
         with self._lock:
             if not self._pending:
                 return []
-            batches = self.policy.select(
+            batches = self.policy(
                 self._pending, now=self._clock(), window_s=self.window_s,
                 k_max=self.k_max, drain=drain)
             taken = {req.seq for batch in batches for req in batch}
             if len(taken) != sum(len(batch) for batch in batches):
                 raise RuntimeError(
-                    f"batching policy {self.policy.name!r} returned "
+                    f"batching policy {self._policy_name!r} returned "
                     "overlapping batches")
             self._pending = [req for req in self._pending
                              if req.seq not in taken]

@@ -8,6 +8,18 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 
+def relative_residual_difference(solver_residual_norm: float,
+                                 true_residual_norm: float) -> float:
+    """The paper's Eqn. (7): ``(||r|| - ||b - A x||) / ||b - A x||``.
+
+    ``nan`` unless both norms are finite and ``||b - A x||`` is nonzero.
+    """
+    if not np.isfinite(solver_residual_norm) or \
+            not np.isfinite(true_residual_norm) or true_residual_norm == 0.0:
+        return float("nan")
+    return (solver_residual_norm - true_residual_norm) / true_residual_norm
+
+
 def jsonify(value: Any) -> Any:
     """Recursively convert a value into plain JSON-serializable types.
 
@@ -70,16 +82,9 @@ class SolveResult:
 
     @property
     def relative_residual_deviation(self) -> float:
-        """The paper's Eqn. (7): ``(||r|| - ||b - A x||) / ||b - A x||``.
-
-        Requires both residual norms to be present; ``nan`` otherwise.
-        """
-        if not np.isfinite(self.final_residual_norm) or \
-                not np.isfinite(self.true_residual_norm) or \
-                self.true_residual_norm == 0.0:
-            return float("nan")
-        return (self.final_residual_norm - self.true_residual_norm) \
-            / self.true_residual_norm
+        """Eqn. (7) of this result (:func:`relative_residual_difference`)."""
+        return relative_residual_difference(self.final_residual_norm,
+                                            self.true_residual_norm)
 
     def summary(self) -> str:
         """One-line human-readable summary."""

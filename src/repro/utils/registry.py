@@ -63,7 +63,6 @@ class Registry(Generic[T]):
         return {name: self._entries[name][1] for name in self.names()}
 
     def __contains__(self, name: object) -> bool:
-        # Strings only: ``str(None) == "None"`` would match a "none" entry.
         return isinstance(name, str) and name.lower() in self._entries
 
     def __iter__(self) -> Iterator[str]:

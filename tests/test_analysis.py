@@ -8,11 +8,8 @@ from repro.analysis import (
     band_condition_holds,
     multiplicity_histogram,
     natural_coverage_fraction,
-    overhead_bounds,
-    per_round_extras,
     sparsity_report,
 )
-from repro.analysis.overhead import overhead_sweep
 from repro.cluster import MachineModel, VirtualCluster
 from repro.core.redundancy import RedundancyScheme
 from repro.distributed import (
@@ -48,7 +45,7 @@ class TestOverheadAnalysis:
 
     def test_overhead_grows_with_phi(self):
         dist = make_dist(poisson_2d(16), 8)
-        sweep = overhead_sweep(dist, [1, 2, 3])
+        sweep = [analyze_overhead(dist, phi) for phi in (1, 2, 3)]
         times = [a.per_iteration_time for a in sweep]
         assert times[0] <= times[1] <= times[2]
         assert sweep[-1].total_extra_elements >= sweep[0].total_extra_elements
@@ -66,10 +63,10 @@ class TestOverheadAnalysis:
         dist = make_dist(poisson_2d(16), 8)
         ctx = CommunicationContext.from_matrix(dist)
         scheme = RedundancyScheme(ctx, 2)
-        extras = per_round_extras(scheme)
+        extras = scheme.max_extra_per_round()
         assert len(extras) == 2
-        lower, upper = overhead_bounds(scheme, dist.cluster.topology,
-                                       dist.cluster.machine)
+        lower, upper = scheme.overhead_bounds(dist.cluster.topology,
+                                              dist.cluster.machine)
         assert 0 <= lower <= upper
 
     def test_as_dict(self):

@@ -107,11 +107,6 @@ class TestFailureInjector:
         ])
         assert overlap.max_simultaneous_failures() == 3
 
-    def test_add_event(self):
-        injector = FailureInjector()
-        injector.add_event(FailureEvent(5, (0,)))
-        assert len(injector.pending_events()) == 1
-
     def test_empty_schedule(self):
         injector = FailureInjector()
         assert injector.events == []

@@ -14,13 +14,11 @@ from repro.core.metrics import (
     convergence_rate_estimate,
     iterations_to_tolerance,
     max_residual_difference,
-    relative_residual_difference,
-    residual_difference_of,
     state_difference,
 )
 from repro.matrices import poisson_2d
 from repro.solvers import pcg
-from repro.solvers.result import SolveResult
+from repro.solvers.result import SolveResult, relative_residual_difference
 
 
 class TestMetrics:
@@ -31,13 +29,23 @@ class TestMetrics:
     def test_zero_denominator_gives_nan(self):
         assert np.isnan(relative_residual_difference(1.0, 0.0))
 
+    def test_non_finite_norm_gives_nan(self):
+        import repro.core
+
+        assert np.isnan(repro.core.relative_residual_difference(np.inf, 1.0))
+        assert np.isnan(relative_residual_difference(1.0, np.nan))
+        result = SolveResult(x=np.zeros(1), converged=False, iterations=1,
+                             final_residual_norm=np.inf,
+                             true_residual_norm=1.0)
+        assert np.isnan(result.relative_residual_deviation)
+
     def test_residual_difference_of_result(self):
         a = poisson_2d(10)
         b = np.random.default_rng(0).standard_normal(100)
         # Stop well above the rounding floor so the recursive and the true
         # residual still agree closely (the regime of the paper's Table 3).
         result = pcg(a, b, rtol=1e-6)
-        value = residual_difference_of(result)
+        value = result.relative_residual_deviation
         assert np.isfinite(value)
         assert abs(value) < 1e-3
 

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.core.placement import (
-    PLACEMENTS,
-    BackupPlacement,
-    PlacementStrategy,
-    RackLayout,
-    normalize_placement,
-    placement_name,
-    register_placement,
-    resolve_placement,
-)
+from repro.core.placement import PLACEMENTS, RackLayout, register_placement
 from repro.core.redundancy import RedundancyScheme, backup_targets
 from repro.core.spec import ResilienceSpec
 from repro.matrices import poisson_2d
@@ -20,77 +11,46 @@ from repro.matrices import poisson_2d
 #: purpose: the R003 lint rule requires registered names in the tests).
 ALL_PLACEMENTS = ("paper", "next_ranks", "random", "rack_aware", "copyset")
 
+#: Things that are not a placement's registered name: the placement is
+#: chosen by name only.
+NOT_A_NAME = pytest.mark.parametrize(
+    "placement", [None, PLACEMENTS.get("paper")], ids=["None", "function"])
+
 
 class TestRegistry:
     def test_default_registry_names(self):
         assert PLACEMENTS.names() == tuple(sorted(ALL_PLACEMENTS))
 
-    def test_register_decorator_wraps_function(self):
+    @NOT_A_NAME
+    def test_backup_targets_takes_names_only(self, placement):
+        with pytest.raises(ValueError, match="unknown placement"):
+            backup_targets(0, 1, 8, placement)
+
+    def test_registered_function_is_picked_by_name(self):
         @register_placement("Mine_Test_Only", "test strategy")
         def _mine(owner, phi, n_nodes, *, racks=None, rng=None):
             return [(owner + k) % n_nodes for k in range(1, phi + 1)]
 
         try:
-            strategy = PLACEMENTS.get("mine_test_only")
+            assert backup_targets(0, 2, 8, "MINE_TEST_ONLY") == [1, 2]
+            assert ResilienceSpec(placement="Mine_Test_Only").placement \
+                == "mine_test_only"
         finally:
             del PLACEMENTS._entries["mine_test_only"]
-        assert isinstance(strategy, PlacementStrategy)
-        assert strategy.name == "mine_test_only"
-        assert strategy.value == "mine_test_only"
-        assert strategy.fn is _mine
-        assert strategy.description == "test strategy"
-        assert strategy.targets(0, 2, 8) == [1, 2]
+        with pytest.raises(ValueError, match="unknown placement"):
+            backup_targets(0, 2, 8, "mine_test_only")
 
-    @pytest.mark.parametrize("name", ALL_PLACEMENTS)
-    def test_resolve_accepts_names_and_strategies(self, name):
-        strategy = resolve_placement(name)
-        assert strategy.name == name
-        assert resolve_placement(strategy) is strategy
+    def test_invalid_targets_of_a_registered_function_raise(self):
+        @register_placement("broken_test_only")
+        def _broken(owner, phi, n_nodes, *, racks=None, rng=None):
+            return [owner] * phi
 
-    def test_resolve_accepts_enum_members(self):
-        for member in BackupPlacement:
-            assert resolve_placement(member).name == member.value
-
-    def test_normalize_legacy_names_to_enum(self):
-        assert normalize_placement("paper") is BackupPlacement.PAPER
-        assert normalize_placement("NEXT_RANKS") is BackupPlacement.NEXT_RANKS
-        assert normalize_placement(BackupPlacement.RANDOM) \
-            is BackupPlacement.RANDOM
-
-    def test_normalize_registry_only_names_to_string(self):
-        assert normalize_placement("rack_aware") == "rack_aware"
-        assert normalize_placement("Copyset") == "copyset"
-
-    def test_normalize_unknown_raises(self):
-        with pytest.raises(ValueError):
-            normalize_placement("no_such_strategy")
-
-    def test_normalize_accepts_the_registered_strategy_object(self):
-        assert normalize_placement(PLACEMENTS.get("copyset")) == "copyset"
-        assert normalize_placement(PLACEMENTS.get("paper")) \
-            is BackupPlacement.PAPER
-
-    def test_spec_rejects_unregistered_strategy_object(self):
-        # A spec stores only the name: an unregistered strategy would be
-        # dropped, and ``repro.solve`` / ``from_dict`` would then fail on
-        # the unknown name.
-        adhoc = PlacementStrategy("adhoc", lambda o, phi, n, **kw: [])
-        with pytest.raises(ValueError, match="'adhoc'.*register"):
-            ResilienceSpec(phi=1, placement=adhoc)
-
-    def test_spec_rejects_strategy_shadowing_a_registered_name(self):
-        # Same name as a registered strategy, different function: the spec
-        # would silently run the registered one instead.
-        def fn(owner, phi, n_nodes, *, racks=None, rng=None):
-            return [(owner + 2) % n_nodes, (owner - 2) % n_nodes][:phi]
-
-        shadow = PlacementStrategy("paper", fn)
-        with pytest.raises(ValueError, match="'paper'.*register"):
-            ResilienceSpec(phi=2, placement=shadow)
-
-    def test_placement_name(self):
-        assert placement_name(BackupPlacement.PAPER) == "paper"
-        assert placement_name("rack_aware") == "rack_aware"
+        try:
+            with pytest.raises(ValueError, match="'broken_test_only' "
+                                                 "returned invalid backup"):
+                backup_targets(1, 2, 8, "Broken_Test_Only")
+        finally:
+            del PLACEMENTS._entries["broken_test_only"]
 
 
 class TestRackLayout:
@@ -207,8 +167,7 @@ class TestStrategyProperties:
         # The registry refactor must not move any pre-existing placement.
         assert backup_targets(4, 4, 10, "paper") == [5, 3, 6, 2]
         assert backup_targets(6, 3, 8, "next_ranks") == [7, 0, 1]
-        assert backup_targets(2, 3, 8, "random") == \
-            backup_targets(2, 3, 8, BackupPlacement.RANDOM)
+        assert backup_targets(2, 3, 8, "random") == [1, 0, 5]
 
 
 class TestSchemeIntegration:
@@ -226,9 +185,39 @@ class TestSchemeIntegration:
         partition = BlockRowPartition(matrix.shape[0], 8)
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
         context = CommunicationContext.from_matrix(dist)
-        scheme = RedundancyScheme(context, 2, placement=name, rack_size=4)
+        scheme = RedundancyScheme(context, 2, placement=name.upper(),
+                                  rack_size=4)
         assert scheme.verify_invariant()
-        assert name in scheme.describe()
+        assert scheme.placement == name
+        assert f"placement={name}," in scheme.describe()
+
+    @pytest.mark.parametrize("name", ALL_PLACEMENTS)
+    def test_scheme_uses_the_named_placement(self, name):
+        from repro.cluster import VirtualCluster
+        from repro.distributed import BlockRowPartition, DistributedMatrix
+
+        matrix = poisson_2d(12)
+        cluster = VirtualCluster(8)
+        dist = DistributedMatrix.from_global(
+            cluster, BlockRowPartition(matrix.shape[0], 8), "A", matrix)
+        scheme = RedundancyScheme(dist.context, 3, placement=name,
+                                  rack_size=4)
+        assert scheme.placement == name
+        for owner in range(8):
+            assert list(scheme.targets_of(owner)) == backup_targets(
+                owner, 3, 8, name, racks=RackLayout(8, 4))
+
+    @NOT_A_NAME
+    def test_scheme_takes_names_only(self, placement):
+        from repro.cluster import VirtualCluster
+        from repro.distributed import BlockRowPartition, DistributedMatrix
+
+        matrix = poisson_2d(8)
+        cluster = VirtualCluster(4)
+        dist = DistributedMatrix.from_global(
+            cluster, BlockRowPartition(matrix.shape[0], 4), "A", matrix)
+        with pytest.raises(ValueError, match="unknown placement"):
+            RedundancyScheme(dist.context, 1, placement=placement)
 
     def test_solve_reports_registered_placement(self):
         import repro
@@ -249,10 +238,17 @@ class TestResilienceSpecPlacement:
         assert rebuilt == spec
         assert rebuilt.rack_size == 4
 
-    def test_legacy_names_normalise_to_enum(self):
-        spec = ResilienceSpec(placement="next_ranks")
-        assert spec.placement is BackupPlacement.NEXT_RANKS
+    def test_names_are_stored_lower_case(self):
+        spec = ResilienceSpec(placement="Next_Ranks")
+        assert spec.placement == "next_ranks"
+        assert spec.to_dict()["placement"] == "next_ranks"
         assert ResilienceSpec.from_dict(spec.to_dict()) == spec
+        assert ResilienceSpec().placement == "paper"
+
+    @NOT_A_NAME
+    def test_non_name_placement_rejected(self, placement):
+        with pytest.raises(ValueError, match="unknown placement"):
+            ResilienceSpec(placement=placement)
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):

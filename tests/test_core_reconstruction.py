@@ -12,7 +12,6 @@ from repro.cluster import FailureEvent, MachineModel
 from repro.core.api import distribute_problem
 from repro.core.metrics import state_difference
 from repro.core.resilient_pcg import ResilientPCG
-from repro.core.redundancy import BackupPlacement
 from repro.core.spec import ResilienceSpec
 from repro.distributed import DistributedMultiVector
 from repro.matrices import poisson_2d, graph_laplacian_spd, elasticity_3d
@@ -21,7 +20,7 @@ from repro.precond.base import PreconditionerForm
 
 
 def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteration,
-                         preconditioner="block_jacobi", placement=BackupPlacement.PAPER,
+                         preconditioner="block_jacobi", placement="paper",
                          reconstruction_form=None, local_solver="pcg_ilu"):
     """Run ResilientPCG and capture the state right before/after recovery."""
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
@@ -137,7 +136,7 @@ class TestExactReconstruction:
     def test_next_ranks_placement(self):
         result, captured, _ = run_with_state_check(
             poisson_2d(16), n_nodes=4, phi=2, failed_ranks=[1, 2],
-            failure_iteration=7, placement=BackupPlacement.NEXT_RANKS,
+            failure_iteration=7, placement="next_ranks",
         )
         diffs = state_difference(captured["before"], captured["after"])
         assert all(v < 1e-9 for v in diffs.values()), diffs
@@ -145,7 +144,7 @@ class TestExactReconstruction:
     def test_random_placement(self):
         result, captured, _ = run_with_state_check(
             poisson_2d(16), n_nodes=8, phi=3, failed_ranks=[2, 3, 4],
-            failure_iteration=7, placement=BackupPlacement.RANDOM,
+            failure_iteration=7, placement="random",
         )
         diffs = state_difference(captured["before"], captured["after"])
         assert all(v < 1e-9 for v in diffs.values()), diffs

@@ -18,7 +18,6 @@ from repro.cluster import (
 )
 from repro.core.api import distribute_problem, solve
 from repro.core.esr import _SCALAR_KEY
-from repro.core.redundancy import BackupPlacement
 from repro.core.resilient_pcg import ResilientPCG
 from repro.core.spec import ResilienceSpec, SolveSpec
 from repro.utils.validation import ValidationError
@@ -75,7 +74,7 @@ class TestFailureFree:
     def test_info_fields(self, matrix):
         result = solve(fresh_problem(matrix), solver="resilient_pcg", phi=2,
                                  preconditioner="block_jacobi",
-                                 placement=BackupPlacement.NEXT_RANKS)
+                                 placement="next_ranks")
         assert result.info["phi"] == 2
         assert result.info["placement"] == "next_ranks"
         assert "redundancy" in result.info

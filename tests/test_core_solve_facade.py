@@ -24,14 +24,13 @@ from repro.core import (
     solve,
 )
 from repro.core.placement import RackLayout
-from repro.core.redundancy import BackupPlacement
 from repro.distributed import (
     DistributedMultiVector,
     DistributedVector,
     SpmvEngine,
 )
 from repro.matrices import poisson_2d
-from repro.precond import make_preconditioner
+from repro.precond import PRECONDITIONERS, make_preconditioner
 
 N_NODES = 4
 MATRIX = poisson_2d(12)          # n = 144, 36 rows per rank
@@ -258,9 +257,13 @@ class TestRegistry:
         assert "block_jacobi" in message and "ssor" in message
 
     def test_make_preconditioner_rejects_none(self):
-        # str(None) == "None" must not silently hit the "none" alias.
         with pytest.raises(TypeError, match="must be a string"):
             make_preconditioner(None)
+
+    def test_none_is_not_a_preconditioner_name(self):
+        assert "none" not in PRECONDITIONERS
+        with pytest.raises(ValueError, match="'identity'"):
+            make_preconditioner("none")
 
     def test_preconditioners_registry_sees_late_registrations(self):
         from repro import precond
@@ -393,7 +396,7 @@ class TestResilienceOptionsForwarding:
                      machine=MachineModel(jitter_rel_std=0.0), **kwargs)
 
     def test_placement_forwarded(self):
-        result = self.run(placement=BackupPlacement.NEXT_RANKS)
+        result = self.run(placement="next_ranks")
         assert result.info["placement"] == "next_ranks"
         assert self.run().info["placement"] == "paper"
 
@@ -417,7 +420,7 @@ class TestResilienceOptionsForwarding:
         assert loose_iters < tight_iters
 
     def test_matches_direct_construction_with_same_options(self):
-        one_call = self.run(placement=BackupPlacement.NEXT_RANKS,
+        one_call = self.run(placement="next_ranks",
                             local_solver_method="direct")
         problem = distribute_problem(MATRIX, RHS_1D, n_nodes=N_NODES,
                                      machine=MachineModel(jitter_rel_std=0.0),
@@ -427,7 +430,7 @@ class TestResilienceOptionsForwarding:
         direct = ResilientPCG(
             problem.matrix, problem.rhs, precond,
             resilience=ResilienceSpec(
-                phi=2, placement=BackupPlacement.NEXT_RANKS,
+                phi=2, placement="next_ranks",
                 failures=FAILURES, local_solver_method="direct"),
         ).solve()
         assert np.array_equal(one_call.x, direct.x)
@@ -457,9 +460,8 @@ class TestResilienceSpecReachesScheme:
         pytest.param(ResilienceSpec(phi=1, scheme="rs_parity",
                                     scheme_options={"group_size": 2}),
                      "group_size", 2, id="scheme_options"),
-        pytest.param(ResilienceSpec(phi=2,
-                                    placement=BackupPlacement.NEXT_RANKS),
-                     "placement.value", "next_ranks", id="placement"),
+        pytest.param(ResilienceSpec(phi=2, placement="Next_Ranks"),
+                     "placement", "next_ranks", id="placement"),
     ])
     def test_layout_field_reaches_scheme(self, resilience, attribute,
                                          expected):
@@ -495,7 +497,7 @@ class TestResilienceSpecReachesScheme:
         solver = self.build(None)
         assert solver.resilience == ResilienceSpec()
         assert solver.failure_injector is None
-        assert (solver.scheme.phi, solver.scheme.placement.value,
+        assert (solver.scheme.phi, solver.scheme.placement,
                 solver.scheme.scheme_name) == (1, "paper", "copies")
 
 

@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro.cluster import FailureEvent
 from repro.core import BlockSpec, ResilienceSpec, SolveSpec
-from repro.core.redundancy import BackupPlacement
 from repro.core.spec import build_failure_events
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
@@ -42,6 +41,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolveSpec(**kwargs)
 
+    @pytest.mark.parametrize("preconditioner", [None, 3, make_preconditioner],
+                             ids=["None", "int", "function"])
+    def test_preconditioner_is_a_name_or_an_instance(self, preconditioner):
+        # ``None`` is no spelling of the default block Jacobi.
+        with pytest.raises(TypeError, match="registered name"):
+            SolveSpec(preconditioner=preconditioner)
+
     @pytest.mark.parametrize("kwargs", [
         {"phi": -1},
         {"local_rtol": 0.0},
@@ -64,8 +70,8 @@ class TestValidation:
         assert spec.failures[1].ranks == (4, 5)
 
     def test_placement_coerced_from_string(self):
-        spec = ResilienceSpec(placement="next_ranks")
-        assert spec.placement is BackupPlacement.NEXT_RANKS
+        spec = ResilienceSpec(placement="NEXT_RANKS")
+        assert spec.placement == "next_ranks"
 
     def test_reconstruction_form_coerced_from_string(self):
         value = PreconditionerForm.FORWARD.value
@@ -93,7 +99,7 @@ REGISTERED_SOLVER_NAMES = [
 ]
 REGISTERED_PRECONDITIONER_NAMES = [
     "block_jacobi", "block_jacobi_ic", "block_jacobi_ilu", "identity",
-    "jacobi", "none", "split_ic0", "ssor",
+    "jacobi", "split_ic0", "ssor",
 ]
 REGISTERED_REDUNDANCY_SCHEME_NAMES = ["copies", "rs_parity"]
 
@@ -160,7 +166,7 @@ class TestRoundTrip:
             max_iterations=500, overlap_spmv=True,
             preconditioner="ssor", preconditioner_options={"omega": 1.3},
             resilience=ResilienceSpec(
-                phi=3, placement=BackupPlacement.NEXT_RANKS,
+                phi=3, placement="next_ranks",
                 scheme="rs_parity", scheme_options={"group_size": 3},
                 failures=[FailureEvent(20, (2, 3), label="outage"),
                           FailureEvent(20, (5,), during_recovery_of=0)],

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import analyze_overhead, sparsity_report
 from repro.cluster import MachineModel, Phase
 from repro.core.api import distribute_problem, solve
-from repro.core.metrics import compare_runs, residual_difference_of
+from repro.core.metrics import compare_runs
 from repro.failures import FailureLocation, FailureScenario, resolve_events
 from repro.matrices import build_matrix
 
@@ -47,7 +47,7 @@ class TestSuiteMatrixEndToEnd:
         assert resilient.n_failures_recovered == 3
         comparison = compare_runs(reference, resilient)
         assert comparison.solution_relative_difference < 1e-6
-        assert abs(residual_difference_of(resilient)) < 1e-3
+        assert abs(resilient.relative_residual_deviation) < 1e-3
 
     def test_overhead_ordering_matches_paper_regimes(self):
         """The circuit-like analogue pays more relative redundancy than the

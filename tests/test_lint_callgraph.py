@@ -9,13 +9,14 @@ decorator-registered functions are the reachability roots; and
 """
 
 import textwrap
+from pathlib import Path
 
 from repro.lint.callgraph import (
     ATTR_CANDIDATE_CAP,
     CallGraph,
     get_callgraph,
 )
-from repro.lint.engine import Project, SourceFile
+from repro.lint.engine import Project, SourceFile, discover_files
 
 
 def build(tmp_path, modules):
@@ -228,6 +229,19 @@ class TestEntryPoints:
         """})
         roots = graph.registered_entry_points()
         assert [f.qualname for f in roots] == ["mod.py::build_probe"]
+
+    def test_every_registry_roots_the_source_tree(self):
+        """The flow rules trace from every registered function, batching
+        policies included: R003 and the call graph share one decorator
+        list."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        files = [SourceFile.parse(path, rel)
+                 for path, rel in discover_files([src])]
+        roots = {f.name for f in
+                 CallGraph(Project(files)).registered_entry_points()}
+        for name in ("fifo_window", "greedy_width", "_paper_placement",
+                     "_build_block_jacobi", "build_resilient_pcg"):
+            assert name in roots
 
 
 class TestFindCallPath:

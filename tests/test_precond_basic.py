@@ -139,7 +139,7 @@ class TestBaseProtocol:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["identity", "none", "jacobi", "block_jacobi",
+    @pytest.mark.parametrize("name", ["identity", "jacobi", "block_jacobi",
                                       "block_jacobi_ilu", "ssor"])
     def test_known_names(self, name, matrix):
         p = make_preconditioner(name)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cluster import MachineModel, VirtualCluster
 from repro.core.redundancy import (
     REDUNDANCY_SCHEMES,
-    BackupPlacement,
     RedundancyScheme,
     backup_targets,
     build_redundancy_scheme,
@@ -69,7 +68,7 @@ def test_partition_ownership_consistent(n, n_parts, probe):
 @COMMON_SETTINGS
 @given(n_nodes=st.integers(2, 100), owner=st.integers(0, 99),
        phi=st.integers(0, 20),
-       placement=st.sampled_from(list(BackupPlacement)))
+       placement=st.sampled_from(["paper", "next_ranks", "random"]))
 def test_backup_targets_distinct_and_not_owner(n_nodes, owner, phi, placement):
     owner = owner % n_nodes
     phi = min(phi, n_nodes - 1)
@@ -117,9 +116,7 @@ def test_redundancy_invariant_random_patterns(n, n_nodes, density, phi, seed):
 @given(n=st.integers(24, 160), n_nodes=st.integers(2, 8),
        density=st.floats(0.005, 0.15), phi=st.integers(0, 3),
        n_cols=st.sampled_from([1, 4]),
-       placement=st.sampled_from([BackupPlacement.PAPER,
-                                  BackupPlacement.NEXT_RANKS,
-                                  BackupPlacement.RANDOM]),
+       placement=st.sampled_from(["paper", "next_ranks", "random"]),
        scheme_name=st.sampled_from(sorted(REDUNDANCY_SCHEMES.names())),
        seed=st.integers(0, 10**6))
 def test_every_registered_scheme_respects_sandwich_bounds(

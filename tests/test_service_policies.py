@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import (
-    BATCHING_POLICIES,
-    BatchingPolicy,
-    register_batching_policy,
-)
+from repro.service import BATCHING_POLICIES
 from repro.service.jobs import JobHandle, ServiceRequest
 from repro.service.policies import fifo_window, greedy_width
 
@@ -38,27 +34,9 @@ class TestRegistry:
         assert "fifo_window" in names
         assert "greedy_width" in names
 
-    def test_get_returns_policy_wrapper(self):
-        policy = BATCHING_POLICIES.get("fifo_window")
-        assert isinstance(policy, BatchingPolicy)
-        assert policy.name == "fifo_window"
-        assert policy.fn is fifo_window
-        assert BATCHING_POLICIES.get("greedy_width").fn is greedy_width
-
-    def test_register_decorator_wraps_function(self):
-        @register_batching_policy("Mine_Test_Only", "test policy")
-        def mine(pending, *, now, window_s, k_max, drain=False):
-            return [pending] if pending else []
-
-        try:
-            policy = BATCHING_POLICIES.get("mine_test_only")
-        finally:
-            del BATCHING_POLICIES._entries["mine_test_only"]
-        assert isinstance(policy, BatchingPolicy)
-        assert policy.name == "mine_test_only"
-        assert policy.fn is mine
-        assert policy.description == "test policy"
-        assert policy.select([], now=0.0, window_s=0.0, k_max=1) == []
+    def test_get_returns_the_policy_function(self):
+        assert BATCHING_POLICIES.get("fifo_window") is fifo_window
+        assert BATCHING_POLICIES.get("greedy_width") is greedy_width
 
 
 # -- shared contract -----------------------------------------------------------
@@ -67,13 +45,13 @@ class TestRegistry:
 class TestPolicyContract:
     def test_empty_queue_yields_no_batches(self, policy_name):
         policy = BATCHING_POLICIES.get(policy_name)
-        assert policy.select([], now=10.0, window_s=1.0, k_max=4) == []
+        assert policy([], now=10.0, window_s=1.0, k_max=4) == []
 
     def test_batches_disjoint_and_bounded(self, policy_name):
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(i, key="a" if i % 2 else "b")
                    for i in range(11)]
-        batches = policy.select(pending, now=100.0, window_s=1.0, k_max=3)
+        batches = policy(pending, now=100.0, window_s=1.0, k_max=3)
         seen = [req.seq for batch in batches for req in batch]
         assert len(seen) == len(set(seen))
         assert all(len(batch) <= 3 for batch in batches)
@@ -81,7 +59,7 @@ class TestPolicyContract:
     def test_members_in_fifo_order(self, policy_name):
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(i) for i in range(9)]
-        batches = policy.select(pending, now=100.0, window_s=1.0, k_max=4)
+        batches = policy(pending, now=100.0, window_s=1.0, k_max=4)
         for batch in batches:
             order = [req.seq for req in batch]
             assert order == sorted(order)
@@ -90,14 +68,14 @@ class TestPolicyContract:
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(i, key=f"k{i % 3}", enqueued_at=99.9)
                    for i in range(7)]
-        batches = policy.select(pending, now=100.0, window_s=60.0, k_max=4,
-                                drain=True)
+        batches = policy(pending, now=100.0, window_s=60.0, k_max=4,
+                         drain=True)
         assert sorted(req.seq for b in batches for req in b) == list(range(7))
 
     def test_keys_never_mix(self, policy_name):
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(i, key=f"k{i % 2}") for i in range(8)]
-        batches = policy.select(pending, now=100.0, window_s=0.0, k_max=8)
+        batches = policy(pending, now=100.0, window_s=0.0, k_max=8)
         for batch in batches:
             assert len({req.key for req in batch}) == 1
 
@@ -105,7 +83,7 @@ class TestPolicyContract:
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(0), make_request(1, coalescable=False),
                    make_request(2)]
-        batches = policy.select(pending, now=100.0, window_s=0.0, k_max=8)
+        batches = policy(pending, now=100.0, window_s=0.0, k_max=8)
         solo = [b for b in batches if any(not r.coalescable for r in b)]
         assert solo and all(len(b) == 1 for b in solo)
 
@@ -113,10 +91,8 @@ class TestPolicyContract:
         policy = BATCHING_POLICIES.get(policy_name)
         pending = [make_request(i, key=f"k{i % 3}", enqueued_at=0.1 * i)
                    for i in range(10)]
-        first = seqs(policy.select(list(pending), now=5.0, window_s=1.0,
-                                   k_max=4))
-        second = seqs(policy.select(list(pending), now=5.0, window_s=1.0,
-                                    k_max=4))
+        first = seqs(policy(list(pending), now=5.0, window_s=1.0, k_max=4))
+        second = seqs(policy(list(pending), now=5.0, window_s=1.0, k_max=4))
         assert first == second
 
 

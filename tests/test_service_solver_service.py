@@ -116,6 +116,34 @@ class TestRegistryAndSubmission:
         with pytest.raises(ValueError, match="unknown batching policy"):
             SolverService(policy="nope")
 
+    def test_policy_is_picked_by_name_only(self):
+        from repro.service.policies import fifo_window
+
+        with pytest.raises(ValueError, match="unknown batching policy"):
+            SolverService(policy=fifo_window)
+        assert SolverService(policy="FIFO_Window").policy is fifo_window
+
+    def test_overlapping_batches_from_a_policy_raise(self, small_poisson):
+        from repro.service import BATCHING_POLICIES, register_batching_policy
+
+        @register_batching_policy("overlap_test_only")
+        def overlap(pending, *, now, window_s, k_max, drain=False):
+            return [pending, pending]
+
+        try:
+            svc = SolverService(policy="Overlap_Test_Only")
+            svc.register_matrix("poisson", small_poisson, n_nodes=4, seed=0)
+            handle = svc.submit("poisson", np.ones(small_poisson.shape[0]))
+            with pytest.raises(RuntimeError, match="'overlap_test_only' "
+                                                   "returned overlapping"):
+                svc.pump(drain=True)
+            assert svc.pending_count() == 1
+            svc.shutdown(drain=False)
+            with pytest.raises(ServiceClosedError):
+                handle.result(5.0)
+        finally:
+            BATCHING_POLICIES._entries.pop("overlap_test_only", None)
+
 
 # -- coalescing edge cases -----------------------------------------------------
 

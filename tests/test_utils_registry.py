@@ -2,11 +2,12 @@
 
 Solvers, preconditioners, placements, redundancy schemes and batching
 policies all resolve names through :class:`repro.utils.registry.Registry`.
-The contract below is parametrized over the five registries; the
-per-domain test files keep only what a registry stores (the placement and
-policy wrappers, ``scheme_name``, ``make_preconditioner``'s ``TypeError``).
-The last test ties the registries to lint rule R003: its registration scan
-must find exactly the names the registries hold.
+The contract below is parametrized over the five registries: each stores
+the decorated object itself, so a name is the one spelling of a choice.
+The per-domain test files keep only what is particular to one registry
+(``scheme_name``, ``make_preconditioner``'s ``TypeError``).  The last
+test ties the registries to lint rule R003: its registration scan must
+find exactly the names the registries hold.
 """
 
 from pathlib import Path
@@ -100,6 +101,7 @@ class TestRegistryContract:
         try:
             assert decorator(TEST_ONLY.upper(), "contract stub")(obj) is obj
             assert TEST_ONLY in registry
+            assert registry.get(TEST_ONLY) is obj
             assert registry.descriptions()[TEST_ONLY] == "contract stub"
         finally:
             registry._entries.pop(TEST_ONLY, None)
