@@ -24,6 +24,18 @@ same spec on ``poisson_2d(128)`` (n = 16384, 16 rows per rank at the top)
 on 64, 256 and 1024 nodes, one right-hand side; their ``host_ratio`` is
 over the 64-node row.  ``--smoke`` skips them.
 
+Last come the recovered rows (JSON key ``"recovered"``), the shape of the
+end-to-end benchmark's ``recover-m3`` workload: ``build_matrix("M3",
+n=8000)`` with the same spec and four episodes of 3 simultaneous failures,
+at iterations 10, 20, 30 and 40, on ranks drawn from a fixed seed, on 8, 32
+and 128 nodes.  Each timed solve gets a fresh problem and an untimed
+failure-free solve first, so it is a problem's second resilient solve.  Per
+node count they report the median over the timed solves of the host
+milliseconds per failing solve and per recovery episode (the
+reconstruction's own host time, ``RecoveryReport.wallclock_time``), and
+the simulated recovery seconds of one solve (deterministic).  ``--smoke``
+runs one tiny case (n = 600 on 4 and 8 nodes, two episodes).
+
 Usage::
 
     python benchmarks/bench_solve_scaling.py                  # full sweep
@@ -57,7 +69,7 @@ if str(_SRC) not in sys.path:
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
-from repro.matrices import poisson_2d  # noqa: E402
+from repro.matrices import build_matrix, poisson_2d  # noqa: E402
 
 #: The end-to-end benchmark's resilient spec (its ``scale-n*`` workloads).
 SPEC = repro.SolveSpec(solver="resilient_pcg", rtol=1e-8,
@@ -72,6 +84,14 @@ REPEATS = 7
 #: Full sweep only: the weak-scaling rows' grid side and node counts (k = 1).
 WEAK_SIDE = 128
 WEAK_NODE_COUNTS = [64, 256, 1024]
+#: The recovered rows: M3 size, node counts, failure iterations, the seed
+#: of the failed ranks, and timed solves per node count (full; smoke).
+RECOVER_N, RECOVER_NODE_COUNTS = 8000, [8, 32, 128]
+RECOVER_FAIL_AT = (10, 20, 30, 40)
+SMOKE_RECOVER_N, SMOKE_RECOVER_NODE_COUNTS = 600, [4, 8]
+SMOKE_RECOVER_FAIL_AT = (3, 6)
+RECOVER_SEED = 0
+RECOVER_REPEATS, SMOKE_RECOVER_REPEATS = 5, 2
 
 
 def run_case(side: int, n_nodes: int, repeats: int,
@@ -138,11 +158,74 @@ def run_sweep(side: int, node_counts: List[int], repeats: int,
     }
 
 
+def recover_failures(n_nodes: int, fail_at) -> tuple:
+    """``phi`` simultaneous failures per iteration of *fail_at*, on ranks
+    drawn from :data:`RECOVER_SEED`."""
+    phi = SPEC.resilience.phi
+    rng = np.random.default_rng(RECOVER_SEED)
+    return tuple((iteration, tuple(sorted(int(r) for r in rng.choice(
+        n_nodes, size=phi, replace=False)))) for iteration in fail_at)
+
+
+def run_recover_case(matrix, n_nodes: int, fail_at,
+                     repeats: int) -> Dict[str, object]:
+    """One node count: *repeats* failing solves, each on a fresh problem
+    right after an untimed failure-free solve."""
+    failures = recover_failures(n_nodes, fail_at)
+    fail_spec = SPEC.with_overrides(failures=failures)
+    solve_ms: List[float] = []
+    episode_ms: List[float] = []
+    for _ in range(repeats):
+        problem = repro.distribute_problem(matrix, n_nodes=n_nodes)
+        reference = repro.solve(problem, spec=SPEC)
+        start = time.perf_counter()
+        result = repro.solve(problem, spec=fail_spec)
+        solve_ms.append(1e3 * (time.perf_counter() - start))
+        episodes = result.recoveries
+        episode_ms.append(1e3 * sum(r.wallclock_time for r in episodes)
+                          / max(len(episodes), 1))
+    return {
+        "n_nodes": n_nodes,
+        "failures": [[iteration, list(ranks)] for iteration, ranks in failures],
+        "episodes": len(episodes),
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged
+                          and result.iterations == reference.iterations),
+        "host_ms_per_solve": float(np.median(solve_ms)),
+        "host_ms_per_solve_samples": [round(v, 3) for v in solve_ms],
+        "host_ms_per_episode": float(np.median(episode_ms)),
+        "sim_recovery_s": float(result.simulated_recovery_time),
+    }
+
+
+def run_recover_sweep(n: int, node_counts: List[int], fail_at,
+                      repeats: int) -> Dict[str, object]:
+    matrix = build_matrix("M3", n=n)
+    rows: List[Dict[str, object]] = []
+    for n_nodes in node_counts:
+        row = run_recover_case(matrix, n_nodes, fail_at, repeats)
+        rows.append(row)
+        print(f"  N={n_nodes:>4}  episodes={row['episodes']}  "
+              f"iterations={row['iterations']:>4}  "
+              f"host={row['host_ms_per_solve']:8.2f} ms/solve "
+              f"{row['host_ms_per_episode']:7.2f} ms/episode  "
+              f"sim recovery={row['sim_recovery_s']:.4e} s")
+    return {
+        "matrix": f"M3 (n={n})",
+        "n": int(matrix.shape[0]),
+        "fail_at": list(fail_at),
+        "seed": RECOVER_SEED,
+        "repeats": repeats,
+        "rows": rows,
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="fast CI configuration (poisson_2d(16) on "
-                             "4/8/16 nodes, 3 timed solves)")
+                             "4/8/16 nodes, 3 timed solves; recovered rows "
+                             "of M3 n=600 on 4/8 nodes, 2 timed solves)")
     parser.add_argument("--json", metavar="PATH",
                         help="write results as JSON to PATH")
     args = parser.parse_args(argv)
@@ -161,6 +244,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         results["weak"] = run_sweep(WEAK_SIDE, WEAK_NODE_COUNTS, repeats,
                                     n_rhs_counts=(1,))
         rows += results["weak"]["rows"]
+    if args.smoke:
+        n, node_counts, fail_at, repeats = (
+            SMOKE_RECOVER_N, SMOKE_RECOVER_NODE_COUNTS, SMOKE_RECOVER_FAIL_AT,
+            SMOKE_RECOVER_REPEATS)
+    else:
+        n, node_counts, fail_at, repeats = (
+            RECOVER_N, RECOVER_NODE_COUNTS, RECOVER_FAIL_AT, RECOVER_REPEATS)
+    print(f"Recovered rows: M3 n={n} N={node_counts} phi=3, 3 simultaneous "
+          f"failures at iterations {list(fail_at)}, median of {repeats} "
+          "solves, each after a failure-free solve of a fresh problem")
+    results["recovered"] = run_recover_sweep(n, node_counts, fail_at,
+                                             repeats)
+    rows += results["recovered"]["rows"]
     if args.json:
         Path(args.json).write_text(json.dumps(results, indent=2))
         print(f"wrote {args.json}")

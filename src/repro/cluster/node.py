@@ -40,7 +40,9 @@ class MemoryEpoch:
     a container that has seen every rank hold its block at epoch ``e``
     knows that all its blocks are still readable while the counter reads
     ``e`` -- one integer comparison instead of one guarded lookup per rank
-    (see :class:`~repro.distributed.blockstore.BlockArray`).
+    (see :class:`~repro.distributed.blockstore.BlockArray`).  Once the
+    counter has moved, each memory's own :attr:`NodeMemory.wipes` tells
+    which nodes lost something.
     """
 
     __slots__ = ("value",)
@@ -58,12 +60,16 @@ class NodeMemory:
     Every read or write checks the owning node's status, so any attempt to use
     data that should have been lost in a failure raises
     :class:`~repro.cluster.errors.NodeFailedError`.  Removing a key bumps the
-    node's :class:`MemoryEpoch`.
+    node's :class:`MemoryEpoch` and the memory's own :attr:`wipes`.
     """
 
     def __init__(self, node: "Node"):
         self._node = node
         self._store: Dict[Any, Any] = {}
+        #: How often this memory has lost keys (cleared, or a key deleted
+        #: or popped): entries written while it read ``w`` are all still
+        #: here while it reads ``w``.
+        self.wipes = 0
 
     # -- guarded dict-like interface -------------------------------------
     def _check(self) -> None:
@@ -87,7 +93,7 @@ class NodeMemory:
     def __delitem__(self, key: Any) -> None:
         self._check()
         del self._store[key]
-        self._node.epoch.bump()
+        self._wiped()
 
     def __contains__(self, key: Any) -> bool:
         self._check()
@@ -115,7 +121,7 @@ class NodeMemory:
             if _sanitizer._ACTIVE is not None and default:
                 _sanitizer._ACTIVE.on_memory_read(self._node, key)
             return self._store.pop(key, *default)
-        self._node.epoch.bump()
+        self._wiped()
         return self._store.pop(key)
 
     def keys(self):
@@ -134,6 +140,10 @@ class NodeMemory:
     def clear(self) -> None:
         """Erase everything (used when the node fails)."""
         self._store.clear()
+        self._wiped()
+
+    def _wiped(self) -> None:
+        self.wipes += 1
         self._node.epoch.bump()
 
     def nbytes(self) -> int:

@@ -9,25 +9,37 @@ exact state reconstruction (Sec. 2.2).  The *extra* traffic is charged to the
 ``comm.redundancy`` phase of the cost model using the latency-bandwidth
 analysis of Sec. 4.2 (piggybacked extras pay no latency).
 
-**Staging.**  The per-iteration snapshot runs through a precomputed
-:class:`StagingIndex`: the ``(owner, holder)`` held pattern of the
-:class:`~repro.core.redundancy.RedundancyScheme` is translated once into one
-gather index over the global rows of the search direction, grouped by
-holder.  Each of the two generation slots owns one buffer of the gathered
-rows, and each pair's copies are a zero-copy view of that buffer held in the
-holder's node memory.  Every iteration refills the slot's buffer in place
-with one ``np.take`` from the search direction's contiguous ``(n, k)``
-array (see :mod:`repro.distributed.blockstore`), so the holders' views see
-the new copies without a node-memory write.  The views of a slot are
-written into the holders' memories again only when the cluster's
-:class:`~repro.cluster.node.MemoryEpoch` has moved (a failure or a
-replacement wiped some memory) or when another protocol has stored into the
-same slot since (the slot's buffer is recorded in the cluster's ``arrays``;
-a different record there means the entries are no longer ours).  A dead
-holder stores nothing, and a failed owner's pairs keep their previous
-copies for the iteration.  The replicated ``beta`` works the same way: one
-read-only holder per protocol sits in every alive node's memory, and each
-store swaps its payload.
+**Static tables and per-solve buffers.**  What depends only on the layout
+is built once per scheme, and the scheme once per problem and layout (see
+:func:`~repro.core.redundancy.build_redundancy_scheme`): the ``(owner,
+holder)`` held pattern of the :class:`~repro.core.redundancy.
+RedundancyScheme` is translated, on first use, into its
+:class:`~repro.core.redundancy.HeldIndex` -- one gather index over the
+global rows of the search direction grouped by holder, the local offsets
+of every pair, and each owner's holders -- and the per-iteration overhead
+charge is computed once per topology, machine model and column count.  A
+protocol keeps only what one solve writes: the buffers of its two
+generation slots (:class:`StagingIndex`), their generation tags and its
+replicated-coefficient holder, so two solves never share a buffer.
+
+**Staging.**  Each pair's copies are a zero-copy view of its slot's buffer
+held in the holder's node memory.  Every iteration refills the slot's
+buffer in place with one ``np.take`` from the search direction's contiguous
+``(n, k)`` array (see :mod:`repro.distributed.blockstore`), so the holders'
+views see the new copies without a node-memory write.  The views of a slot
+are written into the holders' memories again only when they may be gone.
+After a failure or a replacement (the cluster's
+:class:`~repro.cluster.node.MemoryEpoch` has moved) that is on the holders
+whose own memory lost something (:attr:`~repro.cluster.node.NodeMemory.
+wipes` moved), typically just the replaced nodes.  After another protocol
+stored into the same slot (the slot's buffer is recorded in the cluster's
+``arrays``; a different record there means the entries are no longer
+ours), or after a store that skipped failed owners, it is on every alive
+holder.  A dead holder stores nothing, and a failed owner's pairs keep
+their previous copies for the iteration.  The replicated ``beta`` works the
+same way: one read-only holder per protocol sits in every alive node's
+memory, each store swaps its payload, and after a failure it is put back
+only where a memory was wiped.
 
 After node failures, :meth:`recover_block` re-assembles a failed node's block
 of either generation from the copies on surviving nodes, charging the reverse
@@ -74,7 +86,7 @@ from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
 from ..cluster.errors import NodeFailedError, UnrecoverableStateError
 from ..distributed.partition import BlockRowPartition
-from .redundancy import RedundancySchemeBase
+from .redundancy import HeldIndex, RedundancySchemeBase
 
 #: Node-memory key prefix for ESR ghost stores.
 _ESR_KEY = "esr_store"
@@ -87,60 +99,98 @@ _ESR_SELF_KEY = "esr_self"
 _ESR_PARITY_KEY = "esr_parity"
 
 
-class StagingIndex:
-    """Precomputed gather tables and slot buffers of the redundant stores.
+class _Registration:
+    """Where one protocol's entries under one cluster record stand.
 
-    Built once from the held pattern (immutable): the global indices of all
-    ``(owner, holder)`` pairs, concatenated holder by holder in sorted
-    order, form one gather index into the search direction; per holder,
-    ``[(owner, lo, hi)]`` locates each pair's copies as a contiguous slice
-    of the gathered rows.  Each generation slot owns one
-    ``(len(gather), n_cols)`` buffer of gathered rows, and a holder keeps
-    the pair's copies as the view ``buffer[lo:hi]`` under
-    ``(_ESR_KEY, slot, owner)``.
+    The entries of *value* -- a slot buffer's views, or the replicated
+    coefficients' holder -- are put into the memories of the alive nodes
+    among *ranks*, and *value* is recorded in ``cluster.arrays[key]``.
+    They stay current while the cluster's memory epoch is the one of the
+    last write and the record is still *value*.  The record is the
+    ownership guard: another protocol writing the same entries replaces it,
+    and then every node gets ours again.  When only the epoch has moved,
+    only the nodes whose memory lost something since -- their
+    :attr:`~repro.cluster.node.NodeMemory.wipes` moved -- get them again.
+    """
+
+    def __init__(self, key: Any, value: Any, ranks: List[int]):
+        self._key = key
+        self._value = value
+        self._ranks = ranks
+        #: Memory epoch of the last write (-1: every node is due).
+        self._epoch = -1
+        #: Per rank, its memory's wipe count at the last write (-1: due).
+        self._wipes = [-1] * len(ranks)
+
+    def due(self, cluster: VirtualCluster) -> List[int]:
+        """The alive ranks whose memories need the entries (the caller
+        writes them all); records *value* as the cluster's entries."""
+        epoch = cluster.epoch.value
+        ours = cluster.arrays.get(self._key) is self._value
+        if ours and self._epoch == epoch:
+            return []
+        every = not ours or self._epoch < 0
+        nodes = cluster.nodes
+        wipes = self._wipes
+        due = []
+        for pos, rank in enumerate(self._ranks):
+            node = nodes[rank]
+            count = node.memory.wipes
+            if not every and wipes[pos] == count:
+                continue
+            if node.is_alive:
+                due.append(rank)
+                wipes[pos] = count
+            else:
+                # A failed node stores nothing; it is due again once
+                # replaced.
+                wipes[pos] = -1
+        cluster.arrays[self._key] = self._value
+        self._epoch = epoch
+        return due
+
+    def expire(self) -> None:
+        """Make every alive node due at the next :meth:`due`."""
+        self._epoch = -1
+
+
+class StagingIndex:
+    """The slot buffers of one protocol's redundant stores.
+
+    The gather tables are the scheme's, built once per scheme
+    (:class:`~repro.core.redundancy.HeldIndex`): one gather index into the
+    search direction, and per holder ``[(owner, lo, hi)]`` locating each
+    pair's copies as a contiguous slice of the gathered rows.  Each
+    generation slot of this protocol owns one ``(len(gather), n_cols)``
+    buffer of gathered rows, and a holder keeps the pair's copies as the
+    view ``buffer[lo:hi]`` under ``(_ESR_KEY, slot, owner)``.
 
     The views of a slot are *registered* -- written into the alive holders'
     memories -- per slot: writing one slot never registers the other, so a
     replacement holder cannot pass for a holder of a generation it never
-    received.  A registration stays current while the cluster's memory
-    epoch is the one it was made at (a failure or a replacement moves it)
-    and while the slot's record in ``cluster.arrays``, under
-    ``(_ESR_KEY, slot)``, is still this buffer.  That record is the
-    ownership guard: another protocol storing into the same slot of the
-    cluster replaces it, so the next store of this one registers its own
-    views again instead of refilling a buffer no holder reads.
+    received.  The slot's record in ``cluster.arrays``, under
+    ``(_ESR_KEY, slot)``, is the ownership guard (see
+    :class:`_Registration`): after a failure only the holders whose memory
+    was wiped get the views again, but after another protocol stored into
+    the same slot, every holder does.
     """
 
-    def __init__(self, pattern: Dict[Tuple[int, int], np.ndarray],
-                 n_cols: int):
+    def __init__(self, held: HeldIndex, n_cols: int):
         #: Nothing to stage at all (no pattern entries, e.g. a single-node
         #: run): lets the per-iteration path skip staging entirely.
-        self.is_empty = not pattern
-        by_holder: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for (owner, holder), idx in sorted(pattern.items()):
-            by_holder.setdefault(holder, []).append((owner, idx))
-        chunks: List[np.ndarray] = []
-        #: ``(holder, [(owner, lo, hi), ...])`` in ascending holder order.
-        self._holders: List[Tuple[int, List[Tuple[int, int, int]]]] = []
-        pos = 0
-        for holder in sorted(by_holder):
-            slices = []
-            for owner, idx in by_holder[holder]:
-                slices.append((owner, pos, pos + int(idx.size)))
-                chunks.append(idx)
-                pos += int(idx.size)
-            self._holders.append((holder, slices))
-        self._gather = (np.concatenate(chunks) if chunks
-                        else np.empty(0, dtype=np.int64))
+        self.is_empty = not held.slices
+        self._held = held
         #: One buffer of gathered rows per generation slot.
-        self._buffers = tuple(np.zeros((self._gather.size, n_cols))
+        self._buffers = tuple(np.zeros((held.gather.size, n_cols))
                               for _ in range(2))
-        #: Memory epoch each slot's views were registered at (-1: never).
-        self._registered = [-1, -1]
+        holders = list(held.slices)
+        self._registrations = tuple(
+            _Registration((_ESR_KEY, slot), self._buffers[slot], holders)
+            for slot in range(2))
 
     def distribute(self, cluster: VirtualCluster, p, slot: int) -> None:
         """Refill *slot*'s buffer with the copies of *p*, registering its
-        views under ``(_ESR_KEY, slot, owner)`` unless they are current.
+        views under ``(_ESR_KEY, slot, owner)`` where they are not current.
 
         One ``np.take`` pulls all copies out of *p*'s ``(n, k)`` array into
         the buffer; with the registration current (same memory epoch, the
@@ -148,19 +198,15 @@ class StagingIndex:
         owner's pairs are skipped -- its block will be reconstructed before
         the solver continues: its rows keep the copies the slot held before,
         its pairs are not registered on holders that lack them, and the slot
-        is left unregistered so its next store registers again.
+        is left unregistered so its next store registers every holder.
         """
         buffer = self._buffers[slot]
         try:
-            np.take(p.stacked(), self._gather, axis=0, out=buffer)
+            np.take(p.stacked(), self._held.gather, axis=0, out=buffer)
         except NodeFailedError:
             self._distribute_alive_owners(cluster, p, slot)
             return
-        epoch = cluster.epoch.value
-        if (self._registered[slot] != epoch
-                or cluster.arrays.get((_ESR_KEY, slot)) is not buffer):
-            self._register(cluster, slot)
-            self._registered[slot] = epoch
+        self._register(cluster, slot)
 
     def _distribute_alive_owners(self, cluster: VirtualCluster, p,
                                  slot: int) -> None:
@@ -168,33 +214,32 @@ class StagingIndex:
         failed = set(cluster.failed_ranks())
         buffer = self._buffers[slot]
         kept = [(lo, hi, buffer[lo:hi].copy())
-                for _, slices in self._holders
+                for slices in self._held.slices.values()
                 for owner, lo, hi in slices if owner in failed]
-        np.take(p.stacked(alive_only=True), self._gather, axis=0, out=buffer)
+        np.take(p.stacked(alive_only=True), self._held.gather, axis=0,
+                out=buffer)
         for lo, hi, rows in kept:
             buffer[lo:hi] = rows
+        registration = self._registrations[slot]
+        registration.expire()
         self._register(cluster, slot, skip=failed)
         # Some pairs were left out, so the next store registers again.
-        self._registered[slot] = -1
+        registration.expire()
 
     def _register(self, cluster: VirtualCluster, slot: int,
                   skip: Collection[int] = ()) -> None:
-        """Put *slot*'s views of all owners but *skip* on the alive holders
-        and record the buffer as the slot's storage."""
+        """Put *slot*'s views of all owners but *skip* on the holders that
+        need them (a failed holder simply stores nothing; the invariant
+        still guarantees enough surviving copies as long as the total
+        number of failures stays within phi)."""
         buffer = self._buffers[slot]
         nodes = cluster.nodes
-        for holder, slices in self._holders:
-            node = nodes[holder]
-            if not node.is_alive:
-                # A failed holder simply stores nothing; the invariant still
-                # guarantees enough surviving copies as long as the total
-                # number of failures stays within phi.
-                continue
-            memory = node.memory
-            for owner, lo, hi in slices:
+        slices_of = self._held.slices
+        for holder in self._registrations[slot].due(cluster):
+            memory = nodes[holder].memory
+            for owner, lo, hi in slices_of[holder]:
                 if owner not in skip:
                     memory[(_ESR_KEY, slot, owner)] = buffer[lo:hi]
-        cluster.arrays[(_ESR_KEY, slot)] = buffer
 
 
 class ReplicatedScalars(Mapping[str, Any]):
@@ -230,9 +275,11 @@ class GenerationInfo:
 class ESRProtocol:
     """Maintains the redundant copies required by the ESR approach.
 
-    *scheme* is a built redundancy scheme (the resilient solver builds it
-    once, from its :class:`~repro.core.spec.ResilienceSpec`); the protocol
-    protects the scheme's partition with the scheme's ``phi``.
+    *scheme* is a built redundancy scheme (the resilient solver gets it
+    from :func:`~repro.core.redundancy.build_redundancy_scheme`, once per
+    problem and layout); the protocol protects the scheme's partition with
+    the scheme's ``phi``, reads the scheme's static tables and keeps its own
+    slot buffers.
     """
 
     def __init__(self, cluster: VirtualCluster, scheme: RedundancySchemeBase,
@@ -251,35 +298,33 @@ class ESRProtocol:
         #: Non-``None`` for parity-kind schemes: storage switches from the
         #: held-pattern snapshots to owner-local snapshots + parity rows.
         self._parity = self.scheme if self.scheme.kind == "parity" else None
-        #: (owner, holder) -> global indices the holder stores each iteration.
-        self._pattern = ({} if self._parity is not None
-                         else self.scheme.held_pattern())
-        #: Precomputed local (owner-block) offsets per pattern entry.
-        self._pattern_local: Dict[Tuple[int, int], np.ndarray] = {}
-        for (owner, holder), idx in self._pattern.items():
-            start, _ = self.partition.range_of(owner)
-            self._pattern_local[(owner, holder)] = idx - start
-        #: Per-iteration staging tables (the pattern is static); parity
-        #: schemes stage nothing through the pattern path.
-        self._staging = (None if self._parity is not None
-                         else StagingIndex(self._pattern, self.n_cols))
+        #: The scheme's static tables of its held pattern (``None`` for
+        #: parity schemes, which stage nothing through the pattern path).
+        held = None if self._parity is not None else scheme.held_index()
+        #: Local (owner-block) offsets per ``(owner, holder)`` pattern entry.
+        self._pattern_local: Dict[Tuple[int, int], np.ndarray] = (
+            {} if held is None else held.local)
+        #: Per owner, the holders of its copies in ascending order.
+        self._holders_of: Dict[int, List[int]] = (
+            {} if held is None else held.holders_of)
+        #: This protocol's slot buffers over the scheme's gather tables.
+        self._staging = (None if held is None
+                         else StagingIndex(held, self.n_cols))
         #: Iteration number stored in each of the two generation slots.
         self._generations: Dict[int, GenerationInfo] = {
             0: GenerationInfo(), 1: GenerationInfo()
         }
-        #: The holder of the replicated coefficients, and the memory epoch
-        #: it was put on every alive node at (-1: never).
+        #: The holder of the replicated coefficients, and where it stands
+        #: in the alive nodes' memories.
         self._scalars = ReplicatedScalars()
-        self._scalars_registered = -1
-        # Precompute per-iteration redundancy overhead (pattern is static):
-        # the volume terms scale with the column count, latency terms and
+        self._scalars_registration = _Registration(
+            _SCALAR_KEY, self._scalars, list(range(cluster.n_nodes)))
+        # The per-iteration redundancy overhead (the pattern is static): the
+        # volume terms scale with the column count, latency terms and
         # message counts do not.
-        self._overhead_time = self.scheme.per_iteration_overhead_time(
-            cluster.topology, cluster.machine, n_cols=self.n_cols
-        )
-        self._overhead_traffic = self.scheme.extra_traffic_per_iteration(
-            n_cols=self.n_cols
-        )
+        self._overhead_time, self._overhead_traffic = (
+            scheme.iteration_overhead(cluster.topology, cluster.machine,
+                                      n_cols=self.n_cols))
 
     # -- storage during failure-free iterations -------------------------------
     def _slot_for(self, iteration: int) -> int:
@@ -361,10 +406,11 @@ class ESRProtocol:
         The values are copied once and made read-only, and become the
         payload of the protocol's one :class:`ReplicatedScalars` holder: a
         later in-place update by the solver cannot rewrite history, and no
-        node can alter the copy the others hold.  The holder is put into
-        every alive node's memory only when it is not current there -- the
-        memory epoch moved, or another protocol's holder took over
-        ``_SCALAR_KEY`` (its record in ``cluster.arrays``) since.
+        node can alter the copy the others hold.  The holder is put into a
+        node's memory only when it is not current there: after a failure,
+        on the nodes whose memory was wiped; after another protocol's
+        holder took over ``_SCALAR_KEY`` (its record in ``cluster.arrays``),
+        on every alive node.
         """
         payload = {}
         for key, value in scalars.items():
@@ -375,15 +421,9 @@ class ESRProtocol:
         payload["iteration"] = iteration
         holder = self._scalars
         holder._payload = payload
-        cluster = self.cluster
-        epoch = cluster.epoch.value
-        if (self._scalars_registered != epoch
-                or cluster.arrays.get(_SCALAR_KEY) is not holder):
-            for node in cluster.nodes:
-                if node.is_alive:
-                    node.memory[_SCALAR_KEY] = holder
-            cluster.arrays[_SCALAR_KEY] = holder
-            self._scalars_registered = epoch
+        nodes = self.cluster.nodes
+        for rank in self._scalars_registration.due(self.cluster):
+            nodes[rank].memory[_SCALAR_KEY] = holder
 
     # -- queries --------------------------------------------------------------------
     def available_generations(self) -> List[int]:
@@ -396,17 +436,10 @@ class ESRProtocol:
     def holders_with_copies(self, owner: int, iteration: int) -> List[int]:
         """Surviving holders with copies of *owner*'s elements (copies
         schemes; a parity scheme recovers from its stripe instead)."""
-        slot = self._slot_for(iteration)
-        holders = []
-        for (own, holder) in self._pattern_local:
-            if own != owner:
-                continue
-            node = self.cluster.node(holder)
-            if not node.is_alive:
-                continue
-            if (_ESR_KEY, slot, owner) in node.memory:
-                holders.append(holder)
-        return sorted(holders)
+        key = (_ESR_KEY, self._slot_for(iteration), owner)
+        nodes = self.cluster.nodes
+        return [holder for holder in self._holders_of.get(owner, ())
+                if nodes[holder].is_alive and key in nodes[holder].memory]
 
     # -- recovery -----------------------------------------------------------------------
     def recover_block(self, owner: int, iteration: int) -> np.ndarray:

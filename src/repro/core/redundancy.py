@@ -32,14 +32,21 @@ layer is therefore pluggable: scheme classes register under short names via
 :class:`~repro.utils.registry.Registry`, the class every named choice
 uses), a :class:`~repro.core.spec.ResilienceSpec` selects one by name
 through its ``scheme`` field, and :func:`build_redundancy_scheme` builds
-the named class -- once per resilient solver, in its
-``_init_resilience``, which hands the instance to the
-:class:`~repro.core.esr.ESRProtocol`.  :class:`RedundancySchemeBase`
-holds the layout every scheme shares (``phi``, partition, placement,
-racks).  ``"copies"`` -- this module's :class:`RedundancyScheme` -- is the
-default and reproduces the paper's behaviour bit for bit;
-``"rs_parity"`` registers when :mod:`repro.core` imports
-:mod:`repro.core.rs_parity`.
+the named class -- once per plan and layout: the scheme is kept in the
+plan's :attr:`~repro.distributed.comm_context.CommunicationContext.schemes`
+under the spec's layout fields, so every resilient solve of one problem
+(whose matrix owns the plan) with that layout gets the same instance, and
+it is freed with the problem.  A solver's ``_init_resilience`` hands it to
+its :class:`~repro.core.esr.ESRProtocol`.  Caching is safe because a
+scheme holds only static layout: the ``random`` placement seeds per owner
+unless an ``rng`` is passed, and a call with an ``rng`` builds a fresh
+scheme.  :class:`RedundancySchemeBase` holds the layout every scheme
+shares (``phi``, partition, placement, racks) and what is derived from it
+once: the static tables of a held pattern (:class:`HeldIndex`), which
+every ESR protocol over the scheme reads, and the per-iteration overhead
+charge.  ``"copies"`` -- this module's :class:`RedundancyScheme` -- is the
+default and reproduces the paper's behaviour bit for bit; ``"rs_parity"``
+registers when :mod:`repro.core` imports :mod:`repro.core.rs_parity`.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from ..utils.rng import RandomState
 from .placement import PLACEMENTS, RackLayout
 
 __all__ = [
+    "HeldIndex",
     "OwnerRedundancy",
     "REDUNDANCY_SCHEMES",
     "RedundancyScheme",
@@ -126,6 +134,47 @@ class OwnerRedundancy:
         return int(sum(self.extra_counts))
 
 
+class HeldIndex:
+    """The static tables of a held pattern, built once per scheme.
+
+    Every ESR protocol over the scheme reads them
+    (:meth:`RedundancySchemeBase.held_index` builds them on first use):
+
+    * :attr:`local` -- per ``(owner, holder)`` pair, the offsets of its
+      elements in the owner's block;
+    * :attr:`gather` -- the global indices of all pairs, concatenated holder
+      by holder in ascending order (owners ascending within a holder): one
+      gather index into the search direction;
+    * :attr:`slices` -- per holder, in ascending order, ``[(owner, lo, hi),
+      ...]``: each of its pairs' copies are rows ``lo:hi`` of the gathered
+      rows;
+    * :attr:`holders_of` -- per owner, the holders of its copies in
+      ascending order.
+    """
+
+    def __init__(self, pattern: Mapping[Tuple[int, int], np.ndarray],
+                 partition: BlockRowPartition):
+        self.local: Dict[Tuple[int, int], np.ndarray] = {}
+        self.holders_of: Dict[int, List[int]] = {}
+        by_holder: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        for (owner, holder), idx in sorted(pattern.items()):
+            start, _ = partition.range_of(owner)
+            self.local[(owner, holder)] = idx - start
+            self.holders_of.setdefault(owner, []).append(holder)
+            by_holder.setdefault(holder, []).append((owner, idx))
+        self.slices: Dict[int, List[Tuple[int, int, int]]] = {}
+        chunks: List[np.ndarray] = []
+        pos = 0
+        for holder in sorted(by_holder):
+            slices = self.slices[holder] = []
+            for owner, idx in by_holder[holder]:
+                slices.append((owner, pos, pos + int(idx.size)))
+                chunks.append(idx)
+                pos += int(idx.size)
+        self.gather = (np.concatenate(chunks) if chunks
+                       else np.empty(0, dtype=np.int64))
+
+
 class RedundancySchemeBase:
     """Interface every registered redundancy scheme implements.
 
@@ -180,6 +229,22 @@ class RedundancySchemeBase:
         #: Failure-domain layout fed to the rack-aware strategies.
         self.racks = RackLayout.default(n_nodes, rack_size)
         self._rng = rng
+        #: ``(topology, model, n_cols) -> iteration_overhead(...)``.
+        self._overheads: Dict[Tuple[Any, ...],
+                              Tuple[float, Tuple[int, int]]] = {}
+        self._held_index: Optional[HeldIndex] = None
+
+    # -- held pattern (``kind = "pattern"``) ----------------------------------
+    def held_pattern(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Map ``(owner, holder) -> global indices`` the holder keeps per
+        iteration (pattern-kind schemes)."""
+        raise NotImplementedError
+
+    def held_index(self) -> HeldIndex:
+        """The static tables of :meth:`held_pattern`, built on first use."""
+        if self._held_index is None:
+            self._held_index = HeldIndex(self.held_pattern(), self.partition)
+        return self._held_index
 
     # -- charge model (Sec. 4.2) ------------------------------------------------
     def round_overhead_times(self, topology: Topology, model: Any,
@@ -192,6 +257,21 @@ class RedundancySchemeBase:
         """Total redundancy overhead per iteration (sum of the round maxima)."""
         return float(sum(self.round_overhead_times(topology, model,
                                                    n_cols=n_cols)))
+
+    def iteration_overhead(self, topology: Topology, model: Any,
+                           n_cols: int = 1
+                           ) -> Tuple[float, Tuple[int, int]]:
+        """``(per_iteration_overhead_time, extra_traffic_per_iteration)``,
+        computed once per topology, machine model and column count (what
+        an ESR protocol charges every iteration)."""
+        key = (topology, model, n_cols)
+        overhead = self._overheads.get(key)
+        if overhead is None:
+            overhead = self._overheads[key] = (
+                self.per_iteration_overhead_time(topology, model,
+                                                 n_cols=n_cols),
+                self.extra_traffic_per_iteration(n_cols=n_cols))
+        return overhead
 
     def overhead_bounds(self, topology: Topology, model: Any,
                         n_cols: int = 1) -> Tuple[float, float]:
@@ -263,22 +343,34 @@ def build_redundancy_scheme(name: str, context: CommunicationContext,
                             rack_size: Optional[int] = None,
                             options: Optional[Mapping[str, Any]] = None
                             ) -> RedundancySchemeBase:
-    """Build the scheme registered under *name*.
+    """The scheme registered under *name*, laid out over *context*.
 
     The registered class is built as ``cls(context, phi, placement=...,
-    rng=..., rack_size=..., **options)``.  Scheme-specific *options* (e.g.
-    ``group_size`` for ``"rs_parity"``) the chosen class does not accept
-    raise ``ValueError`` naming the scheme.
+    rng=..., rack_size=..., **options)`` and kept in ``context.schemes``
+    under ``(name, phi, placement, rack_size, options)``: a later call with
+    the same layout returns that instance.  A call with an *rng* builds a
+    fresh scheme and keeps none.  Scheme-specific *options* (e.g.
+    ``group_size`` for ``"rs_parity"``) the chosen class does not accept,
+    or that are not hashable, raise ``ValueError`` naming the scheme; so
+    does every other invalid layout, on every call, and nothing is kept.
     """
     cls = REDUNDANCY_SCHEMES.get(name)
+    options = dict(options or {})
+    key = (cls.scheme_name, phi, str(placement).lower(), rack_size,
+           tuple(sorted(options.items())))
     try:
-        return cls(context, phi, placement=placement, rng=rng,
-                   rack_size=rack_size, **(options or {}))
+        scheme = None if rng is not None else context.schemes.get(key)
+        if scheme is None:
+            scheme = cls(context, phi, placement=placement, rng=rng,
+                         rack_size=rack_size, **options)
+            if rng is None:
+                context.schemes[key] = scheme
     except TypeError as exc:
         raise ValueError(
             f"invalid options for redundancy scheme {cls.scheme_name!r}: "
             f"{exc}"
         ) from None
+    return scheme
 
 
 @register_redundancy_scheme(

@@ -8,7 +8,11 @@ block) with
   of each row block of the two most recent search directions are kept on the
   backup nodes selected by Eqn. (5), shipping only the minimal extra sets of
   Eqn. (6); the redundancy scheme is laid out over the matrix's own scatter
-  plan (:attr:`~repro.distributed.dmatrix.DistributedMatrix.context`);
+  plan (:attr:`~repro.distributed.dmatrix.DistributedMatrix.context`), which
+  keeps it: every resilient solve of one problem with the same layout
+  (scheme, ``phi``, placement, rack size, scheme options) reuses the scheme
+  and its static tables, and only the slot buffers of the ESR protocol are
+  new per solve;
 * failure handling -- when the ``failures`` schedule strikes (possibly
   several nodes simultaneously, possibly again during a running recovery),
   the ULFM runtime provides replacement nodes and the ESR reconstruction
@@ -85,8 +89,10 @@ class EsrResilienceMixin(FailureHandlingMixin):
     """
 
     def _init_resilience(self, resilience: ResilienceSpec) -> None:
-        """Build the failure injector, the redundancy scheme, the ESR
-        protocol and the reconstructor that *resilience* describes."""
+        """Build the failure injector, the ESR protocol and the
+        reconstructor that *resilience* describes, over the redundancy
+        scheme of its layout (built on the problem's first solve with that
+        layout, then reused)."""
         self._init_failure_handling(resilience.failures)
         if self.failure_injector is not None:
             worst = self.failure_injector.max_simultaneous_failures()

@@ -24,16 +24,21 @@ raises :class:`ContextMismatchError` when it is built.  A
 from its own pattern (:attr:`DistributedMatrix.context`), so that plan
 covers the matrix by construction.  The ESR redundancy scheme
 (:mod:`repro.core.redundancy`) and the overhead analysis
-(:mod:`repro.analysis.overhead`) are built on top.  The *reverse* scatter
-(who holds copies of which remote elements after the exchange) is read
-with :meth:`CommunicationContext.senders_to`: it is what reconstruction
-uses to re-gather lost search-direction blocks, exactly as the paper's
+(:mod:`repro.analysis.overhead`) are built on top.  The plan also memoizes
+what is laid out over it: :attr:`CommunicationContext.schemes` keeps each
+redundancy scheme :func:`~repro.core.redundancy.build_redundancy_scheme`
+builds, keyed by its layout, so every resilient solve of one problem and
+layout shares one scheme and its static tables, and they are freed with
+the plan.  The *reverse* scatter (who holds copies of which remote
+elements after the exchange) is read with
+:meth:`CommunicationContext.senders_to`: it is what reconstruction uses to
+re-gather lost search-direction blocks, exactly as the paper's
 implementation reverses the PETSc scatter (Sec. 6).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -80,6 +85,10 @@ class CommunicationContext:
                 )
             self._sends[src][dst] = arr
             self._senders[dst].append(src)
+        #: Redundancy schemes laid out over this plan, keyed by their
+        #: layout (filled by :func:`~repro.core.redundancy.
+        #: build_redundancy_scheme`).
+        self.schemes: Dict[Tuple[Any, ...], Any] = {}
 
     # -- construction -----------------------------------------------------------
     @classmethod

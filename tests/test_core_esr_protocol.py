@@ -209,6 +209,30 @@ class TestRegistration:
         assert np.array_equal(a.recover_block(3, 2), expected[start:stop])
         assert np.array_equal(a.recover_replicated_vector("beta"), [0.25])
 
+    def test_interleaved_protocols_keep_their_own_copies_across_a_replacement(
+            self, setup):
+        """As above, with a failure and replacement between B's store and
+        A's: the memory epoch has moved and B's records hold the slot, so
+        A's store puts its entries on every holder again, not only on the
+        replaced one."""
+        cluster, partition, _, context = setup
+        a = ESRProtocol(cluster, RedundancyScheme(context, 2))
+        b = ESRProtocol(cluster, RedundancyScheme(context, 2))
+        a.after_spmv(make_p(cluster, partition, 0), 0)
+        a.store_replicated_scalars(0, beta=np.array([0.5]))
+        b.after_spmv(make_p(cluster, partition, 10), 10)
+        b.store_replicated_scalars(10, beta=np.array([7.0]))
+        cluster.fail_nodes([4])
+        cluster.replace_nodes([4])
+        p2 = make_p(cluster, partition, 2)
+        a.after_spmv(p2, 2)
+        a.store_replicated_scalars(2, beta=np.array([0.25]))
+        expected = p2.to_global()
+        cluster.fail_nodes([3])
+        start, stop = partition.range_of(3)
+        assert np.array_equal(a.recover_block(3, 2), expected[start:stop])
+        assert np.array_equal(a.recover_replicated_vector("beta"), [0.25])
+
     def test_replicated_holder_swaps_its_payload(self, setup):
         """The nodes keep one holder; each store replaces what it reads."""
         cluster, _, _, context = setup
