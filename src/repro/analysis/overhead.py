@@ -55,28 +55,6 @@ class OverheadAnalysis:
         return (self.lower_bound - eps) <= self.per_iteration_time \
             <= (self.upper_bound + eps)
 
-    @property
-    def relative_extra_traffic(self) -> float:
-        """Extra redundancy elements relative to the natural halo traffic."""
-        if self.halo_elements == 0:
-            return float("inf") if self.total_extra_elements else 0.0
-        return self.total_extra_elements / self.halo_elements
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "phi": self.phi,
-            "n_nodes": self.n_nodes,
-            "max_extras_per_round": list(self.max_extras_per_round),
-            "total_extra_elements": self.total_extra_elements,
-            "extra_messages": self.extra_messages,
-            "per_iteration_time": self.per_iteration_time,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "within_bounds": self.within_bounds,
-            "natural_coverage": self.natural_coverage,
-            "halo_elements": self.halo_elements,
-        }
-
 
 def analyze_overhead(matrix: DistributedMatrix, phi: int, *,
                      placement: str = "paper") -> OverheadAnalysis:

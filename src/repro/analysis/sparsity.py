@@ -37,15 +37,6 @@ class SparsityReport:
     #: Per-owner count of elements never sent anywhere (Chen's R^c_i sizes).
     unsent_per_owner: Dict[int, int]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "phi": self.phi,
-            "n_nodes": self.n_nodes,
-            "multiplicity_histogram": list(self.multiplicity_histogram),
-            "natural_coverage": self.natural_coverage,
-            "piggyback_fraction": self.piggyback_fraction,
-            "band_condition": self.band_condition,
-        }
 
 
 def multiplicity_histogram(context: CommunicationContext,

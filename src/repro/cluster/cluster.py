@@ -86,10 +86,6 @@ class VirtualCluster:
     def failed_ranks(self) -> List[int]:
         return [n.rank for n in self.nodes if n.is_failed]
 
-    @property
-    def any_failed(self) -> bool:
-        return any(n.is_failed for n in self.nodes)
-
     # -- failure handling ---------------------------------------------------
     def fail_nodes(self, ranks: Iterable[int]) -> List[int]:
         """Fail the listed ranks immediately (bypassing a schedule)."""
@@ -107,10 +103,6 @@ class VirtualCluster:
     def simulated_time(self) -> float:
         """Total simulated time accumulated so far (seconds)."""
         return self.ledger.total_time()
-
-    def reset_costs(self) -> None:
-        """Clear the ledger (e.g. between the setup phase and the timed run)."""
-        self.ledger.reset()
 
     # -- reporting --------------------------------------------------------------
     def describe(self) -> str:

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional
 
-import numpy as np
-
 from .. import sanitizer as _sanitizer
 from ..utils.rng import RandomState, jittered
 from ..utils.validation import check_nonnegative, check_positive
@@ -327,8 +325,3 @@ def max_over_nodes(values: Iterable[float]) -> float:
     """Bulk-synchronous reduction helper: the slowest node sets the pace."""
     values = list(values)
     return float(max(values)) if values else 0.0
-
-
-def sum_over_nodes(values: Iterable[float]) -> float:
-    """Aggregate helper for quantities that add up across nodes (e.g. traffic)."""
-    return float(np.sum(list(values))) if values else 0.0

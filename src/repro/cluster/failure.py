@@ -148,9 +148,6 @@ class FailureInjector:
         for event in self._events:
             check_rank_list(event.ranks, n_nodes, "failure ranks")
 
-    def all_triggered(self) -> bool:
-        return len(self._triggered) == len(self._events)
-
     def max_simultaneous_failures(self) -> int:
         """Largest number of distinct ranks failing at one iteration (lower
         bound for phi): every event due at an iteration, overlapping ones

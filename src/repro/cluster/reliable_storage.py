@@ -88,9 +88,5 @@ class ReliableStorage:
         """Fetch a per-node block stored via :meth:`put_block`."""
         return self.retrieve((name, rank), charge=charge)
 
-    def stored_element_count(self) -> int:
-        """Total number of scalar elements held (for reporting)."""
-        return sum(_element_count(v) for v in self._store.values())
-
     def items(self) -> Iterable[Tuple[Any, Any]]:
         return list(self._store.items())

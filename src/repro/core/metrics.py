@@ -47,17 +47,6 @@ class ConvergenceComparison:
     solution_difference_norm: float
     solution_relative_difference: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "reference_iterations": self.reference_iterations,
-            "resilient_iterations": self.resilient_iterations,
-            "reference_residual": self.reference_residual,
-            "resilient_residual": self.resilient_residual,
-            "reference_deviation": self.reference_deviation,
-            "resilient_deviation": self.resilient_deviation,
-            "solution_difference_norm": self.solution_difference_norm,
-            "solution_relative_difference": self.solution_relative_difference,
-        }
 
 
 def compare_runs(reference: SolveResult, resilient: SolveResult

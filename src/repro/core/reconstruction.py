@@ -14,8 +14,8 @@ state ``(x^(j), r^(j), z^(j), p^(j))`` on the replacement nodes:
 4. compute ``z^(j)_{I_f} = p^(j)_{I_f} - beta^(j-1) p^(j-1)_{I_f}``,
 5. reconstruct ``r^(j)_{I_f}`` -- depending on which preconditioner
    representation is available (``P = M^{-1}``: solve ``P_{I_f,I_f} r = z -
-   P_{I_f,I\\I_f} r``; ``M`` or ``M = L L^T``: multiply ``r_{I_f} = M_{I_f,I}
-   z``; identity: ``r = z``),
+   P_{I_f,I\\I_f} r``; ``M``: multiply ``r_{I_f} = M_{I_f,I} z``; identity:
+   ``r = z``),
 6. compute ``w = b_{I_f} - r^(j)_{I_f} - A_{I_f,I\\I_f} x^(j)`` and solve
    ``A_{I_f,I_f} x^(j)_{I_f} = w`` with a tightly-converged local solver.
 
@@ -237,6 +237,14 @@ class ESRReconstructor:
         self.partition: BlockRowPartition = matrix.partition
         self.local_solver_method = local_solver_method
         self.local_rtol = local_rtol
+        if reconstruction_form is PreconditionerForm.IDENTITY and \
+                preconditioner.form is not PreconditionerForm.IDENTITY:
+            # r = z holds only for M = I; any other M would recover a wrong
+            # residual and the solve would converge to a wrong answer.
+            raise ValueError(
+                f"the identity reconstruction form needs M = I; "
+                f"{preconditioner.name} has the {preconditioner.form.value} "
+                "form")
         self._requested_form = reconstruction_form
         #: The column count ``k`` of the state (that of the ESR protocol,
         #: the component that stores the copies being recovered).
@@ -250,20 +258,11 @@ class ESRReconstructor:
 
     # -- form selection -------------------------------------------------------------
     def reconstruction_form(self) -> PreconditionerForm:
-        """Which reconstruction variant will be used for the preconditioner.
-
-        An explicitly requested form is honoured as-is.  Otherwise the
-        preconditioner's natural form is used, except that SPLIT (only a
-        factor ``L`` with ``M = L L^T`` is available) reduces to the FORWARD
-        variant: the reconstruction multiplies by ``M = L L^T`` row-wise.
-        """
+        """Which reconstruction variant will be used for the preconditioner:
+        the requested form, else the preconditioner's natural form."""
         if self._requested_form is not None:
             return self._requested_form
-        form = self.preconditioner.form
-        if form is PreconditionerForm.SPLIT:
-            # The split variant reduces to the forward variant via M = L L^T.
-            return PreconditionerForm.FORWARD
-        return form
+        return self.preconditioner.form
 
     # -- main entry point ----------------------------------------------------------------
     def reconstruct(self, failed_ranks: Iterable[int], *, iteration: int,
@@ -421,7 +420,7 @@ class ESRReconstructor:
             self._charge_local_solve(solver)
             return self._split_to_blocks(failed, r_failed), solver.last_stats
 
-        # FORWARD (and SPLIT, which reduces to it): r_{I_f} = M_{I_f, I} z.
+        # FORWARD: r_{I_f} = M_{I_f, I} z.
         # One compressed matvec over all referenced columns: survivor values
         # are gathered through the index maps, the failed part comes from the
         # freshly reconstructed z_{I_f}.  The operand is a (cols, k) slab

@@ -440,10 +440,6 @@ class RedundancyScheme(RedundancySchemeBase):
     def owner(self, rank: int) -> OwnerRedundancy:
         return self._owners[rank]
 
-    def targets_of(self, owner: int) -> Tuple[int, ...]:
-        """Backup ranks of *owner* in round order."""
-        return self._owners[owner].targets
-
     def extra_indices(self, owner: int, round_k: int) -> np.ndarray:
         """``R^c_ik`` (global indices) for 1-based round ``round_k``."""
         if not 1 <= round_k <= self.phi:
@@ -463,13 +459,6 @@ class RedundancyScheme(RedundancySchemeBase):
     def total_extra_elements(self) -> int:
         """Total extra elements shipped per iteration across all nodes/rounds."""
         return sum(o.total_extra for o in self._owners.values())
-
-    def chen_single_failure_sets(self) -> Dict[int, np.ndarray]:
-        """Chen's original scheme: ``R^c_i = {s : m_i(s) = 0}`` sent to rank i+1."""
-        return {
-            owner: self.context.unsent_indices(owner)
-            for owner in self._owners
-        }
 
     # -- held-element pattern (what each node stores after the exchange) ----------------
     def held_pattern(self) -> Dict[Tuple[int, int], np.ndarray]:

@@ -211,8 +211,8 @@ class SolveSpec:
     #: ``"identity"`` runs unpreconditioned) or an already-built
     #: :class:`~repro.precond.base.Preconditioner` instance (not serializable).
     preconditioner: Union[str, Preconditioner] = "block_jacobi"
-    #: Keyword arguments for the preconditioner factory (e.g. ``omega`` for
-    #: SSOR); ignored when an instance is passed.
+    #: Keyword arguments for the preconditioner factory (e.g. ``drop_tol``
+    #: for ``block_jacobi_ilu``); ignored when an instance is passed.
     preconditioner_options: Dict[str, Any] = field(default_factory=dict)
     #: ESR-resilience extension; attaching one selects ``resilient_pcg``
     #: unless ``solver`` says otherwise.

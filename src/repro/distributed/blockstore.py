@@ -150,10 +150,6 @@ class NodeBlockStore:
             return False
         return self._key() in node.memory
 
-    def available_ranks(self) -> List[int]:
-        """Ranks whose block is currently readable."""
-        return [r for r in range(self.partition.n_parts) if self.has_block(r)]
-
     def lost_ranks(self) -> List[int]:
         """Ranks whose block is unavailable (failed node or never written)."""
         return [r for r in range(self.partition.n_parts) if not self.has_block(r)]

@@ -210,13 +210,6 @@ class DistributedMatrix:
         """Stored non-zeros in the row block of *rank*."""
         return int(self.row_block(rank).nnz)
 
-    def total_nnz(self) -> int:
-        return sum(self.nnz_of(rank) for rank in range(self.partition.n_parts))
-
-    def max_block_nnz(self) -> int:
-        """Largest per-node non-zero count (sets the SpMV compute pace)."""
-        return max(self.nnz_of(rank) for rank in range(self.partition.n_parts))
-
     def needed_column_indices(self, rank: int) -> np.ndarray:
         """Global column indices with non-zeros in *rank*'s row block.
 
@@ -226,15 +219,6 @@ class DistributedMatrix:
         """
         block = self.row_block(rank)
         return np.unique(block.indices.astype(np.int64))
-
-    def diagonal_block(self, rank: int) -> sp.csr_matrix:
-        """The square diagonal block ``A_{I_i, I_i}`` (used by block Jacobi)."""
-        start, stop = self.partition.range_of(rank)
-        return self.row_block(rank)[:, start:stop].tocsr()
-
-    def off_diagonal_nnz(self, rank: int) -> int:
-        """Non-zeros of *rank*'s rows that fall outside its diagonal block."""
-        return self.nnz_of(rank) - int(self.diagonal_block(rank).nnz)
 
     def diagonal(self) -> np.ndarray:
         """Global main diagonal assembled from the row blocks."""

@@ -248,7 +248,7 @@ class DistributedMultiVector(NodeBlockStore):
         j = self._check_column(j)
         return self.stacked()[:, j].copy()
 
-    # ``has_block`` / ``available_ranks`` / ``lost_ranks`` / ``delete`` and
+    # ``has_block`` / ``lost_ranks`` / ``delete`` and
     # the recovery write path ``restore_block`` come from
     # :class:`NodeBlockStore`.
 

@@ -102,11 +102,6 @@ class BlockRowPartition:
         self._check_rank(rank)
         return self.ranges[rank]
 
-    def slice_of(self, rank: int) -> slice:
-        """The owned range as a :class:`slice` (for array indexing)."""
-        start, stop = self.range_of(rank)
-        return slice(start, stop)
-
     def indices_of(self, rank: int) -> np.ndarray:
         """Global indices owned by *rank* (the paper's ``I_i``)."""
         start, stop = self.range_of(rank)
@@ -128,16 +123,6 @@ class BlockRowPartition:
             raise IndexError(f"global index {bad} out of range [0, {self.n})")
         owners = np.searchsorted(self.offsets, idx, side="right") - 1
         return owners if np.ndim(index) else owners.reshape(np.shape(index))
-
-    def local_index(self, rank: int, global_index) -> np.ndarray:
-        """Convert global indices owned by *rank* into block-local offsets."""
-        start, stop = self.range_of(rank)
-        gi = np.asarray(global_index, dtype=np.int64)
-        if gi.size and ((gi < start).any() or (gi >= stop).any()):
-            raise IndexError(
-                f"some indices are not owned by rank {rank} (range [{start}, {stop}))"
-            )
-        return gi - start
 
     # -- iteration helpers ------------------------------------------------------------
     def __iter__(self) -> Iterator[int]:

@@ -192,30 +192,6 @@ class SpmvEngine:
             self._split = (parts[0], parts[1])
         return self._split
 
-    # -- queries ------------------------------------------------------------
-    def ghost_indices(self, rank: int) -> np.ndarray:
-        """Sorted global ghost (halo) indices of *rank* (``G_k``)."""
-        return self._ghosts[rank]
-
-    def diag_block(self, rank: int) -> sp.csr_matrix:
-        """The ``(n_k, n_k)`` diagonal part of *rank*'s rows."""
-        start, stop = self.partition.range_of(rank)
-        return self._split_parts()[0][start:stop, start:stop]
-
-    def offdiag_block(self, rank: int) -> sp.csr_matrix:
-        """The ``(n_k, |G_k|)`` off-diagonal part of *rank*'s rows, with the
-        ghost columns in ``G_k`` order."""
-        start, stop = self.partition.range_of(rank)
-        return self._split_parts()[1][start:stop][:, self._ghosts[rank]]
-
-    def diag_nnz(self, rank: int) -> int:
-        """Non-zeros of *rank*'s rows in owned columns."""
-        return self._diag_nnz[rank]
-
-    def offdiag_nnz(self, rank: int) -> int:
-        """Non-zeros of *rank*'s rows in ghost columns."""
-        return self._offdiag_nnz[rank]
-
     # -- cost charges --------------------------------------------------------
     def halo_cost_for(self, n_rhs: int) -> Tuple[float, int, int]:
         """``(time, messages, elements)`` of one halo exchange of *n_rhs* columns.

@@ -31,7 +31,8 @@ from .experiment import (
 
 @dataclass
 class BoxStats:
-    """Five-number summary of a sample (the paper's box-and-whisker boxes)."""
+    """Median and quartiles of a sample (the boxes of the paper's box
+    plots)."""
 
     values: List[float]
 
@@ -46,31 +47,6 @@ class BoxStats:
     @property
     def q3(self) -> float:
         return float(np.percentile(self.values, 75)) if self.values else float("nan")
-
-    @property
-    def whisker_low(self) -> float:
-        if not self.values:
-            return float("nan")
-        iqr = self.q3 - self.q1
-        lo = self.q1 - 1.5 * iqr
-        inside = [v for v in self.values if v >= lo]
-        return float(min(inside)) if inside else float(min(self.values))
-
-    @property
-    def whisker_high(self) -> float:
-        if not self.values:
-            return float("nan")
-        iqr = self.q3 - self.q1
-        hi = self.q3 + 1.5 * iqr
-        inside = [v for v in self.values if v <= hi]
-        return float(max(inside)) if inside else float(max(self.values))
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "median": self.median, "q1": self.q1, "q3": self.q3,
-            "whisker_low": self.whisker_low, "whisker_high": self.whisker_high,
-            "n": len(self.values),
-        }
 
 
 @dataclass

@@ -20,16 +20,14 @@ carrying an ID, a docstring and a pinned allowlist:
              ``os.environ``, set-order) flowing -- through any call chain
              -- into ledger charges, communicator payloads, failure
              schedules, or solver results
-``R008``     every communication path passes a CostLedger charging site;
-             pending-mail internals stay inside ``cluster/``
-``R009``     collective contributions span the full/alive rank set, never
-             a literal rank subset; every send tag has a matching recv
+``R008``     every communicator primitive reaches a CostLedger charging
+             site
 ``R010``     solver hook overrides call ``super()``; recovery-state writes
              go through ``NodeBlockStore.restore_block``
 ============ ==============================================================
 
-R001--R006 are per-file AST checks; R007--R010 are interprocedural,
-built on a project-wide call graph (:mod:`repro.lint.callgraph`) and a
+R001--R006 are per-file AST checks; R007, R008 and R010 are
+interprocedural, built on a project-wide call graph (:mod:`repro.lint.callgraph`) and a
 taint engine (:mod:`repro.lint.dataflow`), and their messages carry the
 full call/taint trace (``a.py:12 -> b.py:40 -> sink``).
 

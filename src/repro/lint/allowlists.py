@@ -76,10 +76,8 @@ ALLOWLISTS: Dict[str, Tuple[str, ...]] = {
         "core/reconstruction.py",
         "service/service.py",
     ),
-    # R008 -- no exemptions: every comm path charges the ledger.
+    # R008 -- no exemptions: every communicator primitive charges the ledger.
     "R008": (),
-    # R009 -- no exemptions: collectives span the (alive) rank set.
-    "R009": (),
     # R010 -- no exemptions: hook overrides chain to super(), recovery
     # writes go through restore_block.
     "R010": (),

@@ -1,7 +1,8 @@
 """Project-wide symbol table and call graph of :mod:`repro.lint`.
 
 The per-file rules (R001--R006) see one AST at a time; the flow rules
-(R007--R010) need to know *who calls whom* across the whole scanned tree.
+(R007, R008, R010) need to know *who calls whom* across the whole scanned
+tree.
 This module builds that picture once per :class:`~repro.lint.engine.Project`:
 
 * a symbol table of every module-level function and every method of every
@@ -11,9 +12,7 @@ This module builds that picture once per :class:`~repro.lint.engine.Project`:
   static lookup *and* descendant overrides for dynamic dispatch, so a base
   loop calling ``self._after_spmv`` links to every mixin override), and
   ``super().method(...)`` including the cooperative-MRO case of a bare
-  mixin whose ``super()`` lands on a sibling base of the concrete class;
-* decorator-registered entry points (``@register_solver`` and friends) as
-  the roots the reachability rules start from.
+  mixin whose ``super()`` lands on a sibling base of the concrete class.
 
 Resolution is deliberately name-based and conservative: an attribute call
 whose receiver cannot be traced (``obj.frobnicate()``) resolves to the
@@ -26,16 +25,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from .engine import Project, SourceFile, dotted_name
-
-#: Decorators whose application marks a function as a registered entry point.
-REGISTRATION_DECORATORS = frozenset({
-    "register_solver", "register_preconditioner", "register_placement",
-    "register_batching_policy", "register_redundancy_scheme",
-})
 
 #: Maximum number of same-named methods an untraceable attribute call may
 #: resolve to; more candidates than this means the name is too generic to
@@ -55,8 +48,6 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     #: Defining class name, ``None`` for module-level functions.
     class_name: Optional[str]
-    #: Dotted decorator names applied to the definition.
-    decorators: Tuple[str, ...]
 
     @property
     def path(self) -> str:
@@ -100,8 +91,6 @@ class CallGraph:
         self._imports: Dict[str, Dict[str, str]] = {}
         self._ancestor_cache: Dict[str, Tuple[ClassInfo, ...]] = {}
         self._descendant_cache: Optional[Dict[str, List[ClassInfo]]] = None
-        self._callee_cache: Dict[
-            str, List[Tuple[ast.Call, Tuple[FunctionInfo, ...]]]] = {}
         for src in project.files:
             self._index_module(src)
 
@@ -133,14 +122,8 @@ class CallGraph:
         name = getattr(node, "name", "<lambda>")
         prefix = f"{class_name}." if class_name else ""
         qualname = f"{src.rel_path}::{prefix}{name}"
-        decorator_exprs = (
-            dec.func if isinstance(dec, ast.Call) else dec
-            for dec in getattr(node, "decorator_list", []))
-        decorators = tuple(
-            d for d in (dotted_name(dec) for dec in decorator_exprs)
-            if d is not None)
         func = FunctionInfo(name=name, qualname=qualname, src=src, node=node,
-                            class_name=class_name, decorators=decorators)
+                            class_name=class_name)
         self.functions.setdefault(qualname, func)
         self._by_simple_name.setdefault(name, []).append(func)
         if class_name is None:
@@ -279,62 +262,6 @@ class CallGraph:
         if len(matches) == 1:
             return matches
         return []
-
-    def callees(self, func: FunctionInfo
-                ) -> List[Tuple[ast.Call, Tuple[FunctionInfo, ...]]]:
-        """Every call expression in *func* with its resolved targets."""
-        cached = self._callee_cache.get(func.qualname)
-        if cached is not None:
-            return cached
-        out: List[Tuple[ast.Call, Tuple[FunctionInfo, ...]]] = []
-        for node in ast.walk(func.node):
-            if isinstance(node, ast.Call):
-                out.append((node, tuple(self.resolve_call(func, node))))
-        self._callee_cache[func.qualname] = out
-        return out
-
-    # -- roots -------------------------------------------------------------
-    def registered_entry_points(self) -> List[FunctionInfo]:
-        """Functions registered through the project's registry decorators."""
-        out: List[FunctionInfo] = []
-        for func in sorted(self.functions.values(), key=lambda f: f.qualname):
-            for decorator in func.decorators:
-                if decorator.split(".")[-1] in REGISTRATION_DECORATORS:
-                    out.append(func)
-                    break
-        return out
-
-    # -- reachability ------------------------------------------------------
-    def find_call_path(self, start: FunctionInfo,
-                       is_target: Callable[[FunctionInfo], bool], *,
-                       max_depth: int = 12
-                       ) -> Optional[List[Tuple[FunctionInfo, int]]]:
-        """Shortest call chain from *start* to a function matching
-        *is_target*, as ``(function, call-site line)`` hops; the first hop
-        carries the start's own definition line.
-        """
-        if is_target(start):
-            return [(start, start.line)]
-        queue: List[Tuple[FunctionInfo, List[Tuple[FunctionInfo, int]]]] = \
-            [(start, [(start, start.line)])]
-        seen: Set[str] = {start.qualname}
-        depth = 0
-        while queue and depth < max_depth:
-            next_queue: List[
-                Tuple[FunctionInfo, List[Tuple[FunctionInfo, int]]]] = []
-            for func, chain in queue:
-                for call, targets in self.callees(func):
-                    for target in targets:
-                        if target.qualname in seen:
-                            continue
-                        seen.add(target.qualname)
-                        hop = chain + [(target, int(call.lineno))]
-                        if is_target(target):
-                            return hop
-                        next_queue.append((target, hop))
-            queue = next_queue
-            depth += 1
-        return None
 
 
 _CACHE: "WeakKeyDictionary[Project, CallGraph]" = WeakKeyDictionary()

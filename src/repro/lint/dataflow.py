@@ -15,7 +15,7 @@ Model
   (hash-order nondeterminism).
 * **Sinks** -- ``CostLedger`` charging calls, ``Communicator``
   primitive payloads, failure-schedule constructors, and solver-result
-  constructors (:data:`SINK_CHARGE` / :data:`SINK_PAYLOAD` /
+  constructors (:data:`SINK_CHARGE` / :data:`COMM_PRIMITIVES` /
   :data:`SINK_CONSTRUCTORS`).
 * **Sanitizers** -- ``sorted(...)`` / ``len(...)`` kill set-order taint
   (a sorted set is deterministic); no sanitizer launders wallclock or RNG.
@@ -44,14 +44,11 @@ from .rules_determinism import UnseededRngRule, WallclockRule
 MAX_DEPTH = 8
 
 #: ``CostLedger`` charging methods: their arguments become simulated cost.
-SINK_CHARGE = frozenset({
-    "add_time", "add_overlapped", "add_traffic", "_charge_message",
-})
+SINK_CHARGE = frozenset({"add_time", "add_overlapped", "add_traffic"})
 
-#: ``Communicator`` primitives whose arguments travel between ranks.
-SINK_PAYLOAD = frozenset({
-    "send", "allreduce_sum", "bcast", "gather", "allgather",
-})
+#: ``Communicator`` primitives: their arguments travel between ranks (the
+#: payload sinks), and each must reach a charge (R008).
+COMM_PRIMITIVES = frozenset({"allreduce_sum"})
 
 #: Constructors whose fields are replayed results / failure schedules.
 SINK_CONSTRUCTORS: Dict[str, str] = {
@@ -447,7 +444,7 @@ class TaintAnalyzer:
         if isinstance(call.func, ast.Attribute):
             if call.func.attr in SINK_CHARGE:
                 return "CostLedger charge"
-            if call.func.attr in SINK_PAYLOAD:
+            if call.func.attr in COMM_PRIMITIVES:
                 return "Communicator payload"
         fname = dotted_name(call.func)
         if fname is not None:

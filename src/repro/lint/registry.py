@@ -18,7 +18,6 @@ from .rules_determinism import (
 )
 from .rules_flow import (
     ChargeCoverageRule,
-    CollectiveConsistencyRule,
     HookContractRule,
     NondeterminismFlowRule,
 )
@@ -38,7 +37,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     FrozenSpecRule(),
     NondeterminismFlowRule(),
     ChargeCoverageRule(),
-    CollectiveConsistencyRule(),
     HookContractRule(),
 )
 

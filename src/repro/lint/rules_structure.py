@@ -12,8 +12,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
-from .callgraph import REGISTRATION_DECORATORS
 from .engine import Project, Rule, SourceFile, Violation, dotted_name
+
+#: Decorators whose application registers a name (R003).
+REGISTRATION_DECORATORS = frozenset({
+    "register_solver", "register_preconditioner", "register_placement",
+    "register_batching_policy", "register_redundancy_scheme",
+})
 
 
 class RegisteredNameCoverageRule(Rule):
@@ -21,7 +26,7 @@ class RegisteredNameCoverageRule(Rule):
     test-covered.
 
     Walks the scanned tree for registrations through any of
-    :data:`~repro.lint.callgraph.REGISTRATION_DECORATORS`
+    :data:`REGISTRATION_DECORATORS`
     (``@register_solver("name")``, ``@register_placement("name", ...)``,
     ...) and requires each registered name to appear as a string literal
     somewhere in the test suite -- which, given the spec round-trip tests

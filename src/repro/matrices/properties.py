@@ -11,7 +11,7 @@ analysis and several tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,18 +32,6 @@ class MatrixProperties:
     symmetric: bool
     diagonally_dominant_fraction: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "n": self.n,
-            "nnz": self.nnz,
-            "nnz_per_row_mean": self.nnz_per_row_mean,
-            "nnz_per_row_max": self.nnz_per_row_max,
-            "half_bandwidth": self.half_bandwidth,
-            "band_fraction": self.band_fraction,
-            "band_fraction_width": self.band_fraction_width,
-            "symmetric": self.symmetric,
-            "diagonally_dominant_fraction": self.diagonally_dominant_fraction,
-        }
 
 
 def nnz_per_row(matrix) -> np.ndarray:

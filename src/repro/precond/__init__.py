@@ -10,7 +10,6 @@ from .factory import (
 from .ichol import FactorizationError, factorization_residual, ic0, ic0_solve
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
-from .ssor import SplitCholeskyPreconditioner, SSORPreconditioner
 
 __all__ = [
     "Preconditioner",
@@ -18,8 +17,6 @@ __all__ = [
     "IdentityPreconditioner",
     "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
-    "SSORPreconditioner",
-    "SplitCholeskyPreconditioner",
     "make_preconditioner",
     "register_preconditioner",
     "PRECONDITIONERS",

@@ -2,10 +2,9 @@
 
 The PCG method (Alg. 1) only ever needs the *action* ``z = M^{-1} r`` of the
 preconditioner.  The ESR reconstruction, however, needs structural access as
-well (Alg. 2 and its variants in [23]): depending on whether ``P = M^{-1}``,
-``M`` itself, or a split factor ``L`` with ``M = L L^T`` is explicitly
-available, a different reconstruction formula applies.  The interface below
-therefore exposes
+well (Alg. 2 and its variants in [23]): depending on whether ``P = M^{-1}``
+or ``M`` itself is explicitly available, a different reconstruction formula
+applies.  The interface below therefore exposes
 
 * ``apply`` / ``apply_block`` -- the action, globally or per partition block
   (block-diagonal preconditioners such as (block) Jacobi apply locally with no
@@ -36,8 +35,6 @@ class PreconditionerForm(enum.Enum):
     INVERSE = "inverse"
     #: ``M`` is available row-wise ([23, Alg. 3]).
     FORWARD = "forward"
-    #: A split factor ``L`` with ``M = L L^T`` is available ([23, Alg. 5]).
-    SPLIT = "split"
 
 
 class Preconditioner(abc.ABC):
@@ -188,12 +185,6 @@ class Preconditioner(abc.ABC):
         """Rows ``P[indices, :]`` of the inverse operator ``P = M^{-1}``."""
         raise NotImplementedError(
             f"{self.name} does not expose rows of M^-1"
-        )
-
-    def split_factor(self) -> sp.csr_matrix:
-        """The lower-triangular factor ``L`` with ``M = L L^T`` (if available)."""
-        raise NotImplementedError(
-            f"{self.name} does not expose a split factor"
         )
 
     # -- misc -----------------------------------------------------------------------

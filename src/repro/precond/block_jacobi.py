@@ -5,7 +5,10 @@ preconditioner matrix is the block-diagonal part of ``A`` defined by the node
 partition, ``M = blkdiag(A_{I_1,I_1}, ..., A_{I_N,I_N})``, and each block is
 solved either exactly (sparse LU, the paper's choice during regular solver
 operation) or approximately via ILU(0)/IC(0) (the paper's choice for the
-reconstruction subsystem).
+reconstruction subsystem).  With an approximate block solve the operator
+applied is the factorization's product -- ``L L^T`` for IC(0), ``L U`` up to
+its permutations for ILU -- and that product is the ``M`` whose rows the ESR
+reconstruction reads.
 
 Being block-diagonal with respect to the partition, applying it requires no
 communication, and its rows ``M_{I_f, I}`` vanish outside the failed blocks --
@@ -14,7 +17,7 @@ which is what makes the ESR reconstruction of the residual cheap.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +64,11 @@ class BlockJacobiPreconditioner(Preconditioner):
         self.fill_factor = fill_factor
         self._blocks: Dict[int, sp.csr_matrix] = {}
         self._solvers: Dict[int, Callable[[np.ndarray], np.ndarray]] = {}
+        #: Per rank, the ILU object or the IC(0) factor (inexact solvers).
+        self._factors: Dict[int, Any] = {}
+        #: Per rank, the operator an inexact block solve applies, built on
+        #: the first recovery that reads its rows.
+        self._operators: Dict[int, sp.csr_matrix] = {}
         self._block_partition: Optional[BlockRowPartition] = None
 
     # -- setup ----------------------------------------------------------------
@@ -74,13 +82,15 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._block_partition = block_partition
         self._blocks.clear()
         self._solvers.clear()
+        self._factors.clear()
+        self._operators.clear()
         for rank in range(block_partition.n_parts):
             start, stop = block_partition.range_of(rank)
             block = self.matrix[start:stop, start:stop].tocsc()
             self._blocks[rank] = block.tocsr()
-            self._solvers[rank] = self._make_solver(block)
+            self._solvers[rank] = self._make_solver(rank, block)
 
-    def _make_solver(self, block: sp.csc_matrix
+    def _make_solver(self, rank: int, block: sp.csc_matrix
                      ) -> Callable[[np.ndarray], np.ndarray]:
         if self.block_solver == "direct":
             lu = splu(block)
@@ -89,19 +99,39 @@ class BlockJacobiPreconditioner(Preconditioner):
             ilu = spilu(block, drop_tol=self.drop_tol,
                         fill_factor=self.fill_factor,
                         permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            self._factors[rank] = ilu
             return ilu.solve
         factor = ic0(block)
+        self._factors[rank] = factor
         return lambda rhs: ic0_solve(factor, rhs)
+
+    def _applied_block(self, rank: int) -> sp.csr_matrix:
+        """The operator ``M_i`` whose inverse the block solve of *rank*
+        applies: ``A_{I_i,I_i}`` itself for exact solves, ``L L^T`` for
+        IC(0), and ``Pr^T L U Pc^T`` for ILU (``Pr A Pc ~= L U``)."""
+        if self.block_solver == "direct":
+            return self._blocks[rank]
+        operator = self._operators.get(rank)
+        if operator is None:
+            factor = self._factors[rank]
+            if self.block_solver == "ic":
+                operator = factor @ factor.T
+            else:
+                shape = factor.shape
+                ones, order = np.ones(shape[0]), np.arange(shape[0])
+                pr = sp.csr_matrix((ones, (factor.perm_r, order)), shape=shape)
+                pc = sp.csr_matrix((ones, (order, factor.perm_c)), shape=shape)
+                operator = pr.T @ (factor.L @ factor.U) @ pc.T
+            operator = sp.csr_matrix(operator)
+            operator.sort_indices()
+            self._operators[rank] = operator
+        return operator
 
     @property
     def block_partition(self) -> BlockRowPartition:
         if self._block_partition is None:
             raise RuntimeError("setup() has not been called")
         return self._block_partition
-
-    def diagonal_block(self, rank: int) -> sp.csr_matrix:
-        """The block ``A_{I_i, I_i}`` this preconditioner uses for *rank*."""
-        return self._blocks[rank]
 
     # -- action -------------------------------------------------------------------
     def apply(self, residual: np.ndarray) -> np.ndarray:
@@ -173,22 +203,18 @@ class BlockJacobiPreconditioner(Preconditioner):
         )
 
     def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        """Rows of ``M = blkdiag(A_{I_i,I_i})`` at the given global indices.
+        """Rows of the applied ``M = blkdiag(M_i)`` at the given global
+        indices (``M_i = A_{I_i,I_i}`` for exact block solves).
 
         The rows come back in sorted index order.  Each owning rank
-        contributes one row slice of its diagonal block, with the columns
+        contributes one row slice of its block operator, with the columns
         shifted by the rank's first global index, and the slices are
         assembled into one CSR matrix: the Python-level work is per owning
         rank, not per row.
-
-        With inexact inner solves (ILU/IC) the operator actually applied is
-        only an approximation of this ``M``; the reconstruction is then
-        approximate as well, consistent with the finite-precision discussion
-        in Sec. 6 of the paper.
         """
         data, columns, lengths = [], [], []
         for rank, start, local in self._rows_by_rank(indices):
-            rows = self._blocks[rank][local]
+            rows = self._applied_block(rank)[local]
             data.append(rows.data)
             columns.append(rows.indices + start)
             lengths.append(np.diff(rows.indptr))
@@ -204,7 +230,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         """
         data, columns, lengths = [], [], []
         for rank, start, local in self._rows_by_rank(indices):
-            inv = np.linalg.inv(self._blocks[rank].toarray())
+            inv = np.linalg.inv(self._applied_block(rank).toarray())
             size = inv.shape[1]
             data.append(inv[local].ravel())
             columns.append(np.tile(np.arange(start, start + size), local.size))

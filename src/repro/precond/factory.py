@@ -17,7 +17,6 @@ from .base import Preconditioner
 from .block_jacobi import BlockJacobiPreconditioner
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
-from .ssor import SplitCholeskyPreconditioner, SSORPreconditioner
 
 #: Registered preconditioner builders, ``**kwargs -> Preconditioner``.
 PRECONDITIONERS: Registry[Callable[..., Preconditioner]] = \
@@ -31,7 +30,7 @@ def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
     """Build a preconditioner instance from its registered *name*.
 
     Keyword arguments are forwarded to the underlying constructor (e.g.
-    ``omega`` for SSOR, ``n_blocks`` for block Jacobi).  An unknown name
+    ``drop_tol`` for ``block_jacobi_ilu``, ``n_blocks`` for block Jacobi).  An unknown name
     raises ``ValueError`` listing every registered name.
     """
     if not isinstance(name, str):
@@ -68,17 +67,4 @@ def _build_block_jacobi_ilu(**kwargs: Any) -> Preconditioner:
                          "Block Jacobi with IC(0) block solves.")
 def _build_block_jacobi_ic(**kwargs: Any) -> Preconditioner:
     return BlockJacobiPreconditioner(block_solver="ic", **kwargs)
-
-
-@register_preconditioner("ssor",
-                         "Symmetric successive over-relaxation (sequential).")
-def _build_ssor(**kwargs: Any) -> Preconditioner:
-    return SSORPreconditioner(**kwargs)
-
-
-@register_preconditioner(
-    "split_ic0",
-    "Split preconditioner M = L L^T from incomplete Cholesky.")
-def _build_split_ic0(**kwargs: Any) -> Preconditioner:
-    return SplitCholeskyPreconditioner(**kwargs)
 

@@ -1,10 +1,9 @@
 """Incomplete Cholesky factorisation IC(0).
 
 ``ic0`` computes a lower-triangular factor ``L`` with the sparsity pattern of
-the lower triangle of ``A`` such that ``L L^T ~= A``.  It backs the split
-preconditioner (``M = L L^T``) and can serve as the inner solver of the block
-Jacobi preconditioner, mirroring the ILU-based local solves the paper uses
-for the reconstruction subsystem (Sec. 6).
+the lower triangle of ``A`` such that ``L L^T ~= A``.  It is the inner solver
+of the ``block_jacobi_ic`` preconditioner, mirroring the ILU-based local
+solves the paper uses for the reconstruction subsystem (Sec. 6).
 """
 
 from __future__ import annotations

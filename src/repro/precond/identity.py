@@ -48,6 +48,3 @@ class IdentityPreconditioner(Preconditioner):
 
     def inverse_rows(self, indices: np.ndarray) -> sp.csr_matrix:
         return self.forward_rows(indices)
-
-    def split_factor(self) -> sp.csr_matrix:
-        return sp.identity(self.matrix.shape[0], format="csr")

@@ -62,12 +62,6 @@ class JacobiPreconditioner(Preconditioner):
     def form(self) -> PreconditionerForm:
         return PreconditionerForm.INVERSE
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            raise RuntimeError("setup() has not been called")
-        return self._diag
-
     def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
         idx = as_indices(indices)
         n = self.matrix.shape[0]
@@ -81,6 +75,3 @@ class JacobiPreconditioner(Preconditioner):
         return sp.csr_matrix(
             (self._inv_diag[idx], (np.arange(idx.size), idx)), shape=(idx.size, n)
         )
-
-    def split_factor(self) -> sp.csr_matrix:
-        return sp.diags(np.sqrt(self.diagonal), format="csr")

@@ -179,13 +179,6 @@ class SimSan:
         if lost is not None:
             lost.discard(key)
 
-    def tombstoned_keys(self, node: Any) -> Tuple[Any, ...]:
-        """The keys currently tombstoned on *node* (diagnostics/tests)."""
-        lost = self._tombstones.get(node.memory)
-        if not lost:
-            return ()
-        return tuple(sorted(lost, key=repr))
-
     # -- communicator hook (called from repro.cluster.communicator) --------
     def on_collective(self) -> None:
         """Count one allreduce."""
@@ -236,10 +229,6 @@ class SimSan:
 def active() -> Optional[SimSan]:
     """The currently active sanitizer, or ``None``."""
     return _ACTIVE
-
-
-def is_active() -> bool:
-    return _ACTIVE is not None
 
 
 def enable(detectors: Optional[Iterable[str]] = None) -> SimSan:

@@ -65,8 +65,11 @@ def exact_shares(total: float, weights: Sequence[float]) -> List[float]:
     left-to-right float sum of all shares reproduces *total* bit-for-bit.
     When no complement can reach *total* (the candidate sums tie exactly
     between two representable values and round-to-even skips *total*), the
-    preceding share is nudged an ulp to move the prefix sum off the tie.
-    With every weight zero the split degrades to equal weights.
+    preceding share is nudged an ulp to move the prefix sum off the tie; if
+    64 nudges leave it on a tie, the prefix shares are truncated onto the
+    grid of ``2 * ulp(total)``, where the sum is exact.  With every weight
+    zero the split degrades to equal weights.  A non-finite *total* that no
+    shares sum back to raises :class:`ArithmeticError`.
     """
     k = len(weights)
     if k == 0:
@@ -90,12 +93,27 @@ def exact_shares(total: float, weights: Sequence[float]) -> List[float]:
             return shares
         # Tie-break: step the largest prefix share one ulp toward zero (it
         # is nonzero whenever a tie can occur, and its granularity is at
-        # most the sum's, so the prefix sum moves off the midpoint within a
-        # few steps).
+        # most the sum's, so the prefix sum usually moves off the midpoint
+        # within a few steps).
         at = max(range(k - 1), key=lambda j: abs(shares[j]))
         shares[at] = math.nextafter(shares[at], 0.0)
-    raise ArithmeticError(  # pragma: no cover - defensive, not reachable
-        f"could not reconcile shares against total {total!r}")
+    # Nudging one share cannot break every tie: when that share's addition is
+    # itself a round-to-even tie, each step moves the prefix sum by 0 or 2 of
+    # its ulps and never changes its parity.  Truncate the prefix shares onto
+    # the grid of 2 ulp(total) instead.  Their magnitudes then add up to less
+    # than |total| + 4 ulp(total), where every multiple of the grid is a
+    # float, so each prefix sum and the complement are exact.
+    grid = 2.0 * math.ulp(total)
+    shares = [s - math.fmod(s, grid) for s in shares]
+    partial = 0.0
+    for s in shares:
+        partial += s
+    last = total - partial
+    if partial + last != total:  # a non-finite total
+        raise ArithmeticError(
+            f"could not reconcile shares against total {total!r}")
+    shares.append(last)
+    return shares
 
 
 def split_charges(breakdown: Mapping[str, float],

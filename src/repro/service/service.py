@@ -320,10 +320,6 @@ class SolverService:
         """Dispatch until the queue is empty; returns the batches run."""
         return self._pump(drain=True)
 
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def _select_batches(self, *, drain: bool) -> List[List[ServiceRequest]]:
         """Run the policy under the lock and remove the selected requests."""
         with self._lock:

@@ -1,6 +1,6 @@
 """Sequential reference CG and the reconstruction subsystem solver."""
 
-from .cg import cg, pcg, pcg_iteration_count_estimate
+from .cg import cg, pcg
 from .local_solver import LOCAL_SOLVER_METHODS, LocalSolveStats, LocalSubsystemSolver
 from .result import SolveResult
 
@@ -8,7 +8,6 @@ __all__ = [
     "SolveResult",
     "cg",
     "pcg",
-    "pcg_iteration_count_estimate",
     "LocalSubsystemSolver",
     "LocalSolveStats",
     "LOCAL_SOLVER_METHODS",

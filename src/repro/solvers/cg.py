@@ -119,16 +119,3 @@ def cg(matrix, rhs: np.ndarray, **kwargs) -> SolveResult:
     kwargs.pop("preconditioner", None)
     return pcg(matrix, rhs, preconditioner=IdentityPreconditioner(), **kwargs)
 
-
-def pcg_iteration_count_estimate(condition_number: float,
-                                 relative_tolerance: float) -> int:
-    """Classical CG iteration bound ``~ 0.5 sqrt(kappa) ln(2/eps)``.
-
-    Used only for sanity checks and documentation -- real iteration counts
-    are measured.
-    """
-    if condition_number < 1.0 or relative_tolerance <= 0.0:
-        raise ValueError("need kappa >= 1 and tolerance > 0")
-    return int(np.ceil(
-        0.5 * np.sqrt(condition_number) * np.log(2.0 / relative_tolerance)
-    ))

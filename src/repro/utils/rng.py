@@ -8,7 +8,7 @@ experiment is reproducible from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -82,11 +82,3 @@ def jittered(rng: Optional[RandomState], value: float, rel_std: float) -> float:
     factor = 1.0 + rel_std * float(rng.standard_normal())
     return float(value) * max(factor, 0.1)
 
-
-def choice_without_replacement(rng: RandomState, pool: Iterable[int], k: int) -> List[int]:
-    """Sample *k* distinct elements of *pool* (helper for failure scenarios)."""
-    pool = list(pool)
-    if k > len(pool):
-        raise ValueError(f"cannot sample {k} items from a pool of {len(pool)}")
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[int(i)] for i in idx]

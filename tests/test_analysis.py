@@ -57,7 +57,8 @@ class TestOverheadAnalysis:
         banded_dist = make_dist(banded_spd(400, half_bandwidth=60, seed=0), 8)
         a_sparse = analyze_overhead(sparse_dist, 3)
         a_banded = analyze_overhead(banded_dist, 3)
-        assert a_sparse.relative_extra_traffic > a_banded.relative_extra_traffic
+        assert a_sparse.total_extra_elements / a_sparse.halo_elements > \
+            a_banded.total_extra_elements / a_banded.halo_elements
 
     def test_per_round_extras_and_bounds_helpers(self):
         dist = make_dist(poisson_2d(16), 8)
@@ -68,12 +69,6 @@ class TestOverheadAnalysis:
         lower, upper = scheme.overhead_bounds(dist.cluster.topology,
                                               dist.cluster.machine)
         assert 0 <= lower <= upper
-
-    def test_as_dict(self):
-        dist = make_dist(poisson_2d(12), 6)
-        d = analyze_overhead(dist, 1).as_dict()
-        assert d["phi"] == 1
-        assert "within_bounds" in d
 
 
 class TestSparsityAnalysis:
@@ -124,7 +119,6 @@ class TestSparsityAnalysis:
         assert 0.0 <= report.natural_coverage <= 1.0
         assert 0.0 <= report.piggyback_fraction <= 1.0
         assert len(report.unsent_per_owner) == 6
-        assert report.as_dict()["phi"] == 2
 
     def test_band_condition_implies_no_extra_latency_messages(self):
         matrix = banded_spd(240, half_bandwidth=90, fill=0.95, seed=1)

@@ -8,7 +8,6 @@ from repro.cluster.cost_model import (
     MachineModel,
     Phase,
     max_over_nodes,
-    sum_over_nodes,
 )
 
 
@@ -146,7 +145,3 @@ class TestHelpers:
     def test_max_over_nodes(self):
         assert max_over_nodes([1.0, 3.0, 2.0]) == 3.0
         assert max_over_nodes([]) == 0.0
-
-    def test_sum_over_nodes(self):
-        assert sum_over_nodes([1.0, 2.0]) == pytest.approx(3.0)
-        assert sum_over_nodes([]) == 0.0

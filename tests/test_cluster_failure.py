@@ -66,7 +66,7 @@ class TestFailureInjector:
         assert cluster.node(4).is_failed and cluster.node(5).is_failed
         assert cluster.node(4).failure_count == 1
         assert cluster.node(5).failure_count == 1
-        assert injector.all_triggered()
+        assert not injector.pending_events()
 
     def test_trigger_twice_rejected(self, cluster):
         injector = FailureInjector([FailureEvent(0, (1,))])
@@ -78,7 +78,7 @@ class TestFailureInjector:
         injector = FailureInjector([FailureEvent(0, (1,))])
         injector.trigger(0, cluster.nodes)
         assert injector.events_due(100) == []
-        assert injector.all_triggered()
+        assert not injector.pending_events()
 
     def test_overlapping_events_separate_queue(self):
         injector = FailureInjector([
@@ -111,7 +111,7 @@ class TestFailureInjector:
         injector = FailureInjector()
         assert injector.events == []
         assert injector.events_due(10**6) == []
-        assert injector.all_triggered()
+        assert not injector.pending_events()
         assert injector.max_simultaneous_failures() == 0
 
     def test_out_of_range_rank_rejected(self, cluster):
@@ -173,7 +173,6 @@ class TestClusterFacade:
     def test_fail_and_replace(self, cluster):
         cluster.fail_nodes([0, 5])
         assert cluster.failed_ranks() == [0, 5]
-        assert cluster.any_failed
         cluster.replace_nodes([0, 5])
         assert cluster.failed_ranks() == []
 
@@ -188,7 +187,7 @@ class TestClusterFacade:
         assert cluster.simulated_time() == 0.0
         cluster.comm.allreduce_sum(np.ones((cluster.n_nodes, 1)))
         assert cluster.simulated_time() > 0.0
-        cluster.reset_costs()
+        cluster.ledger.reset()
         assert cluster.simulated_time() == 0.0
 
     def test_topology_size_mismatch_rejected(self):

@@ -68,12 +68,6 @@ class TestReliableStorage:
         store.retrieve("a")
         assert store.retrieval_count == 2
 
-    def test_stored_element_count(self, storage):
-        store, _ = storage
-        store.put("a", np.ones(7))
-        store.put("b", 3.0)
-        assert store.stored_element_count() == 8
-
     def test_keys_and_items(self, storage):
         store, _ = storage
         store.put("a", 1)

@@ -29,7 +29,7 @@ from repro.distributed import (
     DistributedVector,
 )
 from repro.matrices import poisson_2d
-from repro.precond import make_preconditioner
+from repro.precond import Preconditioner, make_preconditioner
 
 N_NODES = 4
 
@@ -225,10 +225,15 @@ class TestValidation:
         a, cluster, partition, dist, _, rhs_global = make_problem()
         rhs = DistributedMultiVector.from_global(cluster, partition, "B",
                                                  rhs_global)
-        ssor = make_preconditioner("ssor")
-        ssor.setup(a, partition)
-        with pytest.raises(ValueError):
-            BlockPCG(dist, rhs, ssor)
+
+        class Coupled(Preconditioner):
+            """A global operator: not block-diagonal."""
+
+            def apply(self, residual):
+                return residual.copy()
+
+        with pytest.raises(ValueError, match="block-diagonal"):
+            BlockPCG(dist, rhs, Coupled())
 
     def test_rejects_incompatible_partitions(self):
         a, cluster, partition, dist, precond, _ = make_problem()

@@ -7,7 +7,7 @@ from repro.cluster import MachineModel, Phase
 from repro.core.api import distribute_problem, solve
 from repro.core.pcg import DistributedPCG
 from repro.matrices import poisson_2d, graph_laplacian_spd
-from repro.precond import make_preconditioner
+from repro.precond import Preconditioner, make_preconditioner
 from repro.solvers import pcg
 
 
@@ -82,10 +82,14 @@ class TestNumerics:
         assert result.converged
 
     def test_non_block_diagonal_preconditioner_rejected(self, problem):
-        ssor = make_preconditioner("ssor")
-        ssor.setup(problem.matrix.to_global(), problem.partition)
-        with pytest.raises(ValueError):
-            DistributedPCG(problem.matrix, problem.rhs, ssor)
+        class Coupled(Preconditioner):
+            """A global operator: not block-diagonal."""
+
+            def apply(self, residual):
+                return residual.copy()
+
+        with pytest.raises(ValueError, match="block-diagonal"):
+            DistributedPCG(problem.matrix, problem.rhs, Coupled())
 
 
 class TestCostAccounting:

@@ -69,7 +69,6 @@ class TestMetrics:
         assert comparison.reference_iterations == r1.iterations
         assert comparison.resilient_iterations == r2.iterations
         assert comparison.solution_relative_difference < 1e-6
-        assert "reference_iterations" in comparison.as_dict()
 
     def test_convergence_rate(self):
         rate = convergence_rate_estimate([1.0, 0.1, 0.01, 0.001])

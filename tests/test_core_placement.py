@@ -204,7 +204,7 @@ class TestSchemeIntegration:
                                   rack_size=4)
         assert scheme.placement == name
         for owner in range(8):
-            assert list(scheme.targets_of(owner)) == backup_targets(
+            assert list(scheme.owner(owner).targets) == backup_targets(
                 owner, 3, 8, name, racks=RackLayout(8, 4))
 
     @NOT_A_NAME

@@ -15,7 +15,7 @@ from repro.core.resilient_pcg import ResilientPCG
 from repro.core.spec import ResilienceSpec
 from repro.distributed import DistributedMultiVector
 from repro.matrices import poisson_2d, graph_laplacian_spd, elasticity_3d
-from repro.precond import make_preconditioner
+from repro.precond import PRECONDITIONERS, make_preconditioner
 from repro.precond.base import PreconditionerForm
 
 
@@ -171,18 +171,85 @@ class TestReconstructionFormSelection:
         )
         return reconstructor, precond
 
-    def test_split_form_reduces_to_forward(self):
-        """A preconditioner that only exposes a split factor (M = L L^T) is
-        reconstructed through the forward variant."""
-        reconstructor, precond = self._reconstructor("split_ic0")
-        assert precond.form is PreconditionerForm.SPLIT
-        assert reconstructor.reconstruction_form() is PreconditionerForm.FORWARD
-
     def test_explicitly_requested_form_is_honoured(self):
         reconstructor, _ = self._reconstructor(
-            "split_ic0", requested_form=PreconditionerForm.SPLIT
+            "block_jacobi", requested_form=PreconditionerForm.INVERSE
         )
-        assert reconstructor.reconstruction_form() is PreconditionerForm.SPLIT
+        assert reconstructor.reconstruction_form() is PreconditionerForm.INVERSE
+
+    @pytest.mark.parametrize("name", ["block_jacobi", "jacobi"])
+    def test_identity_form_requires_identity_preconditioner(self, name):
+        """r = z is exact only for M = I; for another M it would recover a
+        wrong residual, and the solve would converge to a wrong answer."""
+        with pytest.raises(ValueError, match="identity reconstruction form"):
+            self._reconstructor(name,
+                                requested_form=PreconditionerForm.IDENTITY)
+
+    def test_identity_form_is_rejected_before_any_charge(self):
+        import repro
+        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        before = problem.cluster.ledger.snapshot()
+        with pytest.raises(ValueError, match="identity reconstruction form"):
+            repro.solve(problem, solver="resilient_pcg", phi=2,
+                        reconstruction_form="identity",
+                        failures=[(10, [1, 2])])
+        assert problem.cluster.ledger.snapshot() == before
+        identity = repro.solve(problem, solver="resilient_pcg", phi=2,
+                               preconditioner="identity",
+                               reconstruction_form="identity",
+                               failures=[(10, [1, 2])])
+        assert identity.converged
+
+    @pytest.mark.parametrize("solver", ["resilient_pcg",
+                                        "resilient_block_pcg"])
+    @pytest.mark.parametrize("name",
+                             sorted(set(PRECONDITIONERS) - {"identity"}))
+    def test_every_resilient_solver_rejects_identity_form(self, name, solver):
+        import repro
+        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        before = problem.cluster.ledger.snapshot()
+        with pytest.raises(ValueError, match="identity reconstruction form"):
+            repro.solve(problem, solver=solver, phi=2, preconditioner=name,
+                        reconstruction_form="identity",
+                        failures=[(6, [1, 2])])
+        assert problem.cluster.ledger.snapshot() == before
+
+    @pytest.mark.parametrize("solver", ["resilient_pcg",
+                                        "resilient_block_pcg"])
+    def test_identity_form_is_exact_for_identity(self, solver):
+        """With M = I the requested identity form recovers r = z exactly:
+        the failure-free iteration count and the threshold are kept."""
+        import repro
+
+        def run(failures):
+            problem = distribute_problem(
+                poisson_2d(12), n_nodes=4, seed=0,
+                machine=MachineModel(jitter_rel_std=0.0))
+            return problem, repro.solve(
+                problem, solver=solver, phi=2, preconditioner="identity",
+                reconstruction_form="identity", failures=failures)
+
+        _, failure_free = run([])
+        problem, result = run([(6, [1, 2])])
+        assert result.n_failures_recovered == 2
+        assert result.iterations == failure_free.iterations
+        # The block solver reports the 1-D right-hand side as one column.
+        b = problem.rhs.to_global()
+        x = np.reshape(result.x, (len(b), -1))
+        true_residual = np.linalg.norm(
+            b[:, None] - problem.matrix.to_global() @ x, axis=0)
+        thresholds = result.info.get("thresholds",
+                                     [result.info.get("threshold")])
+        assert np.all(result.converged)
+        assert np.all(true_residual <= np.asarray(thresholds))
+
+    def test_split_form_is_gone(self):
+        assert [form.value for form in PreconditionerForm] == [
+            "identity", "inverse", "forward"]
+        with pytest.raises(ValueError):
+            ResilienceSpec(reconstruction_form="split")
 
     def test_natural_forms_pass_through(self):
         for name, expected in (("block_jacobi", PreconditionerForm.FORWARD),

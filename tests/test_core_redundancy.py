@@ -71,14 +71,6 @@ class TestBackupTargets:
 
 
 class TestChenSingleFailure:
-    def test_chen_sets_are_unsent_elements(self):
-        a = poisson_2d(12)
-        _, _, scheme = make_scheme(a, 6, 1)
-        chen = scheme.chen_single_failure_sets()
-        for owner in range(6):
-            assert np.array_equal(chen[owner],
-                                  scheme.context.unsent_indices(owner))
-
     def test_phi1_paper_scheme_matches_chen(self):
         # For phi = 1 and the paper placement (d_i1 = i+1), the extra set of
         # round 1 equals Chen's R^c_i (elements with m_i(s) = 0) whenever the
@@ -86,9 +78,10 @@ class TestChenSingleFailure:
         # two sets coincide exactly.
         a = poisson_1d(60)
         _, _, scheme = make_scheme(a, 6, 1)
-        chen = scheme.chen_single_failure_sets()
         for owner in range(6):
-            assert np.array_equal(scheme.extra_indices(owner, 1), chen[owner])
+            # Chen's R^c_i = {s : m_i(s) = 0}: the elements never sent.
+            assert np.array_equal(scheme.extra_indices(owner, 1),
+                                  scheme.context.unsent_indices(owner))
 
     def test_chen_loses_data_for_adjacent_double_failure(self):
         # Sec. 3: if nodes i and i+1 fail simultaneously and R^c_i != {}, the
@@ -96,7 +89,7 @@ class TestChenSingleFailure:
         a = poisson_1d(60)
         _, _, scheme = make_scheme(a, 6, 1)
         owner = 2
-        chen_set = scheme.chen_single_failure_sets()[owner]
+        chen_set = scheme.context.unsent_indices(owner)
         assert chen_set.size > 0
         # copies exist only on the owner and on owner+1 under Chen's scheme,
         # so a simultaneous failure of both loses them; the phi = 2 scheme
@@ -142,7 +135,7 @@ class TestEqn6:
         _, _, scheme = make_scheme(a, 8, 3)
         for owner in range(8):
             for k in range(1, 4):
-                target = scheme.targets_of(owner)[k - 1]
+                target = scheme.owner(owner).targets[k - 1]
                 extra = scheme.extra_indices(owner, k)
                 natural = scheme.context.send_indices(owner, target)
                 assert np.intersect1d(extra, natural).size == 0

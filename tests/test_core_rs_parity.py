@@ -117,7 +117,7 @@ class TestRegistry:
         def targets(rng):
             scheme = build_redundancy_scheme("copies", context, 2,
                                              placement="random", rng=rng)
-            return [scheme.targets_of(owner) for owner in range(8)]
+            return [scheme.owner(owner).targets for owner in range(8)]
 
         seeded = targets(np.random.default_rng(99))
         assert targets(np.random.default_rng(99)) == seeded

@@ -44,7 +44,7 @@ def solve(problem, k, failures=(), **layout):
     cumulative ledger over the solve, and a difference from a non-zero
     base rounds differently from one that starts at zero.
     """
-    problem.cluster.reset_costs()
+    problem.cluster.ledger.reset()
     resilience = ResilienceSpec(**{"phi": 3, **layout}, failures=failures)
     return repro.solve(problem, None if k == 1 else RHS_BLOCK,
                        spec=repro.SolveSpec(rtol=1e-8,

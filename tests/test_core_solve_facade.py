@@ -254,7 +254,22 @@ class TestRegistry:
             make_preconditioner("does_not_exist")
         message = str(excinfo.value)
         assert "does_not_exist" in message
-        assert "block_jacobi" in message and "ssor" in message
+        assert "block_jacobi" in message and "block_jacobi_ic" in message
+        assert "ssor" not in message and "split_ic0" not in message
+
+    @pytest.mark.parametrize("solver_name", [None, "pcg", "resilient_pcg",
+                                             "block_pcg",
+                                             "resilient_block_pcg"])
+    @pytest.mark.parametrize("name", ["ssor", "split_ic0"])
+    def test_removed_preconditioner_rejected_before_any_charge(
+            self, name, solver_name):
+        problem = fresh_problem(RHS_1D)
+        before = ledger_state(problem)
+        options = {} if solver_name is None else {"solver": solver_name}
+        with pytest.raises(ValueError,
+                           match=f"unknown preconditioner '{name}'"):
+            solve(problem, preconditioner=name, **options)
+        assert ledger_state(problem) == before
 
     def test_make_preconditioner_rejects_none(self):
         with pytest.raises(TypeError, match="must be a string"):
@@ -310,9 +325,12 @@ class TestProblemCaches:
         p1 = problem.resolve_preconditioner("block_jacobi")
         assert problem.resolve_preconditioner("block_jacobi") is p1
         assert problem.resolve_preconditioner("jacobi") is not p1
-        omega = problem.resolve_preconditioner("ssor", omega=1.3)
-        assert problem.resolve_preconditioner("ssor", omega=1.4) is not omega
-        assert problem.resolve_preconditioner("ssor", omega=1.3) is omega
+        ilu = problem.resolve_preconditioner("block_jacobi_ilu",
+                                             drop_tol=1e-3)
+        assert problem.resolve_preconditioner(
+            "block_jacobi_ilu", drop_tol=1e-2) is not ilu
+        assert problem.resolve_preconditioner(
+            "block_jacobi_ilu", drop_tol=1e-3) is ilu
 
     def test_preconditioner_cache_invalidated_on_structure_change(
             self, store_raised_diagonal):

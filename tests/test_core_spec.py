@@ -99,7 +99,7 @@ REGISTERED_SOLVER_NAMES = [
 ]
 REGISTERED_PRECONDITIONER_NAMES = [
     "block_jacobi", "block_jacobi_ic", "block_jacobi_ilu", "identity",
-    "jacobi", "split_ic0", "ssor",
+    "jacobi",
 ]
 REGISTERED_REDUNDANCY_SCHEME_NAMES = ["copies", "rs_parity"]
 
@@ -135,6 +135,16 @@ class TestRegistryRoundTrip:
         preconditioner = make_preconditioner(name)
         assert not preconditioner.is_set_up
 
+    @pytest.mark.parametrize("form", list(PreconditionerForm),
+                             ids=lambda form: form.value)
+    def test_reconstruction_form_round_trips(self, form):
+        spec = SolveSpec(solver="resilient_pcg",
+                         resilience=ResilienceSpec(
+                             reconstruction_form=form.value))
+        rebuilt = SolveSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert rebuilt == spec
+        assert rebuilt.resilience.reconstruction_form is form
+
     def test_pinned_redundancy_scheme_names_match_registry(self):
         from repro.core.redundancy import REDUNDANCY_SCHEMES
         assert sorted(REDUNDANCY_SCHEMES.names()) == \
@@ -164,7 +174,8 @@ class TestRoundTrip:
         return SolveSpec(
             solver="resilient_pcg", rtol=1e-10, atol=1e-30,
             max_iterations=500, overlap_spmv=True,
-            preconditioner="ssor", preconditioner_options={"omega": 1.3},
+            preconditioner="block_jacobi_ilu",
+            preconditioner_options={"drop_tol": 1e-3},
             resilience=ResilienceSpec(
                 phi=3, placement="next_ranks",
                 scheme="rs_parity", scheme_options={"group_size": 3},

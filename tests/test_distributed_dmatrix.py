@@ -22,7 +22,7 @@ class TestConstruction:
     def test_shape_and_nnz(self, setup):
         _, _, a, dist = setup
         assert dist.shape == a.shape
-        assert dist.total_nnz() == a.nnz
+        assert sum(dist.nnz_of(rank) for rank in range(4)) == a.nnz
 
     def test_row_blocks_match_global(self, setup):
         _, partition, a, dist = setup
@@ -49,13 +49,6 @@ class TestConstruction:
 
 
 class TestStructure:
-    def test_diagonal_block(self, setup):
-        _, partition, a, dist = setup
-        for rank in range(4):
-            start, stop = partition.range_of(rank)
-            expected = a[start:stop, start:stop]
-            assert (dist.diagonal_block(rank) != expected).nnz == 0
-
     def test_diagonal(self, setup):
         _, _, a, dist = setup
         assert np.allclose(dist.diagonal(), a.diagonal())
@@ -66,16 +59,6 @@ class TestStructure:
             start, stop = partition.range_of(rank)
             expected = np.unique(a[start:stop, :].indices)
             assert np.array_equal(dist.needed_column_indices(rank), expected)
-
-    def test_off_diagonal_nnz(self, setup):
-        _, _, _, dist = setup
-        for rank in range(4):
-            assert dist.off_diagonal_nnz(rank) == \
-                dist.nnz_of(rank) - dist.diagonal_block(rank).nnz
-
-    def test_max_block_nnz(self, setup):
-        _, _, _, dist = setup
-        assert dist.max_block_nnz() == max(dist.nnz_of(r) for r in range(4))
 
 
 class TestFailureAndRecovery:
@@ -97,9 +80,8 @@ class TestFailureAndRecovery:
     def test_recovery_rows(self, setup):
         cluster, partition, a, dist = setup
         rows = dist.recovery_rows([1, 3])
-        expected = sp.vstack([
-            a[partition.slice_of(1), :], a[partition.slice_of(3), :]
-        ])
+        expected = sp.vstack([a[slice(*partition.range_of(rank)), :]
+                              for rank in (1, 3)])
         assert (rows != expected).nnz == 0
 
     def test_recovery_rows_charged(self, setup):

@@ -79,20 +79,19 @@ class TestConstructionAndViews:
     def test_shared_bookkeeping_helpers(self, setup):
         cluster, partition = setup
         mvec, _, _ = make_pair(cluster, partition)
-        assert mvec.available_ranks() == [0, 1, 2, 3]
+        assert mvec.lost_ranks() == []
         cluster.fail_nodes([2])
-        assert mvec.available_ranks() == [0, 1, 3]
         assert mvec.lost_ranks() == [2]
         assert not mvec.has_block(2)
         mvec.delete()
-        assert mvec.available_ranks() == []
+        assert mvec.lost_ranks() == [0, 1, 2, 3]
 
     def test_to_global_allow_missing(self, setup):
         cluster, partition = setup
         mvec, _, values = make_pair(cluster, partition)
         cluster.fail_nodes([0])
         out = mvec.to_global(allow_missing=True, fill_value=0.0)
-        assert np.allclose(out[partition.slice_of(0)], 0.0)
+        assert np.allclose(out[slice(*partition.range_of(0))], 0.0)
         start, stop = partition.range_of(1)
         assert np.array_equal(out[start:stop], values[start:stop])
 

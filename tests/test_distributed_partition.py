@@ -60,10 +60,6 @@ class TestIndexSets:
         assert part.range_of(2) == (7, 10)
         assert np.array_equal(part.indices_of(1), [4, 5, 6])
 
-    def test_slice(self):
-        part = BlockRowPartition(10, 2)
-        assert part.slice_of(1) == slice(5, 10)
-
     def test_union_of_sets(self):
         part = BlockRowPartition(12, 4)
         union = part.indices_of_set([1, 3])
@@ -100,16 +96,6 @@ class TestOwnership:
         for rank in part:
             owners = part.owner_of(part.indices_of(rank))
             assert np.all(owners == rank)
-
-    def test_local_index(self):
-        part = BlockRowPartition(10, 2)
-        local = part.local_index(1, np.array([5, 7, 9]))
-        assert np.array_equal(local, [0, 2, 4])
-
-    def test_local_index_wrong_owner_rejected(self):
-        part = BlockRowPartition(10, 2)
-        with pytest.raises(IndexError):
-            part.local_index(0, np.array([9]))
 
 
 class TestMisc:

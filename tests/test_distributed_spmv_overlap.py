@@ -165,20 +165,22 @@ class TestSplitPhaseEquivalence:
         matrix = build_matrix("M4", n=1200, seed=0)
         cluster, partition, dist, ctx, _ = make_problem(matrix, 6)
         engine = dist.spmv_engine()
+        diag_part, offdiag_part = engine._split_parts()
         for rank in range(6):
-            diag = engine.diag_block(rank)
-            offdiag = engine.offdiag_block(rank)
-            assert engine.diag_nnz(rank) + engine.offdiag_nnz(rank) == \
+            start, stop = partition.range_of(rank)
+            diag = diag_part[start:stop, start:stop]
+            # The off-diagonal part of the rank's rows, in ghost order.
+            offdiag = offdiag_part[start:stop][:, engine._ghosts[rank]]
+            assert engine._diag_nnz[rank] + engine._offdiag_nnz[rank] == \
                 dist.nnz_of(rank)
-            assert diag.nnz == engine.diag_nnz(rank)
-            assert offdiag.nnz == engine.offdiag_nnz(rank)
+            assert diag.nnz == engine._diag_nnz[rank]
+            assert offdiag.nnz == engine._offdiag_nnz[rank]
             # The diagonal part is exactly the square diagonal block A_{I,I}.
-            reference = dist.diagonal_block(rank)
+            reference = matrix[start:stop, start:stop]
             assert (diag != reference).nnz == 0
-            n_local = partition.size_of(rank)
+            n_local = stop - start
             assert diag.shape == (n_local, n_local)
-            assert offdiag.shape == (n_local,
-                                     engine.ghost_indices(rank).size)
+            assert offdiag.shape == (n_local, engine._ghosts[rank].size)
 
 
 class TestSolverOverlap:
@@ -366,7 +368,7 @@ class TestMultiRHS:
         with pytest.raises(IndexError):
             x.column(5)
         assert np.array_equal(x.column(1), np.zeros(100))
-        assert x.available_ranks() == [0, 1, 2, 3]
+        assert x.lost_ranks() == []
 
 
 class TestPreconditionerWorkCache:

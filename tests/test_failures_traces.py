@@ -196,4 +196,4 @@ class TestToFailureEvents:
         injector = FailureInjector(events)
         for idx, _ in injector.events_due(spec.horizon):
             injector.trigger(idx, cluster.nodes)
-        assert injector.all_triggered()
+        assert not injector.pending_events()

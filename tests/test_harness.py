@@ -178,9 +178,6 @@ class TestFigures:
         box = BoxStats([1.0, 2.0, 3.0, 4.0, 100.0])
         assert box.median == 3.0
         assert box.q1 <= box.median <= box.q3
-        assert box.whisker_high <= 100.0
-        d = box.as_dict()
-        assert d["n"] == 5
 
     def test_figure_series(self, study):
         series = figure_series(study, FailureLocation.CENTER)

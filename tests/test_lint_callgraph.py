@@ -3,20 +3,18 @@
 Contract: module-level functions and class methods are indexed under
 stable qualified names; call expressions resolve through module-local
 names, import aliases, ``self`` dispatch (static target plus descendant
-overrides), and ``super()`` (ancestors, else cooperative-MRO siblings);
-decorator-registered functions are the reachability roots; and
-``find_call_path`` returns the shortest hop chain used in R008 traces.
+overrides), and ``super()`` (ancestors, else cooperative-MRO siblings).
 """
 
+import ast
 import textwrap
-from pathlib import Path
 
 from repro.lint.callgraph import (
     ATTR_CANDIDATE_CAP,
     CallGraph,
     get_callgraph,
 )
-from repro.lint.engine import Project, SourceFile, discover_files
+from repro.lint.engine import Project, SourceFile
 
 
 def build(tmp_path, modules):
@@ -34,8 +32,9 @@ def build(tmp_path, modules):
 def call_in(graph, qualname):
     """The first call expression of the function *qualname*, resolved."""
     func = graph.functions[qualname]
-    for _, targets in graph.callees(func):
-        return [t.qualname for t in targets]
+    for node in ast.walk(func.node):
+        if isinstance(node, ast.Call):
+            return [t.qualname for t in graph.resolve_call(func, node)]
     return []
 
 
@@ -214,77 +213,6 @@ class TestAttributeCandidates:
         assert call_in(graph, "mod.py::caller") == []
 
 
-class TestEntryPoints:
-    def test_registered_decorators_found(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": """\
-            from repro.core.registry import register_solver
-
-            @register_solver("probe")
-            def build_probe(problem, spec):
-                return None
-
-            @staticmethod
-            def unrelated():
-                pass
-        """})
-        roots = graph.registered_entry_points()
-        assert [f.qualname for f in roots] == ["mod.py::build_probe"]
-
-    def test_every_registry_roots_the_source_tree(self):
-        """The flow rules trace from every registered function, batching
-        policies included: R003 and the call graph share one decorator
-        list."""
-        src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        files = [SourceFile.parse(path, rel)
-                 for path, rel in discover_files([src])]
-        roots = {f.name for f in
-                 CallGraph(Project(files)).registered_entry_points()}
-        for name in ("fifo_window", "greedy_width", "_paper_placement",
-                     "_build_block_jacobi", "build_resilient_pcg"):
-            assert name in roots
-
-
-class TestFindCallPath:
-    CHAIN = """\
-        def a():
-            b()
-
-        def b():
-            c()
-
-        def c():
-            pass
-    """
-
-    def test_hops_carry_call_site_lines(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": self.CHAIN})
-        start = graph.functions["mod.py::a"]
-        path = graph.find_call_path(start, lambda f: f.name == "c")
-        assert path is not None
-        assert [(hop.qualname, line) for hop, line in path] == [
-            ("mod.py::a", 1),   # first hop: the start's own def line
-            ("mod.py::b", 2),   # called from a() at line 2
-            ("mod.py::c", 5),   # called from b() at line 5
-        ]
-
-    def test_start_matching_target_is_a_single_hop(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": self.CHAIN})
-        start = graph.functions["mod.py::a"]
-        path = graph.find_call_path(start, lambda f: f.name == "a")
-        assert path == [(start, start.line)]
-
-    def test_unreachable_target_returns_none(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": self.CHAIN})
-        start = graph.functions["mod.py::c"]
-        assert graph.find_call_path(start, lambda f: f.name == "a") is None
-
-    def test_max_depth_bounds_the_search(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": self.CHAIN})
-        start = graph.functions["mod.py::a"]
-        assert graph.find_call_path(start, lambda f: f.name == "c",
-                                    max_depth=1) is None
-
-
 class TestCaching:
     def test_get_callgraph_reuses_per_project(self, tmp_path):
         project, _ = build(tmp_path, {"mod.py": "def f():\n    pass\n"})
@@ -294,14 +222,3 @@ class TestCaching:
         p1, _ = build(tmp_path / "one", {"mod.py": "def f():\n    pass\n"})
         p2, _ = build(tmp_path / "two", {"mod.py": "def f():\n    pass\n"})
         assert get_callgraph(p1) is not get_callgraph(p2)
-
-    def test_callees_cached(self, tmp_path):
-        _, graph = build(tmp_path, {"mod.py": """\
-            def target():
-                pass
-
-            def caller():
-                target()
-        """})
-        func = graph.functions["mod.py::caller"]
-        assert graph.callees(func) is graph.callees(func)

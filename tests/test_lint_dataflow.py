@@ -52,7 +52,7 @@ class TestIntraproceduralFlows:
 
             def run(comm):
                 stamp = 2.0 * time.time() + 1.0
-                comm.send(0, 1, f"at {stamp}")
+                comm.allreduce_sum(f"at {stamp}")
         """)
         (flow,) = flows
         assert flow.kind == "wallclock"
@@ -96,7 +96,7 @@ class TestIntraproceduralFlows:
 
             def run(comm):
                 rng = np.random.default_rng()
-                comm.bcast(0, rng.normal(size=4))
+                comm.allreduce_sum(rng.normal(size=(4, 1)))
         """)
         (flow,) = flows
         assert flow.kind == "unseeded RNG"
@@ -132,7 +132,7 @@ class TestCleanCode:
 
             def run(comm):
                 rng = np.random.default_rng(7)
-                comm.send(0, 1, rng.normal(size=4))
+                comm.allreduce_sum(rng.normal(size=(4, 1)))
         """) == []
 
     def test_plain_values_into_sinks_are_clean(self, tmp_path):

@@ -2,8 +2,9 @@
 
 Contract: debt = allowlist entries + real ``# noqa`` comments per rule;
 prose that merely quotes ``# noqa`` does not count; ``check`` fails on a
-missing baseline, a missing rule, or any count above the committed
-baseline, and notes shrunk debt; ``update`` writes the measured counts as
+missing baseline, a missing rule, an entry for a rule that is not
+enforced, or any count above the committed baseline, and notes shrunk
+debt; ``update`` writes the measured counts as
 stable sorted JSON.
 """
 
@@ -129,6 +130,15 @@ class TestCheck:
         baseline = self._baseline(tmp_path, data)
         assert lint_debt.check(baseline, root) == 1
         assert "R010" in capsys.readouterr().err
+
+    def test_stale_rule_fails(self, tmp_path, capsys):
+        root = write_tree(tmp_path, "x = 1\n")
+        data = zero_baseline()
+        data["R099"] = {"allowlist": 0, "noqa": 0}
+        baseline = self._baseline(tmp_path, data)
+        assert lint_debt.check(baseline, root) == 1
+        err = capsys.readouterr().err
+        assert "R099" in err and "not enforced" in err
 
 
 class TestUpdate:

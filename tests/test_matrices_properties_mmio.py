@@ -62,7 +62,6 @@ class TestProperties:
         assert props.symmetric
         assert props.half_bandwidth == 10
         assert 0 < props.nnz_per_row_mean <= 5
-        assert props.as_dict()["n"] == 100
 
     def test_condition_number_estimate(self):
         a = gen.poisson_1d(50)

@@ -52,11 +52,6 @@ class TestIdentity:
         assert rows[0, 3] == 1.0 and rows[1, 10] == 1.0
         assert (p.inverse_rows(np.array([3])) != p.forward_rows(np.array([3]))).nnz == 0
 
-    def test_split_factor_is_identity(self, matrix):
-        p = IdentityPreconditioner()
-        p.setup(matrix)
-        assert (p.split_factor() != sp.identity(64)).nnz == 0
-
     def test_is_block_diagonal(self, matrix):
         p = IdentityPreconditioner()
         p.setup(matrix)
@@ -107,12 +102,6 @@ class TestJacobi:
         p.setup(matrix)
         assert p.form is PreconditionerForm.INVERSE
 
-    def test_split_factor(self, matrix):
-        p = JacobiPreconditioner()
-        p.setup(matrix)
-        factor = p.split_factor()
-        assert np.allclose((factor @ factor.T).diagonal(), matrix.diagonal())
-
     def test_improves_cg_iterations(self):
         # Badly scaled diagonal: Jacobi should help plain CG substantially.
         from repro.solvers import cg, pcg
@@ -140,7 +129,7 @@ class TestBaseProtocol:
 
 class TestFactory:
     @pytest.mark.parametrize("name", ["identity", "jacobi", "block_jacobi",
-                                      "block_jacobi_ilu", "ssor"])
+                                      "block_jacobi_ilu", "block_jacobi_ic"])
     def test_known_names(self, name, matrix):
         p = make_preconditioner(name)
         p.setup(matrix, BlockRowPartition(64, 4))
@@ -152,14 +141,39 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_preconditioner("does_not_exist")
 
+    @pytest.mark.parametrize("name", ["ssor", "split_ic0"])
+    def test_removed_split_family_is_unknown(self, name):
+        with pytest.raises(ValueError,
+                           match=f"unknown preconditioner '{name}'") as excinfo:
+            make_preconditioner(name)
+        for available in PRECONDITIONERS:
+            assert repr(available) in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", sorted(PRECONDITIONERS))
+    def test_every_registered_preconditioner_is_block_diagonal(self, name,
+                                                               matrix):
+        """Every solver rejects a preconditioner that is not block-diagonal,
+        so each registered one applies rank by rank: ``apply_block`` on a
+        rank's rows reproduces those rows of the global ``apply``."""
+        partition = BlockRowPartition(64, 4)
+        p = make_preconditioner(name)
+        p.setup(matrix, partition)
+        assert p.is_block_diagonal
+        r = np.random.default_rng(2).standard_normal(64)
+        z = p.apply(r)
+        for rank in range(4):
+            start, stop = partition.range_of(rank)
+            assert np.allclose(p.apply_block(rank, r[start:stop]),
+                               z[start:stop], rtol=1e-12, atol=1e-14)
+
     def test_every_preconditioner_is_described(self):
         descriptions = PRECONDITIONERS.descriptions()
         for name in PRECONDITIONERS:
             assert descriptions[name]
 
     def test_kwargs_forwarded(self, matrix):
-        p = make_preconditioner("ssor", omega=1.3)
-        assert p.omega == pytest.approx(1.3)
+        p = make_preconditioner("block_jacobi_ilu", drop_tol=1e-3)
+        assert p.drop_tol == pytest.approx(1e-3)
 
 
 class TestMultiRhsApplyBlock:

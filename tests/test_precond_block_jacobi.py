@@ -77,10 +77,8 @@ class TestSetupAndApply:
     def test_work_nnz(self, matrix, partition):
         p = BlockJacobiPreconditioner()
         p.setup(matrix, partition)
-        expected = sum(
-            matrix[partition.slice_of(r), partition.slice_of(r)].nnz
-            for r in range(4)
-        )
+        blocks = [slice(*partition.range_of(r)) for r in range(4)]
+        expected = sum(matrix[rows, rows].nnz for rows in blocks)
         assert p.work_nnz() == expected
         assert sum(p.block_work_nnz(r) for r in range(4)) == expected
 
@@ -122,12 +120,6 @@ class TestEsrAccess:
         rows = p.forward_rows(idx)
         assert rows.shape == (3, 100)
 
-    def test_diagonal_block_accessor(self, matrix, partition):
-        p = BlockJacobiPreconditioner()
-        p.setup(matrix, partition)
-        start, stop = partition.range_of(3)
-        assert (p.diagonal_block(3) != matrix[start:stop, start:stop]).nnz == 0
-
 
 class TestAsPreconditionerInPCG:
     def test_converges_and_matches_plain_cg(self, matrix, partition):
@@ -151,13 +143,14 @@ def _sorted_unique(indices):
 
 
 def forward_rows_per_row(p, indices):
-    """Rows of ``M``, one padded 1 x n CSR row per index, stacked."""
+    """Rows of ``M``, one padded 1 x n CSR row per index, stacked: each a
+    row of the operator its rank's block solve applies."""
     n = p.matrix.shape[0]
     rows = []
     for gi in _sorted_unique(indices):
         rank = int(p.block_partition.owner_of(gi))
         start, _ = p.block_partition.range_of(rank)
-        local_row = p.diagonal_block(rank)[int(gi) - start, :]
+        local_row = p._applied_block(rank)[int(gi) - start, :]
         rows.append(sp.csr_matrix(
             (local_row.data, local_row.indices + start,
              np.array([0, local_row.nnz])), shape=(1, n)))
@@ -173,7 +166,7 @@ def inverse_rows_per_row(p, indices):
     for gi in _sorted_unique(indices):
         rank = int(p.block_partition.owner_of(gi))
         start, stop = p.block_partition.range_of(rank)
-        data = np.linalg.inv(p.diagonal_block(rank).toarray())[gi - start, :]
+        data = np.linalg.inv(p._applied_block(rank).toarray())[gi - start, :]
         rows.append(sp.csr_matrix(
             (data, (np.zeros(data.size, dtype=int), np.arange(start, stop))),
             shape=(1, n)))
@@ -221,6 +214,33 @@ def test_row_accessors_match_per_row_construction(side, parts, solver,
     assert_same_csr(p.forward_rows(indices), forward_rows_per_row(p, indices))
     assert_same_csr(p.inverse_rows(np.array(indices, dtype=np.int64)),
                     inverse_rows_per_row(p, indices))
+
+
+@pytest.mark.parametrize("solver", ["direct", "ilu", "ic"])
+def test_rows_are_those_of_the_applied_operator(matrix, partition, solver):
+    """``M`` from ``forward_rows`` inverts the application, and ``P`` from
+    ``inverse_rows`` is the application: for ILU/IC block solves they are
+    rows of the factorization's product, not of the exact blocks."""
+    p = BlockJacobiPreconditioner(block_solver=solver)
+    p.setup(matrix, partition)
+    everything = np.arange(matrix.shape[0])
+    r = np.random.default_rng(7).standard_normal(matrix.shape[0])
+    z = p.apply(r)
+    assert np.allclose(p.forward_rows(everything) @ z, r, rtol=0, atol=1e-12)
+    assert np.allclose(p.inverse_rows(everything) @ r, z, rtol=0, atol=1e-12)
+    if solver == "direct":
+        start, stop = partition.range_of(3)
+        assert (p._applied_block(3) != matrix[start:stop, start:stop]).nnz == 0
+
+
+def test_applied_operators_are_rebuilt_by_setup(partition):
+    """The ILU operator is built on first use and dropped by ``setup``."""
+    p = BlockJacobiPreconditioner(block_solver="ilu")
+    p.setup(poisson_2d(10), partition)
+    first = p.forward_rows([0])
+    raised = (poisson_2d(10) + sp.identity(100)).tocsr()
+    p.setup(raised, partition)
+    assert p.forward_rows([0])[0, 0] > first[0, 0]
 
 
 def test_row_accessors_reject_out_of_range_indices(matrix, partition):

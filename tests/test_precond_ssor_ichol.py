@@ -1,20 +1,12 @@
-"""Tests for SSOR, split-Cholesky preconditioners and the IC(0) factorisation."""
+"""Tests for the IC(0) factorisation (the ``block_jacobi_ic`` inner solver)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.matrices import poisson_2d
-from repro.precond import (
-    PreconditionerForm,
-    SplitCholeskyPreconditioner,
-    SSORPreconditioner,
-    factorization_residual,
-    ic0,
-    ic0_solve,
-)
+from repro.precond import factorization_residual, ic0, ic0_solve
 from repro.precond.ichol import FactorizationError
-from repro.solvers import cg, pcg
 
 
 @pytest.fixture
@@ -66,80 +58,3 @@ class TestIc0:
         with pytest.raises(FactorizationError):
             ic0(a, max_shift_attempts=0)
 
-
-class TestSSOR:
-    def test_apply_matches_explicit_inverse(self, matrix):
-        p = SSORPreconditioner(omega=1.2)
-        p.setup(matrix)
-        r = np.random.default_rng(0).standard_normal(matrix.shape[0])
-        z = p.apply(r)
-        m = p.forward_matrix().toarray()
-        assert np.allclose(m @ z, r, atol=1e-8)
-
-    def test_invalid_omega(self):
-        with pytest.raises(ValueError):
-            SSORPreconditioner(omega=2.5)
-
-    def test_accelerates_cg(self, matrix):
-        b = np.random.default_rng(4).standard_normal(matrix.shape[0])
-        plain = cg(matrix, b, rtol=1e-10)
-        p = SSORPreconditioner(omega=1.0)
-        p.setup(matrix)
-        prec = pcg(matrix, b, preconditioner=p, rtol=1e-10)
-        assert prec.converged
-        assert prec.iterations < plain.iterations
-        assert np.allclose(prec.x, plain.x, atol=1e-6)
-
-    def test_forward_rows(self, matrix):
-        p = SSORPreconditioner()
-        p.setup(matrix)
-        rows = p.forward_rows(np.array([0, 1]))
-        assert rows.shape == (2, matrix.shape[0])
-
-    def test_form(self, matrix):
-        p = SSORPreconditioner()
-        p.setup(matrix)
-        assert p.form is PreconditionerForm.FORWARD
-
-    def test_not_block_diagonal(self, matrix):
-        p = SSORPreconditioner()
-        p.setup(matrix)
-        assert not p.is_block_diagonal
-
-
-class TestSplitCholesky:
-    def test_apply_consistent_with_factor(self, matrix):
-        p = SplitCholeskyPreconditioner()
-        p.setup(matrix)
-        r = np.random.default_rng(1).standard_normal(matrix.shape[0])
-        z = p.apply(r)
-        factor = p.split_factor()
-        assert np.allclose(factor @ (factor.T @ z), r, atol=1e-8)
-
-    def test_form_is_split(self, matrix):
-        p = SplitCholeskyPreconditioner()
-        p.setup(matrix)
-        assert p.form is PreconditionerForm.SPLIT
-
-    def test_accelerates_cg(self):
-        a = poisson_2d(12)
-        b = np.random.default_rng(5).standard_normal(a.shape[0])
-        plain = cg(a, b, rtol=1e-10)
-        p = SplitCholeskyPreconditioner()
-        p.setup(a)
-        prec = pcg(a, b, preconditioner=p, rtol=1e-10)
-        assert prec.converged
-        assert prec.iterations < plain.iterations
-        assert np.allclose(prec.x, plain.x, atol=1e-6)
-
-    def test_forward_rows(self, matrix):
-        p = SplitCholeskyPreconditioner()
-        p.setup(matrix)
-        rows = p.forward_rows(np.array([2, 3]))
-        m = (p.split_factor() @ p.split_factor().T).toarray()
-        assert np.allclose(rows.toarray(), m[[2, 3], :])
-
-    def test_work_nnz_positive(self, matrix):
-        p = SplitCholeskyPreconditioner()
-        p.setup(matrix)
-        assert p.work_nnz() > 0

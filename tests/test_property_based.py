@@ -58,7 +58,6 @@ def test_partition_ownership_consistent(n, n_parts, probe):
     owner = int(part.owner_of(index))
     start, stop = part.range_of(owner)
     assert start <= index < stop
-    assert part.local_index(owner, np.array([index]))[0] == index - start
 
 
 # ---------------------------------------------------------------------------

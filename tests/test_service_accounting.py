@@ -41,6 +41,21 @@ def make_result(request_id=0, tenant="t0", *, width=2, column=0,
 
 # -- exact_shares --------------------------------------------------------------
 
+#: Inputs on which no number of one-ulp steps of the largest prefix share
+#: reconciles the total: that share's own addition to the prefix sum is a
+#: round-to-even tie, so each step moves the prefix sum by 0 or 2 of its ulps
+#: and the complement stays unreachable.  The first was found by the property
+#: test below, the rest by a random search.
+UNBREAKABLE_TIES = [
+    (519449.737032887, [153.0, 218.5, 5056.5, 2.0, 10000.0]),
+    (508579.2406512, [1446.196, 5858.0, 1179.0, 9571.0]),
+    (7934.146523, [3835.0, 19.5, 5004.5, 358.5, 9885.0]),
+    (511699.0119616, [5485.946, 1168.0, 604.0, 9398.5]),
+    (932156.515187, [4178.0, 270.0, 773.0, 8946.0]),
+    (505453.295, [44.324, 4961.5, 1053.0, 7954.0]),
+]
+
+
 class TestExactShares:
     def test_single_request_gets_everything(self):
         assert exact_shares(1.2345, [3.0]) == [1.2345]
@@ -80,6 +95,28 @@ class TestExactShares:
             acc += share
         assert acc == total
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("total, weights", UNBREAKABLE_TIES)
+    def test_tie_that_nudging_cannot_break(self, total, weights, sign):
+        """Stepping the largest prefix share never moves the prefix sum off
+        these ties; the grid fallback still conserves the total exactly and
+        keeps every share within 128 ulps of its proportional value."""
+        total *= sign
+        shares = exact_shares(total, weights)
+        assert len(shares) == len(weights)
+        acc = 0.0
+        for share in shares:
+            acc += share
+        assert acc == total
+        w_sum = math.fsum(weights)
+        for share, weight in zip(shares, weights):
+            assert abs(share - total * weight / w_sum) <= 128 * math.ulp(total)
+
+    def test_nan_total_raises(self):
+        """No shares sum back to NaN, so none are returned."""
+        with pytest.raises(ArithmeticError, match="could not reconcile"):
+            exact_shares(math.nan, [1.0, 2.0])
+
 
 # -- split_charges -------------------------------------------------------------
 
@@ -113,6 +150,16 @@ class TestSplitCharges:
     def test_zero_requests_raise(self):
         with pytest.raises(ValueError):
             split_charges({"comm.halo": 1.0}, [])
+
+    def test_unbreakable_tie_conserved_in_every_phase(self):
+        total, weights = UNBREAKABLE_TIES[0]
+        breakdown = {"compute.spmv": total, "comm.halo": total}
+        per_request = split_charges(breakdown, weights)
+        for phase, phase_total in breakdown.items():
+            acc = 0.0
+            for request in per_request:
+                acc += request[phase]
+            assert acc == phase_total
 
     @given(breakdown=st.dictionaries(
         st.sampled_from(["compute.spmv", "compute.precond", "comm.halo",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.matrices import poisson_2d
 from repro.precond import JacobiPreconditioner, BlockJacobiPreconditioner
-from repro.solvers import cg, pcg, pcg_iteration_count_estimate
+from repro.solvers import cg, pcg
 
 
 @pytest.fixture
@@ -97,16 +97,4 @@ class TestPcg:
         b = np.array([1.0, 2.0])
         result = pcg(a, b, rtol=1e-12)
         assert np.allclose(a @ result.x, b)
-
-
-class TestIterationEstimate:
-    def test_monotone_in_condition_number(self):
-        assert pcg_iteration_count_estimate(100, 1e-8) < \
-            pcg_iteration_count_estimate(10_000, 1e-8)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            pcg_iteration_count_estimate(0.5, 1e-8)
-        with pytest.raises(ValueError):
-            pcg_iteration_count_estimate(10, 0.0)
 

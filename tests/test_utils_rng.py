@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.rng import (
     as_rng,
-    choice_without_replacement,
     jittered,
     spawn_rngs,
     stable_hash_seed,
@@ -96,19 +95,3 @@ class TestJittered:
         for _ in range(200):
             assert jittered(rng, 1.0, 2.0) > 0.0
 
-
-class TestChoiceWithoutReplacement:
-    def test_distinct(self):
-        rng = np.random.default_rng(0)
-        picks = choice_without_replacement(rng, range(10), 5)
-        assert len(set(picks)) == 5
-
-    def test_subset_of_pool(self):
-        rng = np.random.default_rng(0)
-        picks = choice_without_replacement(rng, [3, 5, 7, 9], 2)
-        assert set(picks) <= {3, 5, 7, 9}
-
-    def test_too_many_raises(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, [1, 2], 3)

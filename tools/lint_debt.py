@@ -7,7 +7,9 @@ deliberately not enforced.  CI runs::
     python tools/lint_debt.py check
 
 which counts the current debt per rule and fails the job when any count
-exceeds the committed baseline in ``.lint-debt.json``: new suppressions
+exceeds the committed baseline in ``.lint-debt.json``, or when the
+baseline misses an enforced rule or keeps one that is no longer enforced
+(a stale entry would outlive its rule): new suppressions
 need either a fix instead, or a deliberate baseline bump reviewed in the
 same PR.  After *reducing* debt (or after a reviewed extension), refresh
 the baseline with::
@@ -91,6 +93,11 @@ def check(baseline_file: Path, scan_root: Path) -> int:
     debt = measure_debt(scan_root)
     status = 0
     shrunk = False
+    for rule in sorted(set(baseline) - set(debt)):
+        print(f"ERROR: {baseline_file} has an entry for rule {rule}, which "
+              f"is not enforced; run the 'update' command and review the "
+              f"diff.", file=sys.stderr)
+        status = 1
     for rule in sorted(debt):
         measured = debt[rule]
         committed = baseline.get(rule)
