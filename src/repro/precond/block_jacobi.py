@@ -3,12 +3,28 @@
 This is the preconditioner used in the paper's experiments (Sec. 6): the
 preconditioner matrix is the block-diagonal part of ``A`` defined by the node
 partition, ``M = blkdiag(A_{I_1,I_1}, ..., A_{I_N,I_N})``, and each block is
-solved either exactly (sparse LU, the paper's choice during regular solver
-operation) or approximately via ILU(0)/IC(0) (the paper's choice for the
+solved either exactly (the paper's choice during regular solver operation)
+or approximately via a threshold ILU or IC(0) (the paper's choice for the
 reconstruction subsystem).  With an approximate block solve the operator
 applied is the factorization's product -- ``L L^T`` for IC(0), ``L U`` up to
 its permutations for ILU -- and that product is the ``M`` whose rows the ESR
 reconstruction reads.
+
+An exact block solve runs one of two host kernels, chosen by the block's
+row count alone:
+
+* a block of at most :data:`DENSE_INVERSE_MAX_ROWS` rows applies its stored
+  explicit inverse, one BLAS ``gemv`` per application.  The inverses are
+  built at set-up with one batched :func:`numpy.linalg.inv` per run of equal
+  block size (:attr:`BlockRowPartition.size_runs`), and each rank keeps its
+  slice of that stack;
+* a larger block keeps a SuperLU factorization and applies its triangular
+  solves.
+
+The two agree to rounding (the tests compare the inverse against a SuperLU
+oracle at 1e-12 relative).  Either way the simulated charge is the paper's
+sparse block solve: :meth:`~BlockJacobiPreconditioner.block_work_nnz` is
+``nnz(A_ii)``, whichever kernel the host runs.
 
 Being block-diagonal with respect to the partition, applying it requires no
 communication, and its rows ``M_{I_f, I}`` vanish outside the failed blocks --
@@ -25,10 +41,29 @@ from scipy.sparse.linalg import spilu, splu
 
 from ..distributed.partition import BlockRowPartition
 from .base import Preconditioner, PreconditionerForm, as_indices
-from .ichol import ic0, ic0_solve
+from .ichol import FactorizationError, ic0, ic0_solve
 
 #: Supported inner solvers for the diagonal blocks.
 BLOCK_SOLVERS = ("direct", "ilu", "ic")
+
+#: Largest diagonal block, in rows, whose exact solve applies a stored dense
+#: inverse instead of SuperLU.  Measured with BLAS on one thread (2-vCPU
+#: x86-64 host), one block of the middle rank, best of 5 x 2000 calls:
+#:
+#: * per call, dense ``inv @ b`` time over ``SuperLU.solve`` time is
+#:   0.25-0.30 at m = 32-64, 0.42 at m = 125-128, 0.75-0.79 at m = 250-288
+#:   and 1.44 at m = 500 for ``poisson_2d`` blocks; 0.20-0.24, 0.21-0.27,
+#:   0.29-0.41 and 0.50-1.24 at the same sizes for M1/M3/M8 (n = 8000);
+#: * set-up of all blocks, ``splu`` against one batched inverse:
+#:   ``poisson_2d(64)`` 12.9 against 4.2 ms at m = 32, 4.7 against 23.6 ms
+#:   at m = 128 and 4.9 against 74.2 ms at m = 256; M3 22.1 against 16.2 ms
+#:   at m = 62 and 12.1 against 109.3 ms at m = 250.
+#:
+#: Inversion costs about m^3 per block and an inverse holds m doubles per
+#: row, so above 128 rows the set-up time and memory outgrow the cheaper
+#: applications: at m <= 128 the extra set-up is repaid within about one
+#: solve, and each application is 2.4-5x cheaper.
+DENSE_INVERSE_MAX_ROWS = 128
 
 
 class BlockJacobiPreconditioner(Preconditioner):
@@ -41,11 +76,20 @@ class BlockJacobiPreconditioner(Preconditioner):
         :meth:`setup`, that partition's block count takes precedence (the
         blocks then coincide with the node subdomains, as in the paper).
     block_solver:
-        ``"direct"`` (sparse LU, exact solves), ``"ilu"`` (ILU(0) via
-        :func:`scipy.sparse.linalg.spilu` with zero fill), or ``"ic"``
-        (incomplete Cholesky IC(0)).
-    drop_tol:
-        Drop tolerance forwarded to ILU (ignored otherwise).
+        ``"direct"`` (exact solves: a stored dense inverse for blocks of
+        at most :data:`DENSE_INVERSE_MAX_ROWS` rows, sparse LU above),
+        ``"ilu"`` (threshold ILU via :func:`scipy.sparse.linalg.spilu`,
+        which keeps fill-in up to *drop_tol* and *fill_factor*), or
+        ``"ic"`` (incomplete Cholesky IC(0)).
+    drop_tol, fill_factor:
+        Drop tolerance and fill-factor bound forwarded to ILU (ignored
+        otherwise).
+
+    Raises
+    ------
+    FactorizationError
+        From :meth:`setup`, naming the rank, when an exact solve meets an
+        exactly singular diagonal block (on either kernel).
     """
 
     name = "block_jacobi"
@@ -64,6 +108,9 @@ class BlockJacobiPreconditioner(Preconditioner):
         self.fill_factor = fill_factor
         self._blocks: Dict[int, sp.csr_matrix] = {}
         self._solvers: Dict[int, Callable[[np.ndarray], np.ndarray]] = {}
+        #: Per rank whose exact block solve runs the dense kernel, its
+        #: ``A_ii^{-1}``: a slice of one stacked inverse per size run.
+        self._inverses: Dict[int, np.ndarray] = {}
         #: Per rank, the ILU object or the IC(0) factor (inexact solvers).
         self._factors: Dict[int, Any] = {}
         #: Per rank, the operator an inexact block solve applies, built on
@@ -84,16 +131,52 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._solvers.clear()
         self._factors.clear()
         self._operators.clear()
+        self._inverses.clear()
+        direct = self.block_solver == "direct"
         for rank in range(block_partition.n_parts):
             start, stop = block_partition.range_of(rank)
             block = self.matrix[start:stop, start:stop].tocsc()
             self._blocks[rank] = block.tocsr()
-            self._solvers[rank] = self._make_solver(rank, block)
+            if not (direct and stop - start <= DENSE_INVERSE_MAX_ROWS):
+                self._solvers[rank] = self._make_solver(rank, block)
+        if direct:
+            self._invert_small_blocks(block_partition)
+
+    def _invert_small_blocks(self, partition: BlockRowPartition) -> None:
+        """Give every block of at most :data:`DENSE_INVERSE_MAX_ROWS` rows
+        its dense kernel: one batched :func:`numpy.linalg.inv` per run of
+        equal block size, and each rank applies its slice of the stack."""
+        for ranks, _, size in partition.size_runs:
+            if size > DENSE_INVERSE_MAX_ROWS:
+                continue
+            owners = range(*ranks.indices(partition.n_parts))
+            stack = np.stack([self._blocks[rank].toarray() for rank in owners])
+            try:
+                inverses = np.linalg.inv(stack)
+            except np.linalg.LinAlgError:
+                # The batched call does not say which block failed.
+                for rank, block in zip(owners, stack):
+                    try:
+                        np.linalg.inv(block)
+                    except np.linalg.LinAlgError:
+                        raise self._singular_block(rank) from None
+                raise
+            for rank, inverse in zip(owners, inverses):
+                self._inverses[rank] = inverse
+                self._solvers[rank] = inverse.dot
+
+    def _singular_block(self, rank: int) -> FactorizationError:
+        return FactorizationError(
+            f"{self.name}: the diagonal block of rank {rank} is exactly "
+            "singular, so it has no exact block solve")
 
     def _make_solver(self, rank: int, block: sp.csc_matrix
                      ) -> Callable[[np.ndarray], np.ndarray]:
         if self.block_solver == "direct":
-            lu = splu(block)
+            try:
+                lu = splu(block)
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                raise self._singular_block(rank) from None
             return lu.solve
         if self.block_solver == "ilu":
             ilu = spilu(block, drop_tol=self.drop_tol,
@@ -224,13 +307,18 @@ class BlockJacobiPreconditioner(Preconditioner):
         """Rows of ``P = M^{-1}`` (one dense block inverse per owning rank).
 
         The rows come back in sorted index order, each stored densely over
-        its rank's columns.  Only practical for moderate block sizes; the
-        resilient solver prefers the FORWARD form, this method mainly
-        supports testing the INVERSE reconstruction path (Alg. 2 verbatim).
+        its rank's columns.  A rank on the dense kernel hands out rows of
+        the inverse it applies (the same bits as ``np.linalg.inv(A_ii)``);
+        any other rank inverts its applied block here.  Only practical for
+        moderate block sizes; the resilient solver prefers the FORWARD
+        form, this method mainly supports testing the INVERSE
+        reconstruction path (Alg. 2 verbatim).
         """
         data, columns, lengths = [], [], []
         for rank, start, local in self._rows_by_rank(indices):
-            inv = np.linalg.inv(self._applied_block(rank).toarray())
+            inv = self._inverses.get(rank)
+            if inv is None:
+                inv = np.linalg.inv(self._applied_block(rank).toarray())
             size = inv.shape[1]
             data.append(inv[local].ravel())
             columns.append(np.tile(np.arange(start, start + size), local.size))

@@ -57,8 +57,10 @@ def _build_block_jacobi(**kwargs: Any) -> Preconditioner:
     return BlockJacobiPreconditioner(block_solver="direct", **kwargs)
 
 
-@register_preconditioner("block_jacobi_ilu",
-                         "Block Jacobi with ILU(0) block solves.")
+@register_preconditioner(
+    "block_jacobi_ilu",
+    "Block Jacobi with threshold ILU block solves (spilu; defaults "
+    "drop_tol 1e-4, fill_factor 10).")
 def _build_block_jacobi_ilu(**kwargs: Any) -> Preconditioner:
     return BlockJacobiPreconditioner(block_solver="ilu", **kwargs)
 

@@ -14,7 +14,9 @@ import scipy.sparse as sp
 
 
 class FactorizationError(RuntimeError):
-    """Raised when an incomplete factorisation breaks down."""
+    """Raised when a factorisation of a preconditioner block breaks down:
+    an incomplete factorisation, or an exact block solve of an exactly
+    singular block."""
 
 
 def ic0(matrix, *, shift: float = 0.0, max_shift_attempts: int = 8

@@ -6,7 +6,8 @@ small compared to the global problem (``|I_f| = psi * n / N``), SPD and full
 rank, so the paper solves them either directly or with an inner PCG using an
 ILU-preconditioned block Jacobi and a very tight tolerance (residual
 reduction by 1e14) so that the reconstruction error stays negligible
-(Sec. 6, "Avoiding loss of orthogonality").
+(Sec. 6, "Avoiding loss of orthogonality").  Here the inner PCG's ILU is one
+threshold ILU of the whole subsystem, not one per block.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ class LocalSubsystemSolver:
     Parameters
     ----------
     method:
-        ``"direct"`` (sparse LU -- exact), ``"pcg_ilu"`` (inner PCG with an
-        ILU(0)-block-Jacobi preconditioner, the paper's choice), or
+        ``"direct"`` (sparse LU -- exact), ``"pcg_ilu"`` (inner PCG
+        preconditioned by a threshold ILU of the whole subsystem --
+        :func:`~scipy.sparse.linalg.spilu` with ``drop_tol`` 1e-4 and
+        ``fill_factor`` 10 -- in place of the paper's ILU block Jacobi), or
         ``"pcg_jacobi"`` (inner PCG with point Jacobi).
     rtol:
         Relative residual reduction for the iterative methods.  The paper
@@ -100,10 +103,11 @@ class LocalSubsystemSolver:
         reaching an acceptable residual the solver falls back to a direct
         factorisation rather than burning time on a stagnating iteration.
     block_partition:
-        Optional partition of the subsystem unknowns used to build a block
-        Jacobi/ILU preconditioner matching the replacement nodes' index sets
-        (the paper preconditions the inner solve "with blocks matching the
-        process' index set").
+        Optional partition of the subsystem unknowns, handed to the inner
+        preconditioner's ``setup``.  Neither inner preconditioner reads it
+        (the ILU factors the whole subsystem, point Jacobi works per row),
+        so it does not change the solve; the paper preconditions the inner
+        solve "with blocks matching the process' index set".
     """
 
     def __init__(self, method: str = "pcg_ilu", *, rtol: float = 1e-14,

@@ -1,14 +1,22 @@
 """Tests for the block Jacobi preconditioner (the paper's setting)."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import BlockRowPartition
-from repro.matrices import poisson_2d
-from repro.precond import BlockJacobiPreconditioner, PreconditionerForm
+from repro.matrices import build_matrix, poisson_2d
+from repro.precond import (
+    BlockJacobiPreconditioner,
+    FactorizationError,
+    PreconditionerForm,
+)
+from repro.precond.block_jacobi import DENSE_INVERSE_MAX_ROWS
 
 
 @pytest.fixture
@@ -249,3 +257,187 @@ def test_row_accessors_reject_out_of_range_indices(matrix, partition):
     for rows in (p.forward_rows, p.inverse_rows):
         with pytest.raises(IndexError):
             rows([3, 100])
+
+
+# -- the two exact-solve kernels: dense inverse up to 128 rows, SuperLU above --
+
+#: Relative tolerance of the dense kernel against the SuperLU oracle, fixed
+#: before measuring (the largest difference seen was 1.4e-15).
+ORACLE_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _source(name):
+    if name == "poisson_2d":
+        return poisson_2d(33)  # n = 1089
+    return build_matrix(name, n=1200)
+
+
+def leading_block(name, n):
+    """The leading ``n x n`` principal submatrix of *name*'s matrix (still
+    symmetric positive definite)."""
+    a = _source(name)
+    assert a.shape[0] >= n
+    return sp.csr_matrix(a[:n, :n])
+
+
+def set_up(name, block_rows, parts=4, solver="direct"):
+    """A preconditioner over *parts* blocks of exactly *block_rows* rows."""
+    a = leading_block(name, block_rows * parts)
+    p = BlockJacobiPreconditioner(block_solver=solver)
+    p.setup(a, BlockRowPartition(a.shape[0], parts))
+    return a, p
+
+
+def superlu_oracle(a, partition, rank, b):
+    start, stop = partition.range_of(rank)
+    return splu(sp.csc_matrix(a[start:stop, start:stop])).solve(b)
+
+
+MATRICES = ["poisson_2d", "M1", "M3", "M8"]
+#: Block sizes at the limit and one well inside each side of it.
+BLOCK_ROWS = [32, 128, 129, 256]
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_kernel_is_chosen_by_block_size(block_rows):
+    _, p = set_up("poisson_2d", block_rows)
+    dense = block_rows <= DENSE_INVERSE_MAX_ROWS
+    assert sorted(p._inverses) == ([0, 1, 2, 3] if dense else [])
+    for rank, inverse in p._inverses.items():
+        assert p._solvers[rank] == inverse.dot
+        assert inverse.shape == (block_rows, block_rows)
+
+
+def test_each_size_run_gets_its_own_kernel():
+    """n = 8 * 128 + 4: four blocks of 129 rows on SuperLU, then four of
+    128 rows applying slices of one stacked inverse."""
+    a = leading_block("poisson_2d", 8 * 128 + 4)
+    p = BlockJacobiPreconditioner()
+    p.setup(a, BlockRowPartition(a.shape[0], 8))
+    assert p.block_partition.sizes().tolist() == [129] * 4 + [128] * 4
+    assert sorted(p._inverses) == [4, 5, 6, 7]
+    stack = p._inverses[4].base
+    assert stack is not None and stack.shape == (4, 128, 128)
+    assert all(p._inverses[rank].base is stack for rank in (5, 6, 7))
+
+
+@pytest.mark.parametrize("solver", ["ilu", "ic"])
+def test_inexact_solvers_keep_their_factorizations(solver):
+    _, p = set_up("poisson_2d", 32, solver=solver)
+    assert p._inverses == {}
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+@pytest.mark.parametrize("name", MATRICES)
+def test_apply_block_matches_superlu_oracle(name, block_rows):
+    """Each kernel solves its block to the oracle's tolerance, and column j
+    of a 2-D application is bit-identical to the 1-D application of it."""
+    a, p = set_up(name, block_rows)
+    rng = np.random.default_rng(block_rows)
+    for rank in range(4):
+        b = rng.standard_normal(block_rows)
+        expected = superlu_oracle(a, p.block_partition, rank, b)
+        got = p.apply_block(rank, b)
+        assert got.shape == expected.shape
+        assert (np.max(np.abs(got - expected))
+                <= ORACLE_RTOL * np.max(np.abs(expected)))
+        block = rng.standard_normal((block_rows, 3))
+        out = p.apply_block(rank, block)
+        for j in range(block.shape[1]):
+            single = p.apply_block(rank, block[:, j].copy())
+            assert out[:, j].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("name", ["poisson_2d", "M3"])
+def test_stacked_inverse_is_bit_identical_to_per_block_inverses(name):
+    """One batched ``np.linalg.inv`` per size run gives each block the bits
+    a separate ``np.linalg.inv(A_ii)`` gives it (n = 8 * 62 + 5: blocks of
+    63 and 62 rows in two runs)."""
+    a = leading_block(name, 8 * 62 + 5)
+    p = BlockJacobiPreconditioner()
+    p.setup(a, BlockRowPartition(a.shape[0], 8))
+    for rank in range(8):
+        start, stop = p.block_partition.range_of(rank)
+        alone = np.linalg.inv(a[start:stop, start:stop].toarray())
+        assert p._inverses[rank].tobytes() == alone.tobytes()
+
+
+def test_inverse_rows_read_the_stored_inverse(monkeypatch):
+    """Rows of a dense-kernel rank come from the inverse it applies, with no
+    new inversion; a SuperLU rank still inverts its block."""
+    a = leading_block("M1", 8 * 128 + 4)
+    p = BlockJacobiPreconditioner()
+    partition = BlockRowPartition(a.shape[0], 8)
+    p.setup(a, partition)
+    dense_rows = partition.indices_of(5)[[0, 17, 127]]
+    both = np.concatenate([partition.indices_of(2)[[3]], dense_rows])
+    expected_dense = inverse_rows_per_row(p, dense_rows)
+    expected_both = inverse_rows_per_row(p, both)
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(matrix):
+        calls.append(matrix.shape)
+        return inv(matrix)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    assert_same_csr(p.inverse_rows(dense_rows), expected_dense)
+    assert calls == []
+    assert_same_csr(p.inverse_rows(both), expected_both)
+    assert calls == [(129, 129)]
+
+
+def singular_block_matrix(side, row):
+    """``poisson_2d(side)`` with row and column *row* zeroed: the diagonal
+    block owning *row* is exactly singular."""
+    a = poisson_2d(side).tolil()
+    a[row, :] = 0.0
+    a[:, row] = 0.0
+    a = a.tocsr()
+    a.eliminate_zeros()
+    return a
+
+
+#: (side, row): 4 blocks of 36 rows (dense kernel), or of 144 rows (SuperLU);
+#: each zeroes a row of rank 2's block.
+SINGULAR = {"dense": (12, 2 * 36 + 5), "superlu": (24, 2 * 144 + 5)}
+
+
+@pytest.mark.parametrize("kernel", sorted(SINGULAR))
+def test_singular_block_fails_loudly_before_any_charge(kernel):
+    """Both kernels raise the same error, naming the rank, at set-up."""
+    import repro
+    side, row = SINGULAR[kernel]
+    problem = repro.distribute_problem(singular_block_matrix(side, row),
+                                       np.ones(side * side), n_nodes=4,
+                                       seed=0)
+    before = problem.cluster.ledger.snapshot()
+    with pytest.raises(FactorizationError,
+                       match="diagonal block of rank 2 is exactly singular"):
+        repro.solve(problem, solver="resilient_pcg", phi=2,
+                    failures=[(3, [1])])
+    assert problem.cluster.ledger.snapshot() == before
+
+
+@pytest.mark.parametrize("block_rows", [128, 129])
+@pytest.mark.parametrize("name", ["poisson_2d", "M3"])
+def test_recovery_on_each_kernel_matches_failure_free(name, block_rows):
+    """Three simultaneous failures, then two more: the recovered solve takes
+    the failure-free iteration count and lands on the failure-free
+    solution."""
+    import repro
+    a = leading_block(name, block_rows * 8)
+
+    def run(failures):
+        problem = repro.distribute_problem(a, n_nodes=8, seed=0)
+        return repro.solve(problem, solver="resilient_pcg", phi=3,
+                           failures=failures)
+
+    failure_free = run([])
+    recovered = run([(8, [1, 2, 3]), (16, [5, 6])])
+    assert len(recovered.recoveries) == 2
+    assert failure_free.converged and recovered.converged
+    assert recovered.iterations == failure_free.iterations
+    gap = np.linalg.norm(recovered.x - failure_free.x)
+    assert gap <= 1e-12 * np.linalg.norm(failure_free.x)
