@@ -17,15 +17,15 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..utils.validation import ValidationError, check_known_keys, check_rank_list
+from ..utils.serde import RoundTrip
+from ..utils.validation import ValidationError, check_rank_list
 from .node import Node, NodeStatus
 
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(RoundTrip):
     """A single (possibly multi-node) failure event.
 
     Parameters
@@ -50,6 +50,7 @@ class FailureEvent:
     label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "iteration", int(self.iteration))
         if self.iteration < 0:
             raise ValidationError(
                 f"failure iteration must be >= 0, got {self.iteration}"
@@ -63,27 +64,6 @@ class FailureEvent:
     @property
     def n_failures(self) -> int:
         return len(self.ranks)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serializable dictionary (see :meth:`from_dict`)."""
-        return {
-            "iteration": int(self.iteration),
-            "ranks": [int(r) for r in self.ranks],
-            "during_recovery_of": self.during_recovery_of,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        check_known_keys(data, ("iteration", "ranks", "during_recovery_of",
-                                "label"), "failure-event")
-        return cls(
-            iteration=int(data["iteration"]),
-            ranks=tuple(int(r) for r in data["ranks"]),
-            during_recovery_of=data.get("during_recovery_of"),
-            label=data.get("label", ""),
-        )
 
 
 class FailureInjector:

@@ -84,8 +84,9 @@ from ..distributed.partition import BlockRowPartition
 from ..distributed.spmv import distributed_spmv
 from ..precond.base import Preconditioner
 from ..precond.identity import IdentityPreconditioner
-from ..solvers.result import SolveResult, jsonify
+from ..solvers.result import SolveResult, left_out_fields
 from ..utils.logging import get_logger
+from ..utils.serde import Serializable, encode
 from ..utils.validation import check_finite
 
 logger = get_logger("core.block_pcg")
@@ -112,21 +113,15 @@ class DistributedSolveResult(SolveResult):
 
     def to_dict(self, *, include_solution: bool = False,
                 include_history: bool = True) -> Dict[str, object]:
-        """Extend :meth:`SolveResult.to_dict` with simulated-time accounting."""
+        """:meth:`SolveResult.to_dict` plus ``n_failures_recovered``."""
         data = super().to_dict(include_solution=include_solution,
                                include_history=include_history)
-        data["simulated_time"] = float(self.simulated_time)
-        data["simulated_iteration_time"] = float(self.simulated_iteration_time)
-        data["simulated_recovery_time"] = float(self.simulated_recovery_time)
-        data["time_breakdown"] = {k: float(self.time_breakdown[k])
-                                  for k in sorted(self.time_breakdown)}
         data["n_failures_recovered"] = self.n_failures_recovered
-        data["recoveries"] = [jsonify(r) for r in self.recoveries]
         return data
 
 
 @dataclass
-class BlockSolveResult:
+class BlockSolveResult(Serializable):
     """Per-column results of one :class:`BlockPCG` run, plus time accounting.
 
     All per-column sequences are indexed by the column ``j`` of the
@@ -211,32 +206,16 @@ class BlockSolveResult:
     def to_dict(self, *, include_solution: bool = False,
                 include_history: bool = True) -> Dict[str, object]:
         """JSON-serializable dictionary (block counterpart of
-        :meth:`SolveResult.to_dict`: per-column lists instead of scalars,
-        plus the simulated-time accounting and recovery episodes)."""
-        data: Dict[str, object] = {
-            "converged": [bool(c) for c in self.converged],
-            "all_converged": self.all_converged,
-            "iterations": [int(i) for i in self.iterations],
-            "global_iterations": int(self.global_iterations),
-            "final_residual_norms": [float(v)
-                                     for v in self.final_residual_norms],
-            "true_residual_norms": [float(v)
-                                    for v in self.true_residual_norms],
-            "info": jsonify(self.info),
-            "simulated_time": float(self.simulated_time),
-            "simulated_iteration_time": float(self.simulated_iteration_time),
-            "simulated_recovery_time": float(self.simulated_recovery_time),
-            "time_breakdown": {k: float(self.time_breakdown[k])
-                               for k in sorted(self.time_breakdown)},
-            "n_failures_recovered": self.n_failures_recovered,
-            "recoveries": [jsonify(r) for r in self.recoveries],
-        }
-        if include_history:
-            data["residual_histories"] = [[float(v) for v in history]
-                                          for history in
-                                          self.residual_histories]
-        if include_solution and self.x is not None:
-            data["x"] = jsonify(self.x)
+        :meth:`SolveResult.to_dict`): every field, without the solution
+        block unless ``include_solution`` is set and without the residual
+        histories if ``include_history`` is cleared, then the derived
+        ``all_converged`` and ``n_failures_recovered``."""
+        data = encode(self, leave_out=left_out_fields(
+            self, include_solution=include_solution,
+            include_history=include_history, solution=("x",),
+            history="residual_histories"))
+        data["all_converged"] = self.all_converged
+        data["n_failures_recovered"] = self.n_failures_recovered
         return data
 
 

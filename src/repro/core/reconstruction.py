@@ -63,6 +63,7 @@ from ..distributed.partition import BlockRowPartition
 from ..precond.base import Preconditioner, PreconditionerForm
 from ..solvers.local_solver import LocalSolveStats, LocalSubsystemSolver
 from ..utils.logging import get_logger
+from ..utils.serde import Serializable
 from .esr import ESRProtocol
 from .spec import build_failure_events
 
@@ -116,7 +117,7 @@ def charge_reverse_scatter(cluster: VirtualCluster,
 
 
 @dataclass
-class RecoveryReport:
+class RecoveryReport(Serializable):
     """Outcome and cost of one recovery episode (of any strategy)."""
 
     iteration: int
@@ -135,20 +136,12 @@ class RecoveryReport:
         return len(self.failed_ranks)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable dictionary of the episode (for service
-        responses and campaign outputs; wallclock is reported as-is and is
-        the only non-deterministic field)."""
-        return {
-            "iteration": int(self.iteration),
-            "failed_ranks": [int(r) for r in self.failed_ranks],
-            "n_failures": self.n_failures,
-            "restarts": int(self.restarts),
-            "simulated_time": float(self.simulated_time),
-            "wallclock_time": float(self.wallclock_time),
-            "reconstruction_form": self.reconstruction_form,
-            "local_solve_stats": [s.to_dict() for s in self.local_solve_stats],
-            "notes": list(self.notes),
-        }
+        """JSON-serializable dictionary of the episode, then ``n_failures``
+        (wallclock is reported as-is and is the only non-deterministic
+        field)."""
+        data = super().to_dict()
+        data["n_failures"] = self.n_failures
+        return data
 
 
 class FailureHandlingMixin:

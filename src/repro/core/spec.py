@@ -9,10 +9,11 @@ solver (redundancy level, backup placement, failure schedule, local-solver
 options) and :class:`BlockSpec` for multi-RHS block solves (expected column
 count, reduction fusing).
 
-Every spec validates its fields on construction, round-trips through
-``to_dict``/``from_dict`` (plain JSON-serializable dictionaries, so
+Every spec validates and normalises its fields on construction, round-trips
+through ``to_dict``/``from_dict`` (plain JSON-serializable dictionaries, so
 benchmark sweeps and the experiment harness can be driven from config
-files), and documents its defaults in the field comments below.  The one
+files; both come from the field list through :mod:`repro.utils.serde`),
+and documents its defaults in the field comments below.  The one
 entry point that consumes them is :func:`repro.core.api.solve`; the mapping
 from ``SolveSpec.solver`` names to solver classes lives in
 :mod:`repro.core.registry`.
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..cluster.failure import FailureEvent
 from ..precond.base import Preconditioner, PreconditionerForm
-from ..utils.validation import check_known_keys
+from ..utils.serde import RoundTrip
 from .placement import PLACEMENTS
 from .redundancy import REDUNDANCY_SCHEMES
 
@@ -57,7 +58,7 @@ def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
 
 
 @dataclass(frozen=True)
-class ResilienceSpec:
+class ResilienceSpec(RoundTrip):
     """Configuration of the ESR-protected solver (``solver="resilient_pcg"``).
 
     Attaching one of these to a :class:`SolveSpec` is what requests
@@ -123,36 +124,9 @@ class ResilienceSpec:
             raise ValueError(
                 f"local_rtol must be positive, got {self.local_rtol}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serializable dictionary (see :meth:`from_dict`)."""
-        return {
-            "phi": self.phi,
-            "scheme": self.scheme,
-            "scheme_options": dict(self.scheme_options),
-            "placement": self.placement,
-            "rack_size": self.rack_size,
-            "failures": [e.to_dict() for e in self.failures],
-            "local_solver_method": self.local_solver_method,
-            "local_rtol": self.local_rtol,
-            "reconstruction_form": (self.reconstruction_form.value
-                                    if self.reconstruction_form is not None
-                                    else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResilienceSpec":
-        check_known_keys(data, [f.name for f in fields(cls)], "ResilienceSpec")
-        kwargs = dict(data)
-        if "failures" in kwargs:
-            kwargs["failures"] = tuple(
-                FailureEvent.from_dict(e) if isinstance(e, Mapping) else e
-                for e in kwargs["failures"]
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(RoundTrip):
     """Configuration of multi-RHS block solves (``solver="block_pcg"``)."""
 
     #: Expected number of right-hand sides; ``None`` accepts whatever the
@@ -171,18 +145,9 @@ class BlockSpec:
             object.__setattr__(self, "n_cols", int(self.n_cols))
         object.__setattr__(self, "fuse_reductions", bool(self.fuse_reductions))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serializable dictionary (see :meth:`from_dict`)."""
-        return {"n_cols": self.n_cols, "fuse_reductions": self.fuse_reductions}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BlockSpec":
-        check_known_keys(data, [f.name for f in fields(cls)], "BlockSpec")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class SolveSpec:
+class SolveSpec(RoundTrip):
     """Everything one :func:`repro.solve` call needs, in one frozen object.
 
     The common solver knobs live here; solver-specific extensions are
@@ -312,26 +277,4 @@ class SolveSpec:
                 "a SolveSpec holding a Preconditioner instance is not "
                 "serializable; use a registered preconditioner name instead"
             )
-        return {
-            "solver": self.solver,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "max_iterations": self.max_iterations,
-            "overlap_spmv": self.overlap_spmv,
-            "preconditioner": self.preconditioner,
-            "preconditioner_options": dict(self.preconditioner_options),
-            "resilience": (self.resilience.to_dict()
-                           if self.resilience is not None else None),
-            "block": self.block.to_dict() if self.block is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SolveSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        check_known_keys(data, [f.name for f in fields(cls)], "SolveSpec")
-        kwargs = dict(data)
-        if kwargs.get("resilience") is not None:
-            kwargs["resilience"] = ResilienceSpec.from_dict(kwargs["resilience"])
-        if kwargs.get("block") is not None:
-            kwargs["block"] = BlockSpec.from_dict(kwargs["block"])
-        return cls(**kwargs)
+        return super().to_dict()

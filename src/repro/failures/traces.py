@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from ..cluster.failure import FailureEvent
 from ..core.placement import RackLayout
 from ..utils.rng import RandomState, as_rng
-from ..utils.validation import check_known_keys
+from ..utils.serde import RoundTrip
 
 __all__ = [
     "LifetimeModel",
@@ -52,7 +52,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LifetimeModel:
+class LifetimeModel(RoundTrip):
     """Distribution of a node's time-to-failure (in solver iterations).
 
     ``"exponential"`` is the memoryless baseline (``scale`` = mean
@@ -87,18 +87,9 @@ class LifetimeModel:
             return float(self.scale)
         return float(self.scale * math.gamma(1.0 + 1.0 / self.shape))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"distribution": self.distribution, "scale": self.scale,
-                "shape": self.shape}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LifetimeModel":
-        check_known_keys(data, [f.name for f in fields(cls)], "LifetimeModel")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(RoundTrip):
     """Configuration of one stochastic failure trace.
 
     ``horizon`` bounds the generated schedule, *not* the solve: events past
@@ -143,25 +134,6 @@ class TraceSpec:
     @property
     def racks(self) -> RackLayout:
         return RackLayout(int(self.n_nodes), int(self.rack_size))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_nodes": self.n_nodes,
-            "horizon": self.horizon,
-            "lifetime": self.lifetime.to_dict(),
-            "burst_rate": self.burst_rate,
-            "rack_size": self.rack_size,
-            "repair_delay": self.repair_delay,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceSpec":
-        check_known_keys(data, [f.name for f in fields(cls)], "TraceSpec")
-        kwargs = dict(data)
-        if isinstance(kwargs.get("lifetime"), Mapping):
-            kwargs["lifetime"] = LifetimeModel.from_dict(kwargs["lifetime"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

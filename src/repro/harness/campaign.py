@@ -29,7 +29,7 @@ from __future__ import annotations
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -39,7 +39,7 @@ from ..core.placement import PLACEMENTS
 from ..core.spec import ResilienceSpec, SolveSpec
 from ..failures.traces import TraceSpec, generate_trace
 from ..utils.rng import stable_hash_seed
-from ..utils.validation import check_known_keys
+from ..utils.serde import RoundTrip
 
 __all__ = [
     "OUTCOME_KINDS",
@@ -56,7 +56,7 @@ OUTCOME_KINDS = ("converged", "not_converged", "unrecoverable", "timeout",
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(RoundTrip):
     """One reliability campaign: solve configuration + trace + run count.
 
     JSON round-trips through ``to_dict``/``from_dict`` (the dictionary is
@@ -71,7 +71,8 @@ class CampaignSpec:
     n_nodes: int = 8
     #: Redundant copies per block (``0 <= phi < n_nodes``).
     phi: int = 3
-    #: Registered placement name (``to_dict`` writes it lower-case).
+    #: Registered placement name, in any case (``solve_spec`` hands it to
+    #: :class:`ResilienceSpec`, which stores it lower-case).
     placement: str = "paper"
     #: Rack size for the rack-aware placements (``None`` = default layout).
     rack_size: Optional[int] = None
@@ -122,36 +123,9 @@ class CampaignSpec:
         return stable_hash_seed("campaign-run", int(index),
                                 base_seed=int(self.seed))
 
-    # -- serialization ---------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "matrix_id": self.matrix_id,
-            "matrix_size": self.matrix_size,
-            "matrix_seed": self.matrix_seed,
-            "n_nodes": self.n_nodes,
-            "phi": self.phi,
-            "placement": self.placement.lower(),
-            "rack_size": self.rack_size,
-            "preconditioner": self.preconditioner,
-            "rtol": self.rtol,
-            "max_iterations": self.max_iterations,
-            "trace": self.trace.to_dict(),
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "timeout_s": self.timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        check_known_keys(data, [f.name for f in fields(cls)], "CampaignSpec")
-        kwargs = dict(data)
-        if isinstance(kwargs.get("trace"), Mapping):
-            kwargs["trace"] = TraceSpec.from_dict(kwargs["trace"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(RoundTrip):
     """Structured terminal state of one campaign run (always JSON-able)."""
 
     index: int
@@ -177,24 +151,6 @@ class RunOutcome:
     def survived(self) -> bool:
         """True when the run finished without losing state or crashing."""
         return self.kind in ("converged", "not_converged")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "iterations": self.iterations,
-            "simulated_time": self.simulated_time,
-            "n_recoveries": self.n_recoveries,
-            "n_events": self.n_events,
-            "n_failures": self.n_failures,
-            "loss_iteration": self.loss_iteration,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunOutcome":
-        check_known_keys(data, [f.name for f in fields(cls)], "RunOutcome")
-        return cls(**data)
 
 
 # -- single-run execution (runs inside pool workers) ---------------------------
@@ -263,14 +219,11 @@ def _execute_run(spec: CampaignSpec, index: int) -> Dict[str, Any]:
             detail=str(exc)[:200],
         )
         return outcome
-    # Serialize through the result's own to_dict instead of hand-picking
-    # attributes; the fields below are bit-identical to the originals.
-    summary = result.to_dict(include_history=False)
     outcome.update(
-        kind="converged" if summary["converged"] else "not_converged",
-        iterations=int(summary["iterations"]),
-        simulated_time=float(summary["simulated_time"]),
-        n_recoveries=len(summary["recoveries"]),
+        kind="converged" if result.converged else "not_converged",
+        iterations=int(result.iterations),
+        simulated_time=float(result.simulated_time),
+        n_recoveries=len(result.recoveries),
     )
     return outcome
 
@@ -307,12 +260,11 @@ def _baseline_outcome(spec: CampaignSpec) -> RunOutcome:
 
     matrix = _campaign_matrix(spec)
     result = solve(matrix, n_nodes=spec.n_nodes, spec=spec.solve_spec(()))
-    summary = result.to_dict(include_history=False)
     return RunOutcome(
         index=-1,
-        kind="converged" if summary["converged"] else "not_converged",
-        iterations=int(summary["iterations"]),
-        simulated_time=float(summary["simulated_time"]),
+        kind="converged" if result.converged else "not_converged",
+        iterations=int(result.iterations),
+        simulated_time=float(result.simulated_time),
     )
 
 

@@ -88,8 +88,8 @@ class BlockJacobiPreconditioner(Preconditioner):
     Raises
     ------
     FactorizationError
-        From :meth:`setup`, naming the rank, when an exact solve meets an
-        exactly singular diagonal block (on either kernel).
+        From :meth:`setup`, naming the rank, when an exact solve (on either
+        kernel) or the ILU meets an exactly singular diagonal block.
     """
 
     name = "block_jacobi"
@@ -165,10 +165,11 @@ class BlockJacobiPreconditioner(Preconditioner):
                 self._inverses[rank] = inverse
                 self._solvers[rank] = inverse.dot
 
-    def _singular_block(self, rank: int) -> FactorizationError:
+    def _singular_block(self, rank: int, solve: str = "exact block solve"
+                        ) -> FactorizationError:
         return FactorizationError(
             f"{self.name}: the diagonal block of rank {rank} is exactly "
-            "singular, so it has no exact block solve")
+            f"singular, so it has no {solve}")
 
     def _make_solver(self, rank: int, block: sp.csc_matrix
                      ) -> Callable[[np.ndarray], np.ndarray]:
@@ -179,9 +180,13 @@ class BlockJacobiPreconditioner(Preconditioner):
                 raise self._singular_block(rank) from None
             return lu.solve
         if self.block_solver == "ilu":
-            ilu = spilu(block, drop_tol=self.drop_tol,
-                        fill_factor=self.fill_factor,
-                        permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            try:
+                ilu = spilu(block, drop_tol=self.drop_tol,
+                            fill_factor=self.fill_factor,
+                            permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            except RuntimeError:  # SuperLU: "matrix is singular"
+                raise self._singular_block(rank, "ILU factorization") \
+                    from None
             self._factors[rank] = ilu
             return ilu.solve
         factor = ic0(block)

@@ -34,8 +34,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..utils.serde import RoundTrip, encode
+
 #: Ledger-phase prefix of the per-column volume terms.
 VOLUME_PHASE_PREFIX = "compute."
+
+#: The :class:`ServiceStats` fields that hold host-wallclock samples.
+WALLCLOCK_FIELDS = ("queue_waits_s", "batch_waits_s", "solves_s",
+                    "latencies_s")
 
 
 def _fit_complement(partial: float, total: float) -> Optional[float]:
@@ -157,7 +163,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 @dataclass
-class TenantUsage:
+class TenantUsage(RoundTrip):
     """Accumulated usage of one tenant (the per-tenant cost ledger)."""
 
     tenant: str
@@ -168,29 +174,9 @@ class TenantUsage:
     #: Per-phase attributed charges, summed over the tenant's requests.
     charges: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tenant": self.tenant,
-            "n_requests": int(self.n_requests),
-            "n_converged": int(self.n_converged),
-            "iterations": int(self.iterations),
-            "simulated_time": float(self.simulated_time),
-            "charges": {k: float(self.charges[k])
-                        for k in sorted(self.charges)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TenantUsage":
-        return cls(tenant=str(data["tenant"]),
-                   n_requests=int(data["n_requests"]),
-                   n_converged=int(data["n_converged"]),
-                   iterations=int(data["iterations"]),
-                   simulated_time=float(data["simulated_time"]),
-                   charges=dict(data["charges"]))
-
 
 @dataclass
-class ServiceStats:
+class ServiceStats(RoundTrip):
     """Accumulated service statistics; JSON-round-trippable.
 
     The deterministic core (request/batch counts, widths, per-tenant
@@ -259,17 +245,9 @@ class ServiceStats:
         For a seeded traffic trace pumped through a deterministic scheduler
         this dictionary is byte-identical across invocations.
         """
-        return {
-            "n_requests": int(self.n_requests),
-            "n_batches": int(self.n_batches),
-            "n_coalesced": int(self.n_coalesced),
-            "n_failed": int(self.n_failed),
-            "batch_widths": list(self.batch_widths),
-            "mean_batch_width": self.mean_batch_width,
-            "simulated_time": float(self.simulated_time),
-            "tenants": {name: self.tenants[name].to_dict()
-                        for name in sorted(self.tenants)},
-        }
+        data = encode(self, leave_out=WALLCLOCK_FIELDS)
+        data["mean_batch_width"] = self.mean_batch_width
+        return data
 
     def latency_summary(self) -> Dict[str, float]:
         """Host-wallclock latency percentiles (run-dependent)."""
@@ -284,38 +262,3 @@ class ServiceStats:
                                / len(self.latencies_s))
             if self.latencies_s else float("nan"),
         }
-
-    # -- (de)serialization ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-round-trippable snapshot (see :meth:`from_dict`)."""
-        return {
-            "n_requests": int(self.n_requests),
-            "n_batches": int(self.n_batches),
-            "n_coalesced": int(self.n_coalesced),
-            "n_failed": int(self.n_failed),
-            "batch_widths": list(self.batch_widths),
-            "simulated_time": float(self.simulated_time),
-            "tenants": {name: self.tenants[name].to_dict()
-                        for name in sorted(self.tenants)},
-            "queue_waits_s": [float(v) for v in self.queue_waits_s],
-            "batch_waits_s": [float(v) for v in self.batch_waits_s],
-            "solves_s": [float(v) for v in self.solves_s],
-            "latencies_s": [float(v) for v in self.latencies_s],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceStats":
-        return cls(
-            n_requests=int(data["n_requests"]),
-            n_batches=int(data["n_batches"]),
-            n_coalesced=int(data["n_coalesced"]),
-            n_failed=int(data["n_failed"]),
-            batch_widths=[int(v) for v in data["batch_widths"]],
-            tenants={str(name): TenantUsage.from_dict(usage)
-                     for name, usage in data["tenants"].items()},
-            simulated_time=float(data["simulated_time"]),
-            queue_waits_s=[float(v) for v in data["queue_waits_s"]],
-            batch_waits_s=[float(v) for v in data["batch_waits_s"]],
-            solves_s=[float(v) for v in data["solves_s"]],
-            latencies_s=[float(v) for v in data["latencies_s"]],
-        )

@@ -19,7 +19,8 @@ from typing import Any, Dict, Generator, List, Optional
 import numpy as np
 
 from ..core.spec import SolveSpec
-from ..solvers.result import jsonify
+from ..solvers.result import left_out_fields
+from ..utils.serde import Serializable, encode
 
 
 class ServiceError(RuntimeError):
@@ -35,7 +36,7 @@ class UnknownMatrixError(ServiceError, KeyError):
 
 
 @dataclass
-class RequestResult:
+class RequestResult(Serializable):
     """Per-request outcome of one service solve.
 
     The solver-side fields (``x``, ``converged``, ``iterations``,
@@ -86,31 +87,13 @@ class RequestResult:
 
     def to_dict(self, *, include_solution: bool = True,
                 include_history: bool = True) -> Dict[str, Any]:
-        """Plain JSON-serializable dictionary (the service response body)."""
-        data: Dict[str, Any] = {
-            "request_id": int(self.request_id),
-            "tenant": self.tenant,
-            "matrix_id": self.matrix_id,
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "final_residual_norm": float(self.final_residual_norm),
-            "true_residual_norm": float(self.true_residual_norm),
-            "solver": self.solver,
-            "batch_id": int(self.batch_id),
-            "batch_width": int(self.batch_width),
-            "batch_column": int(self.batch_column),
-            "simulated_time": float(self.simulated_time),
-            "charges": {k: float(self.charges[k])
-                        for k in sorted(self.charges)},
-            "queue_wait_s": float(self.queue_wait_s),
-            "batch_wait_s": float(self.batch_wait_s),
-            "solve_s": float(self.solve_s),
-            "latency_s": self.latency_s,
-        }
-        if include_history:
-            data["residual_norms"] = [float(v) for v in self.residual_norms]
-        if include_solution:
-            data["x"] = jsonify(self.x)
+        """Plain JSON-serializable dictionary (the service response body):
+        every field, without ``x`` unless ``include_solution`` and without
+        ``residual_norms`` unless ``include_history``, then ``latency_s``."""
+        data = encode(self, leave_out=left_out_fields(
+            self, include_solution=include_solution,
+            include_history=include_history, solution=("x",)))
+        data["latency_s"] = self.latency_s
         return data
 
 

@@ -16,17 +16,17 @@ normal perturbation, emulating the request similarity real workloads show
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..utils.rng import SeedLike, spawn_rngs
-from ..utils.validation import check_known_keys
+from ..utils.serde import RoundTrip
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(RoundTrip):
     """Shape of a synthetic request stream (JSON-round-trippable)."""
 
     #: Total number of requests in the trace.
@@ -54,26 +54,6 @@ class TrafficSpec:
             raise ValueError("tenants must not be empty")
         if self.n_modes < 0:
             raise ValueError(f"n_modes must be >= 0, got {self.n_modes}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_requests": int(self.n_requests),
-            "matrix_ids": list(self.matrix_ids),
-            "tenants": list(self.tenants),
-            "rate_per_s": float(self.rate_per_s),
-            "n_modes": int(self.n_modes),
-            "mode_noise": float(self.mode_noise),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":
-        check_known_keys(data, [f.name for f in fields(cls)], "TrafficSpec")
-        return cls(n_requests=int(data["n_requests"]),
-                   matrix_ids=tuple(str(m) for m in data["matrix_ids"]),
-                   tenants=tuple(str(t) for t in data["tenants"]),
-                   rate_per_s=float(data["rate_per_s"]),
-                   n_modes=int(data["n_modes"]),
-                   mode_noise=float(data["mode_noise"]))
 
 
 @dataclass(frozen=True)

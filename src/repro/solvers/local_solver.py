@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spilu
 
-from ..distributed.partition import BlockRowPartition
 from ..precond.base import Preconditioner
+from ..utils.serde import Serializable
 from .cg import pcg
 from .result import SolveResult
 
@@ -29,7 +29,7 @@ LOCAL_SOLVER_METHODS = ("direct", "pcg_ilu", "pcg_jacobi")
 
 
 @dataclass
-class LocalSolveStats:
+class LocalSolveStats(Serializable):
     """Statistics of one local subsystem solve (for the cost model/reports)."""
 
     method: str
@@ -39,17 +39,6 @@ class LocalSolveStats:
     residual_norm: float
     #: Approximate flop count charged to the recovery-compute phase.
     work_flops: float
-
-    def to_dict(self) -> dict:
-        """JSON-serializable dictionary of the stats."""
-        return {
-            "method": self.method,
-            "size": int(self.size),
-            "nnz": int(self.nnz),
-            "iterations": int(self.iterations),
-            "residual_norm": float(self.residual_norm),
-            "work_flops": float(self.work_flops),
-        }
 
 
 class _IluPreconditioner(Preconditioner):
@@ -102,17 +91,10 @@ class LocalSubsystemSolver:
         converge in a handful of iterations; if the cap is hit without
         reaching an acceptable residual the solver falls back to a direct
         factorisation rather than burning time on a stagnating iteration.
-    block_partition:
-        Optional partition of the subsystem unknowns, handed to the inner
-        preconditioner's ``setup``.  Neither inner preconditioner reads it
-        (the ILU factors the whole subsystem, point Jacobi works per row),
-        so it does not change the solve; the paper preconditions the inner
-        solve "with blocks matching the process' index set".
     """
 
     def __init__(self, method: str = "pcg_ilu", *, rtol: float = 1e-14,
-                 max_iterations: Optional[int] = 200,
-                 block_partition: Optional[BlockRowPartition] = None):
+                 max_iterations: Optional[int] = 200):
         if method not in LOCAL_SOLVER_METHODS:
             raise ValueError(
                 f"method must be one of {LOCAL_SOLVER_METHODS}, got {method!r}"
@@ -120,7 +102,6 @@ class LocalSubsystemSolver:
         self.method = method
         self.rtol = rtol
         self.max_iterations = max_iterations
-        self.block_partition = block_partition
         self.last_stats: Optional[LocalSolveStats] = None
         #: Per-column statistics of the most recent :meth:`solve_block`.
         self.last_column_stats: list = []
@@ -168,7 +149,7 @@ class LocalSubsystemSolver:
                 from ..precond.jacobi import JacobiPreconditioner
 
                 preconditioner = JacobiPreconditioner()
-            preconditioner.setup(a, self.block_partition)
+            preconditioner.setup(a)
             shared["preconditioner"] = preconditioner
         result: SolveResult = pcg(
             a, b, preconditioner=preconditioner, rtol=self.rtol,

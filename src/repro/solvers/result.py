@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
+
+from ..utils.serde import Serializable, encode
 
 
 def relative_residual_difference(solver_residual_norm: float,
@@ -20,31 +22,22 @@ def relative_residual_difference(solver_residual_norm: float,
     return (solver_residual_norm - true_residual_norm) / true_residual_norm
 
 
-def jsonify(value: Any) -> Any:
-    """Recursively convert a value into plain JSON-serializable types.
-
-    numpy scalars become Python scalars, numpy arrays become (nested) lists,
-    mappings and sequences are converted element-wise, and objects exposing
-    their own ``to_dict`` delegate to it.  Anything already JSON-native
-    (str/int/float/bool/None) passes through unchanged.
-    """
-    if value is None or isinstance(value, (str, bool, int, float)):
-        return value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    if isinstance(value, dict):
-        return {str(k): jsonify(value[k]) for k in value}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    return repr(value)
+def left_out_fields(result: Any, *, include_solution: bool,
+                    include_history: bool,
+                    solution: Tuple[str, ...] = ("x", "solver_residual"),
+                    history: str = "residual_norms") -> Set[str]:
+    """The fields a result's ``to_dict`` leaves out: its *solution* fields
+    unless ``include_solution`` (and any of them that is ``None``), and its
+    *history* field unless ``include_history``."""
+    left_out = {name for name in solution
+                if not include_solution or getattr(result, name) is None}
+    if not include_history:
+        left_out.add(history)
+    return left_out
 
 
 @dataclass
-class SolveResult:
+class SolveResult(Serializable):
     """Outcome of an iterative linear solve.
 
     Attributes
@@ -102,23 +95,13 @@ class SolveResult:
         The solution vector and the internal solver residual are large and
         excluded unless ``include_solution`` is set; the per-iteration
         residual history is included unless ``include_history`` is cleared.
-        Subclasses extend the dictionary with their extra fields, so service
-        responses and campaign outputs can serialize any result uniformly
-        instead of hand-picking attributes.
+        Every other field is written, a subclass's own fields too
+        (:func:`~repro.utils.serde.encode`), followed by the derived
+        Eqn. (7) ``relative_residual_deviation``.
         """
-        data: Dict[str, Any] = {
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "final_residual_norm": float(self.final_residual_norm),
-            "true_residual_norm": float(self.true_residual_norm),
-            "relative_residual_deviation": float(
-                self.relative_residual_deviation),
-            "info": jsonify(self.info),
-        }
-        if include_history:
-            data["residual_norms"] = [float(v) for v in self.residual_norms]
-        if include_solution:
-            data["x"] = jsonify(self.x)
-            if self.solver_residual is not None:
-                data["solver_residual"] = jsonify(self.solver_residual)
+        data = encode(self, leave_out=left_out_fields(
+            self, include_solution=include_solution,
+            include_history=include_history))
+        data["relative_residual_deviation"] = float(
+            self.relative_residual_deviation)
         return data

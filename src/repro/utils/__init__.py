@@ -1,4 +1,5 @@
-"""Small shared utilities: RNG handling, validation, the name registry, logging.
+"""Small shared utilities: RNG handling, validation, the name registry,
+logging and JSON serialization (:mod:`repro.utils.serde`).
 
 These helpers are deliberately dependency-free (NumPy only) and are used by
 every other subpackage.  They carry no domain logic of their own.

@@ -399,16 +399,19 @@ def singular_block_matrix(side, row):
     return a
 
 
-#: (side, row): 4 blocks of 36 rows (dense kernel), or of 144 rows (SuperLU);
-#: each zeroes a row of rank 2's block.
-SINGULAR = {"dense": (12, 2 * 36 + 5), "superlu": (24, 2 * 144 + 5)}
+#: (preconditioner, side, row): 4 blocks of 36 rows (dense kernel, ILU), or
+#: of 144 rows (SuperLU); each zeroes a row of rank 2's block.
+SINGULAR = {"dense": ("block_jacobi", 12, 2 * 36 + 5),
+            "superlu": ("block_jacobi", 24, 2 * 144 + 5),
+            "ilu": ("block_jacobi_ilu", 12, 2 * 36 + 5)}
 
 
 @pytest.mark.parametrize("kernel", sorted(SINGULAR))
 def test_singular_block_fails_loudly_before_any_charge(kernel):
-    """Both kernels raise the same error, naming the rank, at set-up."""
+    """Both exact kernels and the ILU raise the same error, naming the
+    rank, at set-up."""
     import repro
-    side, row = SINGULAR[kernel]
+    preconditioner, side, row = SINGULAR[kernel]
     problem = repro.distribute_problem(singular_block_matrix(side, row),
                                        np.ones(side * side), n_nodes=4,
                                        seed=0)
@@ -416,7 +419,7 @@ def test_singular_block_fails_loudly_before_any_charge(kernel):
     with pytest.raises(FactorizationError,
                        match="diagonal block of rank 2 is exactly singular"):
         repro.solve(problem, solver="resilient_pcg", phi=2,
-                    failures=[(3, [1])])
+                    preconditioner=preconditioner, failures=[(3, [1])])
     assert problem.cluster.ledger.snapshot() == before
 
 

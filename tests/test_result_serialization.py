@@ -17,8 +17,10 @@ import repro
 from repro.cluster import MachineModel
 from repro.core.reconstruction import RecoveryReport
 from repro.core.spec import ResilienceSpec, SolveSpec
+from repro.precond.base import PreconditionerForm
 from repro.solvers.local_solver import LocalSolveStats
-from repro.solvers.result import SolveResult, jsonify
+from repro.solvers.result import SolveResult
+from repro.utils.serde import jsonify
 
 
 class TestJsonify:
@@ -36,8 +38,12 @@ class TestJsonify:
         assert jsonify(np.ones((2, 2))) == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_containers_recursed(self):
-        out = jsonify({"a": np.float64(1.0), "b": (np.int32(2), [3])})
+        out = jsonify({"b": (np.int32(2), [3]), "a": np.float64(1.0)})
         assert out == {"a": 1.0, "b": [2, [3]]}
+        assert list(out) == ["a", "b"]
+
+    def test_enums_become_their_values(self):
+        assert jsonify(PreconditionerForm.INVERSE) == "inverse"
 
     def test_objects_with_to_dict_delegate(self):
         stats = LocalSolveStats("direct", 4, 10, 1, 1e-16, 100.0)

@@ -202,6 +202,21 @@ class TestCoalescingEdgeCases:
         assert results[1].batch_id == results[3].batch_id
         assert results[0].batch_id != results[1].batch_id
 
+    def test_numpy_scalar_spec_coalesces_and_solves(self, service,
+                                                    direct_problem,
+                                                    small_poisson):
+        """A spec holding a numpy scalar still has a coalescing key."""
+        spec = SolveSpec(rtol=np.float32(1e-6))
+        rhs_list = make_rhs(small_poisson.shape[0], 2)
+        handles = [service.submit("poisson", b, spec) for b in rhs_list]
+        service.drain()
+        results = [h.result(5.0) for h in handles]
+        assert [r.batch_width for r in results] == [2, 2]
+        for rhs, res in zip(rhs_list, results):
+            ref = repro.solve(direct_problem, rhs, spec=spec)
+            assert res.converged
+            assert np.array_equal(res.x, ref.x)
+
     def test_pinned_solver_never_coalesces(self, service, small_poisson):
         rhs_list = make_rhs(small_poisson.shape[0], 3)
         handles = [service.submit("poisson", b, SolveSpec(solver="pcg"))
