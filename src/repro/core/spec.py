@@ -37,6 +37,7 @@ import numpy as np
 
 from ..cluster.failure import FailureEvent
 from ..precond.base import Preconditioner, PreconditionerForm
+from ..solvers.local_solver import LOCAL_SOLVER_METHODS
 from ..utils.serde import RoundTrip
 from .placement import PLACEMENTS
 from .redundancy import REDUNDANCY_SCHEMES
@@ -90,7 +91,8 @@ class ResilienceSpec(RoundTrip):
     #: ranks)`` tuples (normalised on construction).  Empty = undisturbed.
     #: Events that never fire come back in ``info["unfired_failures"]``.
     failures: Tuple[FailureEvent, ...] = ()
-    #: Local subsystem solver of the reconstruction (``"pcg_ilu"`` with
+    #: Local subsystem solver of the reconstruction, one of
+    #: :data:`repro.solvers.LOCAL_SOLVER_METHODS` (``"pcg_ilu"`` with
     #: ``1e-14`` in the paper).
     local_solver_method: str = "pcg_ilu"
     local_rtol: float = 1e-14
@@ -120,6 +122,10 @@ class ResilienceSpec(RoundTrip):
                 not isinstance(self.reconstruction_form, PreconditionerForm):
             object.__setattr__(self, "reconstruction_form",
                                PreconditionerForm(self.reconstruction_form))
+        if self.local_solver_method not in LOCAL_SOLVER_METHODS:
+            raise ValueError(
+                f"local_solver_method must be one of {LOCAL_SOLVER_METHODS}, "
+                f"got {self.local_solver_method!r}")
         if float(self.local_rtol) <= 0.0:
             raise ValueError(
                 f"local_rtol must be positive, got {self.local_rtol}")

@@ -1,9 +1,9 @@
 """SpMV execution engine (a PETSc-style ``MatMult``).
 
 :class:`SpmvEngine` is the one SpMV of :func:`repro.distributed.spmv.
-distributed_spmv`.  It does the static work -- reading each rank's ghost set
-from the matrix's scatter plan, pricing the halo exchange and the local
-products -- once per matrix and ``structure_version``, so a call costs one
+distributed_spmv`.  It does the static work -- pricing the halo exchange
+from the matrix's scatter plan and the local products from each rank's
+nonzeros -- once per matrix and ``structure_version``, so a call costs one
 liveness check and one sparse kernel:
 
 **One kernel over all ranks.**  A
@@ -22,11 +22,10 @@ batched product is bit-identical to the ``k = 1`` product of column ``j``.
 The kernel shares the matrix's arrays, so in-place edits of block values
 stay live.
 
-**Ghost sets.**  At build time the engine reads each rank's ghost set
-``G_k`` (the union of the plan's ``S_ik`` over the senders ``i`` of rank
-``k``) from the matrix's own plan, :attr:`DistributedMatrix.context`,
-which is derived from the same sparsity pattern and so covers every
-off-diagonal column by construction.
+**Ghost sets.**  Rank ``k``'s ghost set ``G_k`` is the union of the
+plan's ``S_ik`` over the senders ``i`` of rank ``k``.  The plan is the
+matrix's own, :attr:`DistributedMatrix.context`, derived from the same
+sparsity pattern, so it covers every off-diagonal column by construction.
 
 **Split-phase execution (comm/compute overlap).**  ``split=True`` models the
 classical non-blocking halo exchange: post the sends, compute
@@ -129,9 +128,6 @@ class SpmvEngine:
         self.version = matrix.structure_version
 
         a = matrix.stacked()
-        #: Per rank, the sorted global ghost indices ``G_k``.
-        self._ghosts = [self._ghost_set(rank)
-                        for rank in range(partition.n_parts)]
         # Per-rank non-zeros in owned columns (the diagonal block
         # A_{I_k, I_k}) and in ghost columns.
         bounds = a.indptr[partition.offsets]
@@ -153,14 +149,6 @@ class SpmvEngine:
         self.compute_cost = self.compute_cost_for(1)
 
     # -- construction -------------------------------------------------------
-    def _ghost_set(self, rank: int) -> np.ndarray:
-        """``G_k`` of *rank*: senders ascend and each ships sorted indices of
-        its own range, so the concatenation is sorted and unique."""
-        chunks = [self.context.send_indices(src, rank)
-                  for src in self.context.senders_to(rank)]
-        return (np.concatenate(chunks) if chunks
-                else np.empty(0, dtype=np.int64))
-
     def _diag_mask(self, a: sp.csr_matrix) -> np.ndarray:
         """Per stored entry: does its column lie in its row owner's range?"""
         sizes = self.partition.sizes()
@@ -318,9 +306,9 @@ class SpmvEngine:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        ghosts = sum(g.size for g in self._ghosts)
         return (
             f"SpmvEngine(matrix={self.matrix.name!r}, "
-            f"N={self.partition.n_parts}, ghosts={ghosts}, "
+            f"N={self.partition.n_parts}, "
+            f"ghosts={self.context.total_exchanged_elements()}, "
             f"version={self.version})"
         )

@@ -13,7 +13,6 @@ from .experiment import (
     ExperimentResult,
     MatrixStudy,
     RepetitionResult,
-    run_experiment,
     run_failure_free,
     run_matrix_study,
     run_reference,
@@ -41,7 +40,6 @@ __all__ = [
     "ExperimentResult",
     "RepetitionResult",
     "MatrixStudy",
-    "run_experiment",
     "run_reference",
     "run_failure_free",
     "run_with_failures",

@@ -38,6 +38,7 @@ from ..cluster.errors import UnrecoverableStateError
 from ..core.placement import PLACEMENTS
 from ..core.spec import ResilienceSpec, SolveSpec
 from ..failures.traces import TraceSpec, generate_trace
+from ..precond.factory import PRECONDITIONERS
 from ..utils.rng import stable_hash_seed
 from ..utils.serde import RoundTrip
 
@@ -76,6 +77,7 @@ class CampaignSpec(RoundTrip):
     placement: str = "paper"
     #: Rack size for the rack-aware placements (``None`` = default layout).
     rack_size: Optional[int] = None
+    #: Registered preconditioner name, in any case.
     preconditioner: str = "block_jacobi"
     rtol: float = 1e-8
     max_iterations: Optional[int] = None
@@ -104,7 +106,9 @@ class CampaignSpec(RoundTrip):
             raise ValueError(
                 f"trace.n_nodes={self.trace.n_nodes} does not match the "
                 f"campaign's n_nodes={self.n_nodes}")
-        PLACEMENTS.get(self.placement)  # an unknown name raises ValueError
+        # An unknown name raises ValueError listing the registered ones.
+        PLACEMENTS.get(self.placement)
+        PRECONDITIONERS.get(self.preconditioner)
 
     # -- derived configuration -------------------------------------------------
     def solve_spec(self, failures: Tuple = ()) -> SolveSpec:

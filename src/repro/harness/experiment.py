@@ -349,21 +349,6 @@ def run_with_failures(config: ExperimentConfig, phi: int,
                      reference_iterations=reference_iterations, kind="failures")
 
 
-def run_experiment(config: ExperimentConfig, *, phi: Optional[int] = None,
-                   scenario: Optional[FailureScenario] = None,
-                   reference_iterations: Optional[int] = None
-                   ) -> ExperimentResult:
-    """Generic dispatcher used by the benchmarks."""
-    if phi is None:
-        return run_reference(config)
-    if scenario is None:
-        return run_failure_free(config, phi)
-    if reference_iterations is None:
-        reference = run_reference(config)
-        reference_iterations = int(round(reference.mean_iterations))
-    return run_with_failures(config, phi, scenario, reference_iterations)
-
-
 # ---------------------------------------------------------------------------
 # full per-matrix study (everything Table 2/3 and Figs. 1-4 need)
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Preconditioners for the (resilient) PCG solver."""
 
 from .base import Preconditioner, PreconditionerForm
-from .block_jacobi import BlockJacobiPreconditioner
+from .block_jacobi import BlockJacobiPreconditioner, FactorizationError
 from .factory import (
     PRECONDITIONERS,
     make_preconditioner,
     register_preconditioner,
 )
-from .ichol import FactorizationError, factorization_residual, ic0, ic0_solve
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
 
@@ -20,9 +19,6 @@ __all__ = [
     "make_preconditioner",
     "register_preconditioner",
     "PRECONDITIONERS",
-    "ic0",
-    "ic0_solve",
-    "factorization_residual",
     "FactorizationError",
 ]
 

@@ -4,11 +4,12 @@ This is the preconditioner used in the paper's experiments (Sec. 6): the
 preconditioner matrix is the block-diagonal part of ``A`` defined by the node
 partition, ``M = blkdiag(A_{I_1,I_1}, ..., A_{I_N,I_N})``, and each block is
 solved either exactly (the paper's choice during regular solver operation)
-or approximately via a threshold ILU or IC(0) (the paper's choice for the
-reconstruction subsystem).  With an approximate block solve the operator
-applied is the factorization's product -- ``L L^T`` for IC(0), ``L U`` up to
-its permutations for ILU -- and that product is the ``M`` whose rows the ESR
-reconstruction reads.
+or approximately via a threshold ILU (the paper's inner preconditioner for
+the reconstruction subsystem, which
+:class:`~repro.solvers.local_solver.LocalSubsystemSolver` builds from this
+class).  With an ILU block solve the operator applied is the factorization's
+product ``L U``, up to its permutations, and that product is the ``M`` whose
+rows the ESR reconstruction reads.
 
 An exact block solve runs one of two host kernels, chosen by the block's
 row count alone:
@@ -41,10 +42,9 @@ from scipy.sparse.linalg import spilu, splu
 
 from ..distributed.partition import BlockRowPartition
 from .base import Preconditioner, PreconditionerForm, as_indices
-from .ichol import FactorizationError, ic0, ic0_solve
 
 #: Supported inner solvers for the diagonal blocks.
-BLOCK_SOLVERS = ("direct", "ilu", "ic")
+BLOCK_SOLVERS = ("direct", "ilu")
 
 #: Largest diagonal block, in rows, whose exact solve applies a stored dense
 #: inverse instead of SuperLU.  Measured with BLAS on one thread (2-vCPU
@@ -66,6 +66,11 @@ BLOCK_SOLVERS = ("direct", "ilu", "ic")
 DENSE_INVERSE_MAX_ROWS = 128
 
 
+class FactorizationError(RuntimeError):
+    """Raised at set-up when a block solve meets an exactly singular
+    diagonal block: an exact solve (on either kernel) or an ILU."""
+
+
 class BlockJacobiPreconditioner(Preconditioner):
     """Block Jacobi preconditioner over a block-row partition.
 
@@ -78,9 +83,8 @@ class BlockJacobiPreconditioner(Preconditioner):
     block_solver:
         ``"direct"`` (exact solves: a stored dense inverse for blocks of
         at most :data:`DENSE_INVERSE_MAX_ROWS` rows, sparse LU above),
-        ``"ilu"`` (threshold ILU via :func:`scipy.sparse.linalg.spilu`,
-        which keeps fill-in up to *drop_tol* and *fill_factor*), or
-        ``"ic"`` (incomplete Cholesky IC(0)).
+        or ``"ilu"`` (threshold ILU via :func:`scipy.sparse.linalg.spilu`,
+        which keeps fill-in up to *drop_tol* and *fill_factor*).
     drop_tol, fill_factor:
         Drop tolerance and fill-factor bound forwarded to ILU (ignored
         otherwise).
@@ -111,9 +115,9 @@ class BlockJacobiPreconditioner(Preconditioner):
         #: Per rank whose exact block solve runs the dense kernel, its
         #: ``A_ii^{-1}``: a slice of one stacked inverse per size run.
         self._inverses: Dict[int, np.ndarray] = {}
-        #: Per rank, the ILU object or the IC(0) factor (inexact solvers).
+        #: Per rank, the ILU object (``"ilu"`` only).
         self._factors: Dict[int, Any] = {}
-        #: Per rank, the operator an inexact block solve applies, built on
+        #: Per rank, the operator an ILU block solve applies, built on
         #: the first recovery that reads its rows.
         self._operators: Dict[int, sp.csr_matrix] = {}
         self._block_partition: Optional[BlockRowPartition] = None
@@ -179,38 +183,33 @@ class BlockJacobiPreconditioner(Preconditioner):
             except RuntimeError:  # SuperLU: "Factor is exactly singular"
                 raise self._singular_block(rank) from None
             return lu.solve
-        if self.block_solver == "ilu":
-            try:
-                ilu = spilu(block, drop_tol=self.drop_tol,
-                            fill_factor=self.fill_factor,
-                            permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            except RuntimeError:  # SuperLU: "matrix is singular"
-                raise self._singular_block(rank, "ILU factorization") \
-                    from None
-            self._factors[rank] = ilu
-            return ilu.solve
-        factor = ic0(block)
-        self._factors[rank] = factor
-        return lambda rhs: ic0_solve(factor, rhs)
+        # Natural ordering and no diagonal pivoting keep the factors close
+        # to symmetric, as CG needs; the small drop tolerance and generous
+        # fill factor let the reconstruction's inner PCG reach 1e-14 in a
+        # handful of iterations.
+        try:
+            ilu = spilu(block, drop_tol=self.drop_tol,
+                        fill_factor=self.fill_factor,
+                        permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        except RuntimeError:  # SuperLU: "matrix is singular"
+            raise self._singular_block(rank, "ILU factorization") from None
+        self._factors[rank] = ilu
+        return ilu.solve
 
     def _applied_block(self, rank: int) -> sp.csr_matrix:
         """The operator ``M_i`` whose inverse the block solve of *rank*
-        applies: ``A_{I_i,I_i}`` itself for exact solves, ``L L^T`` for
-        IC(0), and ``Pr^T L U Pc^T`` for ILU (``Pr A Pc ~= L U``)."""
+        applies: ``A_{I_i,I_i}`` itself for exact solves, and
+        ``Pr^T L U Pc^T`` for ILU (``Pr A Pc ~= L U``)."""
         if self.block_solver == "direct":
             return self._blocks[rank]
         operator = self._operators.get(rank)
         if operator is None:
             factor = self._factors[rank]
-            if self.block_solver == "ic":
-                operator = factor @ factor.T
-            else:
-                shape = factor.shape
-                ones, order = np.ones(shape[0]), np.arange(shape[0])
-                pr = sp.csr_matrix((ones, (factor.perm_r, order)), shape=shape)
-                pc = sp.csr_matrix((ones, (order, factor.perm_c)), shape=shape)
-                operator = pr.T @ (factor.L @ factor.U) @ pc.T
-            operator = sp.csr_matrix(operator)
+            shape = factor.shape
+            ones, order = np.ones(shape[0]), np.arange(shape[0])
+            pr = sp.csr_matrix((ones, (factor.perm_r, order)), shape=shape)
+            pc = sp.csr_matrix((ones, (order, factor.perm_c)), shape=shape)
+            operator = sp.csr_matrix(pr.T @ (factor.L @ factor.U) @ pc.T)
             operator.sort_indices()
             self._operators[rank] = operator
         return operator

@@ -63,10 +63,3 @@ def _build_block_jacobi(**kwargs: Any) -> Preconditioner:
     "drop_tol 1e-4, fill_factor 10).")
 def _build_block_jacobi_ilu(**kwargs: Any) -> Preconditioner:
     return BlockJacobiPreconditioner(block_solver="ilu", **kwargs)
-
-
-@register_preconditioner("block_jacobi_ic",
-                         "Block Jacobi with IC(0) block solves.")
-def _build_block_jacobi_ic(**kwargs: Any) -> Preconditioner:
-    return BlockJacobiPreconditioner(block_solver="ic", **kwargs)
-

@@ -48,6 +48,14 @@ class TrafficSpec(RoundTrip):
         if self.n_requests < 0:
             raise ValueError(
                 f"n_requests must be >= 0, got {self.n_requests}")
+        # A list would leave the spec unhashable and unequal to its own
+        # round trip, and a str would be drawn from letter by letter.
+        for name in ("matrix_ids", "tenants"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple)
+                    and all(isinstance(item, str) for item in value)):
+                raise TypeError(
+                    f"{name} must be a tuple of str, got {value!r}")
         if not self.matrix_ids:
             raise ValueError("matrix_ids must not be empty")
         if not self.tenants:

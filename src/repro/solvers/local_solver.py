@@ -6,8 +6,11 @@ small compared to the global problem (``|I_f| = psi * n / N``), SPD and full
 rank, so the paper solves them either directly or with an inner PCG using an
 ILU-preconditioned block Jacobi and a very tight tolerance (residual
 reduction by 1e14) so that the reconstruction error stays negligible
-(Sec. 6, "Avoiding loss of orthogonality").  Here the inner PCG's ILU is one
-threshold ILU of the whole subsystem, not one per block.
+(Sec. 6, "Avoiding loss of orthogonality").  Here the inner PCG's
+preconditioner is block Jacobi's ILU
+(:class:`~repro.precond.block_jacobi.BlockJacobiPreconditioner` with
+``block_solver="ilu"``) over the whole subsystem as one block, not one
+block per failed rank.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spilu
+from scipy.sparse.linalg import splu
 
-from ..precond.base import Preconditioner
+from ..precond.block_jacobi import BlockJacobiPreconditioner
+from ..precond.jacobi import JacobiPreconditioner
 from ..utils.serde import Serializable
 from .cg import pcg
 from .result import SolveResult
@@ -41,35 +45,6 @@ class LocalSolveStats(Serializable):
     work_flops: float
 
 
-class _IluPreconditioner(Preconditioner):
-    """Thin ILU wrapper so the inner PCG can use scipy's spilu.
-
-    Natural ordering and no diagonal pivoting keep the factorisation close to
-    symmetric (CG needs an SPD preconditioner); a small drop tolerance with a
-    generous fill factor makes the factor accurate enough that the inner PCG
-    reaches the 1e-14 reconstruction tolerance in a handful of iterations.
-    """
-
-    name = "ilu"
-
-    def __init__(self, drop_tol: float = 1e-4, fill_factor: float = 10.0):
-        super().__init__()
-        self.drop_tol = drop_tol
-        self.fill_factor = fill_factor
-        self._ilu = None
-
-    def _setup_impl(self) -> None:
-        self._ilu = spilu(self.matrix.tocsc(), drop_tol=self.drop_tol,
-                          fill_factor=self.fill_factor,
-                          permc_spec="NATURAL", diag_pivot_thresh=0.0)
-
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        return self._ilu.solve(residual)
-
-    def work_nnz(self) -> int:
-        return int(self.matrix.nnz)
-
-
 class LocalSubsystemSolver:
     """Solver for the small SPD systems arising during reconstruction.
 
@@ -77,9 +52,8 @@ class LocalSubsystemSolver:
     ----------
     method:
         ``"direct"`` (sparse LU -- exact), ``"pcg_ilu"`` (inner PCG
-        preconditioned by a threshold ILU of the whole subsystem --
-        :func:`~scipy.sparse.linalg.spilu` with ``drop_tol`` 1e-4 and
-        ``fill_factor`` 10 -- in place of the paper's ILU block Jacobi), or
+        preconditioned by block Jacobi's ILU -- ``drop_tol`` 1e-4 and
+        ``fill_factor`` 10 -- over the whole subsystem as one block), or
         ``"pcg_jacobi"`` (inner PCG with point Jacobi).
     rtol:
         Relative residual reduction for the iterative methods.  The paper
@@ -144,10 +118,9 @@ class LocalSubsystemSolver:
         preconditioner = shared.get("preconditioner")
         if preconditioner is None:
             if self.method == "pcg_ilu":
-                preconditioner = _IluPreconditioner()
+                preconditioner = BlockJacobiPreconditioner(
+                    n_blocks=1, block_solver="ilu")
             else:
-                from ..precond.jacobi import JacobiPreconditioner
-
                 preconditioner = JacobiPreconditioner()
             preconditioner.setup(a)
             shared["preconditioner"] = preconditioner

@@ -92,7 +92,10 @@ def _decode_value(hint: Any, value: Any) -> Any:
         return _decode_value(kinds[0], value) if len(kinds) == 1 else value
     if dataclasses.is_dataclass(hint) and isinstance(value, Mapping):
         return decode(hint, value)
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis \
+            and not isinstance(value, str):
+        # A str is left whole for the constructor's checks to see, not
+        # split into a tuple of its letters.
         return tuple(_decode_value(args[0], v) for v in value)
     if origin is dict and len(args) == 2:
         return {k: _decode_value(args[1], v) for k, v in value.items()}

@@ -254,13 +254,14 @@ class TestRegistry:
             make_preconditioner("does_not_exist")
         message = str(excinfo.value)
         assert "does_not_exist" in message
-        assert "block_jacobi" in message and "block_jacobi_ic" in message
-        assert "ssor" not in message and "split_ic0" not in message
+        assert "block_jacobi" in message and "block_jacobi_ilu" in message
+        for removed in ("ssor", "split_ic0", "block_jacobi_ic"):
+            assert removed not in message
 
     @pytest.mark.parametrize("solver_name", [None, "pcg", "resilient_pcg",
                                              "block_pcg",
                                              "resilient_block_pcg"])
-    @pytest.mark.parametrize("name", ["ssor", "split_ic0"])
+    @pytest.mark.parametrize("name", ["ssor", "split_ic0", "block_jacobi_ic"])
     def test_removed_preconditioner_rejected_before_any_charge(
             self, name, solver_name):
         problem = fresh_problem(RHS_1D)

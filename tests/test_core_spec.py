@@ -17,6 +17,7 @@ from repro.core.spec import build_failure_events
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 from repro.precond.base import PreconditionerForm
+from repro.solvers import LOCAL_SOLVER_METHODS
 
 
 class TestValidation:
@@ -52,10 +53,19 @@ class TestValidation:
         {"phi": -1},
         {"local_rtol": 0.0},
         {"local_rtol": -1e-14},
+        # Checked here, not at the first recovery.
+        {"local_solver_method": "bogus"},
+        {"local_solver_method": "PCG_ILU"},
     ])
     def test_bad_resilience_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ResilienceSpec(**kwargs)
+
+    @pytest.mark.parametrize("method", LOCAL_SOLVER_METHODS)
+    def test_every_local_solver_method_accepted(self, method):
+        spec = ResilienceSpec(local_solver_method=method)
+        assert spec.local_solver_method == method
+        assert ResilienceSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize("n_cols", [0, -2])
     def test_bad_block_fields_rejected(self, n_cols):
@@ -98,8 +108,7 @@ REGISTERED_SOLVER_NAMES = [
     "block_pcg", "pcg", "resilient_block_pcg", "resilient_pcg",
 ]
 REGISTERED_PRECONDITIONER_NAMES = [
-    "block_jacobi", "block_jacobi_ic", "block_jacobi_ilu", "identity",
-    "jacobi",
+    "block_jacobi", "block_jacobi_ilu", "identity", "jacobi",
 ]
 REGISTERED_REDUNDANCY_SCHEME_NAMES = ["copies", "rs_parity"]
 

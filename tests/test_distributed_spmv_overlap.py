@@ -169,8 +169,12 @@ class TestSplitPhaseEquivalence:
         for rank in range(6):
             start, stop = partition.range_of(rank)
             diag = diag_part[start:stop, start:stop]
-            # The off-diagonal part of the rank's rows, in ghost order.
-            offdiag = offdiag_part[start:stop][:, engine._ghosts[rank]]
+            # The off-diagonal part of the rank's rows, in ghost order:
+            # senders ascend and each ships sorted indices of its range.
+            ghosts = np.concatenate(
+                [ctx.send_indices(src, rank) for src in ctx.senders_to(rank)]
+                or [np.empty(0, dtype=np.int64)])
+            offdiag = offdiag_part[start:stop][:, ghosts]
             assert engine._diag_nnz[rank] + engine._offdiag_nnz[rank] == \
                 dist.nnz_of(rank)
             assert diag.nnz == engine._diag_nnz[rank]
@@ -180,7 +184,7 @@ class TestSplitPhaseEquivalence:
             assert (diag != reference).nnz == 0
             n_local = stop - start
             assert diag.shape == (n_local, n_local)
-            assert offdiag.shape == (n_local, engine._ghosts[rank].size)
+            assert offdiag.shape == (n_local, ghosts.size)
 
 
 class TestSolverOverlap:

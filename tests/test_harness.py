@@ -18,7 +18,6 @@ from repro.harness import (
     render_table1,
     render_table2,
     render_table3,
-    run_experiment,
     run_failure_free,
     run_matrix_study,
     run_reference,
@@ -98,12 +97,6 @@ class TestExperimentRunner:
         assert result.all_converged
         assert all(r.n_failures == 2 for r in result.repetitions)
         assert result.mean("recovery_time") > 0
-
-    def test_run_experiment_dispatch(self, config):
-        assert run_experiment(config).n == 2
-        assert run_experiment(config, phi=1).n == 2
-        scenario = FailureScenario(n_failures=1, progress_fraction=0.5)
-        assert run_experiment(config, phi=1, scenario=scenario).n == 2
 
     def test_repetitions_vary_with_jitter(self, config):
         result = run_reference(config)

@@ -61,6 +61,20 @@ class TestCampaignSpec:
             small_spec(timeout_s=-1.0)
         with pytest.raises(ValueError):
             small_spec(trace=TraceSpec(n_nodes=4))
+        # Checked here, not at the campaign's baseline solve.
+        with pytest.raises(ValueError,
+                           match="unknown preconditioner 'block_jacobi_ic'"):
+            small_spec(preconditioner="block_jacobi_ic")
+
+    @pytest.mark.parametrize("name", [
+        "block_jacobi", "block_jacobi_ilu", "identity", "jacobi",
+    ])
+    def test_every_registered_preconditioner_accepted(self, name):
+        """Any registered name builds, in any case, and reaches the solve."""
+        for spelling in (name, name.upper()):
+            spec = small_spec(preconditioner=spelling)
+            assert CampaignSpec.from_dict(spec.to_dict()) == spec
+            assert spec.solve_spec().preconditioner == spelling
 
     def test_round_trip(self):
         spec = small_spec()

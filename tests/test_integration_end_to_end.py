@@ -115,7 +115,7 @@ class TestPreconditionerVariants:
     def test_recovery_is_exact_for_every_preconditioner(self, preconditioner):
         """A recovered solve takes the failure-free iteration count and
         meets its threshold in the true residual: the reconstruction reads
-        rows of the operator each preconditioner applies (for ILU/IC block
+        rows of the operator each preconditioner applies (for ILU block
         solves, the factorization's product, not the exact block)."""
         def run(failures):
             problem = distribute_problem(poisson_2d(24), n_nodes=8,

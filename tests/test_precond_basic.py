@@ -129,7 +129,7 @@ class TestBaseProtocol:
 
 class TestFactory:
     @pytest.mark.parametrize("name", ["identity", "jacobi", "block_jacobi",
-                                      "block_jacobi_ilu", "block_jacobi_ic"])
+                                      "block_jacobi_ilu"])
     def test_known_names(self, name, matrix):
         p = make_preconditioner(name)
         p.setup(matrix, BlockRowPartition(64, 4))
@@ -141,7 +141,7 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_preconditioner("does_not_exist")
 
-    @pytest.mark.parametrize("name", ["ssor", "split_ic0"])
+    @pytest.mark.parametrize("name", ["ssor", "split_ic0", "block_jacobi_ic"])
     def test_removed_split_family_is_unknown(self, name):
         with pytest.raises(ValueError,
                            match=f"unknown preconditioner '{name}'") as excinfo:
@@ -200,7 +200,7 @@ class TestMultiRhsApplyBlock:
                 single = p.apply_block(rank, np.ascontiguousarray(block[:, j]))
                 assert np.array_equal(out[:, j], single)
 
-    @pytest.mark.parametrize("solver", ["direct", "ilu", "ic"])
+    @pytest.mark.parametrize("solver", ["direct", "ilu"])
     def test_block_jacobi_inner_solvers(self, matrix, solver):
         from repro.precond import BlockJacobiPreconditioner
 

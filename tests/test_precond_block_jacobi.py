@@ -61,11 +61,14 @@ class TestSetupAndApply:
         p.setup(matrix)
         assert p.block_partition.n_parts == 5
 
-    def test_invalid_solver_rejected(self):
-        with pytest.raises(ValueError):
-            BlockJacobiPreconditioner(block_solver="magic")
+    @pytest.mark.parametrize("solver", ["magic", "ic"])
+    def test_invalid_solver_rejected(self, solver):
+        with pytest.raises(ValueError,
+                           match=r"one of \('direct', 'ilu'\), got "
+                                 f"'{solver}'"):
+            BlockJacobiPreconditioner(block_solver=solver)
 
-    @pytest.mark.parametrize("solver", ["ilu", "ic"])
+    @pytest.mark.parametrize("solver", ["ilu"])
     def test_inexact_solvers_are_good_approximations(self, matrix, partition, solver):
         p = BlockJacobiPreconditioner(block_solver=solver)
         p.setup(matrix, partition)
@@ -208,7 +211,7 @@ def zeroed_couplings(side, n_zeroed):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(side=st.integers(2, 9), parts=st.integers(1, 40),
-       solver=st.sampled_from(["direct", "ilu", "ic"]),
+       solver=st.sampled_from(["direct", "ilu"]),
        n_zeroed=st.integers(0, 4), data=st.data())
 def test_row_accessors_match_per_row_construction(side, parts, solver,
                                                   n_zeroed, data):
@@ -224,10 +227,10 @@ def test_row_accessors_match_per_row_construction(side, parts, solver,
                     inverse_rows_per_row(p, indices))
 
 
-@pytest.mark.parametrize("solver", ["direct", "ilu", "ic"])
+@pytest.mark.parametrize("solver", ["direct", "ilu"])
 def test_rows_are_those_of_the_applied_operator(matrix, partition, solver):
     """``M`` from ``forward_rows`` inverts the application, and ``P`` from
-    ``inverse_rows`` is the application: for ILU/IC block solves they are
+    ``inverse_rows`` is the application: for ILU block solves they are
     rows of the factorization's product, not of the exact blocks."""
     p = BlockJacobiPreconditioner(block_solver=solver)
     p.setup(matrix, partition)
@@ -322,7 +325,7 @@ def test_each_size_run_gets_its_own_kernel():
     assert all(p._inverses[rank].base is stack for rank in (5, 6, 7))
 
 
-@pytest.mark.parametrize("solver", ["ilu", "ic"])
+@pytest.mark.parametrize("solver", ["ilu"])
 def test_inexact_solvers_keep_their_factorizations(solver):
     _, p = set_up("poisson_2d", 32, solver=solver)
     assert p._inverses == {}

@@ -84,7 +84,7 @@ def trace_spec() -> TraceSpec:
 def campaign_spec() -> CampaignSpec:
     return CampaignSpec(
         matrix_id="M1", matrix_size=200, matrix_seed=3, n_nodes=8, phi=2,
-        placement="copyset", rack_size=2, preconditioner="block_jacobi_ic",
+        placement="copyset", rack_size=2, preconditioner="block_jacobi_ilu",
         rtol=1e-7, max_iterations=900, trace=trace_spec(), n_runs=12,
         seed=5, timeout_s=30.0)
 

@@ -21,6 +21,20 @@ class TestTrafficSpec:
         with pytest.raises(ValueError, match="n_modes"):
             TrafficSpec(n_modes=-2)
 
+    @pytest.mark.parametrize("value", [["a", "b"], "alice", ("a", 1)],
+                             ids=["list", "str", "non-str-item"])
+    @pytest.mark.parametrize("field", ["matrix_ids", "tenants"])
+    def test_name_fields_must_be_tuples_of_str(self, field, value):
+        """A list would leave the spec unhashable and unequal to its round
+        trip; a str would be drawn from letter by letter."""
+        with pytest.raises(TypeError, match=f"{field} must be a tuple of str"):
+            TrafficSpec(**{field: value})
+
+    def test_from_dict_does_not_split_a_str_into_letters(self):
+        data = dict(TrafficSpec().to_dict(), tenants="alice")
+        with pytest.raises(TypeError, match="tenants must be a tuple of str"):
+            TrafficSpec.from_dict(data)
+
     def test_json_round_trip(self):
         spec = TrafficSpec(n_requests=5, matrix_ids=("a", "b"),
                            tenants=("x",), rate_per_s=10.0, n_modes=2,

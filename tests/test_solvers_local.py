@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spilu, splu
 
 from repro.matrices import poisson_2d
-from repro.solvers import LocalSubsystemSolver
+from repro.solvers import LocalSubsystemSolver, pcg
 
 
 class TestLocalSubsystemSolver:
@@ -42,17 +43,41 @@ class TestLocalSubsystemSolver:
         assert solver.last_stats.iterations >= 1
         assert solver.last_stats.method in ("pcg_ilu", "pcg_ilu+direct_fallback")
 
-    def test_direct_fallback_keeps_accuracy(self):
-        # A tiny, very ill-conditioned system can trip the iterative path;
-        # the solver must still return an accurate answer.
-        rng = np.random.default_rng(0)
-        d = 10.0 ** rng.uniform(-8, 0, size=30)
-        a = sp.diags(d).tocsr()
-        x_exact = rng.standard_normal(30)
-        b = a @ x_exact
+    def test_inner_ilu_is_one_spilu_of_the_whole_subsystem(self, subsystem):
+        """The ``pcg_ilu`` inner PCG is bit-identical to a PCG preconditioned
+        by one ``spilu`` of the whole subsystem (natural ordering, no
+        pivoting), and its preconditioner is priced at the subsystem's nnz."""
+        a, b, _ = subsystem
         solver = LocalSubsystemSolver("pcg_ilu", rtol=1e-14)
         x = solver.solve(a, b)
-        assert np.allclose(x, x_exact, rtol=1e-6)
+        ilu = spilu(a.tocsc(), drop_tol=1e-4, fill_factor=10,
+                    permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        reference = pcg(a, b, preconditioner=ilu.solve, rtol=1e-14,
+                        max_iterations=200)
+        stats = solver.last_stats
+        assert stats.method == "pcg_ilu"
+        assert np.array_equal(x, reference.x)
+        assert stats.iterations == reference.iterations
+        # Per inner iteration: an SpMV and an ILU application, each 2 nnz.
+        its = reference.iterations
+        assert stats.work_flops == 2.0 * a.nnz * its + 2.0 * a.nnz * its
+
+    @pytest.mark.parametrize("method", ["pcg_ilu", "pcg_jacobi"])
+    def test_direct_fallback_keeps_accuracy(self, subsystem, method):
+        """An inner PCG stopped short of its tolerance falls back to the
+        sparse LU: the answer is the LU's, and both attempts are charged."""
+        a, b, _ = subsystem
+        solver = LocalSubsystemSolver(method, rtol=1e-14, max_iterations=1)
+        x = solver.solve(a, b)
+        stats = solver.last_stats
+        assert stats.method == f"{method}+direct_fallback"
+        assert np.array_equal(x, splu(a.tocsc()).solve(b))
+        # One inner iteration (an SpMV and a preconditioner application),
+        # then one LU factorization and one triangular solve.
+        applied_nnz = {"pcg_ilu": a.nnz, "pcg_jacobi": a.shape[0]}[method]
+        assert stats.iterations == 1
+        assert stats.work_flops == \
+            2.0 * a.nnz + 2.0 * applied_nnz + 10.0 * a.nnz + 2.0 * a.nnz
 
     def test_work_flops_zero_before_solve(self):
         assert LocalSubsystemSolver("direct").work_flops() == 0.0
