@@ -19,8 +19,8 @@ result type is the one place the solver distinguishes the two.
 Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 
 * one batched SpMV ``AP = A P`` -- one halo exchange, message count
-  independent of ``k``, ``k``-fold volume (optionally split-phase with
-  comm/compute overlap via ``overlap_spmv=True``);
+  independent of ``k``, ``k``-fold volume, serialized (the halo exchange
+  completes before the product);
 * one block-local preconditioner application per rank on its residual
   block (:meth:`Preconditioner.apply_block`, 1-D for ``k = 1``);
 * three batched reductions (``P^T AP``, ``R^T Z``, ``R^T R``) through
@@ -39,11 +39,11 @@ Per iteration the solver performs exactly the Alg. 1 steps on whole blocks:
 per-column bit-identical to the ``k = 1`` run of that column, and the partial
 sums of the batched reductions accumulate in the same rank order -- so
 column ``j``'s iterates and residual history are **bit-identical** to a
-sequential solve of ``A x = b_j`` on the same execution path.  Columns that
-converge (or break down) are *frozen*: their coefficients are forced to zero
-so the lock-step block updates leave them untouched bit-for-bit, their
-history stops growing -- exactly where the sequential solve stopped -- and
-the remaining columns continue.
+sequential solve of ``A x = b_j``.  Columns that converge (or break down)
+are *frozen*: their coefficients are forced to zero so the lock-step block
+updates leave them untouched bit-for-bit, their history stops growing --
+exactly where the sequential solve stopped -- and the remaining columns
+continue.
 
 **Non-finite columns.**  A column whose ``r^T z``, ``p^T A p`` or residual
 norm comes out NaN or infinite (a non-finite rhs or ``x0`` entry, an
@@ -127,7 +127,7 @@ class BlockSolveResult(Serializable):
     All per-column sequences are indexed by the column ``j`` of the
     right-hand-side block; ``residual_histories[j]`` matches the
     ``residual_norms`` a sequential solve of column ``j`` records
-    (bit-for-bit on the same execution path).
+    (bit-for-bit).
     """
 
     #: Global ``(n, k)`` solution block.
@@ -237,7 +237,6 @@ class BlockPCG:
                  preconditioner: Optional[Preconditioner] = None, *,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
-                 overlap_spmv: bool = False,
                  fuse_reductions: bool = False):
         self.matrix = matrix
         self.cluster: VirtualCluster = matrix.cluster
@@ -249,12 +248,6 @@ class BlockPCG:
         #: The rhs blocks -- for a vector, the ``k = 1`` view of its storage.
         self.rhs = rhs.as_multivector()
         self.n_cols = rhs.n_cols
-        #: Execute the batched SpMVs split-phase (halo exchange overlapped
-        #: with the diagonal-block product) and charge the overlap-aware
-        #: cost.  Off by default: the serialized kernel is bit-exact, while
-        #: split execution rounds like PETSc's overlapped MatMult (last-bits
-        #: differences; see repro.distributed.spmv_engine).
-        self.overlap_spmv = bool(overlap_spmv)
         #: Ship the trailing ``R^T Z`` and ``R^T R`` reductions of each
         #: iteration as **one** ``2k``-wide allreduce (3 -> 2 reductions per
         #: iteration; see :func:`~repro.distributed.dmultivector.fused_dots`).
@@ -405,7 +398,7 @@ class BlockPCG:
     def _spmv(self, x: DistributedMultiVector,
               out: DistributedMultiVector) -> None:
         """``out = A x`` through the batched kernel (one halo exchange)."""
-        distributed_spmv(self.matrix, x, out, overlap=self.overlap_spmv)
+        distributed_spmv(self.matrix, x, out)
 
     def _spmv_p(self) -> None:
         """``AP = A P`` -- split out so recovery can repeat it."""
@@ -617,7 +610,6 @@ class BlockPCG:
                 "preconditioner": self.preconditioner.name,
                 "n_nodes": self.partition.n_parts,
                 "n_cols": self.n_cols,
-                "overlap_spmv": self.overlap_spmv,
                 "fuse_reductions": self.fuse_reductions,
                 "breakdown_columns": [int(j) for j in
                                       np.nonzero(self.breakdown)[0]],

@@ -12,10 +12,12 @@ state ``(x^(j), r^(j), z^(j), p^(j))`` on the replacement nodes:
    ``"rs_parity"``; either way the recovered block is bit-identical to the
    lost one, so the reconstruction below is scheme-agnostic,
 4. compute ``z^(j)_{I_f} = p^(j)_{I_f} - beta^(j-1) p^(j-1)_{I_f}``,
-5. reconstruct ``r^(j)_{I_f}`` -- depending on which preconditioner
-   representation is available (``P = M^{-1}``: solve ``P_{I_f,I_f} r = z -
-   P_{I_f,I\\I_f} r``; ``M``: multiply ``r_{I_f} = M_{I_f,I} z``; identity:
-   ``r = z``),
+5. reconstruct ``r^(j)_{I_f}`` through the representation the
+   preconditioner makes available, its :attr:`~Preconditioner.form`
+   (``P = M^{-1}``: solve ``P_{I_f,I_f} r = z - P_{I_f,I\\I_f} r``; ``M``:
+   multiply ``r_{I_f} = M_{I_f,I} z``; identity: ``r = z``); a
+   preconditioner whose form needs rows it does not expose is rejected
+   when the reconstructor is built,
 6. compute ``w = b_{I_f} - r^(j)_{I_f} - A_{I_f,I\\I_f} x^(j)`` and solve
    ``A_{I_f,I_f} x^(j)_{I_f} = w`` with a tightly-converged local solver.
 
@@ -219,8 +221,17 @@ class ESRReconstructor:
                  rhs: DistributedMultiVector, preconditioner: Preconditioner,
                  esr: ESRProtocol, *,
                  local_solver_method: str = "pcg_ilu",
-                 local_rtol: float = 1e-14,
-                 reconstruction_form: Optional[PreconditionerForm] = None):
+                 local_rtol: float = 1e-14):
+        form = preconditioner.form
+        accessor = {PreconditionerForm.FORWARD: "forward_rows",
+                    PreconditionerForm.INVERSE: "inverse_rows"}.get(form)
+        if accessor is not None and getattr(type(preconditioner), accessor) \
+                is getattr(Preconditioner, accessor):
+            # Checked here: the recovery would otherwise replace the failed
+            # nodes and only then find the rows it needs missing.
+            raise TypeError(
+                f"{type(preconditioner).__name__} has the {form.value} "
+                f"reconstruction form but does not implement {accessor}")
         self.cluster: VirtualCluster = esr.cluster
         self.matrix = matrix
         self.rhs = rhs
@@ -230,15 +241,6 @@ class ESRReconstructor:
         self.partition: BlockRowPartition = matrix.partition
         self.local_solver_method = local_solver_method
         self.local_rtol = local_rtol
-        if reconstruction_form is PreconditionerForm.IDENTITY and \
-                preconditioner.form is not PreconditionerForm.IDENTITY:
-            # r = z holds only for M = I; any other M would recover a wrong
-            # residual and the solve would converge to a wrong answer.
-            raise ValueError(
-                f"the identity reconstruction form needs M = I; "
-                f"{preconditioner.name} has the {preconditioner.form.value} "
-                "form")
-        self._requested_form = reconstruction_form
         #: The column count ``k`` of the state (that of the ESR protocol,
         #: the component that stores the copies being recovered).
         self.n_cols = esr.n_cols
@@ -248,14 +250,6 @@ class ESRReconstructor:
                 f"right-hand side has n_cols={rhs_cols} but the ESR protocol "
                 f"protects n_cols={self.n_cols} operands"
             )
-
-    # -- form selection -------------------------------------------------------------
-    def reconstruction_form(self) -> PreconditionerForm:
-        """Which reconstruction variant will be used for the preconditioner:
-        the requested form, else the preconditioner's natural form."""
-        if self._requested_form is not None:
-            return self._requested_form
-        return self.preconditioner.form
 
     # -- main entry point ----------------------------------------------------------------
     def reconstruct(self, failed_ranks: Iterable[int], *, iteration: int,
@@ -285,7 +279,7 @@ class ESRReconstructor:
         """
         pending = sorted(set(int(f) for f in failed_ranks))
         report = RecoveryReport(iteration=iteration, failed_ranks=list(pending))
-        report.reconstruction_form = self.reconstruction_form().value
+        report.reconstruction_form = self.preconditioner.form.value
 
         restarts = 0
         while True:
@@ -389,7 +383,7 @@ class ESRReconstructor:
                               z_blocks: Dict[int, np.ndarray],
                               r: DistributedMultiVector,
                               z: DistributedMultiVector):
-        form = self.reconstruction_form()
+        form = self.preconditioner.form
         z_failed = self._concat(failed, z_blocks)
 
         if form is PreconditionerForm.IDENTITY:

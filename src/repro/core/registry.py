@@ -90,7 +90,7 @@ def _build(cls: type, problem: "DistributedProblem",
     return cls(
         problem.matrix, rhs, preconditioner,
         rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
-        overlap_spmv=spec.overlap_spmv, **extra,
+        **extra,
     )
 
 

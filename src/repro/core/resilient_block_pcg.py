@@ -112,7 +112,6 @@ class EsrResilienceMixin(FailureHandlingMixin):
             self.matrix, self.rhs, self.preconditioner, self.esr,
             local_solver_method=resilience.local_solver_method,
             local_rtol=resilience.local_rtol,
-            reconstruction_form=resilience.reconstruction_form,
         )
 
     # -- hooks ------------------------------------------------------------------
@@ -168,7 +167,7 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         is a :class:`RecoveryReport` in ``result.recoveries``.
 
     The remaining keyword arguments (``rtol``/``atol``/``max_iterations``/
-    ``overlap_spmv``/``fuse_reductions``) are those of :class:`BlockPCG`.
+    ``fuse_reductions``) are those of :class:`BlockPCG`.
     """
 
     vector_prefix = "resilient_bpcg"
@@ -179,11 +178,9 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
                  resilience: Optional[ResilienceSpec] = None,
                  rtol: float = 1e-8, atol: float = 0.0,
                  max_iterations: Optional[int] = None,
-                 overlap_spmv: bool = False,
                  fuse_reductions: bool = False):
         super().__init__(matrix, rhs, preconditioner, rtol=rtol, atol=atol,
                          max_iterations=max_iterations,
-                         overlap_spmv=overlap_spmv,
                          fuse_reductions=fuse_reductions)
         self._init_resilience(resilience if resilience is not None
                               else ResilienceSpec())

@@ -2,12 +2,12 @@
 
 The high-level API is driven by frozen configuration dataclasses instead of
 per-helper keyword soup (PETSc-options style): a :class:`SolveSpec` carries
-everything every solver understands (tolerances, iteration cap, SpMV
-execution knobs, the preconditioner), and two optional extensions carry the
-solver-specific pieces -- :class:`ResilienceSpec` for the ESR-protected
-solver (redundancy level, backup placement, failure schedule, local-solver
-options) and :class:`BlockSpec` for multi-RHS block solves (expected column
-count, reduction fusing).
+everything every solver understands (tolerances, iteration cap, the
+preconditioner), and two optional extensions carry the solver-specific
+pieces -- :class:`ResilienceSpec` for the ESR-protected solver (redundancy
+level, backup placement, failure schedule, local-solver options) and
+:class:`BlockSpec` for multi-RHS block solves (expected column count,
+reduction fusing).
 
 Every spec validates and normalises its fields on construction, round-trips
 through ``to_dict``/``from_dict`` (plain JSON-serializable dictionaries, so
@@ -30,13 +30,14 @@ reference configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..cluster.failure import FailureEvent
-from ..precond.base import Preconditioner, PreconditionerForm
+from ..precond.base import Preconditioner
 from ..solvers.local_solver import LOCAL_SOLVER_METHODS
 from ..utils.serde import RoundTrip
 from .placement import PLACEMENTS
@@ -56,6 +57,18 @@ def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
                 ranks = [int(ranks)]
             events.append(FailureEvent(int(iteration), tuple(int(r) for r in ranks)))
     return events
+
+
+def _tolerance(name: str, value: Any, *, positive: bool = False) -> float:
+    """*value* as a float; a ``ValueError`` naming the field unless it is
+    finite and non-negative (positive when *positive*)."""
+    tolerance = float(value)
+    if not math.isfinite(tolerance) or tolerance < 0.0 \
+            or (positive and tolerance == 0.0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(
+            f"{name} must be a finite {kind} number, got {value!r}")
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -92,13 +105,11 @@ class ResilienceSpec(RoundTrip):
     #: Events that never fire come back in ``info["unfired_failures"]``.
     failures: Tuple[FailureEvent, ...] = ()
     #: Local subsystem solver of the reconstruction, one of
-    #: :data:`repro.solvers.LOCAL_SOLVER_METHODS` (``"pcg_ilu"`` with
-    #: ``1e-14`` in the paper).
+    #: :data:`repro.solvers.LOCAL_SOLVER_METHODS`, and its relative
+    #: tolerance, a finite positive number (``"pcg_ilu"`` with ``1e-14``
+    #: in the paper).
     local_solver_method: str = "pcg_ilu"
     local_rtol: float = 1e-14
-    #: Force a reconstruction variant; ``None`` = the preconditioner's
-    #: natural form.
-    reconstruction_form: Optional[PreconditionerForm] = None
 
     def __post_init__(self) -> None:
         if int(self.phi) < 0:
@@ -118,17 +129,12 @@ class ResilienceSpec(RoundTrip):
             object.__setattr__(self, "rack_size", int(self.rack_size))
         object.__setattr__(self, "failures",
                            tuple(build_failure_events(self.failures)))
-        if self.reconstruction_form is not None and \
-                not isinstance(self.reconstruction_form, PreconditionerForm):
-            object.__setattr__(self, "reconstruction_form",
-                               PreconditionerForm(self.reconstruction_form))
         if self.local_solver_method not in LOCAL_SOLVER_METHODS:
             raise ValueError(
                 f"local_solver_method must be one of {LOCAL_SOLVER_METHODS}, "
                 f"got {self.local_solver_method!r}")
-        if float(self.local_rtol) <= 0.0:
-            raise ValueError(
-                f"local_rtol must be positive, got {self.local_rtol}")
+        object.__setattr__(self, "local_rtol", _tolerance(
+            "local_rtol", self.local_rtol, positive=True))
 
 
 @dataclass(frozen=True)
@@ -170,14 +176,12 @@ class SolveSpec(RoundTrip):
     #: for a plain multi-RHS block, resilient PCG when only a
     #: :class:`ResilienceSpec` is attached, plain PCG otherwise.
     solver: Optional[str] = None
-    #: Relative/absolute convergence tolerances on the recurrence residual.
+    #: Relative/absolute convergence tolerances on the recurrence residual
+    #: (finite, non-negative numbers).
     rtol: float = 1e-8
     atol: float = 0.0
     #: Iteration cap; ``None`` = the solver default (``10 n``).
     max_iterations: Optional[int] = None
-    #: Execute SpMVs split-phase (halo exchange overlapped with the diagonal
-    #: block product) and charge the overlap-aware cost.
-    overlap_spmv: bool = False
     #: Preconditioner: a registered name (see ``repro.precond.PRECONDITIONERS``;
     #: ``"identity"`` runs unpreconditioned) or an already-built
     #: :class:`~repro.precond.base.Preconditioner` instance (not serializable).
@@ -193,10 +197,8 @@ class SolveSpec(RoundTrip):
     block: Optional[BlockSpec] = None
 
     def __post_init__(self) -> None:
-        if float(self.rtol) < 0.0:
-            raise ValueError(f"rtol must be non-negative, got {self.rtol}")
-        if float(self.atol) < 0.0:
-            raise ValueError(f"atol must be non-negative, got {self.atol}")
+        object.__setattr__(self, "rtol", _tolerance("rtol", self.rtol))
+        object.__setattr__(self, "atol", _tolerance("atol", self.atol))
         if self.max_iterations is not None:
             if int(self.max_iterations) < 1:
                 raise ValueError(
@@ -212,7 +214,6 @@ class SolveSpec(RoundTrip):
             raise TypeError(
                 "preconditioner must be a registered name or a "
                 f"Preconditioner instance, got {self.preconditioner!r}")
-        object.__setattr__(self, "overlap_spmv", bool(self.overlap_spmv))
         object.__setattr__(self, "preconditioner_options",
                            dict(self.preconditioner_options))
 

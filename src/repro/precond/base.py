@@ -9,8 +9,9 @@ applies.  The interface below therefore exposes
 * ``apply`` / ``apply_block`` -- the action, globally or per partition block
   (block-diagonal preconditioners such as (block) Jacobi apply locally with no
   communication, which is why the paper uses them);
-* ``forward_rows`` / ``inverse_rows`` -- rows of ``M`` or of ``P = M^{-1}``
-  restricted to a set of global indices, used by the reconstruction;
+* ``form`` -- which representation the reconstruction uses: rows of ``M``
+  (``forward_rows``), rows of ``P = M^{-1}`` (``inverse_rows``), or none
+  for ``M = I``; a preconditioner implements the accessor its form reads;
 * ``work_nnz`` -- an operation count for the cost model.
 """
 
@@ -172,7 +173,9 @@ class Preconditioner(abc.ABC):
     # -- ESR structural access --------------------------------------------------
     @property
     def form(self) -> PreconditionerForm:
-        """The representation the ESR reconstruction should use."""
+        """The representation the ESR reconstruction uses: FORWARD reads
+        :meth:`forward_rows`, INVERSE reads :meth:`inverse_rows`, and
+        IDENTITY reads neither."""
         return PreconditionerForm.FORWARD
 
     def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:

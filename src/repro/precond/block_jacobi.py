@@ -110,7 +110,10 @@ class BlockJacobiPreconditioner(Preconditioner):
         self.block_solver = block_solver
         self.drop_tol = drop_tol
         self.fill_factor = fill_factor
-        self._blocks: Dict[int, sp.csr_matrix] = {}
+        #: Per rank, ``A_{I_i,I_i}``: CSR for an exact block solve, whose
+        #: rows the dense kernel and the reconstruction read; an ILU block
+        #: keeps the CSC it was factored from, read only for its ``nnz``.
+        self._blocks: Dict[int, sp.spmatrix] = {}
         self._solvers: Dict[int, Callable[[np.ndarray], np.ndarray]] = {}
         #: Per rank whose exact block solve runs the dense kernel, its
         #: ``A_ii^{-1}``: a slice of one stacked inverse per size run.
@@ -140,7 +143,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         for rank in range(block_partition.n_parts):
             start, stop = block_partition.range_of(rank)
             block = self.matrix[start:stop, start:stop].tocsc()
-            self._blocks[rank] = block.tocsr()
+            self._blocks[rank] = block.tocsr() if direct else block
             if not (direct and stop - start <= DENSE_INVERSE_MAX_ROWS):
                 self._solvers[rank] = self._make_solver(rank, block)
         if direct:
@@ -305,26 +308,4 @@ class BlockJacobiPreconditioner(Preconditioner):
             data.append(rows.data)
             columns.append(rows.indices + start)
             lengths.append(np.diff(rows.indptr))
-        return self._assemble(data, columns, lengths)
-
-    def inverse_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        """Rows of ``P = M^{-1}`` (one dense block inverse per owning rank).
-
-        The rows come back in sorted index order, each stored densely over
-        its rank's columns.  A rank on the dense kernel hands out rows of
-        the inverse it applies (the same bits as ``np.linalg.inv(A_ii)``);
-        any other rank inverts its applied block here.  Only practical for
-        moderate block sizes; the resilient solver prefers the FORWARD
-        form, this method mainly supports testing the INVERSE
-        reconstruction path (Alg. 2 verbatim).
-        """
-        data, columns, lengths = [], [], []
-        for rank, start, local in self._rows_by_rank(indices):
-            inv = self._inverses.get(rank)
-            if inv is None:
-                inv = np.linalg.inv(self._applied_block(rank).toarray())
-            size = inv.shape[1]
-            data.append(inv[local].ravel())
-            columns.append(np.tile(np.arange(start, start + size), local.size))
-            lengths.append(np.full(local.size, size))
         return self._assemble(data, columns, lengths)

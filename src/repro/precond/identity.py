@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .base import Preconditioner, PreconditionerForm, as_indices
+from .base import Preconditioner, PreconditionerForm
 
 
 class IdentityPreconditioner(Preconditioner):
     """``M = I``: turns PCG into unpreconditioned CG.
 
     Useful as a baseline and in tests; the ESR reconstruction simplifies
-    because ``z = r`` (no local solve is needed to recover the residual).
+    because ``z = r``: it recovers the residual with no local solve and
+    reads no rows of the preconditioner.
     """
 
     name = "identity"
@@ -38,13 +38,3 @@ class IdentityPreconditioner(Preconditioner):
 
     def work_nnz(self) -> int:
         return int(self.matrix.shape[0]) if self.is_set_up else 0
-
-    def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        idx = as_indices(indices)
-        n = self.matrix.shape[0]
-        return sp.csr_matrix(
-            (np.ones(idx.size), (np.arange(idx.size), idx)), shape=(idx.size, n)
-        )
-
-    def inverse_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        return self.forward_rows(indices)

@@ -12,15 +12,15 @@ class JacobiPreconditioner(Preconditioner):
     """``M = diag(A)``: the simplest preconditioner.
 
     It is block-diagonal for every partition (each element only needs its own
-    diagonal entry), so its application is embarrassingly parallel; both ``M``
-    and ``P = M^{-1}`` rows are trivially available for the reconstruction.
+    diagonal entry), so its application is embarrassingly parallel; rows of
+    ``P = M^{-1}`` are trivially available, and the reconstruction reads
+    them (the INVERSE form).
     """
 
     name = "jacobi"
 
     def __init__(self) -> None:
         super().__init__()
-        self._diag: np.ndarray | None = None
         self._inv_diag: np.ndarray | None = None
 
     def _setup_impl(self) -> None:
@@ -29,7 +29,6 @@ class JacobiPreconditioner(Preconditioner):
             raise ValueError(
                 "Jacobi preconditioner requires a zero-free diagonal"
             )
-        self._diag = diag
         self._inv_diag = 1.0 / diag
 
     # -- action -----------------------------------------------------------
@@ -61,13 +60,6 @@ class JacobiPreconditioner(Preconditioner):
     @property
     def form(self) -> PreconditionerForm:
         return PreconditionerForm.INVERSE
-
-    def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        idx = as_indices(indices)
-        n = self.matrix.shape[0]
-        return sp.csr_matrix(
-            (self._diag[idx], (np.arange(idx.size), idx)), shape=(idx.size, n)
-        )
 
     def inverse_rows(self, indices: np.ndarray) -> sp.csr_matrix:
         idx = as_indices(indices)

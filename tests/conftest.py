@@ -170,9 +170,9 @@ def solvers_on_dense_gather(monkeypatch):
 
     Patches ``BlockPCG._spmv``, the one SpMV call site that the block,
     resilient and single-vector solvers share, so whole solves -- failures
-    and recoveries included -- never touch the cached engine.  The oracle
-    has no split phase: an ``overlap_spmv`` solver runs it serialized and
-    books serialized charges.
+    and recoveries included -- never touch the cached engine.  Like the
+    solvers' own SpMV, the oracle runs serialized and books serialized
+    charges.
     """
     from repro.core.block_pcg import BlockPCG
 

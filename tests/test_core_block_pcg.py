@@ -79,19 +79,6 @@ class TestEquivalence:
             assert block.residual_histories[j] == result.residual_norms
             assert np.array_equal(block.x[:, j], result.x)
 
-    def test_bit_identical_with_overlap_spmv(self):
-        a, cluster, partition, dist, precond, rhs_global = \
-            make_problem(seed=1)
-        rhs = DistributedMultiVector.from_global(cluster, partition, "B",
-                                                 rhs_global)
-        block = BlockPCG(dist, rhs, precond, rtol=1e-8,
-                         overlap_spmv=True).solve()
-        seq = sequential_solves(a, partition, rhs_global, "block_jacobi",
-                                rtol=1e-8, overlap_spmv=True)
-        for j, result in enumerate(seq):
-            assert block.residual_histories[j] == result.residual_norms
-            assert np.array_equal(block.x[:, j], result.x)
-
     def test_column_freezing_stops_history_where_sequential_stops(self):
         """Columns converging at different iterations freeze independently;
         a column converged at setup runs zero iterations."""

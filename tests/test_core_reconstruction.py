@@ -13,15 +13,14 @@ from repro.core.api import distribute_problem
 from repro.core.metrics import state_difference
 from repro.core.resilient_pcg import ResilientPCG
 from repro.core.spec import ResilienceSpec
-from repro.distributed import DistributedMultiVector
 from repro.matrices import poisson_2d, graph_laplacian_spd, elasticity_3d
-from repro.precond import PRECONDITIONERS, make_preconditioner
+from repro.precond import IdentityPreconditioner, make_preconditioner
 from repro.precond.base import PreconditionerForm
 
 
 def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteration,
                          preconditioner="block_jacobi", placement="paper",
-                         reconstruction_form=None, local_solver="pcg_ilu"):
+                         local_solver="pcg_ilu"):
     """Run ResilientPCG and capture the state right before/after recovery."""
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
@@ -30,8 +29,7 @@ def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteratio
     resilience = ResilienceSpec(
         phi=phi, placement=placement,
         failures=[FailureEvent(failure_iteration, tuple(failed_ranks))],
-        local_solver_method=local_solver,
-        reconstruction_form=reconstruction_form)
+        local_solver_method=local_solver)
     solver = ResilientPCG(problem.matrix, problem.rhs, precond,
                           resilience=resilience)
     captured = {}
@@ -88,17 +86,6 @@ class TestExactReconstruction:
         assert all(v < 1e-9 for v in diffs.values()), diffs
         assert result.converged
 
-    def test_block_jacobi_inverse_form_explicitly(self):
-        # Force the Alg.-2 (P given) reconstruction path with block Jacobi.
-        result, captured, _ = run_with_state_check(
-            poisson_2d(16), n_nodes=4, phi=2, failed_ranks=[1, 2],
-            failure_iteration=6, preconditioner="block_jacobi",
-            reconstruction_form=PreconditionerForm.INVERSE,
-        )
-        diffs = state_difference(captured["before"], captured["after"])
-        assert all(v < 1e-8 for v in diffs.values()), diffs
-        assert result.converged
-
     def test_direct_local_solver(self):
         result, captured, _ = run_with_state_check(
             poisson_2d(16), n_nodes=4, phi=1, failed_ranks=[3],
@@ -151,76 +138,13 @@ class TestExactReconstruction:
 
 
 class TestReconstructionFormSelection:
-    def _reconstructor(self, preconditioner, requested_form=None):
-        from repro.core.esr import ESRProtocol
-        from repro.core.reconstruction import ESRReconstructor
-        from repro.core.redundancy import RedundancyScheme
-
-        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        precond = make_preconditioner(preconditioner)
-        precond.setup(problem.matrix.to_global(), problem.partition)
-        esr = ESRProtocol(problem.cluster,
-                          RedundancyScheme(problem.context, 1))
-        rhs = DistributedMultiVector.from_global(
-            problem.cluster, problem.partition, "b:as_block",
-            np.column_stack([problem.rhs.to_global()]))
-        reconstructor = ESRReconstructor(
-            problem.matrix, rhs, precond, esr,
-            reconstruction_form=requested_form,
-        )
-        return reconstructor, precond
-
-    def test_explicitly_requested_form_is_honoured(self):
-        reconstructor, _ = self._reconstructor(
-            "block_jacobi", requested_form=PreconditionerForm.INVERSE
-        )
-        assert reconstructor.reconstruction_form() is PreconditionerForm.INVERSE
-
-    @pytest.mark.parametrize("name", ["block_jacobi", "jacobi"])
-    def test_identity_form_requires_identity_preconditioner(self, name):
-        """r = z is exact only for M = I; for another M it would recover a
-        wrong residual, and the solve would converge to a wrong answer."""
-        with pytest.raises(ValueError, match="identity reconstruction form"):
-            self._reconstructor(name,
-                                requested_form=PreconditionerForm.IDENTITY)
-
-    def test_identity_form_is_rejected_before_any_charge(self):
-        import repro
-        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        before = problem.cluster.ledger.snapshot()
-        with pytest.raises(ValueError, match="identity reconstruction form"):
-            repro.solve(problem, solver="resilient_pcg", phi=2,
-                        reconstruction_form="identity",
-                        failures=[(10, [1, 2])])
-        assert problem.cluster.ledger.snapshot() == before
-        identity = repro.solve(problem, solver="resilient_pcg", phi=2,
-                               preconditioner="identity",
-                               reconstruction_form="identity",
-                               failures=[(10, [1, 2])])
-        assert identity.converged
-
-    @pytest.mark.parametrize("solver", ["resilient_pcg",
-                                        "resilient_block_pcg"])
-    @pytest.mark.parametrize("name",
-                             sorted(set(PRECONDITIONERS) - {"identity"}))
-    def test_every_resilient_solver_rejects_identity_form(self, name, solver):
-        import repro
-        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
-                                     machine=MachineModel(jitter_rel_std=0.0))
-        before = problem.cluster.ledger.snapshot()
-        with pytest.raises(ValueError, match="identity reconstruction form"):
-            repro.solve(problem, solver=solver, phi=2, preconditioner=name,
-                        reconstruction_form="identity",
-                        failures=[(6, [1, 2])])
-        assert problem.cluster.ledger.snapshot() == before
+    """Each preconditioner reconstructs through its own form."""
 
     @pytest.mark.parametrize("solver", ["resilient_pcg",
                                         "resilient_block_pcg"])
     def test_identity_form_is_exact_for_identity(self, solver):
-        """With M = I the requested identity form recovers r = z exactly:
-        the failure-free iteration count and the threshold are kept."""
+        """With M = I the identity form recovers r = z exactly: the
+        failure-free iteration count and the threshold are kept."""
         import repro
 
         def run(failures):
@@ -229,11 +153,12 @@ class TestReconstructionFormSelection:
                 machine=MachineModel(jitter_rel_std=0.0))
             return problem, repro.solve(
                 problem, solver=solver, phi=2, preconditioner="identity",
-                reconstruction_form="identity", failures=failures)
+                failures=failures)
 
         _, failure_free = run([])
         problem, result = run([(6, [1, 2])])
         assert result.n_failures_recovered == 2
+        assert result.recoveries[0].reconstruction_form == "identity"
         assert result.iterations == failure_free.iterations
         # The block solver reports the 1-D right-hand side as one column.
         b = problem.rhs.to_global()
@@ -248,15 +173,45 @@ class TestReconstructionFormSelection:
     def test_split_form_is_gone(self):
         assert [form.value for form in PreconditionerForm] == [
             "identity", "inverse", "forward"]
-        with pytest.raises(ValueError):
-            ResilienceSpec(reconstruction_form="split")
 
-    def test_natural_forms_pass_through(self):
-        for name, expected in (("block_jacobi", PreconditionerForm.FORWARD),
-                               ("jacobi", PreconditionerForm.INVERSE),
-                               ("identity", PreconditionerForm.IDENTITY)):
-            reconstructor, _ = self._reconstructor(name)
-            assert reconstructor.reconstruction_form() is expected
+    @pytest.mark.parametrize("name,expected", [
+        ("block_jacobi", "forward"), ("block_jacobi_ilu", "forward"),
+        ("jacobi", "inverse"), ("identity", "identity"),
+    ])
+    def test_natural_forms_pass_through(self, name, expected):
+        import repro
+        assert make_preconditioner(name).form is PreconditionerForm(expected)
+        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        result = repro.solve(problem, phi=2, preconditioner=name,
+                             failures=[(6, [1, 2])])
+        assert result.converged
+        assert [report.reconstruction_form
+                for report in result.recoveries] == [expected]
+
+    @pytest.mark.parametrize("form,accessor", [("forward", "forward_rows"),
+                                               ("inverse", "inverse_rows")])
+    def test_missing_row_accessor_fails_at_set_up(self, form, accessor):
+        """A block-diagonal preconditioner without the rows its form reads
+        is refused before the solve runs, not mid-recovery after the failed
+        nodes were replaced."""
+        import repro
+
+        class Unreadable(IdentityPreconditioner):
+            name = "unreadable"
+
+            @property
+            def form(self):
+                return PreconditionerForm(form)
+
+        problem = distribute_problem(poisson_2d(12), n_nodes=4, seed=0,
+                                     machine=MachineModel(jitter_rel_std=0.0))
+        before = problem.cluster.ledger.snapshot()
+        with pytest.raises(TypeError,
+                           match=f"Unreadable .*{form}.*{accessor}"):
+            repro.solve(problem, phi=2, preconditioner=Unreadable(),
+                        failures=[(6, [1, 2])])
+        assert problem.cluster.ledger.snapshot() == before
 
 
 class TestRecoveryReports:

@@ -133,22 +133,17 @@ class TestBitIdenticalToSequentialResilient:
             assert block.residual_histories[j] == result.residual_norms
             assert np.array_equal(block.x[:, j], result.x)
 
-    @pytest.mark.parametrize("overlap,engine", [(True, True), (False, False)])
-    def test_bit_identical_on_other_execution_paths(self, overlap, engine,
-                                                    request):
-        """Split-phase SpMVs, and solver SpMVs on the dense-gather oracle
-        instead of the cached engine, keep the block solve column-wise
-        bit-identical to the sequential solves."""
-        if not engine:
-            request.getfixturevalue("solvers_on_dense_gather")
+    def test_bit_identical_on_the_dense_gather_oracle(
+            self, solvers_on_dense_gather):
+        """Solver SpMVs on the dense-gather oracle instead of the cached
+        engine keep the block solve column-wise bit-identical to the
+        sequential solves."""
         a, *_, rhs_global = make_problem(seed=2, k=2)
         failures = [(7, [1, 2])]
         block, _ = resilient_block_solve(a, rhs_global, phi=2,
-                                         failures=failures,
-                                         overlap_spmv=overlap)
+                                         failures=failures)
         seq, _ = sequential_resilient_solves(a, rhs_global, phi=2,
-                                             failures=failures,
-                                             overlap_spmv=overlap)
+                                             failures=failures)
         assert block.all_converged
         for j, result in enumerate(seq):
             assert block.residual_histories[j] == result.residual_norms

@@ -23,7 +23,6 @@ from repro.core.redundancy import (HeldIndex, RedundancySchemeBase,
 from repro.core.resilient_pcg import ResilientPCG
 from repro.core.spec import ResilienceSpec
 from repro.matrices import poisson_2d
-from repro.precond import PreconditionerForm
 
 MATRIX = poisson_2d(16)  # n = 256
 N_NODES = 8
@@ -159,9 +158,6 @@ class TestMemoKey:
         assert scheme_of(problem, phi=3, failures=FAILURES) is base
         assert scheme_of(problem, phi=3, local_solver_method="direct",
                          local_rtol=1e-10) is base
-        assert scheme_of(problem, phi=3,
-                         reconstruction_form=PreconditionerForm.FORWARD
-                         ) is base
         assert scheme_of(problem, phi=3, placement="Paper") is base
 
     def test_problems_do_not_share_schemes(self):

@@ -51,11 +51,11 @@ def ledger_state(problem):
     return (dict(ledger.times), dict(ledger.messages), dict(ledger.elements))
 
 
-def build_direct_solver(solver_name, problem, overlap):
+def build_direct_solver(solver_name, problem):
     """Hand-constructed solver on *problem*, bypassing the façade."""
     precond = make_preconditioner("block_jacobi")
     precond.setup(MATRIX, problem.partition)
-    common = dict(rtol=1e-8, overlap_spmv=overlap)
+    common = dict(rtol=1e-8)
     if solver_name == "pcg":
         return DistributedPCG(problem.matrix, problem.rhs, precond, **common)
     if solver_name == "resilient_pcg":
@@ -67,24 +67,22 @@ def build_direct_solver(solver_name, problem, overlap):
     return BlockPCG(problem.matrix, rhs, precond, **common)
 
 
-def facade_spec(solver_name, overlap):
+def facade_spec(solver_name):
     resilience = (ResilienceSpec(phi=2, failures=tuple(FAILURES))
                   if solver_name == "resilient_pcg" else None)
-    return SolveSpec(solver=solver_name, rtol=1e-8, overlap_spmv=overlap,
+    return SolveSpec(solver=solver_name, rtol=1e-8,
                      preconditioner="block_jacobi", resilience=resilience)
 
 
 class TestCrossSolverEquivalence:
-    """`repro.solve(spec)` vs direct construction, all solvers x knobs."""
+    """`repro.solve(spec)` vs direct construction, all solvers x SpMV kernels."""
 
     @pytest.mark.parametrize("engine", [True, False],
                              ids=["engine", "reference"])
-    @pytest.mark.parametrize("overlap", [True, False],
-                             ids=["overlap", "serial"])
     @pytest.mark.parametrize("solver_name",
                              ["pcg", "resilient_pcg", "block_pcg"])
-    def test_bit_identical_to_direct_construction(self, solver_name, overlap,
-                                                  engine, request):
+    def test_bit_identical_to_direct_construction(self, solver_name, engine,
+                                                  request):
         # ``reference``: both solves run their SpMVs on the dense-gather
         # oracle, so the equivalence does not lean on the engine cache.
         if not engine:
@@ -95,12 +93,11 @@ class TestCrossSolverEquivalence:
                                        else rhs)
         via_facade = solve(facade_problem,
                            rhs if solver_name == "block_pcg" else None,
-                           spec=facade_spec(solver_name, overlap))
+                           spec=facade_spec(solver_name))
 
         direct_problem = fresh_problem(None if solver_name == "block_pcg"
                                        else rhs)
-        direct = build_direct_solver(solver_name, direct_problem,
-                                     overlap).solve()
+        direct = build_direct_solver(solver_name, direct_problem).solve()
 
         assert np.array_equal(via_facade.x, direct.x)
         assert np.array_equal(via_facade.iterations, direct.iterations)
@@ -115,10 +112,9 @@ class TestCrossSolverEquivalence:
     def test_resilient_recoveries_identical(self):
         facade_problem = fresh_problem(RHS_1D)
         via_facade = solve(facade_problem,
-                           spec=facade_spec("resilient_pcg", False))
+                           spec=facade_spec("resilient_pcg"))
         direct_problem = fresh_problem(RHS_1D)
-        direct = build_direct_solver("resilient_pcg", direct_problem,
-                                     False).solve()
+        direct = build_direct_solver("resilient_pcg", direct_problem).solve()
         assert len(via_facade.recoveries) == len(direct.recoveries) == 1
         assert (via_facade.recoveries[0].failed_ranks
                 == direct.recoveries[0].failed_ranks)

@@ -7,6 +7,7 @@ Contract: every spec validates on construction, round-trips through
 """
 
 import json
+import math
 
 import pytest
 
@@ -16,8 +17,8 @@ from repro.core import BlockSpec, ResilienceSpec, SolveSpec
 from repro.core.spec import build_failure_events
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
-from repro.precond.base import PreconditionerForm
 from repro.solvers import LOCAL_SOLVER_METHODS
+from repro.utils.validation import ValidationError
 
 
 class TestValidation:
@@ -27,7 +28,6 @@ class TestValidation:
         assert spec.rtol == 1e-8
         assert spec.atol == 0.0
         assert spec.max_iterations is None
-        assert spec.overlap_spmv is False
         assert spec.preconditioner == "block_jacobi"
         assert spec.resilience is None
         assert spec.block is None
@@ -35,12 +35,32 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rtol": -1e-8},
         {"atol": -1.0},
+        # A non-finite tolerance would stop or never stop the solve: rtol =
+        # inf reported a wrong answer as converged after 0 iterations.
+        {"rtol": math.inf},
+        {"rtol": math.nan},
+        {"atol": math.inf},
+        {"atol": "nan"},
         {"max_iterations": 0},
         {"max_iterations": -3},
     ])
     def test_bad_solve_spec_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolveSpec(**kwargs)
+
+    @pytest.mark.parametrize("cls,name", [(SolveSpec, "rtol"),
+                                          (SolveSpec, "atol"),
+                                          (ResilienceSpec, "local_rtol")])
+    def test_tolerances_are_cast_to_float(self, cls, name):
+        """A tolerance given as a string is the number it spells, from the
+        constructor and from JSON alike, so it compares (and keys a
+        coalesced batch) like that number instead of failing at the first
+        recovery."""
+        spec = cls(**{name: "1e-10"})
+        assert type(getattr(spec, name)) is float
+        assert spec == cls(**{name: 1e-10})
+        assert cls.from_dict({name: "1e-10"}) == spec
+        assert spec.to_dict() == cls(**{name: 1e-10}).to_dict()
 
     @pytest.mark.parametrize("preconditioner", [None, 3, make_preconditioner],
                              ids=["None", "int", "function"])
@@ -53,6 +73,8 @@ class TestValidation:
         {"phi": -1},
         {"local_rtol": 0.0},
         {"local_rtol": -1e-14},
+        {"local_rtol": math.inf},
+        {"local_rtol": math.nan},
         # Checked here, not at the first recovery.
         {"local_solver_method": "bogus"},
         {"local_solver_method": "PCG_ILU"},
@@ -82,11 +104,6 @@ class TestValidation:
     def test_placement_coerced_from_string(self):
         spec = ResilienceSpec(placement="NEXT_RANKS")
         assert spec.placement == "next_ranks"
-
-    def test_reconstruction_form_coerced_from_string(self):
-        value = PreconditionerForm.FORWARD.value
-        spec = ResilienceSpec(reconstruction_form=value)
-        assert spec.reconstruction_form is PreconditionerForm.FORWARD
 
     def test_nested_specs_coerced_from_mappings(self):
         spec = SolveSpec(resilience={"phi": 2}, block={"n_cols": 3})
@@ -144,16 +161,6 @@ class TestRegistryRoundTrip:
         preconditioner = make_preconditioner(name)
         assert not preconditioner.is_set_up
 
-    @pytest.mark.parametrize("form", list(PreconditionerForm),
-                             ids=lambda form: form.value)
-    def test_reconstruction_form_round_trips(self, form):
-        spec = SolveSpec(solver="resilient_pcg",
-                         resilience=ResilienceSpec(
-                             reconstruction_form=form.value))
-        rebuilt = SolveSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert rebuilt == spec
-        assert rebuilt.resilience.reconstruction_form is form
-
     def test_pinned_redundancy_scheme_names_match_registry(self):
         from repro.core.redundancy import REDUNDANCY_SCHEMES
         assert sorted(REDUNDANCY_SCHEMES.names()) == \
@@ -178,11 +185,16 @@ class TestRegistryRoundTrip:
             ResilienceSpec(scheme="raid6")
 
 
+#: The removed solver knobs: ``(spec class, field, a value it once took)``.
+REMOVED_KNOBS = [(SolveSpec, "overlap_spmv", True),
+                 (ResilienceSpec, "reconstruction_form", "forward")]
+
+
 class TestRoundTrip:
     def full_spec(self):
         return SolveSpec(
             solver="resilient_pcg", rtol=1e-10, atol=1e-30,
-            max_iterations=500, overlap_spmv=True,
+            max_iterations=500,
             preconditioner="block_jacobi_ilu",
             preconditioner_options={"drop_tol": 1e-3},
             resilience=ResilienceSpec(
@@ -191,7 +203,6 @@ class TestRoundTrip:
                 failures=[FailureEvent(20, (2, 3), label="outage"),
                           FailureEvent(20, (5,), during_recovery_of=0)],
                 local_solver_method="direct", local_rtol=1e-12,
-                reconstruction_form=PreconditionerForm.FORWARD,
             ),
         )
 
@@ -228,6 +239,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="engine"):
             SolveSpec.from_dict({"engine": True})
 
+    @pytest.mark.parametrize("cls,key,value", REMOVED_KNOBS)
+    def test_removed_knobs_rejected(self, cls, key, value):
+        """The split-phase solver SpMV and the forced reconstruction form
+        are gone with their fields; naming one fails loudly."""
+        with pytest.raises(TypeError, match=key):
+            cls(**{key: value})
+        with pytest.raises(ValidationError, match=cls.__name__):
+            cls.from_dict({key: value})
+
     def test_unknown_failure_event_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ResilienceSpec.from_dict(
@@ -236,9 +256,9 @@ class TestRoundTrip:
 
 class TestWithOverrides:
     def test_top_level_override(self):
-        spec = SolveSpec().with_overrides(rtol=1e-6, overlap_spmv=True)
+        spec = SolveSpec().with_overrides(rtol=1e-6, max_iterations=50)
         assert spec.rtol == 1e-6
-        assert spec.overlap_spmv is True
+        assert spec.max_iterations == 50
 
     def test_resilience_fields_routed_and_extension_created(self):
         spec = SolveSpec().with_overrides(phi=2, failures=[(10, [1])])
@@ -275,6 +295,17 @@ class TestWithOverrides:
         problem = repro.distribute_problem(poisson_2d(8), n_nodes=2)
         with pytest.raises(ValueError, match="engine"):
             repro.solve(problem, engine=False)
+
+    @pytest.mark.parametrize("key,value",
+                             [knob[1:] for knob in REMOVED_KNOBS])
+    def test_removed_knob_rejected_by_solve_before_any_charge(self, key,
+                                                              value):
+        problem = repro.distribute_problem(poisson_2d(8), n_nodes=2)
+        before = problem.cluster.ledger.snapshot()
+        with pytest.raises(ValueError, match=key) as excinfo:
+            repro.solve(problem, **{key: value})
+        assert "top-level fields" in str(excinfo.value)
+        assert problem.cluster.ledger.snapshot() == before
 
 
 class TestResolvedSolver:

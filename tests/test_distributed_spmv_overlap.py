@@ -187,33 +187,6 @@ class TestSplitPhaseEquivalence:
             assert offdiag.shape == (n_local, ghosts.size)
 
 
-class TestSolverOverlap:
-    def test_overlapped_solve_converges_and_is_faster(self):
-        matrix = build_matrix("M3", n=2000, seed=0)
-        results = {}
-        for overlap in (False, True):
-            n = matrix.shape[0]
-            partition = BlockRowPartition(n, 8)
-            cluster = VirtualCluster(8, machine=MachineModel(jitter_rel_std=0.0))
-            dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
-            rhs = DistributedVector.from_global(
-                cluster, partition, "b", np.ones(n)
-            )
-            precond = make_preconditioner("block_jacobi")
-            precond.setup(dist.to_global(), partition)
-            solver = DistributedPCG(dist, rhs, precond, overlap_spmv=overlap)
-            results[overlap] = solver.solve()
-        assert results[True].converged and results[False].converged
-        assert results[True].info["overlap_spmv"] is True
-        # Same problem, same iteration count (split rounding is last-bits).
-        assert results[True].iterations == results[False].iterations
-        assert np.allclose(results[True].x, results[False].x,
-                           rtol=1e-10, atol=1e-12)
-        # The overlap hides part of every iteration's halo time.
-        assert results[True].simulated_iteration_time < \
-            results[False].simulated_iteration_time
-
-
 class TestMultiRHS:
     @pytest.mark.parametrize("matrix_id,n,n_parts,k", [
         ("M1", 1500, 4, 3), ("M3", 2000, 8, 8), ("M8", 1500, 5, 2),

@@ -5,14 +5,16 @@ One parametrized grid replaces the ad-hoc failure scenario tests:
     {single, multiple-simultaneous, overlapping/sequential,
      failure-during-recovery}
   x {resilient_pcg, resilient_block_pcg}
-  x {overlap_spmv on/off}
   x {SpMV kernel: the cached engine / the dense-gather oracle of
      ``tests/conftest.py``}
+  x {every registered preconditioner: identity, jacobi, block_jacobi,
+     block_jacobi_ilu}
 
 Every cell asserts the same three properties:
 
 * **convergence** -- the solve converges and recovered exactly the scheduled
-  failures;
+  failures, each episode reconstructing through the preconditioner's own
+  form (identity r = z, Jacobi's inverse rows, block Jacobi's forward rows);
 * **recovered-state bit-equality** -- the whole failure/recovery path is
   deterministic: a rerun of the identical scenario on a fresh cluster
   produces bit-identical iterates and residual histories;
@@ -20,11 +22,8 @@ Every cell asserts the same three properties:
   simulated time, recovery phases were actually charged, and
   iteration + recovery phases account for the entire run.
 
-The non-default execution paths (overlap on, dense-gather oracle) are
-marked ``slow`` and run in CI's separate non-blocking lane; the default
-path (serialized, cached engine) stays in the blocking tier-1 lane.  The
-oracle has no split phase, so its overlap cells run serialized SpMVs inside
-an ``overlap_spmv`` solver.
+Both kernels run serialized SpMVs, the solvers' only SpMV path, and every
+cell is part of the blocking tier-1 suite.
 """
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.distributed import (
     DistributedVector,
 )
 from repro.matrices import poisson_2d
-from repro.precond import make_preconditioner
+from repro.precond import PRECONDITIONERS, make_preconditioner
 
 N_NODES = 4
 N_GRID = 12  # n = 144
@@ -62,43 +61,50 @@ SCENARIOS = {
 
 SOLVERS = ("resilient_pcg", "resilient_block_pcg")
 
-#: Execution paths: the default stays blocking, the rest go to the slow lane.
+#: Every registered preconditioner; each reconstructs through its own form.
+PRECONDITIONER_NAMES = PRECONDITIONERS.names()
+
+#: SpMV kernels: the cached engine, or the dense-gather oracle.
 EXECUTION_PATHS = [
-    pytest.param(False, True, id="serialized-engine"),
-    pytest.param(True, True, id="overlap-engine",
-                 marks=pytest.mark.slow),
-    pytest.param(False, False, id="serialized-reference",
-                 marks=pytest.mark.slow),
-    pytest.param(True, False, id="overlap-reference",
-                 marks=pytest.mark.slow),
+    pytest.param(True, id="serialized-engine"),
+    pytest.param(False, id="serialized-reference"),
 ]
 
 
-def run_scenario(solver_name, events, *, overlap, seed=0):
+def run_scenario(solver_name, events, *, preconditioner, seed=0):
     """One resilient solve of the scenario on a completely fresh cluster."""
     a = poisson_2d(N_GRID)
     n = a.shape[0]
     partition = BlockRowPartition(n, N_NODES)
     cluster = VirtualCluster(N_NODES, machine=MachineModel(jitter_rel_std=0.0))
     dist = DistributedMatrix.from_global(cluster, partition, "A", a)
-    precond = make_preconditioner("block_jacobi")
+    precond = make_preconditioner(preconditioner)
     precond.setup(a, partition)
     resilience = ResilienceSpec(phi=PHI, failures=events)
     rng = np.random.default_rng(seed)
     if solver_name == "resilient_pcg":
         rhs = DistributedVector.from_global(
             cluster, partition, "b", rng.standard_normal(n))
-        solver = ResilientPCG(dist, rhs, precond, resilience=resilience,
-                              overlap_spmv=overlap)
+        solver = ResilientPCG(dist, rhs, precond, resilience=resilience)
     else:
         rhs = DistributedMultiVector.from_global(
             cluster, partition, "B", rng.standard_normal((n, K_BLOCK)))
-        solver = ResilientBlockPCG(dist, rhs, precond, resilience=resilience,
-                                   overlap_spmv=overlap)
+        solver = ResilientBlockPCG(dist, rhs, precond, resilience=resilience)
     result = solver.solve()
     assert not solver.failure_injector.pending_events(), \
         "scenario events must fire mid-solve"
     return result
+
+
+def true_residuals(solver_name, result, *, seed=0):
+    """``||b - A x||`` per column, on the system :func:`run_scenario` built."""
+    a = poisson_2d(N_GRID)
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    shape = n if solver_name == "resilient_pcg" else (n, K_BLOCK)
+    b = np.reshape(rng.standard_normal(shape), (n, -1))
+    x = np.reshape(result.x, b.shape)
+    return np.linalg.norm(b - a @ x, axis=0)
 
 
 def converged_of(result):
@@ -112,30 +118,43 @@ def histories_of(result):
     return result.residual_norms
 
 
-@pytest.mark.parametrize("overlap,engine", EXECUTION_PATHS)
+@pytest.mark.parametrize("preconditioner", PRECONDITIONER_NAMES)
+@pytest.mark.parametrize("engine", EXECUTION_PATHS)
 @pytest.mark.parametrize("solver_name", SOLVERS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestFailureMatrix:
-    def test_scenario(self, scenario, solver_name, overlap, engine, request):
+    def test_scenario(self, scenario, solver_name, engine, preconditioner,
+                      request):
         if not engine:
             request.getfixturevalue("solvers_on_dense_gather")
         events = SCENARIOS[scenario]
-        result = run_scenario(solver_name, events, overlap=overlap)
+        result = run_scenario(solver_name, events,
+                              preconditioner=preconditioner)
 
         # -- convergence and complete recovery ------------------------------
         assert converged_of(result)
+        # A reconstruction through the wrong rows would still be reported
+        # converged; the true residual of the returned x would not be small.
+        thresholds = result.info.get("thresholds",
+                                     [result.info.get("threshold")])
+        assert np.all(true_residuals(solver_name, result)
+                      <= np.asarray(thresholds))
         expected_failures = sum(len(e.ranks) for e in events)
         assert result.n_failures_recovered == expected_failures
         n_episodes = len({e.iteration for e in events
                           if e.during_recovery_of is None})
         assert len(result.recoveries) == n_episodes
+        form = make_preconditioner(preconditioner).form.value
+        assert [report.reconstruction_form
+                for report in result.recoveries] == [form] * n_episodes
         if scenario == "during_recovery":
             assert result.recoveries[0].restarts >= 1
             assert any("overlapping" in note
                        for note in result.recoveries[0].notes)
 
         # -- recovered-state bit-equality (deterministic recovery) ----------
-        rerun = run_scenario(solver_name, events, overlap=overlap)
+        rerun = run_scenario(solver_name, events,
+                             preconditioner=preconditioner)
         assert histories_of(rerun) == histories_of(result)
         assert np.array_equal(rerun.x, result.x)
 

@@ -89,12 +89,10 @@ def _run_pcg() -> Tuple[str, str]:
     return _digest(problem, result)
 
 
-def _run_resilient(scheme: str, failures: str,
-                   overlap: bool) -> Tuple[str, str]:
+def _run_resilient(scheme: str, failures: str) -> Tuple[str, str]:
     problem = _problem()
     result = repro.solve(problem, spec=repro.SolveSpec(
         solver="resilient_pcg", preconditioner="block_jacobi",
-        overlap_spmv=overlap,
         resilience=repro.ResilienceSpec(phi=PHI, scheme=scheme,
                                         failures=FAILURES[failures])))
     assert len(result.recoveries) == (1 if FAILURES[failures] else 0)
@@ -113,11 +111,8 @@ def _run_baseline(cls, **kwargs) -> Tuple[str, str]:
 SCENARIOS: Dict[str, Callable[[], Tuple[str, str]]] = {"pcg": _run_pcg}
 for _scheme in ("copies", "rs_parity"):
     for _failures in FAILURES:
-        for _overlap in (False, True):
-            SCENARIOS[f"resilient_pcg-{_scheme}-{_failures}-"
-                      f"overlap{int(_overlap)}"] = (
-                lambda s=_scheme, f=_failures, o=_overlap:
-                    _run_resilient(s, f, o))
+        SCENARIOS[f"resilient_pcg-{_scheme}-{_failures}"] = (
+            lambda s=_scheme, f=_failures: _run_resilient(s, f))
 SCENARIOS["full_restart"] = lambda: _run_baseline(FullRestartPCG)
 SCENARIOS["checkpoint_restart"] = lambda: _run_baseline(
     CheckpointRestartPCG, config=CheckpointConfig(interval=4))
@@ -137,30 +132,18 @@ CHARGES: Dict[str, str] = {
         "d38833b72bd080bb997dbcfda912ea8f644eb5c41979e994a09ac91d36b9d77b",
     "pcg":
         "2df11f1e9d5f2c40c39f7243da4c23558270492183c232320be6f276dd675ea1",
-    "resilient_pcg-copies-none-overlap0":
+    "resilient_pcg-copies-none":
         "490a3b48caff0bdbc87915eec25c77bbe0c3adca45d54f80dfa0af87141bbeb2",
-    "resilient_pcg-copies-none-overlap1":
-        "8f54c8f2014bcdedf3f5865389de906322e32d7f5dff8f135cd4e34aabd58f04",
-    "resilient_pcg-copies-overlapping-overlap0":
+    "resilient_pcg-copies-overlapping":
         "b6560299668689ca41b5a60917dfcb836b499b2e09821215e1cfad040aece500",
-    "resilient_pcg-copies-overlapping-overlap1":
-        "0e8700fff2bf5c5d3f8cad7b553f0df342ae8cfba4194195bf3298a8b3524aca",
-    "resilient_pcg-copies-simultaneous-overlap0":
+    "resilient_pcg-copies-simultaneous":
         "5a8db925801b9078bf62223728893ad029ff792a6b00a9d9d72adf6fb15ffa4e",
-    "resilient_pcg-copies-simultaneous-overlap1":
-        "a244e94b98878116735653a056c7a791de88b40208b8f84225570769eaedd479",
-    "resilient_pcg-rs_parity-none-overlap0":
+    "resilient_pcg-rs_parity-none":
         "35c31ba6669df04e260d3ba9af35f3ba5529e8de280abe005e41f325a539632d",
-    "resilient_pcg-rs_parity-none-overlap1":
-        "6e1d13cc3dd849e378bdd8c4103c8af12ad5bb35640aaf28a82ecd42efb80ec6",
-    "resilient_pcg-rs_parity-overlapping-overlap0":
+    "resilient_pcg-rs_parity-overlapping":
         "653b70e7ae397e51a8b4975dffd4bbac46633e637704a596dd2c16272d9086e2",
-    "resilient_pcg-rs_parity-overlapping-overlap1":
-        "ffee41b157998c55f4d1a5c3574fdc31aff01da787030bde9e66fb1ef6ae0b63",
-    "resilient_pcg-rs_parity-simultaneous-overlap0":
+    "resilient_pcg-rs_parity-simultaneous":
         "5fa04c81f32bb0fddf184e06c7b5adb208c8e6b954ee299f5e14388db9cc565d",
-    "resilient_pcg-rs_parity-simultaneous-overlap1":
-        "ee508f528ec361b7a77e7c3098aa31de9eb1f02d97315923b589f90f8403f942",
 }
 
 ITERATES: Dict[str, str] = {
@@ -174,30 +157,18 @@ ITERATES: Dict[str, str] = {
         "5fc10b718fb9839a76a4741e8946e5ba4d6eca3f09fdfdb5ad2cfedf83b09c50",
     "pcg":
         "484dbc2cdf696b723c0d69e2dd53de13efc2ec5eaf9dc77d815f2aaaec5e29d8",
-    "resilient_pcg-copies-none-overlap0":
+    "resilient_pcg-copies-none":
         "484dbc2cdf696b723c0d69e2dd53de13efc2ec5eaf9dc77d815f2aaaec5e29d8",
-    "resilient_pcg-copies-none-overlap1":
-        "15a01d755dbefdc94aa236ab856d392119c2486c98f91f840261b837bcdaec29",
-    "resilient_pcg-copies-overlapping-overlap0":
+    "resilient_pcg-copies-overlapping":
         "52fa73e4a90907ab1ceb36638ed4df07bcfb08c126469f2bf92486f104eddc28",
-    "resilient_pcg-copies-overlapping-overlap1":
-        "e7ce350733ac8f2ffeeb946b10023b4ed8b631fe91ebb313cfe97c00f904e9fe",
-    "resilient_pcg-copies-simultaneous-overlap0":
+    "resilient_pcg-copies-simultaneous":
         "72bcc0a2fc6c6fca122d35d5acf498491e06adf8deaedbc127fbae7ae48dac83",
-    "resilient_pcg-copies-simultaneous-overlap1":
-        "9a9e919f370beb26a84dbde8034f455e2c80238903f881a0ccd0953baed33cde",
-    "resilient_pcg-rs_parity-none-overlap0":
+    "resilient_pcg-rs_parity-none":
         "484dbc2cdf696b723c0d69e2dd53de13efc2ec5eaf9dc77d815f2aaaec5e29d8",
-    "resilient_pcg-rs_parity-none-overlap1":
-        "15a01d755dbefdc94aa236ab856d392119c2486c98f91f840261b837bcdaec29",
-    "resilient_pcg-rs_parity-overlapping-overlap0":
+    "resilient_pcg-rs_parity-overlapping":
         "52fa73e4a90907ab1ceb36638ed4df07bcfb08c126469f2bf92486f104eddc28",
-    "resilient_pcg-rs_parity-overlapping-overlap1":
-        "e7ce350733ac8f2ffeeb946b10023b4ed8b631fe91ebb313cfe97c00f904e9fe",
-    "resilient_pcg-rs_parity-simultaneous-overlap0":
+    "resilient_pcg-rs_parity-simultaneous":
         "72bcc0a2fc6c6fca122d35d5acf498491e06adf8deaedbc127fbae7ae48dac83",
-    "resilient_pcg-rs_parity-simultaneous-overlap1":
-        "9a9e919f370beb26a84dbde8034f455e2c80238903f881a0ccd0953baed33cde",
 }
 
 

@@ -85,8 +85,9 @@ class TestSetupAndApply:
         p.setup(matrix, partition)
         assert p.is_block_diagonal
 
-    def test_work_nnz(self, matrix, partition):
-        p = BlockJacobiPreconditioner()
+    @pytest.mark.parametrize("solver", ["direct", "ilu"])
+    def test_work_nnz(self, matrix, partition, solver):
+        p = BlockJacobiPreconditioner(block_solver=solver)
         p.setup(matrix, partition)
         blocks = [slice(*partition.range_of(r)) for r in range(4)]
         expected = sum(matrix[rows, rows].nnz for rows in blocks)
@@ -113,16 +114,6 @@ class TestEsrAccess:
         # and they match A's diagonal block
         assert np.allclose(rows[:, start:stop].toarray(),
                            matrix[start:stop, start:stop].toarray())
-
-    def test_inverse_rows_invert_blocks(self, matrix, partition):
-        p = BlockJacobiPreconditioner()
-        p.setup(matrix, partition)
-        idx = partition.indices_of(1)
-        inv_rows = p.inverse_rows(idx)
-        start, stop = partition.range_of(1)
-        block = matrix[start:stop, start:stop].toarray()
-        product = inv_rows[:, start:stop].toarray() @ block
-        assert np.allclose(product, np.eye(25), atol=1e-8)
 
     def test_mixed_rank_rows(self, matrix, partition):
         p = BlockJacobiPreconditioner()
@@ -170,22 +161,6 @@ def forward_rows_per_row(p, indices):
     return sp.vstack(rows, format="csr")
 
 
-def inverse_rows_per_row(p, indices):
-    """Rows of ``P = M^{-1}``, one padded 1 x n CSR row per index, stacked."""
-    n = p.matrix.shape[0]
-    rows = []
-    for gi in _sorted_unique(indices):
-        rank = int(p.block_partition.owner_of(gi))
-        start, stop = p.block_partition.range_of(rank)
-        data = np.linalg.inv(p._applied_block(rank).toarray())[gi - start, :]
-        rows.append(sp.csr_matrix(
-            (data, (np.zeros(data.size, dtype=int), np.arange(start, stop))),
-            shape=(1, n)))
-    if not rows:
-        return sp.csr_matrix((0, n))
-    return sp.vstack(rows, format="csr")
-
-
 def assert_same_csr(got, expected):
     assert got.shape == expected.shape
     for name in ("data", "indices", "indptr"):
@@ -223,22 +198,19 @@ def test_row_accessors_match_per_row_construction(side, parts, solver,
     p.setup(a, BlockRowPartition(n, min(parts, n)))
     indices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     assert_same_csr(p.forward_rows(indices), forward_rows_per_row(p, indices))
-    assert_same_csr(p.inverse_rows(np.array(indices, dtype=np.int64)),
-                    inverse_rows_per_row(p, indices))
 
 
 @pytest.mark.parametrize("solver", ["direct", "ilu"])
 def test_rows_are_those_of_the_applied_operator(matrix, partition, solver):
-    """``M`` from ``forward_rows`` inverts the application, and ``P`` from
-    ``inverse_rows`` is the application: for ILU block solves they are
-    rows of the factorization's product, not of the exact blocks."""
+    """``M`` from ``forward_rows`` inverts the application: for ILU block
+    solves its rows are those of the factorization's product, not of the
+    exact blocks."""
     p = BlockJacobiPreconditioner(block_solver=solver)
     p.setup(matrix, partition)
     everything = np.arange(matrix.shape[0])
     r = np.random.default_rng(7).standard_normal(matrix.shape[0])
     z = p.apply(r)
     assert np.allclose(p.forward_rows(everything) @ z, r, rtol=0, atol=1e-12)
-    assert np.allclose(p.inverse_rows(everything) @ r, z, rtol=0, atol=1e-12)
     if solver == "direct":
         start, stop = partition.range_of(3)
         assert (p._applied_block(3) != matrix[start:stop, start:stop]).nnz == 0
@@ -257,9 +229,8 @@ def test_applied_operators_are_rebuilt_by_setup(partition):
 def test_row_accessors_reject_out_of_range_indices(matrix, partition):
     p = BlockJacobiPreconditioner()
     p.setup(matrix, partition)
-    for rows in (p.forward_rows, p.inverse_rows):
-        with pytest.raises(IndexError):
-            rows([3, 100])
+    with pytest.raises(IndexError):
+        p.forward_rows([3, 100])
 
 
 # -- the two exact-solve kernels: dense inverse up to 128 rows, SuperLU above --
@@ -364,31 +335,6 @@ def test_stacked_inverse_is_bit_identical_to_per_block_inverses(name):
         start, stop = p.block_partition.range_of(rank)
         alone = np.linalg.inv(a[start:stop, start:stop].toarray())
         assert p._inverses[rank].tobytes() == alone.tobytes()
-
-
-def test_inverse_rows_read_the_stored_inverse(monkeypatch):
-    """Rows of a dense-kernel rank come from the inverse it applies, with no
-    new inversion; a SuperLU rank still inverts its block."""
-    a = leading_block("M1", 8 * 128 + 4)
-    p = BlockJacobiPreconditioner()
-    partition = BlockRowPartition(a.shape[0], 8)
-    p.setup(a, partition)
-    dense_rows = partition.indices_of(5)[[0, 17, 127]]
-    both = np.concatenate([partition.indices_of(2)[[3]], dense_rows])
-    expected_dense = inverse_rows_per_row(p, dense_rows)
-    expected_both = inverse_rows_per_row(p, both)
-    calls = []
-    inv = np.linalg.inv
-
-    def counting_inv(matrix):
-        calls.append(matrix.shape)
-        return inv(matrix)
-
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    assert_same_csr(p.inverse_rows(dense_rows), expected_dense)
-    assert calls == []
-    assert_same_csr(p.inverse_rows(both), expected_both)
-    assert calls == [(129, 129)]
 
 
 def singular_block_matrix(side, row):

@@ -25,7 +25,6 @@ from repro.core.registry import SOLVERS
 from repro.core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from repro.failures.traces import LifetimeModel, TraceSpec
 from repro.harness.campaign import OUTCOME_KINDS, CampaignSpec, RunOutcome
-from repro.precond.base import PreconditionerForm
 from repro.precond.factory import PRECONDITIONERS
 from repro.service.accounting import ServiceStats, TenantUsage
 from repro.service.traffic import TrafficSpec
@@ -80,9 +79,7 @@ resilience_specs = st.builds(
         ints(0, 500), st.lists(ints(0, 31), min_size=1, max_size=3,
                                unique_by=int)), max_size=3).map(tuple),
     local_solver_method=st.sampled_from(LOCAL_SOLVER_METHODS),
-    local_rtol=floats(1e-16, 1e-2),
-    reconstruction_form=optional(st.sampled_from(
-        list(PreconditionerForm) + [f.value for f in PreconditionerForm])))
+    local_rtol=floats(1e-16, 1e-2))
 
 block_specs = st.builds(BlockSpec, n_cols=optional(ints(1, 16)),
                         fuse_reductions=st.booleans())
@@ -90,7 +87,7 @@ block_specs = st.builds(BlockSpec, n_cols=optional(ints(1, 16)),
 solve_specs = st.builds(
     SolveSpec, solver=optional(mixed_case(SOLVERS.names())),
     rtol=floats(0.0, 1e-2), atol=floats(0.0, 1e-6),
-    max_iterations=optional(ints(1, 10_000)), overlap_spmv=st.booleans(),
+    max_iterations=optional(ints(1, 10_000)),
     preconditioner=mixed_case(PRECONDITIONERS.names()),
     preconditioner_options=st.dictionaries(
         st.sampled_from(["drop_tol", "fill_factor"]), floats(1e-6, 20.0)),
