@@ -97,10 +97,6 @@ def run_case(matrix_id: str, n: int, n_nodes: int, k: int, phi: int,
                               max_iterations=max_iterations,
                               jitter_rel_std=0.0, n_rhs=k)
     spec_block = config.solve_spec(phi=phi, failures=failures)
-    if k == 1:
-        # The k=1 charge-equality case still runs through the block solver
-        # (the harness spec resolves single-rhs studies to resilient_pcg).
-        spec_block = spec_block.with_overrides(solver="resilient_block_pcg")
 
     # -- one resilient block solve ------------------------------------------
     problem = _fresh_problem(matrix, n_nodes)

@@ -4,8 +4,8 @@ Solves ``poisson_2d(64)`` (n = 4096) with the end-to-end benchmark's
 resilient spec -- ``resilient_pcg``, block-Jacobi, ``phi = 3``, rtol 1e-8,
 failure-free -- through ``repro.solve`` on 8, 32, 128 and 256 virtual nodes,
 first for one right-hand side, then for a block of ``k = 8`` right-hand
-sides (the same spec with ``resilient_block_pcg``: the ``k > 1`` paths of
-the kernels).  Per row (``n_rhs``, node count) it reports
+sides (the same spec on an ``(n, 8)`` array: the ``k > 1`` paths of the
+kernels).  Per row (``n_rhs``, node count) it reports
 
 * the iteration count (lock-step iterations of a block solve);
 * host milliseconds per iteration: the median over 7 timed solves of one
@@ -71,12 +71,11 @@ import numpy as np  # noqa: E402
 import repro  # noqa: E402
 from repro.matrices import build_matrix, poisson_2d  # noqa: E402
 
-#: The end-to-end benchmark's resilient spec (its ``scale-n*`` workloads).
+#: The end-to-end benchmark's resilient spec (its ``scale-n*`` workloads),
+#: for one right-hand side and for a block alike.
 SPEC = repro.SolveSpec(solver="resilient_pcg", rtol=1e-8,
                        preconditioner="block_jacobi",
                        resilience=repro.ResilienceSpec(phi=3))
-#: The same spec for a block of right-hand sides.
-BLOCK_SPEC = SPEC.with_overrides(solver="resilient_block_pcg")
 #: Right-hand sides per solve: one vector, then one block.
 N_RHS = (1, 8)
 #: Timed solves per node count (after one warm-up solve).
@@ -100,17 +99,15 @@ def run_case(side: int, n_nodes: int, repeats: int,
     matrix = poisson_2d(side)
     problem = repro.distribute_problem(matrix, n_nodes=n_nodes)
     rng = np.random.default_rng(0)
-    if n_rhs == 1:
-        rhs, spec = rng.standard_normal(matrix.shape[0]), SPEC
-    else:
-        rhs, spec = rng.standard_normal((matrix.shape[0], n_rhs)), BLOCK_SPEC
-    result = repro.solve(problem, rhs, spec=spec)
+    shape = (matrix.shape[0],) if n_rhs == 1 else (matrix.shape[0], n_rhs)
+    rhs = rng.standard_normal(shape)
+    result = repro.solve(problem, rhs, spec=SPEC)
     iterations = int(result.iterations if n_rhs == 1
                      else result.global_iterations)
     per_iteration_ms: List[float] = []
     for _ in range(repeats):
         start = time.perf_counter()
-        repro.solve(problem, rhs, spec=spec)
+        repro.solve(problem, rhs, spec=SPEC)
         elapsed = time.perf_counter() - start
         per_iteration_ms.append(1e3 * elapsed / iterations)
     return {
@@ -152,7 +149,6 @@ def run_sweep(side: int, node_counts: List[int], repeats: int,
         "matrix": f"poisson_2d({side})",
         "n": side * side,
         "spec": SPEC.to_dict(),
-        "block_spec": BLOCK_SPEC.to_dict(),
         "repeats": repeats,
         "rows": rows,
     }

@@ -41,8 +41,8 @@ def main() -> None:
           f"{list(undisturbed.iterations)}")
     print(f"injecting a 2-node failure at iteration {failure_iteration}")
 
-    # A ResilienceSpec next to a multi-RHS block dispatches to the
-    # resilient block solver ("resilient_block_pcg" in the registry).
+    # A ResilienceSpec selects the resilient solver ("resilient_pcg" in the
+    # registry), which solves the whole (n, k) block and answers with one.
     result = repro.solve(
         repro.distribute_problem(matrix, n_nodes=8, seed=0),
         rhs_block,

@@ -25,10 +25,11 @@ True
 
 ``repro.solve`` is the single entry point: a :class:`~repro.core.spec.
 SolveSpec` (with optional ``ResilienceSpec`` / ``BlockSpec`` extensions)
-selects and configures the solver through the solver registry -- plain PCG,
-the ESR-protected resilient PCG, or the multi-RHS block PCG (an ``(n, k)``
-right-hand side dispatches there automatically).  Keyword arguments like
-``phi=3`` above are shorthand overrides routed into the spec.
+selects and configures the solver through the solver registry -- plain PCG
+or the ESR-protected resilient PCG.  Either solves one right-hand side or
+an ``(n, k)`` block of them, and answers in the same shape.  Keyword
+arguments like ``phi=3`` above are shorthand overrides routed into the
+spec.
 """
 
 from . import analysis  # noqa: F401  (re-exported subpackages)

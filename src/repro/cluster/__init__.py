@@ -20,7 +20,6 @@ from .failure import FailureEvent, FailureInjector, UlfmRuntime
 from .network import (
     FatTreeTopology,
     Topology,
-    TorusTopology,
     UniformTopology,
     default_topology,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "UlfmRuntime",
     "FatTreeTopology",
     "Topology",
-    "TorusTopology",
     "UniformTopology",
     "default_topology",
     "Node",

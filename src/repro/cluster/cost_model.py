@@ -151,20 +151,6 @@ class MachineModel:
         """Compute time of a local SpMV with *nnz* stored non-zeros (2 flops/nnz)."""
         return 2.0 * max(nnz, 0) / self.spmv_flop_rate
 
-    def split_spmv_time(self, halo_time: float, diag_nnz: int,
-                        offdiag_nnz: int) -> float:
-        """Per-rank time of one split-phase SpMV with comm/compute overlap.
-
-        Models the PETSc-style ``VecScatterBegin -> A_diag @ x_own ->
-        VecScatterEnd -> += A_offdiag @ x_ghost`` execution: the halo exchange
-        proceeds concurrently with the diagonal-block product, so the rank
-        pays ``max(halo, diag) + offdiag``.  With ``halo_time`` set to the
-        rank's full serialized halo cost this is always at most the
-        serialized ``halo + diag + offdiag`` charge.
-        """
-        return max(halo_time, self.spmv_time(diag_nnz)) + \
-            self.spmv_time(offdiag_nnz)
-
     def vector_op_time(self, n_elements: int, flops_per_element: float = 2.0) -> float:
         """Compute time of a streaming vector operation over *n_elements*."""
         return flops_per_element * max(n_elements, 0) / self.vector_flop_rate

@@ -124,37 +124,6 @@ class FatTreeTopology(Topology):
         return self.latency_intra
 
 
-class TorusTopology(Topology):
-    """1-D torus (ring) with hop-proportional latency.
-
-    Included as an alternative interconnect for the placement ablation: on a
-    torus, latency grows with rank distance, which penalises backup-placement
-    strategies that scatter copies far from the owner.
-    """
-
-    def __init__(self, n_nodes: int, per_hop_latency: float = 0.8e-6,
-                 base_latency: float = 1.0e-6):
-        super().__init__(n_nodes)
-        self.per_hop_latency = check_positive(per_hop_latency, "per_hop_latency")
-        self.base_latency = check_positive(base_latency, "base_latency")
-
-    def hops(self, src: int, dst: int) -> int:
-        """Ring distance between two ranks."""
-        self._check_ranks(src, dst)
-        d = abs(src - dst)
-        return min(d, self.n_nodes - d)
-
-    def latency(self, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.base_latency + self.hops(src, dst) * self.per_hop_latency
-
-    def max_latency(self) -> float:
-        if self.n_nodes == 1:
-            return 0.0
-        return self.base_latency + (self.n_nodes // 2) * self.per_hop_latency
-
-
 def default_topology(n_nodes: int, model_latency_intra: Optional[float] = None,
                      model_latency_inter: Optional[float] = None) -> Topology:
     """Build the default (fat-tree) topology used by the experiment harness."""

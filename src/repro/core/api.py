@@ -7,12 +7,13 @@ extensions) describes the solve, the :mod:`~repro.core.registry` maps its
 solver name to a solver class, and :func:`solve` normalises the input --
 a raw SciPy matrix is distributed over a fresh virtual cluster, an ``(n, k)``
 right-hand-side block becomes a
-:class:`~repro.distributed.dmultivector.DistributedMultiVector` dispatched to
-the block solver -- resolves the preconditioner once per problem (cached on
-the :class:`DistributedProblem`, invalidated via the matrix's
-``structure_version``), and runs the solver.  Every registered solver runs
-the one PCG core (:mod:`repro.core.block_pcg`); a 1-D right-hand side is its
-``k = 1`` case and comes back as a single-RHS result.
+:class:`~repro.distributed.dmultivector.DistributedMultiVector` -- resolves
+the preconditioner once per problem (cached on the
+:class:`DistributedProblem`, invalidated via the matrix's
+``structure_version``), and runs the solver.  Both registered solvers run
+the one PCG core (:mod:`repro.core.block_pcg`) and answer in the shape of
+the right-hand side: a 1-D vector is its ``k = 1`` case and comes back as a
+single-RHS result, a block comes back as a block result.
 
 >>> import repro
 >>> a = repro.matrices.poisson_2d(32)
@@ -23,11 +24,10 @@ the one PCG core (:mod:`repro.core.block_pcg`); a 1-D right-hand side is its
 >>> result.converged
 True
 
-The extensions compose: the same ``ResilienceSpec`` next to an ``(n, k)``
-right-hand-side block (or an explicit ``BlockSpec``) dispatches to the
-resilient multi-RHS block solver
-(:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`), so every
-solver reachable through this façade survives node failures.
+The same ``ResilienceSpec`` next to an ``(n, k)`` right-hand-side block
+runs the same resilient solver
+(:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`) on the block,
+so every solve reachable through this façade can survive node failures.
 
 Keyword overrides are routed into the spec (``repro.solve(problem, phi=3,
 failures=[(20, [2])])`` is the short form of the above), so quick scripts
@@ -240,11 +240,12 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
     rhs:
         Right-hand side(s): ``None`` (the problem's stored rhs, or ``A @
         ones`` for a raw matrix), a global 1-D array, a global ``(n, k)``
-        array (dispatched to the block solver), or an already-distributed
-        (multi-)vector on the problem's cluster.
+        array, or an already-distributed (multi-)vector on the problem's
+        cluster.
     spec:
         The declarative configuration; defaults to ``SolveSpec()`` (plain
-        PCG, block Jacobi, ``rtol=1e-8``).
+        PCG, block Jacobi, ``rtol=1e-8``).  An unknown solver name raises
+        the registry's ``ValueError`` before any set-up or charge.
     **overrides:
         Spec-field overrides applied via :meth:`SolveSpec.with_overrides` --
         including extension fields such as ``phi``, ``failures`` or
@@ -252,15 +253,20 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
 
     Returns
     -------
-    :class:`~repro.core.block_pcg.DistributedSolveResult` for single-RHS
-    solvers, :class:`~repro.core.block_pcg.BlockSolveResult` for the block
-    solvers.
+    :class:`~repro.core.block_pcg.DistributedSolveResult` for a 1-D
+    right-hand side (a global 1-D array, a
+    :class:`~repro.distributed.dvector.DistributedVector` or the problem's
+    stored rhs), :class:`~repro.core.block_pcg.BlockSolveResult` for a
+    block (a global ``(n, k)`` array or a
+    :class:`~repro.distributed.dmultivector.DistributedMultiVector`, also
+    with ``k = 1``), whatever the solver name or a ``BlockSpec`` says.
     """
     cluster_kwargs = {k: overrides.pop(k) for k in _CLUSTER_KEYS
                       if k in overrides}
     spec = spec if spec is not None else SolveSpec()
     if overrides:
         spec = spec.with_overrides(**overrides)
+    build_solver = SOLVERS.get(spec.resolved_solver())
 
     if isinstance(problem, DistributedProblem):
         if cluster_kwargs:
@@ -282,10 +288,7 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
             problem = distribute_problem(problem, values, **cluster_kwargs)
             rhs_obj = problem.rhs
 
-    solver_name = spec.resolved_solver(
-        multi_rhs=not isinstance(rhs_obj, DistributedVector))
     preconditioner = problem.resolve_preconditioner(
         spec.preconditioner, **spec.preconditioner_options)
-    solver = SOLVERS.get(solver_name)(problem, rhs_obj, preconditioner, spec)
-    return solver.solve()
+    return build_solver(problem, rhs_obj, preconditioner, spec).solve()
 

@@ -87,7 +87,7 @@ from ..precond.identity import IdentityPreconditioner
 from ..solvers.result import SolveResult, left_out_fields
 from ..utils.logging import get_logger
 from ..utils.serde import Serializable, encode
-from ..utils.validation import check_finite
+from ..utils.validation import check_finite, check_tolerance
 
 logger = get_logger("core.block_pcg")
 
@@ -263,8 +263,8 @@ class BlockPCG:
                 "the distributed PCG solver requires a block-diagonal "
                 f"preconditioner; {self.preconditioner.name} is not"
             )
-        self.rtol = float(rtol)
-        self.atol = float(atol)
+        self.rtol = check_tolerance(rtol, "rtol")
+        self.atol = check_tolerance(atol, "atol")
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 10 * self.partition.n
         )

@@ -215,13 +215,16 @@ class FailureHandlingMixin:
 
 
 class ESRReconstructor:
-    """Implements the (multi-node) ESR reconstruction phase."""
+    """Implements the (multi-node) ESR reconstruction phase.
+
+    Its local subsystem solves are the paper's (Sec. 6): a
+    :class:`LocalSubsystemSolver` with its defaults, an ILU-preconditioned
+    inner PCG run to a ``1e-14`` residual reduction.
+    """
 
     def __init__(self, matrix: DistributedMatrix,
                  rhs: DistributedMultiVector, preconditioner: Preconditioner,
-                 esr: ESRProtocol, *,
-                 local_solver_method: str = "pcg_ilu",
-                 local_rtol: float = 1e-14):
+                 esr: ESRProtocol):
         form = preconditioner.form
         accessor = {PreconditionerForm.FORWARD: "forward_rows",
                     PreconditionerForm.INVERSE: "inverse_rows"}.get(form)
@@ -239,8 +242,6 @@ class ESRReconstructor:
         self.context: CommunicationContext = esr.context
         self.esr = esr
         self.partition: BlockRowPartition = matrix.partition
-        self.local_solver_method = local_solver_method
-        self.local_rtol = local_rtol
         #: The column count ``k`` of the state (that of the ESR protocol,
         #: the component that stores the copies being recovered).
         self.n_cols = esr.n_cols
@@ -401,8 +402,7 @@ class ESRReconstructor:
                                                     purpose="r")
             v = z_failed - off_diag @ r_values
             p_sub = p_rows[:, failed_indices]
-            solver = LocalSubsystemSolver(self.local_solver_method,
-                                          rtol=self.local_rtol)
+            solver = LocalSubsystemSolver()
             r_failed = solver.solve_block(p_sub, v)
             self._charge_local_solve(solver)
             return self._split_to_blocks(failed, r_failed), solver.last_stats
@@ -455,8 +455,7 @@ class ESRReconstructor:
         )
 
         a_sub = a_rows[:, failed_indices]
-        solver = LocalSubsystemSolver(self.local_solver_method,
-                                      rtol=self.local_rtol)
+        solver = LocalSubsystemSolver()
         x_failed = solver.solve_block(a_sub, w)
         self._charge_local_solve(solver)
         return self._split_to_blocks(failed, x_failed), solver.last_stats

@@ -9,24 +9,22 @@ placements, redundancy schemes, batching policies).  The façade
 as a ``@register_solver("name")`` builder plus whatever :class:`SolveSpec`
 extension they need -- no new top-level helper required.
 
-Every built-in name builds one of the two classes of the single PCG core:
-:class:`~repro.core.block_pcg.BlockPCG` (``"pcg"``, ``"block_pcg"``) or
-:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`
-(``"resilient_pcg"``, ``"resilient_block_pcg"``).  The single-RHS names hand
-the solver the 1-D right-hand side, which it runs as a ``k = 1`` block and
-answers with a single-RHS result; the block names take ``(n, k)`` blocks (a
-1-D rhs is handed over as its ``k = 1`` multi-vector view and answered as a
-block).  A
-``SolveSpec`` carrying *both* a ``ResilienceSpec`` and a multi-RHS block
-dispatches to ``"resilient_block_pcg"``.
+Two names are built in, one per class of the single PCG core:
+``"pcg"`` builds :class:`~repro.core.block_pcg.BlockPCG` and
+``"resilient_pcg"`` builds
+:class:`~repro.core.resilient_block_pcg.ResilientBlockPCG`.  Both hand the
+right-hand side to the solver unchanged, and the solver answers in its
+shape: a 1-D vector with a single-RHS result, an ``(n, k)`` block (even
+``k = 1``) with a block result.  An attached :class:`BlockSpec` checks the
+block's column count and may fuse reductions; it never changes the shape
+of the answer.
 
 A builder receives ``(problem, rhs, preconditioner, spec)`` -- the
 distributed problem, the already-distributed right-hand side (a
 :class:`~repro.distributed.dmultivector.DistributedMultiVector`; a 1-D
 :class:`~repro.distributed.dvector.DistributedVector` is its one-column
-case), the
-resolved (set-up) preconditioner, and the full :class:`SolveSpec` -- and
-returns a solver object exposing ``solve()``.
+case), the resolved (set-up) preconditioner, and the full
+:class:`SolveSpec` -- and returns a solver object exposing ``solve()``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..precond.base import Preconditioner
 from ..distributed.dmultivector import DistributedMultiVector
-from ..distributed.dvector import DistributedVector
 from ..utils.registry import Registry
 from .block_pcg import BlockPCG
 from .resilient_block_pcg import ResilientBlockPCG
@@ -54,42 +51,23 @@ SOLVERS: Registry[SolverBuilder] = Registry("solver")
 register_solver = SOLVERS.register
 
 
-def _require_single_rhs(rhs: DistributedMultiVector,
-                        solver: str) -> DistributedVector:
-    if not isinstance(rhs, DistributedVector):
-        raise ValueError(
-            f"solver {solver!r} takes a single right-hand side; pass a "
-            "1-D rhs or select solver='block_pcg' for (n, k) blocks"
-        )
-    return rhs
-
-
-def _require_no_block(spec: SolveSpec, solver: str) -> None:
-    if spec.block is not None:
-        raise ValueError(
-            f"solver {solver!r} does not understand a BlockSpec; use "
-            "solver='block_pcg' for multi-RHS solves"
-        )
-
-
-def _require_no_resilience(spec: SolveSpec, solver: str) -> None:
-    if spec.resilience is not None:
-        suggestion = "resilient_block_pcg" if solver == "block_pcg" \
-            else "resilient_pcg"
-        raise ValueError(
-            f"solver {solver!r} does not understand a ResilienceSpec; use "
-            f"solver={suggestion!r} for ESR-protected solves"
-        )
-
-
 def _build(cls: type, problem: "DistributedProblem",
            rhs: DistributedMultiVector,
            preconditioner: Preconditioner, spec: SolveSpec,
            **extra: Any) -> Any:
-    """*cls* configured with the spec's common solver options."""
+    """*cls* configured with the spec's common solver options and its
+    :class:`BlockSpec`, whose ``n_cols`` must match the rhs."""
+    block = spec.block
+    if block is not None and block.n_cols is not None \
+            and rhs.n_cols != block.n_cols:
+        raise ValueError(
+            f"BlockSpec expects n_cols={block.n_cols} right-hand sides but "
+            f"the RHS block carries {rhs.n_cols}"
+        )
     return cls(
         problem.matrix, rhs, preconditioner,
         rtol=spec.rtol, atol=spec.atol, max_iterations=spec.max_iterations,
+        fuse_reductions=block is not None and block.fuse_reductions,
         **extra,
     )
 
@@ -100,10 +78,12 @@ def build_pcg(problem: "DistributedProblem",
               preconditioner: Preconditioner,
               spec: SolveSpec) -> BlockPCG:
     """The plain distributed PCG (the paper's reference solver)."""
-    _require_no_resilience(spec, "pcg")
-    _require_no_block(spec, "pcg")
-    return _build(BlockPCG, problem, _require_single_rhs(rhs, "pcg"),
-                  preconditioner, spec)
+    if spec.resilience is not None:
+        raise ValueError(
+            "solver 'pcg' does not understand a ResilienceSpec; use "
+            "solver='resilient_pcg' for ESR-protected solves"
+        )
+    return _build(BlockPCG, problem, rhs, preconditioner, spec)
 
 
 @register_solver("resilient_pcg")
@@ -112,48 +92,5 @@ def build_resilient_pcg(problem: "DistributedProblem",
                         preconditioner: Preconditioner,
                         spec: SolveSpec) -> ResilientBlockPCG:
     """The ESR-protected PCG (the paper's contribution)."""
-    _require_no_block(spec, "resilient_pcg")
-    return _build(ResilientBlockPCG, problem,
-                  _require_single_rhs(rhs, "resilient_pcg"), preconditioner,
-                  spec, resilience=spec.resilience)
-
-
-def _block_rhs(rhs: DistributedMultiVector,
-               spec: SolveSpec) -> DistributedMultiVector:
-    """*rhs* as a plain multi-vector (a vector's zero-copy ``k = 1`` view, so
-    the run is answered as a block), checked against ``BlockSpec.n_cols``."""
-    n_cols = spec.block.n_cols if spec.block is not None else None
-    if n_cols is not None and rhs.n_cols != n_cols:
-        raise ValueError(
-            f"BlockSpec expects n_cols={n_cols} right-hand sides but "
-            f"the RHS block carries {rhs.n_cols}"
-        )
-    return rhs.as_multivector()
-
-
-def _fuse_reductions(spec: SolveSpec) -> bool:
-    return spec.block is not None and spec.block.fuse_reductions
-
-
-@register_solver("block_pcg")
-def build_block_pcg(problem: "DistributedProblem",
-                    rhs: DistributedMultiVector,
-                    preconditioner: Preconditioner,
-                    spec: SolveSpec) -> BlockPCG:
-    """The lock-step multi-RHS block PCG (no failure handling)."""
-    _require_no_resilience(spec, "block_pcg")
-    return _build(BlockPCG, problem, _block_rhs(rhs, spec),
-                  preconditioner, spec,
-                  fuse_reductions=_fuse_reductions(spec))
-
-
-@register_solver("resilient_block_pcg")
-def build_resilient_block_pcg(problem: "DistributedProblem",
-                              rhs: DistributedMultiVector,
-                              preconditioner: Preconditioner,
-                              spec: SolveSpec) -> ResilientBlockPCG:
-    """The ESR-protected multi-RHS block PCG (ResilienceSpec + BlockSpec)."""
-    return _build(ResilientBlockPCG, problem,
-                  _block_rhs(rhs, spec), preconditioner,
-                  spec, fuse_reductions=_fuse_reductions(spec),
+    return _build(ResilientBlockPCG, problem, rhs, preconditioner, spec,
                   resilience=spec.resilience)

@@ -109,10 +109,7 @@ class EsrResilienceMixin(FailureHandlingMixin):
             options=resilience.scheme_options)
         self.esr = ESRProtocol(self.cluster, self.scheme, n_cols=self.n_cols)
         self.reconstructor = ESRReconstructor(
-            self.matrix, self.rhs, self.preconditioner, self.esr,
-            local_solver_method=resilience.local_solver_method,
-            local_rtol=resilience.local_rtol,
-        )
+            self.matrix, self.rhs, self.preconditioner, self.esr)
 
     # -- hooks ------------------------------------------------------------------
     def _after_spmv(self, iteration: int) -> None:
@@ -159,8 +156,8 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
     resilience:
         The whole resilience configuration: redundancy level ``phi``
         (``0 <= phi < N``), redundancy scheme and its options, backup
-        placement and rack size, failure schedule, and the reconstruction's
-        local solver (see :class:`~repro.core.spec.ResilienceSpec`).
+        placement and rack size, and failure schedule (see
+        :class:`~repro.core.spec.ResilienceSpec`).
         ``None`` means ``ResilienceSpec()``, the paper's settings.  The spec
         stays readable as :attr:`resilience`, the injector built from its
         failure schedule as :attr:`failure_injector`; each recovery episode

@@ -5,7 +5,7 @@ per-helper keyword soup (PETSc-options style): a :class:`SolveSpec` carries
 everything every solver understands (tolerances, iteration cap, the
 preconditioner), and two optional extensions carry the solver-specific
 pieces -- :class:`ResilienceSpec` for the ESR-protected solver (redundancy
-level, backup placement, failure schedule, local-solver options) and
+level and scheme, backup placement, failure schedule) and
 :class:`BlockSpec` for multi-RHS block solves (expected column count,
 reduction fusing).
 
@@ -20,17 +20,16 @@ from ``SolveSpec.solver`` names to solver classes lives in
 
 Defaults at a glance
 --------------------
-``SolveSpec()`` alone means: auto-selected solver (plain PCG for one
-right-hand side, block PCG for a multi-RHS block, resilient PCG as soon as
-a :class:`ResilienceSpec` is attached), ``rtol=1e-8``, ``atol=0``, the
-solver's own iteration cap (``10 n``), serialized SpMV through the
-SpMV engine, and a block-Jacobi preconditioner -- exactly the paper's
-reference configuration.
+``SolveSpec()`` alone means: auto-selected solver (plain PCG, or resilient
+PCG as soon as a :class:`ResilienceSpec` is attached; either answers a 1-D
+right-hand side with one vector and an ``(n, k)`` block with a block),
+``rtol=1e-8``, ``atol=0``, the solver's own iteration cap (``10 n``) and a
+block-Jacobi preconditioner -- exactly the paper's reference
+configuration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -38,8 +37,8 @@ import numpy as np
 
 from ..cluster.failure import FailureEvent
 from ..precond.base import Preconditioner
-from ..solvers.local_solver import LOCAL_SOLVER_METHODS
 from ..utils.serde import RoundTrip
+from ..utils.validation import check_tolerance
 from .placement import PLACEMENTS
 from .redundancy import REDUNDANCY_SCHEMES
 
@@ -57,18 +56,6 @@ def build_failure_events(failures: Iterable[Union[FailureEvent, Tuple]]
                 ranks = [int(ranks)]
             events.append(FailureEvent(int(iteration), tuple(int(r) for r in ranks)))
     return events
-
-
-def _tolerance(name: str, value: Any, *, positive: bool = False) -> float:
-    """*value* as a float; a ``ValueError`` naming the field unless it is
-    finite and non-negative (positive when *positive*)."""
-    tolerance = float(value)
-    if not math.isfinite(tolerance) or tolerance < 0.0 \
-            or (positive and tolerance == 0.0):
-        kind = "positive" if positive else "non-negative"
-        raise ValueError(
-            f"{name} must be a finite {kind} number, got {value!r}")
-    return tolerance
 
 
 @dataclass(frozen=True)
@@ -104,12 +91,6 @@ class ResilienceSpec(RoundTrip):
     #: ranks)`` tuples (normalised on construction).  Empty = undisturbed.
     #: Events that never fire come back in ``info["unfired_failures"]``.
     failures: Tuple[FailureEvent, ...] = ()
-    #: Local subsystem solver of the reconstruction, one of
-    #: :data:`repro.solvers.LOCAL_SOLVER_METHODS`, and its relative
-    #: tolerance, a finite positive number (``"pcg_ilu"`` with ``1e-14``
-    #: in the paper).
-    local_solver_method: str = "pcg_ilu"
-    local_rtol: float = 1e-14
 
     def __post_init__(self) -> None:
         if int(self.phi) < 0:
@@ -129,20 +110,19 @@ class ResilienceSpec(RoundTrip):
             object.__setattr__(self, "rack_size", int(self.rack_size))
         object.__setattr__(self, "failures",
                            tuple(build_failure_events(self.failures)))
-        if self.local_solver_method not in LOCAL_SOLVER_METHODS:
-            raise ValueError(
-                f"local_solver_method must be one of {LOCAL_SOLVER_METHODS}, "
-                f"got {self.local_solver_method!r}")
-        object.__setattr__(self, "local_rtol", _tolerance(
-            "local_rtol", self.local_rtol, positive=True))
 
 
 @dataclass(frozen=True)
 class BlockSpec(RoundTrip):
-    """Configuration of multi-RHS block solves (``solver="block_pcg"``)."""
+    """Configuration of multi-RHS block solves.
+
+    Either solver answers an ``(n, k)`` right-hand side with a block, with
+    or without this extension; it adds a column-count check and reduction
+    fusing.
+    """
 
     #: Expected number of right-hand sides; ``None`` accepts whatever the
-    #: RHS block carries (a mismatch raises at dispatch time).
+    #: right-hand side carries (a mismatch raises at dispatch time).
     n_cols: Optional[int] = None
     #: Ship the trailing ``R^T Z`` and ``R^T R`` reductions of an iteration
     #: as **one** ``2k``-wide allreduce (3 -> 2 reductions per iteration).
@@ -169,12 +149,10 @@ class SolveSpec(RoundTrip):
     fields like ``phi`` or ``fuse_reductions`` to the right sub-spec).
     """
 
-    #: Registered solver name (``"pcg"``, ``"resilient_pcg"``,
-    #: ``"block_pcg"``, ``"resilient_block_pcg"``, or any name added via
-    #: ``register_solver``).  ``None`` auto-selects: resilient block PCG for
-    #: a multi-RHS block with a :class:`ResilienceSpec` attached, block PCG
-    #: for a plain multi-RHS block, resilient PCG when only a
-    #: :class:`ResilienceSpec` is attached, plain PCG otherwise.
+    #: Registered solver name (``"pcg"``, ``"resilient_pcg"``, or any name
+    #: added via ``register_solver``).  ``None`` auto-selects: resilient
+    #: PCG when a :class:`ResilienceSpec` is attached, plain PCG otherwise.
+    #: Either takes one right-hand side or an ``(n, k)`` block.
     solver: Optional[str] = None
     #: Relative/absolute convergence tolerances on the recurrence residual
     #: (finite, non-negative numbers).
@@ -192,13 +170,13 @@ class SolveSpec(RoundTrip):
     #: ESR-resilience extension; attaching one selects ``resilient_pcg``
     #: unless ``solver`` says otherwise.
     resilience: Optional[ResilienceSpec] = None
-    #: Multi-RHS extension; attaching one selects ``block_pcg`` unless
-    #: ``solver`` says otherwise.
+    #: Multi-RHS extension: checks the block's column count and may fuse
+    #: reductions; it selects no solver.
     block: Optional[BlockSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rtol", _tolerance("rtol", self.rtol))
-        object.__setattr__(self, "atol", _tolerance("atol", self.atol))
+        object.__setattr__(self, "rtol", check_tolerance(self.rtol, "rtol"))
+        object.__setattr__(self, "atol", check_tolerance(self.atol, "atol"))
         if self.max_iterations is not None:
             if int(self.max_iterations) < 1:
                 raise ValueError(
@@ -250,26 +228,13 @@ class SolveSpec(RoundTrip):
             spec = replace(spec, block=replace(base, **blk))
         return spec
 
-    def resolved_solver(self, *, multi_rhs: bool = False) -> str:
-        """The registry name this spec dispatches to.
-
-        Explicit :attr:`solver` wins; otherwise a multi-RHS right-hand side
-        (or an attached :class:`BlockSpec`) selects ``"block_pcg"`` -- or
-        ``"resilient_block_pcg"`` when a :class:`ResilienceSpec` is attached
-        as well (the two extensions compose) -- an attached
-        :class:`ResilienceSpec` alone selects ``"resilient_pcg"``, and the
-        plain ``"pcg"`` is the fallback.
-        """
+    def resolved_solver(self) -> str:
+        """The registry name this spec dispatches to: explicit
+        :attr:`solver` wins, else ``"resilient_pcg"`` exactly when a
+        :class:`ResilienceSpec` is attached, else ``"pcg"``."""
         if self.solver is not None:
             return str(self.solver)
-        block_like = multi_rhs or self.block is not None
-        if block_like and self.resilience is not None:
-            return "resilient_block_pcg"
-        if block_like:
-            return "block_pcg"
-        if self.resilience is not None:
-            return "resilient_pcg"
-        return "pcg"
+        return "pcg" if self.resilience is None else "resilient_pcg"
 
     # -- serialization ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -33,11 +33,10 @@ classical non-blocking halo exchange: post the sends, compute
 ``A_offdiag @ X_ghost`` once they "arrive".  The engine builds (on first
 use) the *diagonal* part of the matrix (each row's entries in its owner's
 columns) and the *off-diagonal* part (its ghost columns) as two CSR
-matrices and runs one kernel on each.  The matching overlap-aware charge
-(see :meth:`overlap_charge`) is the per-rank max reduction
-``max_i(max(halo_i, diag_i) + offdiag_i)`` of
-:meth:`~repro.cluster.cost_model.MachineModel.split_spmv_time` -- never more
-than the serialized ``halo + compute`` charge.  Because the two-kernel
+matrices and runs one kernel on each.  The matching overlap-aware charge,
+:meth:`overlap_charge`, is the per-rank max reduction
+``max_i(max(halo_i, diag_i) + offdiag_i)`` -- never more than the
+serialized ``halo + compute`` charge.  Because the two-kernel
 execution accumulates each row's diagonal terms before its off-diagonal
 terms (exactly as PETSc's overlapped ``MatMult`` does), its results may
 differ from the fused kernel in the last floating-point bits; the fused
@@ -214,7 +213,9 @@ class SpmvEngine:
         """The overlap-aware charge of one split-phase SpMV (cached per k).
 
         Per rank ``i`` the split-phase time is ``max(halo_i, diag_i) +
-        offdiag_i`` (:meth:`MachineModel.split_spmv_time`); the
+        offdiag_i``: the PETSc-style ``VecScatterBegin -> A_diag @ x_own ->
+        VecScatterEnd -> += A_offdiag @ x_ghost`` execution, whose halo
+        exchange proceeds concurrently with the diagonal-block product.  The
         bulk-synchronous charge is the max reduction over ranks.  The ledger
         books the pure compute part ``max_i(diag_i + offdiag_i)`` under
         ``compute.spmv`` and only the exposed remainder under ``comm.halo``

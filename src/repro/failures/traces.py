@@ -23,8 +23,9 @@ seed: the same ``(spec, seed)`` pair reproduces the trace bit-for-bit.  A
 generated :class:`FailureTrace` resolves into a ``failures`` schedule of
 :class:`~repro.cluster.failure.FailureEvent` objects
 (:meth:`FailureTrace.to_failure_events`), the form every recovering solver
--- resilient PCG, resilient block PCG, and the baselines -- takes unmodified
-(``ResilienceSpec.failures``, or the baselines' ``failures`` argument).
+-- resilient PCG, on one right-hand side or a block, and the baselines --
+takes unmodified (``ResilienceSpec.failures``, or the baselines'
+``failures`` argument).
 
 Time is measured in solver iterations: an event at continuous time ``t``
 strikes before iteration ``int(t)`` (clamped to ``[1, horizon]``).

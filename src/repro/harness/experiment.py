@@ -79,12 +79,10 @@ class ExperimentConfig:
     jitter_rel_std: float = 0.02
     #: Registered backup-placement name (see ``repro.core.PLACEMENTS``).
     placement: str = "paper"
-    local_solver_method: str = "pcg_ilu"
-    local_rtol: float = 1e-14
     machine: Optional[MachineModel] = None
-    #: Right-hand sides per solve: 1 runs the paper's single-vector solvers,
-    #: ``k > 1`` composes a :class:`~repro.core.spec.BlockSpec` into the
-    #: spec so runs dispatch to the multi-RHS block solvers.
+    #: Right-hand sides per solve: 1 runs the paper's single-vector
+    #: solves, ``k > 1`` composes a :class:`~repro.core.spec.BlockSpec`
+    #: with ``n_cols=k`` into the spec and solves ``(n, k)`` blocks.
     n_rhs: int = 1
     #: Rows per node the paper's experiments had (~10k for n~1.3M on 128
     #: nodes).  The machine model is scaled so a run on the scaled-down
@@ -121,26 +119,16 @@ class ExperimentConfig:
 
         ``phi=None`` describes a reference (plain PCG) run; any other value
         attaches a :class:`ResilienceSpec` with this config's placement and
-        local-solver options plus the given failure schedule.  With
-        ``n_rhs > 1`` a :class:`BlockSpec` is attached as well, selecting the
-        multi-RHS block solvers (``block_pcg`` / ``resilient_block_pcg``) --
-        the harness-side composition the resilient-block benchmark drives.
+        the given failure schedule, which selects the resilient solver.
+        With ``n_rhs > 1`` a :class:`BlockSpec` is attached as well, which
+        checks that each run's right-hand side is an ``(n, n_rhs)`` block.
         """
         resilience = None
         if phi is not None:
             resilience = ResilienceSpec(
-                phi=phi, placement=self.placement, failures=tuple(failures),
-                local_solver_method=self.local_solver_method,
-                local_rtol=self.local_rtol,
-            )
+                phi=phi, placement=self.placement, failures=tuple(failures))
         block = BlockSpec(n_cols=self.n_rhs) if self.n_rhs > 1 else None
-        if block is not None:
-            solver = "block_pcg" if resilience is None \
-                else "resilient_block_pcg"
-        else:
-            solver = "pcg" if resilience is None else "resilient_pcg"
         return SolveSpec(
-            solver=solver,
             rtol=self.rtol, max_iterations=self.max_iterations,
             preconditioner=self.preconditioner, resilience=resilience,
             block=block,

@@ -9,24 +9,25 @@ many independent ``(matrix_id, rhs, spec)`` solve requests.  A batching
 policy, picked by its registered name (:mod:`repro.service.policies`),
 groups pending requests that share a compatible ``(matrix_id, SolveSpec)``
 key into one ``(n, k)`` block solve through :func:`repro.solve` --
-continuous batching, exactly as inference servers do it: the block
-solver's allreduce *message* count is independent of ``k``, so ``k``
-coalesced requests pay the latency-bound reductions once.
+continuous batching, exactly as inference servers do it: a block solve's
+allreduce *message* count is independent of ``k``, so ``k`` coalesced
+requests pay the latency-bound reductions once.
 
 **Bit-exactness.**  A batch of width 1 dispatches the raw 1-D right-hand
 side through the identical ``repro.solve`` path a direct call would take; a
-batch of width ``k > 1`` column-stacks the right-hand sides and rides the
-block solver, whose per-column equivalence contract
+batch of width ``k > 1`` column-stacks the right-hand sides and hands the
+block to the same solver, whose per-column equivalence contract
 (:mod:`repro.core.block_pcg`) makes column ``j`` bit-identical to the
 sequential solve of request ``j``.  Either way the service returns exactly
 what one-at-a-time dispatch would have.
 
 **Coalescing key.**  Requests may merge only when they target the same
-``matrix_id`` with an *auto-selecting* spec (``spec.solver is None`` and no
-explicit block extension) whose configuration is JSON-serializable --
-pinning a solver by name, attaching a ``BlockSpec``, or passing a live
-preconditioner instance makes the request non-coalescable and it dispatches
-alone, never silently re-routed.
+``matrix_id`` with identical, JSON-serializable specs.  A pinned solver
+name is part of the spec like any other field: the solver takes one
+right-hand side or a block under the same name, so a batch runs the
+solver its requests asked for.  Attaching a ``BlockSpec`` (its
+``n_cols`` may fix the column count) or passing a live preconditioner
+instance makes the request non-coalescable, and it dispatches alone.
 
 **Execution modes.**  With ``autostart=True`` a background scheduler thread
 dispatches batches as windows fill or expire (host wallclock drives the
@@ -244,10 +245,10 @@ class SolverService:
                         ) -> Tuple[str, bool]:
         """The coalescing key of ``(matrix_id, spec)`` and whether requests
         carrying it may merge at all."""
-        if spec.solver is not None or spec.block is not None:
-            # Pinned solver / explicit block configuration: coalescing would
-            # re-route the request to a different solver than asked for.
-            return f"pinned:{matrix_id}", False
+        if spec.block is not None:
+            # An explicit block configuration (its n_cols may fix the
+            # column count) runs as configured.
+            return f"block:{matrix_id}", False
         try:
             payload = spec.to_dict()
         except ValueError:
@@ -400,7 +401,7 @@ class SolverService:
         spec = batch[0].spec
         with self._lock:
             entry = self._matrices[batch[0].matrix_id]
-        solver_name = spec.resolved_solver(multi_rhs=width > 1)
+        solver_name = spec.resolved_solver()
         if width == 1:
             # Identical dispatch path to a direct ``repro.solve`` call.
             rhs: np.ndarray = batch[0].rhs

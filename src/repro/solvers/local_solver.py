@@ -6,11 +6,13 @@ small compared to the global problem (``|I_f| = psi * n / N``), SPD and full
 rank, so the paper solves them either directly or with an inner PCG using an
 ILU-preconditioned block Jacobi and a very tight tolerance (residual
 reduction by 1e14) so that the reconstruction error stays negligible
-(Sec. 6, "Avoiding loss of orthogonality").  Here the inner PCG's
+(Sec. 6, "Avoiding loss of orthogonality").  The ESR reconstruction
+always runs the inner PCG (``"pcg_ilu"``, the default) to ``1e-14``; its
 preconditioner is block Jacobi's ILU
 (:class:`~repro.precond.block_jacobi.BlockJacobiPreconditioner` with
 ``block_solver="ilu"``) over the whole subsystem as one block, not one
-block per failed rank.
+block per failed rank.  ``"direct"`` serves the LI/LSI interpolation
+baselines and the inner PCG's fallback.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ..precond.block_jacobi import BlockJacobiPreconditioner
-from ..precond.jacobi import JacobiPreconditioner
 from ..utils.serde import Serializable
 from .cg import pcg
 from .result import SolveResult
 
 #: Supported methods for the reconstruction subsystems.
-LOCAL_SOLVER_METHODS = ("direct", "pcg_ilu", "pcg_jacobi")
+LOCAL_SOLVER_METHODS = ("direct", "pcg_ilu")
 
 
 @dataclass
@@ -51,12 +52,12 @@ class LocalSubsystemSolver:
     Parameters
     ----------
     method:
-        ``"direct"`` (sparse LU -- exact), ``"pcg_ilu"`` (inner PCG
-        preconditioned by block Jacobi's ILU -- ``drop_tol`` 1e-4 and
-        ``fill_factor`` 10 -- over the whole subsystem as one block), or
-        ``"pcg_jacobi"`` (inner PCG with point Jacobi).
+        ``"pcg_ilu"`` (inner PCG preconditioned by block Jacobi's ILU --
+        ``drop_tol`` 1e-4 and ``fill_factor`` 10 -- over the whole
+        subsystem as one block; the reconstruction's) or ``"direct"``
+        (sparse LU -- exact; the interpolation baselines').
     rtol:
-        Relative residual reduction for the iterative methods.  The paper
+        Relative residual reduction of the inner PCG.  The paper
         uses ``1e-14`` so that the reconstructed state is exact to near
         machine precision.
     max_iterations:
@@ -95,8 +96,8 @@ class LocalSubsystemSolver:
         """Solve ``a @ x = b``, reusing the factorizations cached in *shared*.
 
         *shared* carries the expensive, rhs-independent pieces (the sparse LU
-        for ``"direct"`` and the direct fallback, the set-up ILU/Jacobi
-        preconditioner for the inner-PCG methods) across the columns of a
+        for ``"direct"`` and the direct fallback, the set-up ILU
+        preconditioner of the inner PCG) across the columns of a
         multi-RHS solve.  Factorizations of the same matrix are
         deterministic, so reusing them keeps every column bit-identical to a
         standalone :meth:`solve` of that column; only the factorization work
@@ -117,11 +118,8 @@ class LocalSubsystemSolver:
 
         preconditioner = shared.get("preconditioner")
         if preconditioner is None:
-            if self.method == "pcg_ilu":
-                preconditioner = BlockJacobiPreconditioner(
-                    n_blocks=1, block_solver="ilu")
-            else:
-                preconditioner = JacobiPreconditioner()
+            preconditioner = BlockJacobiPreconditioner(
+                n_blocks=1, block_solver="ilu")
             preconditioner.setup(a)
             shared["preconditioner"] = preconditioner
         result: SolveResult = pcg(
@@ -166,7 +164,7 @@ class LocalSubsystemSolver:
 
         The multi-RHS entry point of the block ESR reconstruction: the
         factorization (sparse LU for ``"direct"``/the direct fallback, the
-        ILU/Jacobi setup for the inner-PCG methods) is computed **once** and
+        ILU set-up of the inner PCG) is computed **once** and
         amortized over all ``k`` column solves, while each column's solution
         stays bit-identical to a standalone :meth:`solve` call on that column
         (the factors of a fixed matrix are deterministic).  ``last_stats``

@@ -7,6 +7,7 @@ error messages consistent.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
@@ -42,6 +43,20 @@ def check_nonnegative(value: float, name: str) -> float:
     if value < 0:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def check_tolerance(value: Any, name: str) -> float:
+    """*value* as a float, rejecting NaN, inf and negative values.
+
+    A convergence tolerance outside that range makes PCG report nonsense:
+    with ``inf`` it stops "converged" after zero iterations, with ``NaN``
+    no residual ever meets the threshold.
+    """
+    tolerance = float(value)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValidationError(
+            f"{name} must be a finite non-negative number, got {value!r}")
+    return tolerance
 
 
 def check_in_range(value: float, low: float, high: float, name: str,

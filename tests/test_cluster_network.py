@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.network import (
     FatTreeTopology,
     Topology,
-    TorusTopology,
     UniformTopology,
     default_topology,
 )
@@ -18,10 +17,6 @@ from repro.cluster.network import (
     lambda: FatTreeTopology(4, nodes_per_switch=4),
     lambda: FatTreeTopology(33, nodes_per_switch=4),
     lambda: default_topology(128),
-    lambda: TorusTopology(1),
-    lambda: TorusTopology(2),
-    lambda: TorusTopology(9),
-    lambda: TorusTopology(16),
 ])
 def test_closed_form_max_latency_equals_the_pairwise_scan(make):
     topology = make()
@@ -84,22 +79,6 @@ class TestFatTreeTopology:
             topo.switch_of(r) == topo.switch_of(r + 1) for r in range(31)
         )
         assert same_switch >= 24  # only switch boundaries differ
-
-
-class TestTorusTopology:
-    def test_ring_distance(self):
-        topo = TorusTopology(10)
-        assert topo.hops(0, 1) == 1
-        assert topo.hops(0, 9) == 1      # wraps around
-        assert topo.hops(0, 5) == 5
-
-    def test_latency_grows_with_distance(self):
-        topo = TorusTopology(16)
-        assert topo.latency(0, 8) > topo.latency(0, 1)
-
-    def test_max_latency_at_half_ring(self):
-        topo = TorusTopology(8, per_hop_latency=1e-6, base_latency=1e-6)
-        assert topo.max_latency() == pytest.approx(1e-6 + 4e-6)
 
 
 class TestDefaultTopology:

@@ -13,6 +13,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import (
+    CheckpointRestartPCG,
+    FullRestartPCG,
+    InterpolationRecoveryPCG,
+)
 from repro.cluster import MachineModel, NodeFailedError, VirtualCluster
 from repro.cluster.cost_model import Phase
 from repro.core import (
@@ -231,6 +236,28 @@ class TestValidation:
                                            "B", 2)
         with pytest.raises(ValueError):
             BlockPCG(dist, rhs, precond)
+
+    @pytest.mark.parametrize("tolerance", [{"rtol": math.inf},
+                                           {"rtol": math.nan},
+                                           {"atol": -1.0}],
+                             ids=["rtol=inf", "rtol=nan", "atol=-1"])
+    @pytest.mark.parametrize("cls", [BlockPCG, ResilientBlockPCG,
+                                     FullRestartPCG, CheckpointRestartPCG,
+                                     InterpolationRecoveryPCG],
+                             ids=lambda cls: cls.__name__)
+    def test_bad_tolerance_rejected_before_any_charge(self, cls, tolerance):
+        """A solver built directly rejects what ``SolveSpec`` rejects.  On
+        ``poisson_2d(16)`` over 4 ranks, ``rtol=inf`` once returned
+        ``converged=True`` after 0 iterations with ||b - Ax|| = 8.49, and
+        ``rtol=nan`` let a full-restart solve run 282 iterations."""
+        a, cluster, partition, dist, precond, rhs_global = make_problem()
+        rhs = DistributedVector.from_global(cluster, partition, "b",
+                                            rhs_global[:, 0])
+        name = next(iter(tolerance))
+        with pytest.raises(ValueError, match=f"{name} must be a finite"):
+            cls(dist, rhs, precond, **tolerance)
+        assert cluster.ledger.snapshot() == {}
+        assert not cluster.ledger.messages
 
     def test_node_failure_raises_out_of_solve(self):
         """BlockPCG has no recovery; a failure mid-setup must surface."""

@@ -19,8 +19,7 @@ from repro.precond.base import PreconditionerForm
 
 
 def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteration,
-                         preconditioner="block_jacobi", placement="paper",
-                         local_solver="pcg_ilu"):
+                         preconditioner="block_jacobi", placement="paper"):
     """Run ResilientPCG and capture the state right before/after recovery."""
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
@@ -28,8 +27,7 @@ def run_with_state_check(matrix, *, n_nodes, phi, failed_ranks, failure_iteratio
     precond.setup(problem.matrix.to_global(), problem.partition)
     resilience = ResilienceSpec(
         phi=phi, placement=placement,
-        failures=[FailureEvent(failure_iteration, tuple(failed_ranks))],
-        local_solver_method=local_solver)
+        failures=[FailureEvent(failure_iteration, tuple(failed_ranks))])
     solver = ResilientPCG(problem.matrix, problem.rhs, precond,
                           resilience=resilience)
     captured = {}
@@ -86,14 +84,6 @@ class TestExactReconstruction:
         assert all(v < 1e-9 for v in diffs.values()), diffs
         assert result.converged
 
-    def test_direct_local_solver(self):
-        result, captured, _ = run_with_state_check(
-            poisson_2d(16), n_nodes=4, phi=1, failed_ranks=[3],
-            failure_iteration=5, local_solver="direct",
-        )
-        diffs = state_difference(captured["before"], captured["after"])
-        assert all(v < 1e-11 for v in diffs.values()), diffs
-
     def test_failure_at_iteration_zero(self):
         result, captured, _ = run_with_state_check(
             poisson_2d(16), n_nodes=4, phi=1, failed_ranks=[2],
@@ -140,9 +130,9 @@ class TestExactReconstruction:
 class TestReconstructionFormSelection:
     """Each preconditioner reconstructs through its own form."""
 
-    @pytest.mark.parametrize("solver", ["resilient_pcg",
-                                        "resilient_block_pcg"])
-    def test_identity_form_is_exact_for_identity(self, solver):
+    @pytest.mark.parametrize("as_block", [False, True],
+                             ids=["vector", "block"])
+    def test_identity_form_is_exact_for_identity(self, as_block):
         """With M = I the identity form recovers r = z exactly: the
         failure-free iteration count and the threshold are kept."""
         import repro
@@ -151,17 +141,19 @@ class TestReconstructionFormSelection:
             problem = distribute_problem(
                 poisson_2d(12), n_nodes=4, seed=0,
                 machine=MachineModel(jitter_rel_std=0.0))
-            return problem, repro.solve(
-                problem, solver=solver, phi=2, preconditioner="identity",
+            b = problem.rhs.to_global()
+            return problem, b, repro.solve(
+                problem, b[:, None] if as_block else None,
+                solver="resilient_pcg", phi=2, preconditioner="identity",
                 failures=failures)
 
-        _, failure_free = run([])
-        problem, result = run([(6, [1, 2])])
+        _, _, failure_free = run([])
+        problem, b, result = run([(6, [1, 2])])
         assert result.n_failures_recovered == 2
         assert result.recoveries[0].reconstruction_form == "identity"
         assert result.iterations == failure_free.iterations
-        # The block solver reports the 1-D right-hand side as one column.
-        b = problem.rhs.to_global()
+        # A one-column block is answered as a block.
+        assert result.x.shape == ((len(b), 1) if as_block else (len(b),))
         x = np.reshape(result.x, (len(b), -1))
         true_residual = np.linalg.norm(
             b[:, None] - problem.matrix.to_global() @ x, axis=0)

@@ -284,14 +284,6 @@ class TestFacadeDispatch:
         return distribute_problem(a, rhs, n_nodes=N_NODES,
                                   machine=MachineModel(jitter_rel_std=0.0))
 
-    def test_resilience_plus_block_auto_selects_resilient_block_pcg(self):
-        spec = SolveSpec(resilience=ResilienceSpec(phi=1),
-                         block=BlockSpec(n_cols=2))
-        assert spec.resolved_solver() == "resilient_block_pcg"
-        assert spec.resolved_solver(multi_rhs=True) == "resilient_block_pcg"
-        assert SolveSpec(resilience=ResilienceSpec(phi=1)).resolved_solver(
-            multi_rhs=True) == "resilient_block_pcg"
-
     def test_facade_run_equals_direct_construction(self):
         a, *_, rhs_global = make_problem(seed=11, k=2)
         failures = [(7, [1])]
@@ -306,11 +298,11 @@ class TestFacadeDispatch:
         assert np.array_equal(via_facade.x, direct.x)
         assert via_facade.time_breakdown == direct.time_breakdown
 
-    def test_block_pcg_still_rejects_resilience(self):
+    def test_pcg_rejects_resilience_on_a_block(self):
         a, *_, rhs_global = make_problem(seed=12, k=2)
-        with pytest.raises(ValueError, match="resilient"):
+        with pytest.raises(ValueError, match="solver='resilient_pcg'"):
             solve(self.fresh_problem(a), rhs_global,
-                  spec=SolveSpec(solver="block_pcg",
+                  spec=SolveSpec(solver="pcg",
                                  resilience=ResilienceSpec(phi=1)))
 
     def test_spec_roundtrip_carries_both_extensions(self):
@@ -319,7 +311,7 @@ class TestFacadeDispatch:
                          block=BlockSpec(n_cols=3, fuse_reductions=True))
         rebuilt = SolveSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
-        assert rebuilt.resolved_solver() == "resilient_block_pcg"
+        assert rebuilt.resolved_solver() == "resilient_pcg"
 
     def test_info_fields(self):
         a, *_, rhs_global = make_problem(seed=13, k=2)

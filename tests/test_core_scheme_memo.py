@@ -152,12 +152,10 @@ class TestMemoKey:
         assert all(scheme_of(problem, **fields) is scheme
                    for fields, scheme in zip(self.LAYOUTS, schemes))
 
-    def test_failures_and_local_solver_fields_share_the_scheme(self):
+    def test_failures_and_placement_spelling_share_the_scheme(self):
         problem = fresh_problem()
         base = scheme_of(problem, phi=3)
         assert scheme_of(problem, phi=3, failures=FAILURES) is base
-        assert scheme_of(problem, phi=3, local_solver_method="direct",
-                         local_rtol=1e-10) is base
         assert scheme_of(problem, phi=3, placement="Paper") is base
 
     def test_problems_do_not_share_schemes(self):

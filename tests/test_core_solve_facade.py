@@ -1,8 +1,9 @@
 """Tests for the `repro.solve` façade and the solver registry.
 
-Acceptance contract of the API redesign: dispatching any of the three
-solvers through one ``SolveSpec`` is **bit-identical** -- iterates, residual
-histories, *and* cost-ledger charges -- to constructing the solver by hand;
+Acceptance contract of the API redesign: dispatching either solver, on one
+right-hand side or a block, through one ``SolveSpec`` is **bit-identical**
+-- iterates, residual histories, *and* cost-ledger charges -- to
+constructing the solver by hand;
 every resilience option reaches the solver (including the ones a one-call
 helper once dropped); and derived objects (global operator, set-up
 preconditioners) are cached per problem until the matrix structure changes.
@@ -15,9 +16,12 @@ from repro.cluster import FailureEvent, MachineModel
 from repro.core import (
     SOLVERS,
     BlockPCG,
+    BlockSolveResult,
     BlockSpec,
     DistributedPCG,
+    DistributedSolveResult,
     ResilienceSpec,
+    ResilientBlockPCG,
     ResilientPCG,
     SolveSpec,
     distribute_problem,
@@ -52,7 +56,8 @@ def ledger_state(problem):
 
 
 def build_direct_solver(solver_name, problem):
-    """Hand-constructed solver on *problem*, bypassing the façade."""
+    """Hand-constructed solver on *problem*, bypassing the façade
+    (``"pcg_block"``: plain PCG on the ``(n, 3)`` block ``RHS_2D``)."""
     precond = make_preconditioner("block_jacobi")
     precond.setup(MATRIX, problem.partition)
     common = dict(rtol=1e-8)
@@ -70,7 +75,8 @@ def build_direct_solver(solver_name, problem):
 def facade_spec(solver_name):
     resilience = (ResilienceSpec(phi=2, failures=tuple(FAILURES))
                   if solver_name == "resilient_pcg" else None)
-    return SolveSpec(solver=solver_name, rtol=1e-8,
+    solver = "pcg" if solver_name == "pcg_block" else solver_name
+    return SolveSpec(solver=solver, rtol=1e-8,
                      preconditioner="block_jacobi", resilience=resilience)
 
 
@@ -80,28 +86,26 @@ class TestCrossSolverEquivalence:
     @pytest.mark.parametrize("engine", [True, False],
                              ids=["engine", "reference"])
     @pytest.mark.parametrize("solver_name",
-                             ["pcg", "resilient_pcg", "block_pcg"])
+                             ["pcg", "resilient_pcg", "pcg_block"])
     def test_bit_identical_to_direct_construction(self, solver_name, engine,
                                                   request):
         # ``reference``: both solves run their SpMVs on the dense-gather
         # oracle, so the equivalence does not lean on the engine cache.
         if not engine:
             request.getfixturevalue("solvers_on_dense_gather")
-        rhs = RHS_2D if solver_name == "block_pcg" else RHS_1D
+        block = solver_name == "pcg_block"
+        rhs = RHS_2D if block else RHS_1D
 
-        facade_problem = fresh_problem(None if solver_name == "block_pcg"
-                                       else rhs)
-        via_facade = solve(facade_problem,
-                           rhs if solver_name == "block_pcg" else None,
+        facade_problem = fresh_problem(None if block else rhs)
+        via_facade = solve(facade_problem, rhs if block else None,
                            spec=facade_spec(solver_name))
 
-        direct_problem = fresh_problem(None if solver_name == "block_pcg"
-                                       else rhs)
+        direct_problem = fresh_problem(None if block else rhs)
         direct = build_direct_solver(solver_name, direct_problem).solve()
 
         assert np.array_equal(via_facade.x, direct.x)
         assert np.array_equal(via_facade.iterations, direct.iterations)
-        if solver_name == "block_pcg":
+        if block:
             assert (via_facade.residual_histories
                     == direct.residual_histories)
         else:
@@ -132,7 +136,7 @@ class TestDispatchAndNormalization:
         result = solve(fresh_problem(RHS_1D), phi=1)
         assert result.info["phi"] == 1
 
-    def test_2d_rhs_dispatches_to_block_pcg(self):
+    def test_2d_rhs_is_answered_with_a_block(self):
         result = solve(fresh_problem(), RHS_2D)
         assert result.x.shape == RHS_2D.shape
         assert result.all_converged
@@ -167,31 +171,10 @@ class TestDispatchAndNormalization:
         with pytest.raises(ValueError, match="1-D or"):
             solve(fresh_problem(), np.zeros((4, 4, 4)))
 
-    def test_single_rhs_solver_rejects_block_rhs(self):
-        with pytest.raises(ValueError, match="single right-hand side"):
-            solve(fresh_problem(), RHS_2D, spec=SolveSpec(solver="pcg"))
-
-    def test_block_solver_rejects_resilience(self):
-        with pytest.raises(ValueError, match="ResilienceSpec"):
-            solve(fresh_problem(), RHS_2D,
-                  spec=SolveSpec(solver="block_pcg",
-                                 resilience=ResilienceSpec()))
-
-    def test_pcg_rejects_block_spec(self):
-        with pytest.raises(ValueError, match="BlockSpec"):
-            solve(fresh_problem(RHS_1D),
-                  spec=SolveSpec(solver="pcg", block=BlockSpec()))
-
     def test_block_spec_n_cols_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n_cols=2"):
             solve(fresh_problem(), RHS_2D,
                   spec=SolveSpec(block=BlockSpec(n_cols=2)))
-
-    def test_1d_rhs_through_block_solver_as_k1(self):
-        result = solve(fresh_problem(RHS_1D),
-                       spec=SolveSpec(solver="block_pcg"))
-        reference = solve(fresh_problem(RHS_1D))
-        assert np.array_equal(result.x[:, 0], reference.x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_rejected(self, bad):
@@ -211,19 +194,90 @@ class TestDispatchAndNormalization:
 
     def test_1d_rhs_is_solved_without_a_block_copy(self):
         """The solver runs on the vector's own ``(n_i, 1)`` storage: no node
-        holds a second, promoted copy of the rhs after either 1-D route."""
+        holds a second, promoted copy of the rhs after either 1-D route.  A
+        ``BlockSpec`` does not turn the answer into a block."""
         problem = fresh_problem()
         solve(problem, RHS_1D)
-        solve(problem, RHS_1D, spec=SolveSpec(solver="block_pcg"))
+        result = solve(problem, RHS_1D, spec=SolveSpec(block=BlockSpec()))
+        assert type(result) is DistributedSolveResult
         for rank in range(N_NODES):
             keys = problem.cluster.node(rank).memory.keys()
             assert not [key for key in keys if ":as_block" in repr(key)]
 
 
+#: Right-hand-side inputs of the shape-dispatch test: name -> (the input
+#: ``solve`` gets on *problem*, whether the answer is a single vector).
+RHS_INPUTS = {
+    "1d_array": (lambda problem: RHS_1D, True),
+    "n_by_1_array": (lambda problem: RHS_2D[:, :1], False),
+    "n_by_3_array": (lambda problem: RHS_2D, False),
+    "dvector": (lambda problem: DistributedVector.from_global(
+        problem.cluster, problem.partition, "solve:b", RHS_1D), True),
+    "one_column_dmultivector": (
+        lambda problem: DistributedMultiVector.from_global(
+            problem.cluster, problem.partition, "solve:B", RHS_2D[:, :1]),
+        False),
+}
+
+
+class TestShapeDispatch:
+    """The right-hand side's shape, not the solver name, picks the answer:
+    one vector for 1-D input, a block otherwise, from either solver and
+    bit-identical to the class built directly on the same input."""
+
+    @staticmethod
+    def distributed(rhs, problem):
+        """*rhs* as the façade distributes it on *problem*."""
+        if not isinstance(rhs, np.ndarray):
+            return rhs
+        cls, name = ((DistributedVector, "solve:b") if rhs.ndim == 1
+                     else (DistributedMultiVector, "solve:B"))
+        return cls.from_global(problem.cluster, problem.partition, name, rhs)
+
+    @pytest.mark.parametrize("rhs_kind", sorted(RHS_INPUTS))
+    @pytest.mark.parametrize("solver", [None, "pcg", "resilient_pcg"])
+    def test_answer_follows_the_rhs_shape(self, solver, rhs_kind):
+        make_rhs, single = RHS_INPUTS[rhs_kind]
+        resilience = (ResilienceSpec(phi=2, failures=tuple(FAILURES))
+                      if solver == "resilient_pcg" else None)
+        facade_problem = fresh_problem()
+        result = solve(facade_problem, make_rhs(facade_problem),
+                       spec=SolveSpec(solver=solver, resilience=resilience))
+
+        problem = fresh_problem()
+        precond = make_preconditioner("block_jacobi")
+        precond.setup(MATRIX, problem.partition)
+        rhs = self.distributed(make_rhs(problem), problem)
+        if resilience is None:
+            direct = BlockPCG(problem.matrix, rhs, precond).solve()
+        else:
+            direct = ResilientBlockPCG(problem.matrix, rhs, precond,
+                                       resilience=resilience).solve()
+
+        assert type(result) is (DistributedSolveResult if single
+                                else BlockSolveResult)
+        assert type(direct) is type(result)
+        assert result.x.shape == direct.x.shape
+        assert np.array_equal(result.x, direct.x)
+        assert result.iterations == direct.iterations
+        assert result.time_breakdown == direct.time_breakdown
+        assert len(result.recoveries) == (1 if resilience else 0)
+
+
 class TestRegistry:
     def test_builtin_names_registered(self):
-        assert SOLVERS.names() == ("block_pcg", "pcg", "resilient_block_pcg",
-                                   "resilient_pcg")
+        assert SOLVERS.names() == ("pcg", "resilient_pcg")
+
+    @pytest.mark.parametrize("rhs", [RHS_1D, RHS_2D], ids=["1d", "2d"])
+    @pytest.mark.parametrize("name", ["block_pcg", "resilient_block_pcg"])
+    def test_removed_solver_names_rejected_before_any_charge(self, name,
+                                                             rhs):
+        problem = fresh_problem(RHS_1D)
+        with pytest.raises(ValueError) as excinfo:
+            solve(problem, rhs, solver=name, phi=1)
+        assert str(excinfo.value) == (
+            f"unknown solver {name!r}; available: ('pcg', 'resilient_pcg')")
+        assert ledger_state(problem) == ({}, {}, {})
 
     def test_unknown_name_through_solve(self):
         with pytest.raises(ValueError, match="available"):
@@ -254,9 +308,7 @@ class TestRegistry:
         for removed in ("ssor", "split_ic0", "block_jacobi_ic"):
             assert removed not in message
 
-    @pytest.mark.parametrize("solver_name", [None, "pcg", "resilient_pcg",
-                                             "block_pcg",
-                                             "resilient_block_pcg"])
+    @pytest.mark.parametrize("solver_name", [None, "pcg", "resilient_pcg"])
     @pytest.mark.parametrize("name", ["ssor", "split_ic0", "block_jacobi_ic"])
     def test_removed_preconditioner_rejected_before_any_charge(
             self, name, solver_name):
@@ -401,9 +453,9 @@ class TestRecoveryKeepsCaches:
 
 
 class TestResilienceOptionsForwarding:
-    """Regression: a one-call raw-matrix solve must forward `placement`,
-    `local_solver_method` and `local_rtol` (a pre-registry helper dropped
-    them on the floor)."""
+    """Regression: a one-call raw-matrix solve must forward the resilience
+    options, such as `placement` (a pre-registry helper dropped them on the
+    floor)."""
 
     def run(self, **kwargs):
         return solve(MATRIX, RHS_1D, n_nodes=N_NODES, phi=2,
@@ -415,28 +467,15 @@ class TestResilienceOptionsForwarding:
         assert result.info["placement"] == "next_ranks"
         assert self.run().info["placement"] == "paper"
 
-    def test_local_solver_method_forwarded_and_changes_behavior(self):
-        direct = self.run(local_solver_method="direct")
-        stats = [s for r in direct.recoveries for s in r.local_solve_stats]
-        assert stats and all(s.method == "direct" for s in stats)
-        default = self.run()
-        default_stats = [s for r in default.recoveries
-                         for s in r.local_solve_stats]
-        assert default_stats
-        assert all(s.method == "pcg_ilu" for s in default_stats)
-
-    def test_local_rtol_forwarded_and_changes_behavior(self):
-        loose = self.run(local_solver_method="pcg_jacobi", local_rtol=1e-1)
-        tight = self.run(local_solver_method="pcg_jacobi", local_rtol=1e-14)
-        loose_iters = sum(s.iterations for r in loose.recoveries
-                          for s in r.local_solve_stats)
-        tight_iters = sum(s.iterations for r in tight.recoveries
-                          for s in r.local_solve_stats)
-        assert loose_iters < tight_iters
+    def test_reconstruction_runs_the_papers_local_solve(self):
+        """Every recovery's local solves are the inner ILU-preconditioned
+        PCG (Sec. 6), not a configurable method."""
+        stats = [s for r in self.run().recoveries
+                 for s in r.local_solve_stats]
+        assert stats and all(s.method == "pcg_ilu" for s in stats)
 
     def test_matches_direct_construction_with_same_options(self):
-        one_call = self.run(placement="next_ranks",
-                            local_solver_method="direct")
+        one_call = self.run(placement="next_ranks")
         problem = distribute_problem(MATRIX, RHS_1D, n_nodes=N_NODES,
                                      machine=MachineModel(jitter_rel_std=0.0),
                                      seed=0)
@@ -445,8 +484,7 @@ class TestResilienceOptionsForwarding:
         direct = ResilientPCG(
             problem.matrix, problem.rhs, precond,
             resilience=ResilienceSpec(
-                phi=2, placement="next_ranks",
-                failures=FAILURES, local_solver_method="direct"),
+                phi=2, placement="next_ranks", failures=FAILURES),
         ).solve()
         assert np.array_equal(one_call.x, direct.x)
         assert one_call.residual_norms == direct.residual_norms
@@ -530,7 +568,7 @@ class TestFusedReductions:
     def test_unfused_k1_keeps_pcg_charge_equality(self):
         """The default (unfused) mode preserves the k = 1 ledger contract."""
         block_problem = fresh_problem(RHS_1D)
-        solve(block_problem, spec=SolveSpec(solver="block_pcg"))
+        solve(block_problem, RHS_1D[:, None], spec=SolveSpec(solver="pcg"))
         pcg_problem = fresh_problem(RHS_1D)
         solve(pcg_problem, spec=SolveSpec(solver="pcg"))
         assert ledger_state(block_problem) == ledger_state(pcg_problem)

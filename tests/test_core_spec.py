@@ -6,6 +6,7 @@ Contract: every spec validates on construction, round-trips through
 ``resolved_solver`` implements the documented auto-selection rules.
 """
 
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,6 @@ from repro.core import BlockSpec, ResilienceSpec, SolveSpec
 from repro.core.spec import build_failure_events
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
-from repro.solvers import LOCAL_SOLVER_METHODS
 from repro.utils.validation import ValidationError
 
 
@@ -49,8 +49,7 @@ class TestValidation:
             SolveSpec(**kwargs)
 
     @pytest.mark.parametrize("cls,name", [(SolveSpec, "rtol"),
-                                          (SolveSpec, "atol"),
-                                          (ResilienceSpec, "local_rtol")])
+                                          (SolveSpec, "atol")])
     def test_tolerances_are_cast_to_float(self, cls, name):
         """A tolerance given as a string is the number it spells, from the
         constructor and from JSON alike, so it compares (and keys a
@@ -71,23 +70,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"phi": -1},
-        {"local_rtol": 0.0},
-        {"local_rtol": -1e-14},
-        {"local_rtol": math.inf},
-        {"local_rtol": math.nan},
-        # Checked here, not at the first recovery.
-        {"local_solver_method": "bogus"},
-        {"local_solver_method": "PCG_ILU"},
     ])
     def test_bad_resilience_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ResilienceSpec(**kwargs)
 
-    @pytest.mark.parametrize("method", LOCAL_SOLVER_METHODS)
-    def test_every_local_solver_method_accepted(self, method):
-        spec = ResilienceSpec(local_solver_method=method)
-        assert spec.local_solver_method == method
-        assert ResilienceSpec.from_dict(spec.to_dict()) == spec
+    def test_resilience_spec_has_the_six_layout_and_schedule_fields(self):
+        """The reconstruction's local solve is the paper's, not a knob."""
+        assert [f.name for f in dataclasses.fields(ResilienceSpec)] == [
+            "phi", "scheme", "scheme_options", "placement", "rack_size",
+            "failures"]
 
     @pytest.mark.parametrize("n_cols", [0, -2])
     def test_bad_block_fields_rejected(self, n_cols):
@@ -121,9 +113,7 @@ class TestValidation:
 #: requires every registered name to appear as a literal in the test suite;
 #: these lists (checked against the live registries below) are that
 #: round-trip coverage -- extend them when registering a new name.
-REGISTERED_SOLVER_NAMES = [
-    "block_pcg", "pcg", "resilient_block_pcg", "resilient_pcg",
-]
+REGISTERED_SOLVER_NAMES = ["pcg", "resilient_pcg"]
 REGISTERED_PRECONDITIONER_NAMES = [
     "block_jacobi", "block_jacobi_ilu", "identity", "jacobi",
 ]
@@ -187,7 +177,9 @@ class TestRegistryRoundTrip:
 
 #: The removed solver knobs: ``(spec class, field, a value it once took)``.
 REMOVED_KNOBS = [(SolveSpec, "overlap_spmv", True),
-                 (ResilienceSpec, "reconstruction_form", "forward")]
+                 (ResilienceSpec, "reconstruction_form", "forward"),
+                 (ResilienceSpec, "local_solver_method", "direct"),
+                 (ResilienceSpec, "local_rtol", 1e-12)]
 
 
 class TestRoundTrip:
@@ -202,7 +194,6 @@ class TestRoundTrip:
                 scheme="rs_parity", scheme_options={"group_size": 3},
                 failures=[FailureEvent(20, (2, 3), label="outage"),
                           FailureEvent(20, (5,), during_recovery_of=0)],
-                local_solver_method="direct", local_rtol=1e-12,
             ),
         )
 
@@ -241,8 +232,9 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("cls,key,value", REMOVED_KNOBS)
     def test_removed_knobs_rejected(self, cls, key, value):
-        """The split-phase solver SpMV and the forced reconstruction form
-        are gone with their fields; naming one fails loudly."""
+        """The split-phase solver SpMV, the forced reconstruction form and
+        the reconstruction's local-solver method and tolerance are gone
+        with their fields; naming one fails loudly."""
         with pytest.raises(TypeError, match=key):
             cls(**{key: value})
         with pytest.raises(ValidationError, match=cls.__name__):
@@ -268,10 +260,10 @@ class TestWithOverrides:
 
     def test_resilience_fields_merge_into_existing_extension(self):
         base = SolveSpec(resilience=ResilienceSpec(
-            phi=3, local_solver_method="direct"))
+            phi=3, placement="next_ranks"))
         spec = base.with_overrides(phi=1)
         assert spec.resilience.phi == 1
-        assert spec.resilience.local_solver_method == "direct"
+        assert spec.resilience.placement == "next_ranks"
 
     def test_block_fields_routed(self):
         spec = SolveSpec().with_overrides(fuse_reductions=True)
@@ -316,13 +308,11 @@ class TestResolvedSolver:
         spec = SolveSpec(resilience=ResilienceSpec())
         assert spec.resolved_solver() == "resilient_pcg"
 
-    def test_block_extension_selects_block(self):
-        spec = SolveSpec(block=BlockSpec())
-        assert spec.resolved_solver() == "block_pcg"
-
-    def test_multi_rhs_selects_block(self):
-        assert SolveSpec().resolved_solver(multi_rhs=True) == "block_pcg"
+    def test_block_extension_selects_no_solver(self):
+        assert SolveSpec(block=BlockSpec()).resolved_solver() == "pcg"
+        spec = SolveSpec(block=BlockSpec(), resilience=ResilienceSpec())
+        assert spec.resolved_solver() == "resilient_pcg"
 
     def test_explicit_name_wins(self):
-        spec = SolveSpec(solver="pcg", block=BlockSpec())
-        assert spec.resolved_solver(multi_rhs=True) == "pcg"
+        spec = SolveSpec(solver="pcg", resilience=ResilienceSpec())
+        assert spec.resolved_solver() == "pcg"

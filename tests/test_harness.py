@@ -8,6 +8,7 @@ the benchmarks rely on.
 import numpy as np
 import pytest
 
+from repro.core.spec import BlockSpec
 from repro.failures import FailureLocation, FailureScenario
 from repro.harness import (
     BoxStats,
@@ -60,16 +61,20 @@ class TestExperimentRunner:
         assert result.mean_iterations > 1
 
     def test_block_studies_run_end_to_end(self):
-        """n_rhs > 1 composes the block solvers harness-side: reference and
-        failure runs both dispatch to the (resilient) block PCG and the
-        repetition records consume BlockSolveResult fields."""
+        """n_rhs > 1 composes a BlockSpec harness-side: reference and
+        failure runs both solve (n, 3) blocks through the auto-selected
+        (resilient) PCG and the repetition records consume
+        BlockSolveResult fields."""
         config = ExperimentConfig(
             matrix=poisson_2d(16), n_nodes=4, repetitions=2,
             preconditioner="block_jacobi", jitter_rel_std=0.0, seed=7,
             n_rhs=3,
         )
-        assert config.solve_spec().solver == "block_pcg"
-        assert config.solve_spec(phi=1).solver == "resilient_block_pcg"
+        for spec in (config.solve_spec(), config.solve_spec(phi=1)):
+            assert spec.solver is None
+            assert spec.block == BlockSpec(n_cols=3)
+        assert config.solve_spec().resolved_solver() == "pcg"
+        assert config.solve_spec(phi=1).resolved_solver() == "resilient_pcg"
         reference = run_reference(config)
         assert reference.n == 2
         assert reference.all_converged

@@ -144,7 +144,7 @@ class TestPreconditionerVariants:
             problem = distribute_problem(poisson_2d(24), n_nodes=8,
                                          machine=MACHINE)
             return problem, solve(problem, rhs,
-                                  solver="resilient_block_pcg", phi=2,
+                                  solver="resilient_pcg", phi=2,
                                   preconditioner=preconditioner,
                                   failures=failures)
 

@@ -28,7 +28,6 @@ from repro.harness.campaign import OUTCOME_KINDS, CampaignSpec, RunOutcome
 from repro.precond.factory import PRECONDITIONERS
 from repro.service.accounting import ServiceStats, TenantUsage
 from repro.service.traffic import TrafficSpec
-from repro.solvers.local_solver import LOCAL_SOLVER_METHODS
 from repro.utils.validation import ValidationError
 
 
@@ -77,9 +76,7 @@ resilience_specs = st.builds(
     rack_size=optional(ints(1, 8)),
     failures=st.lists(failure_events | st.tuples(
         ints(0, 500), st.lists(ints(0, 31), min_size=1, max_size=3,
-                               unique_by=int)), max_size=3).map(tuple),
-    local_solver_method=st.sampled_from(LOCAL_SOLVER_METHODS),
-    local_rtol=floats(1e-16, 1e-2))
+                               unique_by=int)), max_size=3).map(tuple))
 
 block_specs = st.builds(BlockSpec, n_cols=optional(ints(1, 16)),
                         fuse_reductions=st.booleans())

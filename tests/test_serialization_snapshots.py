@@ -53,8 +53,7 @@ def resilience_spec() -> ResilienceSpec:
     return ResilienceSpec(
         phi=2, scheme="rs_parity", scheme_options={"group_size": 4},
         placement="rack_aware", rack_size=4,
-        failures=((10, (0, 1)), failure_event()),
-        local_solver_method="direct", local_rtol=1e-12)
+        failures=((10, (0, 1)), failure_event()))
 
 
 def block_spec() -> BlockSpec:
@@ -63,7 +62,7 @@ def block_spec() -> BlockSpec:
 
 def solve_spec() -> SolveSpec:
     return SolveSpec(
-        solver="resilient_block_pcg", rtol=1e-6, atol=1e-12,
+        solver="resilient_pcg", rtol=1e-6, atol=1e-12,
         max_iterations=500, preconditioner="block_jacobi_ilu",
         preconditioner_options={"drop_tol": 1e-5, "fill_factor": 5.0},
         resilience=resilience_spec(), block=block_spec())

@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.cluster import MachineModel
-from repro.core.spec import ResilienceSpec, SolveSpec
+from repro.core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from repro.service import (
     ServiceClosedError,
     ServiceStats,
@@ -217,14 +217,34 @@ class TestCoalescingEdgeCases:
             assert res.converged
             assert np.array_equal(res.x, ref.x)
 
-    def test_pinned_solver_never_coalesces(self, service, small_poisson):
+    def test_pinned_solver_requests_coalesce_and_match_direct(
+            self, service, small_poisson, direct_problem):
+        """A pinned name takes a block as well as a vector, so batching
+        runs the solver the requests asked for."""
+        spec = SolveSpec(solver="pcg")
         rhs_list = make_rhs(small_poisson.shape[0], 3)
-        handles = [service.submit("poisson", b, SolveSpec(solver="pcg"))
+        handles = [service.submit("poisson", b, spec) for b in rhs_list]
+        service.drain()
+        results = [h.result(5.0) for h in handles]
+        assert [r.batch_width for r in results] == [3, 3, 3]
+        assert all(r.solver == "pcg" for r in results)
+        for rhs, res in zip(rhs_list, results):
+            ref = repro.solve(direct_problem, rhs, spec=spec)
+            assert np.array_equal(res.x, ref.x)
+            assert res.iterations == ref.iterations
+            assert res.residual_norms == ref.residual_norms
+
+    def test_block_spec_never_coalesces(self, service, small_poisson):
+        """A ``BlockSpec`` fixes the column count, so its requests run
+        alone."""
+        rhs_list = make_rhs(small_poisson.shape[0], 2)
+        handles = [service.submit("poisson", b,
+                                  SolveSpec(block=BlockSpec(n_cols=1)))
                    for b in rhs_list]
         service.drain()
         results = [h.result(5.0) for h in handles]
-        assert [r.batch_width for r in results] == [1, 1, 1]
-        assert all(r.solver == "pcg" for r in results)
+        assert [r.batch_width for r in results] == [1, 1]
+        assert all(r.converged for r in results)
 
     def test_live_preconditioner_instance_never_coalesces(
             self, service, small_poisson, block_jacobi_factory):
@@ -261,7 +281,7 @@ class TestCoalescingEdgeCases:
         service.drain()
         results = [h.result(5.0) for h in handles]
         assert [r.batch_width for r in results] == [2, 2]
-        assert results[0].solver == "resilient_block_pcg"
+        assert results[0].solver == "resilient_pcg"
         for rhs, res in zip(rhs_list, results):
             # Fresh reference problem per request: failure recovery mutates
             # problem state, so a shared reference problem would not

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
 from repro.matrices import poisson_2d
-from repro.solvers import LocalSubsystemSolver, pcg
+from repro.solvers import LOCAL_SOLVER_METHODS, LocalSubsystemSolver, pcg
 
 
 class TestLocalSubsystemSolver:
@@ -17,7 +17,7 @@ class TestLocalSubsystemSolver:
         x = np.random.default_rng(2).standard_normal(40)
         return sub, sub @ x, x
 
-    @pytest.mark.parametrize("method", ["direct", "pcg_ilu", "pcg_jacobi"])
+    @pytest.mark.parametrize("method", LOCAL_SOLVER_METHODS)
     def test_all_methods_accurate(self, subsystem, method):
         a, b, x_exact = subsystem
         solver = LocalSubsystemSolver(method, rtol=1e-14)
@@ -30,6 +30,13 @@ class TestLocalSubsystemSolver:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             LocalSubsystemSolver("gaussian_elimination")
+
+    def test_point_jacobi_inner_pcg_is_gone(self):
+        """The reconstruction runs the paper's ILU inner PCG; the direct
+        method serves the interpolation baselines and the fallback."""
+        assert LOCAL_SOLVER_METHODS == ("direct", "pcg_ilu")
+        with pytest.raises(ValueError, match="pcg_jacobi"):
+            LocalSubsystemSolver("pcg_jacobi")
 
     def test_empty_system(self):
         solver = LocalSubsystemSolver("direct")
@@ -62,22 +69,20 @@ class TestLocalSubsystemSolver:
         its = reference.iterations
         assert stats.work_flops == 2.0 * a.nnz * its + 2.0 * a.nnz * its
 
-    @pytest.mark.parametrize("method", ["pcg_ilu", "pcg_jacobi"])
-    def test_direct_fallback_keeps_accuracy(self, subsystem, method):
+    def test_direct_fallback_keeps_accuracy(self, subsystem):
         """An inner PCG stopped short of its tolerance falls back to the
         sparse LU: the answer is the LU's, and both attempts are charged."""
         a, b, _ = subsystem
-        solver = LocalSubsystemSolver(method, rtol=1e-14, max_iterations=1)
+        solver = LocalSubsystemSolver("pcg_ilu", rtol=1e-14, max_iterations=1)
         x = solver.solve(a, b)
         stats = solver.last_stats
-        assert stats.method == f"{method}+direct_fallback"
+        assert stats.method == "pcg_ilu+direct_fallback"
         assert np.array_equal(x, splu(a.tocsc()).solve(b))
-        # One inner iteration (an SpMV and a preconditioner application),
-        # then one LU factorization and one triangular solve.
-        applied_nnz = {"pcg_ilu": a.nnz, "pcg_jacobi": a.shape[0]}[method]
+        # One inner iteration (an SpMV and an ILU application, each priced
+        # at nnz), then one LU factorization and one triangular solve.
         assert stats.iterations == 1
         assert stats.work_flops == \
-            2.0 * a.nnz + 2.0 * applied_nnz + 10.0 * a.nnz + 2.0 * a.nnz
+            2.0 * a.nnz + 2.0 * a.nnz + 10.0 * a.nnz + 2.0 * a.nnz
 
     def test_work_flops_zero_before_solve(self):
         assert LocalSubsystemSolver("direct").work_flops() == 0.0
@@ -91,7 +96,7 @@ class TestLocalSubsystemSolverBlock:
         x = np.random.default_rng(3).standard_normal((40, 4))
         return sub, sub @ x, x
 
-    @pytest.mark.parametrize("method", ["direct", "pcg_ilu", "pcg_jacobi"])
+    @pytest.mark.parametrize("method", LOCAL_SOLVER_METHODS)
     def test_columns_bit_identical_to_single_solves(self, block_subsystem,
                                                     method):
         """solve_block shares one factorization but every column must be

@@ -14,6 +14,7 @@ from repro.utils.validation import (
     check_spd_sample,
     check_square,
     check_symmetric,
+    check_tolerance,
 )
 
 
@@ -32,6 +33,20 @@ class TestScalarChecks:
     def test_nonnegative_rejects(self):
         with pytest.raises(ValidationError):
             check_nonnegative(-1e-9, "x")
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-8, "1e-10",
+                                       np.float32(0.5)])
+    def test_tolerance_is_a_python_float(self, value):
+        tolerance = check_tolerance(value, "rtol")
+        assert type(tolerance) is float
+        assert tolerance == float(value)
+
+    @pytest.mark.parametrize("value", [-1e-9, np.inf, -np.inf, np.nan,
+                                       "nan"])
+    def test_tolerance_rejects(self, value):
+        with pytest.raises(ValidationError,
+                           match="rtol must be a finite non-negative"):
+            check_tolerance(value, "rtol")
 
     def test_in_range_inclusive(self):
         assert check_in_range(0.0, 0.0, 1.0, "x") == 0.0
