@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from ..cluster.cost_model import Phase
-from ..cluster.errors import UnrecoverableStateError
 from ..core.block_pcg import BlockPCG
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
@@ -41,10 +40,9 @@ class CheckpointConfig:
 
     #: Checkpoint every this many iterations (the paper's related work uses
     #: application-dependent intervals; 50 is a reasonable default for the
-    #: scaled problems).
+    #: scaled problems).  The initial state (iteration 0) is always
+    #: checkpointed too, so every rollback has a checkpoint to go to.
     interval: int = 50
-    #: Also checkpoint iteration 0 (before the first step).
-    checkpoint_initial_state: bool = True
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -90,7 +88,6 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
         for name in ("x", "r", "z", "p"):
             state[name] = getattr(self, name).to_global()
         self.cluster.storage.put(("checkpoint", self.vector_prefix), state)
-        self._checkpoint = state
         self.checkpoints_taken += 1
         self.cluster.ledger.add_time(Phase.CHECKPOINT, self._checkpoint_cost())
         self.cluster.ledger.add_traffic(
@@ -100,9 +97,6 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
 
     def _restore_state(self, failed: List[int], iteration: int) -> None:
         """Roll the full solver state back to the last checkpoint."""
-        if self._checkpoint is None:
-            raise UnrecoverableStateError(
-                "no checkpoint available to restore")
         state = self.cluster.storage.retrieve(("checkpoint", self.vector_prefix),
                                               charge=True)
         lost = self.global_iterations - int(state["global_iterations"])
@@ -121,12 +115,10 @@ class CheckpointRestartPCG(BaselineRecoveryMixin, BlockPCG):
     # -- hooks -----------------------------------------------------------------------
     def _on_setup(self) -> None:
         super()._on_setup()
-        #: This solve's last checkpoint and counters.
-        self._checkpoint: Optional[Dict[str, object]] = None
+        #: This solve's counters.
         self.checkpoints_taken = 0
         self.iterations_lost = 0
-        if self.config.checkpoint_initial_state:
-            self._take_checkpoint()
+        self._take_checkpoint()
 
     def _after_iteration(self, iteration: int) -> None:
         super()._after_iteration(iteration)

@@ -40,8 +40,8 @@ INTERPOLATION_METHODS = ("li", "lsi")
 
 
 def local_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
-                        x_global: np.ndarray, failed_indices: np.ndarray,
-                        *, rtol: float = 1e-12) -> np.ndarray:
+                        x_global: np.ndarray, failed_indices: np.ndarray
+                        ) -> np.ndarray:
     """Langou-style local interpolation of the lost iterate entries.
 
     Parameters
@@ -60,14 +60,12 @@ def local_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
     rows = a[failed_indices, :]
     rhs_local = rhs[failed_indices] - rows @ x_masked
     a_sub = rows[:, failed_indices]
-    solver = LocalSubsystemSolver("direct", rtol=rtol)
-    return solver.solve(a_sub, rhs_local)
+    return LocalSubsystemSolver("direct").solve(a_sub, rhs_local)
 
 
 def least_squares_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
                                 x_global: np.ndarray,
-                                failed_indices: np.ndarray,
-                                *, rtol: float = 1e-12) -> np.ndarray:
+                                failed_indices: np.ndarray) -> np.ndarray:
     """Agullo-style least-squares interpolation of the lost iterate entries."""
     a = sp.csr_matrix(matrix)
     x_masked = np.array(x_global, copy=True)
@@ -76,8 +74,7 @@ def least_squares_interpolation(matrix: sp.csr_matrix, rhs: np.ndarray,
     residual_without = rhs - a @ x_masked
     normal_matrix = (cols.T @ cols).tocsr()
     normal_rhs = cols.T @ residual_without
-    solver = LocalSubsystemSolver("direct", rtol=rtol)
-    return solver.solve(normal_matrix, normal_rhs)
+    return LocalSubsystemSolver("direct").solve(normal_matrix, normal_rhs)
 
 
 class InterpolationRecoveryPCG(BaselineRecoveryMixin, BlockPCG):

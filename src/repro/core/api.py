@@ -85,8 +85,8 @@ class DistributedProblem:
     * :meth:`global_operator` -- the assembled global CSR matrix, so repeated
       solves stop paying an ``O(nnz)`` gather per call;
     * :meth:`resolve_preconditioner` -- set-up preconditioner instances per
-      ``(name, options)``, so one problem re-uses one block-Jacobi
-      factorization across its solves.
+      name, so one problem re-uses one block-Jacobi factorization across
+      its solves.
 
     A recovered solve keeps both: restoring a rank's block from reliable
     storage puts the rank's own view back and changes no value, so the
@@ -104,8 +104,8 @@ class DistributedProblem:
         default=None, init=False, repr=False, compare=False)
     _operator_version: int = field(default=-1, init=False, repr=False,
                                    compare=False)
-    #: ``(name, options) -> set-up preconditioner`` for the cached version.
-    _precond_cache: Dict[tuple, Preconditioner] = field(
+    #: ``lower-case name -> set-up preconditioner`` for the cached version.
+    _precond_cache: Dict[str, Preconditioner] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _precond_version: int = field(default=-1, init=False, repr=False,
                                   compare=False)
@@ -133,15 +133,15 @@ class DistributedProblem:
         return self._operator_cache
 
     def resolve_preconditioner(
-            self, preconditioner: Union[str, Preconditioner] = "block_jacobi",
-            **options: Any) -> Preconditioner:
+            self, preconditioner: Union[str, Preconditioner] = "block_jacobi"
+    ) -> Preconditioner:
         """A set-up preconditioner for this problem.
 
         Instances are set up (against the cached :meth:`global_operator`) and
         returned as-is; names are built via
         :func:`~repro.precond.factory.make_preconditioner` once per
-        ``(name, options)`` and cached until a stored matrix value changes
-        (the matrix's ``structure_version``).
+        lower-case name and cached until a stored matrix value changes (the
+        matrix's ``structure_version``).
         """
         if isinstance(preconditioner, Preconditioner):
             if not preconditioner.is_set_up:
@@ -151,10 +151,10 @@ class DistributedProblem:
         if self._precond_version != version:
             self._precond_cache.clear()
             self._precond_version = version
-        key = (preconditioner.lower(), tuple(sorted(options.items())))
+        key = preconditioner.lower()
         cached = self._precond_cache.get(key)
         if cached is None:
-            cached = make_preconditioner(preconditioner, **options)
+            cached = make_preconditioner(preconditioner)
             cached.setup(self.global_operator(), self.partition)
             self._precond_cache[key] = cached
         return cached
@@ -199,14 +199,20 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     return DistributedProblem(cluster, partition, a_dist, b_dist)
 
 
+def _restore_lost_rhs(problem: DistributedProblem) -> None:
+    """Restore the blocks of ``problem.rhs`` that replaced nodes lost, from
+    reliable storage (charged to the recovery)."""
+    for rank in problem.rhs.lost_ranks():
+        restore_rhs(problem.cluster, problem.rhs, rank)
+
+
 def _normalize_rhs(problem: DistributedProblem, rhs: Any
                    ) -> DistributedMultiVector:
     """Turn *rhs* into a distributed (multi-)vector on *problem*'s cluster."""
     if rhs is None:
-        # Nodes replaced during an earlier recovered solve of another
-        # right-hand side lost their block of the problem's own rhs.
-        for rank in problem.rhs.lost_ranks():
-            restore_rhs(problem.cluster, problem.rhs, rank)
+        # A solver class run directly on another right-hand side may have
+        # replaced nodes holding blocks of the problem's own.
+        _restore_lost_rhs(problem)
         return problem.rhs
     if isinstance(rhs, DistributedMultiVector):
         if rhs.cluster is not problem.cluster:
@@ -288,7 +294,12 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
             problem = distribute_problem(problem, values, **cluster_kwargs)
             rhs_obj = problem.rhs
 
-    preconditioner = problem.resolve_preconditioner(
-        spec.preconditioner, **spec.preconditioner_options)
-    return build_solver(problem, rhs_obj, preconditioner, spec).solve()
+    preconditioner = problem.resolve_preconditioner(spec.preconditioner)
+    result = build_solver(problem, rhs_obj, preconditioner, spec).solve()
+    if result.recoveries and rhs_obj is not problem.rhs:
+        # The replacement nodes came up without their block of the
+        # problem's own right-hand side; restore it now, so a caller reading
+        # ``problem.rhs`` sees it whole.
+        _restore_lost_rhs(problem)
+    return result
 

@@ -21,17 +21,18 @@ import numpy as np
 from ..solvers.result import SolveResult
 
 
-def max_residual_difference(results: Iterable[SolveResult]) -> float:
-    """``max Delta_ESR`` over a collection of runs (first column of Table 3).
+def magnitude_signed_max(values: Iterable[float]) -> float:
+    """Table 3's maximum: the finite value of largest magnitude, with its
+    sign (the first such value on a tie); ``nan`` when none is finite."""
+    finite = [v for v in values if np.isfinite(v)]
+    return max(finite, key=abs) if finite else float("nan")
 
-    The maximum is taken over the *magnitude-signed* values as in the paper:
-    the value whose absolute deviation is largest is reported with its sign.
-    """
-    values = [r.relative_residual_deviation for r in results]
-    values = [v for v in values if np.isfinite(v)]
-    if not values:
-        return float("nan")
-    return max(values, key=abs)
+
+def max_residual_difference(results: Iterable[SolveResult]) -> float:
+    """``max Delta_ESR`` over a collection of runs (first column of Table 3):
+    the :func:`magnitude_signed_max` of their relative residual deviations."""
+    return magnitude_signed_max(
+        r.relative_residual_deviation for r in results)
 
 
 @dataclass

@@ -76,7 +76,7 @@ class ResilienceSpec(RoundTrip):
     #: failures at ``phi/g`` storage overhead).
     scheme: str = "copies"
     #: Keyword arguments for the scheme constructor (e.g. ``group_size``
-    #: for ``"rs_parity"``); mirrors ``SolveSpec.preconditioner_options``.
+    #: for ``"rs_parity"``).
     scheme_options: Dict[str, Any] = field(default_factory=dict)
     #: Backup-node placement strategy: any name registered in
     #: :data:`repro.core.placement.PLACEMENTS` (``"paper"`` -- Eqn. (5) --
@@ -164,9 +164,6 @@ class SolveSpec(RoundTrip):
     #: ``"identity"`` runs unpreconditioned) or an already-built
     #: :class:`~repro.precond.base.Preconditioner` instance (not serializable).
     preconditioner: Union[str, Preconditioner] = "block_jacobi"
-    #: Keyword arguments for the preconditioner factory (e.g. ``drop_tol``
-    #: for ``block_jacobi_ilu``); ignored when an instance is passed.
-    preconditioner_options: Dict[str, Any] = field(default_factory=dict)
     #: ESR-resilience extension; attaching one selects ``resilient_pcg``
     #: unless ``solver`` says otherwise.
     resilience: Optional[ResilienceSpec] = None
@@ -192,8 +189,6 @@ class SolveSpec(RoundTrip):
             raise TypeError(
                 "preconditioner must be a registered name or a "
                 f"Preconditioner instance, got {self.preconditioner!r}")
-        object.__setattr__(self, "preconditioner_options",
-                           dict(self.preconditioner_options))
 
     # -- derivation -----------------------------------------------------------
     def with_overrides(self, **overrides: Any) -> "SolveSpec":

@@ -5,8 +5,6 @@ from .scenarios import (
     PAPER_PROGRESS_FRACTIONS,
     FailureLocation,
     FailureScenario,
-    OverlapSpec,
-    paper_scenarios,
     resolve_events,
 )
 from .traces import (
@@ -20,9 +18,7 @@ from .traces import (
 __all__ = [
     "FailureScenario",
     "FailureLocation",
-    "OverlapSpec",
     "resolve_events",
-    "paper_scenarios",
     "PAPER_FAILURE_COUNTS",
     "PAPER_PROGRESS_FRACTIONS",
     "FailureTrace",

@@ -13,19 +13,18 @@ The experiments introduce node failures once per run, with
 :class:`FailureScenario` is the declarative description of one such
 configuration; :func:`resolve_events` turns it into concrete
 :class:`~repro.cluster.failure.FailureEvent` objects once the reference
-iteration count is known.  Overlapping-failure scenarios (a second event that
-strikes while the first recovery is running) are expressed with
-:class:`OverlapSpec`.
+iteration count is known.  A failure that strikes while a recovery is
+running is a :class:`~repro.cluster.failure.FailureEvent` with
+``during_recovery_of`` set, placed in the schedule directly.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..cluster.failure import FailureEvent
-from ..utils.rng import RandomState, as_rng
 from ..utils.validation import check_in_range
 
 
@@ -36,27 +35,12 @@ class FailureLocation(enum.Enum):
     START = "start"
     #: Contiguous ranks starting at rank N/2 (middle vector indices).
     CENTER = "center"
-    #: Contiguous ranks ending at rank N-1 (high vector indices).
-    END = "end"
-    #: Uniformly random distinct ranks (not used in the paper's tables, kept
-    #: for robustness experiments).
-    RANDOM = "random"
 
 
 #: The progress fractions used throughout the paper's evaluation.
 PAPER_PROGRESS_FRACTIONS: Tuple[float, ...] = (0.2, 0.5, 0.8)
 #: The failure counts used throughout the paper's evaluation.
 PAPER_FAILURE_COUNTS: Tuple[int, ...] = (1, 3, 8)
-
-
-@dataclass(frozen=True)
-class OverlapSpec:
-    """An additional failure striking while a recovery is in progress."""
-
-    #: How many extra nodes fail during the recovery.
-    n_failures: int = 1
-    #: Rank offset (from the end of the primary failed range) of the extras.
-    rank_offset: int = 1
 
 
 @dataclass(frozen=True)
@@ -69,10 +53,6 @@ class FailureScenario:
     progress_fraction: float = 0.5
     #: Placement of the failed ranks.
     location: FailureLocation = FailureLocation.START
-    #: Optional overlapping failures during the recovery.
-    overlaps: Tuple[OverlapSpec, ...] = ()
-    #: Free-form label for reports.
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.n_failures < 1:
@@ -81,6 +61,10 @@ class FailureScenario:
                 f"got {self.n_failures}"
             )
         check_in_range(self.progress_fraction, 0.0, 1.0, "progress_fraction")
+        if not isinstance(self.location, FailureLocation):
+            # failed_ranks would silently fail the center ranks.
+            raise TypeError(
+                f"location must be a FailureLocation, got {self.location!r}")
 
     # -- resolution ----------------------------------------------------------
     def failure_iteration(self, reference_iterations: int) -> int:
@@ -90,85 +74,27 @@ class FailureScenario:
         iteration = int(round(self.progress_fraction * reference_iterations))
         return min(max(iteration, 0), max(reference_iterations - 1, 0))
 
-    def failed_ranks(self, n_nodes: int,
-                     rng: Optional[RandomState] = None) -> List[int]:
+    def failed_ranks(self, n_nodes: int) -> List[int]:
         """The ranks that fail, given the cluster size."""
         if self.n_failures >= n_nodes:
             raise ValueError(
                 f"cannot fail {self.n_failures} of {n_nodes} nodes "
                 "(at least one node must survive)"
             )
-        if self.location is FailureLocation.START:
-            base = 0
-        elif self.location is FailureLocation.CENTER:
-            base = n_nodes // 2
-        elif self.location is FailureLocation.END:
-            base = n_nodes - self.n_failures
-        else:
-            rng = as_rng(rng if rng is not None else 0)
-            ranks = rng.choice(n_nodes, size=self.n_failures, replace=False)
-            return sorted(int(r) for r in ranks)
+        base = 0 if self.location is FailureLocation.START else n_nodes // 2
         return [(base + k) % n_nodes for k in range(self.n_failures)]
 
-    def overlap_ranks(self, n_nodes: int, primary: Sequence[int]) -> List[List[int]]:
-        """Ranks of each overlapping event, avoiding the primary failed set."""
-        result: List[List[int]] = []
-        used = set(primary)
-        cursor = (max(primary) + 1) % n_nodes if primary else 0
-        for spec in self.overlaps:
-            cursor = (cursor + spec.rank_offset - 1) % n_nodes
-            ranks: List[int] = []
-            while len(ranks) < spec.n_failures:
-                if cursor not in used:
-                    ranks.append(cursor)
-                    used.add(cursor)
-                cursor = (cursor + 1) % n_nodes
-                if len(used) >= n_nodes:
-                    raise ValueError("not enough nodes for the overlap specification")
-            result.append(ranks)
-        return result
-
     def describe(self) -> str:
-        parts = [
-            f"psi={self.n_failures}",
-            f"at {int(round(self.progress_fraction * 100))}% progress",
-            f"location={self.location.value}",
-        ]
-        if self.overlaps:
-            parts.append(f"{len(self.overlaps)} overlapping event(s)")
-        if self.label:
-            parts.append(self.label)
-        return ", ".join(parts)
+        return (f"psi={self.n_failures}, "
+                f"at {int(round(self.progress_fraction * 100))}% progress, "
+                f"location={self.location.value}")
 
 
 def resolve_events(scenario: FailureScenario, *, n_nodes: int,
-                   reference_iterations: int,
-                   rng: Optional[RandomState] = None) -> List[FailureEvent]:
-    """Turn a scenario into concrete failure events for a given run.
-
-    The first event carries the simultaneous failures at the scenario's
-    progress point; any overlap specs become events flagged with
-    ``during_recovery_of=0`` so the recovery driver restarts reconstruction.
-    """
-    iteration = scenario.failure_iteration(reference_iterations)
-    primary = scenario.failed_ranks(n_nodes, rng=rng)
-    events = [FailureEvent(iteration=iteration, ranks=tuple(primary),
-                           label=scenario.label or scenario.describe())]
-    for ranks in scenario.overlap_ranks(n_nodes, primary):
-        events.append(FailureEvent(iteration=iteration, ranks=tuple(ranks),
-                                   during_recovery_of=0,
-                                   label="overlapping failure"))
-    return events
-
-
-def paper_scenarios(location: FailureLocation = FailureLocation.START,
-                    counts: Sequence[int] = PAPER_FAILURE_COUNTS,
-                    fractions: Sequence[float] = PAPER_PROGRESS_FRACTIONS
-                    ) -> List[FailureScenario]:
-    """The full grid of scenarios used for Table 2 (one location)."""
-    return [
-        FailureScenario(n_failures=count, progress_fraction=fraction,
-                        location=location)
-        for count in counts
-        for fraction in fractions
-    ]
+                   reference_iterations: int) -> List[FailureEvent]:
+    """Turn a scenario into its one concrete failure event for a given run:
+    the simultaneous failures at the scenario's progress point."""
+    return [FailureEvent(
+        iteration=scenario.failure_iteration(reference_iterations),
+        ranks=tuple(scenario.failed_ranks(n_nodes)),
+        label=scenario.describe())]

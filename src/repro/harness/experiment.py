@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from ..cluster.cost_model import MachineModel
 from ..core.api import distribute_problem, solve
 from ..core.block_pcg import BlockSolveResult, DistributedSolveResult
+from ..core.metrics import magnitude_signed_max
 from ..core.spec import BlockSpec, ResilienceSpec, SolveSpec
 from ..failures.scenarios import (
     PAPER_FAILURE_COUNTS,
@@ -43,6 +44,12 @@ from ..utils.rng import as_rng, stable_hash_seed
 
 logger = get_logger("harness.experiment")
 
+#: Rows per node the paper's experiments had (~10k for n~1.3M on 128 nodes).
+#: :meth:`ExperimentConfig.build_machine` scales the machine model so that a
+#: run on a scaled-down analogue reproduces the compute/latency balance of
+#: that regime.
+TARGET_ROWS_PER_NODE = 8000
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -57,8 +64,9 @@ class ExperimentConfig:
     (plus a :class:`~repro.core.spec.ResilienceSpec` for resilient runs, see
     :meth:`solve_spec`), which every run dispatches through
     :func:`repro.solve`; the remaining fields describe the study itself
-    (which matrix, cluster size, repetitions, RNG seeding, machine
-    calibration).
+    (which matrix, cluster size, repetitions, RNG seeding, machine jitter).
+    Every run uses the paper's backup placement and the machine model
+    scaled to :data:`TARGET_ROWS_PER_NODE` (:meth:`build_machine`).
     """
 
     #: Suite matrix id ("M1" ... "M8"); ignored if ``matrix`` is given.
@@ -77,18 +85,10 @@ class ExperimentConfig:
     seed: int = 0
     #: Relative run-to-run noise of the simulated machine.
     jitter_rel_std: float = 0.02
-    #: Registered backup-placement name (see ``repro.core.PLACEMENTS``).
-    placement: str = "paper"
-    machine: Optional[MachineModel] = None
     #: Right-hand sides per solve: 1 runs the paper's single-vector
     #: solves, ``k > 1`` composes a :class:`~repro.core.spec.BlockSpec`
     #: with ``n_cols=k`` into the spec and solves ``(n, k)`` blocks.
     n_rhs: int = 1
-    #: Rows per node the paper's experiments had (~10k for n~1.3M on 128
-    #: nodes).  The machine model is scaled so a run on the scaled-down
-    #: analogue reproduces the compute/latency balance of that regime; set to
-    #: 0 to disable the calibration.
-    target_rows_per_node: int = 8000
 
     def build_matrix(self) -> sp.csr_matrix:
         """The (cached) global system matrix for this study."""
@@ -97,13 +97,13 @@ class ExperimentConfig:
         return build_matrix(self.matrix_id, n=self.matrix_size, seed=self.seed)
 
     def build_machine(self, n: Optional[int] = None) -> MachineModel:
-        """Machine model with the configured jitter (and size calibration)."""
-        if self.machine is not None:
-            return self.machine
+        """Machine model with the configured jitter, scaled up when a
+        problem of *n* rows has fewer than :data:`TARGET_ROWS_PER_NODE`
+        rows per node."""
         model = MachineModel(jitter_rel_std=self.jitter_rel_std)
-        if n and self.target_rows_per_node:
+        if n:
             rows_per_node = max(n / self.n_nodes, 1.0)
-            factor = max(self.target_rows_per_node / rows_per_node, 1.0)
+            factor = max(TARGET_ROWS_PER_NODE / rows_per_node, 1.0)
             if factor > 1.0:
                 model = model.scaled(factor)
         return model
@@ -118,15 +118,14 @@ class ExperimentConfig:
         """The :class:`SolveSpec` for one run of this study.
 
         ``phi=None`` describes a reference (plain PCG) run; any other value
-        attaches a :class:`ResilienceSpec` with this config's placement and
+        attaches a :class:`ResilienceSpec` with the paper's placement and
         the given failure schedule, which selects the resilient solver.
         With ``n_rhs > 1`` a :class:`BlockSpec` is attached as well, which
         checks that each run's right-hand side is an ``(n, n_rhs)`` block.
         """
         resilience = None
         if phi is not None:
-            resilience = ResilienceSpec(
-                phi=phi, placement=self.placement, failures=tuple(failures))
+            resilience = ResilienceSpec(phi=phi, failures=tuple(failures))
         block = BlockSpec(n_cols=self.n_rhs) if self.n_rhs > 1 else None
         return SolveSpec(
             rtol=self.rtol, max_iterations=self.max_iterations,
@@ -165,13 +164,10 @@ class RepetitionResult:
         """
         breakdown = result.time_breakdown
         if isinstance(result, BlockSolveResult):
-            deviations = [
+            deviation = magnitude_signed_max(
                 relative_residual_difference(final, true)
                 for final, true in zip(result.final_residual_norms,
-                                       result.true_residual_norms)
-            ]
-            finite = [d for d in deviations if np.isfinite(d)]
-            deviation = max(finite, key=abs) if finite else float("nan")
+                                       result.true_residual_norms))
             iterations = int(result.global_iterations)
             converged = result.all_converged
         else:
@@ -229,11 +225,8 @@ class ExperimentResult:
         return all(r.converged for r in self.repetitions)
 
     def max_abs_residual_deviation(self) -> float:
-        values = [r.residual_deviation for r in self.repetitions
-                  if np.isfinite(r.residual_deviation)]
-        if not values:
-            return float("nan")
-        return max(values, key=abs)
+        return magnitude_signed_max(
+            r.residual_deviation for r in self.repetitions)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -287,7 +280,6 @@ def _single_run(config: ExperimentConfig, matrix: sp.csr_matrix, *,
         failures = resolve_events(
             scenario, n_nodes=config.n_nodes,
             reference_iterations=reference_iterations,
-            rng=as_rng(rep_seed),
         )
     return solve(problem, rhs,
                  spec=config.solve_spec(phi=phi, failures=failures))
@@ -379,14 +371,8 @@ class MatrixStudy:
     # -- Table 3 quantities ----------------------------------------------------------
     def max_delta_esr(self) -> float:
         """Largest Eqn.-(7) deviation over all failure experiments."""
-        values = []
-        for runs in self.with_failures.values():
-            v = runs.max_abs_residual_deviation()
-            if np.isfinite(v):
-                values.append(v)
-        if not values:
-            return float("nan")
-        return max(values, key=abs)
+        return magnitude_signed_max(runs.max_abs_residual_deviation()
+                                    for runs in self.with_failures.values())
 
     def delta_pcg(self) -> float:
         """Eqn.-(7) deviation of the reference runs."""

@@ -1,11 +1,14 @@
 """Block Jacobi preconditioner.
 
 This is the preconditioner used in the paper's experiments (Sec. 6): the
-preconditioner matrix is the block-diagonal part of ``A`` defined by the node
-partition, ``M = blkdiag(A_{I_1,I_1}, ..., A_{I_N,I_N})``, and each block is
-solved either exactly (the paper's choice during regular solver operation)
-or approximately via a threshold ILU (the paper's inner preconditioner for
-the reconstruction subsystem, which
+preconditioner matrix is the block-diagonal part of ``A`` defined by the
+partition given to :meth:`~BlockJacobiPreconditioner.setup` (the node
+partition; without one the whole matrix is one block),
+``M = blkdiag(A_{I_1,I_1}, ..., A_{I_N,I_N})``, and each block is solved
+either exactly (the paper's choice during regular solver operation) or
+approximately via a threshold ILU with the fixed :data:`ILU_DROP_TOL` and
+:data:`ILU_FILL_FACTOR` (the paper's inner preconditioner for the
+reconstruction subsystem, which
 :class:`~repro.solvers.local_solver.LocalSubsystemSolver` builds from this
 class).  With an ILU block solve the operator applied is the factorization's
 product ``L U``, up to its permutations, and that product is the ``M`` whose
@@ -65,6 +68,12 @@ BLOCK_SOLVERS = ("direct", "ilu")
 #: solve, and each application is 2.4-5x cheaper.
 DENSE_INVERSE_MAX_ROWS = 128
 
+#: Drop tolerance and fill-factor bound of every ILU block solve.  With
+#: natural ordering and no diagonal pivoting they let the reconstruction's
+#: inner PCG reach its 1e-14 reduction in a handful of iterations.
+ILU_DROP_TOL = 1e-4
+ILU_FILL_FACTOR = 10.0
+
 
 class FactorizationError(RuntimeError):
     """Raised at set-up when a block solve meets an exactly singular
@@ -74,20 +83,18 @@ class FactorizationError(RuntimeError):
 class BlockJacobiPreconditioner(Preconditioner):
     """Block Jacobi preconditioner over a block-row partition.
 
+    The diagonal blocks are the parts of the partition given to
+    :meth:`setup` (the node subdomains, as in the paper); without a
+    partition the matrix is one block.
+
     Parameters
     ----------
-    n_blocks:
-        Number of diagonal blocks.  If a partition is supplied at
-        :meth:`setup`, that partition's block count takes precedence (the
-        blocks then coincide with the node subdomains, as in the paper).
     block_solver:
         ``"direct"`` (exact solves: a stored dense inverse for blocks of
         at most :data:`DENSE_INVERSE_MAX_ROWS` rows, sparse LU above),
         or ``"ilu"`` (threshold ILU via :func:`scipy.sparse.linalg.spilu`,
-        which keeps fill-in up to *drop_tol* and *fill_factor*).
-    drop_tol, fill_factor:
-        Drop tolerance and fill-factor bound forwarded to ILU (ignored
-        otherwise).
+        which keeps fill-in up to :data:`ILU_DROP_TOL` and
+        :data:`ILU_FILL_FACTOR`).
 
     Raises
     ------
@@ -98,18 +105,13 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     name = "block_jacobi"
 
-    def __init__(self, n_blocks: Optional[int] = None, *,
-                 block_solver: str = "direct", drop_tol: float = 1e-4,
-                 fill_factor: float = 10.0) -> None:
+    def __init__(self, *, block_solver: str = "direct") -> None:
         super().__init__()
         if block_solver not in BLOCK_SOLVERS:
             raise ValueError(
                 f"block_solver must be one of {BLOCK_SOLVERS}, got {block_solver!r}"
             )
-        self.requested_blocks = n_blocks
         self.block_solver = block_solver
-        self.drop_tol = drop_tol
-        self.fill_factor = fill_factor
         #: Per rank, ``A_{I_i,I_i}``: CSR for an exact block solve, whose
         #: rows the dense kernel and the reconstruction read; an ILU block
         #: keeps the CSC it was factored from, read only for its ``nnz``.
@@ -127,12 +129,9 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     # -- setup ----------------------------------------------------------------
     def _setup_impl(self) -> None:
-        n = self.matrix.shape[0]
-        if self.partition is not None:
-            block_partition = self.partition
-        else:
-            n_blocks = self.requested_blocks or max(1, min(16, n // 64))
-            block_partition = BlockRowPartition(n, n_blocks)
+        block_partition = self.partition
+        if block_partition is None:
+            block_partition = BlockRowPartition(self.matrix.shape[0], 1)
         self._block_partition = block_partition
         self._blocks.clear()
         self._solvers.clear()
@@ -187,12 +186,10 @@ class BlockJacobiPreconditioner(Preconditioner):
                 raise self._singular_block(rank) from None
             return lu.solve
         # Natural ordering and no diagonal pivoting keep the factors close
-        # to symmetric, as CG needs; the small drop tolerance and generous
-        # fill factor let the reconstruction's inner PCG reach 1e-14 in a
-        # handful of iterations.
+        # to symmetric, as CG needs.
         try:
-            ilu = spilu(block, drop_tol=self.drop_tol,
-                        fill_factor=self.fill_factor,
+            ilu = spilu(block, drop_tol=ILU_DROP_TOL,
+                        fill_factor=ILU_FILL_FACTOR,
                         permc_spec="NATURAL", diag_pivot_thresh=0.0)
         except RuntimeError:  # SuperLU: "matrix is singular"
             raise self._singular_block(rank, "ILU factorization") from None

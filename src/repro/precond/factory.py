@@ -10,7 +10,7 @@ class every named choice uses.  New preconditioners plug in with
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from ..utils.registry import Registry
 from .base import Preconditioner
@@ -18,48 +18,49 @@ from .block_jacobi import BlockJacobiPreconditioner
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
 
-#: Registered preconditioner builders, ``**kwargs -> Preconditioner``.
-PRECONDITIONERS: Registry[Callable[..., Preconditioner]] = \
+#: Registered preconditioner builders, ``() -> Preconditioner``.
+PRECONDITIONERS: Registry[Callable[[], Preconditioner]] = \
     Registry("preconditioner")
 
 #: Register a preconditioner builder in :data:`PRECONDITIONERS` (decorator).
 register_preconditioner = PRECONDITIONERS.register
 
 
-def make_preconditioner(name: str, **kwargs: Any) -> Preconditioner:
+def make_preconditioner(name: str) -> Preconditioner:
     """Build a preconditioner instance from its registered *name*.
 
-    Keyword arguments are forwarded to the underlying constructor (e.g.
-    ``drop_tol`` for ``block_jacobi_ilu``, ``n_blocks`` for block Jacobi).  An unknown name
+    Each name is one configuration (block Jacobi's ILU, for instance, always
+    uses :data:`~repro.precond.block_jacobi.ILU_DROP_TOL` and
+    :data:`~repro.precond.block_jacobi.ILU_FILL_FACTOR`).  An unknown name
     raises ``ValueError`` listing every registered name.
     """
     if not isinstance(name, str):
         raise TypeError(
             f"preconditioner name must be a string, got {name!r}")
-    return PRECONDITIONERS.get(name)(**kwargs)
+    return PRECONDITIONERS.get(name)()
 
 
 @register_preconditioner("identity", "No preconditioning (plain CG).")
-def _build_identity(**kwargs: Any) -> Preconditioner:
-    return IdentityPreconditioner(**kwargs)
+def _build_identity() -> Preconditioner:
+    return IdentityPreconditioner()
 
 
 @register_preconditioner("jacobi", "Point Jacobi: M = diag(A).")
-def _build_jacobi(**kwargs: Any) -> Preconditioner:
-    return JacobiPreconditioner(**kwargs)
+def _build_jacobi() -> Preconditioner:
+    return JacobiPreconditioner()
 
 
 @register_preconditioner(
     "block_jacobi",
     "Block Jacobi over the node partition, exact block solves "
     "(the paper's setting).")
-def _build_block_jacobi(**kwargs: Any) -> Preconditioner:
-    return BlockJacobiPreconditioner(block_solver="direct", **kwargs)
+def _build_block_jacobi() -> Preconditioner:
+    return BlockJacobiPreconditioner(block_solver="direct")
 
 
 @register_preconditioner(
     "block_jacobi_ilu",
-    "Block Jacobi with threshold ILU block solves (spilu; defaults "
-    "drop_tol 1e-4, fill_factor 10).")
-def _build_block_jacobi_ilu(**kwargs: Any) -> Preconditioner:
-    return BlockJacobiPreconditioner(block_solver="ilu", **kwargs)
+    "Block Jacobi with threshold ILU block solves (spilu; drop_tol 1e-4, "
+    "fill_factor 10).")
+def _build_block_jacobi_ilu() -> Preconditioner:
+    return BlockJacobiPreconditioner(block_solver="ilu")

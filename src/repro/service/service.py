@@ -25,9 +25,10 @@ what one-at-a-time dispatch would have.
 ``matrix_id`` with identical, JSON-serializable specs.  A pinned solver
 name is part of the spec like any other field: the solver takes one
 right-hand side or a block under the same name, so a batch runs the
-solver its requests asked for.  Attaching a ``BlockSpec`` (its
-``n_cols`` may fix the column count) or passing a live preconditioner
-instance makes the request non-coalescable, and it dispatches alone.
+solver its requests asked for, and so is a ``BlockSpec`` that fixes no
+column count.  A ``BlockSpec`` whose ``n_cols`` fixes the column count, or
+a live preconditioner instance, makes the request non-coalescable, and it
+dispatches alone.
 
 **Execution modes.**  With ``autostart=True`` a background scheduler thread
 dispatches batches as windows fill or expire (host wallclock drives the
@@ -245,9 +246,9 @@ class SolverService:
                         ) -> Tuple[str, bool]:
         """The coalescing key of ``(matrix_id, spec)`` and whether requests
         carrying it may merge at all."""
-        if spec.block is not None:
-            # An explicit block configuration (its n_cols may fix the
-            # column count) runs as configured.
+        if spec.block is not None and spec.block.n_cols is not None:
+            # A fixed column count holds only for the request's own
+            # one-column solve; a batch of it would be a wider block.
             return f"block:{matrix_id}", False
         try:
             payload = spec.to_dict()

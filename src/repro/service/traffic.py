@@ -8,16 +8,13 @@ rate) and :func:`generate_traffic` expands it into a concrete list of
 :mod:`repro.utils.rng` (R001), so one integer seed pins the entire trace --
 right-hand sides, tenants, matrices and inter-arrival gaps alike.
 
-Right-hand sides are drawn as standard-normal vectors; with ``n_modes > 0``
-a request instead picks one of ``n_modes`` shared base vectors plus a small
-normal perturbation, emulating the request similarity real workloads show
-(many tenants asking near-identical questions of the same operator).
+Right-hand sides are independent standard-normal vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -39,10 +36,6 @@ class TrafficSpec(RoundTrip):
     #: exponential inter-arrival gaps with this rate.  ``<= 0`` means all
     #: requests arrive at once (gaps of zero).
     rate_per_s: float = 0.0
-    #: Number of shared right-hand-side modes (0: fully independent rhs).
-    n_modes: int = 0
-    #: Relative perturbation applied around a shared mode.
-    mode_noise: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_requests < 0:
@@ -60,8 +53,6 @@ class TrafficSpec(RoundTrip):
             raise ValueError("matrix_ids must not be empty")
         if not self.tenants:
             raise ValueError("tenants must not be empty")
-        if self.n_modes < 0:
-            raise ValueError(f"n_modes must be >= 0, got {self.n_modes}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +85,6 @@ def generate_traffic(spec: TrafficSpec, sizes: Mapping[str, int], *,
     schedule_rng, payload_root = spawn_rngs(seed, 2)
     payload_rngs = dict(zip(
         spec.matrix_ids, spawn_rngs(payload_root, len(spec.matrix_ids))))
-    modes: Dict[str, Sequence[np.ndarray]] = {}
-    if spec.n_modes > 0:
-        for matrix_id in spec.matrix_ids:
-            rng = payload_rngs[matrix_id]
-            modes[matrix_id] = [rng.standard_normal(sizes[matrix_id])
-                                for _ in range(spec.n_modes)]
 
     requests: List[SyntheticRequest] = []
     arrival = 0.0
@@ -109,14 +94,8 @@ def generate_traffic(spec: TrafficSpec, sizes: Mapping[str, int], *,
         tenant = spec.tenants[int(schedule_rng.integers(len(spec.tenants)))]
         if spec.rate_per_s > 0.0:
             arrival += float(schedule_rng.exponential(1.0 / spec.rate_per_s))
-        rng = payload_rngs[matrix_id]
-        n = sizes[matrix_id]
-        if spec.n_modes > 0:
-            mode = modes[matrix_id][int(schedule_rng.integers(spec.n_modes))]
-            rhs = mode + spec.mode_noise * rng.standard_normal(n)
-        else:
-            rhs = rng.standard_normal(n)
+        rhs = payload_rngs[matrix_id].standard_normal(sizes[matrix_id])
         requests.append(SyntheticRequest(
-            index=index, matrix_id=matrix_id, tenant=tenant,
-            rhs=np.asarray(rhs, dtype=np.float64), arrival_s=arrival))
+            index=index, matrix_id=matrix_id, tenant=tenant, rhs=rhs,
+            arrival_s=arrival))
     return requests

@@ -7,12 +7,12 @@ rank, so the paper solves them either directly or with an inner PCG using an
 ILU-preconditioned block Jacobi and a very tight tolerance (residual
 reduction by 1e14) so that the reconstruction error stays negligible
 (Sec. 6, "Avoiding loss of orthogonality").  The ESR reconstruction
-always runs the inner PCG (``"pcg_ilu"``, the default) to ``1e-14``; its
-preconditioner is block Jacobi's ILU
+always runs the inner PCG (``"pcg_ilu"``, the default) to
+:data:`INNER_RTOL`; its preconditioner is block Jacobi's ILU
 (:class:`~repro.precond.block_jacobi.BlockJacobiPreconditioner` with
-``block_solver="ilu"``) over the whole subsystem as one block, not one
-block per failed rank.  ``"direct"`` serves the LI/LSI interpolation
-baselines and the inner PCG's fallback.
+``block_solver="ilu"``) set up on a one-part partition, so the whole
+subsystem is one block, not one block per failed rank.  ``"direct"`` serves
+the LI/LSI interpolation baselines and the inner PCG's fallback.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ..distributed.partition import BlockRowPartition
 from ..precond.block_jacobi import BlockJacobiPreconditioner
 from ..utils.serde import Serializable
 from .cg import pcg
@@ -31,6 +32,16 @@ from .result import SolveResult
 
 #: Supported methods for the reconstruction subsystems.
 LOCAL_SOLVER_METHODS = ("direct", "pcg_ilu")
+
+#: Relative residual reduction of the inner PCG.  The paper uses ``1e-14``
+#: so that the reconstructed state is exact to near machine precision.
+INNER_RTOL = 1e-14
+#: Iteration cap of the inner PCG.  The reconstruction subsystems are small
+#: and well preconditioned, so they normally converge in a handful of
+#: iterations; if the cap is hit without reaching an acceptable residual the
+#: solver falls back to a direct factorisation rather than burning time on a
+#: stagnating iteration.
+INNER_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -52,31 +63,19 @@ class LocalSubsystemSolver:
     Parameters
     ----------
     method:
-        ``"pcg_ilu"`` (inner PCG preconditioned by block Jacobi's ILU --
-        ``drop_tol`` 1e-4 and ``fill_factor`` 10 -- over the whole
-        subsystem as one block; the reconstruction's) or ``"direct"``
-        (sparse LU -- exact; the interpolation baselines').
-    rtol:
-        Relative residual reduction of the inner PCG.  The paper
-        uses ``1e-14`` so that the reconstructed state is exact to near
-        machine precision.
-    max_iterations:
-        Iteration cap for the inner PCG (default 200).  The reconstruction
-        subsystems are small and well preconditioned, so they normally
-        converge in a handful of iterations; if the cap is hit without
-        reaching an acceptable residual the solver falls back to a direct
-        factorisation rather than burning time on a stagnating iteration.
+        ``"pcg_ilu"`` (inner PCG to :data:`INNER_RTOL`, at most
+        :data:`INNER_MAX_ITERATIONS` iterations, preconditioned by block
+        Jacobi's ILU over the whole subsystem as one block; the
+        reconstruction's) or ``"direct"`` (sparse LU -- exact; the
+        interpolation baselines').
     """
 
-    def __init__(self, method: str = "pcg_ilu", *, rtol: float = 1e-14,
-                 max_iterations: Optional[int] = 200):
+    def __init__(self, method: str = "pcg_ilu"):
         if method not in LOCAL_SOLVER_METHODS:
             raise ValueError(
                 f"method must be one of {LOCAL_SOLVER_METHODS}, got {method!r}"
             )
         self.method = method
-        self.rtol = rtol
-        self.max_iterations = max_iterations
         self.last_stats: Optional[LocalSolveStats] = None
         #: Per-column statistics of the most recent :meth:`solve_block`.
         self.last_column_stats: list = []
@@ -118,19 +117,18 @@ class LocalSubsystemSolver:
 
         preconditioner = shared.get("preconditioner")
         if preconditioner is None:
-            preconditioner = BlockJacobiPreconditioner(
-                n_blocks=1, block_solver="ilu")
-            preconditioner.setup(a)
+            preconditioner = BlockJacobiPreconditioner(block_solver="ilu")
+            preconditioner.setup(a, BlockRowPartition(n, 1))
             shared["preconditioner"] = preconditioner
         result: SolveResult = pcg(
-            a, b, preconditioner=preconditioner, rtol=self.rtol,
-            max_iterations=self.max_iterations,
+            a, b, preconditioner=preconditioner, rtol=INNER_RTOL,
+            max_iterations=INNER_MAX_ITERATIONS,
         )
         work = 2.0 * a.nnz * max(result.iterations, 1) \
             + 2.0 * preconditioner.work_nnz() * max(result.iterations, 1)
         rhs_norm = float(np.linalg.norm(b))
         stagnated = rhs_norm > 0 and \
-            result.final_residual_norm > max(1e-8 * rhs_norm, self.rtol * rhs_norm * 1e4)
+            result.final_residual_norm > 1e-8 * rhs_norm
         if stagnated:
             # The inexact preconditioner can (rarely) make the inner PCG
             # stagnate; the reconstruction must stay exact, so fall back to a

@@ -11,7 +11,7 @@ from repro.baselines import (
     least_squares_interpolation,
     local_interpolation,
 )
-from repro.cluster import MachineModel, Phase, UnrecoverableStateError
+from repro.cluster import MachineModel, Phase
 from repro.core import ResilienceSpec, ResilientBlockPCG
 from repro.core.api import distribute_problem, solve
 from repro.distributed import DistributedMultiVector, DistributedVector
@@ -71,14 +71,18 @@ class TestCheckpointRestart:
         assert cr.info["iterations_lost"] == 14 - 8
         assert esr.iterations <= reference.iterations + 1
 
-    def test_rollback_before_first_checkpoint_is_unrecoverable(self, matrix):
+    def test_rollback_before_first_interval_restarts_from_iteration_0(
+            self, matrix):
+        """The initial state is always checkpointed, so a failure before
+        the first interval rolls back to it and the solve still converges."""
+        reference = solve(fresh(matrix), solver="pcg")
         solver = build(CheckpointRestartPCG, fresh(matrix),
                        failures=[(5, [1, 2])],
-                       config=CheckpointConfig(
-                           interval=10, checkpoint_initial_state=False))
-        with pytest.raises(UnrecoverableStateError) as info:
-            solver.solve()
-        assert info.value.iteration == 5
+                       config=CheckpointConfig(interval=10))
+        result = solver.solve()
+        assert result.converged
+        assert result.info["iterations_lost"] == 5
+        assert np.allclose(result.x, reference.x, atol=1e-8)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

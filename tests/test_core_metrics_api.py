@@ -13,6 +13,7 @@ from repro.core.metrics import (
     compare_runs,
     convergence_rate_estimate,
     iterations_to_tolerance,
+    magnitude_signed_max,
     max_residual_difference,
     state_difference,
 )
@@ -59,6 +60,22 @@ class TestMetrics:
 
     def test_max_residual_difference_empty(self):
         assert np.isnan(max_residual_difference([]))
+
+    @pytest.mark.parametrize("values,expected", [
+        ([0.1, -0.5, 0.2], -0.5),
+        ([np.nan, -np.inf, 0.3, -0.1], 0.3),
+        ([0.25, -0.25], 0.25),
+        ([np.nan, np.inf], np.nan),
+        ([], np.nan),
+    ], ids=["sign-kept", "non-finite-skipped", "first-on-tie", "none-finite",
+            "empty"])
+    def test_magnitude_signed_max(self, values, expected):
+        """Table 3's maximum, shared by the metrics and the harness."""
+        result = magnitude_signed_max(iter(values))
+        if np.isnan(expected):
+            assert np.isnan(result)
+        else:
+            assert result == expected
 
     def test_compare_runs(self):
         a = poisson_2d(10)

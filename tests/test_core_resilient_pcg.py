@@ -285,10 +285,17 @@ class TestReusedProblem:
             assert np.linalg.norm(b - matrix @ result.x) <= \
                 rtol * np.linalg.norm(b)
 
-    def test_caller_vector_rhs_valid_after_recovery(self, matrix):
+    @pytest.mark.parametrize("shape", [None, (), (2,)],
+                             ids=["own", "vector", "block"])
+    def test_caller_vector_rhs_valid_after_recovery(self, matrix, shape):
+        """Right after a recovered solve, of the problem's own rhs or of
+        another vector or block, ``problem.rhs`` is whole again."""
         problem = fresh_problem(matrix, n_nodes=8)
         before = problem.rhs.to_global()
-        solve(problem, phi=2, failures=[(5, [1, 2])])
+        rhs = None if shape is None else np.random.default_rng(5) \
+            .standard_normal((matrix.shape[0], *shape))
+        result = solve(problem, rhs, phi=2, failures=[(5, [1, 2])])
+        assert len(result.recoveries) == 1
         assert problem.rhs.lost_ranks() == []
         assert np.array_equal(problem.rhs.to_global(), before)
 

@@ -369,17 +369,16 @@ class TestProblemCaches:
         assert (rebuilt[start:stop] != raised).nnz == 0  # restored values
         assert (rebuilt[stop:] != first[stop:]).nnz == 0
 
-    def test_preconditioner_cached_per_name_and_options(self):
+    def test_preconditioner_cached_per_name(self):
+        """One set-up instance per case-insensitive name; a name is the
+        whole configuration, so the cache takes no options."""
         problem = fresh_problem(RHS_1D)
         p1 = problem.resolve_preconditioner("block_jacobi")
         assert problem.resolve_preconditioner("block_jacobi") is p1
+        assert problem.resolve_preconditioner("Block_Jacobi") is p1
         assert problem.resolve_preconditioner("jacobi") is not p1
-        ilu = problem.resolve_preconditioner("block_jacobi_ilu",
-                                             drop_tol=1e-3)
-        assert problem.resolve_preconditioner(
-            "block_jacobi_ilu", drop_tol=1e-2) is not ilu
-        assert problem.resolve_preconditioner(
-            "block_jacobi_ilu", drop_tol=1e-3) is ilu
+        with pytest.raises(TypeError, match="drop_tol"):
+            problem.resolve_preconditioner("block_jacobi_ilu", drop_tol=1e-3)
 
     def test_preconditioner_cache_invalidated_on_structure_change(
             self, store_raised_diagonal):

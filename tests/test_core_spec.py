@@ -81,6 +81,12 @@ class TestValidation:
             "phi", "scheme", "scheme_options", "placement", "rack_size",
             "failures"]
 
+    def test_solve_spec_has_seven_fields(self):
+        """A preconditioner name is its whole configuration."""
+        assert [f.name for f in dataclasses.fields(SolveSpec)] == [
+            "solver", "rtol", "atol", "max_iterations", "preconditioner",
+            "resilience", "block"]
+
     @pytest.mark.parametrize("n_cols", [0, -2])
     def test_bad_block_fields_rejected(self, n_cols):
         with pytest.raises(ValueError):
@@ -179,7 +185,8 @@ class TestRegistryRoundTrip:
 REMOVED_KNOBS = [(SolveSpec, "overlap_spmv", True),
                  (ResilienceSpec, "reconstruction_form", "forward"),
                  (ResilienceSpec, "local_solver_method", "direct"),
-                 (ResilienceSpec, "local_rtol", 1e-12)]
+                 (ResilienceSpec, "local_rtol", 1e-12),
+                 (SolveSpec, "preconditioner_options", {"drop_tol": 1e-3})]
 
 
 class TestRoundTrip:
@@ -188,7 +195,6 @@ class TestRoundTrip:
             solver="resilient_pcg", rtol=1e-10, atol=1e-30,
             max_iterations=500,
             preconditioner="block_jacobi_ilu",
-            preconditioner_options={"drop_tol": 1e-3},
             resilience=ResilienceSpec(
                 phi=3, placement="next_ranks",
                 scheme="rs_parity", scheme_options={"group_size": 3},
@@ -232,9 +238,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("cls,key,value", REMOVED_KNOBS)
     def test_removed_knobs_rejected(self, cls, key, value):
-        """The split-phase solver SpMV, the forced reconstruction form and
-        the reconstruction's local-solver method and tolerance are gone
-        with their fields; naming one fails loudly."""
+        """The split-phase solver SpMV, the forced reconstruction form,
+        the reconstruction's local-solver method and tolerance and the
+        preconditioner options are gone with their fields; naming one fails
+        loudly."""
         with pytest.raises(TypeError, match=key):
             cls(**{key: value})
         with pytest.raises(ValidationError, match=cls.__name__):

@@ -1,6 +1,5 @@
 """Tests for failure scenarios and their resolution into concrete events."""
 
-import numpy as np
 import pytest
 
 from repro.failures import (
@@ -8,8 +7,6 @@ from repro.failures import (
     PAPER_PROGRESS_FRACTIONS,
     FailureLocation,
     FailureScenario,
-    OverlapSpec,
-    paper_scenarios,
     resolve_events,
 )
 
@@ -44,73 +41,22 @@ class TestFailureScenario:
         scenario = FailureScenario(n_failures=3, location=FailureLocation.CENTER)
         assert scenario.failed_ranks(16) == [8, 9, 10]
 
-    def test_end_location_ranks(self):
-        scenario = FailureScenario(n_failures=2, location=FailureLocation.END)
-        assert scenario.failed_ranks(8) == [6, 7]
-
-    def test_random_location_ranks(self):
-        scenario = FailureScenario(n_failures=4, location=FailureLocation.RANDOM)
-        ranks = scenario.failed_ranks(16, rng=np.random.default_rng(0))
-        assert len(set(ranks)) == 4
-        assert all(0 <= r < 16 for r in ranks)
-
-    def test_random_location_default_rng_is_seeded(self):
-        scenario = FailureScenario(n_failures=3, location=FailureLocation.RANDOM)
-        assert scenario.failed_ranks(16) == scenario.failed_ranks(16)
-
-    def test_random_location_round_trips_through_resolve_events(self):
-        scenario = FailureScenario(n_failures=3, progress_fraction=0.5,
-                                   location=FailureLocation.RANDOM)
-        events_a = resolve_events(scenario, n_nodes=16,
-                                  reference_iterations=40,
-                                  rng=np.random.default_rng(7))
-        events_b = resolve_events(scenario, n_nodes=16,
-                                  reference_iterations=40,
-                                  rng=np.random.default_rng(7))
-        assert events_a == events_b
-        (event,) = events_a
-        assert event.iteration == 20
-        assert len(set(event.ranks)) == 3
-        assert all(0 <= r < 16 for r in event.ranks)
-        assert resolve_events(scenario, n_nodes=16, reference_iterations=40,
-                              rng=np.random.default_rng(8)) != events_a
-
     def test_too_many_failures_rejected(self):
         scenario = FailureScenario(n_failures=8)
         with pytest.raises(ValueError):
             scenario.failed_ranks(8)
 
     def test_describe(self):
+        """The harness seeds every repetition from this text, so it is
+        pinned whole."""
         scenario = FailureScenario(n_failures=3, progress_fraction=0.2,
                                    location=FailureLocation.CENTER)
-        text = scenario.describe()
-        assert "psi=3" in text and "20%" in text and "center" in text
+        assert scenario.describe() == \
+            "psi=3, at 20% progress, location=center"
 
-
-class TestOverlaps:
-    def test_overlap_ranks_avoid_primary(self):
-        scenario = FailureScenario(n_failures=2, overlaps=(OverlapSpec(1),))
-        primary = scenario.failed_ranks(8)
-        overlaps = scenario.overlap_ranks(8, primary)
-        assert len(overlaps) == 1
-        assert not set(overlaps[0]) & set(primary)
-
-    def test_multiple_overlap_specs(self):
-        scenario = FailureScenario(
-            n_failures=1, overlaps=(OverlapSpec(1), OverlapSpec(2)),
-        )
-        primary = scenario.failed_ranks(10)
-        overlaps = scenario.overlap_ranks(10, primary)
-        flat = [r for group in overlaps for r in group]
-        assert len(flat) == len(set(flat)) == 3
-
-    def test_resolve_includes_overlap_events(self):
-        scenario = FailureScenario(n_failures=2, progress_fraction=0.5,
-                                   overlaps=(OverlapSpec(1),))
-        events = resolve_events(scenario, n_nodes=8, reference_iterations=40)
-        assert len(events) == 2
-        assert events[0].during_recovery_of is None
-        assert events[1].during_recovery_of == 0
+    def test_the_papers_two_locations(self):
+        assert [location.value for location in FailureLocation] == \
+            ["start", "center"]
 
 
 class TestResolveEvents:
@@ -120,14 +66,8 @@ class TestResolveEvents:
         (event,) = resolve_events(scenario, n_nodes=16, reference_iterations=200)
         assert event.iteration == 40
         assert event.ranks == (8, 9, 10)
-
-    def test_paper_grid(self):
-        scenarios = paper_scenarios()
-        assert len(scenarios) == len(PAPER_FAILURE_COUNTS) * len(PAPER_PROGRESS_FRACTIONS)
-        counts = {s.n_failures for s in scenarios}
-        assert counts == set(PAPER_FAILURE_COUNTS)
-        fractions = {s.progress_fraction for s in scenarios}
-        assert fractions == set(PAPER_PROGRESS_FRACTIONS)
+        assert event.during_recovery_of is None
+        assert event.label == scenario.describe()
 
     def test_paper_constants(self):
         assert PAPER_FAILURE_COUNTS == (1, 3, 8)

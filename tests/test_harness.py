@@ -8,6 +8,7 @@ the benchmarks rely on.
 import numpy as np
 import pytest
 
+from repro.cluster import MachineModel
 from repro.core.spec import BlockSpec
 from repro.failures import FailureLocation, FailureScenario
 from repro.harness import (
@@ -111,6 +112,21 @@ class TestExperimentRunner:
     def test_summary_fields(self, config):
         summary = run_reference(config).summary()
         assert {"label", "mean_time", "std_time", "mean_iterations"} <= set(summary)
+
+
+class TestMachineCalibration:
+    """``build_machine`` scales the model to the paper's 8000 rows per
+    node."""
+
+    def test_small_problem_is_scaled_to_the_papers_rows_per_node(self):
+        config = ExperimentConfig(n_nodes=16)
+        assert config.build_machine(2500) == \
+            MachineModel(jitter_rel_std=0.02).scaled(8000 * 16 / 2500)
+
+    def test_large_problem_is_unscaled(self):
+        config = ExperimentConfig(n_nodes=16)
+        assert config.build_machine(200_000) == \
+            MachineModel(jitter_rel_std=0.02)
 
 
 class TestMatrixStudy:

@@ -166,9 +166,14 @@ class TestFactory:
         for name in PRECONDITIONERS:
             assert descriptions[name]
 
-    def test_kwargs_forwarded(self, matrix):
-        p = make_preconditioner("block_jacobi_ilu", drop_tol=1e-3)
-        assert p.drop_tol == pytest.approx(1e-3)
+    @pytest.mark.parametrize("name", list(PRECONDITIONERS))
+    def test_keywords_rejected(self, name):
+        """A registered name is the whole configuration: neither the
+        factory nor a builder takes options."""
+        with pytest.raises(TypeError, match="drop_tol"):
+            make_preconditioner(name, drop_tol=1e-3)
+        with pytest.raises(TypeError):
+            PRECONDITIONERS.get(name)(drop_tol=1e-3)
 
 
 class TestMultiRhsApplyBlock:

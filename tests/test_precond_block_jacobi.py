@@ -16,7 +16,7 @@ from repro.precond import (
     FactorizationError,
     PreconditionerForm,
 )
-from repro.precond.block_jacobi import DENSE_INVERSE_MAX_ROWS
+from repro.precond.block_jacobi import BLOCK_SOLVERS, DENSE_INVERSE_MAX_ROWS
 
 
 @pytest.fixture
@@ -56,10 +56,18 @@ class TestSetupAndApply:
         with pytest.raises(ValueError):
             p.apply_block(0, np.ones(10))
 
-    def test_without_partition_uses_default_blocks(self, matrix):
-        p = BlockJacobiPreconditioner(n_blocks=5)
+    @pytest.mark.parametrize("solver", BLOCK_SOLVERS)
+    def test_without_partition_is_one_block(self, matrix, solver):
+        """The block layout comes only from the partition given to setup;
+        without one the whole matrix is one block."""
+        p = BlockJacobiPreconditioner(block_solver=solver)
         p.setup(matrix)
-        assert p.block_partition.n_parts == 5
+        assert p.block_partition.ranges == ((0, matrix.shape[0]),)
+        assert p.block_work_nnz(0) == matrix.nnz
+        r = np.random.default_rng(4).standard_normal(matrix.shape[0])
+        one_part = BlockJacobiPreconditioner(block_solver=solver)
+        one_part.setup(matrix, BlockRowPartition(matrix.shape[0], 1))
+        assert np.array_equal(p.apply(r), one_part.apply(r))
 
     @pytest.mark.parametrize("solver", ["magic", "ic"])
     def test_invalid_solver_rejected(self, solver):

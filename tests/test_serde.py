@@ -86,8 +86,6 @@ solve_specs = st.builds(
     rtol=floats(0.0, 1e-2), atol=floats(0.0, 1e-6),
     max_iterations=optional(ints(1, 10_000)),
     preconditioner=mixed_case(PRECONDITIONERS.names()),
-    preconditioner_options=st.dictionaries(
-        st.sampled_from(["drop_tol", "fill_factor"]), floats(1e-6, 20.0)),
     resilience=optional(resilience_specs), block=optional(block_specs))
 
 lifetime_models = st.builds(
@@ -130,8 +128,7 @@ names = st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=3)
 
 traffic_specs = st.builds(
     TrafficSpec, n_requests=ints(0, 100), matrix_ids=names.map(tuple),
-    tenants=names.map(tuple), rate_per_s=floats(0.0, 100.0),
-    n_modes=ints(0, 4), mode_noise=floats(0.0, 1.0))
+    tenants=names.map(tuple), rate_per_s=floats(0.0, 100.0))
 
 tenant_usages = st.builds(
     TenantUsage, tenant=labels, n_requests=ints(0, 50),

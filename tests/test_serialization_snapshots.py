@@ -64,7 +64,6 @@ def solve_spec() -> SolveSpec:
     return SolveSpec(
         solver="resilient_pcg", rtol=1e-6, atol=1e-12,
         max_iterations=500, preconditioner="block_jacobi_ilu",
-        preconditioner_options={"drop_tol": 1e-5, "fill_factor": 5.0},
         resilience=resilience_spec(), block=block_spec())
 
 
@@ -94,8 +93,7 @@ def run_outcome() -> RunOutcome:
 
 def traffic_spec() -> TrafficSpec:
     return TrafficSpec(n_requests=5, matrix_ids=("a", "b"),
-                       tenants=("x", "y"), rate_per_s=10.0, n_modes=2,
-                       mode_noise=0.05)
+                       tenants=("x", "y"), rate_per_s=10.0)
 
 
 def tenant_usage(name: str = "alice") -> TenantUsage:

@@ -217,11 +217,14 @@ class TestCoalescingEdgeCases:
             assert res.converged
             assert np.array_equal(res.x, ref.x)
 
+    @pytest.mark.parametrize("spec", [SolveSpec(solver="pcg"),
+                                      SolveSpec(block=BlockSpec())],
+                             ids=["solver", "block_spec"])
     def test_pinned_solver_requests_coalesce_and_match_direct(
-            self, service, small_poisson, direct_problem):
+            self, service, small_poisson, direct_problem, spec):
         """A pinned name takes a block as well as a vector, so batching
-        runs the solver the requests asked for."""
-        spec = SolveSpec(solver="pcg")
+        runs the solver the requests asked for; a ``BlockSpec`` that fixes
+        no column count is just another spec field."""
         rhs_list = make_rhs(small_poisson.shape[0], 3)
         handles = [service.submit("poisson", b, spec) for b in rhs_list]
         service.drain()
@@ -234,9 +237,10 @@ class TestCoalescingEdgeCases:
             assert res.iterations == ref.iterations
             assert res.residual_norms == ref.residual_norms
 
-    def test_block_spec_never_coalesces(self, service, small_poisson):
-        """A ``BlockSpec`` fixes the column count, so its requests run
-        alone."""
+    def test_block_spec_fixing_n_cols_never_coalesces(self, service,
+                                                      small_poisson):
+        """A ``BlockSpec`` with ``n_cols`` fixes the column count, so its
+        requests run alone."""
         rhs_list = make_rhs(small_poisson.shape[0], 2)
         handles = [service.submit("poisson", b,
                                   SolveSpec(block=BlockSpec(n_cols=1)))
@@ -430,7 +434,7 @@ class TestAccountingIntegration:
         """A seeded trace pumped through a drain-mode service twice yields
         byte-identical ``aggregate()`` JSON (acceptance criterion)."""
         spec = TrafficSpec(n_requests=12, matrix_ids=("m",),
-                           tenants=("a", "b", "c"), n_modes=0)
+                           tenants=("a", "b", "c"))
 
         def run_once():
             svc = SolverService(k_max=4)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +14,11 @@ from repro.service import TrafficSpec, generate_traffic
 
 
 class TestTrafficSpec:
+    def test_fields(self):
+        """Every request draws an independent right-hand side."""
+        assert [f.name for f in dataclasses.fields(TrafficSpec)] == [
+            "n_requests", "matrix_ids", "tenants", "rate_per_s"]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_requests"):
             TrafficSpec(n_requests=-1)
@@ -18,8 +26,6 @@ class TestTrafficSpec:
             TrafficSpec(matrix_ids=())
         with pytest.raises(ValueError, match="tenants"):
             TrafficSpec(tenants=())
-        with pytest.raises(ValueError, match="n_modes"):
-            TrafficSpec(n_modes=-2)
 
     @pytest.mark.parametrize("value", [["a", "b"], "alice", ("a", 1)],
                              ids=["list", "str", "non-str-item"])
@@ -37,8 +43,7 @@ class TestTrafficSpec:
 
     def test_json_round_trip(self):
         spec = TrafficSpec(n_requests=5, matrix_ids=("a", "b"),
-                           tenants=("x",), rate_per_s=10.0, n_modes=2,
-                           mode_noise=0.05)
+                           tenants=("x",), rate_per_s=10.0)
         restored = TrafficSpec.from_dict(json.loads(json.dumps(
             spec.to_dict())))
         assert restored == spec
@@ -58,7 +63,7 @@ class TestGenerateTraffic:
 
     def test_same_seed_same_trace(self):
         spec = TrafficSpec(n_requests=20, matrix_ids=("a", "b"),
-                           tenants=("t0", "t1"), rate_per_s=100.0, n_modes=2)
+                           tenants=("t0", "t1"), rate_per_s=100.0)
         first = generate_traffic(spec, self.SIZES, seed=3)
         second = generate_traffic(spec, self.SIZES, seed=3)
         assert len(first) == len(second) == 20
@@ -91,17 +96,6 @@ class TestGenerateTraffic:
                     for req in generate_traffic(spec, self.SIZES, seed=0)]
         assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
 
-    def test_modes_cluster_payloads(self):
-        spec = TrafficSpec(n_requests=40, matrix_ids=("a",), n_modes=2,
-                           mode_noise=1e-6)
-        trace = generate_traffic(spec, self.SIZES, seed=5)
-        # With near-zero noise the payloads collapse onto the two modes.
-        unique = []
-        for req in trace:
-            if not any(np.allclose(req.rhs, u, atol=1e-4) for u in unique):
-                unique.append(req.rhs)
-        assert len(unique) == 2
-
     def test_missing_size_raises(self):
         spec = TrafficSpec(n_requests=1, matrix_ids=("ghost",))
         with pytest.raises(ValueError, match="ghost"):
@@ -111,3 +105,15 @@ class TestGenerateTraffic:
         spec = TrafficSpec(n_requests=6, matrix_ids=("a",))
         trace = generate_traffic(spec, self.SIZES, seed=0)
         assert [req.index for req in trace] == list(range(6))
+
+    def test_trace_bytes_are_pinned(self):
+        """Targets, tenants, arrivals and right-hand-side bytes of a seeded
+        trace: the benchmarks' request streams must not move."""
+        spec = TrafficSpec(n_requests=12, matrix_ids=("a", "b"),
+                           tenants=("t0", "t1", "t2"), rate_per_s=40.0)
+        digest = hashlib.sha256()
+        for req in generate_traffic(spec, self.SIZES, seed=11):
+            digest.update(f"{req.index}|{req.matrix_id}|{req.tenant}|".encode())
+            digest.update(struct.pack("<d", req.arrival_s))
+            digest.update(req.rhs.tobytes())
+        assert digest.hexdigest()[:16] == "0f660c36ef014d49"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributed import BlockRowPartition
 from repro.matrices import poisson_2d
 from repro.precond import JacobiPreconditioner, BlockJacobiPreconditioner
 from repro.solvers import cg, pcg
@@ -83,8 +84,8 @@ class TestPcg:
     def test_block_jacobi_reduces_iterations(self, system):
         a, b, _ = system
         plain = pcg(a, b, rtol=1e-8)
-        p = BlockJacobiPreconditioner(n_blocks=4)
-        p.setup(a)
+        p = BlockJacobiPreconditioner()
+        p.setup(a, BlockRowPartition(a.shape[0], 4))
         prec = pcg(a, b, preconditioner=p, rtol=1e-8)
         assert prec.iterations < plain.iterations
 

@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spilu, splu
 
 from repro.matrices import poisson_2d
 from repro.solvers import LOCAL_SOLVER_METHODS, LocalSubsystemSolver, pcg
+from repro.solvers import local_solver
 
 
 class TestLocalSubsystemSolver:
@@ -20,7 +21,7 @@ class TestLocalSubsystemSolver:
     @pytest.mark.parametrize("method", LOCAL_SOLVER_METHODS)
     def test_all_methods_accurate(self, subsystem, method):
         a, b, x_exact = subsystem
-        solver = LocalSubsystemSolver(method, rtol=1e-14)
+        solver = LocalSubsystemSolver(method)
         x = solver.solve(a, b)
         assert np.allclose(x, x_exact, atol=1e-8)
         assert solver.last_stats is not None
@@ -45,7 +46,7 @@ class TestLocalSubsystemSolver:
 
     def test_stats_track_iterations(self, subsystem):
         a, b, _ = subsystem
-        solver = LocalSubsystemSolver("pcg_ilu", rtol=1e-14)
+        solver = LocalSubsystemSolver("pcg_ilu")
         solver.solve(a, b)
         assert solver.last_stats.iterations >= 1
         assert solver.last_stats.method in ("pcg_ilu", "pcg_ilu+direct_fallback")
@@ -55,7 +56,7 @@ class TestLocalSubsystemSolver:
         by one ``spilu`` of the whole subsystem (natural ordering, no
         pivoting), and its preconditioner is priced at the subsystem's nnz."""
         a, b, _ = subsystem
-        solver = LocalSubsystemSolver("pcg_ilu", rtol=1e-14)
+        solver = LocalSubsystemSolver("pcg_ilu")
         x = solver.solve(a, b)
         ilu = spilu(a.tocsc(), drop_tol=1e-4, fill_factor=10,
                     permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -69,11 +70,12 @@ class TestLocalSubsystemSolver:
         its = reference.iterations
         assert stats.work_flops == 2.0 * a.nnz * its + 2.0 * a.nnz * its
 
-    def test_direct_fallback_keeps_accuracy(self, subsystem):
+    def test_direct_fallback_keeps_accuracy(self, subsystem, monkeypatch):
         """An inner PCG stopped short of its tolerance falls back to the
         sparse LU: the answer is the LU's, and both attempts are charged."""
         a, b, _ = subsystem
-        solver = LocalSubsystemSolver("pcg_ilu", rtol=1e-14, max_iterations=1)
+        monkeypatch.setattr(local_solver, "INNER_MAX_ITERATIONS", 1)
+        solver = LocalSubsystemSolver("pcg_ilu")
         x = solver.solve(a, b)
         stats = solver.last_stats
         assert stats.method == "pcg_ilu+direct_fallback"
@@ -102,12 +104,12 @@ class TestLocalSubsystemSolverBlock:
         """solve_block shares one factorization but every column must be
         bit-identical to a standalone solve of that column."""
         a, b, _ = block_subsystem
-        solver = LocalSubsystemSolver(method, rtol=1e-14)
+        solver = LocalSubsystemSolver(method)
         x_block = solver.solve_block(a, b)
         assert x_block.shape == b.shape
         assert len(solver.last_column_stats) == b.shape[1]
         for j in range(b.shape[1]):
-            reference = LocalSubsystemSolver(method, rtol=1e-14)
+            reference = LocalSubsystemSolver(method)
             assert np.array_equal(x_block[:, j], reference.solve(a, b[:, j]))
 
     def test_factorization_work_amortized(self, block_subsystem):
@@ -128,9 +130,9 @@ class TestLocalSubsystemSolverBlock:
     def test_k1_block_equals_single_solve_charges(self, block_subsystem):
         a, b, _ = block_subsystem
         for method in ("direct", "pcg_ilu"):
-            block_solver = LocalSubsystemSolver(method, rtol=1e-14)
+            block_solver = LocalSubsystemSolver(method)
             x_block = block_solver.solve_block(a, b[:, :1])
-            single = LocalSubsystemSolver(method, rtol=1e-14)
+            single = LocalSubsystemSolver(method)
             x = single.solve(a, b[:, 0])
             assert np.array_equal(x_block[:, 0], x)
             assert block_solver.work_flops() == single.work_flops()
