@@ -68,11 +68,9 @@ from repro.cluster import (  # noqa: E402
 from repro.core import ResilienceSpec, distribute_problem  # noqa: E402
 from repro.core.redundancy import REDUNDANCY_SCHEMES  # noqa: E402
 from repro.core.resilient_block_pcg import ResilientBlockPCG  # noqa: E402
-from repro.core.rs_parity import RSParityScheme  # noqa: E402
+from repro.core.rs_parity import GROUP_SIZE, RSParityScheme  # noqa: E402
 from repro.matrices import poisson_2d  # noqa: E402
 from repro.precond import make_preconditioner  # noqa: E402
-
-GROUP_SIZE = 4
 
 
 def _solver(matrix, n_nodes: int, phi: int, scheme: str, rtol: float,
@@ -80,11 +78,9 @@ def _solver(matrix, n_nodes: int, phi: int, scheme: str, rtol: float,
             ) -> ResilientBlockPCG:
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
-    options = {"group_size": GROUP_SIZE} if scheme == "rs_parity" else {}
     return ResilientBlockPCG(
         problem.matrix, problem.rhs, make_preconditioner("block_jacobi"),
         resilience=ResilienceSpec(phi=phi, scheme=scheme,
-                                  scheme_options=options,
                                   failures=failures or ()),
         rtol=rtol,
     )
@@ -94,7 +90,7 @@ def _stripe_failure_ranks(matrix, n_nodes: int, phi: int) -> List[int]:
     """``phi`` members of one RS stripe -- the parity scheme's worst case."""
     problem = distribute_problem(matrix, n_nodes=n_nodes, seed=0,
                                  machine=MachineModel(jitter_rel_std=0.0))
-    scheme = RSParityScheme(problem.context, phi, group_size=GROUP_SIZE)
+    scheme = RSParityScheme(problem.context, phi)
     members = scheme.group_members(0)
     return sorted(members[:min(phi, len(members))])
 

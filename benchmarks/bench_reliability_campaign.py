@@ -57,18 +57,15 @@ GATED = ("rack_aware", "copyset")
 #: in 32 iterations at rtol=1e-8; the trace horizon covers that window and
 #: the burst rate puts ~1.2 whole-rack bursts inside it in expectation, so
 #: most runs see at least one correlated failure.
-BASE_TRACE = dict(n_nodes=8, horizon=30, burst_rate=0.04, rack_size=4,
-                  repair_delay=0.0, label="mc")
+BASE_TRACE = dict(n_nodes=8, horizon=30, burst_rate=0.04, label="mc")
 
 
 def campaign_spec(placement: str, n_runs: int, seed: int) -> CampaignSpec:
     return CampaignSpec(
         matrix_id="M3", matrix_size=160, matrix_seed=0,
-        n_nodes=8, phi=3, placement=placement, rack_size=4,
+        n_nodes=8, phi=3, placement=placement,
         preconditioner="block_jacobi", rtol=1e-8,
-        trace=TraceSpec(lifetime=LifetimeModel(distribution="exponential",
-                                               scale=400.0),
-                        **BASE_TRACE),
+        trace=TraceSpec(lifetime=LifetimeModel(scale=400.0), **BASE_TRACE),
         n_runs=n_runs, seed=seed, timeout_s=120.0,
     )
 

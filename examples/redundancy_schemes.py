@@ -16,22 +16,15 @@ import numpy as np
 
 import repro
 from repro.core import build_redundancy_scheme
+from repro.core.rs_parity import GROUP_SIZE
 from repro.harness import format_table
 
 
 N_NODES = 12
 PHI = 2
-GROUP_SIZE = 4
 FAILED_RANKS = (1, 6)
 
-SCHEMES = (
-    ("copies", {}),
-    ("rs_parity", {"group_size": GROUP_SIZE}),
-)
-
-
-def scheme_options_for(name, options):
-    return {"scheme": name, "scheme_options": dict(options)}
+SCHEMES = ("copies", "rs_parity")
 
 
 def main() -> None:
@@ -52,16 +45,15 @@ def main() -> None:
 
     rows = []
     recovered = {}
-    for name, options in SCHEMES:
-        scheme = build_redundancy_scheme(name, problem.context, PHI,
-                                         options=options)
+    for name in SCHEMES:
+        scheme = build_redundancy_scheme(name, problem.context, PHI)
         stored = scheme.redundant_elements_per_generation()
         messages, elements = scheme.extra_traffic_per_iteration()
 
         result = repro.solve(
             matrix, n_nodes=N_NODES, preconditioner="block_jacobi",
-            phi=PHI, failures=[(failure_iteration, list(FAILED_RANKS))],
-            **scheme_options_for(name, options),
+            phi=PHI, scheme=name,
+            failures=[(failure_iteration, list(FAILED_RANKS))],
         )
         recovered[name] = result
         overhead = result.info["redundancy"]

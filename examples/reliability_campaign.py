@@ -25,8 +25,8 @@ def campaign(placement: str) -> CampaignSpec:
     # ~25 iterations in expectation on top of exponential node lifetimes.
     return CampaignSpec(
         matrix_id="M3", matrix_size=160, n_nodes=8, phi=3,
-        placement=placement, rack_size=4, rtol=1e-8,
-        trace=TraceSpec(n_nodes=8, horizon=30, burst_rate=0.04, rack_size=4,
+        placement=placement, rtol=1e-8,
+        trace=TraceSpec(n_nodes=8, horizon=30, burst_rate=0.04,
                         lifetime=LifetimeModel(scale=400.0)),
         n_runs=N_RUNS, seed=SEED,
     )

@@ -4,8 +4,8 @@ The paper selects the ``phi`` backup nodes ``d_i1 .. d_iphi`` of owner ``i``
 with the alternating-neighbour heuristic of Eqn. (5) and explicitly leaves
 the optimal placement for general settings as future work.  This module
 turns the placement choice into a registry: each strategy is a function
-``(owner, phi, n_nodes, *, racks, rng) -> targets`` registered under a
-short name via ``@register_placement("name")`` in :data:`PLACEMENTS` -- a
+``(owner, phi, n_nodes) -> targets`` registered under a short name via
+``@register_placement("name")`` in :data:`PLACEMENTS` -- a
 :class:`~repro.utils.registry.Registry`, the class every named choice
 uses.  A placement is picked by its registered name everywhere (the
 :class:`~repro.core.spec.ResilienceSpec` field, the redundancy schemes,
@@ -29,21 +29,24 @@ reliability campaigns of :mod:`repro.harness.campaign`:
     ``phi + 1``-subsets whose simultaneous loss is fatal.
 
 Racks are modelled by :class:`RackLayout`: ``rack_size`` contiguous ranks
-per rack, matching how the correlated bursts of
-:mod:`repro.failures.traces` strike.
+per rack.  Every rack-aware decision -- these two placements, the parity
+stripes of :mod:`repro.core.rs_parity` and the correlated bursts of
+:mod:`repro.failures.traces` -- uses the one layout
+:meth:`RackLayout.default` derives from the node count, so a burst and
+the backups placed against it agree on what a rack is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..utils.registry import Registry
-from ..utils.rng import RandomState, as_rng
+from ..utils.rng import as_rng
 
 
-#: Rack size used when a rack-aware strategy runs without an explicit layout.
+#: Ranks per rack of the default layout (clamped to keep two racks).
 DEFAULT_RACK_SIZE = 4
 
 
@@ -51,10 +54,11 @@ DEFAULT_RACK_SIZE = 4
 class RackLayout:
     """Contiguous-rank rack model: rack ``j`` holds ranks ``[j*s, (j+1)*s)``.
 
-    This is the failure-domain model shared by the placement strategies and
-    the correlated-burst trace generator
+    This is the failure-domain model shared by the placement strategies,
+    the parity stripes and the correlated-burst trace generator
     (:class:`repro.failures.traces.TraceSpec`): a "rack" is ``rack_size``
-    contiguous ranks (the last rack may be smaller).
+    contiguous ranks (the last rack may be smaller).  All of them use
+    :meth:`default`.
     """
 
     n_nodes: int
@@ -68,17 +72,13 @@ class RackLayout:
                 f"rack_size must be positive, got {self.rack_size}")
 
     @classmethod
-    def default(cls, n_nodes: int,
-                rack_size: Optional[int] = None) -> "RackLayout":
+    def default(cls, n_nodes: int) -> "RackLayout":
         """Layout for *n_nodes*, clamping the rack size to keep >= 2 racks.
 
         With fewer than two racks every rack-aware strategy would degenerate
-        (there is no "other" failure domain), so the default rack size is
-        ``min(DEFAULT_RACK_SIZE, ceil(n_nodes / 2))``.  An explicit
-        *rack_size* is taken as-is.
+        (there is no "other" failure domain), so the rack size is
+        ``min(DEFAULT_RACK_SIZE, ceil(n_nodes / 2))``.
         """
-        if rack_size is not None:
-            return cls(n_nodes, int(rack_size))
         return cls(n_nodes, min(DEFAULT_RACK_SIZE, max(1, (n_nodes + 1) // 2)))
 
     @property
@@ -114,8 +114,8 @@ class RackLayout:
                                      self.rack_of(r)))
 
 
-#: A placement function: ``(owner, phi, n_nodes, *, racks, rng) -> targets``.
-PlacementFn = Callable[..., List[int]]
+#: A placement function: ``(owner, phi, n_nodes) -> targets``.
+PlacementFn = Callable[[int, int, int], List[int]]
 
 #: The registry :func:`~repro.core.redundancy.backup_targets` consults.
 PLACEMENTS: Registry[PlacementFn] = Registry("placement")
@@ -134,26 +134,19 @@ def paper_backup_target(owner: int, k: int, n_nodes: int) -> int:
 
 
 @register_placement("paper", "Eqn. (5): alternating +-1, +-2, ... neighbours")
-def _paper_placement(owner: int, phi: int, n_nodes: int, *,
-                     racks: Optional[RackLayout] = None,
-                     rng: Optional[RandomState] = None) -> List[int]:
+def _paper_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     return [paper_backup_target(owner, k, n_nodes) for k in range(1, phi + 1)]
 
 
 @register_placement("next_ranks", "the next phi ranks i+1 .. i+phi (mod N)")
-def _next_ranks_placement(owner: int, phi: int, n_nodes: int, *,
-                          racks: Optional[RackLayout] = None,
-                          rng: Optional[RandomState] = None) -> List[int]:
+def _next_ranks_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     return [(owner + k) % n_nodes for k in range(1, phi + 1)]
 
 
 @register_placement("random", "phi distinct ranks chosen uniformly per owner")
-def _random_placement(owner: int, phi: int, n_nodes: int, *,
-                      racks: Optional[RackLayout] = None,
-                      rng: Optional[RandomState] = None) -> List[int]:
-    # Per-owner seeding by default: reproducible without any configuration,
-    # and bit-identical to the pre-registry implementation.
-    rng = as_rng(rng if rng is not None else owner)
+def _random_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
+    # Seeded per owner: reproducible without any configuration.
+    rng = as_rng(owner)
     candidates = [r for r in range(n_nodes) if r != owner]
     idx = rng.choice(len(candidates), size=phi, replace=False)
     return [candidates[int(t)] for t in idx]
@@ -161,10 +154,8 @@ def _random_placement(owner: int, phi: int, n_nodes: int, *,
 
 @register_placement("rack_aware",
                     "spread the backups over ranks in other racks")
-def _rack_aware_placement(owner: int, phi: int, n_nodes: int, *,
-                          racks: Optional[RackLayout] = None,
-                          rng: Optional[RandomState] = None) -> List[int]:
-    layout = racks if racks is not None else RackLayout.default(n_nodes)
+def _rack_aware_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
+    layout = RackLayout.default(n_nodes)
     owner_rack = layout.rack_of(owner)
     targets: List[int] = []
     chosen = {owner}
@@ -202,12 +193,10 @@ def _rack_aware_placement(owner: int, phi: int, n_nodes: int, *,
 
 @register_placement("copyset",
                     "fixed rack-striding copysets of phi + 1 ranks")
-def _copyset_placement(owner: int, phi: int, n_nodes: int, *,
-                       racks: Optional[RackLayout] = None,
-                       rng: Optional[RandomState] = None) -> List[int]:
+def _copyset_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     if phi == 0:
         return []
-    layout = racks if racks is not None else RackLayout.default(n_nodes)
+    layout = RackLayout.default(n_nodes)
     order = layout.striding_order()
     group_size = phi + 1
     n_groups = max(n_nodes // group_size, 1)

@@ -34,19 +34,21 @@ uses), a :class:`~repro.core.spec.ResilienceSpec` selects one by name
 through its ``scheme`` field, and :func:`build_redundancy_scheme` builds
 the named class -- once per plan and layout: the scheme is kept in the
 plan's :attr:`~repro.distributed.comm_context.CommunicationContext.schemes`
-under the spec's layout fields, so every resilient solve of one problem
+under ``(name, phi, placement)``, so every resilient solve of one problem
 (whose matrix owns the plan) with that layout gets the same instance, and
 it is freed with the problem.  A solver's ``_init_resilience`` hands it to
 its :class:`~repro.core.esr.ESRProtocol`.  Caching is safe because a
-scheme holds only static layout: the ``random`` placement seeds per owner
-unless an ``rng`` is passed, and a call with an ``rng`` builds a fresh
-scheme.  :class:`RedundancySchemeBase` holds the layout every scheme
-shares (``phi``, partition, placement, racks) and what is derived from it
-once: the static tables of a held pattern (:class:`HeldIndex`), which
-every ESR protocol over the scheme reads, and the per-iteration overhead
-charge.  ``"copies"`` -- this module's :class:`RedundancyScheme` -- is the
-default and reproduces the paper's behaviour bit for bit; ``"rs_parity"``
-registers when :mod:`repro.core` imports :mod:`repro.core.rs_parity`.
+scheme holds only static layout, derived from the plan, ``phi`` and the
+placement alone: the rack layout is
+:meth:`~repro.core.placement.RackLayout.default` of the node count and
+the ``random`` placement seeds per owner.  :class:`RedundancySchemeBase`
+holds the layout every scheme shares (``phi``, partition, placement) and
+what is derived from it once: the static tables of a held pattern
+(:class:`HeldIndex`), which every ESR protocol over the scheme reads, and
+the per-iteration overhead charge.  ``"copies"`` -- this module's
+:class:`RedundancyScheme` -- is the default and reproduces the paper's
+behaviour bit for bit; ``"rs_parity"`` registers when :mod:`repro.core`
+imports :mod:`repro.core.rs_parity`.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.partition import BlockRowPartition
 from ..utils.registry import Registry
-from ..utils.rng import RandomState
-from .placement import PLACEMENTS, RackLayout
+from .placement import PLACEMENTS
 
 __all__ = [
     "HeldIndex",
@@ -76,16 +77,13 @@ __all__ = [
 
 
 def backup_targets(owner: int, phi: int, n_nodes: int,
-                   placement: str = "paper",
-                   rng: Optional[RandomState] = None,
-                   racks: Optional[RackLayout] = None) -> List[int]:
+                   placement: str = "paper") -> List[int]:
     """The ``phi`` backup nodes of *owner* under the chosen placement.
 
     *placement* is a name registered in
-    :data:`repro.core.placement.PLACEMENTS`; *racks* feeds the rack-aware
-    strategies (``None`` = the default layout of
-    :meth:`RackLayout.default`).  The targets are guaranteed to be distinct
-    and different from the owner; this requires ``phi < n_nodes``.
+    :data:`repro.core.placement.PLACEMENTS`.  The targets are guaranteed to
+    be distinct and different from the owner; this requires
+    ``phi < n_nodes``.
     """
     if not 0 <= owner < n_nodes:
         raise ValueError(f"owner {owner} out of range for {n_nodes} nodes")
@@ -96,8 +94,7 @@ def backup_targets(owner: int, phi: int, n_nodes: int,
             f"phi must be smaller than the number of nodes ({phi} >= {n_nodes}): "
             "fewer than phi+1 distinct nodes cannot hold phi+1 copies"
         )
-    targets = PLACEMENTS.get(placement)(owner, phi, n_nodes, racks=racks,
-                                        rng=rng)
+    targets = PLACEMENTS.get(placement)(owner, phi, n_nodes)
     if len(targets) != phi or len(set(targets)) != len(targets) \
             or owner in targets:
         # A real error, not an assert: a broken *registered* strategy must
@@ -206,12 +203,9 @@ class RedundancySchemeBase:
     kind: str = "pattern"
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: str = "paper",
-                 rng: Optional[RandomState] = None,
-                 rack_size: Optional[int] = None):
+                 placement: str = "paper"):
         """The layout every scheme shares: ``0 <= phi < N`` over the
-        context's partition, the placement's registered name, the rack
-        (failure-domain) layout and the placement's random source."""
+        context's partition and the placement's registered name."""
         if phi < 0:
             raise ValueError(f"phi must be non-negative, got {phi}")
         self.context = context
@@ -226,9 +220,6 @@ class RedundancySchemeBase:
                 f"phi={phi} requires at least phi+1={phi + 1} nodes, "
                 f"but the cluster has {n_nodes}"
             )
-        #: Failure-domain layout fed to the rack-aware strategies.
-        self.racks = RackLayout.default(n_nodes, rack_size)
-        self._rng = rng
         #: ``(topology, model, n_cols) -> iteration_overhead(...)``.
         self._overheads: Dict[Tuple[Any, ...],
                               Tuple[float, Tuple[int, int]]] = {}
@@ -338,38 +329,21 @@ def register_redundancy_scheme(name: str, description: str = ""
 
 def build_redundancy_scheme(name: str, context: CommunicationContext,
                             phi: int, *,
-                            placement: str = "paper",
-                            rng: Optional[RandomState] = None,
-                            rack_size: Optional[int] = None,
-                            options: Optional[Mapping[str, Any]] = None
+                            placement: str = "paper"
                             ) -> RedundancySchemeBase:
     """The scheme registered under *name*, laid out over *context*.
 
-    The registered class is built as ``cls(context, phi, placement=...,
-    rng=..., rack_size=..., **options)`` and kept in ``context.schemes``
-    under ``(name, phi, placement, rack_size, options)``: a later call with
-    the same layout returns that instance.  A call with an *rng* builds a
-    fresh scheme and keeps none.  Scheme-specific *options* (e.g.
-    ``group_size`` for ``"rs_parity"``) the chosen class does not accept,
-    or that are not hashable, raise ``ValueError`` naming the scheme; so
-    does every other invalid layout, on every call, and nothing is kept.
+    The registered class is built as ``cls(context, phi,
+    placement=...)`` and kept in ``context.schemes`` under ``(name, phi,
+    placement)``: a later call with the same layout returns that instance.
+    An invalid layout raises ``ValueError`` on every call, and nothing is
+    kept.
     """
     cls = REDUNDANCY_SCHEMES.get(name)
-    options = dict(options or {})
-    key = (cls.scheme_name, phi, str(placement).lower(), rack_size,
-           tuple(sorted(options.items())))
-    try:
-        scheme = None if rng is not None else context.schemes.get(key)
-        if scheme is None:
-            scheme = cls(context, phi, placement=placement, rng=rng,
-                         rack_size=rack_size, **options)
-            if rng is None:
-                context.schemes[key] = scheme
-    except TypeError as exc:
-        raise ValueError(
-            f"invalid options for redundancy scheme {cls.scheme_name!r}: "
-            f"{exc}"
-        ) from None
+    key = (cls.scheme_name, phi, str(placement).lower())
+    scheme = context.schemes.get(key)
+    if scheme is None:
+        scheme = context.schemes[key] = cls(context, phi, placement=placement)
     return scheme
 
 
@@ -380,11 +354,8 @@ class RedundancyScheme(RedundancySchemeBase):
     """Computes and stores the multi-failure redundancy sets of Sec. 4.1."""
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: str = "paper",
-                 rng: Optional[RandomState] = None,
-                 rack_size: Optional[int] = None):
-        super().__init__(context, phi, placement=placement, rng=rng,
-                         rack_size=rack_size)
+                 placement: str = "paper"):
+        super().__init__(context, phi, placement=placement)
         self._owners: Dict[int, OwnerRedundancy] = {}
         for owner in range(self.partition.n_parts):
             self._owners[owner] = self._compute_owner(owner)
@@ -410,8 +381,7 @@ class RedundancyScheme(RedundancySchemeBase):
         size = partition.size_of(owner)
         multiplicity = self.context.multiplicity(owner)
 
-        targets = backup_targets(owner, self.phi, n_nodes, self.placement,
-                                 rng=self._rng, racks=self.racks)
+        targets = backup_targets(owner, self.phi, n_nodes, self.placement)
 
         # Membership masks: does backup d_ik naturally receive element s?
         member = np.zeros((self.phi, size), dtype=bool)

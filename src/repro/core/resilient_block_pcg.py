@@ -10,9 +10,8 @@ block) with
   Eqn. (6); the redundancy scheme is laid out over the matrix's own scatter
   plan (:attr:`~repro.distributed.dmatrix.DistributedMatrix.context`), which
   keeps it: every resilient solve of one problem with the same layout
-  (scheme, ``phi``, placement, rack size, scheme options) reuses the scheme
-  and its static tables, and only the slot buffers of the ESR protocol are
-  new per solve;
+  (scheme, ``phi``, placement) reuses the scheme and its static tables,
+  and only the slot buffers of the ESR protocol are new per solve;
 * failure handling -- when the ``failures`` schedule strikes (possibly
   several nodes simultaneously, possibly again during a running recovery),
   the ULFM runtime provides replacement nodes and the ESR reconstruction
@@ -105,8 +104,7 @@ class EsrResilienceMixin(FailureHandlingMixin):
         self.resilience = resilience
         self.scheme = build_redundancy_scheme(
             resilience.scheme, self.context, resilience.phi,
-            placement=resilience.placement, rack_size=resilience.rack_size,
-            options=resilience.scheme_options)
+            placement=resilience.placement)
         self.esr = ESRProtocol(self.cluster, self.scheme, n_cols=self.n_cols)
         self.reconstructor = ESRReconstructor(
             self.matrix, self.rhs, self.preconditioner, self.esr)
@@ -155,9 +153,8 @@ class ResilientBlockPCG(EsrResilienceMixin, BlockPCG):
         block-diagonal (the paper uses block Jacobi).
     resilience:
         The whole resilience configuration: redundancy level ``phi``
-        (``0 <= phi < N``), redundancy scheme and its options, backup
-        placement and rack size, and failure schedule (see
-        :class:`~repro.core.spec.ResilienceSpec`).
+        (``0 <= phi < N``), redundancy scheme, backup placement and
+        failure schedule (see :class:`~repro.core.spec.ResilienceSpec`).
         ``None`` means ``ResilienceSpec()``, the paper's settings.  The spec
         stays readable as :attr:`resilience`, the injector built from its
         failure schedule as :attr:`failure_injector`; each recovery episode

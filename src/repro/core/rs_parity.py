@@ -10,14 +10,14 @@ in-group losses are decodable from the ``g`` surviving units (CR-SIM's
 drops from ``phi * n`` to roughly ``n + (m/g) * n`` elements and the
 per-iteration redundancy traffic to ``m`` parity blocks per group.
 
-**Stripes.**  The owners are laid out in the rack-striding order also used
-by the ``"copyset"`` placement (first one rank per rack, then the second
-rank of every rack, ...) and chopped into consecutive groups of
-``group_size`` data blocks -- consecutive entries live in distinct racks,
-so one correlated rack burst hits each stripe at most ``ceil(g/racks)``
-times.  The ``m`` parity holders of a stripe are chosen by the configured
-placement strategy (seeded ``rng`` supported) from the ranks outside the
-stripe.
+**Stripes.**  The owners are laid out in the rack-striding order of the
+default rack layout, also used by the ``"copyset"`` placement (first one
+rank per rack, then the second rank of every rack, ...) and chopped into
+consecutive groups of :data:`GROUP_SIZE` data blocks -- consecutive
+entries live in distinct racks, so one correlated rack burst hits each
+stripe at most ``ceil(g/racks)`` times.  The ``m`` parity holders of a
+stripe are chosen by the configured placement strategy from the ranks
+outside the stripe.
 
 **Coding.**  Parity is computed over the *bytes* of the staged float64
 blocks in GF(2^8) (primitive polynomial ``0x11d``) with a Cauchy
@@ -45,13 +45,13 @@ column count (pinned by the property tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
-from ..utils.rng import RandomState
+from .placement import RackLayout
 from .redundancy import (
     RedundancySchemeBase,
     backup_targets,
@@ -60,8 +60,8 @@ from .redundancy import (
 
 __all__ = ["RSParityScheme", "gf256_mul"]
 
-#: Default number of data blocks per parity stripe.
-DEFAULT_GROUP_SIZE = 4
+#: Data blocks per parity stripe (clamped to ``n_nodes - m``).
+GROUP_SIZE = 4
 
 _PRIMITIVE_POLY = 0x11D
 
@@ -127,38 +127,28 @@ class RSParityScheme(RedundancySchemeBase):
         Registered name of the strategy choosing each stripe's parity
         holders (from the ranks outside the stripe); ``"paper"`` by
         default.
-    rng:
-        Seeds the ``"random"`` placement's holder choice.
-    rack_size:
-        Failure-domain layout fed to the rack-striding stripe order and the
-        rack-aware placements.
-    group_size:
-        Data blocks per stripe (default 4), clamped to ``n_nodes - phi`` so
-        every stripe keeps ``m`` off-stripe holder candidates.
+
+    Each stripe holds :data:`GROUP_SIZE` data blocks, clamped to
+    ``n_nodes - phi`` so every stripe keeps ``m`` off-stripe holder
+    candidates.
     """
 
     kind = "parity"
 
     def __init__(self, context: CommunicationContext, phi: int, *,
-                 placement: str = "paper",
-                 rng: Optional[RandomState] = None,
-                 rack_size: Optional[int] = None,
-                 group_size: int = DEFAULT_GROUP_SIZE):
-        super().__init__(context, phi, placement=placement, rng=rng,
-                         rack_size=rack_size)
+                 placement: str = "paper"):
+        super().__init__(context, phi, placement=placement)
         self.m = self.phi
         n_nodes = self.partition.n_parts
-        if int(group_size) < 1:
-            raise ValueError(f"group_size must be positive, got {group_size}")
         #: Stripe width, clamped so every stripe has >= m off-stripe ranks.
-        self.group_size = min(int(group_size), max(1, n_nodes - self.m))
+        self.group_size = min(GROUP_SIZE, max(1, n_nodes - self.m))
         if self.group_size + self.m > 256:
             raise ValueError(
                 f"GF(2^8) coding supports at most 256 units per stripe, got "
                 f"g={self.group_size} data + m={self.m} parity"
             )
         # Rack-striding owner order: each stripe spans racks.
-        order = self.racks.striding_order()
+        order = RackLayout.default(n_nodes).striding_order()
         self._groups: List[Tuple[int, ...]] = [
             tuple(order[lo:lo + self.group_size])
             for lo in range(0, n_nodes, self.group_size)
@@ -183,8 +173,7 @@ class RSParityScheme(RedundancySchemeBase):
         n_nodes = self.partition.n_parts
         lead = members[0]
         preference = backup_targets(lead, n_nodes - 1, n_nodes,
-                                    self.placement, rng=self._rng,
-                                    racks=self.racks)
+                                    self.placement)
         member_set = set(members)
         holders = [rank for rank in preference if rank not in member_set]
         if len(holders) < self.m:

@@ -30,7 +30,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -75,18 +75,12 @@ class ResilienceSpec(RoundTrip):
     #: Reed-Solomon parity stripes tolerating the same ``phi`` in-group
     #: failures at ``phi/g`` storage overhead).
     scheme: str = "copies"
-    #: Keyword arguments for the scheme constructor (e.g. ``group_size``
-    #: for ``"rs_parity"``).
-    scheme_options: Dict[str, Any] = field(default_factory=dict)
     #: Backup-node placement strategy: any name registered in
     #: :data:`repro.core.placement.PLACEMENTS` (``"paper"`` -- Eqn. (5) --
     #: ``"next_ranks"``, ``"random"``, ``"rack_aware"``, ``"copyset"``),
-    #: stored lower-case.
+    #: stored lower-case.  The rack-aware ones use the default rack layout
+    #: of :meth:`repro.core.placement.RackLayout.default`.
     placement: str = "paper"
-    #: Rack (failure-domain) size used by the rack-aware placement
-    #: strategies; ``None`` = the default layout of
-    #: :meth:`repro.core.placement.RackLayout.default`.
-    rack_size: Optional[int] = None
     #: Failure schedule: :class:`FailureEvent` objects or ``(iteration,
     #: ranks)`` tuples (normalised on construction).  Empty = undisturbed.
     #: Events that never fire come back in ``info["unfired_failures"]``.
@@ -100,14 +94,8 @@ class ResilienceSpec(RoundTrip):
         # ``get`` raises a ValueError listing the registered schemes.
         scheme_cls = REDUNDANCY_SCHEMES.get(str(self.scheme))
         object.__setattr__(self, "scheme", scheme_cls.scheme_name)
-        object.__setattr__(self, "scheme_options", dict(self.scheme_options))
         PLACEMENTS.get(self.placement)  # an unknown name raises ValueError
         object.__setattr__(self, "placement", self.placement.lower())
-        if self.rack_size is not None:
-            if int(self.rack_size) < 1:
-                raise ValueError(
-                    f"rack_size must be positive, got {self.rack_size}")
-            object.__setattr__(self, "rack_size", int(self.rack_size))
         object.__setattr__(self, "failures",
                            tuple(build_failure_events(self.failures)))
 

@@ -6,17 +6,15 @@ statements need distributions instead -- survival probability, overhead
 percentiles, time to unrecoverable loss.  This module generates those
 inputs CR-SIM style: an event-driven simulation with
 
-* per-node lifetimes drawn from an exponential or Weibull distribution
-  (:class:`LifetimeModel`),
+* per-node lifetimes drawn from an exponential distribution
+  (:class:`LifetimeModel`), and
 * correlated rack-level bursts -- a Poisson process whose arrivals take out
-  every currently-alive rank of one rack at once (racks are
-  ``rack_size``-contiguous rank groups, the
-  :class:`~repro.core.placement.RackLayout` model shared with the placement
-  strategies), and
-* an optional repair delay: a failed node stays down for ``repair_delay``
-  iterations (a burst cannot re-kill it, and its next lifetime starts after
-  the repair), matching how the solver's ULFM runtime swaps in replacement
-  nodes.
+  every rank of one rack at once (the racks are those of
+  :meth:`RackLayout.default <repro.core.placement.RackLayout.default>`,
+  the layout the rack-aware placements and the parity stripes use).
+
+A failed node is replaced at once, as the solver's ULFM runtime swaps in
+replacement nodes: its next lifetime starts at the failure.
 
 All randomness flows through :mod:`repro.utils.rng` from a single integer
 seed: the same ``(spec, seed)`` pair reproduces the trace bit-for-bit.  A
@@ -34,7 +32,6 @@ strikes before iteration ``int(t)`` (clamped to ``[1, horizon]``).
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -54,39 +51,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LifetimeModel(RoundTrip):
-    """Distribution of a node's time-to-failure (in solver iterations).
+    """Distribution of a node's time-to-failure (in solver iterations):
+    exponential, the memoryless baseline, with mean ``scale``."""
 
-    ``"exponential"`` is the memoryless baseline (``scale`` = mean
-    lifetime); ``"weibull"`` adds an ageing ``shape`` parameter (``shape <
-    1``: infant mortality, ``> 1``: wear-out), with the CR-SIM
-    parametrisation ``lifetime = scale * W(shape)``.
-    """
-
-    distribution: str = "exponential"
     scale: float = 500.0
-    shape: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.distribution not in ("exponential", "weibull"):
-            raise ValueError(
-                f"unknown lifetime distribution {self.distribution!r}; "
-                "known: ('exponential', 'weibull')")
         if float(self.scale) <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if float(self.shape) <= 0.0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
 
     def sample(self, rng: RandomState) -> float:
         """One lifetime draw from *rng*."""
-        if self.distribution == "exponential":
-            return float(rng.exponential(self.scale))
-        return float(self.scale * rng.weibull(self.shape))
-
-    def mean(self) -> float:
-        """The distribution mean (used by the statistical sanity tests)."""
-        if self.distribution == "exponential":
-            return float(self.scale)
-        return float(self.scale * math.gamma(1.0 + 1.0 / self.shape))
+        return float(rng.exponential(self.scale))
 
 
 @dataclass(frozen=True)
@@ -108,10 +84,6 @@ class TraceSpec(RoundTrip):
     #: Poisson rate (bursts per iteration) of correlated rack bursts;
     #: ``0`` disables bursts.
     burst_rate: float = 0.0
-    #: Rack (failure-domain) size; racks are contiguous rank groups.
-    rack_size: int = 4
-    #: Iterations a failed node stays down before its next lifetime starts.
-    repair_delay: float = 0.0
     #: Label prefix stamped on the resolved ``FailureEvent`` objects.
     label: str = "trace"
 
@@ -125,16 +97,11 @@ class TraceSpec(RoundTrip):
         if float(self.burst_rate) < 0.0:
             raise ValueError(
                 f"burst_rate must be non-negative, got {self.burst_rate}")
-        if int(self.rack_size) < 1:
-            raise ValueError(
-                f"rack_size must be positive, got {self.rack_size}")
-        if float(self.repair_delay) < 0.0:
-            raise ValueError(
-                f"repair_delay must be non-negative, got {self.repair_delay}")
 
     @property
     def racks(self) -> RackLayout:
-        return RackLayout(int(self.n_nodes), int(self.rack_size))
+        """The racks a burst strikes: the default layout of ``n_nodes``."""
+        return RackLayout.default(int(self.n_nodes))
 
 
 @dataclass(frozen=True)
@@ -199,18 +166,14 @@ def generate_trace(spec: TraceSpec, seed: int) -> FailureTrace:
 
     Event-driven: a heap of pending ``(time, sequence, kind, rank)`` entries
     is drained in time order.  Each rank carries a pending lifetime-failure
-    time; burst arrivals form a Poisson process and kill every currently-up
-    rank of one uniformly-chosen rack.  A failed rank is down for
-    ``repair_delay`` iterations and draws a fresh lifetime from the repair
-    point; a pending lifetime event overtaken by a burst is rescheduled
-    instead of double-killing the node.
+    time and draws a fresh lifetime when it fails; burst arrivals form a
+    Poisson process and kill every rank of one uniformly-chosen rack (a
+    burst leaves the pending lifetimes of its victims as they are).
     """
     rng = as_rng(int(seed))
     n_nodes = int(spec.n_nodes)
     horizon = float(int(spec.horizon))
     racks = spec.racks
-    # Time until which each rank is down (failed and not yet repaired).
-    down_until = [0.0] * n_nodes
 
     heap: List[Tuple[float, int, str, int]] = []
     seq = 0
@@ -227,34 +190,21 @@ def generate_trace(spec: TraceSpec, seed: int) -> FailureTrace:
     while heap:
         time, _, kind, rank = heapq.heappop(heap)
         if time > horizon:
-            # The heap is time-ordered: everything left is out of range too,
-            # but burst/fail reschedules could still land inside, so only
-            # this entry is dropped.
-            continue
+            # The heap is time-ordered and only in-range times are pushed:
+            # everything left is out of range too.
+            break
         if kind == "fail":
-            if time < down_until[rank]:
-                # A burst killed this rank first; restart its clock after
-                # the repair instead of double-killing it.
-                retry = down_until[rank] + spec.lifetime.sample(rng)
-                if retry <= horizon:
-                    heapq.heappush(heap, (retry, seq, "fail", rank))
-                    seq += 1
-                continue
             events.append(TraceEvent(time=time, ranks=(rank,),
                                      cause="lifetime"))
-            down_until[rank] = time + float(spec.repair_delay)
-            nxt = down_until[rank] + spec.lifetime.sample(rng)
+            nxt = time + spec.lifetime.sample(rng)
             if nxt <= horizon:
                 heapq.heappush(heap, (nxt, seq, "fail", rank))
                 seq += 1
         else:  # burst
             rack = int(rng.integers(racks.n_racks))
-            victims = [r for r in racks.ranks_in(rack) if down_until[r] <= time]
-            if victims:
-                events.append(TraceEvent(time=time, ranks=tuple(victims),
-                                         cause="burst"))
-                for victim in victims:
-                    down_until[victim] = time + float(spec.repair_delay)
+            events.append(TraceEvent(time=time,
+                                     ranks=tuple(racks.ranks_in(rack)),
+                                     cause="burst"))
             nxt = time + float(rng.exponential(1.0 / spec.burst_rate))
             if nxt <= horizon:
                 heapq.heappush(heap, (nxt, seq, "burst", -1))

@@ -73,14 +73,13 @@ class CampaignSpec(RoundTrip):
     #: Redundant copies per block (``0 <= phi < n_nodes``).
     phi: int = 3
     #: Registered placement name, in any case (``solve_spec`` hands it to
-    #: :class:`ResilienceSpec`, which stores it lower-case).
+    #: :class:`ResilienceSpec`, which stores it lower-case).  The rack-aware
+    #: ones use the same default rack layout the trace bursts strike.
     placement: str = "paper"
-    #: Rack size for the rack-aware placements (``None`` = default layout).
-    rack_size: Optional[int] = None
     #: Registered preconditioner name, in any case.
     preconditioner: str = "block_jacobi"
+    #: Relative tolerance; every run keeps the solver's own iteration cap.
     rtol: float = 1e-8
-    max_iterations: Optional[int] = None
     #: Stochastic failure model sampled per run (``trace.n_nodes`` must
     #: match :attr:`n_nodes`).
     trace: TraceSpec = field(default_factory=TraceSpec)
@@ -114,11 +113,10 @@ class CampaignSpec(RoundTrip):
     def solve_spec(self, failures: Tuple = ()) -> SolveSpec:
         """The :class:`SolveSpec` of one run carrying *failures*."""
         return SolveSpec(
-            rtol=self.rtol, max_iterations=self.max_iterations,
-            preconditioner=self.preconditioner,
+            rtol=self.rtol, preconditioner=self.preconditioner,
             resilience=ResilienceSpec(
                 phi=self.phi, placement=self.placement,
-                rack_size=self.rack_size, failures=tuple(failures),
+                failures=tuple(failures),
             ),
         )
 

@@ -89,12 +89,21 @@ class ExperimentConfig:
     #: solves, ``k > 1`` composes a :class:`~repro.core.spec.BlockSpec`
     #: with ``n_cols=k`` into the spec and solves ``(n, k)`` blocks.
     n_rhs: int = 1
+    #: Suite matrices built so far, keyed by ``(matrix_id, matrix_size,
+    #: seed)``: every run of a study solves the one matrix.
+    _matrices: Dict[Tuple[str, Optional[int], int], sp.csr_matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def build_matrix(self) -> sp.csr_matrix:
-        """The (cached) global system matrix for this study."""
+        """The global system matrix for this study, built once per
+        ``(matrix_id, matrix_size, seed)``."""
         if self.matrix is not None:
             return sp.csr_matrix(self.matrix)
-        return build_matrix(self.matrix_id, n=self.matrix_size, seed=self.seed)
+        key = (self.matrix_id, self.matrix_size, self.seed)
+        if key not in self._matrices:
+            self._matrices[key] = build_matrix(
+                self.matrix_id, n=self.matrix_size, seed=self.seed)
+        return self._matrices[key]
 
     def build_machine(self, n: Optional[int] = None) -> MachineModel:
         """Machine model with the configured jitter, scaled up when a

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..utils.rng import RandomState, as_rng
+from ..utils.rng import as_rng
 
 __all__ = [
     "poisson_1d",
@@ -181,7 +181,6 @@ def anisotropic_diffusion_2d(nx: int, ny: Optional[int] = None,
 def graph_laplacian_spd(n: int, avg_degree: float = 4.0, *,
                         long_range_fraction: float = 0.05,
                         shift: float = 1e-2,
-                        rng: Optional[RandomState] = None,
                         seed: Optional[int] = None) -> sp.csr_matrix:
     """SPD matrix built from a random graph Laplacian (circuit-like pattern).
 
@@ -195,7 +194,7 @@ def graph_laplacian_spd(n: int, avg_degree: float = 4.0, *,
         raise ValueError(f"n must be >= 2, got {n}")
     if avg_degree <= 0:
         raise ValueError(f"avg_degree must be positive, got {avg_degree}")
-    rng = as_rng(rng if rng is not None else seed)
+    rng = as_rng(seed)
     n_edges = int(round(avg_degree * n / 2.0))
 
     # Chain backbone keeps the graph connected.
@@ -228,7 +227,6 @@ def graph_laplacian_spd(n: int, avg_degree: float = 4.0, *,
 
 
 def unstructured_mesh_spd(n: int, target_nnz_per_row: float = 7.0, *,
-                          rng: Optional[RandomState] = None,
                           seed: Optional[int] = None,
                           shift: float = 1e-2) -> sp.csr_matrix:
     """SPD matrix mimicking an unstructured FEM mesh after reordering.
@@ -239,7 +237,7 @@ def unstructured_mesh_spd(n: int, target_nnz_per_row: float = 7.0, *,
     """
     if target_nnz_per_row < 3:
         raise ValueError("target_nnz_per_row must be >= 3")
-    rng = as_rng(rng if rng is not None else seed)
+    rng = as_rng(seed)
     avg_degree = target_nnz_per_row - 1.0
     n_edges = int(round(avg_degree * n / 2.0))
 
@@ -274,7 +272,6 @@ def unstructured_mesh_spd(n: int, target_nnz_per_row: float = 7.0, *,
 def elasticity_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
                   *, dofs_per_node: int = 3, neighbor_radius: int = 1,
                   coupling: float = 0.45,
-                  rng: Optional[RandomState] = None,
                   seed: Optional[int] = None) -> sp.csr_matrix:
     """SPD matrix mimicking a 3-D solid-mechanics discretisation.
 
@@ -286,7 +283,9 @@ def elasticity_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
     ``audikw_1`` in Table 1 -- the favourable regime for the ESR scheme.
 
     Diagonal dominance (hence positive definiteness) is enforced by scaling
-    the off-diagonal blocks relative to the accumulated row sums.
+    the off-diagonal blocks relative to the accumulated row sums.  The
+    construction draws nothing at random; *seed* is accepted so the suite's
+    builders share one signature.
     """
     ny = nx if ny is None else ny
     nz = nx if nz is None else nz
@@ -296,7 +295,6 @@ def elasticity_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
         raise ValueError("neighbor_radius must be >= 1")
     if not 0 < coupling < 1:
         raise ValueError("coupling must lie strictly between 0 and 1")
-    rng = as_rng(rng if rng is not None else seed)
 
     n_vertices = nx * ny * nz
     d = dofs_per_node
@@ -335,7 +333,6 @@ def elasticity_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def banded_spd(n: int, half_bandwidth: int, *, fill: float = 0.6,
-               rng: Optional[RandomState] = None,
                seed: Optional[int] = None) -> sp.csr_matrix:
     """Random SPD matrix with all non-zeros inside a fixed band.
 
@@ -350,7 +347,7 @@ def banded_spd(n: int, half_bandwidth: int, *, fill: float = 0.6,
         )
     if not 0 < fill <= 1:
         raise ValueError(f"fill must lie in (0, 1], got {fill}")
-    rng = as_rng(rng if rng is not None else seed)
+    rng = as_rng(seed)
     rows, cols, vals = [], [], []
     for offset in range(1, half_bandwidth + 1):
         m = n - offset
@@ -376,12 +373,11 @@ def banded_spd(n: int, half_bandwidth: int, *, fill: float = 0.6,
 
 
 def diagonally_dominant_spd(n: int, nnz_per_row: int = 5, *,
-                            rng: Optional[RandomState] = None,
                             seed: Optional[int] = None) -> sp.csr_matrix:
     """Random diagonally dominant SPD matrix with arbitrary sparsity pattern."""
     if nnz_per_row < 1:
         raise ValueError("nnz_per_row must be >= 1")
-    rng = as_rng(rng if rng is not None else seed)
+    rng = as_rng(seed)
     k = max(nnz_per_row - 1, 1)
     rows = np.repeat(np.arange(n), k)
     cols = rng.integers(0, n, size=n * k)

@@ -47,9 +47,9 @@ def medium_poisson():
 
 
 @pytest.fixture
-def irregular_spd(rng):
+def irregular_spd():
     """Graph-Laplacian-style SPD matrix with an irregular pattern."""
-    return generators.graph_laplacian_spd(300, avg_degree=4.0, rng=rng)
+    return generators.graph_laplacian_spd(300, avg_degree=4.0, seed=12345)
 
 
 @pytest.fixture

@@ -1,4 +1,9 @@
-"""Tests for the placement registry and the rack-aware strategies."""
+"""Tests for the placement registry and the rack-aware strategies.
+
+A placement maps ``(owner, phi, n_nodes)`` to its targets; the rack-aware
+ones read the default rack layout of the node count, so each case picks a
+node count whose layout reaches the branch it tests.
+"""
 
 import pytest
 
@@ -28,7 +33,7 @@ class TestRegistry:
 
     def test_registered_function_is_picked_by_name(self):
         @register_placement("Mine_Test_Only", "test strategy")
-        def _mine(owner, phi, n_nodes, *, racks=None, rng=None):
+        def _mine(owner, phi, n_nodes):
             return [(owner + k) % n_nodes for k in range(1, phi + 1)]
 
         try:
@@ -42,7 +47,7 @@ class TestRegistry:
 
     def test_invalid_targets_of_a_registered_function_raise(self):
         @register_placement("broken_test_only")
-        def _broken(owner, phi, n_nodes, *, racks=None, rng=None):
+        def _broken(owner, phi, n_nodes):
             return [owner] * phi
 
         try:
@@ -77,9 +82,10 @@ class TestRackLayout:
 
     def test_default_keeps_two_racks(self):
         assert RackLayout.default(8).rack_size == 4
+        assert RackLayout.default(6).rack_size == 3
         assert RackLayout.default(4).rack_size == 2
         assert RackLayout.default(2).rack_size == 1
-        assert RackLayout.default(16, rack_size=8).rack_size == 8
+        assert RackLayout.default(16).rack_size == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,67 +100,63 @@ class TestRackLayout:
 
 class TestStrategyProperties:
     @pytest.mark.parametrize("name", ALL_PLACEMENTS)
-    @pytest.mark.parametrize("n_nodes,phi,rack_size", [
-        (8, 1, 4), (8, 3, 4), (8, 7, 4), (12, 3, 4), (10, 4, 3), (6, 2, 2),
+    @pytest.mark.parametrize("n_nodes,phi", [
+        (8, 1), (8, 3), (8, 7), (12, 3), (10, 4), (6, 2), (5, 2), (4, 3),
     ])
-    def test_distinct_non_owner_length_phi(self, name, n_nodes, phi,
-                                           rack_size):
-        racks = RackLayout(n_nodes, rack_size)
+    def test_distinct_non_owner_length_phi(self, name, n_nodes, phi):
         for owner in range(n_nodes):
-            targets = backup_targets(owner, phi, n_nodes, name, racks=racks)
+            targets = backup_targets(owner, phi, n_nodes, name)
             assert len(targets) == phi
             assert len(set(targets)) == phi
             assert owner not in targets
 
     def test_rack_aware_avoids_owner_rack(self):
         # 3 racks of 4, phi = 3: every backup fits outside the owner's rack.
-        racks = RackLayout(12, 4)
+        racks = RackLayout.default(12)
         for owner in range(12):
-            targets = backup_targets(owner, 3, 12, "rack_aware", racks=racks)
+            targets = backup_targets(owner, 3, 12, "rack_aware")
             assert racks.rack_of(owner) not in \
                 {racks.rack_of(t) for t in targets}
 
     def test_rack_aware_one_backup_per_rack_first(self):
-        # 4 racks of 2, phi = 3: pass 1 alone suffices, so the backups land
+        # 4 racks of 4, phi = 3: pass 1 alone suffices, so the backups land
         # in three *distinct* foreign racks.
-        racks = RackLayout(8, 2)
-        for owner in range(8):
-            targets = backup_targets(owner, 3, 8, "rack_aware", racks=racks)
+        racks = RackLayout.default(16)
+        for owner in range(16):
+            targets = backup_targets(owner, 3, 16, "rack_aware")
             target_racks = [racks.rack_of(t) for t in targets]
             assert len(set(target_racks)) == 3
             assert racks.rack_of(owner) not in target_racks
 
     def test_rack_aware_degenerates_gracefully(self):
-        # One single rack: no foreign failure domain exists; the strategy
-        # must still return phi distinct non-owner ranks (pass 3).
-        racks = RackLayout(6, 6)
-        targets = backup_targets(2, 3, 6, "rack_aware", racks=racks)
-        assert len(set(targets)) == 3 and 2 not in targets
+        # 2 racks of 2, phi = 3: the one foreign rack holds two ranks, so
+        # the third backup must come from the owner's own rack (pass 3).
+        assert backup_targets(0, 3, 4, "rack_aware") == [2, 3, 1]
+        assert backup_targets(2, 3, 4, "rack_aware") == [0, 1, 3]
 
     def test_copyset_targets_stay_in_one_copyset(self):
         # 8 nodes, phi = 3 -> two copysets of 4; backups of every owner in
         # the same group are the other three group members.
-        racks = RackLayout(8, 4)
         for owner in range(8):
-            targets = backup_targets(owner, 3, 8, "copyset", racks=racks)
+            targets = backup_targets(owner, 3, 8, "copyset")
             group = {owner} | set(targets)
             for member in sorted(group - {owner}):
                 assert {member} | set(backup_targets(
-                    member, 3, 8, "copyset", racks=racks)) == group
+                    member, 3, 8, "copyset")) == group
 
     def test_copyset_groups_span_racks(self):
         # The rack-striding order makes each copyset span both racks, so the
         # owner always has at least one backup outside its own rack.
-        racks = RackLayout(8, 4)
+        racks = RackLayout.default(8)
         for owner in range(8):
-            targets = backup_targets(owner, 3, 8, "copyset", racks=racks)
+            targets = backup_targets(owner, 3, 8, "copyset")
             assert any(racks.rack_of(t) != racks.rack_of(owner)
                        for t in targets)
 
     def test_copyset_off_rack_backups_first(self):
-        racks = RackLayout(8, 4)
+        racks = RackLayout.default(8)
         for owner in range(8):
-            targets = backup_targets(owner, 3, 8, "copyset", racks=racks)
+            targets = backup_targets(owner, 3, 8, "copyset")
             rack_flags = [racks.rack_of(t) == racks.rack_of(owner)
                           for t in targets]
             # Once an in-rack backup shows up, no off-rack one follows.
@@ -185,8 +187,7 @@ class TestSchemeIntegration:
         partition = BlockRowPartition(matrix.shape[0], 8)
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
         context = CommunicationContext.from_matrix(dist)
-        scheme = RedundancyScheme(context, 2, placement=name.upper(),
-                                  rack_size=4)
+        scheme = RedundancyScheme(context, 2, placement=name.upper())
         assert scheme.verify_invariant()
         assert scheme.placement == name
         assert f"placement={name}," in scheme.describe()
@@ -200,12 +201,11 @@ class TestSchemeIntegration:
         cluster = VirtualCluster(8)
         dist = DistributedMatrix.from_global(
             cluster, BlockRowPartition(matrix.shape[0], 8), "A", matrix)
-        scheme = RedundancyScheme(dist.context, 3, placement=name,
-                                  rack_size=4)
+        scheme = RedundancyScheme(dist.context, 3, placement=name)
         assert scheme.placement == name
         for owner in range(8):
             assert list(scheme.owner(owner).targets) == backup_targets(
-                owner, 3, 8, name, racks=RackLayout(8, 4))
+                owner, 3, 8, name)
 
     @NOT_A_NAME
     def test_scheme_takes_names_only(self, placement):
@@ -223,7 +223,7 @@ class TestSchemeIntegration:
         import repro
 
         result = repro.solve(poisson_2d(12), n_nodes=8, phi=2,
-                             placement="rack_aware", rack_size=4,
+                             placement="rack_aware",
                              failures=[(4, [1, 5])])
         assert result.converged
         assert result.info["placement"] == "rack_aware"
@@ -232,11 +232,10 @@ class TestSchemeIntegration:
 class TestResilienceSpecPlacement:
     @pytest.mark.parametrize("name", ["copyset", "rack_aware"])
     def test_round_trip_registry_names(self, name):
-        spec = ResilienceSpec(phi=3, placement=name, rack_size=4)
+        spec = ResilienceSpec(phi=3, placement=name)
         assert spec.placement == name
         rebuilt = ResilienceSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
-        assert rebuilt.rack_size == 4
 
     def test_names_are_stored_lower_case(self):
         spec = ResilienceSpec(placement="Next_Ranks")
@@ -254,6 +253,3 @@ class TestResilienceSpecPlacement:
         with pytest.raises(ValueError):
             ResilienceSpec(placement="no_such_strategy")
 
-    def test_invalid_rack_size_rejected(self):
-        with pytest.raises(ValueError):
-            ResilienceSpec(rack_size=0)

@@ -29,7 +29,7 @@ from repro.core.redundancy import (
 )
 from repro.core.resilient_block_pcg import ResilientBlockPCG
 from repro.core.resilient_pcg import ResilientPCG
-from repro.core.rs_parity import RSParityScheme, gf256_mul
+from repro.core.rs_parity import GROUP_SIZE, RSParityScheme, gf256_mul
 from repro.core.spec import ResilienceSpec, SolveSpec
 from repro.distributed import (
     BlockRowPartition,
@@ -103,34 +103,9 @@ class TestRegistry:
 
     def test_build_by_name(self):
         _, _, context = make_context()
-        scheme = build_redundancy_scheme("rs_parity", context, 2,
-                                         options={"group_size": 3})
+        scheme = build_redundancy_scheme("rs_parity", context, 2)
         assert isinstance(scheme, RSParityScheme)
-        assert scheme.group_size == 3
-
-    def test_build_forwards_rng(self):
-        """A seeded rng reaches the random placement of the built scheme:
-        the same seed gives the same backups, and the backups differ from
-        the per-owner default seeding."""
-        _, _, context = make_context(n_nodes=8)
-
-        def targets(rng):
-            scheme = build_redundancy_scheme("copies", context, 2,
-                                             placement="random", rng=rng)
-            return [scheme.owner(owner).targets for owner in range(8)]
-
-        seeded = targets(np.random.default_rng(99))
-        assert targets(np.random.default_rng(99)) == seeded
-        assert targets(None) != seeded
-
-    def test_build_rejects_unknown_options(self):
-        _, _, context = make_context()
-        with pytest.raises(ValueError, match="rs_parity"):
-            build_redundancy_scheme("rs_parity", context, 1,
-                                    options={"stripe_width": 4})
-        with pytest.raises(ValueError, match="copies"):
-            build_redundancy_scheme("copies", context, 1,
-                                    options={"group_size": 4})
+        assert scheme.group_size == GROUP_SIZE == 4
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +137,7 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("k", [1, 4])
     def test_decode_is_bit_exact_for_any_erasure_set(self, k):
         _, partition, context = make_context()
-        scheme = RSParityScheme(context, 2, group_size=4)
+        scheme = RSParityScheme(context, 2)
         for gidx in range(scheme.n_groups):
             members = scheme.group_members(gidx)
             blocks = self.stripe_blocks(scheme, partition, gidx, k=k)
@@ -188,7 +163,7 @@ class TestEncodeDecode:
 
     def test_decode_with_too_few_parity_rows_raises(self):
         _, partition, context = make_context()
-        scheme = RSParityScheme(context, 2, group_size=4)
+        scheme = RSParityScheme(context, 2)
         blocks = self.stripe_blocks(scheme, partition, 0)
         rows = scheme.encode(0, blocks)
         members = scheme.group_members(0)
@@ -198,8 +173,10 @@ class TestEncodeDecode:
             scheme.decode(0, have, {0: rows[0]})
 
     def test_nothing_missing_decodes_to_empty(self):
-        _, partition, context = make_context()
-        scheme = RSParityScheme(context, 1, group_size=3)
+        # 5 nodes with m = 2 clamp the stripe to three blocks.
+        _, partition, context = make_context(n_nodes=5)
+        scheme = RSParityScheme(context, 2)
+        assert scheme.group_size == 3
         blocks = self.stripe_blocks(scheme, partition, 0)
         have = dict(zip(scheme.group_members(0), blocks))
         assert scheme.decode(0, have, {}) == {}
@@ -212,30 +189,31 @@ class TestEncodeDecode:
 class TestStripeLayout:
     def test_groups_partition_the_ranks(self):
         _, _, context = make_context(n_nodes=6)
-        scheme = RSParityScheme(context, 2, group_size=4)
+        scheme = RSParityScheme(context, 2)
         seen = [rank for gidx in range(scheme.n_groups)
                 for rank in scheme.group_members(gidx)]
         assert sorted(seen) == list(range(6))
         for rank in range(6):
             assert rank in scheme.group_members(scheme.group_of(rank))
 
-    def test_holders_are_off_stripe_and_distinct(self):
-        _, _, context = make_context(n_nodes=8)
+    @pytest.mark.parametrize("n_nodes", [5, 8])
+    def test_holders_are_off_stripe_and_distinct(self, n_nodes):
+        # On 5 nodes the stripes are clamped and the last one is short.
+        _, _, context = make_context(n_nodes=n_nodes)
         for phi in (1, 2, 3):
-            scheme = RSParityScheme(context, phi, group_size=3,
-                                    rack_size=4)
+            scheme = RSParityScheme(context, phi)
             assert scheme.verify_invariant()
 
     def test_group_size_clamped_to_leave_holders(self):
-        _, _, context = make_context(n_nodes=6)
-        scheme = RSParityScheme(context, 2, group_size=100)
-        assert scheme.group_size == 4  # 6 nodes - m=2
+        _, _, context = make_context(n_nodes=5)
+        scheme = RSParityScheme(context, 2)
+        assert scheme.group_size == 3  # 5 nodes - m=2
         assert scheme.verify_invariant()
 
     def test_stripes_span_racks(self):
         _, _, context = make_context(n_nodes=8)
-        scheme = RSParityScheme(context, 1, group_size=4, rack_size=4)
-        racks = RackLayout.default(8, 4)
+        scheme = RSParityScheme(context, 1)
+        racks = RackLayout.default(8)
         # with 2 racks of 4 and g=4, each stripe touches both racks
         for gidx in range(scheme.n_groups):
             touched = {racks.rack_of(r) for r in scheme.group_members(gidx)}
@@ -246,20 +224,6 @@ class TestStripeLayout:
         with pytest.raises(ValueError, match="phi=6"):
             RSParityScheme(context, 6)
 
-    def test_bad_group_size_rejected(self):
-        _, _, context = make_context(n_nodes=6)
-        with pytest.raises(ValueError, match="group_size"):
-            RSParityScheme(context, 1, group_size=0)
-
-    def test_seeded_rng_makes_random_placement_deterministic(self):
-        _, _, context = make_context(n_nodes=8)
-        layouts = []
-        for _ in range(2):
-            scheme = RSParityScheme(context, 2, placement="random",
-                                    rng=np.random.default_rng(42))
-            layouts.append([scheme.group_holders(g)
-                            for g in range(scheme.n_groups)])
-        assert layouts[0] == layouts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +264,7 @@ class TestChargeModel:
         """The headline economics: m/g overhead instead of phi full copies."""
         _, partition, context = make_context()
         phi = 2
-        rs = RSParityScheme(context, phi, group_size=4)
+        rs = RSParityScheme(context, phi)
         copies = RedundancyScheme(context, phi)
         # copies stores >= phi * n elements; rs stores n + m * sum(padded)
         assert copies.redundant_elements_per_generation() >= phi * partition.n
@@ -398,7 +362,7 @@ class TestBrokenPlacementDiagnostics:
     @pytest.fixture
     def broken_placement(self):
         @register_placement("broken_test_only", "returns duplicate targets")
-        def _broken(owner, phi, n_nodes, *, racks=None, rng=None):
+        def _broken(owner, phi, n_nodes):
             return [(owner + 1) % n_nodes] * phi
 
         try:
@@ -429,11 +393,11 @@ class TestSpecIntegration:
         import json
 
         from repro.core.api import solve
-        problem = fresh_problem()
+        # 5 nodes with m = 2: three-wide stripes.
+        problem = fresh_problem(n_nodes=5)
         spec = SolveSpec(
             solver="resilient_pcg", preconditioner="block_jacobi",
             resilience=ResilienceSpec(phi=2, scheme="rs_parity",
-                                      scheme_options={"group_size": 3},
                                       failures=((10, (2,)),)))
         rebuilt = SolveSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec

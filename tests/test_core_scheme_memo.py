@@ -2,8 +2,8 @@
 
 ``build_redundancy_scheme`` keeps each scheme in the scatter plan of the
 problem's matrix (``CommunicationContext.schemes``) under the spec's layout
-fields, and the ``"copies"`` scheme builds the static tables of its held
-pattern (``HeldIndex``) once, on first use.  Every resilient solve of one
+fields (scheme, ``phi``, placement), and the ``"copies"`` scheme builds the
+static tables of its held pattern (``HeldIndex``) once, on first use.  Every resilient solve of one
 problem with that layout reuses both, and its results are bit-identical to
 the same solve on a fresh problem.  Each ESR protocol keeps its own slot
 buffers, and the schemes are freed with the problem.
@@ -140,9 +140,7 @@ class TestMemoKey:
         {"phi": 3},
         {"phi": 2},
         {"phi": 3, "scheme": "rs_parity"},
-        {"phi": 3, "scheme": "rs_parity", "scheme_options": {"group_size": 2}},
         {"phi": 3, "placement": "next_ranks"},
-        {"phi": 3, "rack_size": 2},
     ]
 
     def test_each_layout_field_keys_its_own_scheme(self):
@@ -162,29 +160,12 @@ class TestMemoKey:
         assert scheme_of(fresh_problem(), phi=3) is not scheme_of(
             fresh_problem(), phi=3)
 
-    def test_an_rng_builds_a_fresh_scheme(self):
+    def test_the_key_is_scheme_phi_and_placement(self):
         context = fresh_problem().matrix.context
-        kept = build_redundancy_scheme("copies", context, 2,
-                                       placement="random")
-        seeded = [build_redundancy_scheme("copies", context, 2,
-                                          placement="random",
-                                          rng=np.random.default_rng(1))
-                  for _ in range(2)]
-        assert seeded[0] is not seeded[1]
-        assert kept not in seeded
-        assert build_redundancy_scheme("copies", context, 2,
-                                       placement="random") is kept
-
-    @pytest.mark.parametrize("options", [{"stripe_width": 4},
-                                         {"group_size": [2]}])
-    def test_invalid_options_raise_every_time_and_are_not_kept(self,
-                                                               options):
-        context = fresh_problem().matrix.context
-        for _ in range(2):
-            with pytest.raises(ValueError, match="rs_parity"):
-                build_redundancy_scheme("rs_parity", context, 1,
-                                        options=options)
-        assert context.schemes == {}
+        scheme = build_redundancy_scheme("RS_Parity", context, 2,
+                                         placement="Random")
+        assert list(context.schemes) == [("rs_parity", 2, "random")]
+        assert context.schemes[("rs_parity", 2, "random")] is scheme
 
     def test_invalid_layout_raises_every_time_and_is_not_kept(self):
         context = fresh_problem().matrix.context

@@ -27,7 +27,6 @@ from repro.core import (
     distribute_problem,
     solve,
 )
-from repro.core.placement import RackLayout
 from repro.distributed import (
     DistributedMultiVector,
     DistributedVector,
@@ -503,15 +502,6 @@ class TestResilienceSpecReachesScheme:
                             resilience=resilience)
 
     @pytest.mark.parametrize("resilience,attribute,expected", [
-        pytest.param(ResilienceSpec(phi=1, placement="rack_aware",
-                                    rack_size=2),
-                     "racks.rack_size", 2, id="rack_size"),
-        pytest.param(ResilienceSpec(phi=1, placement="rack_aware"),
-                     "racks.rack_size", RackLayout.default(8, None).rack_size,
-                     id="default_rack_size"),
-        pytest.param(ResilienceSpec(phi=1, scheme="rs_parity",
-                                    scheme_options={"group_size": 2}),
-                     "group_size", 2, id="scheme_options"),
         pytest.param(ResilienceSpec(phi=2, placement="Next_Ranks"),
                      "placement", "next_ranks", id="placement"),
     ])

@@ -16,6 +16,8 @@ import repro
 from repro.cluster import FailureEvent
 from repro.core import BlockSpec, ResilienceSpec, SolveSpec
 from repro.core.spec import build_failure_events
+from repro.failures.traces import LifetimeModel, TraceSpec
+from repro.harness.campaign import CampaignSpec
 from repro.matrices import poisson_2d
 from repro.precond import make_preconditioner
 from repro.utils.validation import ValidationError
@@ -75,11 +77,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ResilienceSpec(**kwargs)
 
-    def test_resilience_spec_has_the_six_layout_and_schedule_fields(self):
-        """The reconstruction's local solve is the paper's, not a knob."""
+    def test_resilience_spec_has_the_four_layout_and_schedule_fields(self):
+        """The reconstruction's local solve is the paper's, not a knob, and
+        the rack layout and stripe width derive from the node count."""
         assert [f.name for f in dataclasses.fields(ResilienceSpec)] == [
-            "phi", "scheme", "scheme_options", "placement", "rack_size",
-            "failures"]
+            "phi", "scheme", "placement", "failures"]
 
     def test_solve_spec_has_seven_fields(self):
         """A preconditioner name is its whole configuration."""
@@ -171,22 +173,28 @@ class TestRegistryRoundTrip:
         assert rebuilt.resilience.scheme == name
 
     def test_scheme_name_normalised_to_registry_case(self):
-        spec = ResilienceSpec(scheme="RS_Parity",
-                              scheme_options={"group_size": 3})
+        spec = ResilienceSpec(scheme="RS_Parity")
         assert spec.scheme == "rs_parity"
-        assert spec.scheme_options == {"group_size": 3}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="redundancy scheme"):
             ResilienceSpec(scheme="raid6")
 
 
-#: The removed solver knobs: ``(spec class, field, a value it once took)``.
+#: The removed spec fields: ``(spec class, field, a value it once took)``.
 REMOVED_KNOBS = [(SolveSpec, "overlap_spmv", True),
                  (ResilienceSpec, "reconstruction_form", "forward"),
                  (ResilienceSpec, "local_solver_method", "direct"),
                  (ResilienceSpec, "local_rtol", 1e-12),
-                 (SolveSpec, "preconditioner_options", {"drop_tol": 1e-3})]
+                 (SolveSpec, "preconditioner_options", {"drop_tol": 1e-3}),
+                 (ResilienceSpec, "rack_size", 2),
+                 (ResilienceSpec, "scheme_options", {"group_size": 3}),
+                 (CampaignSpec, "rack_size", 2),
+                 (CampaignSpec, "max_iterations", 100),
+                 (TraceSpec, "rack_size", 2),
+                 (TraceSpec, "repair_delay", 5.0),
+                 (LifetimeModel, "distribution", "weibull"),
+                 (LifetimeModel, "shape", 0.7)]
 
 
 class TestRoundTrip:
@@ -196,8 +204,7 @@ class TestRoundTrip:
             max_iterations=500,
             preconditioner="block_jacobi_ilu",
             resilience=ResilienceSpec(
-                phi=3, placement="next_ranks",
-                scheme="rs_parity", scheme_options={"group_size": 3},
+                phi=3, placement="next_ranks", scheme="rs_parity",
                 failures=[FailureEvent(20, (2, 3), label="outage"),
                           FailureEvent(20, (5,), during_recovery_of=0)],
             ),
@@ -239,9 +246,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("cls,key,value", REMOVED_KNOBS)
     def test_removed_knobs_rejected(self, cls, key, value):
         """The split-phase solver SpMV, the forced reconstruction form,
-        the reconstruction's local-solver method and tolerance and the
-        preconditioner options are gone with their fields; naming one fails
-        loudly."""
+        the reconstruction's local-solver method and tolerance, the
+        preconditioner options, the rack size, the scheme options, the
+        campaign's iteration cap, the trace's repair delay and the Weibull
+        lifetimes are gone with their fields; naming one fails loudly."""
         with pytest.raises(TypeError, match=key):
             cls(**{key: value})
         with pytest.raises(ValidationError, match=cls.__name__):
@@ -296,7 +304,8 @@ class TestWithOverrides:
             repro.solve(problem, engine=False)
 
     @pytest.mark.parametrize("key,value",
-                             [knob[1:] for knob in REMOVED_KNOBS])
+                             [knob[1:] for knob in REMOVED_KNOBS
+                              if knob[0] in (SolveSpec, ResilienceSpec)])
     def test_removed_knob_rejected_by_solve_before_any_charge(self, key,
                                                               value):
         problem = repro.distribute_problem(poisson_2d(8), n_nodes=2)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import FailureInjector, MachineModel, VirtualCluster
+from repro.core.placement import RackLayout
+from repro.core.redundancy import backup_targets
 from repro.failures.traces import (
     FailureTrace,
     LifetimeModel,
@@ -17,32 +19,21 @@ from repro.utils.rng import as_rng
 class TestLifetimeModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LifetimeModel(distribution="lognormal")
-        with pytest.raises(ValueError):
             LifetimeModel(scale=0.0)
-        with pytest.raises(ValueError):
-            LifetimeModel(distribution="weibull", shape=-1.0)
 
     def test_round_trip(self):
-        model = LifetimeModel(distribution="weibull", scale=120.0, shape=0.7)
+        model = LifetimeModel(scale=120.0)
         assert LifetimeModel.from_dict(model.to_dict()) == model
         with pytest.raises(ValueError):
-            LifetimeModel.from_dict({"distribution": "exponential",
-                                     "bogus": 1})
+            LifetimeModel.from_dict({"scale": 120.0, "bogus": 1})
 
-    def test_exponential_mean(self):
-        assert LifetimeModel(scale=250.0).mean() == 250.0
-
-    @pytest.mark.parametrize("model", [
-        LifetimeModel(scale=80.0),
-        LifetimeModel(distribution="weibull", scale=80.0, shape=1.5),
-        LifetimeModel(distribution="weibull", scale=80.0, shape=0.8),
-    ])
-    def test_sample_mean_matches_model_mean(self, model):
+    def test_sample_mean_matches_model_mean(self):
+        """Lifetimes are exponential with mean ``scale``."""
+        model = LifetimeModel(scale=80.0)
         rng = as_rng(123)
         draws = np.array([model.sample(rng) for _ in range(4000)])
         assert np.all(draws >= 0.0)
-        assert abs(draws.mean() - model.mean()) < 0.1 * model.mean()
+        assert abs(draws.mean() - model.scale) < 0.1 * model.scale
 
 
 class TestTraceSpec:
@@ -53,23 +44,24 @@ class TestTraceSpec:
             TraceSpec(horizon=0)
         with pytest.raises(ValueError):
             TraceSpec(burst_rate=-0.1)
-        with pytest.raises(ValueError):
-            TraceSpec(rack_size=0)
-        with pytest.raises(ValueError):
-            TraceSpec(repair_delay=-1.0)
 
     def test_round_trip(self):
-        spec = TraceSpec(n_nodes=16, horizon=120, burst_rate=0.02,
-                         rack_size=4, repair_delay=5.0, label="x",
+        spec = TraceSpec(n_nodes=16, horizon=120, burst_rate=0.02, label="x",
                          lifetime=LifetimeModel(scale=300.0))
         assert TraceSpec.from_dict(spec.to_dict()) == spec
 
-    def test_racks_layout(self):
-        assert TraceSpec(n_nodes=10, rack_size=4).racks.n_racks == 3
+    @pytest.mark.parametrize("n_nodes,n_racks", [(10, 3), (8, 2), (6, 2),
+                                                 (4, 2)])
+    def test_racks_layout(self, n_nodes, n_racks):
+        """Bursts strike the default rack layout, the one the rack-aware
+        placements and the parity stripes use."""
+        racks = TraceSpec(n_nodes=n_nodes).racks
+        assert racks == RackLayout.default(n_nodes)
+        assert racks.n_racks == n_racks
 
 
 class TestGenerateTrace:
-    SPEC = TraceSpec(n_nodes=8, horizon=100, burst_rate=0.03, rack_size=4,
+    SPEC = TraceSpec(n_nodes=8, horizon=100, burst_rate=0.03,
                      lifetime=LifetimeModel(scale=60.0))
 
     def test_same_seed_bit_identical(self):
@@ -91,11 +83,11 @@ class TestGenerateTrace:
         assert all(ev.cause in ("lifetime", "burst") for ev in trace.events)
 
     def test_burst_takes_out_whole_alive_rack(self):
-        # Lifetimes far beyond the horizon: every event is a burst, and with
-        # zero repair delay every rack member is alive again by the next
-        # burst, so each burst's rank set is exactly one full rack.
+        # Lifetimes far beyond the horizon: every event is a burst, and a
+        # failed node is replaced at once, so each burst's rank set is
+        # exactly one full rack.
         spec = TraceSpec(n_nodes=12, horizon=200, burst_rate=0.05,
-                         rack_size=4, lifetime=LifetimeModel(scale=1e9))
+                         lifetime=LifetimeModel(scale=1e9))
         trace = generate_trace(spec, seed=5)
         racks = {tuple(r) for r in ([0, 1, 2, 3], [4, 5, 6, 7],
                                     [8, 9, 10, 11])}
@@ -104,16 +96,22 @@ class TestGenerateTrace:
             assert ev.cause == "burst"
             assert tuple(sorted(ev.ranks)) in racks
 
-    def test_repair_delay_spaces_failures(self):
-        spec = TraceSpec(n_nodes=4, horizon=400, rack_size=2,
-                         repair_delay=25.0, lifetime=LifetimeModel(scale=30.0))
-        trace = generate_trace(spec, seed=7)
-        last_seen = {}
-        for ev in trace.events:
-            for rank in ev.ranks:
-                if rank in last_seen:
-                    assert ev.time - last_seen[rank] > spec.repair_delay
-                last_seen[rank] = ev.time
+    @pytest.mark.parametrize("n_nodes", [4, 5, 6])
+    def test_bursts_spare_the_rack_aware_backup(self, n_nodes):
+        """A burst and the rack-aware placement share one rack layout, so no
+        burst takes an owner together with its phi = 1 backup (on 4-6
+        nodes the default layout has racks of 2 or 3)."""
+        spec = TraceSpec(n_nodes=n_nodes, horizon=200, burst_rate=0.05,
+                         lifetime=LifetimeModel(scale=1e9))
+        n_bursts = 0
+        for seed in range(20):
+            for ev in generate_trace(spec, seed=seed).events:
+                assert ev.cause == "burst"
+                n_bursts += 1
+                for owner in ev.ranks:
+                    (backup,) = backup_targets(owner, 1, n_nodes, "rack_aware")
+                    assert backup not in ev.ranks
+        assert n_bursts > 100
 
     def test_empirical_mean_lifetime(self):
         # Statistical sanity: each node's *first* failure time is one clean
@@ -136,10 +134,10 @@ class TestGenerateTrace:
 
 
 class TestToFailureEvents:
-    SPEC = TraceSpec(n_nodes=8, horizon=50, rack_size=4, label="mc")
+    SPEC = TraceSpec(n_nodes=8, horizon=50, label="mc")
 
     def test_resolution_validity(self):
-        spec = TraceSpec(n_nodes=8, horizon=60, burst_rate=0.05, rack_size=4,
+        spec = TraceSpec(n_nodes=8, horizon=60, burst_rate=0.05,
                          lifetime=LifetimeModel(scale=40.0))
         trace = generate_trace(spec, seed=11)
         events = trace.to_failure_events()
@@ -173,7 +171,7 @@ class TestToFailureEvents:
         assert event.ranks == (6, 1, 2)
 
     def test_rank_cap_keeps_one_survivor(self):
-        spec = TraceSpec(n_nodes=4, horizon=10, rack_size=4)
+        spec = TraceSpec(n_nodes=4, horizon=10)
         trace = FailureTrace(spec, seed=0, events=(
             TraceEvent(time=1.5, ranks=(0, 1, 2, 3), cause="burst"),
         ))
@@ -188,7 +186,7 @@ class TestToFailureEvents:
         assert event.iteration == 1
 
     def test_feeds_the_injector(self):
-        spec = TraceSpec(n_nodes=8, horizon=40, burst_rate=0.06, rack_size=4,
+        spec = TraceSpec(n_nodes=8, horizon=40, burst_rate=0.06,
                          lifetime=LifetimeModel(scale=30.0))
         trace = generate_trace(spec, seed=13)
         events = trace.to_failure_events()

@@ -156,6 +156,55 @@ class TestMatrixStudy:
         assert list(study.undisturbed.keys()) == [1]
 
 
+class TestSuiteMatrixBuiltOnce:
+    """A suite study builds its matrix once: ``ExperimentConfig`` keeps it
+    per ``(matrix_id, matrix_size, seed)``, however many runs it makes."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.harness import experiment
+
+        calls = []
+        original = experiment.build_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "build_matrix", counted)
+        return calls
+
+    @staticmethod
+    def suite_config():
+        return ExperimentConfig(matrix_id="M3", matrix_size=400, n_nodes=4,
+                                repetitions=1, seed=3)
+
+    def test_one_build_per_study(self, builds):
+        run_matrix_study(self.suite_config(), phis=(1, 2),
+                         locations=(FailureLocation.START,
+                                    FailureLocation.CENTER),
+                         fractions=(0.2, 0.8))
+        assert len(builds) == 1
+
+    def test_one_build_per_progress_sweep(self, builds):
+        progress_sweep(self.suite_config(), phi=1, fractions=(0.2, 0.8))
+        assert len(builds) == 1
+
+    def test_a_changed_size_builds_its_own_matrix(self, builds):
+        config = self.suite_config()
+        first = config.build_matrix()
+        assert config.build_matrix() is first
+        config.matrix_size = 300
+        assert config.build_matrix().shape != first.shape
+        assert len(builds) == 2
+
+    def test_the_cache_changes_neither_equality_nor_label(self):
+        config = self.suite_config()
+        config.build_matrix()
+        assert config == self.suite_config()
+        assert config.label() == "M3"
+
+
 class TestTables:
     def test_table1(self):
         rows = table1_rows(ids=["M1", "M3"], n=600)

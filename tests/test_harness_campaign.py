@@ -16,16 +16,16 @@ from repro.harness.campaign import (
     run_single,
 )
 
-QUIET_TRACE = TraceSpec(n_nodes=8, horizon=20, rack_size=4,
+QUIET_TRACE = TraceSpec(n_nodes=8, horizon=20,
                         lifetime=LifetimeModel(scale=1e9))
 
-BURSTY_TRACE = TraceSpec(n_nodes=8, horizon=20, burst_rate=0.08, rack_size=4,
+BURSTY_TRACE = TraceSpec(n_nodes=8, horizon=20, burst_rate=0.08,
                          lifetime=LifetimeModel(scale=200.0))
 
 
 def small_spec(**overrides):
     defaults = dict(matrix_id="M3", matrix_size=96, n_nodes=8, phi=3,
-                    placement="rack_aware", rack_size=4, rtol=1e-6,
+                    placement="rack_aware", rtol=1e-6,
                     trace=BURSTY_TRACE, n_runs=6, seed=3, timeout_s=60.0)
     defaults.update(overrides)
     return CampaignSpec(**defaults)
@@ -95,7 +95,7 @@ class TestCampaignSpec:
         solve_spec = small_spec().solve_spec()
         assert solve_spec.resilience.phi == 3
         assert solve_spec.resilience.placement == "rack_aware"
-        assert solve_spec.resilience.rack_size == 4
+        assert solve_spec.max_iterations is None  # the solver's own cap
 
 
 class TestRunOutcome:
@@ -172,7 +172,7 @@ class TestRunCampaign:
         # typed outcomes with the loss iteration, never as exceptions.
         spec = small_spec(phi=1, placement="paper", n_runs=8,
                           trace=TraceSpec(n_nodes=8, horizon=20,
-                                          burst_rate=0.2, rack_size=4,
+                                          burst_rate=0.2,
                                           lifetime=LifetimeModel(scale=1e9)))
         result = run_campaign(spec, workers=0)
         counts = result.counts()

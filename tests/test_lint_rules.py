@@ -158,7 +158,7 @@ class TestR003RegisteredNames:
         from repro.core.placement import register_placement
 
         @register_placement("ghost_placement", "test-only strategy")
-        def targets(owner, phi, n_nodes, *, racks=None, rng=None):
+        def targets(owner, phi, n_nodes):
             return []
     """
 

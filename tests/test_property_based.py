@@ -135,8 +135,7 @@ def test_every_registered_scheme_respects_sandwich_bounds(
     dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
     context = CommunicationContext.from_matrix(dist)
     scheme = build_redundancy_scheme(scheme_name, context, phi,
-                                     placement=placement,
-                                     rng=np.random.default_rng(seed))
+                                     placement=placement)
     assert scheme.verify_invariant()
     lower, upper = scheme.overhead_bounds(cluster.topology, cluster.machine,
                                           n_cols=n_cols)

@@ -5,11 +5,16 @@ with a fixed drop tolerance and fill factor, the reconstruction's inner PCG
 to a fixed tolerance and cap, a checkpoint of the initial state, the
 paper's backup placement and machine calibration, independent request
 right-hand sides and failures clustered at the start or the center.  The
-settings that once chose otherwise are gone, and passing one raises the
-``TypeError`` of an unexpected keyword.  (``SolveSpec``'s removed fields
-are pinned with the other spec knobs in ``tests/test_core_spec.py``, the
-preconditioner factory's options in ``tests/test_precond_basic.py`` and
-the preconditioner cache's in ``tests/test_core_solve_facade.py``.)
+reliability layer derives its rack layout from the node count, stripes
+parity over a fixed number of blocks, seeds each random choice from the
+owner or the given seed, and draws exponential lifetimes with no repair
+delay.  The settings that once chose otherwise are gone, and passing one
+raises the ``TypeError`` of an unexpected keyword.  (The removed spec
+fields, ``SolveSpec``'s, ``ResilienceSpec``'s, ``CampaignSpec``'s,
+``TraceSpec``'s and ``LifetimeModel``'s, are pinned with the other spec
+knobs in ``tests/test_core_spec.py``, the preconditioner factory's options
+in ``tests/test_precond_basic.py`` and the preconditioner cache's in
+``tests/test_core_solve_facade.py``.)
 """
 
 from __future__ import annotations
@@ -25,9 +30,22 @@ from repro.baselines import (
     local_interpolation,
 )
 from repro.cluster import MachineModel
-from repro.failures import FailureScenario, resolve_events
-from repro.harness import ExperimentConfig
-from repro.matrices import poisson_2d
+from repro.core import distribute_problem, placement, rs_parity
+from repro.core.placement import PLACEMENTS, RackLayout
+from repro.core.redundancy import (
+    RedundancyScheme,
+    backup_targets,
+    build_redundancy_scheme,
+)
+from repro.core.rs_parity import RSParityScheme
+from repro.failures import (
+    FailureScenario,
+    LifetimeModel,
+    TraceSpec,
+    resolve_events,
+)
+from repro.harness import CampaignSpec, ExperimentConfig
+from repro.matrices import generators, poisson_2d
 from repro.precond import BlockJacobiPreconditioner, block_jacobi
 from repro.service import TrafficSpec
 from repro.solvers import LocalSubsystemSolver, local_solver
@@ -36,6 +54,10 @@ from repro.solvers import LocalSubsystemSolver, local_solver
 def _interpolation_args():
     a = poisson_2d(4)
     return a, a @ np.ones(16), np.zeros(16), np.arange(4, 8)
+
+
+def _context():
+    return distribute_problem(poisson_2d(4), n_nodes=4).matrix.context
 
 
 #: ``(keyword, call passing it)`` for every removed keyword.
@@ -63,6 +85,33 @@ REMOVED = [
     ("rng", lambda: FailureScenario(2).failed_ranks(8, rng=0)),
     ("rng", lambda: resolve_events(FailureScenario(2), n_nodes=8,
                                    reference_iterations=10, rng=0)),
+    ("rack_size", lambda: RackLayout.default(8, rack_size=4)),
+    ("racks", lambda: backup_targets(0, 1, 8, "rack_aware",
+                                     racks=RackLayout(8, 2))),
+    ("rng", lambda: backup_targets(0, 1, 8, "random", rng=0)),
+    ("racks", lambda: PLACEMENTS.get("rack_aware")(0, 1, 8,
+                                                   racks=RackLayout(8, 2))),
+    ("rng", lambda: PLACEMENTS.get("random")(0, 1, 8, rng=0)),
+    ("rack_size", lambda: build_redundancy_scheme("copies", _context(), 1,
+                                                  rack_size=2)),
+    ("rng", lambda: build_redundancy_scheme("copies", _context(), 1, rng=0)),
+    ("options", lambda: build_redundancy_scheme(
+        "rs_parity", _context(), 1, options={"group_size": 2})),
+    ("rack_size", lambda: RedundancyScheme(_context(), 1, rack_size=2)),
+    ("rng", lambda: RedundancyScheme(_context(), 1, rng=0)),
+    ("rack_size", lambda: RSParityScheme(_context(), 1, rack_size=2)),
+    ("rng", lambda: RSParityScheme(_context(), 1, rng=0)),
+    ("group_size", lambda: RSParityScheme(_context(), 1, group_size=2)),
+    ("rng", lambda: generators.graph_laplacian_spd(
+        50, rng=np.random.default_rng(0))),
+    ("rng", lambda: generators.unstructured_mesh_spd(
+        50, rng=np.random.default_rng(0))),
+    ("rng", lambda: generators.elasticity_3d(
+        2, rng=np.random.default_rng(0))),
+    ("rng", lambda: generators.banded_spd(
+        50, 3, rng=np.random.default_rng(0))),
+    ("rng", lambda: generators.diagonally_dominant_spd(
+        50, rng=np.random.default_rng(0))),
 ]
 
 
@@ -90,7 +139,13 @@ def test_failure_location_must_be_a_member(value):
 @pytest.mark.parametrize("cls,names", [
     (CheckpointConfig, ["interval"]),
     (FailureScenario, ["n_failures", "progress_fraction", "location"]),
-], ids=["CheckpointConfig", "FailureScenario"])
+    (LifetimeModel, ["scale"]),
+    (TraceSpec, ["n_nodes", "horizon", "lifetime", "burst_rate", "label"]),
+    (CampaignSpec, ["matrix_id", "matrix_size", "matrix_seed", "n_nodes",
+                    "phi", "placement", "preconditioner", "rtol", "trace",
+                    "n_runs", "seed", "timeout_s"]),
+], ids=["CheckpointConfig", "FailureScenario", "LifetimeModel", "TraceSpec",
+        "CampaignSpec"])
 def test_remaining_fields(cls, names):
     assert [f.name for f in dataclasses.fields(cls)] == names
 
@@ -104,3 +159,4 @@ def test_constants_keep_the_values_every_workload_ran():
         (1e-4, 10.0)
     assert (local_solver.INNER_RTOL, local_solver.INNER_MAX_ITERATIONS) == \
         (1e-14, 200)
+    assert (placement.DEFAULT_RACK_SIZE, rs_parity.GROUP_SIZE) == (4, 4)

@@ -71,9 +71,7 @@ failure_events = st.builds(
 resilience_specs = st.builds(
     ResilienceSpec, phi=ints(0, 6),
     scheme=mixed_case(REDUNDANCY_SCHEMES.names()),
-    scheme_options=st.dictionaries(st.just("group_size"), ints(2, 8)),
     placement=mixed_case(PLACEMENTS.names()),
-    rack_size=optional(ints(1, 8)),
     failures=st.lists(failure_events | st.tuples(
         ints(0, 500), st.lists(ints(0, 31), min_size=1, max_size=3,
                                unique_by=int)), max_size=3).map(tuple))
@@ -88,16 +86,13 @@ solve_specs = st.builds(
     preconditioner=mixed_case(PRECONDITIONERS.names()),
     resilience=optional(resilience_specs), block=optional(block_specs))
 
-lifetime_models = st.builds(
-    LifetimeModel, distribution=st.sampled_from(["exponential", "weibull"]),
-    scale=floats(1.0, 1e4), shape=floats(0.1, 5.0))
+lifetime_models = st.builds(LifetimeModel, scale=floats(1.0, 1e4))
 
 
 def trace_specs(n_nodes=ints(2, 64)):
     return st.builds(
         TraceSpec, n_nodes=n_nodes, horizon=ints(1, 1000),
-        lifetime=lifetime_models, burst_rate=floats(0.0, 1.0),
-        rack_size=ints(1, 8), repair_delay=floats(0.0, 10.0), label=labels)
+        lifetime=lifetime_models, burst_rate=floats(0.0, 1.0), label=labels)
 
 
 @st.composite
@@ -108,10 +103,8 @@ def campaign_specs(draw):
         matrix_size=draw(ints(16, 4000)), matrix_seed=draw(ints(0, 99)),
         n_nodes=n_nodes, phi=draw(ints(0, int(n_nodes) - 1)),
         placement=draw(mixed_case(PLACEMENTS.names())),
-        rack_size=draw(optional(ints(1, 8))),
         preconditioner=draw(mixed_case(PRECONDITIONERS.names())),
         rtol=draw(floats(1e-12, 1e-2)),
-        max_iterations=draw(optional(ints(1, 10_000))),
         trace=draw(trace_specs(st.just(n_nodes))),
         n_runs=draw(ints(1, 500)), seed=draw(ints(0, 2**31 - 1)),
         timeout_s=draw(floats(0.0, 600.0)))

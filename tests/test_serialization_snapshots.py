@@ -51,8 +51,7 @@ def failure_event() -> FailureEvent:
 
 def resilience_spec() -> ResilienceSpec:
     return ResilienceSpec(
-        phi=2, scheme="rs_parity", scheme_options={"group_size": 4},
-        placement="rack_aware", rack_size=4,
+        phi=2, scheme="rs_parity", placement="rack_aware",
         failures=((10, (0, 1)), failure_event()))
 
 
@@ -68,21 +67,19 @@ def solve_spec() -> SolveSpec:
 
 
 def lifetime_model() -> LifetimeModel:
-    return LifetimeModel(distribution="weibull", scale=120.0, shape=0.7)
+    return LifetimeModel(scale=120.0)
 
 
 def trace_spec() -> TraceSpec:
     return TraceSpec(n_nodes=8, horizon=150, lifetime=lifetime_model(),
-                     burst_rate=0.05, rack_size=2, repair_delay=3.0,
-                     label="trace-a")
+                     burst_rate=0.05, label="trace-a")
 
 
 def campaign_spec() -> CampaignSpec:
     return CampaignSpec(
         matrix_id="M1", matrix_size=200, matrix_seed=3, n_nodes=8, phi=2,
-        placement="copyset", rack_size=2, preconditioner="block_jacobi_ilu",
-        rtol=1e-7, max_iterations=900, trace=trace_spec(), n_runs=12,
-        seed=5, timeout_s=30.0)
+        placement="copyset", preconditioner="block_jacobi_ilu",
+        rtol=1e-7, trace=trace_spec(), n_runs=12, seed=5, timeout_s=30.0)
 
 
 def run_outcome() -> RunOutcome:
