@@ -1,7 +1,7 @@
 """The :class:`VirtualCluster` facade.
 
 A ``VirtualCluster`` bundles everything the distributed solvers need from the
-machine: the nodes with their private memories, the interconnect topology, the
+machine: the nodes with their private memories, the fat-tree interconnect, the
 latency-bandwidth cost model with its ledger, the communicator with its one
 collective (the dot-product allreduce), the ULFM-like failure runtime and the
 reliable storage for static data.  It is the single object that experiment
@@ -17,7 +17,7 @@ from .communicator import Communicator
 from .cost_model import CostLedger, MachineModel
 from .errors import ClusterError
 from .failure import UlfmRuntime
-from .network import Topology, UniformTopology, default_topology
+from .network import FatTreeTopology
 from .node import MemoryEpoch, Node
 from .reliable_storage import ReliableStorage
 
@@ -30,33 +30,24 @@ class VirtualCluster:
     n_nodes:
         Number of compute nodes ``N``.
     machine:
-        Performance parameters; defaults to :class:`MachineModel` defaults.
-    topology:
-        Interconnect; defaults to a fat tree sized for ``n_nodes``.
+        Performance parameters, the interconnect's two latencies among them;
+        defaults to :class:`MachineModel` defaults.  The interconnect is the
+        :class:`~repro.cluster.network.FatTreeTopology` sized for ``n_nodes``
+        and priced by this machine.
     seed:
         Seed for the cost model's run-to-run jitter (only used if the machine
         model has ``jitter_rel_std > 0``).
     """
 
     def __init__(self, n_nodes: int, *, machine: Optional[MachineModel] = None,
-                 topology: Optional[Topology] = None,
                  seed: Optional[int] = None):
         if n_nodes < 1:
             raise ClusterError(f"a cluster needs at least one node, got {n_nodes}")
         self.n_nodes = int(n_nodes)
         self.machine = machine if machine is not None else MachineModel()
-        self.topology = topology if topology is not None else default_topology(
-            n_nodes, self.machine.latency_intra, self.machine.latency_inter
-        )
-        if self.topology.n_nodes != self.n_nodes:
-            raise ClusterError(
-                f"topology is sized for {self.topology.n_nodes} nodes, "
-                f"cluster has {self.n_nodes}"
-            )
+        self.topology = FatTreeTopology(self.n_nodes, self.machine)
         self._rng: Optional[RandomState] = (
-            as_rng(seed) if self.machine.jitter_rel_std > 0 else
-            (as_rng(seed) if seed is not None else None)
-        )
+            as_rng(seed) if self.machine.jitter_rel_std > 0 else None)
         #: Bumped by every node failure, replacement and memory deletion.
         self.epoch = MemoryEpoch()
         self.nodes: List[Node] = [
@@ -115,17 +106,3 @@ class VirtualCluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return self.describe()
-
-
-def make_cluster(n_nodes: int, *, uniform_latency: Optional[float] = None,
-                 machine: Optional[MachineModel] = None,
-                 seed: Optional[int] = None) -> VirtualCluster:
-    """Shorthand used heavily in tests: build a small cluster quickly.
-
-    ``uniform_latency`` switches to a :class:`UniformTopology` (simplest
-    latency structure); otherwise the default fat tree is used.
-    """
-    topology = None
-    if uniform_latency is not None:
-        topology = UniformTopology(n_nodes, latency=uniform_latency)
-    return VirtualCluster(n_nodes, machine=machine, topology=topology, seed=seed)

@@ -296,18 +296,3 @@ class CostLedger:
         self.times.clear()
         self.messages.clear()
         self.elements.clear()
-
-    def merge(self, other: "CostLedger") -> None:
-        """Add another ledger's accumulators into this one."""
-        for k, v in other.times.items():
-            self.times[k] = self.times.get(k, 0.0) + v
-        for k, v in other.messages.items():
-            self.messages[k] = self.messages.get(k, 0) + v
-        for k, v in other.elements.items():
-            self.elements[k] = self.elements.get(k, 0) + v
-
-
-def max_over_nodes(values: Iterable[float]) -> float:
-    """Bulk-synchronous reduction helper: the slowest node sets the pace."""
-    values = list(values)
-    return float(max(values)) if values else 0.0

@@ -11,7 +11,7 @@ the recovery phase of the cost ledger.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,7 @@ class ReliableStorage:
     plain strings for global items (e.g. ``"b"``).
     """
 
-    def __init__(self, ledger: Optional[CostLedger] = None):
+    def __init__(self, ledger: CostLedger):
         self._store: Dict[Any, Any] = {}
         self._ledger = ledger
         self.retrieval_count = 0
@@ -74,7 +74,7 @@ class ReliableStorage:
         if key not in self._store:
             raise KeyError(f"reliable storage has no entry for {key!r}")
         value = self._store[key]
-        if charge and self._ledger is not None:
+        if charge:
             n_elem = _element_count(value)
             self._ledger.add_time(
                 Phase.STORAGE_RETRIEVE,

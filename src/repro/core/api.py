@@ -44,7 +44,6 @@ import scipy.sparse as sp
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import MachineModel
-from ..cluster.network import Topology
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.dmatrix import DistributedMatrix
 from ..distributed.dmultivector import DistributedMultiVector
@@ -72,7 +71,7 @@ __all__ = [
 
 #: ``solve`` keyword arguments consumed by problem construction (only legal
 #: when a raw matrix is passed), not by the :class:`SolveSpec`.
-_CLUSTER_KEYS = ("n_nodes", "machine", "topology", "seed", "cluster")
+_CLUSTER_KEYS = ("n_nodes", "machine", "seed")
 
 
 @dataclass
@@ -163,11 +162,13 @@ class DistributedProblem:
 def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
                        n_nodes: int = 8,
                        machine: Optional[MachineModel] = None,
-                       topology: Optional[Topology] = None,
-                       seed: Optional[int] = None,
-                       cluster: Optional[VirtualCluster] = None
+                       seed: Optional[int] = None
                        ) -> DistributedProblem:
-    """Distribute ``A x = b`` over a (new or existing) virtual cluster.
+    """Distribute ``A x = b`` over a new virtual cluster.
+
+    This is the one way a problem's cluster is built: each problem gets its
+    own, so no other problem's blocks can overwrite its matrix or
+    right-hand side.
 
     Parameters
     ----------
@@ -176,21 +177,17 @@ def distribute_problem(matrix: Any, rhs: Optional[np.ndarray] = None, *,
     rhs:
         Right-hand side; defaults to ``A @ ones`` so the exact solution is the
         all-ones vector (handy for verification).
-    n_nodes:
-        Number of virtual compute nodes (ignored if *cluster* is given).
-    machine, topology, seed:
-        Forwarded to :class:`~repro.cluster.cluster.VirtualCluster`.
-    cluster:
-        Reuse an existing cluster instead of creating one.
+    n_nodes, machine, seed:
+        The cluster options: the number of virtual compute nodes, the
+        machine model (which also prices the interconnect) and the jitter
+        seed, forwarded to :class:`~repro.cluster.cluster.VirtualCluster`.
     """
     a = sp.csr_matrix(matrix)
     n = a.shape[0]
     if rhs is None:
         rhs = a @ np.ones(n)
     rhs = check_finite(rhs, "rhs")
-    if cluster is None:
-        cluster = VirtualCluster(n_nodes, machine=machine, topology=topology,
-                                 seed=seed)
+    cluster = VirtualCluster(n_nodes, machine=machine, seed=seed)
     partition = BlockRowPartition(n, cluster.n_nodes)
     a_dist = DistributedMatrix.from_global(cluster, partition, "A", a)
     b_dist = DistributedVector.from_global(cluster, partition, "b", rhs)
@@ -240,9 +237,9 @@ def solve(problem: Any, rhs: Any = None, spec: Optional[SolveSpec] = None,
     problem:
         A :class:`DistributedProblem`, or a raw global matrix (any SciPy
         sparse format / dense array) that is distributed first.  With a raw
-        matrix the cluster options ``n_nodes``, ``machine``, ``topology``,
-        ``seed`` and ``cluster`` may be passed as keyword arguments (they are
-        forwarded to :func:`distribute_problem`).
+        matrix the cluster options ``n_nodes``, ``machine`` and ``seed`` may
+        be passed as keyword arguments (they are forwarded to
+        :func:`distribute_problem`).
     rhs:
         Right-hand side(s): ``None`` (the problem's stored rhs, or ``A @
         ones`` for a raw matrix), a global 1-D array, a global ``(n, k)``

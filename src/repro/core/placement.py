@@ -38,9 +38,10 @@ the backups placed against it agree on what a rack is.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from ..utils.registry import Registry
 from ..utils.rng import as_rng
@@ -191,13 +192,20 @@ def _rack_aware_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     return targets
 
 
+@functools.lru_cache(maxsize=32)
+def _default_striding_order(n_nodes: int) -> Tuple[int, ...]:
+    """The default layout's rack-striding order, sorted once per node count
+    (every owner of a copyset scheme build reads it)."""
+    return tuple(RackLayout.default(n_nodes).striding_order())
+
+
 @register_placement("copyset",
                     "fixed rack-striding copysets of phi + 1 ranks")
 def _copyset_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     if phi == 0:
         return []
     layout = RackLayout.default(n_nodes)
-    order = layout.striding_order()
+    order = _default_striding_order(n_nodes)
     group_size = phi + 1
     n_groups = max(n_nodes // group_size, 1)
     pos = order.index(owner)
@@ -206,7 +214,7 @@ def _copyset_placement(owner: int, phi: int, n_nodes: int) -> List[int]:
     # The last group absorbs the remainder so every group has >= phi + 1
     # members.
     stop = start + group_size if group < n_groups - 1 else n_nodes
-    members = order[start:stop]
+    members = list(order[start:stop])
     at = members.index(owner)
     ring = members[at + 1:] + members[:at]
     # Off-rack members first (stable within each class): the round-1 backup

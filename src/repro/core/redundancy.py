@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
-from ..cluster.network import Topology
+from ..cluster.network import FatTreeTopology
 from ..distributed.comm_context import CommunicationContext
 from ..distributed.partition import BlockRowPartition
 from ..utils.registry import Registry
@@ -192,8 +192,8 @@ class RedundancySchemeBase:
 
     Every scheme owes the **charge-model contract** of Sec. 4.2: the
     per-round times, the per-iteration traffic, and bounds satisfying
-    ``lower <= per_iteration_overhead_time <= upper`` for every topology /
-    ``n_cols`` / placement combination (pinned by the property tests for
+    ``lower <= per_iteration_overhead_time <= upper`` for every node count
+    / ``n_cols`` / placement combination (pinned by the property tests for
     all registered schemes).
     """
 
@@ -238,18 +238,18 @@ class RedundancySchemeBase:
         return self._held_index
 
     # -- charge model (Sec. 4.2) ------------------------------------------------
-    def round_overhead_times(self, topology: Topology, model: Any,
+    def round_overhead_times(self, topology: FatTreeTopology, model: Any,
                              n_cols: int = 1) -> List[float]:
         """Per-round redundancy overhead times (one entry per round)."""
         raise NotImplementedError
 
-    def per_iteration_overhead_time(self, topology: Topology, model: Any,
-                                    n_cols: int = 1) -> float:
+    def per_iteration_overhead_time(self, topology: FatTreeTopology,
+                                    model: Any, n_cols: int = 1) -> float:
         """Total redundancy overhead per iteration (sum of the round maxima)."""
         return float(sum(self.round_overhead_times(topology, model,
                                                    n_cols=n_cols)))
 
-    def iteration_overhead(self, topology: Topology, model: Any,
+    def iteration_overhead(self, topology: FatTreeTopology, model: Any,
                            n_cols: int = 1
                            ) -> Tuple[float, Tuple[int, int]]:
         """``(per_iteration_overhead_time, extra_traffic_per_iteration)``,
@@ -264,7 +264,7 @@ class RedundancySchemeBase:
                 self.extra_traffic_per_iteration(n_cols=n_cols))
         return overhead
 
-    def overhead_bounds(self, topology: Topology, model: Any,
+    def overhead_bounds(self, topology: FatTreeTopology, model: Any,
                         n_cols: int = 1) -> Tuple[float, float]:
         """``(lower, upper)`` sandwich around the per-iteration overhead.
 
@@ -359,19 +359,13 @@ class RedundancyScheme(RedundancySchemeBase):
         self._owners: Dict[int, OwnerRedundancy] = {}
         for owner in range(self.partition.n_parts):
             self._owners[owner] = self._compute_owner(owner)
-        # The held pattern and the per-owner copy counts are immutable after
-        # construction; memoize them so per-iteration consumers (the ESR
-        # protocol) and the property-test invariant check pay O(pattern)
-        # once instead of O(N * pattern) per query.
+        # The held pattern is immutable after construction; memoize it so
+        # per-iteration consumers (the ESR protocol) pay O(pattern) once
+        # instead of O(N * pattern) per query.
         self._held_pattern = self._compute_held_pattern()
-        self._copy_counts: Dict[int, np.ndarray] = {
-            owner: np.zeros(self.partition.size_of(owner), dtype=np.int64)
-            for owner in self._owners
-        }
-        for (owner, _holder), idx in self._held_pattern.items():
-            if idx.size:
-                start, _ = self.partition.range_of(owner)
-                self._copy_counts[owner][idx - start] += 1
+        #: Per-owner copy counts; only the invariant oracle reads them, so
+        #: the first :meth:`copy_count` counts them.
+        self._copy_counts: Optional[Dict[int, np.ndarray]] = None
 
     # -- per-owner computation -------------------------------------------------
     def _compute_owner(self, owner: int) -> OwnerRedundancy:
@@ -466,10 +460,20 @@ class RedundancyScheme(RedundancySchemeBase):
         """Number of distinct non-owner nodes holding each element of *owner*.
 
         This is the quantity the redundancy invariant bounds from below by
-        ``phi``; it is exercised directly by the property tests.  The counts
-        are precomputed in one pass over the (immutable) held pattern, so
-        each call is ``O(n_owner)`` instead of ``O(N * pattern)``.
+        ``phi``; it is exercised directly by the property tests.  The first
+        call counts every owner in one pass over the (immutable) held
+        pattern, so each later call is ``O(n_owner)`` instead of
+        ``O(N * pattern)``.
         """
+        if self._copy_counts is None:
+            counts = {owner: np.zeros(self.partition.size_of(owner),
+                                      dtype=np.int64)
+                      for owner in self._owners}
+            for (held_owner, _holder), idx in self._held_pattern.items():
+                if idx.size:
+                    start, _ = self.partition.range_of(held_owner)
+                    counts[held_owner][idx - start] += 1
+            self._copy_counts = counts
         return self._copy_counts[owner].copy()
 
     def verify_invariant(self) -> bool:
@@ -482,7 +486,7 @@ class RedundancyScheme(RedundancySchemeBase):
         )
 
     # -- communication overhead (Sec. 4.2) ---------------------------------------------
-    def round_overhead_times(self, topology: Topology, model,
+    def round_overhead_times(self, topology: FatTreeTopology, model,
                              n_cols: int = 1) -> List[float]:
         """Per-round redundancy overhead ``max_i (lambda_ik? + |R^c_ik| n_cols mu)``.
 

@@ -39,7 +39,7 @@ pipelined in-group reduction whose final hop (one parity block of
 block.  Repair downloads ``g`` units (CR-SIM's ``repair`` cost) and is
 charged by the protocol's recovery path.  The owners' own generation
 snapshots are node-local (no traffic).  The bounds sandwich
-``lower <= per-iteration time <= upper`` holds for every topology and
+``lower <= per-iteration time <= upper`` holds for every node count and
 column count (pinned by the property tests).
 """
 
@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..cluster.network import Topology
+from ..cluster.network import FatTreeTopology
 from ..distributed.comm_context import CommunicationContext
 from .placement import RackLayout
 from .redundancy import (
@@ -321,7 +321,7 @@ class RSParityScheme(RedundancySchemeBase):
         return decoded
 
     # -- charge model (Sec. 4.2, m/g-scaled) --------------------------------------
-    def round_overhead_times(self, topology: Topology, model: Any,
+    def round_overhead_times(self, topology: FatTreeTopology, model: Any,
                              n_cols: int = 1) -> List[float]:
         """Per-round overhead ``max_g (lambda(lead_g, holder_gj) + padded_g k mu)``.
 

@@ -1,10 +1,11 @@
 """The solver service: an async job queue coalescing requests into block solves.
 
 :class:`SolverService` is the serving layer of the ROADMAP's
-"production-scale" story.  Clients register matrices once
-(:meth:`~SolverService.register_matrix` -> a cached
-:class:`~repro.core.api.DistributedProblem`, so the operator gather and the
-preconditioner factorization are paid once, not per request) and then submit
+"production-scale" story.  Clients register each matrix once, as the
+:class:`~repro.core.api.DistributedProblem` :func:`repro.distribute_problem`
+built for it (:meth:`~SolverService.register_matrix` caches it under a
+matrix id, so the operator gather and the preconditioner factorization are
+paid once, not per request) and then submit
 many independent ``(matrix_id, rhs, spec)`` solve requests.  A batching
 policy, picked by its registered name (:mod:`repro.service.policies`),
 groups pending requests that share a compatible ``(matrix_id, SolveSpec)``
@@ -46,14 +47,11 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.cluster import VirtualCluster
-from ..cluster.cost_model import MachineModel
-from ..cluster.network import Topology
-from ..core.api import DistributedProblem, distribute_problem, solve
+from ..core.api import DistributedProblem, solve
 from ..core.block_pcg import BlockSolveResult
 from ..core.spec import SolveSpec
 from ..utils.logging import get_logger
@@ -103,15 +101,12 @@ class SolverService:
         Start the background scheduler thread.  ``False`` leaves the service
         in deterministic pull mode: nothing dispatches until
         :meth:`pump`/:meth:`drain`/:meth:`solve_sync` is called.
-    clock:
-        Monotonic time source (injectable for window tests).
     """
 
     def __init__(self, *, policy: str = "fifo_window",
                  window_s: float = DEFAULT_WINDOW_S,
                  k_max: int = DEFAULT_K_MAX,
-                 autostart: bool = False,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 autostart: bool = False) -> None:
         if window_s < 0.0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
         if k_max < 1:
@@ -122,7 +117,6 @@ class SolverService:
         self._policy_name = policy.lower()
         self.window_s = float(window_s)
         self.k_max = int(k_max)
-        self._clock = clock if clock is not None else time.monotonic
         self._matrices: Dict[str, _MatrixEntry] = {}
         self._pending: List[ServiceRequest] = []
         self._lock = threading.Lock()
@@ -188,38 +182,27 @@ class SolverService:
         self.shutdown(drain=exc_info[0] is None)
 
     # -- matrix registry -----------------------------------------------------
-    def register_matrix(self, matrix_id: str, matrix: Any, *,
-                        rhs: Optional[np.ndarray] = None,
-                        n_nodes: int = 8,
-                        machine: Optional[MachineModel] = None,
-                        topology: Optional[Topology] = None,
-                        seed: Optional[int] = None,
-                        cluster: Optional[VirtualCluster] = None,
+    def register_matrix(self, matrix_id: str, problem: DistributedProblem, *,
                         default_spec: Optional[SolveSpec] = None
                         ) -> DistributedProblem:
-        """Register *matrix* under *matrix_id* and cache its problem.
+        """Register *problem* under *matrix_id* and cache it.
 
-        *matrix* may be a raw SPD matrix (distributed over a fresh or given
-        cluster via :func:`repro.distribute_problem`) or an existing
-        :class:`DistributedProblem` (adopted as-is; the cluster keywords must
-        then be left at their defaults).  Re-registering an id raises.
+        *problem* is a :class:`DistributedProblem` built by
+        :func:`repro.distribute_problem`, which owns its cluster; anything
+        else raises ``TypeError``.  Re-registering an id raises.
         """
+        if not isinstance(problem, DistributedProblem):
+            raise TypeError(
+                f"register_matrix takes a DistributedProblem, not "
+                f"{type(problem).__name__}; build one with "
+                "repro.distribute_problem")
         matrix_id = str(matrix_id)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("service is shut down")
-            if matrix_id in self._matrices:
-                raise ValueError(f"matrix id {matrix_id!r} already registered")
-        if isinstance(matrix, DistributedProblem):
-            problem = matrix
-        else:
-            problem = distribute_problem(matrix, rhs, n_nodes=n_nodes,
-                                         machine=machine, topology=topology,
-                                         seed=seed, cluster=cluster)
         entry = _MatrixEntry(matrix_id, problem,
                              default_spec if default_spec is not None
                              else SolveSpec())
         with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is shut down")
             if matrix_id in self._matrices:
                 raise ValueError(f"matrix id {matrix_id!r} already registered")
             self._matrices[matrix_id] = entry
@@ -293,7 +276,7 @@ class SolverService:
             self._pending.append(ServiceRequest(
                 seq=seq, matrix_id=matrix_id, rhs=values, spec=spec,
                 key=key, coalescable=coalescable, tenant=str(tenant),
-                handle=handle, enqueued_at=self._clock()))
+                handle=handle, enqueued_at=time.monotonic()))
             self._cond.notify_all()
         return handle
 
@@ -328,7 +311,7 @@ class SolverService:
             if not self._pending:
                 return []
             batches = self.policy(
-                self._pending, now=self._clock(), window_s=self.window_s,
+                self._pending, now=time.monotonic(), window_s=self.window_s,
                 k_max=self.k_max, drain=drain)
             taken = {req.seq for batch in batches for req in batch}
             if len(taken) != sum(len(batch) for batch in batches):
@@ -371,7 +354,7 @@ class SolverService:
                         return
                     if not self._pending:
                         continue
-                    now = self._clock()
+                    now = time.monotonic()
                     oldest = min(req.enqueued_at for req in self._pending)
                     wait_s = max(self.window_s - (now - oldest), 0.0)
                     # Sleep until the oldest window expires or a submission
@@ -383,7 +366,7 @@ class SolverService:
         with self._exec_lock:
             batch_id = self._batch_seq
             self._batch_seq += 1
-            dispatched_at = self._clock()
+            dispatched_at = time.monotonic()
             try:
                 results = self._run_batch(batch, batch_id, dispatched_at)
             except Exception as exc:  # noqa: BLE001 - fail the whole batch
@@ -409,7 +392,7 @@ class SolverService:
         else:
             rhs = np.column_stack([req.rhs for req in batch])
         result = solve(entry.problem, rhs, spec=spec)
-        solved_at = self._clock()
+        solved_at = time.monotonic()
         self.stats.record_batch(width)
 
         solve_s = solved_at - dispatched_at

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cost_model import (
-    CostLedger,
-    MachineModel,
-    Phase,
-    max_over_nodes,
-)
+from repro.cluster.cost_model import CostLedger, MachineModel, Phase
 
 
 @pytest.fixture
@@ -118,16 +113,6 @@ class TestCostLedger:
         assert ledger.total_time() == 0.0
         assert ledger.total_messages() == 0
 
-    def test_merge(self, model):
-        a = CostLedger(model=model)
-        b = CostLedger(model=model)
-        a.add_time(Phase.SPMV_COMPUTE, 1.0)
-        b.add_time(Phase.SPMV_COMPUTE, 2.0)
-        b.add_traffic(Phase.HALO_COMM, 1, 10)
-        a.merge(b)
-        assert a.total_time() == pytest.approx(3.0)
-        assert a.total_messages() == 1
-
     def test_breakdown_sorted(self, ledger):
         ledger.add_time(Phase.HALO_COMM, 1.0)
         ledger.add_time(Phase.SPMV_COMPUTE, 1.0)
@@ -139,9 +124,3 @@ class TestCostLedger:
         charged = [ledger.add_time(Phase.SPMV_COMPUTE, 1.0) for _ in range(20)]
         assert len(set(charged)) > 1
         assert all(c > 0 for c in charged)
-
-
-class TestHelpers:
-    def test_max_over_nodes(self):
-        assert max_over_nodes([1.0, 3.0, 2.0]) == 3.0
-        assert max_over_nodes([]) == 0.0

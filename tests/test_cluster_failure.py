@@ -189,8 +189,3 @@ class TestClusterFacade:
         assert cluster.simulated_time() > 0.0
         cluster.ledger.reset()
         assert cluster.simulated_time() == 0.0
-
-    def test_topology_size_mismatch_rejected(self):
-        from repro.cluster.network import UniformTopology
-        with pytest.raises(Exception):
-            VirtualCluster(4, topology=UniformTopology(8))

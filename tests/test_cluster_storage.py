@@ -74,8 +74,3 @@ class TestReliableStorage:
         store.put("b", 2)
         assert set(store.keys()) == {"a", "b"}
         assert dict(store.items()) == {"a": 1, "b": 2}
-
-    def test_no_ledger_is_fine(self):
-        store = ReliableStorage()
-        store.put("a", np.ones(3))
-        assert store.retrieve("a").size == 3

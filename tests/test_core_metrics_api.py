@@ -115,13 +115,6 @@ class TestApi:
         # default rhs makes the exact solution all-ones
         assert np.allclose(problem.rhs.to_global(), a @ np.ones(144))
 
-    def test_distribute_problem_existing_cluster(self):
-        from repro.cluster import VirtualCluster
-        cluster = VirtualCluster(3)
-        problem = distribute_problem(poisson_2d(9), cluster=cluster)
-        assert problem.n_nodes == 3
-        assert problem.cluster is cluster
-
     def test_build_failure_events_tuples(self):
         events = build_failure_events([(5, [1, 2]), (9, 3)])
         assert events[0].ranks == (1, 2)

@@ -165,6 +165,22 @@ class TestStrategyProperties:
     def test_copyset_phi_zero(self):
         assert backup_targets(0, 0, 8, "copyset") == []
 
+    def test_copyset_sorts_the_striding_order_once_per_node_count(
+            self, monkeypatch):
+        # Placing every owner must not re-sort the order per owner: that
+        # made one scheme build O(N^2 log N).
+        calls = []
+        striding_order = RackLayout.striding_order
+
+        def counted(layout):
+            calls.append(layout.n_nodes)
+            return striding_order(layout)
+
+        monkeypatch.setattr(RackLayout, "striding_order", counted)
+        for owner in range(64):
+            backup_targets(owner, 3, 64, "copyset")
+        assert len(calls) <= 1
+
     def test_legacy_results_unchanged(self):
         # The registry refactor must not move any pre-existing placement.
         assert backup_targets(4, 4, 10, "paper") == [5, 3, 6, 2]

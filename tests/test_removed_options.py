@@ -8,8 +8,12 @@ right-hand sides and failures clustered at the start or the center.  The
 reliability layer derives its rack layout from the node count, stripes
 parity over a fixed number of blocks, seeds each random choice from the
 owner or the given seed, and draws exponential lifetimes with no repair
-delay.  The settings that once chose otherwise are gone, and passing one
-raises the ``TypeError`` of an unexpected keyword.  (The removed spec
+delay.  The cluster layer runs one interconnect, the fat tree sized by the
+node count and priced by the machine, builds a problem's cluster only in
+``distribute_problem`` and charges every reliable-storage read to the
+cluster's ledger; the solver service registers only such problems.  The
+settings that once chose otherwise are gone, and passing one raises the
+``TypeError`` of an unexpected keyword.  (The removed spec
 fields, ``SolveSpec``'s, ``ResilienceSpec``'s, ``CampaignSpec``'s,
 ``TraceSpec``'s and ``LifetimeModel``'s, are pinned with the other spec
 knobs in ``tests/test_core_spec.py``, the preconditioner factory's options
@@ -23,14 +27,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro
 from repro.baselines import (
     CheckpointConfig,
     least_squares_interpolation,
     local_interpolation,
 )
-from repro.cluster import MachineModel
-from repro.core import distribute_problem, placement, rs_parity
+from repro.cluster import MachineModel, ReliableStorage, VirtualCluster
+from repro.core import api, distribute_problem, placement, rs_parity
 from repro.core.placement import PLACEMENTS, RackLayout
 from repro.core.redundancy import (
     RedundancyScheme,
@@ -47,7 +53,7 @@ from repro.failures import (
 from repro.harness import CampaignSpec, ExperimentConfig
 from repro.matrices import generators, poisson_2d
 from repro.precond import BlockJacobiPreconditioner, block_jacobi
-from repro.service import TrafficSpec
+from repro.service import SolverService, TrafficSpec
 from repro.solvers import LocalSubsystemSolver, local_solver
 
 
@@ -58,6 +64,11 @@ def _interpolation_args():
 
 def _context():
     return distribute_problem(poisson_2d(4), n_nodes=4).matrix.context
+
+
+def _register(**keywords):
+    problem = distribute_problem(poisson_2d(4), n_nodes=4)
+    return SolverService().register_matrix("m", problem, **keywords)
 
 
 #: ``(keyword, call passing it)`` for every removed keyword.
@@ -112,6 +123,18 @@ REMOVED = [
         50, 3, rng=np.random.default_rng(0))),
     ("rng", lambda: generators.diagonally_dominant_spd(
         50, rng=np.random.default_rng(0))),
+    ("topology", lambda: VirtualCluster(4, topology=None)),
+    ("topology", lambda: distribute_problem(poisson_2d(4), topology=None)),
+    ("cluster", lambda: distribute_problem(poisson_2d(4),
+                                           cluster=VirtualCluster(8))),
+    ("rhs", lambda: _register(rhs=None)),
+    ("n_nodes", lambda: _register(n_nodes=4)),
+    ("machine", lambda: _register(machine=MachineModel())),
+    ("topology", lambda: _register(topology=None)),
+    ("seed", lambda: _register(seed=0)),
+    ("cluster", lambda: _register(cluster=None)),
+    ("clock", lambda: SolverService(clock=None)),
+    ("ledger", lambda: ReliableStorage()),
 ]
 
 
@@ -121,6 +144,44 @@ REMOVED = [
 def test_removed_keyword_rejected(keyword, call):
     with pytest.raises(TypeError, match=keyword):
         call()
+
+
+def test_a_problem_owns_its_cluster():
+    """A second problem cannot be put on the first one's cluster, where it
+    would overwrite the first one's matrix and right-hand side: both store
+    their blocks under the same keys."""
+    a1 = poisson_2d(8)
+    b1 = np.random.default_rng(0).standard_normal(64)
+    p1 = distribute_problem(a1, b1, n_nodes=4)
+    a2 = (a1 + 3.0 * sp.identity(64)).tocsr()
+    with pytest.raises(TypeError, match="cluster"):
+        distribute_problem(a2, b1, cluster=p1.cluster)
+    assert (p1.matrix.to_global() != a1).nnz == 0
+    result = repro.solve(p1)
+    assert result.converged
+    assert np.linalg.norm(b1 - a1 @ result.x) <= 1e-7 * np.linalg.norm(b1)
+
+
+def test_register_matrix_takes_only_a_problem():
+    with pytest.raises(TypeError, match="repro.distribute_problem"):
+        SolverService().register_matrix("m", poisson_2d(4))
+
+
+@pytest.mark.parametrize("option", ["topology", "cluster"])
+def test_solve_rejects_the_removed_cluster_options(option, monkeypatch):
+    """``repro.solve`` hands a removed cluster option to the spec, whose
+    unknown-override ``ValueError`` comes before any cluster is built or
+    any charge made."""
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was distributed")
+
+    problem = distribute_problem(poisson_2d(4), n_nodes=4)
+    monkeypatch.setattr(api, "distribute_problem", no_problem)
+    with pytest.raises(ValueError, match=f"unknown SolveSpec.*{option}"):
+        repro.solve(poisson_2d(4), **{option: None})
+    with pytest.raises(ValueError, match=f"unknown SolveSpec.*{option}"):
+        repro.solve(problem, **{option: None})
+    assert problem.cluster.simulated_time() == 0.0
 
 
 def test_block_jacobi_takes_no_positional_block_count():

@@ -31,8 +31,8 @@ from repro.service import (
 @pytest.fixture
 def service(small_poisson):
     svc = SolverService(k_max=4)
-    svc.register_matrix("poisson", small_poisson, n_nodes=4, seed=0,
-                        machine=MachineModel(jitter_rel_std=0.0))
+    svc.register_matrix("poisson", repro.distribute_problem(
+        small_poisson, n_nodes=4, seed=0))
     yield svc
     svc.shutdown()
 
@@ -58,9 +58,9 @@ class TestRegistryAndSubmission:
         assert problem is service.problem("poisson")
         assert service.matrix_ids() == ("poisson",)
 
-    def test_duplicate_matrix_id_raises(self, service, small_poisson):
+    def test_duplicate_matrix_id_raises(self, service, direct_problem):
         with pytest.raises(ValueError, match="already registered"):
-            service.register_matrix("poisson", small_poisson)
+            service.register_matrix("poisson", direct_problem)
 
     def test_adopts_existing_problem(self, small_poisson, direct_problem):
         with SolverService() as svc:
@@ -132,7 +132,8 @@ class TestRegistryAndSubmission:
 
         try:
             svc = SolverService(policy="Overlap_Test_Only")
-            svc.register_matrix("poisson", small_poisson, n_nodes=4, seed=0)
+            svc.register_matrix("poisson", repro.distribute_problem(
+                small_poisson, n_nodes=4, seed=0))
             handle = svc.submit("poisson", np.ones(small_poisson.shape[0]))
             with pytest.raises(RuntimeError, match="'overlap_test_only' "
                                                    "returned overlapping"):
@@ -309,7 +310,8 @@ class TestShutdown:
 
     def test_shutdown_without_drain_fails_handles(self, small_poisson):
         svc = SolverService(k_max=4)
-        svc.register_matrix("m", small_poisson, n_nodes=4, seed=0)
+        svc.register_matrix("m", repro.distribute_problem(
+            small_poisson, n_nodes=4, seed=0))
         handles = [svc.submit("m", b)
                    for b in make_rhs(small_poisson.shape[0], 2)]
         svc.shutdown(drain=False)
@@ -323,7 +325,8 @@ class TestShutdown:
         with pytest.raises(ServiceClosedError):
             service.submit("poisson", np.zeros(small_poisson.shape[0]))
         with pytest.raises(ServiceClosedError):
-            service.register_matrix("other", small_poisson)
+            service.register_matrix("other", repro.distribute_problem(
+                small_poisson, n_nodes=4, seed=0))
 
     def test_shutdown_idempotent(self, service):
         service.shutdown()
@@ -331,14 +334,16 @@ class TestShutdown:
 
     def test_context_manager_drains_on_clean_exit(self, small_poisson):
         with SolverService(k_max=4) as svc:
-            svc.register_matrix("m", small_poisson, n_nodes=4, seed=0)
+            svc.register_matrix("m", repro.distribute_problem(
+                small_poisson, n_nodes=4, seed=0))
             handle = svc.submit("m", np.ones(small_poisson.shape[0]))
         assert handle.result(5.0).converged
 
     def test_background_scheduler_drains_inflight_on_shutdown(
             self, small_poisson):
         svc = SolverService(k_max=4, window_s=0.002, autostart=True)
-        svc.register_matrix("m", small_poisson, n_nodes=4, seed=0)
+        svc.register_matrix("m", repro.distribute_problem(
+            small_poisson, n_nodes=4, seed=0))
         handles = [svc.submit("m", b)
                    for b in make_rhs(small_poisson.shape[0], 6)]
         svc.shutdown(drain=True)
@@ -350,7 +355,8 @@ class TestShutdown:
 class TestFrontEnds:
     def test_handles_are_awaitable(self, small_poisson):
         svc = SolverService(k_max=4, window_s=0.001, autostart=True)
-        svc.register_matrix("m", small_poisson, n_nodes=4, seed=0)
+        svc.register_matrix("m", repro.distribute_problem(
+            small_poisson, n_nodes=4, seed=0))
 
         async def run():
             handles = [svc.submit("m", b)
@@ -371,7 +377,8 @@ class TestFrontEnds:
 
     def test_solve_sync_with_scheduler(self, small_poisson):
         svc = SolverService(k_max=4, window_s=0.001, autostart=True)
-        svc.register_matrix("m", small_poisson, n_nodes=4, seed=0)
+        svc.register_matrix("m", repro.distribute_problem(
+            small_poisson, n_nodes=4, seed=0))
         try:
             result = svc.solve_sync(
                 "m", np.ones(small_poisson.shape[0]), timeout=10.0)
@@ -438,8 +445,8 @@ class TestAccountingIntegration:
 
         def run_once():
             svc = SolverService(k_max=4)
-            svc.register_matrix("m", small_poisson, n_nodes=4, seed=0,
-                                machine=MachineModel(jitter_rel_std=0.0))
+            svc.register_matrix("m", repro.distribute_problem(
+                small_poisson, n_nodes=4, seed=0))
             trace = generate_traffic(
                 spec, {"m": small_poisson.shape[0]}, seed=99)
             handles = [svc.submit(req.matrix_id, req.rhs, tenant=req.tenant)
